@@ -23,6 +23,7 @@ Output is deterministic and reparses to the same program.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import AnalysisError, LoadError
@@ -32,7 +33,7 @@ from .ll_parser import (
     mangle_label, mangle_register, register_kinds, resolve_aliases,
 )
 from .ssa import (
-    BlockUnit, CliqueUnit, FunctionAnalysis, LoopInfo, analyze_function,
+    BlockUnit, CliqueUnit, FunctionAnalysis, LoopInfo, analyze_function, dfs_postorder,
 )
 
 STATE_VAR = "st"
@@ -632,8 +633,8 @@ def translate_module(module: LlvmModule) -> FunProgram:
         d, c = _FunctionTranslator(analysis, module).translate()
         defs.extend(d)
         cliques.extend(c)
-    names = [d.name for d in defs]
-    dup = {n for n in names if names.count(n) > 1}
+    names = Counter(d.name for d in defs)
+    dup = {n for n, count in names.items() if count > 1}
     if dup:
         raise AnalysisError(f"translated definition names collide: {sorted(dup)}")
     clash = set(names) & set(PRIMS)
@@ -661,26 +662,15 @@ def _function_order(module: LlvmModule) -> list[LlvmFunction]:
                 if inst.opcode == "call":
                     out.add(inst.callee)
         calls[fn.name] = out
-    ordered: list[LlvmFunction] = []
-    state: dict[str, int] = {}
-
-    def visit(name: str):
-        mark = state.get(name)
-        if mark == 2:
-            return
-        if mark == 1:
-            raise AnalysisError(
-                f"recursive calls through @{name} are outside the supported translation")
-        state[name] = 1
-        for callee in sorted(calls.get(name, ())):
-            if any(f.name == callee for f in module.functions):
-                visit(callee)
-        state[name] = 2
-        ordered.append(module.function(name))
-
+    by_name: dict[str, LlvmFunction] = {}
     for fn in module.functions:
-        visit(fn.name)
-    return ordered
+        by_name.setdefault(fn.name, fn)
+    order = dfs_postorder(
+        [fn.name for fn in module.functions],
+        lambda name: [c for c in sorted(calls[name]) if c in by_name],
+        lambda name: AnalysisError(
+            f"recursive calls through @{name} are outside the supported translation"))
+    return [by_name[name] for name in order]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ Both the classic typed-pointer spellings (``load i64* %p``,
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 from .errors import LexError, ParseError, UnsupportedConstructError
@@ -294,9 +295,11 @@ def width_of(kind: str) -> int:
     return int(kind[1:])
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def mangle_register(name: str) -> str:
     """Emission name for a register: '.' becomes '_dot_', other specials
-    become '_', purely numeric names gain a '_' prefix."""
+    become '_', purely numeric names gain a '_' prefix.  Memoized: the
+    translator asks for each register's name at every use."""
     if name.isdigit():
         return "_" + name
     out = []

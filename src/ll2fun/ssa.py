@@ -5,15 +5,24 @@ lists (phi results first, then live-in registers in first-use order, then
 the machine state), natural-loop structure, and a definition-before-use
 ordering of the emission units.
 
-Loops are found through dominators (a back edge is an edge whose target
-dominates its source).  Irreducible flow, multi-exit loops, and loops the
-five-function translation scheme cannot express are rejected with a
-diagnostic rather than silently mistranslated.
+Loops are found through the dominator tree (a back edge is an edge whose
+target dominates its source).  Irreducible flow, multi-exit loops, and
+loops the five-function translation scheme cannot express are rejected
+with a diagnostic rather than silently mistranslated.
+
+Cost: apart from the signatures themselves (the sum of the live-in set
+sizes), every pass is linear or n log n in the size of the function, and
+no pass recurses on the host stack, so function size is bounded by memory
+rather than by the recursion limit.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
+from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass
+from typing import TypeVar
 
 from .errors import AnalysisError
 from .ll_parser import BasicBlock, Br, LlvmFunction, Operand, Reg, Ret, register_kinds
@@ -106,7 +115,7 @@ def build_cfg(fn: LlvmFunction) -> ControlFlowGraph:
                 raise AnalysisError(f"@{fn.name}: block {block.label} branches to undefined label {s}")
         edges[block.label] = succs
         for s in succs:
-            if block.label not in preds[s]:
+            if not preds[s] or preds[s][-1] != block.label:  # br to one label twice
                 preds[s].append(block.label)
     entry = labels[0]
     reachable = {entry}
@@ -123,24 +132,96 @@ def build_cfg(fn: LlvmFunction) -> ControlFlowGraph:
                             edges, {l: tuple(ps) for l, ps in preds.items()})
 
 
-def dominators(cfg: ControlFlowGraph) -> dict[str, set[str]]:
-    """Iterative dominator sets; fine for the block counts we see."""
-    dom: dict[str, set[str]] = {cfg.entry: {cfg.entry}}
-    everything = set(cfg.nodes)
-    for n in cfg.nodes:
-        if n != cfg.entry:
-            dom[n] = set(everything)
+N = TypeVar("N", bound=Hashable)
+
+
+def dfs_postorder(roots: Iterable[N], successors: Callable[[N], Iterable[N]],
+                  cycle_error: Callable[[N], Exception] | None = None) -> list[N]:
+    """Depth-first post-order of everything reachable from `roots`, visiting
+    successors in the order given.  `successors(n)` is called once per
+    node, in pre-order.  An edge to a node `n` still on the DFS stack
+    closes a cycle: it raises `cycle_error(n)` if given, else is skipped.
+    Iterative, so the depth of the graph is not limited by the host
+    recursion limit."""
+    order: list[N] = []
+    state: dict[N, int] = {}  # 1: on the stack, 2: finished
+    for root in roots:
+        if root in state:
+            continue
+        state[root] = 1
+        stack = [(root, iter(successors(root)))]
+        while stack:
+            node, succs = stack[-1]
+            for s in succs:
+                mark = state.get(s)
+                if mark == 1 and cycle_error is not None:
+                    raise cycle_error(s)
+                if mark is None:
+                    state[s] = 1
+                    stack.append((s, iter(successors(s))))
+                    break
+            else:
+                stack.pop()
+                state[node] = 2
+                order.append(node)
+    return order
+
+
+@dataclass(frozen=True)
+class DominatorTree:
+    idom: dict[str, str]       # immediate dominator; the entry maps to itself
+    pre: dict[str, int]        # pre-order number in the tree
+    post: dict[str, int]       # post-order number in the tree
+
+    def dominates(self, a: str, b: str) -> bool:
+        """Whether a dominates b (every block dominates itself): b lies in
+        a's subtree."""
+        return self.pre[a] <= self.pre[b] and self.post[b] <= self.post[a]
+
+
+def dominators(cfg: ControlFlowGraph) -> DominatorTree:
+    """Dominator tree by the iterative algorithm of Cooper, Harvey and
+    Kennedy, "A Simple, Fast Dominance Algorithm" (2001): immediate
+    dominators are refined in reverse post-order, intersecting along the
+    partial tree by post-order number, until stable.  On acyclic flow the
+    first pass is already final."""
+    postorder = dfs_postorder([cfg.entry], cfg.edges.__getitem__)
+    po = {n: i for i, n in enumerate(postorder)}
+    rpo = postorder[::-1]
+    idom: dict[str, str] = {cfg.entry: cfg.entry}
+
+    def intersect(a: str, b: str) -> str:
+        while a != b:
+            while po[a] < po[b]:
+                a = idom[a]
+            while po[b] < po[a]:
+                b = idom[b]
+        return a
+
     changed = True
     while changed:
         changed = False
-        for n in cfg.nodes:
-            if n == cfg.entry:
-                continue
-            new = {n} | set.intersection(*(dom[p] for p in cfg.preds[n]))
-            if new != dom[n]:
-                dom[n] = new
+        for n in rpo[1:]:
+            new = None
+            for p in cfg.preds[n]:
+                if p in idom:
+                    new = p if new is None else intersect(p, new)
+            if idom.get(n) != new:
+                idom[n] = new
                 changed = True
-    return dom
+
+    children: dict[str, list[str]] = {n: [] for n in cfg.nodes}
+    for n in cfg.nodes:
+        if n != cfg.entry:
+            children[idom[n]].append(n)
+    pre: dict[str, int] = {}
+
+    def visit(n: str) -> list[str]:
+        pre[n] = len(pre)
+        return children[n]
+
+    tree_post = dfs_postorder([cfg.entry], visit)
+    return DominatorTree(idom, pre, {n: i for i, n in enumerate(tree_post)})
 
 
 # ---------------------------------------------------------------------------
@@ -209,35 +290,51 @@ def compute_liveness(cfg: ControlFlowGraph, fn: LlvmFunction) -> dict[str, set[s
     return live_in
 
 
-def _first_use_order(fn: LlvmFunction, start: str, wanted: set[str]) -> list[str]:
-    """Order `wanted` by first textual operand occurrence scanning from the
-    given block onward (wrapping), so emitted parameter lists are stable."""
-    labels = [b.label for b in fn.blocks]
-    i = labels.index(start)
-    rotation = fn.blocks[i:] + fn.blocks[:i]
-    order: list[str] = []
-    placed = set()
+def _textual_uses(block: BasicBlock) -> Iterable[str]:
+    """Register operands in textual order: phi incomings, body operands,
+    then the terminator's operand."""
+    for phi in block.phis:
+        yield from _operand_regs(tuple(v for v, _ in phi.incomings))
+    for inst in block.body:
+        yield from _operand_regs(inst.operands)
+    term = block.terminator
+    if isinstance(term, Ret):
+        yield from _operand_regs((term.value,))
+    elif term.cond is not None:
+        yield from _operand_regs((term.cond,))
 
-    def visit(operands: tuple[Operand, ...]):
-        for r in _operand_regs(operands):
-            if r in wanted and r not in placed:
-                placed.add(r)
-                order.append(r)
 
-    for block in rotation:
-        for phi in block.phis:
-            visit(tuple(v for v, _ in phi.incomings))
-        for inst in block.body:
-            visit(inst.operands)
-        term = block.terminator
-        if isinstance(term, Ret):
-            visit((term.value,))
-        elif term.cond is not None:
-            visit((term.cond,))
-    missing = wanted - placed
-    if missing:  # live-in but never read as an operand cannot happen
-        raise AnalysisError(f"registers {sorted(missing)} live into {start} but never used")
-    return order
+def _first_use_order(fn: LlvmFunction, live_in: dict[str, set[str]]) -> dict[str, list[str]]:
+    """Each block's live-in registers ordered by first textual operand
+    occurrence scanning from the block onward (wrapping past the last
+    block to the first), so emitted parameter lists are stable.
+
+    One pass numbers every operand occurrence; a register's distance from
+    a block is then its first position at or after the block's start,
+    found by bisection, or its first position overall plus the wrap."""
+    positions: dict[str, list[int]] = {}
+    starts: list[int] = []
+    total = 0
+    for block in fn.blocks:
+        starts.append(total)
+        for r in _textual_uses(block):
+            positions.setdefault(r, []).append(total)
+            total += 1
+    out: dict[str, list[str]] = {}
+    for block, start in zip(fn.blocks, starts):
+        wanted = live_in[block.label]
+        missing = [r for r in wanted if r not in positions]
+        if missing:  # live-in but never read as an operand cannot happen
+            raise AnalysisError(
+                f"registers {sorted(missing)} live into {block.label} but never used")
+
+        def distance(r: str) -> int:
+            ps = positions[r]
+            i = bisect_left(ps, start)
+            return ps[i] - start if i < len(ps) else ps[0] + total - start
+
+        out[block.label] = sorted(wanted, key=distance)
+    return out
 
 
 def compute_block_params(cfg: ControlFlowGraph, fn: LlvmFunction) -> dict[str, BlockSignature]:
@@ -253,9 +350,10 @@ def compute_block_params(cfg: ControlFlowGraph, fn: LlvmFunction) -> dict[str, B
         raise AnalysisError(
             f"@{fn.name}: register(s) used with no definition on some path: "
             + ", ".join("%" + r for r in bad))
+    order = _first_use_order(fn, live_in)
     signatures: dict[str, BlockSignature] = {}
     for block in fn.blocks:
-        flow = _first_use_order(fn, block.label, set(live_in[block.label]))
+        flow = order[block.label]
         phi_params = tuple(phi.result for phi in block.phis)
         sig_kinds = {r: kinds[r] for r in phi_params + tuple(flow)}
         signatures[block.label] = BlockSignature(block.label, phi_params, tuple(flow), sig_kinds)
@@ -268,32 +366,20 @@ def compute_block_params(cfg: ControlFlowGraph, fn: LlvmFunction) -> dict[str, B
 
 def detect_loops(cfg: ControlFlowGraph, fn: LlvmFunction) -> tuple[LoopInfo, ...]:
     dom = dominators(cfg)
-    back_edges = [(u, v) for u in cfg.nodes for v in cfg.edges[u] if v in dom[u]]
+    back_edges = [(u, v) for u in cfg.nodes for v in cfg.edges[u] if dom.dominates(v, u)]
 
-    headers = [v for _, v in back_edges]
-    for h in headers:
-        if headers.count(h) > 1:
+    headers = Counter(v for _, v in back_edges)
+    for h, count in headers.items():
+        if count > 1:
             raise AnalysisError(f"@{fn.name}: block {h} heads more than one back edge")
 
     # Removing the back edges must leave the graph acyclic, otherwise the
     # flow is irreducible.
     removed = set(back_edges)
-    color: dict[str, int] = {}
-
-    def dfs(n: str):
-        color[n] = 1
-        for s in cfg.edges[n]:
-            if (n, s) in removed:
-                continue
-            if color.get(s) == 1:
-                raise AnalysisError(
-                    f"@{fn.name}: irreducible control flow (cycle through {s} "
-                    "not headed by a dominator)")
-            if s not in color:
-                dfs(s)
-        color[n] = 2
-
-    dfs(cfg.entry)
+    dfs_postorder(
+        [cfg.entry], lambda n: [s for s in cfg.edges[n] if (n, s) not in removed],
+        lambda s: AnalysisError(f"@{fn.name}: irreducible control flow (cycle through {s} "
+                                "not headed by a dominator)"))
 
     blocks = {b.label: b for b in fn.blocks}
     raw: list[dict] = []
@@ -308,7 +394,8 @@ def detect_loops(cfg: ControlFlowGraph, fn: LlvmFunction) -> tuple[LoopInfo, ...
             work.extend(p for p in cfg.preds[n] if p not in body)
         raw.append({"header": header, "latch": latch, "body": body})
 
-    raw.sort(key=lambda L: (len(L["body"]), cfg.nodes.index(L["header"])))
+    pos = {label: i for i, label in enumerate(cfg.nodes)}
+    raw.sort(key=lambda L: (len(L["body"]), pos[L["header"]]))
     for a in raw:
         for b in raw:
             if a is b:
@@ -320,7 +407,8 @@ def detect_loops(cfg: ControlFlowGraph, fn: LlvmFunction) -> tuple[LoopInfo, ...
     loops: list[LoopInfo] = []
     for index, L in enumerate(raw):
         header, latch, body = L["header"], L["latch"], L["body"]
-        exits = [(u, s) for u in sorted(body, key=cfg.nodes.index)
+        body_order = sorted(body, key=pos.__getitem__)
+        exits = [(u, s) for u in body_order
                  for s in cfg.edges[u] if s not in body]
         if not exits:
             raise AnalysisError(f"@{fn.name}: loop at {header} has no exit")
@@ -361,7 +449,7 @@ def detect_loops(cfg: ControlFlowGraph, fn: LlvmFunction) -> tuple[LoopInfo, ...
             index=index,
             header=header,
             latch=latch,
-            body=tuple(sorted(body, key=cfg.nodes.index)),
+            body=tuple(body_order),
             carried=tuple(phi.result for phi in blocks[header].phis),
             exit=exit_label,
             exit_cond=term.cond.name,
@@ -382,10 +470,11 @@ def detect_loops(cfg: ControlFlowGraph, fn: LlvmFunction) -> tuple[LoopInfo, ...
 
 def innermost_loops(fn: LlvmFunction, loops: tuple[LoopInfo, ...]) -> dict[str, LoopInfo | None]:
     """Innermost loop containing each block (loops are sorted smallest
-    first, so the first hit wins)."""
-    out: dict[str, LoopInfo | None] = {}
-    for block in fn.blocks:
-        out[block.label] = next((L for L in loops if block.label in L.body), None)
+    first; written outermost first, inner loops overwrite)."""
+    out: dict[str, LoopInfo | None] = {block.label: None for block in fn.blocks}
+    for L in reversed(loops):
+        for label in L.body:
+            out[label] = L
     return out
 
 
@@ -431,23 +520,9 @@ def order_definitions(cfg: ControlFlowGraph, fn: LlvmFunction,
             return [unit_for(L.exit)] + block_deps(L.header)
         return block_deps(unit.label)
 
-    ordered: list[Unit] = []
-    state: dict[Unit, int] = {}
-
-    def visit(unit: Unit):
-        mark = state.get(unit)
-        if mark == 2:
-            return
-        if mark == 1:
-            raise AnalysisError(f"@{fn.name}: emission units form a cycle at {unit}")
-        state[unit] = 1
-        for dep in unit_deps(unit):
-            visit(dep)
-        state[unit] = 2
-        ordered.append(unit)
-
-    visit(DriverUnit())
-    return tuple(ordered)
+    return tuple(dfs_postorder(
+        [DriverUnit()], unit_deps,
+        lambda u: AnalysisError(f"@{fn.name}: emission units form a cycle at {u}")))
 
 
 def analyze_function(fn: LlvmFunction) -> FunctionAnalysis:

@@ -76,20 +76,25 @@ def rd_n(n: int, addr: int, mem: dict[int, int]) -> int:
 def wr_n(n: int, addr: int, value: int, mem: dict[int, int]) -> dict[int, int]:
     """Write value (reduced mod 2^(8n)) as n little-endian bytes; returns a
     new dict, zero bytes removed to keep the map canonical."""
+    new = dict(mem)
+    _write_in_place(n, addr, value, new)
+    return new
+
+
+def _write_in_place(n: int, addr: int, value: int, mem: dict[int, int]):
+    """wr_n's checks and byte writes, applied to `mem` itself."""
     if n < 1:
         raise EvalFault(f"wr_n: byte count must be positive, got {n}")
     if addr < 0 or addr + n - 1 >= ADDR_LIMIT:
         raise EvalFault(f"wr_n: address range [{addr:#x}, {addr + n:#x}) exceeds 32-bit memory")
     value &= (1 << (8 * n)) - 1
-    new = dict(mem)
     for k in range(n):
         b = (value >> (8 * k)) & 0xFF
         a = addr + k
         if b:
-            new[a] = b
+            mem[a] = b
         else:
-            new.pop(a, None)
-    return new
+            mem.pop(a, None)
 
 
 def wfrombytes(n: int, byterun: tuple[int, ...]) -> int:
@@ -186,7 +191,8 @@ def parse_memory_image(text: str) -> dict[int, int]:
 
     Each line is ``w <n> <addr> <value>`` meaning wr_n(n, addr, value);
     addr and value accept decimal or 0x-hex; '#' starts a comment; blank
-    lines are skipped.  Lines apply top to bottom.
+    lines are skipped.  Lines apply top to bottom, in place on one fresh
+    dict, so the cost is linear in the image size.
     """
     mem: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -204,7 +210,7 @@ def parse_memory_image(text: str) -> dict[int, int]:
             raise EvalFault(f"memory image line {lineno}: bad number") from None
         if value < 0:
             raise EvalFault(f"memory image line {lineno}: value must be a natural number")
-        mem = wr_n(n, addr, value, mem)
+        _write_in_place(n, addr, value, mem)
     return mem
 
 

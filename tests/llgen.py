@@ -1,6 +1,7 @@
 """Random generator of supported-subset LLVM functions for differential
 testing: straight-line code, acyclic diamonds with phis, and guarded or
-counted do-while loops shaped like rotated clang output.
+counted do-while loops shaped like rotated clang output; plus long chains
+of diamonds for the scaling tests.
 
 Everything is emitted as .ll text so each trial also exercises the lexer
 and parser.  Memory operations stay inside a fixed window so the 32-bit
@@ -304,6 +305,49 @@ def gen_call(rng: random.Random) -> str:
     ret = fn.i64_result()
     return (helper_text + "\n" + _HEADER + "\n".join(fn.lines)
             + f"\n  ret i64 {ret}\n}}\n")
+
+
+def gen_diamond_chain(rng: random.Random, diamonds: int) -> str:
+    """A loop-free function of `diamonds` diamonds in a row (1 + 3 *
+    diamonds blocks), each joining with phis.  Operands come from the last
+    four registers of each width, plus %val anywhere, so live ranges stay
+    short except for the arguments."""
+    fn = _Fn(rng)
+    fn.by_width[64].append("%val")
+    fn.by_width[32].append("%n")
+    fn.addrs.append("%array")
+    blocks = []
+    label = "0"
+    for k in range(1, diamonds + 1):
+        for _ in range(rng.randrange(1, 4)):
+            fn.random_op()
+        fn.emit(f"br i1 {fn.value(1)}, label %L{k}, label %R{k}")
+        blocks.append(("" if k == 1 else f"{label}:\n") + "\n".join(fn.lines))
+        shared = {w: list(p) for w, p in fn.by_width.items()}
+        widths = [rng.choice(WIDTHS) for _ in range(rng.randrange(1, 3))]
+        incoming = []
+        for arm in ("L", "R"):
+            fn.lines = []
+            fn.by_width = {w: list(p) for w, p in shared.items()}
+            for _ in range(rng.randrange(0, 3)):
+                fn.random_op()
+            incoming.append([fn.value(w) for w in widths])
+            fn.emit(f"br label %J{k}")
+            blocks.append(f"{arm}{k}:\n" + "\n".join(fn.lines))
+        fn.by_width = shared
+        fn.lines = []
+        for i, w in enumerate(widths):
+            r = fn.fresh()
+            fn.emit(f"{r} = phi i{w} [ {incoming[0][i]}, %L{k} ], "
+                    f"[ {incoming[1][i]}, %R{k} ]")
+            fn.define(r, w)
+        for pool in fn.by_width.values():
+            del pool[:-4]
+        fn.by_width[64].append("%val")
+        label = f"J{k}"
+    fn.emit(f"ret i64 {fn.i64_result()}")
+    blocks.append(f"{label}:\n" + "\n".join(fn.lines))
+    return _HEADER + "\n\n".join(blocks) + "\n}\n"
 
 
 SHAPES = (gen_straightline, gen_diamond, gen_loop, gen_call)

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, outputs, determinism."""
 
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -8,6 +9,10 @@ from ll2fun.cli import (
     EXIT_ANALYSIS, EXIT_BUDGET, EXIT_FAULT, EXIT_OK, EXIT_PARSE,
     EXIT_UNSUPPORTED, main,
 )
+
+sys.path.insert(0, str(pathlib.Path(__file__).parent))
+
+from llgen import gen_diamond_chain  # noqa: E402
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 OCC = str(FIXTURES / "occurrences.ll")
@@ -77,6 +82,40 @@ def test_translate_analysis_rejection_exit(tmp_path):
     src.write_text("define i64 @f(i64 %x) {\n  %r = call i64 @f(i64 %x)\n"
                    "  ret i64 %r\n}\n")
     assert main(["translate", str(src)]) == EXIT_ANALYSIS
+
+
+def _translate_subprocess(tmp_path, text: str) -> subprocess.CompletedProcess:
+    src = tmp_path / "in.ll"
+    src.write_text(text)
+    return subprocess.run([sys.executable, "-m", "ll2fun.cli", "translate", str(src),
+                           "--out", str(tmp_path / "out.fun")],
+                          capture_output=True, text=True)
+
+
+def test_translate_3000_block_chain_without_host_recursion(tmp_path):
+    r = _translate_subprocess(tmp_path, gen_diamond_chain(random.Random(7), 1000))
+    assert r.returncode == EXIT_OK, r.stderr
+    assert "Traceback" not in r.stderr
+    assert "3001 block(s)" in r.stdout
+
+
+def test_translate_irreducible_flow_exit(tmp_path):
+    r = _translate_subprocess(tmp_path, """define i64 @f(i1 %c) {
+  br i1 %c, label %a, label %b
+
+a:
+  br label %b
+
+b:
+  br i1 %c, label %a, label %out
+
+out:
+  ret i64 0
+}
+""")
+    assert r.returncode == EXIT_ANALYSIS
+    assert "irreducible control flow" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_run_small(tmp_path, capsys):

@@ -379,6 +379,24 @@ def test_recursive_function_rejected():
         translate_module(parse_text(src))
 
 
+def test_colliding_definition_names_rejected():
+    # @f's block %x and the function @f_x both translate to a def named f_x
+    src = """define i64 @f_x(i64 %a) {
+  ret i64 %a
+}
+
+define i64 @f(i64 %a) {
+  br label %x
+
+x:
+  ret i64 %a
+}
+"""
+    with pytest.raises(AnalysisError,
+                       match=r"translated definition names collide: \['f_x'\]"):
+        translate_module(parse_text(src))
+
+
 def test_call_of_undefined_function_rejected():
     src = "define i64 @f(i64 %x) {\n  %r = call i64 @ghost(i64 %x)\n  ret i64 %r\n}\n"
     with pytest.raises(AnalysisError, match="undefined function"):

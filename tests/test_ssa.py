@@ -1,9 +1,25 @@
 """CFG construction, block signatures, loop detection, and emission order."""
 
+import pathlib
+import random
+import sys
+
 import pytest
 
-from ll2fun import AnalysisError, build_cfg, compute_block_params, detect_loops, parse_text
-from ll2fun.ssa import BlockUnit, CliqueUnit, DriverUnit, analyze_function, dominators
+sys.path.insert(0, str(pathlib.Path(__file__).parent))
+
+from llgen import gen_diamond_chain, gen_program  # noqa: E402
+
+from ll2fun import (  # noqa: E402
+    AnalysisError, build_cfg, compute_block_params, detect_loops, parse_file, parse_text,
+)
+from ll2fun.ll_parser import Reg, Ret, resolve_aliases  # noqa: E402
+from ll2fun.ssa import (  # noqa: E402
+    BlockUnit, CliqueUnit, DriverUnit, _first_use_order, analyze_function,
+    compute_liveness, dominators,
+)
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def _fn(module, name=None):
@@ -51,8 +67,67 @@ dead:
 def test_dominators_of_occurrences(occurrences_module):
     cfg = build_cfg(_fn(occurrences_module))
     dom = dominators(cfg)
-    assert dom[".lr.ph"] == {"0", ".lr.ph"}
-    assert dom["._crit_edge"] == {"0", "._crit_edge"}
+
+    def dominators_of(n):
+        return {a for a in cfg.nodes if dom.dominates(a, n)}
+
+    assert dominators_of(".lr.ph") == {"0", ".lr.ph"}
+    assert dominators_of("._crit_edge") == {"0", "._crit_edge"}
+    assert dom.idom == {"0": "0", ".lr.ph": "0", "._crit_edge": "0"}
+
+
+def _reference_dominator_sets(cfg):
+    """The textbook iterative data-flow formulation over dominator sets."""
+    dom = {n: set(cfg.nodes) for n in cfg.nodes}
+    dom[cfg.entry] = {cfg.entry}
+    changed = True
+    while changed:
+        changed = False
+        for n in cfg.nodes:
+            if n != cfg.entry:
+                new = {n} | set.intersection(*(dom[p] for p in cfg.preds[n]))
+                if new != dom[n]:
+                    dom[n], changed = new, True
+    return dom
+
+
+def _corpus():
+    """Fixtures, seeded random programs and a few long diamond chains."""
+    for path in sorted(FIXTURES.glob("*.ll")):
+        yield from parse_file(str(path)).functions
+    rng = random.Random(0x5EED)
+    for _ in range(200):
+        yield from resolve_aliases(parse_text(gen_program(rng))).functions
+    for seed, diamonds in ((1, 40), (2, 150), (3, 400)):
+        yield parse_text(gen_diamond_chain(random.Random(seed), diamonds)).functions[0]
+
+
+IRREDUCIBLE = """define i64 @f(i1 %c) {
+  br i1 %c, label %a, label %b
+
+a:
+  br i1 %c, label %b, label %out
+
+b:
+  br i1 %c, label %a, label %c2
+
+c2:
+  br label %a
+
+out:
+  ret i64 0
+}
+"""
+
+
+def test_dominator_tree_matches_dominator_sets():
+    fns = [fn for fn in _corpus() if len(fn.blocks) < 200]
+    fns.append(_fn(parse_text(IRREDUCIBLE)))
+    for fn in fns:
+        cfg = build_cfg(fn)
+        tree, sets = dominators(cfg), _reference_dominator_sets(cfg)
+        for b in cfg.nodes:
+            assert {a for a in cfg.nodes if tree.dominates(a, b)} == sets[b], (fn.name, b)
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +185,53 @@ join:
     fn = _fn(parse_text(src))
     with pytest.raises(AnalysisError, match="no definition"):
         compute_block_params(build_cfg(fn), fn)
+
+
+def _reference_first_use_order(fn, start, wanted):
+    """Rotate the blocks to start at `start` and scan every operand in
+    textual order: the definition of the parameter order."""
+    labels = [b.label for b in fn.blocks]
+    i = labels.index(start)
+    order = []
+
+    def visit(operands):
+        for op in operands:
+            if isinstance(op, Reg) and op.name in wanted and op.name not in order:
+                order.append(op.name)
+
+    for block in fn.blocks[i:] + fn.blocks[:i]:
+        for phi in block.phis:
+            visit(tuple(v for v, _ in phi.incomings))
+        for inst in block.body:
+            visit(inst.operands)
+        term = block.terminator
+        if isinstance(term, Ret):
+            visit((term.value,))
+        elif term.cond is not None:
+            visit((term.cond,))
+    assert set(order) == wanted
+    return tuple(order)
+
+
+def test_block_params_match_rotate_and_scan_reference():
+    checked = 0
+    for fn in _corpus():
+        cfg = build_cfg(fn)
+        live_in = compute_liveness(cfg, fn)
+        sigs = compute_block_params(cfg, fn)
+        for block in fn.blocks:
+            sig = sigs[block.label]
+            assert sig.phi_params == tuple(phi.result for phi in block.phis)
+            assert sig.flow_params == _reference_first_use_order(
+                fn, block.label, live_in[block.label]), (fn.name, block.label)
+        checked += 1
+    assert checked >= 200
+
+
+def test_live_in_register_never_used_rejected():
+    fn = _fn(parse_text("define i64 @f(i64 %x) {\n  ret i64 %x\n}\n"))
+    with pytest.raises(AnalysisError, match=r"\['ghost'\] live into 0 but never used"):
+        _first_use_order(fn, {"0": {"x", "ghost"}})
 
 
 def test_signatures_are_deterministic(occurrences_module):

@@ -236,6 +236,28 @@ def test_memory_image_applies_top_to_bottom():
     assert rd_n(4, 0, mem) == (257 & ~0xFF) | 9
 
 
+def test_memory_image_equals_folding_wr_n_randomized():
+    """Overlapping writes of every width, zeros included, give the same
+    dict as applying wr_n line by line to a fresh memory."""
+    rng = random.Random(0x1A6E)
+    for _ in range(20):
+        writes = [(rng.choice((1, 2, 4, 8)), 0x100 + rng.randrange(64),
+                   rng.choice((0, 0xFF, rng.getrandbits(64))))
+                  for _ in range(rng.randrange(1, 80))]
+        text = "".join(f"w {n} {addr:#x} {value}\n" for n, addr, value in writes)
+        folded: dict[int, int] = {}
+        for n, addr, value in writes:
+            folded = wr_n(n, addr, value, folded)
+        assert parse_memory_image(text) == folded
+
+
+def test_memory_image_out_of_range_write_faults():
+    with pytest.raises(EvalFault, match="exceeds 32-bit memory"):
+        parse_memory_image("w 1 0x10 1\nw 8 0xfffffffc 1\n")
+    with pytest.raises(EvalFault, match="byte count must be positive"):
+        parse_memory_image("w 0 0x10 1\n")
+
+
 def test_memory_image_rejects_bad_lines():
     with pytest.raises(EvalFault):
         parse_memory_image("x 1 2 3\n")
