@@ -21,12 +21,11 @@ from .fun_ir import (
 )
 from .state import (
     MachineState, begin_stack_frame, end_stack_frame, init_stack_frame,
-    load_memory_image, loadbytes, make_state, parse_memory_image, rd_n, retval,
+    load_memory_image, loadbytes, make_state, parse_memory_image, rd_n,
     storebytes, update_retval, wr_n,
 )
-from .evaluator import (
-    ProgramEvaluator, apply_prim, bits, eval_def, evaluator_for, run_with_budget,
-)
+from .prims import PRIMS, bits
+from .evaluator import ProgramEvaluator, eval_def, evaluator_for, run_with_budget
 from .llvm_interp import interp_function
 from .oracle import (
     check_occurrences_equiv, liftlist, occurlist, occurrences_spec,

@@ -7,8 +7,11 @@ Dynamic signature checking, step budgets, and call tracing are optional
 layers wrapped around the compiled functions; checking is on by default
 and should be switched off for benchmarking.
 
-The primitive semantics live in this module (see apply_prim) and are
-shared with the reference LLVM interpreter used by the differential tests.
+Each primitive compiles through its row in `prims.PRIMS`: a format
+string inlined into the source, or a call of the row's reference
+function.  Two fused forms are recognised here instead: a load
+(wfrombytes of loadbytes) becomes one `rd_n` and a store (storebytes of
+wtobytes) one `store_word`.
 """
 
 from __future__ import annotations
@@ -22,124 +25,9 @@ from .fun_ir import (
     Call, Const, FunDef, FunProgram, If, LetStar, Metlist, Mvlist, Prim, Var,
     _while_shape,
 )
+from .prims import KINDS, PRIMS
 from . import state as st_mod
 from .state import MachineState
-
-# ---------------------------------------------------------------------------
-# Primitive semantics
-# ---------------------------------------------------------------------------
-
-def bits(x: int, h: int, l: int) -> int:
-    """floor(x / 2^l) mod 2^(h-l+1): the bit slice [h..l], total on integers."""
-    if h < l or l < 0:
-        raise EvalFault(f"bits: bad indices h={h}, l={l}")
-    return (x >> l) & ((1 << (h - l + 1)) - 1)
-
-
-def to_signed(x: int, w: int) -> int:
-    """Two's-complement reading of a w-bit natural."""
-    return x - ((x >> (w - 1)) << w)
-
-
-def shl(w: int, a: int, b: int) -> int:
-    return (a << b) & ((1 << w) - 1) if b < w else 0
-
-
-def lshr(w: int, a: int, b: int) -> int:
-    return a >> b if b < w else 0
-
-
-def ashr(w: int, a: int, b: int) -> int:
-    if b >= w:
-        return 0
-    return (to_signed(a, w) >> b) & ((1 << w) - 1)
-
-
-def sext(from_w: int, to_w: int, x: int) -> int:
-    return to_signed(x, from_w) & ((1 << to_w) - 1)
-
-
-def _cmp_bit(flag: bool) -> int:
-    return 1 if flag else 0
-
-
-def apply_prim(op: str, args: tuple, widths: tuple[int, ...] = ()):
-    """Evaluate one primitive: `widths` carries the static constants (bit
-    indices, operand widths, byte counts), `args` the dynamic values."""
-    if op == "bits":
-        return bits(args[0], widths[0], widths[1])
-    if op == "+":
-        return args[0] + args[1]
-    if op == "-":
-        return args[0] - args[1]
-    if op == "*":
-        return args[0] * args[1]
-    if op == "logand":
-        return args[0] & args[1]
-    if op == "logior":
-        return args[0] | args[1]
-    if op == "logxor":
-        return args[0] ^ args[1]
-    if op == "shl":
-        return shl(widths[0], args[0], args[1])
-    if op == "lshr":
-        return lshr(widths[0], args[0], args[1])
-    if op == "ashr":
-        return ashr(widths[0], args[0], args[1])
-    if op == "=":
-        return _cmp_bit(args[0] == args[1])
-    if op == "/=":
-        return _cmp_bit(args[0] != args[1])
-    if op == "<":
-        return _cmp_bit(args[0] < args[1])
-    if op == "<=":
-        return _cmp_bit(args[0] <= args[1])
-    if op == ">":
-        return _cmp_bit(args[0] > args[1])
-    if op == ">=":
-        return _cmp_bit(args[0] >= args[1])
-    if op in ("slt", "sle", "sgt", "sge"):
-        w = widths[0]
-        a, b = to_signed(args[0], w), to_signed(args[1], w)
-        return _cmp_bit({"slt": a < b, "sle": a <= b, "sgt": a > b, "sge": a >= b}[op])
-    if op == "sext":
-        return sext(widths[0], widths[1], args[0])
-    if op == "update-retval":
-        return st_mod.update_retval(args[0], args[1])
-    if op == "retval":
-        return args[0].retval
-    if op == "init-stack-frame":
-        return st_mod.init_stack_frame(args[0])
-    if op == "begin-stack-frame":
-        return st_mod.begin_stack_frame(args[0])
-    if op == "end-stack-frame":
-        return st_mod.end_stack_frame(args[0])
-    if op == "alloca":
-        return st_mod.alloca(widths[0], args[0])
-    if op == "stack":
-        return args[0].stack
-    if op == "loadbytes":
-        return st_mod.loadbytes(widths[0], args[0], args[1])
-    if op == "wfrombytes":
-        return st_mod.wfrombytes(widths[0], args[0])
-    if op == "wtobytes":
-        return st_mod.wtobytes(widths[0], args[0])
-    if op == "storebytes":
-        return st_mod.storebytes(widths[0], args[0], args[1], args[2])
-    raise EvalFault(f"unknown primitive {op}")
-
-
-KIND_CHECKS = {
-    "i1": lambda v: isinstance(v, int) and 0 <= v < 2,
-    "i8": lambda v: isinstance(v, int) and 0 <= v < (1 << 8),
-    "i16": lambda v: isinstance(v, int) and 0 <= v < (1 << 16),
-    "i32": lambda v: isinstance(v, int) and 0 <= v < (1 << 32),
-    "i64": lambda v: isinstance(v, int) and 0 <= v < (1 << 64),
-    "addr": lambda v: isinstance(v, int) and 0 <= v < (1 << 32),
-    "nat": lambda v: isinstance(v, int) and 0 <= v,
-    "state": lambda v: isinstance(v, MachineState),
-}
-
 
 # ---------------------------------------------------------------------------
 # Code generation
@@ -149,12 +37,15 @@ def _sanitize(name: str) -> str:
     return "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
 
 
+def _fused(inner, op: str, n: Const) -> bool:
+    """Is inner an application of op to the same byte count n?"""
+    return isinstance(inner, Prim) and inner.op == op and inner.args[0] == n
+
+
 class _Codegen:
     def __init__(self, program: FunProgram):
         self.program = program
         self.fn_names = {d.name: f"d{i}_{_sanitize(d.name)}" for i, d in enumerate(program.defs)}
-        self.arity = {d.name: len(d.result_kinds) for d in program.defs}
-        self.while_names: list[str] = []
         self.lines: list[str] = []
 
     # -- locals ------------------------------------------------------------
@@ -197,89 +88,50 @@ class _Codegen:
 
     def cond(self, e, env: dict[str, str]) -> str:
         """Condition position: a {0,1} value tested against zero."""
-        if isinstance(e, Prim) and e.op in ("=", "/=", "<", "<=", ">", ">="):
-            pyop = {"=": "==", "/=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}[e.op]
-            return f"{self.expr(e.args[0], env)} {pyop} {self.expr(e.args[1], env)}"
+        if isinstance(e, Prim) and PRIMS[e.op].cond:
+            return PRIMS[e.op].cond.format(*[self.expr(a, env) for a in e.args])
         return f"{self.expr(e, env)} != 0"
 
     def prim(self, e: Prim, env: dict[str, str]) -> str:
         op = e.op
         a = e.args
 
-        def ex(i: int) -> str:
-            return self.expr(a[i], env)
+        def ex(x) -> str:
+            return self.expr(x, env)
 
         if op == "bits":
             h, l = a[1].value, a[2].value
             mask = (1 << (h - l + 1)) - 1
             if l == 0:
-                return f"({ex(0)} & {mask})"
-            return f"(({ex(0)} >> {l}) & {mask})"
-        if op in ("+", "-", "*"):
-            return f"({ex(0)} {op} {ex(1)})"
-        if op in ("logand", "logior", "logxor"):
-            pyop = {"logand": "&", "logior": "|", "logxor": "^"}[op]
-            return f"({ex(0)} {pyop} {ex(1)})"
-        if op in ("=", "/=", "<", "<=", ">", ">="):
-            return f"(1 if {self.cond(e, env)} else 0)"
-        if op in ("shl", "lshr", "ashr", "slt", "sle", "sgt", "sge", "sext"):
-            w = ", ".join(str(x.value) for x in a[: 2 if op == "sext" else 1])
-            rest = ", ".join(self.expr(x, env) for x in a[(2 if op == "sext" else 1):])
-            return f"_{op}({w}, {rest})"
-        if op == "retval":
-            return f"{ex(0)}.retval"
-        if op == "stack":
-            return f"{ex(0)}.stack"
-        if op == "init-stack-frame":
-            return ex(0)
-        if op == "begin-stack-frame":
-            return f"_begin({ex(0)})"
-        if op == "end-stack-frame":
-            return f"_end({ex(0)})"
-        if op == "update-retval":
-            return f"_update_retval({ex(0)}, {ex(1)})"
-        if op == "alloca":
-            return f"_alloca({a[0].value}, {ex(1)})"
-        if op == "wfrombytes":
-            inner = a[1]
-            if isinstance(inner, Prim) and inner.op == "loadbytes" \
-                    and inner.args[0] == a[0]:
-                n = a[0].value
-                addr = self.expr(inner.args[1], env)
-                stv = self.expr(inner.args[2], env)
-                return f"_rd_n({n}, {addr}, {stv}.mem)"
-            return f"_wfrombytes({a[0].value}, {self.expr(inner, env)})"
-        if op == "loadbytes":
-            return f"_loadbytes({a[0].value}, {ex(1)}, {ex(2)})"
-        if op == "storebytes":
-            inner = a[2]
-            if isinstance(inner, Prim) and inner.op == "wtobytes" \
-                    and inner.args[0] == a[0]:
-                n = a[0].value
-                value = self.expr(inner.args[1], env)
-                return f"_store_word({n}, {ex(1)}, {value}, {ex(3)})"
-            return f"_storebytes({a[0].value}, {ex(1)}, {self.expr(inner, env)}, {ex(3)})"
-        if op == "wtobytes":
-            return f"_wtobytes({a[0].value}, {ex(1)})"
-        raise AssertionError(f"unhandled primitive {op}")
+                return f"({ex(a[0])} & {mask})"
+            return f"(({ex(a[0])} >> {l}) & {mask})"
+        if op == "wfrombytes" and _fused(a[1], "loadbytes", a[0]):
+            return f"_rd_n({a[0].value}, {ex(a[1].args[1])}, {ex(a[1].args[2])}.mem)"
+        if op == "storebytes" and _fused(a[2], "wtobytes", a[0]):
+            return f"_store_word({a[0].value}, {ex(a[1])}, {ex(a[2].args[1])}, {ex(a[3])})"
+        template = PRIMS[op].template
+        args = [ex(x) for x in a]
+        if "{" in template:
+            return template.format(*args)
+        return f"{template}({', '.join(args)})"
 
     # -- statements ------------------------------------------------------------
 
-    def tail(self, e, env: dict[str, str], indent: str, arity: int):
+    def tail(self, e, env: dict[str, str], indent: str):
         out = self.lines
         if isinstance(e, LetStar):
             for name, bound in e.bindings:
                 rhs = self.expr(bound, env)
                 local = self._bind_local(env, name)
                 out.append(f"{indent}{local} = {rhs}")
-            self.tail(e.body, env, indent, arity)
+            self.tail(e.body, env, indent)
         elif isinstance(e, If):
             out.append(f"{indent}if {self.cond(e.cond, env)}:")
             inner = dict(env)
-            self.tail(e.then, inner, indent + "    ", arity)
+            self.tail(e.then, inner, indent + "    ")
             out.append(f"{indent}else:")
             inner = dict(env)
-            self.tail(e.els, inner, indent + "    ", arity)
+            self.tail(e.els, inner, indent + "    ")
         elif isinstance(e, Metlist):
             rhs = self.expr(e.call, env)
             locals_ = [self._bind_local(env, n) for n in e.names]
@@ -287,7 +139,7 @@ class _Codegen:
                 out.append(f"{indent}{locals_[0]} = {rhs}")
             else:
                 out.append(f"{indent}{', '.join(locals_)} = {rhs}")
-            self.tail(e.body, env, indent, arity)
+            self.tail(e.body, env, indent)
         elif isinstance(e, Mvlist):
             items = [self.expr(x, env) for x in e.items]
             if len(items) == 1:
@@ -304,7 +156,6 @@ class _Codegen:
         shape = _while_shape(d)
         if shape is not None:
             step_name, frame = shape
-            self.while_names.append(d.name)
             locals_ = [env[n] for n in frame]
             done = locals_[0]
             args = ", ".join(locals_)
@@ -314,7 +165,7 @@ class _Codegen:
             self.lines.append(f"        {args} = {self.fn_names[step_name]}({args})")
             self.lines.append(f"    return ({values})")
         else:
-            self.tail(d.body, env, "    ", len(d.result_kinds))
+            self.tail(d.body, env, "    ")
         self.lines.append("")
 
     def generate(self) -> str:
@@ -323,18 +174,10 @@ class _Codegen:
         return "\n".join(self.lines)
 
 
-_HELPERS = {
-    "_shl": shl, "_lshr": lshr, "_ashr": ashr, "_sext": sext,
-    "_slt": lambda w, a, b: _cmp_bit(to_signed(a, w) < to_signed(b, w)),
-    "_sle": lambda w, a, b: _cmp_bit(to_signed(a, w) <= to_signed(b, w)),
-    "_sgt": lambda w, a, b: _cmp_bit(to_signed(a, w) > to_signed(b, w)),
-    "_sge": lambda w, a, b: _cmp_bit(to_signed(a, w) >= to_signed(b, w)),
-    "_rd_n": st_mod.rd_n, "_store_word": st_mod.store_word,
-    "_loadbytes": st_mod.loadbytes, "_storebytes": st_mod.storebytes,
-    "_wfrombytes": st_mod.wfrombytes, "_wtobytes": st_mod.wtobytes,
-    "_begin": st_mod.begin_stack_frame, "_end": st_mod.end_stack_frame,
-    "_update_retval": st_mod.update_retval, "_alloca": st_mod.alloca,
-}
+# The names compiled code calls: the helper-template rows and the fused forms.
+_NAMESPACE = {p.template: p.ref for p in PRIMS.values()
+              if p.template and "{" not in p.template}
+_NAMESPACE.update(_rd_n=st_mod.rd_n, _store_word=st_mod.store_word)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +240,7 @@ class ProgramEvaluator:
         ns = self._variants.get(key)
         if ns is not None:
             return ns
-        ns = dict(_HELPERS)
+        ns = dict(_NAMESPACE)
         ns["_it"] = [0]
         ns["_budget"] = [None]
         ns["_per_while"] = {}
@@ -420,20 +263,22 @@ class ProgramEvaluator:
     def _checking_wrapper(d: FunDef, inner):
         param_kinds = tuple(k for _, k in d.params)
         result_kinds = d.result_kinds
+        param_checks = tuple(KINDS[k].check for k in param_kinds)
+        result_checks = tuple(KINDS[k].check for k in result_kinds)
         single = len(result_kinds) == 1
 
         def wrapper(*args):
-            for i, (v, k) in enumerate(zip(args, param_kinds)):
-                if not KIND_CHECKS[k](v):
+            for i, (v, check) in enumerate(zip(args, param_checks)):
+                if not check(v):
                     raise SignatureViolation(
-                        f"{d.name}: argument {i + 1} fails {k} "
+                        f"{d.name}: argument {i + 1} fails {param_kinds[i]} "
                         f"(got {_state_text(v)})", context=f"def {d.name}")
             out = inner(*args)
             results = (out,) if single else out
-            for i, (v, k) in enumerate(zip(results, result_kinds)):
-                if not KIND_CHECKS[k](v):
+            for i, (v, check) in enumerate(zip(results, result_checks)):
+                if not check(v):
                     raise SignatureViolation(
-                        f"{d.name}: result {i + 1} fails {k} "
+                        f"{d.name}: result {i + 1} fails {result_kinds[i]} "
                         f"(got {_state_text(v)})", context=f"def {d.name}")
             return out
 

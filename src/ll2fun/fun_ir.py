@@ -32,6 +32,7 @@ from .ll_parser import (
     BasicBlock, Instruction, LlvmFunction, LlvmModule, Operand, Reg, Ret,
     mangle_label, mangle_register, register_kinds, resolve_aliases,
 )
+from .prims import KINDS, PRIMS
 from .ssa import (
     BlockUnit, CliqueUnit, FunctionAnalysis, LoopInfo, analyze_function, dfs_postorder,
 )
@@ -39,12 +40,9 @@ from .ssa import (
 STATE_VAR = "st"
 DONE_VAR = "done"
 RESERVED_NAMES = (STATE_VAR, DONE_VAR)
+MAX_DEPTH = 64  # deepest parenthesis nesting the loader accepts
 
-KIND_PREDICATES = {
-    "i1": "i1_p", "i8": "i8_p", "i16": "i16_p", "i32": "i32_p", "i64": "i64_p",
-    "addr": "addr_p", "nat": "natp", "state": "stp",
-}
-PREDICATE_KINDS = {v: k for k, v in KIND_PREDICATES.items()}
+_KIND_OF_PREDICATE = {k.predicate: name for name, k in KINDS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +120,6 @@ class WhileClique:
     while_def: str
     wrap_def: str
     entry_def: str
-    slots: tuple[str, ...]  # frame value slots (mangled), without done/state
 
     @property
     def def_names(self) -> tuple[str, ...]:
@@ -141,27 +138,22 @@ class FunProgram:
             self.by_name = {d.name: d for d in self.defs}
 
 
-# Primitive vocabulary: name -> (static constant args, dynamic args).
-# Static args come first except for `bits`, whose indices trail the value
-# to keep the familiar (bits x 63 0) spelling.
-PRIMS = {
-    "bits": (2, 1), "+": (0, 2), "-": (0, 2), "*": (0, 2),
-    "logand": (0, 2), "logior": (0, 2), "logxor": (0, 2),
-    "shl": (1, 2), "lshr": (1, 2), "ashr": (1, 2),
-    "=": (0, 2), "/=": (0, 2), "<": (0, 2), "<=": (0, 2), ">": (0, 2), ">=": (0, 2),
-    "slt": (1, 2), "sle": (1, 2), "sgt": (1, 2), "sge": (1, 2),
-    "sext": (2, 1),
-    "update-retval": (0, 2), "retval": (0, 1),
-    "init-stack-frame": (0, 1), "begin-stack-frame": (0, 1), "end-stack-frame": (0, 1),
-    "alloca": (1, 1), "stack": (0, 1),
-    "loadbytes": (1, 2), "wfrombytes": (1, 1),
-    "storebytes": (1, 3), "wtobytes": (1, 1),
-}
-
-
-def _prim_arity(op: str) -> int:
-    static, dynamic = PRIMS[op]
-    return static + dynamic
+def children(expr: FunExpr) -> tuple[tuple[FunExpr, int | None], ...]:
+    """The immediate subexpressions of expr, each paired with the number of
+    results it yields, or None when it is in result position (it yields
+    what expr yields)."""
+    t = type(expr)
+    if t is Prim or t is Call:
+        return tuple([(a, 1) for a in expr.args])
+    if t is LetStar:
+        return tuple([(e, 1) for _, e in expr.bindings]) + ((expr.body, None),)
+    if t is If:
+        return ((expr.cond, 1), (expr.then, None), (expr.els, None))
+    if t is Metlist:
+        return ((expr.call, len(expr.names)), (expr.body, None))
+    if t is Mvlist:
+        return tuple([(a, 1) for a in expr.items])
+    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +183,6 @@ class _FunctionTranslator:
 
     def clique_names(self, L: LoopInfo) -> WhileClique:
         base = f"{self.fn_name}_step_{L.index}"
-        sig = self.analysis.signatures[L.header]
         return WhileClique(
             index=L.index,
             continue_def=f"{self.fn_name}_continue_{L.index}",
@@ -199,7 +190,6 @@ class _FunctionTranslator:
             while_def=f"{base}_while",
             wrap_def=f"{base}_while_wrap",
             entry_def=f"{self.fn_name}_{L.index}",
-            slots=tuple(mangle_register(r) for r in sig.params),
         )
 
     def _check_names(self):
@@ -586,39 +576,7 @@ class _FunctionTranslator:
                 cliques.append(self.clique_names(unit.loop))
             else:
                 defs.append(self.translate_driver())
-        self._check_call_consistency(defs)
         return defs, cliques
-
-    def _check_call_consistency(self, defs: list[FunDef]):
-        """Every cross-def call must agree on arity and result shape."""
-        by_name = {d.name: d for d in defs}
-
-        def walk(expr: FunExpr, expected: int, def_name: str):
-            if isinstance(expr, Call):
-                target = by_name.get(expr.name)
-                if target is None:
-                    return  # a source-level call into another function
-                if len(expr.args) != len(target.params):
-                    raise AnalysisError(
-                        f"internal: {def_name} calls {expr.name} with "
-                        f"{len(expr.args)} args, declared {len(target.params)}")
-            if isinstance(expr, LetStar):
-                for _, e in expr.bindings:
-                    walk(e, 1, def_name)
-                walk(expr.body, expected, def_name)
-            elif isinstance(expr, If):
-                walk(expr.cond, 1, def_name)
-                walk(expr.then, expected, def_name)
-                walk(expr.els, expected, def_name)
-            elif isinstance(expr, Metlist):
-                walk(expr.call, len(expr.names), def_name)
-                walk(expr.body, expected, def_name)
-            elif isinstance(expr, (Prim, Mvlist)):
-                for a in (expr.args if isinstance(expr, Prim) else expr.items):
-                    walk(a, 1, def_name)
-
-        for d in defs:
-            walk(d.body, len(d.result_kinds), d.name)
 
 
 def translate_module(module: LlvmModule) -> FunProgram:
@@ -732,8 +690,8 @@ def _emit_expr(e: FunExpr, indent: int, out: list[str]):
 
 def emit_def(d: FunDef) -> str:
     form = "defun-general" if d.general_recursive else "defun"
-    preds_in = " ".join(KIND_PREDICATES[k] for _, k in d.params)
-    preds_out = " ".join(KIND_PREDICATES[k] for k in d.result_kinds)
+    preds_in = " ".join(KINDS[k].predicate for _, k in d.params)
+    preds_out = " ".join(KINDS[k].predicate for k in d.result_kinds)
     lines = [f"({form} {d.name} ({' '.join(d.param_names)})",
              f"  (declare (xargs :signature (({preds_in}) {preds_out})))"]
     _emit_expr(d.body, 2, lines)
@@ -765,6 +723,8 @@ def _read_sexprs(text: str) -> list:
             j = text.find("\n", i)
             i = n if j < 0 else j
         elif ch == "(":
+            if len(stack) == MAX_DEPTH:
+                raise LoadError(f"line {line}: forms nest deeper than {MAX_DEPTH} levels")
             stack.append([])
             i += 1
         elif ch == ")":
@@ -778,7 +738,10 @@ def _read_sexprs(text: str) -> list:
             while j < n and text[j] not in " \t\r\n();":
                 j += 1
             atom = text[i:j]
-            value: str | int = int(atom) if atom.isdigit() else atom
+            try:
+                value: str | int = int(atom) if atom.isdigit() else atom
+            except ValueError:
+                raise LoadError(f"line {line}: bad number {atom[:40]!r}") from None
             if not stack:
                 raise LoadError(f"line {line}: atom {atom!r} outside any form")
             stack[-1].append(value)
@@ -825,8 +788,9 @@ def _parse_expr(form) -> FunExpr:
         raise LoadError(f"bad application head: {head}")
     args = tuple(_parse_expr(x) for x in form[1:])
     if head in PRIMS:
-        if len(args) != _prim_arity(head):
-            raise LoadError(f"primitive {head} takes {_prim_arity(head)} args, got {len(args)}")
+        arity = len(PRIMS[head].params)
+        if len(args) != arity:
+            raise LoadError(f"primitive {head} takes {arity} args, got {len(args)}")
         return Prim(head, args)
     return Call(head, args)
 
@@ -848,8 +812,8 @@ def _parse_def(form) -> FunDef:
     if not sig or not isinstance(sig[0], list):
         raise LoadError(f"{name}: signature needs an input kind list")
     try:
-        in_kinds = tuple(PREDICATE_KINDS[p] for p in sig[0])
-        out_kinds = tuple(PREDICATE_KINDS[p] for p in sig[1:])
+        in_kinds = tuple(_KIND_OF_PREDICATE[p] for p in sig[0])
+        out_kinds = tuple(_KIND_OF_PREDICATE[p] for p in sig[1:])
     except (KeyError, TypeError):
         raise LoadError(f"{name}: unknown kind predicate in signature") from None
     if len(in_kinds) != len(params):
@@ -884,70 +848,21 @@ def load_program_file(path: str) -> FunProgram:
 def free_vars(expr: FunExpr, bound: frozenset[str]) -> set[str]:
     if isinstance(expr, Var):
         return set() if expr.name in bound else {expr.name}
-    if isinstance(expr, Const):
-        return set()
-    if isinstance(expr, (Prim, Call)):
-        out: set[str] = set()
-        args = expr.args
-        for a in args:
-            out |= free_vars(a, bound)
-        return out
-    if isinstance(expr, Mvlist):
-        out = set()
-        for a in expr.items:
-            out |= free_vars(a, bound)
-        return out
-    if isinstance(expr, If):
-        return (free_vars(expr.cond, bound) | free_vars(expr.then, bound)
-                | free_vars(expr.els, bound))
+    out: set[str] = set()
     if isinstance(expr, LetStar):
-        out = set()
         for name, e in expr.bindings:
             out |= free_vars(e, bound)
             bound = bound | {name}
         return out | free_vars(expr.body, bound)
     if isinstance(expr, Metlist):
-        out = free_vars(expr.call, bound)
-        return out | free_vars(expr.body, bound | set(expr.names))
-    raise AssertionError(expr)
+        return free_vars(expr.call, bound) | free_vars(expr.body, bound | set(expr.names))
+    for child, _ in children(expr):
+        out |= free_vars(child, bound)
+    return out
 
 
-def _check_shapes(expr: FunExpr, *, tail: bool, def_name: str):
-    """mvlist only in result position; metlist only over calls; static prim
-    args are constants."""
-    if isinstance(expr, Mvlist):
-        if not tail:
-            raise LoadError(f"{def_name}: mvlist outside result position")
-        for a in expr.items:
-            _check_shapes(a, tail=False, def_name=def_name)
-        return
-    if isinstance(expr, Metlist):
-        _check_shapes(expr.call, tail=False, def_name=def_name)
-        _check_shapes(expr.body, tail=tail, def_name=def_name)
-        return
-    if isinstance(expr, LetStar):
-        for _, e in expr.bindings:
-            _check_shapes(e, tail=False, def_name=def_name)
-        _check_shapes(expr.body, tail=tail, def_name=def_name)
-        return
-    if isinstance(expr, If):
-        _check_shapes(expr.cond, tail=False, def_name=def_name)
-        _check_shapes(expr.then, tail=tail, def_name=def_name)
-        _check_shapes(expr.els, tail=tail, def_name=def_name)
-        return
-    if isinstance(expr, Prim):
-        static, _ = PRIMS[expr.op]
-        lo = 1 if expr.op == "bits" else 0
-        for k in range(lo, lo + static):
-            if not isinstance(expr.args[k], Const):
-                raise LoadError(f"{def_name}: ({expr.op} ...) needs a constant in "
-                                f"position {k}")
-        for a in expr.args:
-            _check_shapes(a, tail=False, def_name=def_name)
-        return
-    if isinstance(expr, Call):
-        for a in expr.args:
-            _check_shapes(a, tail=False, def_name=def_name)
+# Forms that compile to statements, so only in result position.
+_RESULT_FORMS = {Mvlist: "mvlist", LetStar: "let*", Metlist: "metlist"}
 
 
 def validate_def(d: FunDef, known: dict[str, FunDef]):
@@ -963,10 +878,16 @@ def validate_def(d: FunDef, known: dict[str, FunDef]):
     leftover = free_vars(d.body, frozenset(names))
     if leftover:
         raise LoadError(f"{d.name}: free variables {sorted(leftover)}")
-    _check_shapes(d.body, tail=True, def_name=d.name)
 
-    def check_calls(expr: FunExpr, expected: int, tail: bool):
-        if isinstance(expr, Call):
+    def check(expr: FunExpr, expected: int, tail: bool):
+        """Calls name earlier defs with the declared arity and result count;
+        self-calls only in tail position of a general-recursive def; mvlist,
+        let* and metlist only in result position; static primitive
+        arguments are constants inside their domains."""
+        t = type(expr)
+        if not tail and t in _RESULT_FORMS:
+            raise LoadError(f"{d.name}: {_RESULT_FORMS[t]} outside result position")
+        if t is Call:
             target = known.get(expr.name)
             if target is None:
                 raise LoadError(f"{d.name}: call of {expr.name} before its definition")
@@ -983,37 +904,29 @@ def validate_def(d: FunDef, known: dict[str, FunDef]):
                 raise LoadError(
                     f"{d.name}: call of {expr.name} yields "
                     f"{len(target.result_kinds)} results where {expected} are expected")
-            for a in expr.args:
-                check_calls(a, 1, False)
-        elif isinstance(expr, Mvlist):
+        elif t is Mvlist:
             if len(expr.items) != expected:
                 raise LoadError(
                     f"{d.name}: mvlist of {len(expr.items)} values where "
                     f"{expected} results are declared")
-            for a in expr.items:
-                check_calls(a, 1, False)
-        elif isinstance(expr, LetStar):
-            for _, e in expr.bindings:
-                check_calls(e, 1, False)
-            check_calls(expr.body, expected, tail)
-        elif isinstance(expr, If):
-            check_calls(expr.cond, 1, False)
-            check_calls(expr.then, expected, tail)
-            check_calls(expr.els, expected, tail)
-        elif isinstance(expr, Metlist):
-            check_calls(expr.call, len(expr.names), False)
-            check_calls(expr.body, expected, tail)
-        else:
+        elif t is Var or t is Const or t is Prim:
             # atoms and primitive applications produce exactly one value
             if expected != 1:
                 raise LoadError(
                     f"{d.name}: expression yields one value where {expected} "
                     "results are declared")
-            if isinstance(expr, Prim):
-                for a in expr.args:
-                    check_calls(a, 1, False)
+            if t is Prim and PRIMS[expr.op].domains:
+                error = PRIMS[expr.op].static_error(
+                    [a.value if type(a) is Const else None for a in expr.args])
+                if error:
+                    raise LoadError(f"{d.name}: ({expr.op} ...) {error}")
+        for child, count in children(expr):
+            if count is None:
+                check(child, expected, tail)
+            else:
+                check(child, count, False)
 
-    check_calls(d.body, len(d.result_kinds), True)
+    check(d.body, len(d.result_kinds), True)
 
 
 def _while_shape(d: FunDef) -> tuple[str, tuple[str, ...]] | None:
@@ -1041,6 +954,14 @@ def _while_shape(d: FunDef) -> tuple[str, tuple[str, ...]] | None:
     return m.call.name, names
 
 
+def _calls(expr: FunExpr):
+    """Every call in expr, outermost first."""
+    if isinstance(expr, Call):
+        yield expr
+    for child, _ in children(expr):
+        yield from _calls(child)
+
+
 def _reconstruct_cliques(defs: tuple[FunDef, ...]) -> tuple[WhileClique, ...]:
     by_name = {d.name: d for d in defs}
     cliques = []
@@ -1049,10 +970,11 @@ def _reconstruct_cliques(defs: tuple[FunDef, ...]) -> tuple[WhileClique, ...]:
         if shape is None:
             raise LoadError(f"{d.name}: defun-general is only valid for loop "
                             "while-functions of the generated shape")
-        step_name, frame = shape
+        step_name, _ = shape
         wrap = entry = cont = None
         for other in defs:
-            if _calls_with_zero_done(other.body, d.name):
+            if any(c.name == d.name and c.args[:1] == (Const(0),)
+                   for c in _calls(other.body)):
                 wrap = other
         if wrap is not None and isinstance(wrap.body, Metlist):
             cont_call = wrap.body.body
@@ -1060,46 +982,14 @@ def _reconstruct_cliques(defs: tuple[FunDef, ...]) -> tuple[WhileClique, ...]:
                 cont = by_name.get(cont_call.name)
         if wrap is not None:
             for other in defs:
-                if other is wrap:
-                    continue
-                if _mentions_call(other.body, wrap.name):
+                if other is not wrap and any(c.name == wrap.name
+                                             for c in _calls(other.body)):
                     entry = other
         if not (wrap and cont and entry and step_name in by_name):
             raise LoadError(f"{d.name}: incomplete loop clique")
         cliques.append(WhileClique(index, cont.name, step_name, d.name,
-                                   wrap.name, entry.name, frame[1:-1]))
+                                   wrap.name, entry.name))
     return tuple(cliques)
-
-
-def _calls_with_zero_done(expr: FunExpr, while_name: str) -> bool:
-    if isinstance(expr, Call):
-        return expr.name == while_name and bool(expr.args) and expr.args[0] == Const(0)
-    if isinstance(expr, Metlist):
-        return _calls_with_zero_done(expr.call, while_name) or \
-            _calls_with_zero_done(expr.body, while_name)
-    if isinstance(expr, LetStar):
-        return any(_calls_with_zero_done(e, while_name) for _, e in expr.bindings) or \
-            _calls_with_zero_done(expr.body, while_name)
-    if isinstance(expr, If):
-        return any(_calls_with_zero_done(e, while_name)
-                   for e in (expr.then, expr.els))
-    return False
-
-
-def _mentions_call(expr: FunExpr, name: str) -> bool:
-    if isinstance(expr, Call):
-        return expr.name == name or any(_mentions_call(a, name) for a in expr.args)
-    if isinstance(expr, (Prim, Mvlist)):
-        args = expr.args if isinstance(expr, Prim) else expr.items
-        return any(_mentions_call(a, name) for a in args)
-    if isinstance(expr, If):
-        return any(_mentions_call(e, name) for e in (expr.cond, expr.then, expr.els))
-    if isinstance(expr, LetStar):
-        return any(_mentions_call(e, name) for _, e in expr.bindings) or \
-            _mentions_call(expr.body, name)
-    if isinstance(expr, Metlist):
-        return _mentions_call(expr.call, name) or _mentions_call(expr.body, name)
-    return False
 
 
 def validate_clique(program: FunProgram, clique: WhileClique):

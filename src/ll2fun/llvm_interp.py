@@ -1,8 +1,9 @@
 """Reference interpreter over the LLVM AST.
 
 Executes basic blocks directly — registers in a dict, phis evaluated in
-parallel on block entry, the same MachineState and primitive semantics as
-the compiled functional form.  Deliberately simple; the differential tests
+parallel on block entry, the same MachineState as the compiled functional
+form, and the reference functions of `prims.PRIMS` for shifts, signed
+compares and sign extension.  Deliberately simple; the differential tests
 run it against the translate-then-evaluate pipeline, so it shares no CFG
 analysis, translation, or code generation with that path.
 """
@@ -10,8 +11,8 @@ analysis, translation, or code generation with that path.
 from __future__ import annotations
 
 from .errors import BudgetExhausted, EvalFault
-from .evaluator import ashr, bits, lshr, sext, shl, to_signed
 from .ll_parser import BINOPS, Const, Instruction, LlvmFunction, LlvmModule, Operand, Ret
+from .prims import PRIMS, bits, sext
 from . import state as st_mod
 from .state import MachineState
 
@@ -38,19 +39,14 @@ def _binop(opcode: str, w: int, a: int, b: int) -> int:
         return a | b
     if opcode == "xor":
         return a ^ b
-    if opcode == "shl":
-        return shl(w, a, b)
-    if opcode == "lshr":
-        return lshr(w, a, b)
-    if opcode == "ashr":
-        return ashr(w, a, b)
+    if opcode in ("shl", "lshr", "ashr"):
+        return PRIMS[opcode].ref(w, a, b)
     raise AssertionError(opcode)
 
 
 def _icmp(pred: str, w: int, a: int, b: int) -> int:
     if pred in ("slt", "sle", "sgt", "sge"):
-        a, b = to_signed(a, w), to_signed(b, w)
-        pred = {"slt": "ult", "sle": "ule", "sgt": "ugt", "sge": "uge"}[pred]
+        return PRIMS[pred].ref(w, a, b)
     table = {
         "eq": a == b, "ne": a != b,
         "ult": a < b, "ule": a <= b, "ugt": a > b, "uge": a >= b,

@@ -14,8 +14,9 @@ import random
 from dataclasses import dataclass
 
 from .errors import BudgetExhausted
-from .evaluator import bits, eval_def
+from .evaluator import eval_def
 from .fun_ir import FunProgram
+from .prims import bits
 from .state import MachineState, rd_n, wr_n
 
 DEFAULT_LIFT_BUDGET = 1 << 22

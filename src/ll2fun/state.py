@@ -131,17 +131,8 @@ def storebytes(n: int, addr: int, byterun: tuple[int, ...], st: MachineState) ->
     return replace(st, mem=wr_n(n, addr, wfrombytes(n, byterun), st.mem))
 
 
-def load_word(n: int, addr: int, st: MachineState) -> int:
-    """rd_n over the state's memory (the fused wfrombytes-of-loadbytes)."""
-    return rd_n(n, addr, st.mem)
-
-
 def store_word(n: int, addr: int, value: int, st: MachineState) -> MachineState:
     return replace(st, mem=wr_n(n, addr, value, st.mem))
-
-
-def retval(st: MachineState) -> int:
-    return st.retval
 
 
 def update_retval(v: int, st: MachineState) -> MachineState:
@@ -176,10 +167,6 @@ def alloca(nbytes: int, st: MachineState) -> MachineState:
     if new_stack >= ADDR_LIMIT:
         raise EvalFault(f"alloca: stack overflow past 32-bit memory ({new_stack:#x})")
     return replace(st, stack=new_stack)
-
-
-def stack_ptr(st: MachineState) -> int:
-    return st.stack
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ import random
 import subprocess
 import sys
 
+from ll2fun import ProgramEvaluator, load_program
 from ll2fun.cli import (
     EXIT_ANALYSIS, EXIT_BUDGET, EXIT_FAULT, EXIT_OK, EXIT_PARSE,
     EXIT_UNSUPPORTED, main,
 )
+from ll2fun.prims import PRIMS
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
@@ -213,3 +215,104 @@ def test_console_script_entry_point(tmp_path):
                         "--mem-image", MEM], capture_output=True, text=True)
     assert r.returncode == EXIT_OK, r.stderr
     assert r.stdout.strip() == "3"
+
+
+# ---------------------------------------------------------------------------
+# Loaded .fun text outside the static domains or the nesting limit
+# ---------------------------------------------------------------------------
+
+def _static_probes(prim):
+    """(static args, in domain?) pairs: each static argument at its lowest,
+    at its highest and one past either end, the others held inside."""
+    held: dict[str, int] = {}
+    for name, (lo, hi) in prim.domains.items():
+        held[name] = lo if hi is None or isinstance(hi, str) else hi
+    for name, (lo, hi) in prim.domains.items():
+        top = held[hi] if isinstance(hi, str) else hi
+        values = [(lo, True), (lo - 1, False)] if lo > 0 else [(lo, True)]
+        values += [(top, True), (top + 1, False)] if top is not None else [(1 << 40, True)]
+        for value, inside in values:
+            yield {**held, name: value}, inside
+
+
+def test_static_constants_outside_domain_exit_10(tmp_path, capsys):
+    for op, prim in PRIMS.items():
+        for static, inside in _static_probes(prim):
+            n = static.get("n", 8)
+            dynamic = {"st": "st", "run": f"(loadbytes {n} 256 st)"}
+            args = " ".join(str(static[p]) if p in static else dynamic.get(p, "x")
+                            for p in prim.params)
+            path = tmp_path / "probe.fun"
+            path.write_text(f"""(defun probe (x st)
+  (declare (xargs :signature ((natp stp) natp stp)))
+  (mvlist ({op} {args}) st))
+""")
+            code = main(["run", str(path), "--entry", "probe", "--args", "5", "--no-check"])
+            err = capsys.readouterr().err
+            if inside:
+                assert code in (EXIT_OK, EXIT_FAULT), (op, static, err)
+            else:
+                assert code == EXIT_PARSE, (op, static, err)
+                assert "is outside" in err, (op, static, err)
+
+
+def _nested_fun(depth: int) -> str:
+    """A program whose deepest form nests `depth` parentheses: the defun,
+    the update-retval, and depth - 2 additions."""
+    body = "x"
+    for _ in range(depth - 2):
+        body = f"(+ {body} 1)"
+    return f"""(defun f (x st)
+  (declare (xargs :signature ((natp stp) stp)))
+  (update-retval {body} st))
+"""
+
+
+def _run_subprocess(tmp_path, text: str) -> subprocess.CompletedProcess:
+    path = tmp_path / "deep.fun"
+    path.write_text(text)
+    return subprocess.run([sys.executable, "-m", "ll2fun.cli", "run", str(path),
+                           "--entry", "f", "--args", "5"], capture_output=True, text=True)
+
+
+def test_nesting_limit_exit_10_without_traceback(tmp_path):
+    r = _run_subprocess(tmp_path, _nested_fun(64))
+    assert r.returncode == EXIT_OK, r.stderr
+    assert r.stdout.strip() == str(5 + 62)
+    for depth in (65, 3000):
+        r = _run_subprocess(tmp_path, _nested_fun(depth))
+        assert r.returncode == EXIT_PARSE, r.stderr
+        assert "nest deeper than 64" in r.stderr
+        assert "Traceback" not in r.stderr
+    let_chain = "x"
+    for k in range(3000):
+        let_chain = f"(let* ((y{k} 1)) {let_chain})"
+    r = _run_subprocess(tmp_path, _nested_fun(2).replace("(update-retval x st)",
+                                                         f"(update-retval {let_chain} st)"))
+    assert r.returncode == EXIT_PARSE, r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def _depth(text: str) -> int:
+    depth = deepest = 0
+    for ch in text:
+        depth += {"(": 1, ")": -1}.get(ch, 0)
+        deepest = max(deepest, depth)
+    return deepest
+
+
+def test_nesting_limit_holds_for_every_shape():
+    """Forms nested as deep as the limit allows load and compile, whatever
+    Python each level turns into."""
+    values = ["(bits {} 62 1)", "(shl 64 {} 1)", "(if (= {} 0) 1 2)", "(= {} 7)",
+              "(sext 8 64 {})", "(wfrombytes 8 (loadbytes 8 {} st))"]
+    states = ["(if (= x 0) st {})", "(let* ((st (update-retval x st))) {})"]
+    cases = [(shape, "x", "(update-retval {} st)") for shape in values]
+    cases += [(shape, "(update-retval x st)", "{}") for shape in states]
+    for shape, body, result in cases:
+        def program(body):
+            return _nested_fun(2).replace("(update-retval x st)", result.format(body))
+        while _depth(program(shape.format(body))) <= 64:
+            body = shape.format(body)
+        assert _depth(program(body)) > 60
+        assert ProgramEvaluator(load_program(program(body))).source

@@ -8,11 +8,17 @@ import threading
 import pytest
 
 from ll2fun import (
-    BudgetExhausted, EvalFault, SignatureViolation, apply_prim, bits, eval_def,
+    BudgetExhausted, EvalFault, SignatureViolation, bits, eval_def,
     evaluator_for, load_program, make_state, run_with_budget,
 )
-from ll2fun.evaluator import ProgramEvaluator, ashr, lshr, sext, shl, to_signed
-from ll2fun.state import MachineState
+from ll2fun.evaluator import ProgramEvaluator
+from ll2fun.prims import PRIMS, ashr, lshr, sext, shl, to_signed
+from ll2fun.state import MachineState, begin_stack_frame
+
+
+def ref(op: str, *args):
+    """The table's reference semantics; arguments in source order."""
+    return PRIMS[op].ref(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -46,20 +52,20 @@ def test_bits_bad_indices():
 
 
 # ---------------------------------------------------------------------------
-# apply_prim
+# Reference functions of the primitive table
 # ---------------------------------------------------------------------------
 
 def test_add_wraparound_i64():
-    assert apply_prim("bits", (apply_prim("+", ((1 << 64) - 1, 1)),), (63, 0)) == 0
+    assert ref("bits", ref("+", (1 << 64) - 1, 1), 63, 0) == 0
 
 
 def test_icmp_eq_values():
-    assert apply_prim("=", (399, 399)) == 1
-    assert apply_prim("=", (399, 234)) == 0
+    assert ref("=", 399, 399) == 1
+    assert ref("=", 399, 234) == 0
 
 
 def test_icmp_slt_i32_negative_one():
-    assert apply_prim("slt", (0xFFFFFFFF, 0), (32,)) == 1  # -1 < 0
+    assert ref("slt", 32, 0xFFFFFFFF, 0) == 1  # -1 < 0
 
 
 def test_signed_compares_exhaustive_i8():
@@ -69,17 +75,17 @@ def test_signed_compares_exhaustive_i8():
     for a in range(256):
         for b in range(256):
             sa, sb = oracle(a), oracle(b)
-            assert apply_prim("slt", (a, b), (8,)) == (1 if sa < sb else 0)
-            assert apply_prim("sle", (a, b), (8,)) == (1 if sa <= sb else 0)
-            assert apply_prim("sgt", (a, b), (8,)) == (1 if sa > sb else 0)
-            assert apply_prim("sge", (a, b), (8,)) == (1 if sa >= sb else 0)
+            assert ref("slt", 8, a, b) == (1 if sa < sb else 0)
+            assert ref("sle", 8, a, b) == (1 if sa <= sb else 0)
+            assert ref("sgt", 8, a, b) == (1 if sa > sb else 0)
+            assert ref("sge", 8, a, b) == (1 if sa >= sb else 0)
 
 
 def test_signed_compare_spot_checks_i32():
     cases = [(0x80000000, 0x7FFFFFFF), (0, 0), (5, 0xFFFFFFFB)]
     for a, b in cases:
         sa, sb = to_signed(a, 32), to_signed(b, 32)
-        assert apply_prim("slt", (a, b), (32,)) == (1 if sa < sb else 0)
+        assert ref("slt", 32, a, b) == (1 if sa < sb else 0)
 
 
 def test_shift_semantics():
@@ -104,22 +110,17 @@ def test_sub_via_complement_matches_modular_sub():
     for w in (8, 16, 32, 64):
         for _ in range(500):
             a, b = rng.getrandbits(w), rng.getrandbits(w)
-            complement = apply_prim("+", (a, apply_prim("-", ((1 << w), b))))
+            complement = ref("+", a, ref("-", 1 << w, b))
             assert bits(complement, w - 1, 0) == (a - b) % (1 << w)
 
 
 def test_state_prims():
     st = make_state()
-    st2 = apply_prim("update-retval", (9, st))
-    assert apply_prim("retval", (st2,)) == 9
-    st3 = apply_prim("begin-stack-frame", (apply_prim("init-stack-frame", (st2,)),))
+    st2 = ref("update-retval", 9, st)
+    assert ref("retval", st2) == 9
+    st3 = ref("begin-stack-frame", ref("init-stack-frame", st2))
     assert st3.frame == st3.stack == st2.stack
-    assert apply_prim("end-stack-frame", (st3,)).frame == st2.frame
-
-
-def test_unknown_prim_faults():
-    with pytest.raises(EvalFault):
-        apply_prim("frobnicate", (1,))
+    assert ref("end-stack-frame", st3).frame == st2.frame
 
 
 # ---------------------------------------------------------------------------
@@ -336,43 +337,90 @@ def test_signature_checking_validates_results():
     assert values == (256,)
 
 
-def test_internal_prim_consistency_random():
-    """Compiled prim formulas agree with apply_prim on random inputs."""
-    rng = random.Random(123)
-    template = """(defun probe (a b st)
-  (declare (xargs :signature ((i{w}_p i{w}_p stp) natp stp)))
-  (mvlist {expr} st))
+PROBE = """(defun probe ({params} st)
+  (declare (xargs :signature (({kinds} stp) natp stp)))
+  (mvlist {body} st))
 """
-    specs = [
-        ("(bits (+ a b) {h} 0)", "+", 0),
-        ("(bits (* a b) {h} 0)", "*", 0),
-        ("(logand a b)", "logand", None),
-        ("(logior a b)", "logior", None),
-        ("(logxor a b)", "logxor", None),
-        ("(shl {w} a b)", "shl", None),
-        ("(lshr {w} a b)", "lshr", None),
-        ("(ashr {w} a b)", "ashr", None),
-        ("(= a b)", "=", None),
-        ("(/= a b)", "/=", None),
-        ("(< a b)", "<", None),
-        ("(slt {w} a b)", "slt", None),
-        ("(sge {w} a b)", "sge", None),
-    ]
-    for w in (8, 32, 64):
-        for expr_t, op, wrap in specs:
-            expr = expr_t.format(w=w, h=w - 1)
-            program = load_program(template.format(w=w, expr=expr))
-            for _ in range(40):
-                x, y = rng.getrandbits(w), rng.getrandbits(w)
-                (got,), _ = eval_def(program, "probe", (x, y), make_state(),
-                                     checking=False)
-                if op in ("+", "*"):
-                    want = bits(apply_prim(op, (x, y)), w - 1, 0)
-                elif op in ("shl", "lshr", "ashr", "slt", "sge"):
-                    want = apply_prim(op, (x, y), (w,))
-                else:
-                    want = apply_prim(op, (x, y))
-                assert got == want, (op, w, x, y)
+
+
+def _probe(params: list[str], body: str):
+    return load_program(PROBE.format(params=" ".join(params), body=body,
+                                     kinds=" ".join(["natp"] * len(params))))
+
+
+def _static_samples(rng: random.Random, prim) -> list[dict[str, int]]:
+    """Static arguments inside the row's domains: all lowest, all highest,
+    then random picks."""
+    samples = []
+    for pick in ("low", "high", "random", "random", "random", "random"):
+        static: dict[str, int] = {}
+        for name, (lo, hi) in prim.domains.items():
+            top = static[hi] if isinstance(hi, str) else lo + 100 if hi is None else hi
+            static[name] = lo if pick == "low" else top if pick == "high" \
+                else rng.randint(lo, top)
+        samples.append(static)
+    return samples
+
+
+def _dynamic_sample(rng: random.Random, name: str, static: dict[str, int]):
+    width = static.get("w") or static.get("f") or 64
+    if name == "st":
+        mem = {a: rng.randrange(1, 256) for a in range(0x100, 0x110) if rng.random() < 0.7}
+        return begin_stack_frame(make_state(stack=0x1000, frame=0x1000, mem=mem))
+    if name == "run":
+        return tuple(rng.randrange(256) for _ in range(static["n"]))
+    if name == "a" and "n" in static:  # an address over the sample memory
+        return rng.randrange(0x100, 0x110)
+    if name == "b" and "w" in static and rng.random() < 0.5:  # a shift amount
+        return rng.randrange(width + 2)
+    if rng.random() < 0.25:
+        return rng.choice([0, 1, 1 << (width - 1), (1 << width) - 1])
+    return rng.getrandbits(80 if name == "x" and "h" in static else width)
+
+
+def test_internal_prim_consistency_random():
+    """Every row's compiled form agrees with its reference function on
+    random arguments inside the static domains, in value and in condition
+    position."""
+    rng = random.Random(123)
+    for op, prim in PRIMS.items():
+        dynamic = [p for p in prim.params if p not in prim.domains]
+        params = [p for p in dynamic if p != "st"]
+        for static in _static_samples(rng, prim):
+            app = f"({op} {' '.join(str(static.get(p, p)) for p in prim.params)})"
+            value = _probe(params, app)
+            test = _probe(params, f"(if {app} 7 9)")
+            for _ in range(20):
+                args = {p: _dynamic_sample(rng, p, static) for p in dynamic}
+                if "b" in args and rng.random() < 0.25:
+                    args["b"] = args["a"]  # where compares tell < from <=
+                st = args.get("st", make_state())
+                want = prim.ref(*[static[p] if p in static else args[p]
+                                  for p in prim.params])
+                values = tuple(args[p] for p in params)
+                (got,), _ = eval_def(value, "probe", values, st, checking=False)
+                assert got == want, (op, static, args)
+                if isinstance(want, int):
+                    (got,), _ = eval_def(test, "probe", values, st, checking=False)
+                    assert got == (7 if want else 9), (op, static, args)
+
+
+def test_fused_memory_forms_match_reference():
+    """wfrombytes of loadbytes compiles to one rd_n and storebytes of
+    wtobytes to one store_word; both agree with the composed references."""
+    rng = random.Random(7)
+    for n in range(1, 9):
+        load = _probe(["a"], f"(wfrombytes {n} (loadbytes {n} a st))")
+        store = _probe(["a", "v"], f"(storebytes {n} a (wtobytes {n} v) st)")
+        assert "_rd_n(" in ProgramEvaluator(load).source
+        assert "_store_word(" in ProgramEvaluator(store).source
+        for _ in range(20):
+            st = _dynamic_sample(rng, "st", {})
+            a, v = rng.randrange(0x100, 0x110), rng.getrandbits(64)
+            (got,), _ = eval_def(load, "probe", (a,), st, checking=False)
+            assert got == ref("wfrombytes", n, ref("loadbytes", n, a, st))
+            (got,), _ = eval_def(store, "probe", (a, v), st, checking=False)
+            assert got == ref("storebytes", n, a, ref("wtobytes", n, v), st)
 
 
 def test_evaluator_source_is_cached(occurrences_program):

@@ -266,6 +266,27 @@ def test_loader_rejects_wrong_arity_mvlist():
         load_program(text)
 
 
+def test_loader_rejects_statement_forms_in_expression_position():
+    for form in ("(let* ((y 1)) y)", "(metlist ((y st) (g st)) y)"):
+        text = f"""(defun g (st)
+  (declare (xargs :signature ((stp) natp stp)))
+  (mvlist 1 st))
+
+(defun f (st)
+  (declare (xargs :signature ((stp) stp)))
+  (update-retval {form} st))
+"""
+        with pytest.raises(LoadError, match="outside result position"):
+            load_program(text)
+
+
+def test_loader_rejects_bad_numbers():
+    for atom in ("\u00b2", "9" * 5000):
+        with pytest.raises(LoadError, match="bad number"):
+            load_program(f"(defun f (st) (declare (xargs :signature ((stp) stp))) "
+                         f"(update-retval {atom} st))")
+
+
 def test_loader_accepts_plain_let():
     text = """(defun f (st)
   (declare (xargs :signature ((stp) stp)))

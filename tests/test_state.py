@@ -7,10 +7,9 @@ import pytest
 
 from ll2fun import (
     EvalFault, begin_stack_frame, end_stack_frame, init_stack_frame, loadbytes,
-    make_state, parse_memory_image, rd_n, retval, storebytes, update_retval,
-    wr_n,
+    make_state, parse_memory_image, rd_n, storebytes, update_retval, wr_n,
 )
-from ll2fun.state import alloca, stack_ptr, wfrombytes, wtobytes
+from ll2fun.state import alloca, wfrombytes, wtobytes
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +160,11 @@ def test_loadbytes_storebytes_roundtrip_all_widths():
 
 def test_retval_update_and_accessor():
     st = make_state()
-    assert retval(st) == 0
+    assert st.retval == 0
     st = update_retval(3, st)
-    assert retval(st) == 3
+    assert st.retval == 3
     st = update_retval(17, st)
-    assert retval(st) == 17
+    assert st.retval == 17
 
 
 def test_initial_state_layout(array_state):
@@ -194,7 +193,7 @@ def test_alloca_is_reclaimed_by_end():
 
 def test_alloca_returns_current_stack():
     st = make_state(stack=0x2000)
-    assert stack_ptr(st) == 0x2000
+    assert st.stack == 0x2000
 
 
 def test_end_without_begin_faults():
