@@ -12,6 +12,14 @@ string inlined into the source, or a call of the row's reference
 function.  Two fused forms are recognised here instead: a load
 (wfrombytes of loadbytes) becomes one `rd_n` and a store (storebytes of
 wtobytes) one `store_word`.
+
+Stores are the exception to calling the reference function: the fused
+store and `storebytes` go through the namespace's `state.RunMemory`, which
+copies the memory on a run's first store and writes every later store of
+the run into that copy in place.  The loader only admits programs that
+thread the state linearly, so no state older than a store is ever read
+again; states passed in by the caller are never written, and a run that
+never stores never copies.
 """
 
 from __future__ import annotations
@@ -174,10 +182,11 @@ class _Codegen:
         return "\n".join(self.lines)
 
 
-# The names compiled code calls: the helper-template rows and the fused forms.
+# The names compiled code calls: the helper-template rows and the fused
+# load.  The two stores are bound per namespace (`ProgramEvaluator._namespace`).
 _NAMESPACE = {p.template: p.ref for p in PRIMS.values()
               if p.template and "{" not in p.template}
-_NAMESPACE.update(_rd_n=st_mod.rd_n, _store_word=st_mod.store_word)
+_NAMESPACE.update(_rd_n=st_mod.rd_n)
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +228,12 @@ def _state_text(v) -> str:
 class ProgramEvaluator:
     """Compiled form of one program plus its execution layers.
 
-    Programs and states are immutable and freely shareable; an evaluator
-    instance, however, owns mutable iteration counters, so one instance
-    serves one execution at a time.  Parallel runs want separate
-    instances (or separate programs, which the module-level cache keys on).
+    Programs are immutable and freely shareable, and so are states outside
+    a run.  An evaluator instance, however, owns mutable iteration
+    counters and the memory of the run in progress (`state.RunMemory`), so
+    one instance serves one execution at a time.  Parallel runs want
+    separate instances (or separate programs, which the module-level cache
+    keys on).
     """
 
     def __init__(self, program: FunProgram):
@@ -241,6 +252,9 @@ class ProgramEvaluator:
         if ns is not None:
             return ns
         ns = dict(_NAMESPACE)
+        memory = st_mod.RunMemory()
+        ns.update(_memory=memory, _store_word=memory.store_word,
+                  _storebytes=memory.storebytes)
         ns["_it"] = [0]
         ns["_budget"] = [None]
         ns["_per_while"] = {}
@@ -344,6 +358,8 @@ class ProgramEvaluator:
                 raise type(e)(str(e),
                               context=f"entry {name}, step {ns['_it'][0]}") from e
             raise
+        finally:
+            ns["_memory"].mem = None
         results = out if isinstance(out, tuple) else (out,)
         final = results[-1]
         if not isinstance(final, MachineState):

@@ -32,7 +32,7 @@ from .ll_parser import (
     BasicBlock, Instruction, LlvmFunction, LlvmModule, Operand, Reg, Ret,
     mangle_label, mangle_register, register_kinds, resolve_aliases,
 )
-from .prims import KINDS, PRIMS
+from .prims import KINDS, NAT, PRIMS, SORT_OF_KIND, STATE
 from .ssa import (
     BlockUnit, CliqueUnit, FunctionAnalysis, LoopInfo, analyze_function, dfs_postorder,
 )
@@ -800,7 +800,8 @@ def _parse_def(form) -> FunDef:
             and form[0] in ("defun", "defun-general")):
         raise LoadError(f"expected (defun name (params) (declare ...) body), got {form!r:.80}")
     _, name, params, declare, body = form
-    if not isinstance(name, str) or not isinstance(params, list):
+    if not (isinstance(name, str) and isinstance(params, list)
+            and all(isinstance(p, str) for p in params)):
         raise LoadError(f"malformed definition header for {name!r}")
     sig_ok = (isinstance(declare, list) and len(declare) == 2
               and declare[0] == "declare" and isinstance(declare[1], list)
@@ -870,63 +871,148 @@ def validate_def(d: FunDef, known: dict[str, FunDef]):
         raise LoadError(f"{d.name}: last parameter must be the machine state")
     if sum(1 for _, k in d.params if k == "state") != 1:
         raise LoadError(f"{d.name}: exactly one state parameter expected")
-    if d.result_kinds[-1] != "state":
-        raise LoadError(f"{d.name}: last result must be the machine state")
+    if d.result_kinds[-1] != "state" or "state" in d.result_kinds[:-1]:
+        raise LoadError(f"{d.name}: the last result, and only it, must be the machine state")
     names = [n for n, _ in d.params]
     if len(set(names)) != len(names):
         raise LoadError(f"{d.name}: duplicate parameter names")
-    leftover = free_vars(d.body, frozenset(names))
-    if leftover:
-        raise LoadError(f"{d.name}: free variables {sorted(leftover)}")
+    declared = _sorts(d.result_kinds)
+    got = _DefCheck(d, known).check(d.body, len(declared), True)
+    if got != declared:
+        raise LoadError(f"{d.name}: the body yields ({', '.join(got)}) where the "
+                        f"signature declares ({', '.join(declared)})")
 
-    def check(expr: FunExpr, expected: int, tail: bool):
-        """Calls name earlier defs with the declared arity and result count;
-        self-calls only in tail position of a general-recursive def; mvlist,
-        let* and metlist only in result position; static primitive
-        arguments are constants inside their domains."""
+
+def _sorts(kinds: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple([SORT_OF_KIND[k] for k in kinds])
+
+
+class _DefCheck:
+    """The walk over one definition body.  A class rather than nested
+    functions: recursive closures form reference cycles, and one cycle per
+    definition left behind for the collector slowed translation."""
+
+    __slots__ = ("d", "known", "env", "live")
+
+    def __init__(self, d: FunDef, known: dict[str, FunDef]):
+        self.d = d
+        self.known = known
+        self.env = {n: SORT_OF_KIND[k] for n, k in d.params}  # sort of each name in scope
+        self.live = True  # st not passed to a state-consuming argument since bound
+
+    def fail(self, message: str):
+        raise LoadError(f"{self.d.name}: {message}")
+
+    def bind(self, name: str, sort: str, undo: list):
+        if (name == STATE_VAR) != (sort == STATE):
+            self.fail(f"{name} is bound to a {sort}; the machine state lives in "
+                      f"{STATE_VAR} and only there")
+        undo.append((name, self.env.get(name)))
+        self.env[name] = sort
+        if sort == STATE:
+            self.live = True
+
+    def unbind(self, undo: list):
+        for name, old in reversed(undo):
+            if old is None:
+                del self.env[name]
+            else:
+                self.env[name] = old
+
+    def arg(self, expr: FunExpr, want: str, k: int, owner: str, reads: bool = False):
+        """Check argument k of owner (1-based; 0 for an if condition)."""
+        got = self.check(expr, 1, False, reads)[0]
+        if got != want:
+            what = f"argument {k} of {owner}" if k else "an if condition"
+            self.fail(f"{what} must be a {want}, got a {got}")
+
+    def check(self, expr: FunExpr, expected: int, tail: bool, reads: bool = False) -> tuple:
+        """The sorts of expr's results.  Calls name earlier defs with the
+        declared arity and result count; self-calls only in tail position
+        of a general-recursive def; mvlist, let* and metlist only in result
+        position; static primitive arguments are constants inside their
+        domains; every argument has the sort its primitive or callee takes.
+
+        Linearity, in evaluation order (the order of `children`): once st
+        is passed to a state-consuming argument (the state argument of a
+        primitive or call that returns a state, a binding, or a result) it
+        may not be used again until a let* or metlist rebinds it.  `reads`
+        marks the state argument of a primitive that returns no state
+        (loadbytes, retval, stack), which uses st without consuming it.
+        The two arms of an if are checked from the same point."""
         t = type(expr)
         if not tail and t in _RESULT_FORMS:
-            raise LoadError(f"{d.name}: {_RESULT_FORMS[t]} outside result position")
-        if t is Call:
-            target = known.get(expr.name)
-            if target is None:
-                raise LoadError(f"{d.name}: call of {expr.name} before its definition")
-            if expr.name == d.name:
-                if not d.general_recursive:
-                    raise LoadError(f"{d.name}: unexpected self-recursion")
-                if not tail:
-                    raise LoadError(f"{d.name}: recursive call outside tail position")
-            if len(expr.args) != len(target.params):
-                raise LoadError(
-                    f"{d.name}: {expr.name} takes {len(target.params)} args, "
-                    f"got {len(expr.args)}")
-            if len(target.result_kinds) != expected:
-                raise LoadError(
-                    f"{d.name}: call of {expr.name} yields "
-                    f"{len(target.result_kinds)} results where {expected} are expected")
-        elif t is Mvlist:
-            if len(expr.items) != expected:
-                raise LoadError(
-                    f"{d.name}: mvlist of {len(expr.items)} values where "
-                    f"{expected} results are declared")
-        elif t is Var or t is Const or t is Prim:
+            self.fail(f"{_RESULT_FORMS[t]} outside result position")
+        if t is Var or t is Const or t is Prim:
             # atoms and primitive applications produce exactly one value
             if expected != 1:
-                raise LoadError(
-                    f"{d.name}: expression yields one value where {expected} "
-                    "results are declared")
-            if t is Prim and PRIMS[expr.op].domains:
-                error = PRIMS[expr.op].static_error(
+                self.fail(f"expression yields one value where {expected} "
+                          "results are declared")
+        if t is Var:
+            sort = self.env.get(expr.name)
+            if sort is None:
+                self.fail(f"free variable {expr.name}")
+            if sort == STATE:
+                if not self.live:
+                    self.fail(f"{STATE_VAR} is used after a store, call or "
+                              "binding consumed it")
+                self.live = reads
+            return (sort,)
+        if t is Const:
+            return (NAT,)
+        if t is Prim:
+            p = PRIMS[expr.op]
+            if p.domains:
+                error = p.static_error(
                     [a.value if type(a) is Const else None for a in expr.args])
                 if error:
-                    raise LoadError(f"{d.name}: ({expr.op} ...) {error}")
-        for child, count in children(expr):
-            if count is None:
-                check(child, expected, tail)
-            else:
-                check(child, count, False)
-
-    check(d.body, len(d.result_kinds), True)
+                    self.fail(f"({expr.op} ...) {error}")
+            reading = p.result != STATE
+            for k, (a, want) in enumerate(zip(expr.args, p.sorts), 1):
+                self.arg(a, want, k, expr.op, reading)
+            return (p.result,)
+        if t is Call:
+            target = self.known.get(expr.name)
+            if target is None:
+                self.fail(f"call of {expr.name} before its definition")
+            if expr.name == self.d.name:
+                if not self.d.general_recursive:
+                    self.fail("unexpected self-recursion")
+                if not tail:
+                    self.fail("recursive call outside tail position")
+            if len(expr.args) != len(target.params):
+                self.fail(f"{expr.name} takes {len(target.params)} args, "
+                          f"got {len(expr.args)}")
+            if len(target.result_kinds) != expected:
+                self.fail(f"call of {expr.name} yields {len(target.result_kinds)} "
+                          f"results where {expected} are expected")
+            for k, (a, (_, kind)) in enumerate(zip(expr.args, target.params), 1):
+                self.arg(a, SORT_OF_KIND[kind], k, expr.name)
+            return _sorts(target.result_kinds)
+        if t is Mvlist:
+            if len(expr.items) != expected:
+                self.fail(f"mvlist of {len(expr.items)} values where {expected} "
+                          "results are declared")
+            return tuple([self.check(x, 1, False)[0] for x in expr.items])
+        if t is If:
+            self.arg(expr.cond, NAT, 0, "if")
+            before = self.live
+            sorts = self.check(expr.then, expected, tail, reads)
+            after_then, self.live = self.live, before
+            if self.check(expr.els, expected, tail, reads) != sorts:
+                self.fail("the arms of an if yield different sorts")
+            self.live = self.live and after_then
+            return sorts
+        undo: list = []
+        if t is LetStar:
+            for name, bound in expr.bindings:
+                self.bind(name, self.check(bound, 1, False)[0], undo)
+        else:  # Metlist
+            for name, sort in zip(expr.names, self.check(expr.call, len(expr.names), False)):
+                self.bind(name, sort, undo)
+        sorts = self.check(expr.body, expected, tail)
+        self.unbind(undo)
+        return sorts
 
 
 def _while_shape(d: FunDef) -> tuple[str, tuple[str, ...]] | None:

@@ -1,27 +1,39 @@
 """The vocabulary of the functional form: value kinds and primitives.
 
 `KINDS` maps each kind to its signature predicate and dynamic check.
-`PRIMS` has one row per primitive: argument names in source order, the
-domain of each static (constant) argument, the codegen template, and the
-reference function.  A template is a format string over the arguments or
-the name of a helper, which is the row's reference function; `bits` has
-none because the code generator inlines its mask.
+Every value is of one sort: a natural, the machine state, or a byte run;
+the kinds other than the state refine the natural sort.  The loader
+checks sorts, the dynamic signature checks kinds.
+
+`PRIMS` has one row per primitive: argument names in source order (an
+argument named `st` takes the state, one named `run` a byte run, every
+other a natural), the domain of each static (constant) argument, the
+codegen template, the reference function, and the sort of the result.  A
+template is a format string over the arguments or the name of a helper,
+which is the row's reference function; `bits` has none because the code
+generator inlines its mask.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 from .errors import EvalFault
 from . import state as st_mod
 from .state import MachineState
 
+
 @dataclass(frozen=True)
 class Kind:
     predicate: str                   # the name used in signature declarations
     check: Callable[[object], bool]  # the dynamic signature check
+
+
+NAT, STATE, RUN = "natural", "state", "byte run"  # the sorts
+_PARAM_SORTS = {"st": STATE, "run": RUN}
 
 
 def _naturals_below(bound: int) -> Callable[[object], bool]:
@@ -38,6 +50,7 @@ KINDS = {
     "nat": Kind("natp", lambda v: isinstance(v, int) and 0 <= v),
     "state": Kind("stp", lambda v: isinstance(v, MachineState)),
 }
+SORT_OF_KIND = {kind: STATE if kind == "state" else NAT for kind in KINDS}
 
 
 def bits(x: int, h: int, l: int) -> int:
@@ -53,14 +66,20 @@ def to_signed(x: int, w: int) -> int:
 
 
 def shl(w: int, a: int, b: int) -> int:
+    if b < 0:
+        raise EvalFault(f"shl: negative shift count {b}")
     return (a << b) & ((1 << w) - 1) if b < w else 0
 
 
 def lshr(w: int, a: int, b: int) -> int:
+    if b < 0:
+        raise EvalFault(f"lshr: negative shift count {b}")
     return a >> b if b < w else 0
 
 
 def ashr(w: int, a: int, b: int) -> int:
+    if b < 0:
+        raise EvalFault(f"ashr: negative shift count {b}")
     if b >= w:
         return 0
     return (to_signed(a, w) >> b) & ((1 << w) - 1)
@@ -85,6 +104,12 @@ class Primitive:
     ref: Callable               # reference semantics over the arguments
     domains: dict[str, tuple[int, int | str | None]] = field(default_factory=dict)
     cond: str | None = None     # condition-position format string (compares)
+    result: str = NAT           # sort of the result
+
+    @cached_property
+    def sorts(self) -> tuple[str, ...]:
+        """The sort each argument must have, in source order."""
+        return tuple(_PARAM_SORTS.get(p, NAT) for p in self.params)
 
     def static_error(self, args) -> str | None:
         """Why `args` (each an int where the argument is a constant, None
@@ -101,8 +126,9 @@ class Primitive:
 
 
 def _row(name: str, params: str, template: str | None, ref: Callable,
-         cond: str | None = None, **domains) -> tuple[str, Primitive]:
-    return name, Primitive(name, tuple(params.split()), template, ref, domains, cond)
+         cond: str | None = None, result: str = NAT, **domains) -> tuple[str, Primitive]:
+    return name, Primitive(name, tuple(params.split()), template, ref, domains, cond,
+                           result)
 
 
 def _compare(name: str, pyop: str, test: Callable[[int, int], bool]):
@@ -139,15 +165,15 @@ PRIMS: dict[str, Primitive] = dict([
     _signed_compare("sgt", operator.gt),
     _signed_compare("sge", operator.ge),
     _row("sext", "f t x", "_sext", sext, f=WIDTH, t=WIDTH),
-    _row("update-retval", "v st", "_update_retval", st_mod.update_retval),
+    _row("update-retval", "v st", "_update_retval", st_mod.update_retval, result=STATE),
     _row("retval", "st", "{0}.retval", operator.attrgetter("retval")),
-    _row("init-stack-frame", "st", "{0}", st_mod.init_stack_frame),
-    _row("begin-stack-frame", "st", "_begin", st_mod.begin_stack_frame),
-    _row("end-stack-frame", "st", "_end", st_mod.end_stack_frame),
-    _row("alloca", "n st", "_alloca", st_mod.alloca, n=NATURAL),
+    _row("init-stack-frame", "st", "{0}", st_mod.init_stack_frame, result=STATE),
+    _row("begin-stack-frame", "st", "_begin", st_mod.begin_stack_frame, result=STATE),
+    _row("end-stack-frame", "st", "_end", st_mod.end_stack_frame, result=STATE),
+    _row("alloca", "n st", "_alloca", st_mod.alloca, n=NATURAL, result=STATE),
     _row("stack", "st", "{0}.stack", operator.attrgetter("stack")),
-    _row("loadbytes", "n a st", "_loadbytes", st_mod.loadbytes, n=BYTES),
+    _row("loadbytes", "n a st", "_loadbytes", st_mod.loadbytes, n=BYTES, result=RUN),
     _row("wfrombytes", "n run", "_wfrombytes", st_mod.wfrombytes, n=BYTES),
-    _row("storebytes", "n a run st", "_storebytes", st_mod.storebytes, n=BYTES),
-    _row("wtobytes", "n v", "_wtobytes", st_mod.wtobytes, n=BYTES),
+    _row("storebytes", "n a run st", "_storebytes", st_mod.storebytes, n=BYTES, result=STATE),
+    _row("wtobytes", "n v", "_wtobytes", st_mod.wtobytes, n=BYTES, result=RUN),
 ])

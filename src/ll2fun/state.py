@@ -34,7 +34,10 @@ FrameLinks = tuple
 
 @dataclass(frozen=True)
 class MachineState:
-    """Immutable machine state; all updates return a new value."""
+    """Machine state.  Updates return a new value; a caller's state is never
+    changed.  Within one evaluator run, the states after the first store
+    share one memory dict that the run owns and writes in place
+    (`RunMemory`)."""
 
     retval: int = 0
     stack: int = 0
@@ -125,14 +128,53 @@ def loadbytes(n: int, addr: int, st: MachineState) -> tuple[int, ...]:
     return tuple(get(addr + k, 0) for k in range(n))
 
 
-def storebytes(n: int, addr: int, byterun: tuple[int, ...], st: MachineState) -> MachineState:
+def _stored_word(n: int, byterun: tuple[int, ...]) -> int:
+    """The natural that storebytes of byterun writes."""
     if len(byterun) != n:
         raise EvalFault(f"storebytes: expected {n} bytes, got {len(byterun)}")
-    return replace(st, mem=wr_n(n, addr, wfrombytes(n, byterun), st.mem))
+    return wfrombytes(n, byterun)
+
+
+def storebytes(n: int, addr: int, byterun: tuple[int, ...], st: MachineState) -> MachineState:
+    return replace(st, mem=wr_n(n, addr, _stored_word(n, byterun), st.mem))
 
 
 def store_word(n: int, addr: int, value: int, st: MachineState) -> MachineState:
     return replace(st, mem=wr_n(n, addr, value, st.mem))
+
+
+class RunMemory:
+    """The memory dict one evaluator run owns and stores into in place.
+
+    The first store of a run copies the incoming state's memory once and
+    returns a new state holding the copy.  Every later state of the run
+    shares that dict (``replace`` keeps it), so later stores write into it
+    directly and cost O(bytes stored) instead of a copy of the memory.
+    This is sound only because the loader admits programs that thread the
+    state linearly (`fun_ir.validate_def`): once a state has been passed
+    to a store, no code can observe it again.  The caller's states are
+    never written.  `mem` starts as None and `ProgramEvaluator.run` clears
+    it again on every exit, so each run starts with no memory of its own,
+    copies again, and the evaluator holds no memory between runs.
+    """
+
+    __slots__ = ("mem",)
+
+    def __init__(self):
+        self.mem: dict[int, int] | None = None
+
+    def store_word(self, n: int, addr: int, value: int,
+                   st: MachineState) -> MachineState:
+        mem = st.mem
+        if mem is not self.mem:
+            mem = self.mem = dict(mem)
+            st = replace(st, mem=mem)
+        _write_in_place(n, addr, value, mem)
+        return st
+
+    def storebytes(self, n: int, addr: int, byterun: tuple[int, ...],
+                   st: MachineState) -> MachineState:
+        return self.store_word(n, addr, _stored_word(n, byterun), st)
 
 
 def update_retval(v: int, st: MachineState) -> MachineState:

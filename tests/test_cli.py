@@ -10,7 +10,7 @@ from ll2fun.cli import (
     EXIT_ANALYSIS, EXIT_BUDGET, EXIT_FAULT, EXIT_OK, EXIT_PARSE,
     EXIT_UNSUPPORTED, main,
 )
-from ll2fun.prims import PRIMS
+from ll2fun.prims import PRIMS, RUN, STATE
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
@@ -242,10 +242,13 @@ def test_static_constants_outside_domain_exit_10(tmp_path, capsys):
             dynamic = {"st": "st", "run": f"(loadbytes {n} 256 st)"}
             args = " ".join(str(static[p]) if p in static else dynamic.get(p, "x")
                             for p in prim.params)
+            app = f"({op} {args})"
+            items = {STATE: f"x {app}", RUN: f"(wfrombytes {n} {app}) st"}.get(
+                prim.result, f"{app} st")
             path = tmp_path / "probe.fun"
             path.write_text(f"""(defun probe (x st)
   (declare (xargs :signature ((natp stp) natp stp)))
-  (mvlist ({op} {args}) st))
+  (mvlist {items}))
 """)
             code = main(["run", str(path), "--entry", "probe", "--args", "5", "--no-check"])
             err = capsys.readouterr().err
@@ -316,3 +319,45 @@ def test_nesting_limit_holds_for_every_shape():
             body = shape.format(body)
         assert _depth(program(body)) > 60
         assert ProgramEvaluator(load_program(program(body))).source
+
+
+# ---------------------------------------------------------------------------
+# Loaded .fun text that is ill-sorted, non-linear, or shifts by a negative count
+# ---------------------------------------------------------------------------
+
+def _run_fun(tmp_path, body: str, capsys) -> tuple[int, str]:
+    path = tmp_path / "f.fun"
+    path.write_text(f"""(defun f (x st)
+  (declare (xargs :signature ((natp stp) stp)))
+  {body})
+""")
+    code = main(["run", str(path), "--entry", "f", "--args", "5", "--no-check"])
+    return code, capsys.readouterr().err
+
+
+def test_ill_sorted_fun_exit_10(tmp_path, capsys):
+    for body, message in [("(update-retval (wfrombytes 8 x) st)", "must be a byte run"),
+                          ("(update-retval (+ st 1) st)", "must be a natural")]:
+        code, err = _run_fun(tmp_path, body, capsys)
+        assert code == EXIT_PARSE, (body, err)
+        assert message in err and "Traceback" not in err
+
+
+def test_state_used_after_a_store_exit_10(tmp_path, capsys):
+    body = ("(let* ((old st) (st (storebytes 8 x (wtobytes 8 1) st))) "
+            "(update-retval (wfrombytes 8 (loadbytes 8 x old)) st))")
+    code, err = _run_fun(tmp_path, body, capsys)
+    assert code == EXIT_PARSE, err
+    assert "old is bound to a state" in err
+    body = ("(update-retval (wfrombytes 8 (loadbytes 8 x "
+            "(storebytes 8 x (wtobytes 8 1) st))) st)")
+    code, err = _run_fun(tmp_path, body, capsys)
+    assert code == EXIT_PARSE, err
+    assert "st is used after" in err
+
+
+def test_negative_shift_count_exit_13(tmp_path, capsys):
+    for op in ("shl", "lshr", "ashr"):
+        code, err = _run_fun(tmp_path, f"(update-retval ({op} 64 1 (- 0 x)) st)", capsys)
+        assert code == EXIT_FAULT, (op, err)
+        assert f"{op}: negative shift count -5" in err

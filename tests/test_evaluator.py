@@ -4,6 +4,7 @@ tracing, and stack safety."""
 import random
 import sys
 import threading
+from typing import Callable
 
 import pytest
 
@@ -12,7 +13,7 @@ from ll2fun import (
     evaluator_for, load_program, make_state, run_with_budget,
 )
 from ll2fun.evaluator import ProgramEvaluator
-from ll2fun.prims import PRIMS, ashr, lshr, sext, shl, to_signed
+from ll2fun.prims import NAT, PRIMS, RUN, STATE, ashr, lshr, sext, shl, to_signed
 from ll2fun.state import MachineState, begin_stack_frame
 
 
@@ -338,14 +339,26 @@ def test_signature_checking_validates_results():
 
 
 PROBE = """(defun probe ({params} st)
-  (declare (xargs :signature (({kinds} stp) natp stp)))
-  (mvlist {body} st))
+  (declare (xargs :signature (({kinds} stp) {results})))
+  {body})
 """
 
 
-def _probe(params: list[str], body: str):
-    return load_program(PROBE.format(params=" ".join(params), body=body,
+def _probe(params: list[str], app: str, sort: str = NAT):
+    """A def `probe` over natural `params` and st whose result is `app`:
+    a natural beside the state, or the state itself."""
+    results, body = ("stp", app) if sort == STATE else ("natp stp", f"(mvlist {app} st)")
+    return load_program(PROBE.format(params=" ".join(params), body=body, results=results,
                                      kinds=" ".join(["natp"] * len(params))))
+
+
+def _run_source(n: int, takes_state: bool) -> tuple[str, Callable]:
+    """How a probe builds its byte-run argument from the natural parameter
+    `run`, and the same run for the reference: a load where the primitive
+    also takes the state (so storebytes stays unfused), else wtobytes."""
+    if takes_state:
+        return f"(loadbytes {n} run st)", lambda r, st: ref("loadbytes", n, r, st)
+    return f"(wtobytes {n} run)", lambda r, st: ref("wtobytes", n, r)
 
 
 def _static_samples(rng: random.Random, prim) -> list[dict[str, int]]:
@@ -362,13 +375,14 @@ def _static_samples(rng: random.Random, prim) -> list[dict[str, int]]:
     return samples
 
 
-def _dynamic_sample(rng: random.Random, name: str, static: dict[str, int]):
+def _dynamic_sample(rng: random.Random, name: str, static: dict[str, int],
+                    takes_state: bool = False):
     width = static.get("w") or static.get("f") or 64
     if name == "st":
         mem = {a: rng.randrange(1, 256) for a in range(0x100, 0x110) if rng.random() < 0.7}
         return begin_stack_frame(make_state(stack=0x1000, frame=0x1000, mem=mem))
-    if name == "run":
-        return tuple(rng.randrange(256) for _ in range(static["n"]))
+    if name == "run":  # the natural that _run_source turns into a byte run
+        return rng.randrange(0x100, 0x110) if takes_state else rng.getrandbits(8 * static["n"])
     if name == "a" and "n" in static:  # an address over the sample memory
         return rng.randrange(0x100, 0x110)
     if name == "b" and "w" in static and rng.random() < 0.5:  # a shift amount
@@ -381,26 +395,42 @@ def _dynamic_sample(rng: random.Random, name: str, static: dict[str, int]):
 def test_internal_prim_consistency_random():
     """Every row's compiled form agrees with its reference function on
     random arguments inside the static domains, in value and in condition
-    position."""
+    position.  A byte-run result is compared through wfrombytes, a state
+    result as the probe's final state."""
     rng = random.Random(123)
     for op, prim in PRIMS.items():
         dynamic = [p for p in prim.params if p not in prim.domains]
         params = [p for p in dynamic if p != "st"]
         for static in _static_samples(rng, prim):
-            app = f"({op} {' '.join(str(static.get(p, p)) for p in prim.params)})"
-            value = _probe(params, app)
-            test = _probe(params, f"(if {app} 7 9)")
+            n = static.get("n")
+            run_app, run_ref = _run_source(n, "st" in prim.params) if "run" in dynamic \
+                else ("run", None)
+            app = " ".join(str(static[p]) if p in static else run_app if p == "run"
+                           else p for p in prim.params)
+            app = f"({op} {app})"
+            if prim.result == RUN:
+                app = f"(wfrombytes {n} {app})"
+            value = _probe(params, app, prim.result)
+            test = _probe(params, f"(if {app} 7 9)") if prim.result == NAT else None
             for _ in range(20):
-                args = {p: _dynamic_sample(rng, p, static) for p in dynamic}
+                args = {p: _dynamic_sample(rng, p, static, "st" in prim.params)
+                        for p in dynamic}
                 if "b" in args and rng.random() < 0.25:
                     args["b"] = args["a"]  # where compares tell < from <=
                 st = args.get("st", make_state())
-                want = prim.ref(*[static[p] if p in static else args[p]
+                refargs = {**args, "run": run_ref(args["run"], st)} if run_ref else args
+                want = prim.ref(*[static[p] if p in static else refargs[p]
                                   for p in prim.params])
                 values = tuple(args[p] for p in params)
+                if prim.result == STATE:
+                    _, got = eval_def(value, "probe", values, st, checking=False)
+                    assert got == want, (op, static, args)
+                    continue
+                if prim.result == RUN:
+                    want = ref("wfrombytes", n, want)
                 (got,), _ = eval_def(value, "probe", values, st, checking=False)
                 assert got == want, (op, static, args)
-                if isinstance(want, int):
+                if test is not None:
                     (got,), _ = eval_def(test, "probe", values, st, checking=False)
                     assert got == (7 if want else 9), (op, static, args)
 
@@ -411,7 +441,7 @@ def test_fused_memory_forms_match_reference():
     rng = random.Random(7)
     for n in range(1, 9):
         load = _probe(["a"], f"(wfrombytes {n} (loadbytes {n} a st))")
-        store = _probe(["a", "v"], f"(storebytes {n} a (wtobytes {n} v) st)")
+        store = _probe(["a", "v"], f"(storebytes {n} a (wtobytes {n} v) st)", STATE)
         assert "_rd_n(" in ProgramEvaluator(load).source
         assert "_store_word(" in ProgramEvaluator(store).source
         for _ in range(20):
@@ -419,7 +449,7 @@ def test_fused_memory_forms_match_reference():
             a, v = rng.randrange(0x100, 0x110), rng.getrandbits(64)
             (got,), _ = eval_def(load, "probe", (a,), st, checking=False)
             assert got == ref("wfrombytes", n, ref("loadbytes", n, a, st))
-            (got,), _ = eval_def(store, "probe", (a, v), st, checking=False)
+            _, got = eval_def(store, "probe", (a, v), st, checking=False)
             assert got == ref("storebytes", n, a, ref("wtobytes", n, v), st)
 
 

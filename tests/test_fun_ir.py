@@ -228,6 +228,11 @@ def test_loader_rejects_free_variables():
         load_program(text)
 
 
+def test_loader_rejects_numeric_parameter_names():
+    with pytest.raises(LoadError, match="malformed definition header"):
+        load_program("(defun f (8 st) (declare (xargs :signature ((natp stp) stp))) st)")
+
+
 def test_loader_rejects_missing_signature():
     with pytest.raises(LoadError):
         load_program("(defun f (st) st)\n")
