@@ -121,6 +121,8 @@ def cmd_run(args) -> int:
                          | {a for a in st.mem if st.mem.get(a) != result.state.mem.get(a)})
         print(f"# {result.iterations} loop iterations; "
               f"{len(written)} byte address(es) changed", file=sys.stderr)
+        for name, count in sorted(result.per_while.items()):
+            print(f"# while {name}: {count} iterations", file=sys.stderr)
         for a in written:
             print(f"# mem {a:#x}: {st.mem.get(a, 0):#x} -> "
                   f"{result.state.mem.get(a, 0):#x}", file=sys.stderr)

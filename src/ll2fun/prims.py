@@ -1,14 +1,16 @@
 """The vocabulary of the functional form: value kinds and primitives.
 
-`KINDS` maps each kind to its signature predicate and dynamic check.
-Every value is of one sort: a natural, the machine state, or a byte run;
-the kinds other than the state refine the natural sort.  The loader
-checks sorts, the dynamic signature checks kinds.
+`KINDS` maps each kind to its signature predicate and the sort and bound
+its dynamic check derives from.  Every value is of one sort: a natural,
+the machine state, or a byte run; the kinds other than the state refine
+the natural sort.  The loader checks sorts, the dynamic signature checks
+kinds.
 
 `PRIMS` has one row per primitive: argument names in source order (an
 argument named `st` takes the state, one named `run` a byte run, every
 other a natural), the domain of each static (constant) argument, the
-codegen template, the reference function, and the sort of the result.  A
+codegen template, the reference function, the sort of the result and,
+where the static arguments bound a natural result, that bound.  A
 template is a format string over the arguments or the name of a helper,
 which is the row's reference function; `bits` has none because the code
 generator inlines its mask.
@@ -26,31 +28,47 @@ from . import state as st_mod
 from .state import MachineState
 
 
-@dataclass(frozen=True)
-class Kind:
-    predicate: str                   # the name used in signature declarations
-    check: Callable[[object], bool]  # the dynamic signature check
-
-
 NAT, STATE, RUN = "natural", "state", "byte run"  # the sorts
 _PARAM_SORTS = {"st": STATE, "run": RUN}
 
 
-def _naturals_below(bound: int) -> Callable[[object], bool]:
-    return lambda v: isinstance(v, int) and 0 <= v < bound
+@dataclass(frozen=True)
+class Kind:
+    """A value kind: the machine state, or the naturals below `bound`
+    (every natural when it is None).  The dynamic signature check derives
+    from these fields: `test` for compiled code, `check` for the
+    evaluator's hooks."""
+
+    predicate: str            # the name used in signature declarations
+    sort: str = NAT
+    bound: int | None = None
+
+    @cached_property
+    def test(self) -> str:
+        """The check as a Python expression over {0}."""
+        if self.sort == STATE:
+            return "isinstance({0}, MachineState)"
+        below = "" if self.bound is None else f" < {self.bound}"
+        return "isinstance({0}, int) and 0 <= {0}" + below
+
+    @cached_property
+    def check(self) -> Callable[[object], bool]:
+        """`test` as a function of one value."""
+        return eval(f"lambda v: {self.test.format('v')}",  # noqa: S307
+                    {"MachineState": MachineState})
 
 
 KINDS = {
-    "i1": Kind("i1_p", _naturals_below(1 << 1)),
-    "i8": Kind("i8_p", _naturals_below(1 << 8)),
-    "i16": Kind("i16_p", _naturals_below(1 << 16)),
-    "i32": Kind("i32_p", _naturals_below(1 << 32)),
-    "i64": Kind("i64_p", _naturals_below(1 << 64)),
-    "addr": Kind("addr_p", _naturals_below(1 << 32)),
-    "nat": Kind("natp", lambda v: isinstance(v, int) and 0 <= v),
-    "state": Kind("stp", lambda v: isinstance(v, MachineState)),
+    "i1": Kind("i1_p", bound=1 << 1),
+    "i8": Kind("i8_p", bound=1 << 8),
+    "i16": Kind("i16_p", bound=1 << 16),
+    "i32": Kind("i32_p", bound=1 << 32),
+    "i64": Kind("i64_p", bound=1 << 64),
+    "addr": Kind("addr_p", bound=1 << 32),
+    "nat": Kind("natp"),
+    "state": Kind("stp", STATE),
 }
-SORT_OF_KIND = {kind: STATE if kind == "state" else NAT for kind in KINDS}
+SORT_OF_KIND = {name: kind.sort for name, kind in KINDS.items()}
 
 
 def bits(x: int, h: int, l: int) -> int:
@@ -105,6 +123,8 @@ class Primitive:
     domains: dict[str, tuple[int, int | str | None]] = field(default_factory=dict)
     cond: str | None = None     # condition-position format string (compares)
     result: str = NAT           # sort of the result
+    below: Callable | None = None  # exclusive bound of a natural result,
+                                   # from the static arguments (None elsewhere)
 
     @cached_property
     def sorts(self) -> tuple[str, ...]:
@@ -126,34 +146,44 @@ class Primitive:
 
 
 def _row(name: str, params: str, template: str | None, ref: Callable,
-         cond: str | None = None, result: str = NAT, **domains) -> tuple[str, Primitive]:
+         cond: str | None = None, result: str = NAT, below: Callable | None = None,
+         **domains) -> tuple[str, Primitive]:
     return name, Primitive(name, tuple(params.split()), template, ref, domains, cond,
-                           result)
+                           result, below)
+
+
+def _bit(*_) -> int:
+    return 2
+
+
+def _width(w, *_) -> int:
+    return 1 << w
 
 
 def _compare(name: str, pyop: str, test: Callable[[int, int], bool]):
     cond = f"{{0}} {pyop} {{1}}"
     return _row(name, "a b", f"(1 if {cond} else 0)",
-                lambda a, b: 1 if test(a, b) else 0, cond=cond)
+                lambda a, b: 1 if test(a, b) else 0, cond=cond, below=_bit)
 
 
 def _signed_compare(name: str, test: Callable[[int, int], bool]):
     return _row(name, "w a b", f"_{name}",
                 lambda w, a, b: 1 if test(to_signed(a, w), to_signed(b, w)) else 0,
-                w=WIDTH)
+                below=_bit, w=WIDTH)
 
 
 PRIMS: dict[str, Primitive] = dict([
-    _row("bits", "x h l", None, bits, h=(0, 63), l=(0, "h")),
+    _row("bits", "x h l", None, bits, below=lambda x, h, l: 1 << (h - l + 1),
+         h=(0, 63), l=(0, "h")),
     _row("+", "a b", "({0} + {1})", operator.add),
     _row("-", "a b", "({0} - {1})", operator.sub),
     _row("*", "a b", "({0} * {1})", operator.mul),
     _row("logand", "a b", "({0} & {1})", operator.and_),
     _row("logior", "a b", "({0} | {1})", operator.or_),
     _row("logxor", "a b", "({0} ^ {1})", operator.xor),
-    _row("shl", "w a b", "_shl", shl, w=WIDTH),
+    _row("shl", "w a b", "_shl", shl, below=_width, w=WIDTH),
     _row("lshr", "w a b", "_lshr", lshr, w=WIDTH),
-    _row("ashr", "w a b", "_ashr", ashr, w=WIDTH),
+    _row("ashr", "w a b", "_ashr", ashr, below=_width, w=WIDTH),
     _compare("=", "==", operator.eq),
     _compare("/=", "!=", operator.ne),
     _compare("<", "<", operator.lt),
@@ -164,7 +194,7 @@ PRIMS: dict[str, Primitive] = dict([
     _signed_compare("sle", operator.le),
     _signed_compare("sgt", operator.gt),
     _signed_compare("sge", operator.ge),
-    _row("sext", "f t x", "_sext", sext, f=WIDTH, t=WIDTH),
+    _row("sext", "f t x", "_sext", sext, below=lambda f, t, x: 1 << t, f=WIDTH, t=WIDTH),
     _row("update-retval", "v st", "_update_retval", st_mod.update_retval, result=STATE),
     _row("retval", "st", "{0}.retval", operator.attrgetter("retval")),
     _row("init-stack-frame", "st", "{0}", st_mod.init_stack_frame, result=STATE),

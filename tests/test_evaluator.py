@@ -224,7 +224,8 @@ def test_budget_exhaustion_reports_per_while_counts(occurrences_program, array_s
                               (0, 1 << 32, 0x8000), array_state,
                               budget=1000, checking=False)
     assert not outcome.completed
-    assert outcome.per_while.get("occurrences_step_0_while", 0) >= 1000
+    assert outcome.per_while == {"occurrences_step_0_while": 1001}
+    assert outcome.iterations == 1001
     assert "non-termination" in outcome.report()
 
 

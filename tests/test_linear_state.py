@@ -73,8 +73,8 @@ def _assert_unchanged(st, snapshot):
 
 
 def _released(ev: ProgramEvaluator) -> bool:
-    """No namespace of `ev` still holds the memory of a run."""
-    return all(ns["_memory"].mem is None for ns in ev._variants.values())
+    """The namespace of `ev` no longer holds the memory of a run."""
+    return ev._ns["_memory"].mem is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,465 @@
+"""Run modes: checked, unchecked, budgeted and traced runs of the same
+compiled program.
+
+The outcome table pins what each run mode does on hand-written bad
+programs: the value, the fault with its message and context, the
+signature violation with its message, or budget exhaustion with the
+iteration counts, plus the length and last line of the trace.  Its
+literals were recorded from the evaluator that wrapped the compiled
+functions in checking, budget and trace closures; the single compiled
+source must reproduce them."""
+
+import io
+import pathlib
+import random
+import re
+import sys
+import threading
+import time
+
+import pytest
+
+sys.path.insert(0, str(pathlib.Path(__file__).parent))
+
+from llgen import gen_diamond_chain, gen_program, gen_state_args  # noqa: E402
+from test_linear_state import FILL_LL  # noqa: E402
+
+from ll2fun import (  # noqa: E402
+    BudgetExhausted, EvalFault, Ll2FunError, emit_sexpr, load_program, make_state,
+    parse_file, parse_text, translate_module,
+)
+from ll2fun import evaluator  # noqa: E402
+from ll2fun.cli import main  # noqa: E402
+from ll2fun.evaluator import ProgramEvaluator  # noqa: E402
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+GOLDEN = (FIXTURES / "occurrences.fun.golden").read_text()
+NESTSUM = emit_sexpr(translate_module(parse_file(str(FIXTURES / "nestsum.ll"))))
+FILL = emit_sexpr(translate_module(parse_text(FILL_LL)))
+ALL = (1 << 64) - 1
+
+
+def _words(base: int, values) -> dict[int, int]:
+    mem = {}
+    for j, v in enumerate(values):
+        for k in range(8):
+            if (v >> (8 * k)) & 0xFF:
+                mem[base + 8 * j + k] = (v >> (8 * k)) & 0xFF
+    return mem
+
+
+def _variant(text: str, old: str, new: str) -> str:
+    assert old in text
+    return text.replace(old, new)
+
+
+ARRAY = _words(0x8000, [399, 5, 399, 7, 399, 1, 2, 3])
+STEP_SIG = ("((natp i64_p i64_p addr_p i32_p i64_p stp) "
+            "natp i64_p i64_p addr_p i32_p i64_p stp)")
+# the step's count parameter and result are i1: the third match yields 2
+OCC_I1 = _variant(GOLDEN, STEP_SIG, STEP_SIG.replace("natp i64_p", "natp i1_p"))
+# the step takes val as i8 where the while passes an i64
+OCC_VAL8 = _variant(GOLDEN, STEP_SIG, STEP_SIG.replace("i32_p i64_p", "i32_p i8_p"))
+# a negative shift count, in the inner loop, at inner j1 = 5 (global step 7)
+NEST_SHIFT = _variant(NESTSUM, "(prod (bits (* i j1) 63 0))",
+                      "(prod (bits (* i (shl 64 j1 (- 4 j1))) 63 0))")
+SIG = """(defun narrow (x st)
+  (declare (xargs :signature ((i8_p stp) stp)))
+  (update-retval x st))
+
+(defun caller (x st)
+  (declare (xargs :signature ((i64_p stp) stp)))
+  (narrow x st))
+
+(defun badres (x st)
+  (declare (xargs :signature ((i64_p stp) i8_p stp)))
+  (mvlist x st))
+
+(defun useres (x st)
+  (declare (xargs :signature ((i64_p stp) stp)))
+  (metlist ((y st) (badres x st)) (update-retval y st)))
+
+(defun unbal (st)
+  (declare (xargs :signature ((stp) stp)))
+  (end-stack-frame st))
+"""
+
+# case: (program, entry, args, initial memory, budget of the budgeted runs)
+CASES = {
+    "occ_ok": (GOLDEN, "occurrences", (399, 8, 0x8000), ARRAY, 5),
+    "occ_fault": (GOLDEN, "occurrences", (0, 8, (1 << 32) - 4), ARRAY, 100),
+    "occ_i1": (OCC_I1, "occurrences", (399, 8, 0x8000), ARRAY, 2),
+    "occ_val8": (OCC_VAL8, "occurrences", (399, 8, 0x8000), ARRAY, 3),
+    "occ_val8_ok": (OCC_VAL8, "occurrences", (5, 8, 0x8000), ARRAY, 8),
+    "fill_fault": (FILL, "fill", ((1 << 32) - 84, 100, ALL), {}, 10),
+    "fill_fault_b": (FILL, "fill", ((1 << 32) - 84, 100, ALL), {}, 11),
+    "nest_20": (NESTSUM, "nestsum", (6, 6), {}, 20),
+    "nest_41": (NESTSUM, "nestsum", (6, 6), {}, 41),
+    "nest_42": (NESTSUM, "nestsum", (6, 6), {}, 42),
+    "nest_shift": (NEST_SHIFT, "nestsum", (6, 6), {}, 6),
+    "nest_shift7": (NEST_SHIFT, "nestsum", (6, 6), {}, 7),
+    "sig_arg": (SIG, "caller", (300,), {}, 1),
+    "sig_entry": (SIG, "narrow", (300,), {}, 1),
+    "sig_res": (SIG, "useres", (300,), {}, 1),
+    "unbal": (SIG, "unbal", (), {}, 1),
+}
+
+# case: (checked, unchecked, budgeted, budgeted unchecked, and for the
+# same four runs traced: (trace lines, last line up to its state))
+PINNED = {
+    "occ_ok": (
+        ("value", 3, 8),
+        ("value", 3, 8),
+        ("budget", "step budget of 5 exhausted in occurrences_step_0_while", {"occurrences_step_0_while": 6}),
+        ("budget", "step budget of 5 exhausted in occurrences_step_0_while", {"occurrences_step_0_while": 6}),
+        [(28, "<- occurrences"), (28, "<- occurrences"), (15, "-> occurrences_step_0 0 3 5 32768 8 399"), (15, "-> occurrences_step_0 0 3 5 32768 8 399")]),
+    "occ_fault": (
+        ("EvalFault", "rd_n: address range [0xfffffffc, 0x100000004) exceeds 32-bit memory [entry occurrences, step 1]"),
+        ("EvalFault", "rd_n: address range [0xfffffffc, 0x100000004) exceeds 32-bit memory [entry occurrences, step 1]"),
+        ("EvalFault", "rd_n: address range [0xfffffffc, 0x100000004) exceeds 32-bit memory [entry occurrences, step 1]"),
+        ("EvalFault", "rd_n: address range [0xfffffffc, 0x100000004) exceeds 32-bit memory [entry occurrences, step 1]"),
+        [(5, "-> occurrences_step_0 0 0 0 4294967292 8 0"), (5, "-> occurrences_step_0 0 0 0 4294967292 8 0"), (5, "-> occurrences_step_0 0 0 0 4294967292 8 0"), (5, "-> occurrences_step_0 0 0 0 4294967292 8 0")]),
+    "occ_i1": (
+        ("SignatureViolation", "occurrences_step_0: result 2 fails i1 (got 2) [def occurrences_step_0]"),
+        ("value", 3, 8),
+        ("budget", "step budget of 2 exhausted in occurrences_step_0_while", {"occurrences_step_0_while": 3}),
+        ("budget", "step budget of 2 exhausted in occurrences_step_0_while", {"occurrences_step_0_while": 3}),
+        [(9, "-> occurrences_step_0 0 1 2 32768 8 399"), (28, "<- occurrences"), (9, "-> occurrences_step_0 0 1 2 32768 8 399"), (9, "-> occurrences_step_0 0 1 2 32768 8 399")]),
+    "occ_val8": (
+        ("SignatureViolation", "occurrences_step_0: argument 6 fails i8 (got 399) [def occurrences_step_0]"),
+        ("value", 3, 8),
+        ("SignatureViolation", "occurrences_step_0: argument 6 fails i8 (got 399) [def occurrences_step_0]"),
+        ("budget", "step budget of 3 exhausted in occurrences_step_0_while", {"occurrences_step_0_while": 4}),
+        [(5, "-> occurrences_step_0 0 0 0 32768 8 399"), (28, "<- occurrences"), (5, "-> occurrences_step_0 0 0 0 32768 8 399"), (11, "-> occurrences_step_0 0 2 3 32768 8 399")]),
+    "occ_val8_ok": (
+        ("value", 1, 8),
+        ("value", 1, 8),
+        ("value", 1, 8),
+        ("value", 1, 8),
+        [(28, "<- occurrences"), (28, "<- occurrences"), (28, "<- occurrences"), (28, "<- occurrences")]),
+    "fill_fault": (
+        ("EvalFault", "wr_n: address range [0xfffffffc, 0x100000004) exceeds 32-bit memory [entry fill, step 11]"),
+        ("EvalFault", "wr_n: address range [0xfffffffc, 0x100000004) exceeds 32-bit memory [entry fill, step 11]"),
+        ("budget", "step budget of 10 exhausted in fill_step_0_while", {"fill_step_0_while": 11}),
+        ("budget", "step budget of 10 exhausted in fill_step_0_while", {"fill_step_0_while": 11}),
+        [(25, "-> fill_step_0 0 10 55 18446744073709551615 4294967212 100"), (25, "-> fill_step_0 0 10 55 18446744073709551615 4294967212 100"), (25, "-> fill_step_0 0 10 55 18446744073709551615 4294967212 100"), (25, "-> fill_step_0 0 10 55 18446744073709551615 4294967212 100")]),
+    "fill_fault_b": (
+        ("EvalFault", "wr_n: address range [0xfffffffc, 0x100000004) exceeds 32-bit memory [entry fill, step 11]"),
+        ("EvalFault", "wr_n: address range [0xfffffffc, 0x100000004) exceeds 32-bit memory [entry fill, step 11]"),
+        ("EvalFault", "wr_n: address range [0xfffffffc, 0x100000004) exceeds 32-bit memory [entry fill, step 11]"),
+        ("EvalFault", "wr_n: address range [0xfffffffc, 0x100000004) exceeds 32-bit memory [entry fill, step 11]"),
+        [(25, "-> fill_step_0 0 10 55 18446744073709551615 4294967212 100"), (25, "-> fill_step_0 0 10 55 18446744073709551615 4294967212 100"), (25, "-> fill_step_0 0 10 55 18446744073709551615 4294967212 100"), (25, "-> fill_step_0 0 10 55 18446744073709551615 4294967212 100")]),
+    "nest_20": (
+        ("value", 225, 42),
+        ("value", 225, 42),
+        ("budget", "step budget of 20 exhausted in nestsum_step_0_while", {"nestsum_step_0_while": 18, "nestsum_step_1_while": 3}),
+        ("budget", "step budget of 20 exhausted in nestsum_step_0_while", {"nestsum_step_0_while": 18, "nestsum_step_1_while": 3}),
+        [(156, "<- nestsum"), (156, "<- nestsum"), (67, "-> nestsum_step_0 0 5 35 2 6 6"), (67, "-> nestsum_step_0 0 5 35 2 6 6")]),
+    "nest_41": (
+        ("value", 225, 42),
+        ("value", 225, 42),
+        ("budget", "step budget of 41 exhausted in nestsum_step_0_while", {"nestsum_step_0_while": 36, "nestsum_step_1_while": 6}),
+        ("budget", "step budget of 41 exhausted in nestsum_step_0_while", {"nestsum_step_0_while": 36, "nestsum_step_1_while": 6}),
+        [(156, "<- nestsum"), (156, "<- nestsum"), (139, "-> nestsum_step_0 0 5 200 5 6 6"), (139, "-> nestsum_step_0 0 5 200 5 6 6")]),
+    "nest_42": (
+        ("value", 225, 42),
+        ("value", 225, 42),
+        ("value", 225, 42),
+        ("value", 225, 42),
+        [(156, "<- nestsum"), (156, "<- nestsum"), (156, "<- nestsum"), (156, "<- nestsum")]),
+    "nest_shift": (
+        ("EvalFault", "shl: negative shift count -1 [entry nestsum, step 7]"),
+        ("EvalFault", "shl: negative shift count -1 [entry nestsum, step 7]"),
+        ("budget", "step budget of 6 exhausted in nestsum_step_0_while", {"nestsum_step_0_while": 6, "nestsum_step_1_while": 1}),
+        ("budget", "step budget of 6 exhausted in nestsum_step_0_while", {"nestsum_step_0_while": 6, "nestsum_step_1_while": 1}),
+        [(19, "-> nestsum_step_0 0 5 0 0 6 6"), (19, "-> nestsum_step_0 0 5 0 0 6 6"), (19, "-> nestsum_step_0 0 5 0 0 6 6"), (19, "-> nestsum_step_0 0 5 0 0 6 6")]),
+    "nest_shift7": (
+        ("EvalFault", "shl: negative shift count -1 [entry nestsum, step 7]"),
+        ("EvalFault", "shl: negative shift count -1 [entry nestsum, step 7]"),
+        ("EvalFault", "shl: negative shift count -1 [entry nestsum, step 7]"),
+        ("EvalFault", "shl: negative shift count -1 [entry nestsum, step 7]"),
+        [(19, "-> nestsum_step_0 0 5 0 0 6 6"), (19, "-> nestsum_step_0 0 5 0 0 6 6"), (19, "-> nestsum_step_0 0 5 0 0 6 6"), (19, "-> nestsum_step_0 0 5 0 0 6 6")]),
+    "sig_arg": (
+        ("SignatureViolation", "narrow: argument 1 fails i8 (got 300) [def narrow]"),
+        ("value", 300, 0),
+        ("SignatureViolation", "narrow: argument 1 fails i8 (got 300) [def narrow]"),
+        ("value", 300, 0),
+        [(2, "-> narrow 300"), (4, "<- caller"), (2, "-> narrow 300"), (4, "<- caller")]),
+    "sig_entry": (
+        ("SignatureViolation", "narrow: argument 1 fails i8 (got 300) [def narrow]"),
+        ("value", 300, 0),
+        ("SignatureViolation", "narrow: argument 1 fails i8 (got 300) [def narrow]"),
+        ("value", 300, 0),
+        [(1, "-> narrow 300"), (2, "<- narrow"), (1, "-> narrow 300"), (2, "<- narrow")]),
+    "sig_res": (
+        ("SignatureViolation", "badres: result 1 fails i8 (got 300) [def badres]"),
+        ("value", 300, 0),
+        ("SignatureViolation", "badres: result 1 fails i8 (got 300) [def badres]"),
+        ("value", 300, 0),
+        [(2, "-> badres 300"), (4, "<- useres"), (2, "-> badres 300"), (4, "<- useres")]),
+    "unbal": (
+        ("EvalFault", "end_stack_frame without matching begin_stack_frame [entry unbal, step 0]"),
+        ("EvalFault", "end_stack_frame without matching begin_stack_frame [entry unbal, step 0]"),
+        ("EvalFault", "end_stack_frame without matching begin_stack_frame [entry unbal, step 0]"),
+        ("EvalFault", "end_stack_frame without matching begin_stack_frame [entry unbal, step 0]"),
+        [(1, "-> unbal"), (1, "-> unbal"), (1, "-> unbal"), (1, "-> unbal")]),
+}
+
+MODES = ((True, False), (False, False), (True, True), (False, True))  # checking, budgeted
+
+
+def _outcome(text, entry, args, mem, checking, budget, trace):
+    ev = ProgramEvaluator(load_program(text))
+    ev.trace_out = out = io.StringIO()
+    try:
+        r = ev.run(entry, args, make_state(mem=mem), checking=checking, budget=budget,
+                   trace=trace)
+        res = ("value", r.state.retval, r.iterations)
+    except BudgetExhausted as e:
+        res = ("budget", str(e), e.counts)
+    except EvalFault as e:
+        assert str(e).endswith(f" [{e.context}]")
+        res = (type(e).__name__, str(e))
+    lines = out.getvalue().splitlines()
+    return res, (len(lines), lines[-1].split(" (st ")[0] if lines else "")
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_outcomes_match_pinned_table(case):
+    text, entry, args, mem, budget = CASES[case]
+    *want, traces = PINNED[case]
+    for (checking, budgeted), expected, trace in zip(MODES, want, traces):
+        limit = budget if budgeted else None
+        got, _ = _outcome(text, entry, args, mem, checking, limit, False)
+        assert got == expected, (case, checking, limit)
+        assert _outcome(text, entry, args, mem, checking, limit, True) == (expected, trace), \
+            (case, checking, limit, "traced")
+
+
+# ---------------------------------------------------------------------------
+# Per-while counts
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("checking", [True, False])
+@pytest.mark.parametrize("budget", [None, 42, 10**6])
+def test_per_while_counts_on_every_run(checking, budget):
+    ev = ProgramEvaluator(load_program(NESTSUM))
+    res = ev.run("nestsum", (6, 6), make_state(), checking=checking, budget=budget)
+    assert res.state.retval == 225
+    assert res.per_while == {"nestsum_step_1_while": 6, "nestsum_step_0_while": 36}
+    assert res.iterations == 42
+
+
+def test_run_trace_prints_per_while_counts(tmp_path, capsys):
+    path = tmp_path / "nestsum.fun"
+    path.write_text(NESTSUM)
+    assert main(["run", str(path), "--entry", "nestsum", "--args", "6", "6",
+                 "--trace"]) == 0
+    err = capsys.readouterr().err
+    assert "# 42 loop iterations" in err
+    assert "# while nestsum_step_0_while: 36 iterations" in err
+    assert "# while nestsum_step_1_while: 6 iterations" in err
+
+
+# ---------------------------------------------------------------------------
+# One compiled source
+# ---------------------------------------------------------------------------
+
+def test_one_source_serves_every_mode():
+    """Codegen and compile happen once, in __init__; the loop is fused,
+    unrolls its 8-byte load and checks inline."""
+    ev = ProgramEvaluator(load_program(GOLDEN))
+    source, namespace = ev.source, dict(ev._ns)
+    for checking, budgeted in MODES:
+        for trace in (False, True):
+            ev.trace_out = io.StringIO()
+            ev.run("occurrences", (399, 8, 0x8000), make_state(mem=ARRAY),
+                   checking=checking, budget=100 if budgeted else None, trace=trace)
+    assert ev.source == source
+    assert {k: v for k, v in ev._ns.items() if callable(v)} == \
+        {k: v for k, v in namespace.items() if callable(v)}
+    for layer in ("_wrap_checking", "_checking_wrapper", "_wrap_budget", "_wrap_trace",
+                  "_variants"):
+        assert not hasattr(ev, layer)
+    loop = source[source.index("def d3_"):source.index("def d4_")]
+    assert "d2_occurrences_step_0(" in loop  # the traced form calls the step
+    assert loop.count("_g(v_scevgep") == 8 and "_rd_n(8, v_scevgep" in loop
+    assert "_bad(2," in loop
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_unrolled_load_matches_rd_n_and_its_faults(n):
+    """A let-bound load inside a loop reads byte by byte behind one range
+    test, and out of range faults exactly as rd_n does."""
+    text = f"""(defun peek_step_0 (done a st)
+  (declare (xargs :signature ((natp natp stp) natp natp stp)))
+  (let* ((v (wfrombytes {n} (loadbytes {n} a st)))
+         (st (update-retval v st))
+         (done 1))
+    (mvlist done a st)))
+
+(defun-general peek_step_0_while (done a st)
+  (declare (xargs :signature ((natp natp stp) natp stp)))
+  (if (= done 1)
+      (mvlist a st)
+    (metlist ((done a st)
+              (peek_step_0 done a st))
+      (peek_step_0_while done a st))))
+
+(defun peek_continue_0 (a st)
+  (declare (xargs :signature ((natp stp) stp)))
+  st)
+
+(defun peek_step_0_while_wrap (a st)
+  (declare (xargs :signature ((natp stp) stp)))
+  (metlist ((a st)
+            (peek_step_0_while 0 a st))
+    (peek_continue_0 a st)))
+
+(defun peek (a st)
+  (declare (xargs :signature ((natp stp) stp)))
+  (let* ((done 0))
+    (if (= done 1)
+        (peek_continue_0 a st)
+      (peek_step_0_while_wrap a st))))
+"""
+    ev = ProgramEvaluator(load_program(text))
+    assert f"_rd_n({n}, v_a" in ev.source and ev.source.count("_g(v_a") == n
+    rng = random.Random(n)
+    top = (1 << 32) - n
+    mem = {a: rng.randrange(1, 256) for a in range(top - 16, 1 << 32)}
+    mem.update({a: rng.randrange(256) for a in range(0x100, 0x120)})
+    st = make_state(mem=mem)
+    for a in [0x100, 0x107, 0x111, top - 1, top]:
+        want = sum(mem.get(a + k, 0) << (8 * k) for k in range(n))
+        assert ev.run("peek", (a,), st).state.retval == want
+    for a in [top + 1, (1 << 32) + 3, 1 << 40, -1]:
+        with pytest.raises(EvalFault) as err:
+            ev.run("peek", (a,), st, checking=False)
+        assert str(err.value) == (f"rd_n: address range [{a:#x}, {a + n:#x}) exceeds "
+                                  f"32-bit memory [entry peek, step 1]")
+
+
+# ---------------------------------------------------------------------------
+# Host frames
+# ---------------------------------------------------------------------------
+
+def test_checked_and_traced_runs_use_no_more_host_frames():
+    """A chain of 267 diamonds (802 blocks) crosses ~540 definitions; every
+    mode completes under the default recursion limit of 1000."""
+    rng = random.Random(11)
+    program = translate_module(parse_text(gen_diamond_chain(rng, 267)))
+    args, mem = gen_state_args(rng)
+    ev = ProgramEvaluator(program)
+    ev.trace_out = io.StringIO()
+    results = {}
+
+    def run():
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            for checking, trace in ((False, False), (True, False), (False, True), (True, True)):
+                results[checking, trace] = ev.run("gen", args, make_state(mem=mem),
+                                                  checking=checking, trace=trace).state
+        finally:
+            sys.setrecursionlimit(old)
+
+    t = threading.Thread(target=run)
+    t.start()
+    t.join()
+    assert len(results) == 4
+    assert len(set(map(repr, results.values()))) == 1
+
+
+# ---------------------------------------------------------------------------
+# Mutation fuzz
+# ---------------------------------------------------------------------------
+
+_TOKEN = re.compile(r"\(|\)|[^\s()]+")
+_NUMBERS = ("0", "1", "2", "7", "8", "63", "64", "255", "256", "65535", str((1 << 32) - 1),
+            str(1 << 32), str((1 << 64) - 1), str(1 << 64))
+_KINDS = ("i1_p", "i8_p", "i16_p", "i32_p", "i64_p", "addr_p", "natp")
+_OPS = ("+", "-", "*", "logand", "logior", "logxor", "=", "/=", "<", "<=", ">", ">=")
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    """One to three token edits: mostly a number, a kind or an operator
+    replaced by another, sometimes a token deleted or duplicated."""
+    tokens = _TOKEN.findall(text)
+    for _ in range(rng.randint(1, 3)):
+        pick = rng.random()
+        for pool, choices in ((0.45, _NUMBERS), (0.75, _KINDS), (0.9, _OPS)):
+            if pick < pool:
+                where = [i for i, t in enumerate(tokens)
+                         if (t.isdigit() if choices is _NUMBERS else t in choices)]
+                if where:
+                    tokens[rng.choice(where)] = rng.choice(choices)
+                break
+        else:
+            i = rng.randrange(len(tokens))
+            if pick < 0.95:
+                del tokens[i]
+            else:
+                tokens.insert(i, tokens[i])
+    return " ".join(tokens)
+
+
+def _fuzz_bases():
+    """(text, entry, args, memory) to mutate: the fixtures and translated
+    llgen programs."""
+    bases = [(GOLDEN, "occurrences", (399, 8, 0x8000), ARRAY),
+             (NESTSUM, "nestsum", (3, 4), {}),
+             (FILL, "fill", (0x8000, 6, 7), {})]
+    rng = random.Random(5)
+    for _ in range(5):
+        text = emit_sexpr(translate_module(parse_text(gen_program(rng))))
+        args, mem = gen_state_args(rng)
+        bases.append((text, "gen", args, mem))
+    return bases
+
+
+def _fuzz_run(ev, entry, args, mem, checking, budget):
+    try:
+        return ev.run(entry, args, make_state(mem=mem), checking=checking, budget=budget)
+    except Ll2FunError as e:
+        return e
+
+
+def test_mutated_programs_end_in_a_result_or_an_ll2fun_error(monkeypatch):
+    """About 500 mutants of .fun text, loaded and run checked, unchecked
+    and budgeted (the first two under a generous budget, since a mutant
+    may loop forever).  Nothing but Ll2FunError escapes; where checked and
+    unchecked both complete they agree; and checking with the entry
+    checks the analysis proved redundant left in gives the same outcome."""
+    rng = random.Random(0xF022)
+    bases = _fuzz_bases()
+
+    def all_unproven(program):
+        return {d.name: list(range(len(d.params))) for d in program.defs}
+
+    started, loaded, agreed = time.perf_counter(), 0, 0
+    for n in range(500):
+        text, entry, args, mem = bases[n % len(bases)]
+        mutant = _mutate(text, rng)
+        try:
+            program = load_program(mutant)
+        except Ll2FunError:
+            continue
+        loaded += 1
+        if entry not in program.by_name or len(program.by_name[entry].params) != len(args) + 1:
+            continue
+        ev = ProgramEvaluator(program)
+        checked = _fuzz_run(ev, entry, args, mem, True, 3000)
+        unchecked = _fuzz_run(ev, entry, args, mem, False, 3000)
+        _fuzz_run(ev, entry, args, mem, True, 20)
+        if not isinstance(checked, Ll2FunError) and not isinstance(unchecked, Ll2FunError):
+            assert (checked.values, checked.state) == (unchecked.values, unchecked.state), mutant
+            agreed += 1
+        with monkeypatch.context() as m:
+            m.setattr(evaluator, "_unproven_args", all_unproven)
+            full = _fuzz_run(ProgramEvaluator(program), entry, args, mem, True, 3000)
+        assert type(full) is type(checked), mutant
+        assert full == checked if isinstance(full, evaluator.RunResult) \
+            else str(full) == str(checked), mutant
+    assert loaded >= 150 and agreed >= 100, (loaded, agreed)
+    assert time.perf_counter() - started < 15
