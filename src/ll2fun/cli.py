@@ -20,7 +20,7 @@ from .errors import (
     AnalysisError, BudgetExhausted, EvalFault, LexError, LoadError, ParseError,
     UnsupportedConstructError,
 )
-from .evaluator import evaluator_for
+from .evaluator import ProgramEvaluator
 from .fun_ir import emit_sexpr, load_program_file, translate_module
 from .ll_parser import parse_file, resolve_aliases
 from .ssa import analysis_report, analyze_function
@@ -111,7 +111,7 @@ def cmd_translate(args) -> int:
 def cmd_run(args) -> int:
     program = load_program_file(args.program)
     st = _initial_state(args)
-    ev = evaluator_for(program)
+    ev = ProgramEvaluator(program)
     result = ev.run(args.entry, tuple(args.args), st,
                     checking=not args.no_check, budget=args.budget,
                     trace=args.trace)
@@ -132,16 +132,17 @@ def cmd_run(args) -> int:
 def cmd_bench(args) -> int:
     program = load_program_file(args.program)
     st = _initial_state(args)
-    ev = evaluator_for(program)
+    ev = ProgramEvaluator(program)
     best = None
     for rep in range(max(args.repeat, 1)):
-        t0 = time.perf_counter()
+        t0, cpu0 = time.perf_counter(), time.process_time()
         result = ev.run(args.entry, tuple(args.args), st,
                         checking=not args.no_check, budget=args.budget)
         elapsed = max(time.perf_counter() - t0, 1e-9)
+        cpu = time.process_time() - cpu0
         rate = result.iterations * args.instr_per_iter / elapsed
-        print(f"run {rep + 1}: {elapsed:.3f} s, {result.iterations} iterations, "
-              f"{rate:,.0f} instructions/second")
+        print(f"run {rep + 1}: {elapsed:.3f} s ({cpu:.4f} s CPU), {result.iterations} "
+              f"iterations, {rate:,.0f} instructions/second")
         if best is None or rate > best[0]:
             best = (rate, elapsed, result.iterations, result.state.retval)
     rate, elapsed, iters, retval = best

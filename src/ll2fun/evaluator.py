@@ -1,20 +1,28 @@
 """Concrete execution of functional-IR programs.
 
 `ProgramEvaluator.__init__` compiles a whole program once, into one Python
-source that serves every run mode.  Each definition becomes a plain
-function over naturals and MachineState values.  A while def becomes a
-real loop over its value frame with its step's body inlined: an
-iteration assigns the step's results to the frame locals, so it costs no
-host call and no tuple, and a million iterations cost no host stack.
+source that serves every run mode.  The translator lifts each block into
+a definition of its live-ins; codegen drops the blocks back into regions
+(see `_region_roots`).  A region is a definition plus the definitions
+that only its tail calls reach, and it compiles into one Python function
+over naturals and MachineState values: each member is a section behind
+`if _b == K:`, and a tail call into a member assigns the parameters that
+differ and sets `_b`.  Every jump goes forward, so a chain of blocks
+costs no host call and no host frame.  A while def becomes a real loop
+over its value frame with its step's body inlined: an iteration assigns
+the step's results to the frame locals, so it costs no host call and no
+tuple, and a million iterations cost no host stack.
 
 Signature checks, the step budget, per-while iteration counts and the
 call trace are code in that same source, switched per run by a few
 namespace globals (`_hook`, `_checking`, `_trace`, `_limit`):
 
-* every definition has one hook line at entry and one at its one
-  return; they call `_Hooks` only when the run checks or traces, and the
-  entry line only checks arguments that some call site may pass out of
-  kind (see `_unproven_args`);
+* in a checked or traced run, every function and every section calls the
+  entry hook, which lists the definition in the function's path, traces
+  it and checks the arguments that some call site may pass out of kind
+  (see `_unproven_args`); the function's one return passes its result
+  through the exit hook of each definition on the path, innermost first,
+  as their nested returns would have;
 * a loop counts its iterations in `_it`, which the budget is tested
   against, and in a local that it adds to `_per_while` when it exits; it
   checks the step's results inline with the `Kind.test` expressions of
@@ -43,7 +51,7 @@ from __future__ import annotations
 
 import io
 import re
-import weakref
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -70,6 +78,27 @@ def _sanitize(name: str) -> str:
     return re.sub(r"\W", "_", name)  # \W: not alphanumeric (str.isalnum) nor _
 
 
+@lru_cache(maxsize=1 << 16)
+def _local(name: str) -> str:
+    """The first local for name; one string per name, however many
+    definitions use it."""
+    return "v_" + _sanitize(name)
+
+
+def _param_locals(d: FunDef) -> tuple[str, ...]:
+    """The locals of d's parameters, in order: `v_` and the sanitized name,
+    numbered from 2 where names sanitize alike."""
+    locals_: dict[str, None] = {}
+    for name, _ in d.params:
+        base = local = _local(name)
+        k = 2
+        while local in locals_:
+            local = f"{base}_{k}"
+            k += 1
+        locals_[local] = None
+    return tuple(locals_)
+
+
 def _fused(inner, op: str, n: Const) -> bool:
     """Is inner an application of op to the same byte count n?"""
     return isinstance(inner, Prim) and inner.op == op and inner.args[0] == n
@@ -93,9 +122,8 @@ def _tests(values: list[str], kinds, positions) -> str:
 # result, or `run`'s check of the entry's arguments.  A constant, or a
 # value a primitive with a bounded result (`Primitive.below`) computes, is
 # known to be in range as well.  A parameter that receives such a value
-# at every call site cannot fail its entry check, so the entry hook skips
-# it.  A definition whose every parameter is proven needs no entry hook at
-# all in a checked run, which matters because the hook reads `locals()`.
+# at every call site cannot fail its entry check, so the entry hook is
+# not passed it: a checked run passes and checks only the others.
 
 # What passing the check of each kind says: STATE, or an exclusive bound.
 _KIND_FACTS = {name: STATE if row.sort == STATE else row.bound or float("inf")
@@ -160,7 +188,8 @@ def _unproven_args(program: FunProgram) -> dict[str, list[int]]:
                 if not _within(_fact(a, env, program), want):
                     unproven[e.name].add(i)
         for child, _ in children(e):
-            visit(child, env)
+            if type(child) is not Var:
+                visit(child, env)
 
     for d in program.defs:
         shape = _while_shape(d)
@@ -177,37 +206,90 @@ def _unproven_args(program: FunProgram) -> dict[str, list[int]]:
     return {name: sorted(positions) for name, positions in unproven.items()}
 
 
+# ---------------------------------------------------------------------------
+# Regions
+# ---------------------------------------------------------------------------
+
+# The translator lifts every block into a definition of its live-ins, so a
+# block transition is a tail call that passes every live value again.
+# Codegen undoes that inside a region: the region's root and the members
+# only its tail calls reach compile into one function, in which each
+# member is a section guarded by the block index `_b`.  Callers come after
+# their callees in a program, so sections in decreasing definition order
+# only ever jump forward.  A section reads only its parameters and its own
+# lets, and a jump assigns every parameter whose local does not already
+# hold the argument, so sharing one set of locals is sound.
+
+def _call_sites(e, tail: bool = True):
+    """(callee, in tail position?) for every call in e.  A tail call is
+    the value of a result position, as `_Codegen.tail` compiles it."""
+    todo = [(e, tail)]
+    while todo:
+        e, tail = todo.pop()
+        if type(e) is Call:
+            yield e.name, tail
+        todo += [(child, tail and results is None) for child, results in children(e)
+                 if type(child) is not Var]
+
+
+def _region_roots(program: FunProgram, shapes: list) -> tuple[list[int], list[list[int]]]:
+    """The root of each definition's region, and each definition's callers.
+    A non-while definition joins its callers' region when every call of it
+    is a tail call from a later non-while definition and all its callers
+    share one region.  A while def calls its step, and its fused loop
+    makes every call of the step's body, none of them a tail call."""
+    defs = program.defs
+    index = {d.name: k for k, d in enumerate(defs)}
+    sites: list[list[tuple[int, bool]]] = [[] for _ in defs]
+    for k, d in enumerate(defs):
+        if shapes[k] is None:
+            calls = _call_sites(d.body)
+        else:
+            step = program.by_name[shapes[k][0]]
+            calls = [(step.name, False)] + [(c, False) for c, _ in _call_sites(step.body)]
+        for callee, tail in calls:
+            sites[index[callee]].append((k, tail))
+    root = list(range(len(defs)))
+    for k in reversed(range(len(defs))):  # a definition's callers come later
+        if (sites[k] and shapes[k] is None and all(tail and p > k for p, tail in sites[k])
+                and len({root[p] for p, _ in sites[k]}) == 1):
+            root[k] = root[sites[k][0][0]]
+    return root, [[p for p, _ in s] for s in sites]
+
+
 class _Codegen:
-    """Emits the program's source.  Within a definition, `finish` says what
-    a value in tail position becomes: the result `_r`, which the
-    definition's one return passes through its exit hook, or in a fused
-    loop the assignment of the next frame."""
+    """Emits the program's source, one function per region.  Within a
+    definition, `finish` says what a value in tail position becomes: the
+    result `_r`, which the function's one return passes through the exit
+    hooks, a jump to a section of the same function, or in a fused loop
+    the assignment of the next frame."""
 
     def __init__(self, program: FunProgram):
         self.program = program
-        self.fn_names = {d.name: f"d{i}_{_sanitize(d.name)}" for i, d in enumerate(program.defs)}
-        self.index = {d.name: i for i, d in enumerate(program.defs)}
-        self.param_locals: list[tuple[str, ...]] = []  # per def, for the hooks
+        defs = program.defs
+        self.fn_names = {d.name: f"d{i}_{_sanitize(d.name)}" for i, d in enumerate(defs)}
+        self.index = {d.name: i for i, d in enumerate(defs)}
+        self.shapes = [_while_shape(d) for d in defs]
+        self.root, self.callers = _region_roots(program, self.shapes)
+        self.regions: dict[int, list[int]] = {k: [] for k, r in enumerate(self.root) if k == r}
+        for k in reversed(range(len(defs))):  # root first, then its members
+            self.regions[self.root[k]].append(k)
         self.steps: dict[int, int] = {}                # while def -> its step def
         self.unproven = _unproven_args(program)
         self.lines: list[str] = []
         self.finish = None
-        self.fused = False          # emitting a step body inside its loop
+        self.jumps: set[int] = set()  # the sections of the function being emitted
+        self.fused = False            # emitting a step body inside its loop
         self.assigned: set[str] = set()
+        self.param_locals = [_param_locals(d) for d in defs]
 
     # -- locals ------------------------------------------------------------
-
-    def _fresh_locals(self, d: FunDef) -> dict[str, str]:
-        mapping: dict[str, str] = {}
-        for n, _ in d.params:
-            self._bind_local(mapping, n)
-        return mapping
 
     def _bind_local(self, mapping: dict[str, str], name: str) -> str:
         """A local for a new binding of name.  It may reuse name's old local,
         but never one that another name still refers to (a copy)."""
         mapping.pop(name, None)
-        base = "v_" + _sanitize(name)
+        base = _local(name)
         local = base
         k = 2
         while local in mapping.values():
@@ -320,7 +402,13 @@ class _Codegen:
     # -- definitions -----------------------------------------------------------
 
     def result(self, items, e, env: dict[str, str], indent: str):
-        """finish for a definition body."""
+        """finish for a definition body: a tail call of a section of this
+        function assigns the section's parameters and jumps to it."""
+        if items is None and type(e) is Call and self.index[e.name] in self.jumps:
+            m = self.index[e.name]
+            self.assign(list(self.param_locals[m]), [self.expr(a, env) for a in e.args], indent)
+            self.lines.append(f"{indent}_b = {m}")
+            return
         if items is None:
             value = self.expr(e, env)
         else:
@@ -370,7 +458,7 @@ class _Codegen:
         kinds = [kind for _, kind in step.params]
         recheck = self.unproven[step.name]
         head = [f"while {frame[0]} != 1:", "    _c += 1", "    _it[0] += 1",
-                f"    if _it[0] > _limit: _exhaust({k}, locals())"]
+                f"    if _it[0] > _limit: _exhaust({k})"]
         self.lines += ["    _c = 0", "    _chk = _checking", "    try:", "        if _trace:"]
         self.lines += ["            " + line for line in head]
         self.lines += [f"                {args} = {self.fn_names[step.name]}({args})",
@@ -387,32 +475,64 @@ class _Codegen:
                        f"        if _c: _per_while[{d.name!r}] = _per_while.get({d.name!r}, 0) + _c"]
         self.result(frame[1:], None, env, "    ")
 
-    def gen_def(self, k: int, d: FunDef):
-        env = self._fresh_locals(d)
-        params = [env[n] for n, _ in d.params]
-        self.param_locals.append(tuple(params))
-        flag = "_hook" if self.unproven[d.name] else "_trace"
-        self.lines += [f"def {self.fn_names[d.name]}({', '.join(params)}):",
-                       f"    if {flag}: _enter({k}, locals())"]
-        shape = _while_shape(d)
-        if shape is not None:
-            self.loop(k, d, self.program.by_name[shape[0]], env)
+    def enter(self, k: int, path: str) -> str:
+        """The call of the entry hook of definition k, which passes the
+        arguments whose check may fail (see `_unproven_args`)."""
+        unproven = self.unproven[self.program.defs[k].name]
+        values = "".join(f", {self.param_locals[k][i]}" for i in unproven)
+        return f"_enter({k}, {path}{values})"
+
+    def section(self, k: int, indent: str):
+        d = self.program.defs[k]
+        env = {name: local for (name, _), local in zip(d.params, self.param_locals[k])}
+        if self.shapes[k] is not None:
+            self.loop(k, d, self.program.by_name[self.shapes[k][0]], env)
         else:
             self.finish = self.result
-            self.tail(d.body, env, "    ")
-        self.lines += [f"    return _leave({k}, _r) if _hook else _r", ""]
+            self.tail(d.body, env, indent)
+
+    def function(self, name: str, sections: list[int]):
+        """One function: the body of its root, sections[0], then each other
+        section's body behind its test of `_b`.  A hooked run lists the
+        sections it enters in `_p`, and the one return passes the result
+        through their exit hooks, innermost first."""
+        k = sections[0]
+        self.jumps = set(sections[1:])
+        self.lines.append(f"def {name}({', '.join(self.param_locals[k])}):")
+        if self.jumps:
+            self.lines.append(f"    _b = {k}")
+        self.lines.append(f"    _p = _hook and {self.enter(k, '[]')}")
+        self.section(k, "    ")
+        for m in sections[1:]:
+            self.lines += [f"    if _b == {m}:", f"        if _hook: {self.enter(m, '_p')}"]
+            self.section(m, "        ")
+        self.lines += ["    return _leave(_p, _r) if _hook else _r", ""]
 
     def generate(self) -> list[str]:
-        """The source in pieces of whole definitions, each at least
-        _PIECE_LINES long except the last."""
+        """The source, one function per region, in pieces of whole
+        functions, each at least _PIECE_LINES long except the last."""
         pieces, start = [], 0
-        for k, d in enumerate(self.program.defs):
-            self.gen_def(k, d)
+        for k, sections in self.regions.items():
+            self.function(self.fn_names[self.program.defs[k].name], sections)
             if len(self.lines) - start >= _PIECE_LINES:
                 pieces.append("\n".join(self.lines[start:]))
                 start = len(self.lines)
         pieces.append("\n".join(self.lines[start:]))
+        self.lines = []
         return pieces
+
+    def entry(self, k: int) -> tuple[str, str]:
+        """(name, source) of a function that runs section k of another
+        definition's region, and what k's tail calls reach from there."""
+        region = self.regions[self.root[k]]
+        reached = {k}
+        for m in region:
+            if m < k and any(p in reached for p in self.callers[m]):
+                reached.add(m)
+        name = f"e{k}_{_sanitize(self.program.defs[k].name)}"
+        self.function(name, [m for m in region if m in reached])
+        source, self.lines = "\n".join(self.lines), []
+        return name, source
 
 
 # The names compiled code calls: the helper-template rows and the fused
@@ -459,16 +579,18 @@ def _state_text(v) -> str:
 
 
 class _Hooks:
-    """What the emitted hook lines call: the signature checks and the trace
-    at definition entry and exit, the report of a check that failed inside
-    a fused loop, and budget exhaustion.  `ProgramEvaluator.run` sets the
-    mode fields before each run."""
+    """What the emitted hook lines call in a checked or traced run: the
+    entry and the exits of definitions, with their trace lines and
+    signature checks, the report of a check that failed inside a fused
+    loop, and budget exhaustion.  `ProgramEvaluator.run` sets the mode
+    fields before each run."""
 
     def __init__(self, program: FunProgram, gen: _Codegen):
         self.defs = program.defs
         self.param_locals = gen.param_locals
         self.steps = gen.steps
         self.unproven = [gen.unproven[d.name] for d in program.defs]
+        self.param_kinds = [[kind for _, kind in d.params] for d in program.defs]
         self.checking = self.trace = False
         self.budget: int | None = None
         self.out: io.TextIOBase | None = None
@@ -477,19 +599,35 @@ class _Hooks:
         print(f"{arrow} {self.defs[k].name} " + " ".join(_state_text(v) for v in values),
               file=self.out)
 
-    def enter(self, k: int, frame_locals: dict):
-        """At entry a function's locals are its parameters, in order."""
-        args = tuple(frame_locals.values())
-        if self.trace:
-            self.show("->", k, args)
-        if self.checking:
-            self.check(k, args, "argument", every=False)
+    def args(self, k: int, frame) -> tuple:
+        """Definition k's arguments, read from the frame of the compiled
+        function that runs it, where its parameters have the locals
+        `param_locals[k]`."""
+        frame_locals = frame.f_locals
+        return tuple([frame_locals[n] for n in self.param_locals[k]])
 
-    def leave(self, k: int, out):
-        if self.checking:
-            self.check(k, (out,) if len(self.defs[k].result_kinds) == 1 else out, "result")
+    def enter(self, k: int, path: list, *values) -> list:
+        """A hooked run enters definition k, at the top of its function or
+        of its section in a region's function.  k joins the path whose
+        exits the function's return runs; a traced run shows k's
+        arguments, and a checked run checks values, the arguments at k's
+        unproven positions."""
+        path.append(k)
         if self.trace:
-            self.show("<-", k, out if isinstance(out, tuple) else (out,))
+            self.show("->", k, self.args(k, sys._getframe(1)))
+        if values and self.checking:
+            self.check(k, values, "argument", self.unproven[k])
+        return path
+
+    def leave(self, path: list, out):
+        """The exits of the definitions a function ran, innermost first:
+        each passed out on as its result, so each checks and traces it as
+        its own return did."""
+        for k in reversed(path):
+            if self.checking:
+                self.check(k, (out,) if len(self.defs[k].result_kinds) == 1 else out, "result")
+            if self.trace:
+                self.show("<-", k, out if isinstance(out, tuple) else (out,))
         return out
 
     def admit(self, k: int, args: tuple):
@@ -501,27 +639,26 @@ class _Hooks:
                 self.show("->", k, args)
             raise
 
-    def check(self, k: int, values, what: str, every: bool = True):
+    def check(self, k: int, values, what: str, positions=None):
         """Raise the SignatureViolation of the first value that fails its
-        kind; with every=False only the unproven arguments are checked,
-        the others are known to pass."""
+        kind; values are at positions, by default all of them in order."""
         d = self.defs[k]
-        kinds = d.result_kinds if what == "result" else [kind for _, kind in d.params]
-        for i in range(min(len(values), len(kinds))) if every else self.unproven[k]:
-            if i < len(values) and not KINDS[kinds[i]].check(values[i]):
+        kinds = d.result_kinds if what == "result" else self.param_kinds[k]
+        for i, value in zip(range(len(kinds)) if positions is None else positions, values):
+            if not KINDS[kinds[i]].check(value):
                 raise SignatureViolation(
                     f"{d.name}: {what} {i + 1} fails {kinds[i]} "
-                    f"(got {_state_text(values[i])})", context=f"def {d.name}")
+                    f"(got {_state_text(value)})", context=f"def {d.name}")
 
     def bad(self, k: int, values: tuple, what: str):
         """An inline check in a fused loop failed on the step def k."""
         self.check(k, values, what)
         raise AssertionError(f"inline {what} check of {self.defs[k].name} disagrees with KINDS")
 
-    def exhaust(self, k: int, frame_locals: dict):
+    def exhaust(self, k: int):
         """The budget ran out at the top of an iteration of while def k."""
         if self.trace:  # the step call that the budget stops was entered
-            self.show("->", self.steps[k], [frame_locals[n] for n in self.param_locals[k]])
+            self.show("->", self.steps[k], self.args(k, sys._getframe(1)))
         raise BudgetExhausted(f"step budget of {self.budget} exhausted in {self.defs[k].name}")
 
 
@@ -531,21 +668,24 @@ class ProgramEvaluator:
     `__init__` generates one Python source for the whole program, compiles
     it and executes it into the evaluator's namespace, once.  `run` sets
     the run mode (checking, budget, trace) in that namespace and calls the
-    entry; every mode runs the same compiled functions.
+    entry; every mode runs the same compiled functions.  `regions` names,
+    for each compiled function, the definitions it runs: its root first.
 
     Programs are immutable and freely shareable, and so are states outside
     a run.  An evaluator, however, owns mutable iteration counters and the
     memory of the run in progress (`state.RunMemory`), so one instance
-    serves one execution at a time.  Parallel runs want separate instances
-    (or separate programs, which the module-level cache keys on).
+    serves one execution at a time.  Parallel runs want separate instances.
     """
 
     def __init__(self, program: FunProgram):
         self.program = program
-        gen = _Codegen(program)
+        self._gen = gen = _Codegen(program)
         pieces = gen.generate()
         self.source = "\n".join(pieces)
-        self._fn_names, self._index = gen.fn_names, gen.index
+        self._index = gen.index
+        defs = program.defs
+        self.regions = {defs[k].name: tuple(defs[m].name for m in sections)
+                        for k, sections in gen.regions.items()}
         self._hooks = hooks = _Hooks(program, gen)
         memory = st_mod.RunMemory()
         self._ns = dict(_NAMESPACE, _memory=memory, _store_word=memory.store_word,
@@ -555,11 +695,23 @@ class ProgramEvaluator:
                         _trace=False, _limit=_NO_LIMIT)
         # compile's memory grows with the text compiled at once, so the pieces
         # are compiled one by one, each at its line numbers in the source
-        filename, line = f"<ll2fun:{id(program):#x}>", 0
+        self._filename, line = f"<ll2fun:{id(program):#x}>", 0
         for piece in pieces:
-            exec(compile("\n" * line + piece, filename, "exec"), self._ns)  # noqa: S102
+            exec(compile("\n" * line + piece, self._filename, "exec"), self._ns)  # noqa: S102
             line += piece.count("\n") + 1
+        self._entries = {k: self._ns[gen.fn_names[defs[k].name]] for k in gen.regions}
         self.trace_out: io.TextIOBase | None = None
+
+    def _entry(self, k: int):
+        """The function that runs definition k as a run's entry.  A section
+        of another definition's region gets its own, compiled on first use."""
+        fn = self._entries.get(k)
+        if fn is None:
+            name, source = self._gen.entry(k)
+            scope: dict = {}
+            exec(compile(source, f"{self._filename}:{name}", "exec"), self._ns, scope)  # noqa: S102
+            fn = self._entries[k] = scope[name]
+        return fn
 
     def run(self, name: str, args: tuple, st: MachineState, *, checking: bool = True,
             budget: int | None = None, trace: bool = False) -> RunResult:
@@ -571,7 +723,7 @@ class ProgramEvaluator:
                 f"{name} takes {len(d.params) - 1} value arguments, got {len(args)}")
         if budget is not None and budget <= 0:
             raise EvalFault("budget must be positive")
-        ns, hooks = self._ns, self._hooks
+        ns, hooks, k = self._ns, self._hooks, self._index[name]
         hooks.checking, hooks.trace, hooks.budget = checking, trace, budget
         hooks.out = self.trace_out
         ns.update(_hook=checking or trace, _checking=checking, _trace=trace,
@@ -581,8 +733,8 @@ class ProgramEvaluator:
         per_while.clear()
         try:
             if checking:
-                hooks.admit(self._index[name], (*args, st))
-            out = ns[self._fn_names[name]](*args, st)
+                hooks.admit(k, (*args, st))
+            out = self._entry(k)(*args, st)
         except RecursionError:
             raise EvalFault(f"host recursion limit reached inside {name}",
                             context=f"def {name}") from None
@@ -602,33 +754,23 @@ class ProgramEvaluator:
         return RunResult(results[:-1], final, it[0], dict(per_while))
 
 
-_EVALUATORS: "weakref.WeakKeyDictionary[FunProgram, ProgramEvaluator]" = \
-    weakref.WeakKeyDictionary()
-
-
-def evaluator_for(program: FunProgram) -> ProgramEvaluator:
-    ev = _EVALUATORS.get(program)
-    if ev is None:
-        ev = ProgramEvaluator(program)
-        _EVALUATORS[program] = ev
-    return ev
-
-
 def eval_def(program: FunProgram, name: str, args: tuple, st: MachineState, *,
              checking: bool = True, budget: int | None = None,
              trace: bool = False) -> tuple[tuple, MachineState]:
-    """Run one definition; returns (value results, final state)."""
-    res = evaluator_for(program).run(name, tuple(args), st, checking=checking,
-                                     budget=budget, trace=trace)
+    """Compile program and run one definition; returns (value results,
+    final state).  Callers that run one program often build one
+    `ProgramEvaluator` instead."""
+    res = ProgramEvaluator(program).run(name, tuple(args), st, checking=checking,
+                                        budget=budget, trace=trace)
     return res.values, res.state
 
 
 def run_with_budget(program: FunProgram, name: str, args: tuple, st: MachineState,
                     budget: int | None, *, checking: bool = True) -> BudgetOutcome:
     """Like eval_def but budget exhaustion becomes a report, not an error."""
-    ev = evaluator_for(program)
     try:
-        res = ev.run(name, tuple(args), st, checking=checking, budget=budget)
+        res = ProgramEvaluator(program).run(name, tuple(args), st, checking=checking,
+                                            budget=budget)
     except BudgetExhausted as e:
         total = sum(e.counts.values())
         return BudgetOutcome(False, None, total, dict(e.counts))

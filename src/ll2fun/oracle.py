@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import BudgetExhausted
-from .evaluator import eval_def
+from .evaluator import ProgramEvaluator
 from .fun_ir import FunProgram
 from .prims import bits
 from .state import MachineState, rd_n, wr_n
@@ -77,9 +77,14 @@ def check_occurrences_equiv(program: FunProgram, val: int, n: int, array: int,
                             budget: int | None = None,
                             checking: bool = False) -> EquivReport:
     """retval of the translated program vs the list-level specification."""
-    _, final = eval_def(program, entry, (val, n, array), st,
-                        checking=checking, budget=budget)
-    translated = final.retval
+    return _equiv(ProgramEvaluator(program), val, n, array, st, entry=entry,
+                  budget=budget, checking=checking)
+
+
+def _equiv(ev: ProgramEvaluator, val: int, n: int, array: int, st: MachineState, *,
+           entry: str, budget: int | None = None, checking: bool = False) -> EquivReport:
+    translated = ev.run(entry, (val, n, array), st, checking=checking,
+                        budget=budget).state.retval
     spec = occurrences_spec(val, n, array, st)
     return EquivReport(translated == spec, val, n, array, translated, spec)
 
@@ -108,6 +113,7 @@ def run_equiv_trials(program: FunProgram, trials: int, seed: int, *,
     placement and contents.  Values are drawn from a small pool so that
     matches actually occur."""
     rng = random.Random(seed)
+    ev = ProgramEvaluator(program)
     failures: list[EquivReport] = []
     for _ in range(trials):
         n = rng.randint(0, n_max)
@@ -119,7 +125,7 @@ def run_equiv_trials(program: FunProgram, trials: int, seed: int, *,
             if rng.random() < 0.85:  # leave some slots at the zero default
                 mem = wr_n(8, array + 8 * k, rng.choice(pool), mem)
         st = MachineState(retval=0, stack=0xFFFF0000, frame=0xFFFF0000, mem=mem)
-        report = check_occurrences_equiv(program, val, n, array, st, entry=entry)
+        report = _equiv(ev, val, n, array, st, entry=entry)
         if not report.passed:
             failures.append(report)
     return TrialSummary(trials, failures, seed)

@@ -31,7 +31,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from llgen import gen_loop, gen_program, gen_state_args  # noqa: E402
 
 from ll2fun import (  # noqa: E402
-    MachineState, emit_sexpr, eval_def, evaluator_for, interp_function,
+    MachineState, ProgramEvaluator, emit_sexpr, eval_def, interp_function,
     load_memory_image, load_program, parse_file, parse_text, run_equiv_trials,
     translate_module,
 )
@@ -82,7 +82,7 @@ def test_criterion_2_million_iterations(pipeline):
 
 def test_criterion_3_throughput_floor(pipeline):
     _, program, st = pipeline
-    ev = evaluator_for(program)
+    ev = ProgramEvaluator(program)
     best = 0.0
     for _ in range(3):
         t0 = time.perf_counter()

@@ -1,17 +1,20 @@
 """Primitive semantics, compiled execution, signature checking, budgets,
 tracing, and stack safety."""
 
+import gc
 import random
 import sys
 import threading
+import weakref
 from typing import Callable
 
 import pytest
 
 from ll2fun import (
-    BudgetExhausted, EvalFault, SignatureViolation, bits, eval_def,
-    evaluator_for, load_program, make_state, run_with_budget,
+    BudgetExhausted, EvalFault, SignatureViolation, bits, emit_sexpr, eval_def,
+    load_program, make_state, run_with_budget,
 )
+from ll2fun import evaluator
 from ll2fun.evaluator import ProgramEvaluator
 from ll2fun.prims import NAT, PRIMS, RUN, STATE, ashr, lshr, sext, shl, to_signed
 from ll2fun.state import MachineState, begin_stack_frame
@@ -192,7 +195,7 @@ def test_address_fault_carries_context(occurrences_program, array_state):
 
 
 def test_iteration_counts(occurrences_program, array_state):
-    ev = evaluator_for(occurrences_program)
+    ev = ProgramEvaluator(occurrences_program)
     res = ev.run("occurrences", (399, 8, 0x8000), array_state)
     assert res.iterations == 8
     res = ev.run("occurrences", (399, 3, 0x8000), array_state)
@@ -454,6 +457,20 @@ def test_fused_memory_forms_match_reference():
             assert got == ref("storebytes", n, a, ref("wtobytes", n, v), st)
 
 
-def test_evaluator_source_is_cached(occurrences_program):
-    assert evaluator_for(occurrences_program) is evaluator_for(occurrences_program)
-    assert isinstance(evaluator_for(occurrences_program), ProgramEvaluator)
+def test_eval_def_keeps_no_evaluator_alive(occurrences_program, array_state, monkeypatch):
+    """eval_def compiles an evaluator per call and keeps none: once five
+    loaded programs are dropped, no evaluator of theirs survives."""
+    built = []
+
+    class Tracked(ProgramEvaluator):
+        def __init__(self, program):
+            super().__init__(program)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(evaluator, "ProgramEvaluator", Tracked)
+    text = emit_sexpr(occurrences_program)
+    for _ in range(5):
+        _, st = eval_def(load_program(text), "occurrences", (399, 8, 0x8000), array_state)
+        assert st.retval == 3
+    gc.collect()
+    assert len(built) == 5 and all(ref() is None for ref in built)

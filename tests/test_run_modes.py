@@ -281,7 +281,8 @@ def test_one_source_serves_every_mode():
     for layer in ("_wrap_checking", "_checking_wrapper", "_wrap_budget", "_wrap_trace",
                   "_variants"):
         assert not hasattr(ev, layer)
-    loop = source[source.index("def d3_"):source.index("def d4_")]
+    start = source.index("def d3_")
+    loop = source[start:source.index("\ndef ", start)]
     assert "d2_occurrences_step_0(" in loop  # the traced form calls the step
     assert loop.count("_g(v_scevgep") == 8 and "_rd_n(8, v_scevgep" in loop
     assert "_bad(2," in loop
@@ -369,6 +370,99 @@ def test_checked_and_traced_runs_use_no_more_host_frames():
     t.join()
     assert len(results) == 4
     assert len(set(map(repr, results.values()))) == 1
+
+
+def test_each_region_compiles_into_one_function():
+    """The chain's blocks are tail calls reached from one definition, so
+    they compile into one function, not one per block."""
+    program = translate_module(parse_text(gen_diamond_chain(random.Random(11), 267)))
+    ev = ProgramEvaluator(program)
+    compiled = {name for name, v in ev._ns.items()
+                if getattr(v, "__code__", None) and v.__code__.co_filename.startswith("<ll2fun")}
+    assert len(program.defs) == 803
+    assert len(compiled) == len(ev.regions) == 2
+    sections = [name for members in ev.regions.values() for name in members]
+    assert sorted(sections) == sorted(d.name for d in program.defs)
+    assert max(map(len, ev.regions.values())) == 802
+
+
+# fin's first argument is not proven to be an i8, so its section checks it;
+# top passes its arguments swapped, and hop's arms swap them again or not
+REGION = """(defun fin (a b st)
+  (declare (xargs :signature ((i8_p i64_p stp) i64_p stp)))
+  (let* ((st (update-retval (bits (+ (* a 1000) b) 63 0) st)))
+    (mvlist (bits (+ a b) 63 0) st)))
+
+(defun hop (a b st)
+  (declare (xargs :signature ((i64_p i64_p stp) i8_p stp)))
+  (if (< a b)
+      (fin b a st)
+    (fin a b st)))
+
+(defun top (a b st)
+  (declare (xargs :signature ((i64_p i64_p stp) i64_p stp)))
+  (hop b a st))
+"""
+_ST0 = "(st retval=0 stack=0xffff0000 frame=0xffff0000 mem/0)"
+
+
+def _st(retval):
+    return f"(st retval={retval} stack=0xffff0000 frame=0xffff0000 mem/0)"
+
+
+# (entry, args): checked outcome, unchecked outcome, checked trace, where
+# an outcome is (results, retval) or the SignatureViolation text; every
+# literal was recorded from the evaluator that compiled one function per
+# definition
+REGION_CASES = {
+    ("top", (1, 2)): (((3,), 2001), ((3,), 2001), [
+        f"-> top 1 2 {_ST0}", f"-> hop 2 1 {_ST0}", f"-> fin 2 1 {_ST0}",
+        f"<- fin 3 {_st(2001)}", f"<- hop 3 {_st(2001)}", f"<- top 3 {_st(2001)}"]),
+    ("top", (2, 1)): (((3,), 2001), ((3,), 2001), [
+        f"-> top 2 1 {_ST0}", f"-> hop 1 2 {_ST0}", f"-> fin 2 1 {_ST0}",
+        f"<- fin 3 {_st(2001)}", f"<- hop 3 {_st(2001)}", f"<- top 3 {_st(2001)}"]),
+    ("top", (5, 300)): ("fin: argument 1 fails i8 (got 300) [def fin]", ((305,), 300005), [
+        f"-> top 5 300 {_ST0}", f"-> hop 300 5 {_ST0}", f"-> fin 300 5 {_ST0}"]),
+    ("top", (200, 100)): ("hop: result 1 fails i8 (got 300) [def hop]", ((300,), 200100), [
+        f"-> top 200 100 {_ST0}", f"-> hop 100 200 {_ST0}", f"-> fin 200 100 {_ST0}",
+        f"<- fin 300 {_st(200100)}"]),
+    ("hop", (1, 2)): (((3,), 2001), ((3,), 2001), [
+        f"-> hop 1 2 {_ST0}", f"-> fin 2 1 {_ST0}",
+        f"<- fin 3 {_st(2001)}", f"<- hop 3 {_st(2001)}"]),
+    ("hop", (300, 2)): ("fin: argument 1 fails i8 (got 300) [def fin]", ((302,), 300002), [
+        f"-> hop 300 2 {_ST0}", f"-> fin 300 2 {_ST0}"]),
+    ("fin", (7, 8)): (((15,), 7008), ((15,), 7008), [
+        f"-> fin 7 8 {_ST0}", f"<- fin 15 {_st(7008)}"]),
+}
+
+
+def _region_outcome(ev, entry, args, checking, trace):
+    ev.trace_out = io.StringIO()
+    try:
+        r = ev.run(entry, args, make_state(), checking=checking, trace=trace)
+        out = (r.values, r.state.retval)
+    except Ll2FunError as e:
+        out = str(e)
+    return out, ev.trace_out.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("entry, args", list(REGION_CASES))
+def test_region_sections_behave_as_definitions(entry, args):
+    """top, hop and fin compile into one function; swapped arguments, an
+    entry inside the region, an inline entry check and the exits' result
+    checks behave as separate definitions did."""
+    ev = ProgramEvaluator(load_program(REGION))
+    assert ev.regions == {"top": ("top", "hop", "fin")}
+    checked, unchecked, trace = REGION_CASES[entry, args]
+    assert _region_outcome(ev, entry, args, True, False) == (checked, [])
+    assert _region_outcome(ev, entry, args, True, True) == (checked, trace)
+    assert _region_outcome(ev, entry, args, False, False) == (unchecked, [])
+    out, full = _region_outcome(ev, entry, args, False, True)
+    entries = [line for line in trace if line.startswith("->")]
+    assert out == unchecked and full[:len(entries)] == entries
+    assert len(full) == 2 * len(entries) and full[-1].startswith(f"<- {entry} ")
+    if not isinstance(checked, str):
+        assert full == trace
 
 
 # ---------------------------------------------------------------------------
