@@ -42,8 +42,17 @@ def _natural(text: str) -> int:
     return value
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with usage errors mapped to EXIT_USAGE; subcommand parsers
+    inherit the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ll2fun",
         description="Translate a subset of LLVM IR to a functional S-expression "
                     "form and execute it")

@@ -71,11 +71,12 @@ from .state import ADDR_LIMIT, MachineState
 _UNROLLED = (1, 2, 4, 8)  # byte counts of let-bound loads read byte by byte
 _NO_LIMIT = 1 << 62       # `_limit` of a run without a budget
 _PIECE_LINES = 1000       # compile the source in pieces of about this size
+_NON_WORD = re.compile(r"\W", re.ASCII)  # not an ASCII letter, digit or _
 
 
 @lru_cache(maxsize=1 << 16)
 def _sanitize(name: str) -> str:
-    return re.sub(r"\W", "_", name)  # \W: not alphanumeric (str.isalnum) nor _
+    return _NON_WORD.sub("_", name)
 
 
 @lru_cache(maxsize=1 << 16)

@@ -23,6 +23,7 @@ Output is deterministic and reparses to the same program.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -130,7 +131,7 @@ class WhileClique:
 @dataclass(eq=False)
 class FunProgram:
     defs: tuple[FunDef, ...]
-    cliques: tuple[WhileClique, ...] = ()
+    cliques: tuple[WhileClique, ...] = ()  # set by validate_program
     by_name: dict[str, FunDef] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -565,18 +566,16 @@ class _FunctionTranslator:
         args = tuple(Var(mangle_register(f)) for f in sig.flow_params) + (Var(STATE_VAR),)
         return Call(self.call_target_name(entry_label), args)
 
-    def translate(self) -> tuple[list[FunDef], list[WhileClique]]:
+    def translate(self) -> list[FunDef]:
         defs: list[FunDef] = []
-        cliques: list[WhileClique] = []
         for unit in self.analysis.units:
             if isinstance(unit, BlockUnit):
                 defs.append(self.translate_block(unit.label))
             elif isinstance(unit, CliqueUnit):
                 defs.extend(self.translate_loop(unit.loop))
-                cliques.append(self.clique_names(unit.loop))
             else:
                 defs.append(self.translate_driver())
-        return defs, cliques
+        return defs
 
 
 def translate_module(module: LlvmModule) -> FunProgram:
@@ -585,12 +584,8 @@ def translate_module(module: LlvmModule) -> FunProgram:
     module = resolve_aliases(module)
     order = _function_order(module)
     defs: list[FunDef] = []
-    cliques: list[WhileClique] = []
     for fn in order:
-        analysis = analyze_function(fn)
-        d, c = _FunctionTranslator(analysis, module).translate()
-        defs.extend(d)
-        cliques.extend(c)
+        defs.extend(_FunctionTranslator(analyze_function(fn), module).translate())
     names = Counter(d.name for d in defs)
     dup = {n for n, count in names.items() if count > 1}
     if dup:
@@ -598,7 +593,7 @@ def translate_module(module: LlvmModule) -> FunProgram:
     clash = set(names) & set(PRIMS)
     if clash:
         raise AnalysisError(f"function names collide with primitives: {sorted(clash)}")
-    program = FunProgram(tuple(defs), tuple(cliques))
+    program = FunProgram(tuple(defs))
     validate_program(program)
     return program
 
@@ -607,8 +602,7 @@ def translate_function(module: LlvmModule, name: str) -> list[FunDef]:
     """The definitions generated for one function (driver last)."""
     module = resolve_aliases(module)
     fn = module.function(name)
-    defs, _ = _FunctionTranslator(analyze_function(fn), module).translate()
-    return defs
+    return _FunctionTranslator(analyze_function(fn), module).translate()
 
 
 def _function_order(module: LlvmModule) -> list[LlvmFunction]:
@@ -707,45 +701,39 @@ def emit_sexpr(program: FunProgram) -> str:
 # Loader
 # ---------------------------------------------------------------------------
 
+# One token per match: a parenthesis, a comment, or an atom.  What lies
+# between matches is whitespace (" \t\r\n").
+_SEXPR_TOKEN = re.compile(r"[()]|;[^\n]*|[^ \t\r\n();]+")
+
+
+def _read_error(text: str, m: re.Match, message: str) -> LoadError:
+    """The reader's error at match m; lines are counted only on failure."""
+    line = text.count("\n", 0, m.start()) + 1
+    return LoadError(f"line {line}: {message}")
+
+
 def _read_sexprs(text: str) -> list:
     forms: list = []
     stack: list[list] = []
-    i, n = 0, len(text)
-    line = 1
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-        elif ch == ";":
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-        elif ch == "(":
+    for m in _SEXPR_TOKEN.finditer(text):
+        tok = m[0]
+        if tok == "(":
             if len(stack) == MAX_DEPTH:
-                raise LoadError(f"line {line}: forms nest deeper than {MAX_DEPTH} levels")
+                raise _read_error(text, m, f"forms nest deeper than {MAX_DEPTH} levels")
             stack.append([])
-            i += 1
-        elif ch == ")":
+        elif tok == ")":
             if not stack:
-                raise LoadError(f"line {line}: unbalanced ')'")
+                raise _read_error(text, m, "unbalanced ')'")
             done = stack.pop()
             (stack[-1] if stack else forms).append(done)
-            i += 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r\n();":
-                j += 1
-            atom = text[i:j]
+        elif tok[0] != ";":
             try:
-                value: str | int = int(atom) if atom.isdigit() else atom
-            except ValueError:
-                raise LoadError(f"line {line}: bad number {atom[:40]!r}") from None
+                value: str | int = int(tok) if tok.isdigit() else tok
+            except ValueError:  # not ASCII, or past int()'s digit limit
+                raise _read_error(text, m, f"bad number {tok[:40]!r}") from None
             if not stack:
-                raise LoadError(f"line {line}: atom {atom!r} outside any form")
+                raise _read_error(text, m, f"atom {tok!r} outside any form")
             stack[-1].append(value)
-            i = j
     if stack:
         raise LoadError("unbalanced '(' at end of input")
     return forms
@@ -832,7 +820,7 @@ def load_program(text: str) -> FunProgram:
         if d.name in seen:
             raise LoadError(f"definition {d.name} repeated")
         seen.add(d.name)
-    program = FunProgram(defs, _reconstruct_cliques(defs))
+    program = FunProgram(defs)
     validate_program(program)
     return program
 
@@ -1040,37 +1028,48 @@ def _while_shape(d: FunDef) -> tuple[str, tuple[str, ...]] | None:
     return m.call.name, names
 
 
-def _calls(expr: FunExpr):
-    """Every call in expr, outermost first."""
-    if isinstance(expr, Call):
-        yield expr
-    for child, _ in children(expr):
-        yield from _calls(child)
+_LEAVES = (Var, Const)  # most nodes; the clique walk does not push them
 
 
-def _reconstruct_cliques(defs: tuple[FunDef, ...]) -> tuple[WhileClique, ...]:
-    by_name = {d.name: d for d in defs}
+def _loop_cliques(program: FunProgram) -> tuple[WhileClique, ...]:
+    """One clique per general-recursive definition, in definition order.
+    The wrap is the last definition that calls the while with done = 0,
+    the continue is what the wrap's metlist body calls, and the entry is
+    the last other definition that calls the wrap.  One walk over every
+    body indexes each callee's callers, so the pass is linear in the
+    program's size."""
+    whiles = [d for d in program.defs if d.general_recursive]
+    if not whiles:
+        return ()
+    callers: dict[str, list[FunDef]] = {}  # distinct callers, in order
+    zero_caller: dict[str, FunDef] = {}    # last caller passing done = 0
+    zero = (Const(0),)
+    for d in program.defs:
+        stack = [d.body]
+        while stack:
+            e = stack.pop()
+            if type(e) is Call:
+                seen = callers.setdefault(e.name, [])
+                if not seen or seen[-1] is not d:
+                    seen.append(d)
+                if e.args[:1] == zero:
+                    zero_caller[e.name] = d
+            stack.extend([c for c, _ in children(e) if type(c) not in _LEAVES])
+    by_name = program.by_name
     cliques = []
-    for index, d in enumerate(w for w in defs if w.general_recursive):
+    for index, d in enumerate(whiles):
         shape = _while_shape(d)
         if shape is None:
             raise LoadError(f"{d.name}: defun-general is only valid for loop "
                             "while-functions of the generated shape")
         step_name, _ = shape
-        wrap = entry = cont = None
-        for other in defs:
-            if any(c.name == d.name and c.args[:1] == (Const(0),)
-                   for c in _calls(other.body)):
-                wrap = other
-        if wrap is not None and isinstance(wrap.body, Metlist):
-            cont_call = wrap.body.body
-            if isinstance(cont_call, Call):
-                cont = by_name.get(cont_call.name)
+        wrap = zero_caller.get(d.name)
+        cont = entry = None
         if wrap is not None:
-            for other in defs:
-                if other is not wrap and any(c.name == wrap.name
-                                             for c in _calls(other.body)):
-                    entry = other
+            if isinstance(wrap.body, Metlist) and isinstance(wrap.body.body, Call):
+                cont = by_name.get(wrap.body.body.name)
+            entry = next((c for c in reversed(callers.get(wrap.name, ()))
+                          if c is not wrap), None)
         if not (wrap and cont and entry and step_name in by_name):
             raise LoadError(f"{d.name}: incomplete loop clique")
         cliques.append(WhileClique(index, cont.name, step_name, d.name,
@@ -1121,11 +1120,12 @@ def validate_clique(program: FunProgram, clique: WhileClique):
 
 
 def validate_program(program: FunProgram):
+    """Check every definition and loop clique; sets program.cliques."""
+    cliques = _loop_cliques(program)
     known: dict[str, FunDef] = {}
     for d in program.defs:
-        if d.general_recursive and _while_shape(d) is None:
-            raise LoadError(f"{d.name}: defun-general outside the while shape")
         known[d.name] = d
         validate_def(d, known)
-    for clique in (program.cliques or _reconstruct_cliques(program.defs)):
+    for clique in cliques:
         validate_clique(program, clique)
+    program.cliques = cliques

@@ -16,6 +16,7 @@ Both the classic typed-pointer spellings (``load i64* %p``,
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass, field, replace
 
 from .errors import LexError, ParseError, UnsupportedConstructError
@@ -72,9 +73,21 @@ class Token:
         return f"{self.kind}({self.text!r})@{self.line}:{self.col}"
 
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ$._")
-_IDENT_CONT = _IDENT_START | set("0123456789")
-_PUNCT = set("(){}[],=*<>")
+# One alternative per token class, tried in order; `skip` is whitespace and
+# comments.  Every class is ASCII: any other character is illegal.
+_LL_TOKEN = re.compile(r"""
+    (?P<skip>[ \t\r\n]+|;[^\n]*)
+  | (?P<name>[%@](?:[0-9]+|[A-Za-z$._][A-Za-z0-9$._]*))
+  | (?P<metadata>![A-Za-z0-9$._]*|\#[0-9]*)
+  | (?P<string>"[^"\n]*")
+  | (?P<int>-?[0-9]+)
+  | (?P<word>[A-Za-z$._][A-Za-z0-9$._]*:?)
+  | (?P<punct>[(){}\[\],=*<>])
+  | (?P<colon>:)
+  | (?P<dangling>[%@-])
+  | (?P<unterminated>")
+  | (?P<illegal>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 def tokenize(source: str) -> list[Token]:
@@ -82,117 +95,43 @@ def tokenize(source: str) -> list[Token]:
     whitespace are dropped.  Raises LexError with position on an illegal
     character."""
     toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-
-    def advance(text: str):
-        nonlocal line, col
-        for ch in text:
-            if ch == "\n":
-                line += 1
-                col = 1
+    line, line_start = 1, 0  # line_start: index of the line's first character
+    for m in _LL_TOKEN.finditer(source):
+        kind, text = m.lastgroup, m[0]
+        if kind == "skip":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + text.rindex("\n") + 1
+            continue
+        col = m.start() - line_start + 1
+        if kind == "name":
+            kind, text = ("local" if text[0] == "%" else "global"), text[1:]
+        elif kind == "metadata" and text[0] == "!":
+            text = text[1:]
+        elif kind == "string":
+            text = text[1:-1]
+        elif kind == "word":
+            if text[-1] == ":":
+                kind, text = "label", text[:-1]
+            elif len(text) > 1 and text[0] == "i" and text[1:].isdigit():
+                kind = "type"
             else:
-                col += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance(ch)
-            i += 1
-            continue
-        if ch == ";":
-            j = source.find("\n", i)
-            j = n if j < 0 else j
-            advance(source[i:j])
-            i = j
-            continue
-        start_line, start_col = line, col
-        if ch in "%@":
-            j = i + 1
-            if j < n and (source[j] in _IDENT_START or source[j].isdigit()):
-                if source[j].isdigit():
-                    while j < n and source[j].isdigit():
-                        j += 1
-                else:
-                    while j < n and source[j] in _IDENT_CONT:
-                        j += 1
-                text = source[i + 1:j]
-                kind = "local" if ch == "%" else "global"
-                toks.append(Token(kind, text, start_line, start_col))
-                advance(source[i:j])
-                i = j
-                continue
-            raise LexError(f"dangling '{ch}'", line, col)
-        if ch == "!":
-            j = i + 1
-            while j < n and source[j] in _IDENT_CONT:
-                j += 1
-            toks.append(Token("metadata", source[i + 1:j], start_line, start_col))
-            advance(source[i:j])
-            i = j
-            continue
-        if ch == "#":
-            j = i + 1
-            while j < n and source[j].isdigit():
-                j += 1
-            toks.append(Token("metadata", source[i:j], start_line, start_col))
-            advance(source[i:j])
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and source[j] != '"':
-                if source[j] == "\n":
-                    raise LexError("unterminated string", start_line, start_col)
-                j += 1
-            if j >= n:
-                raise LexError("unterminated string", start_line, start_col)
-            toks.append(Token("string", source[i + 1:j], start_line, start_col))
-            advance(source[i:j + 1])
-            i = j + 1
-            continue
-        if ch == "-" or ch.isdigit():
-            j = i + 1 if ch == "-" else i
-            if j >= n or not source[j].isdigit():
-                raise LexError("dangling '-'", line, col)
-            while j < n and source[j].isdigit():
-                j += 1
-            toks.append(Token("int", source[i:j], start_line, start_col))
-            advance(source[i:j])
-            i = j
-            continue
-        if ch in _IDENT_START:
-            j = i
-            while j < n and source[j] in _IDENT_CONT:
-                j += 1
-            text = source[i:j]
-            if j < n and source[j] == ":":
-                toks.append(Token("label", text, start_line, start_col))
-                advance(source[i:j + 1])
-                i = j + 1
-                continue
-            if len(text) > 1 and text[0] == "i" and text[1:].isdigit():
-                toks.append(Token("type", text, start_line, start_col))
-            else:
-                toks.append(Token("keyword", text, start_line, start_col))
-            advance(source[i:j])
-            i = j
-            continue
-        if ch in _PUNCT:
-            toks.append(Token("punct", ch, start_line, start_col))
-            advance(ch)
-            i += 1
-            continue
-        if ch == ":":
+                kind = "keyword"
+        elif kind == "colon":
             # numeric labels arrive as int followed by ':'
-            if toks and toks[-1].kind == "int" and "-" not in toks[-1].text:
-                prev = toks.pop()
-                toks.append(Token("label", prev.text, prev.line, prev.col))
-                advance(ch)
-                i += 1
-                continue
-            raise LexError("unexpected ':'", line, col)
-        raise LexError(f"illegal character {ch!r}", line, col)
+            prev = toks[-1] if toks else None
+            if prev is None or prev.kind != "int" or "-" in prev.text:
+                raise LexError("unexpected ':'", line, col)
+            toks[-1] = Token("label", prev.text, prev.line, prev.col)
+            continue
+        elif kind == "dangling":
+            raise LexError(f"dangling '{text}'", line, col)
+        elif kind == "unterminated":
+            raise LexError("unterminated string", line, col)
+        elif kind == "illegal":
+            raise LexError(f"illegal character {text!r}", line, col)
+        toks.append(Token(kind, text, line, col))
     return toks
 
 
@@ -360,6 +299,13 @@ class _Parser:
             raise ParseError(message)
         raise ParseError(f"{message} (at {tok.text!r})", tok.line, tok.col)
 
+    @staticmethod
+    def number(tok: Token, digits: str) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # longer than int()'s digit limit
+            raise ParseError(f"bad number {tok.text[:40]!r}", tok.line, tok.col) from None
+
     def unsupported(self, message: str, tok: Token | None = None):
         tok = tok or self.peek()
         if tok is None:
@@ -461,7 +407,7 @@ class _Parser:
             if tok.kind == "punct" and tok.text == "<":
                 self.unsupported(f"vector type in {context} is outside the subset", tok)
             self.fail(f"expected an integer type in {context}", tok)
-        width = int(tok.text[1:])
+        width = self.number(tok, tok.text[1:])
         if width not in WIDTHS:
             raise UnsupportedConstructError(
                 f"integer width i{width} in {context} is outside the subset (use i1/i8/i16/i32/i64)",
@@ -485,7 +431,7 @@ class _Parser:
         if tok.kind == "local":
             return Reg(tok.text)
         if tok.kind == "int":
-            value = int(tok.text) % (1 << width_of(kind))
+            value = self.number(tok, tok.text) % (1 << width_of(kind))
             return Const(value)
         if tok.kind == "keyword" and tok.text in ("true", "false"):
             if kind != "i1":

@@ -1,7 +1,7 @@
 """Random generator of supported-subset LLVM functions for differential
 testing: straight-line code, acyclic diamonds with phis, and guarded or
 counted do-while loops shaped like rotated clang output; plus long chains
-of diamonds for the scaling tests.
+of diamonds and of loops for the scaling tests.
 
 Everything is emitted as .ll text so each trial also exercises the lexer
 and parser.  Memory operations stay inside a fixed window so the 32-bit
@@ -348,6 +348,26 @@ def gen_diamond_chain(rng: random.Random, diamonds: int) -> str:
     fn.emit(f"ret i64 {fn.i64_result()}")
     blocks.append(f"{label}:\n" + "\n".join(fn.lines))
     return _HEADER + "\n\n".join(blocks) + "\n}\n"
+
+
+def gen_loop_chain(loops: int) -> str:
+    """@chain(val): `loops` counted loops in a row, each running three
+    times and adding its counter to a running sum, so the result is
+    val + 3 * loops.  Each loop's exit block is the next one's preheader."""
+    lines = ["define i64 @chain(i64 %val) {", "entry:", "  br label %H1"]
+    prev, acc = "entry", "%val"
+    for k in range(1, loops + 1):
+        lines += [f"H{k}:",
+                  f"  %j{k} = phi i64 [ 0, %{prev} ], [ %j{k}.next, %H{k} ]",
+                  f"  %s{k} = phi i64 [ {acc}, %{prev} ], [ %s{k}.next, %H{k} ]",
+                  f"  %s{k}.next = add i64 %s{k}, %j{k}",
+                  f"  %j{k}.next = add i64 %j{k}, 1",
+                  f"  %c{k} = icmp eq i64 %j{k}.next, 3",
+                  f"  br i1 %c{k}, label %X{k}, label %H{k}",
+                  f"X{k}:"]
+        prev, acc = f"X{k}", f"%s{k}.next"
+        lines.append(f"  br label %H{k + 1}" if k < loops else f"  ret i64 {acc}")
+    return "\n".join(lines) + "\n}\n"
 
 
 SHAPES = (gen_straightline, gen_diamond, gen_loop, gen_call)

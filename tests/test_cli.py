@@ -9,7 +9,7 @@ import sys
 from ll2fun import ProgramEvaluator, load_program
 from ll2fun.cli import (
     EXIT_ANALYSIS, EXIT_BUDGET, EXIT_FAULT, EXIT_OK, EXIT_PARSE,
-    EXIT_UNSUPPORTED, main,
+    EXIT_UNSUPPORTED, EXIT_USAGE, main,
 )
 from ll2fun.prims import PRIMS, RUN, STATE
 
@@ -374,3 +374,63 @@ def test_negative_shift_count_exit_13(tmp_path, capsys):
         code, err = _run_fun(tmp_path, f"(update-retval ({op} 64 1 (- 0 x)) st)", capsys)
         assert code == EXIT_FAULT, (op, err)
         assert f"{op}: negative shift count -5" in err
+
+
+# ---------------------------------------------------------------------------
+# Inputs that once ended in a traceback or in argparse's exit 2
+# ---------------------------------------------------------------------------
+
+def _cli(*argv) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "ll2fun.cli", *argv],
+                          capture_output=True, text=True)
+
+
+def test_non_ascii_and_overlong_ll_tokens_exit_10(tmp_path):
+    big = "9" * 5000
+    cases = {
+        "%y = add i64 %x, \u00b2": "illegal character",
+        "%\u00b2 = add i64 %x, 1": "dangling '%'",
+        f"%y = add i64 %x, {big}": "bad number",
+        f"%y = add i64 %x, -{big}": "bad number",
+        f"%y = add i{big} %x, 1": "bad number",
+    }
+    for k, (line, message) in enumerate(cases.items()):
+        src = tmp_path / f"m{k}.ll"
+        src.write_text(f"define i64 @f(i64 %x) {{\n  {line}\n  ret i64 %y\n}}\n",
+                       encoding="utf-8")
+        r = _cli("translate", str(src), "--out", str(tmp_path / "m.fun"))
+        assert r.returncode == EXIT_PARSE, (line[:30], r.stderr[-300:])
+        assert message in r.stderr and "Traceback" not in r.stderr
+
+
+def test_non_ascii_fun_symbol_runs(tmp_path):
+    path = tmp_path / "sym.fun"
+    path.write_text("""(defun _\u00b2 (_\u00b2 st)
+  (declare (xargs :signature ((i64_p stp) stp)))
+  (update-retval (bits (+ _\u00b2 1) 63 0) st))
+""", encoding="utf-8")
+    for extra in ((), ("--no-check",), ("--trace",)):
+        r = _cli("run", str(path), "--entry", "_\u00b2", "--args", "41", *extra)
+        assert r.returncode == EXIT_OK, r.stderr[-300:]
+        assert r.stdout.splitlines()[-1] == "42"
+
+
+def test_usage_errors_exit_15(tmp_path):
+    out = _translate(tmp_path)
+    cases = [
+        (["run", str(out), "--entry", "occurrences", "--args", "abc"], "invalid"),
+        (["run", str(out), "--entry", "occurrences", "--bogus"], "unrecognized"),
+        (["run", str(out)], "required: --entry"),
+        (["run", str(out), "--entry", "occurrences", "--args", "9" * 5000], "invalid"),
+        (["bench", str(out), "--entry", "occurrences"], "required: --instr-per-iter"),
+        (["frobnicate"], "invalid choice"),
+        ([], "required: command"),
+    ]
+    for argv, message in cases:
+        r = _cli(*argv)
+        assert r.returncode == EXIT_USAGE, (argv[:4], r.stderr[-300:])
+        assert "error:" in r.stderr and message in r.stderr, r.stderr[-300:]
+        assert "Traceback" not in r.stderr
+    for argv in (["--help"], ["run", "--help"]):
+        r = _cli(*argv)
+        assert r.returncode == EXIT_OK and "usage:" in r.stdout

@@ -297,6 +297,24 @@ def test_loaded_program_executes():
     assert st.retval == 10
 
 
+def test_non_ascii_symbols_run():
+    """Symbols that are not ASCII identifiers compile to ASCII locals;
+    `_²` and `_٣` sanitize alike, so they get distinct numbered locals."""
+    text = """(defun f² (_² _٣ st)
+  (declare (xargs :signature ((i64_p i64_p stp) stp)))
+  (update-retval (bits (+ (* _² 10) _٣) 63 0) st))
+
+(defun main (x st)
+  (declare (xargs :signature ((i64_p stp) stp)))
+  (f² x 7 st))
+"""
+    ev = ProgramEvaluator(load_program(text))
+    assert ev.source.isascii()
+    for checking in (True, False):
+        result = ev.run("main", (4,), make_state(), checking=checking)
+        assert result.state.retval == 47
+
+
 def test_memory_prims_via_program():
     text = """(defun poke_peek (a st)
   (declare (xargs :signature ((addr_p stp) stp)))

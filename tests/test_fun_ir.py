@@ -1,22 +1,24 @@
 """Translation shapes, emission golden, load/emit fixpoint, validators."""
 
+import functools
 import pathlib
 import random
 import sys
+import time
 
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from llgen import gen_program  # noqa: E402
+from llgen import gen_loop_chain, gen_program  # noqa: E402
 
 from ll2fun import (  # noqa: E402
-    AnalysisError, LoadError, emit_sexpr, load_program, parse_text,
+    AnalysisError, LoadError, emit_sexpr, eval_def, load_program, make_state, parse_text,
     translate_function, translate_module, validate_program,
 )
 from ll2fun.fun_ir import (  # noqa: E402
     Call, Const, FunProgram, If, LetStar, Metlist, Mvlist, Prim, Var,
-    emit_def, free_vars, validate_clique,
+    _read_sexprs, emit_def, free_vars, validate_clique,
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -290,6 +292,59 @@ def test_loader_rejects_bad_numbers():
         with pytest.raises(LoadError, match="bad number"):
             load_program(f"(defun f (st) (declare (xargs :signature ((stp) stp))) "
                          f"(update-retval {atom} st))")
+
+
+# Each reader input with the forms or the LoadError text it gives.
+_READER_CASES = [
+    ("(a\t(b 12)\r\n c) ; end", [["a", ["b", 12], "c"]]),
+    ("(a) ; comment at EOF", [["a"]]),
+    ("(a ;(b)\n c)", [["a", "c"]]),
+    ("(" * 64 + ")" * 64, functools.reduce(lambda inner, _: [inner], range(64), [])),
+    ("(" * 65, "line 1: forms nest deeper than 64 levels"),
+    ("x", "line 1: atom 'x' outside any form"),
+    ("\n\n(a)\n b", "line 4: atom 'b' outside any form"),
+    ("\n 007 x", "line 2: atom '007' outside any form"),
+    ("\n\u00b2", "line 2: bad number '\u00b2'"),  # a bad number outside a form
+    ("(\n\u00b2)", "line 2: bad number '\u00b2'"),
+    ("(\n" + "9" * 5000 + ")", "line 2: bad number '" + "9" * 40 + "'"),
+    ("(a))", "line 1: unbalanced ')'"),
+    ("\r\n\r\n)", "line 3: unbalanced ')'"),
+    ("(a\n(b", "unbalanced '(' at end of input"),
+]
+
+
+def test_reader_edge_cases():
+    for text, want in _READER_CASES:
+        if isinstance(want, list):
+            assert _read_sexprs(text) == want, text
+        else:
+            with pytest.raises(LoadError) as err:
+                _read_sexprs(text)
+            assert str(err.value) == want, text
+
+
+def _load_cpu_s(text: str) -> float:
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.process_time()
+        load_program(text)
+        best = min(best, time.process_time() - t0)
+    return best
+
+
+def test_load_is_linear_in_loop_count():
+    """Loading 4K sequential loops costs at most 6x the CPU time of K loops
+    (linear: 4x), and the loader finds the translator's loops."""
+    programs = {n: translate_module(parse_text(gen_loop_chain(n))) for n in (40, 160)}
+    texts = {n: emit_sexpr(p) for n, p in programs.items()}
+    small, large = _load_cpu_s(texts[40]), _load_cpu_s(texts[160])
+    assert large <= 6 * small, (small, large)
+    for n, program in programs.items():
+        assert len(program.cliques) == n
+        loaded = load_program(texts[n])
+        assert loaded.cliques == program.cliques
+        _, st = eval_def(loaded, "chain", (5,), make_state())
+        assert st.retval == 5 + 3 * n
 
 
 def test_loader_accepts_plain_let():

@@ -55,6 +55,38 @@ def test_tokenize_illegal_character_position():
     assert err.value.line == 2 and err.value.col == 7
 
 
+# Each lexer input with its (kind, text, line, col) tokens or LexError text.
+_LEXER_CASES = [
+    ("\tadd\ti64 %x,\t7", [("keyword", "add", 1, 2), ("type", "i64", 1, 6),
+                             ("local", "x", 1, 10), ("punct", ",", 1, 12), ("int", "7", 1, 14)]),
+    ("a\r\nb\r\n  %c", [("keyword", "a", 1, 1), ("keyword", "b", 2, 1), ("local", "c", 3, 3)]),
+    ("ret i64 0 ; end", [("keyword", "ret", 1, 1), ("type", "i64", 1, 5), ("int", "0", 1, 9)]),
+    ("1 ;c\n :", [("label", "1", 1, 1)]),
+    ("3:4:", [("label", "3", 1, 1), ("label", "4", 1, 3)]),
+    ("i64: i1x i", [("label", "i64", 1, 1), ("keyword", "i1x", 1, 6), ("keyword", "i", 1, 10)]),
+    ("#0 !7 !dbg", [("metadata", "#0", 1, 1), ("metadata", "7", 1, 4), ("metadata", "dbg", 1, 7)]),
+    ("-1:", "1:3: unexpected ':'"),
+    ("%", "1:1: dangling '%'"),
+    ("@ f", "1:1: dangling '@'"),
+    ("x - 1", "1:3: dangling '-'"),
+    ('"abc\n"', "1:1: unterminated string"),
+    ('x "abc', "1:3: unterminated string"),
+    # digits outside ASCII are not digits
+    ("%y = add i64 %x, \u00b2", "1:18: illegal character '\u00b2'"),
+    ("%\u0663 = add", "1:1: dangling '%'"),
+]
+
+
+def test_tokenize_edge_cases():
+    for source, want in _LEXER_CASES:
+        if isinstance(want, list):
+            assert [(t.kind, t.text, t.line, t.col) for t in tokenize(source)] == want, source
+        else:
+            with pytest.raises(LexError) as err:
+                tokenize(source)
+            assert str(err.value) == want, source
+
+
 # ---------------------------------------------------------------------------
 # Mangling
 # ---------------------------------------------------------------------------
@@ -349,6 +381,51 @@ def test_rejection_is_total_on_garbage():
             parse_text(junk)
         except Ll2FunError:
             pass
+
+
+def test_integer_literals_past_the_digit_limit_are_parse_errors():
+    big = "9" * 5000
+    for operand in (big, "-" + big):
+        with pytest.raises(ParseError, match="bad number") as err:
+            parse_text(f"define i64 @f(i64 %x) {{\n  %y = add i64 %x, {operand}\n"
+                       "  ret i64 %y\n}\n")
+        assert (err.value.line, err.value.col) == (2, 20)
+    with pytest.raises(ParseError, match="bad number"):
+        parse_text(f"define i64 @f(i64 %x) {{\n  %y = add i{big} %x, 1\n  ret i64 %y\n}}\n")
+
+
+def test_token_mutants_end_in_package_errors():
+    """Token-level mutants of generated programs, with non-ASCII digits and
+    overlong digit runs among the inserted tokens, go through parse,
+    translate, emit, load and a budgeted run; every failure is a package
+    error."""
+    import random
+    from llgen import gen_program, gen_state_args
+    from ll2fun import (
+        Ll2FunError, ProgramEvaluator, emit_sexpr, load_program, make_state, translate_module,
+    )
+    rng = random.Random(77)
+    alphabet = ["\u00b2", "\u0663", "%\u0663", "1\u00b2", "9" * 4400, "-" + "9" * 4400,
+                "i" + "9" * 4400, "0", "-1", "%x", "i64", ":", ",", "=", "*", "\t", "\r\n"]
+    outcomes = set()
+    for _ in range(300):
+        words = gen_program(rng).split(" ")
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(len(words))
+            if rng.random() < 0.7:
+                words[k] = rng.choice(alphabet)
+            else:
+                del words[k]
+        try:
+            program = load_program(emit_sexpr(translate_module(parse_text(" ".join(words)))))
+            entry = program.defs[-1]
+            args, mem = gen_state_args(rng)
+            ProgramEvaluator(program).run(entry.name, args[:len(entry.params) - 1],
+                                          make_state(mem=mem), budget=1000)
+            outcomes.add("ok")
+        except Ll2FunError as e:
+            outcomes.add(type(e).__name__)
+    assert {"ok", "LexError", "ParseError"} <= outcomes, outcomes
 
 
 def test_roundtrip_synthetic_kitchen_sink():
