@@ -25,7 +25,7 @@ from .state import (
     storebytes, update_retval, wr_n,
 )
 from .prims import PRIMS, bits
-from .evaluator import ProgramEvaluator, eval_def, run_with_budget
+from .evaluator import ProgramEvaluator, eval_def
 from .llvm_interp import interp_function
 from .oracle import (
     check_occurrences_equiv, liftlist, occurlist, occurrences_spec,

@@ -23,6 +23,7 @@ from .errors import (
 from .evaluator import ProgramEvaluator
 from .fun_ir import emit_sexpr, load_program_file, translate_module
 from .ll_parser import parse_file, resolve_aliases
+from .prims import decimal
 from .ssa import analysis_report, analyze_function
 from .state import MachineState, load_memory_image
 
@@ -36,7 +37,10 @@ EXIT_USAGE = 15
 
 
 def _natural(text: str) -> int:
-    value = int(text, 0)
+    try:
+        value = int(text, 0)
+    except ValueError:  # not a numeral, or past int()'s digit limit
+        raise argparse.ArgumentTypeError(f"invalid number {text[:40]!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError("expected a natural number")
     return value
@@ -95,8 +99,6 @@ def make_parser() -> argparse.ArgumentParser:
 
 def _initial_state(args) -> MachineState:
     mem = load_memory_image(args.mem_image) if args.mem_image else {}
-    if args.stack >= (1 << 32) or args.frame >= (1 << 32):
-        raise EvalFault("stack/frame must fit in 32 bits")
     return MachineState(retval=0, stack=args.stack, frame=args.frame, mem=mem)
 
 
@@ -124,7 +126,7 @@ def cmd_run(args) -> int:
     result = ev.run(args.entry, tuple(args.args), st,
                     checking=not args.no_check, budget=args.budget,
                     trace=args.trace)
-    print(result.state.retval)
+    print(decimal(result.state.retval))
     if args.trace:
         written = sorted(set(st.mem) ^ set(result.state.mem)
                          | {a for a in st.mem if st.mem.get(a) != result.state.mem.get(a)})
@@ -157,7 +159,7 @@ def cmd_bench(args) -> int:
     rate, elapsed, iters, retval = best
     print(f"best: {rate:,.0f} instructions/second "
           f"({iters} x {args.instr_per_iter} instructions in {elapsed:.3f} s, "
-          f"retval {retval})")
+          f"retval {decimal(retval)})")
     return EXIT_OK
 
 

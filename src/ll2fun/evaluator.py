@@ -26,9 +26,9 @@ namespace globals (`_hook`, `_checking`, `_trace`, `_limit`):
 * a loop counts its iterations in `_it`, which the budget is tested
   against, and in a local that it adds to `_per_while` when it exits; it
   checks the step's results inline with the `Kind.test` expressions of
-  `prims.KINDS`, the same predicates `Kind.check` evaluates; a traced run
-  takes the loop's unfused form, which calls the step as a definition,
-  so the trace shows every step entry and exit.
+  `prims.KINDS`, the same predicates `Kind.check` evaluates; in a traced
+  run it prints the step's entry and exit lines itself, so every run
+  mode takes the one fused loop.
 
 Each primitive compiles through its row in `prims.PRIMS`: a format
 string inlined into the source, or a call of the row's reference
@@ -57,10 +57,9 @@ from functools import lru_cache
 
 from .errors import BudgetExhausted, EvalFault, SignatureViolation
 from .fun_ir import (
-    Call, Const, FunDef, FunProgram, If, LetStar, Metlist, Mvlist, Prim, Var,
-    _while_shape, children,
+    Call, Const, FunDef, FunProgram, If, LetStar, Metlist, Mvlist, Prim, Var, children,
 )
-from .prims import KINDS, PRIMS, STATE
+from .prims import KINDS, PRIMS, STATE, decimal
 from . import state as st_mod
 from .state import ADDR_LIMIT, MachineState
 
@@ -192,14 +191,14 @@ def _unproven_args(program: FunProgram) -> dict[str, list[int]]:
             if type(child) is not Var:
                 visit(child, env)
 
+    step_of = {c.while_def: c.step_def for c in program.cliques}
     for d in program.defs:
-        shape = _while_shape(d)
-        if shape is None:
+        if d.name not in step_of:
             visit(d.body, {n: _KIND_FACTS[k] for n, k in d.params})
             continue
         # a loop passes its step the while's arguments, then the step's
         # own checked results; the while's body is not compiled as written
-        step = by_name[shape[0]]
+        step = by_name[step_of[d.name]]
         for i, want in enumerate(wants[step.name]):
             if not (_within(_KIND_FACTS[d.params[i][1]], want)
                     and _within(_KIND_FACTS[step.result_kinds[i]], want)):
@@ -233,7 +232,7 @@ def _call_sites(e, tail: bool = True):
                  if type(child) is not Var]
 
 
-def _region_roots(program: FunProgram, shapes: list) -> tuple[list[int], list[list[int]]]:
+def _region_roots(program: FunProgram, loops: list) -> tuple[list[int], list[list[int]]]:
     """The root of each definition's region, and each definition's callers.
     A non-while definition joins its callers' region when every call of it
     is a tail call from a later non-while definition and all its callers
@@ -243,16 +242,16 @@ def _region_roots(program: FunProgram, shapes: list) -> tuple[list[int], list[li
     index = {d.name: k for k, d in enumerate(defs)}
     sites: list[list[tuple[int, bool]]] = [[] for _ in defs]
     for k, d in enumerate(defs):
-        if shapes[k] is None:
+        if loops[k] is None:
             calls = _call_sites(d.body)
         else:
-            step = program.by_name[shapes[k][0]]
+            step = program.by_name[loops[k]]
             calls = [(step.name, False)] + [(c, False) for c, _ in _call_sites(step.body)]
         for callee, tail in calls:
             sites[index[callee]].append((k, tail))
     root = list(range(len(defs)))
     for k in reversed(range(len(defs))):  # a definition's callers come later
-        if (sites[k] and shapes[k] is None and all(tail and p > k for p, tail in sites[k])
+        if (sites[k] and loops[k] is None and all(tail and p > k for p, tail in sites[k])
                 and len({root[p] for p, _ in sites[k]}) == 1):
             root[k] = root[sites[k][0][0]]
     return root, [[p for p, _ in s] for s in sites]
@@ -270,12 +269,12 @@ class _Codegen:
         defs = program.defs
         self.fn_names = {d.name: f"d{i}_{_sanitize(d.name)}" for i, d in enumerate(defs)}
         self.index = {d.name: i for i, d in enumerate(defs)}
-        self.shapes = [_while_shape(d) for d in defs]
-        self.root, self.callers = _region_roots(program, self.shapes)
+        step_of = {c.while_def: c.step_def for c in program.cliques}
+        self.loops = [step_of.get(d.name) for d in defs]  # a while def's step, else None
+        self.root, self.callers = _region_roots(program, self.loops)
         self.regions: dict[int, list[int]] = {k: [] for k, r in enumerate(self.root) if k == r}
         for k in reversed(range(len(defs))):  # root first, then its members
             self.regions[self.root[k]].append(k)
-        self.steps: dict[int, int] = {}                # while def -> its step def
         self.unproven = _unproven_args(program)
         self.lines: list[str] = []
         self.finish = None
@@ -453,26 +452,28 @@ class _Codegen:
                               f"{', '.join(v for _, v in pending)}")
 
     def loop(self, k: int, d: FunDef, step: FunDef, env: dict[str, str]):
-        s = self.steps[k] = self.index[step.name]
+        """While def k as one loop with the step's body inlined, which a
+        traced run shows as a call of the step."""
+        s = self.index[step.name]
         frame = [env[n] for n in d.param_names]
         args = ", ".join(frame)
         kinds = [kind for _, kind in step.params]
         recheck = self.unproven[step.name]
-        head = [f"while {frame[0]} != 1:", "    _c += 1", "    _it[0] += 1",
-                f"    if _it[0] > _limit: _exhaust({k})"]
-        self.lines += ["    _c = 0", "    _chk = _checking", "    try:", "        if _trace:"]
-        self.lines += ["            " + line for line in head]
-        self.lines += [f"                {args} = {self.fn_names[step.name]}({args})",
-                       "        else:"] + ["            " + line for line in head]
+        self.lines += ["    _c = 0", "    _chk = _checking", "    _tr = _trace", "    try:",
+                       f"        while {frame[0]} != 1:",
+                       f"            if _tr: _show('->', {s}, ({args},))",
+                       "            _c += 1", "            _it[0] += 1",
+                       f"            if _it[0] > _limit: _exhaust({k}, _limit)"]
         if recheck:
-            self.lines.append(f"                if _chk and not ({_tests(frame, kinds, recheck)}): "
+            self.lines.append(f"            if _chk and not ({_tests(frame, kinds, recheck)}): "
                               f"_bad({s}, ({args},), 'argument')")
         self.assigned = set()
         self.finish = self.next_frame(step, s, frame)
         self.fused = True
-        self.tail(step.body, dict(env), " " * 16)
+        self.tail(step.body, dict(env), " " * 12)
         self.fused = False
-        self.lines += ["    finally:",
+        self.lines += [f"            if _tr: _show('<-', {s}, ({args},))",
+                       "    finally:",
                        f"        if _c: _per_while[{d.name!r}] = _per_while.get({d.name!r}, 0) + _c"]
         self.result(frame[1:], None, env, "    ")
 
@@ -486,8 +487,8 @@ class _Codegen:
     def section(self, k: int, indent: str):
         d = self.program.defs[k]
         env = {name: local for (name, _), local in zip(d.params, self.param_locals[k])}
-        if self.shapes[k] is not None:
-            self.loop(k, d, self.program.by_name[self.shapes[k][0]], env)
+        if self.loops[k] is not None:
+            self.loop(k, d, self.program.by_name[self.loops[k]], env)
         else:
             self.finish = self.result
             self.tail(d.body, env, indent)
@@ -555,67 +556,44 @@ class RunResult:
     per_while: dict[str, int]
 
 
-@dataclass
-class BudgetOutcome:
-    completed: bool
-    result: RunResult | None
-    iterations: int
-    per_while: dict[str, int]
-
-    def report(self) -> str:
-        if self.completed:
-            return f"completed within budget ({self.iterations} loop iterations)"
-        lines = ["budget exhausted; non-termination suspected",
-                 f"  total loop iterations: {self.iterations}"]
-        for name, count in sorted(self.per_while.items()):
-            lines.append(f"  {name}: {count}")
-        return "\n".join(lines)
-
-
 def _state_text(v) -> str:
     if isinstance(v, MachineState):
-        return (f"(st retval={v.retval} stack={v.stack:#x} frame={v.frame:#x} "
+        return (f"(st retval={decimal(v.retval)} stack={v.stack:#x} frame={v.frame:#x} "
                 f"mem/{len(v.mem)})")
-    return str(v)
+    return decimal(v)
 
 
 class _Hooks:
     """What the emitted hook lines call in a checked or traced run: the
     entry and the exits of definitions, with their trace lines and
-    signature checks, the report of a check that failed inside a fused
-    loop, and budget exhaustion.  `ProgramEvaluator.run` sets the mode
-    fields before each run."""
+    signature checks, a fused loop's trace lines and the report of a
+    check that failed inside it, and budget exhaustion.
+    `ProgramEvaluator.run` sets the mode fields before each run."""
 
     def __init__(self, program: FunProgram, gen: _Codegen):
         self.defs = program.defs
         self.param_locals = gen.param_locals
-        self.steps = gen.steps
         self.unproven = [gen.unproven[d.name] for d in program.defs]
         self.param_kinds = [[kind for _, kind in d.params] for d in program.defs]
         self.checking = self.trace = False
-        self.budget: int | None = None
         self.out: io.TextIOBase | None = None
 
     def show(self, arrow: str, k: int, values):
         print(f"{arrow} {self.defs[k].name} " + " ".join(_state_text(v) for v in values),
               file=self.out)
 
-    def args(self, k: int, frame) -> tuple:
-        """Definition k's arguments, read from the frame of the compiled
-        function that runs it, where its parameters have the locals
-        `param_locals[k]`."""
-        frame_locals = frame.f_locals
-        return tuple([frame_locals[n] for n in self.param_locals[k]])
-
     def enter(self, k: int, path: list, *values) -> list:
         """A hooked run enters definition k, at the top of its function or
         of its section in a region's function.  k joins the path whose
         exits the function's return runs; a traced run shows k's
         arguments, and a checked run checks values, the arguments at k's
-        unproven positions."""
+        unproven positions.  The arguments a trace shows are read from the
+        caller's frame, where k's parameters are the locals
+        `param_locals[k]`."""
         path.append(k)
         if self.trace:
-            self.show("->", k, self.args(k, sys._getframe(1)))
+            frame_locals = sys._getframe(1).f_locals
+            self.show("->", k, [frame_locals[n] for n in self.param_locals[k]])
         if values and self.checking:
             self.check(k, values, "argument", self.unproven[k])
         return path
@@ -656,11 +634,9 @@ class _Hooks:
         self.check(k, values, what)
         raise AssertionError(f"inline {what} check of {self.defs[k].name} disagrees with KINDS")
 
-    def exhaust(self, k: int):
+    def exhaust(self, k: int, budget: int):
         """The budget ran out at the top of an iteration of while def k."""
-        if self.trace:  # the step call that the budget stops was entered
-            self.show("->", self.steps[k], self.args(k, sys._getframe(1)))
-        raise BudgetExhausted(f"step budget of {self.budget} exhausted in {self.defs[k].name}")
+        raise BudgetExhausted(f"step budget of {budget} exhausted in {self.defs[k].name}")
 
 
 class ProgramEvaluator:
@@ -671,6 +647,8 @@ class ProgramEvaluator:
     the run mode (checking, budget, trace) in that namespace and calls the
     entry; every mode runs the same compiled functions.  `regions` names,
     for each compiled function, the definitions it runs: its root first.
+    The program's loops are its `cliques`, which `validate_program` sets
+    on every translated or loaded program.
 
     Programs are immutable and freely shareable, and so are states outside
     a run.  An evaluator, however, owns mutable iteration counters and the
@@ -691,7 +669,8 @@ class ProgramEvaluator:
         memory = st_mod.RunMemory()
         self._ns = dict(_NAMESPACE, _memory=memory, _store_word=memory.store_word,
                         _storebytes=memory.storebytes, _enter=hooks.enter,
-                        _leave=hooks.leave, _bad=hooks.bad, _exhaust=hooks.exhaust,
+                        _leave=hooks.leave, _show=hooks.show, _bad=hooks.bad,
+                        _exhaust=hooks.exhaust,
                         _it=[0], _per_while={}, _hook=False, _checking=False,
                         _trace=False, _limit=_NO_LIMIT)
         # compile's memory grows with the text compiled at once, so the pieces
@@ -725,8 +704,7 @@ class ProgramEvaluator:
         if budget is not None and budget <= 0:
             raise EvalFault("budget must be positive")
         ns, hooks, k = self._ns, self._hooks, self._index[name]
-        hooks.checking, hooks.trace, hooks.budget = checking, trace, budget
-        hooks.out = self.trace_out
+        hooks.checking, hooks.trace, hooks.out = checking, trace, self.trace_out
         ns.update(_hook=checking or trace, _checking=checking, _trace=trace,
                   _limit=_NO_LIMIT if budget is None else budget)
         it, per_while = ns["_it"], ns["_per_while"]
@@ -765,14 +743,3 @@ def eval_def(program: FunProgram, name: str, args: tuple, st: MachineState, *,
                                         budget=budget, trace=trace)
     return res.values, res.state
 
-
-def run_with_budget(program: FunProgram, name: str, args: tuple, st: MachineState,
-                    budget: int | None, *, checking: bool = True) -> BudgetOutcome:
-    """Like eval_def but budget exhaustion becomes a report, not an error."""
-    try:
-        res = ProgramEvaluator(program).run(name, tuple(args), st, checking=checking,
-                                            budget=budget)
-    except BudgetExhausted as e:
-        total = sum(e.counts.values())
-        return BudgetOutcome(False, None, total, dict(e.counts))
-    return BudgetOutcome(True, res, res.iterations, res.per_while)

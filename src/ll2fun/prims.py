@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from decimal import Decimal
 from functools import cached_property
 from typing import Callable
 
@@ -71,6 +72,16 @@ KINDS = {
 SORT_OF_KIND = {name: kind.sort for name, kind in KINDS.items()}
 
 
+def decimal(n: int) -> str:
+    """n in decimal, however many digits.  `str` refuses an int past
+    `sys.get_int_max_str_digits()` digits, a limit left on for the readers
+    of input; `Decimal` converts and prints without it."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def bits(x: int, h: int, l: int) -> int:
     """floor(x / 2^l) mod 2^(h-l+1): the bit slice [h..l], total on integers."""
     if h < l or l < 0:
@@ -85,19 +96,19 @@ def to_signed(x: int, w: int) -> int:
 
 def shl(w: int, a: int, b: int) -> int:
     if b < 0:
-        raise EvalFault(f"shl: negative shift count {b}")
+        raise EvalFault(f"shl: negative shift count {decimal(b)}")
     return (a << b) & ((1 << w) - 1) if b < w else 0
 
 
 def lshr(w: int, a: int, b: int) -> int:
     if b < 0:
-        raise EvalFault(f"lshr: negative shift count {b}")
+        raise EvalFault(f"lshr: negative shift count {decimal(b)}")
     return a >> b if b < w else 0
 
 
 def ashr(w: int, a: int, b: int) -> int:
     if b < 0:
-        raise EvalFault(f"ashr: negative shift count {b}")
+        raise EvalFault(f"ashr: negative shift count {decimal(b)}")
     if b >= w:
         return 0
     return (to_signed(a, w) >> b) & ((1 << w) - 1)

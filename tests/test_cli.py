@@ -6,6 +6,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 from ll2fun import ProgramEvaluator, load_program
 from ll2fun.cli import (
     EXIT_ANALYSIS, EXIT_BUDGET, EXIT_FAULT, EXIT_OK, EXIT_PARSE,
@@ -430,7 +432,63 @@ def test_usage_errors_exit_15(tmp_path):
         r = _cli(*argv)
         assert r.returncode == EXIT_USAGE, (argv[:4], r.stderr[-300:])
         assert "error:" in r.stderr and message in r.stderr, r.stderr[-300:]
-        assert "Traceback" not in r.stderr
+        assert "Traceback" not in r.stderr and len(r.stderr) < 500, r.stderr[-300:]
     for argv in (["--help"], ["run", "--help"]):
         r = _cli(*argv)
         assert r.returncode == EXIT_OK and "usage:" in r.stdout
+
+
+# ---------------------------------------------------------------------------
+# Values past str()'s digit limit, and state pointers past 32 bits
+# ---------------------------------------------------------------------------
+
+def _cube_fun(tmp_path, result_kinds: str, body: str) -> str:
+    path = tmp_path / "cube.fun"
+    path.write_text(f"""(defun cube (x st)
+  (declare (xargs :signature ((natp stp) {result_kinds})))
+  {body})
+""")
+    return str(path)
+
+
+def test_huge_naturals_print_in_full(tmp_path, capsys):
+    """x**3 for a 2001-digit x has 6001 digits, past str()'s default limit
+    of 4300: run, bench and the trace print every digit, and a checked
+    run's violation and a shift's fault report it; the limit itself stays
+    set, so the readers still reject overlong numerals."""
+    limit = sys.get_int_max_str_digits()
+    x, cube = "1" + "0" * 2000, "1" + "0" * 6000
+    path = _cube_fun(tmp_path, "stp", "(update-retval (* x (* x x)) st)")
+    assert main(["run", path, "--entry", "cube", "--args", x]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [cube]
+    assert main(["bench", path, "--entry", "cube", "--args", x, "--instr-per-iter", "1"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith(f"retval {cube})\n")
+    assert main(["run", path, "--entry", "cube", "--args", x, "--trace"]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2].startswith(f"<- cube (st retval={cube} stack=") and out[-1] == cube
+
+    path = _cube_fun(tmp_path, "i64_p stp", "(mvlist (* x (* x x)) st)")
+    assert main(["run", path, "--entry", "cube", "--args", x]) == EXIT_FAULT
+    err = capsys.readouterr().err
+    assert f"cube: result 1 fails i64 (got {cube}) [def cube]" in err
+    assert "Traceback" not in err
+    path = _cube_fun(tmp_path, "stp", "(update-retval (shl 64 1 (- 0 (* x (* x x)))) st)")
+    assert main(["run", path, "--entry", "cube", "--args", x, "--no-check"]) == EXIT_FAULT
+    err = capsys.readouterr().err
+    assert f"shl: negative shift count -{cube}" in err and "Traceback" not in err
+    assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(SystemExit) as usage:
+        main(["run", path, "--entry", "cube", "--args", "9" * 5000])
+    assert usage.value.code == EXIT_USAGE
+    assert "invalid number '9999" in capsys.readouterr().err
+
+
+def test_stack_past_32_bits_exit_13(tmp_path, capsys):
+    out = _translate(tmp_path)
+    capsys.readouterr()
+    for flag in ("--stack", "--frame"):
+        code = main(["run", str(out), "--entry", "occurrences", "--args", "399", "8", "0x8000",
+                     "--mem-image", MEM, flag, "0x100000000"])
+        err = capsys.readouterr().err
+        assert code == EXIT_FAULT, err
+        assert "outside 32-bit address space" in err and "Traceback" not in err

@@ -12,7 +12,7 @@ import pytest
 
 from ll2fun import (
     BudgetExhausted, EvalFault, SignatureViolation, bits, emit_sexpr, eval_def,
-    load_program, make_state, run_with_budget,
+    load_program, make_state,
 )
 from ll2fun import evaluator
 from ll2fun.evaluator import ProgramEvaluator
@@ -213,23 +213,21 @@ def test_deterministic_results(occurrences_program, array_state):
 # ---------------------------------------------------------------------------
 
 def test_budget_allows_completion(occurrences_program, array_state):
-    outcome = run_with_budget(occurrences_program, "occurrences",
-                              (399, 8, 0x8000), array_state, budget=10**6)
-    assert outcome.completed
-    assert outcome.iterations == 8
-    assert outcome.result.state.retval == 3
+    res = ProgramEvaluator(occurrences_program).run(
+        "occurrences", (399, 8, 0x8000), array_state, budget=10**6)
+    assert res.iterations == 8
+    assert res.per_while == {"occurrences_step_0_while": 8}
+    assert res.state.retval == 3
 
 
 def test_budget_exhaustion_reports_per_while_counts(occurrences_program, array_state):
     # n with zero low 32 bits but a nonzero high part never matches the
     # 32-bit exit compare: the loop cannot terminate
-    outcome = run_with_budget(occurrences_program, "occurrences",
-                              (0, 1 << 32, 0x8000), array_state,
-                              budget=1000, checking=False)
-    assert not outcome.completed
-    assert outcome.per_while == {"occurrences_step_0_while": 1001}
-    assert outcome.iterations == 1001
-    assert "non-termination" in outcome.report()
+    with pytest.raises(BudgetExhausted) as err:
+        ProgramEvaluator(occurrences_program).run(
+            "occurrences", (0, 1 << 32, 0x8000), array_state, budget=1000, checking=False)
+    assert err.value.counts == {"occurrences_step_0_while": 1001}
+    assert str(err.value) == "step budget of 1000 exhausted in occurrences_step_0_while"
 
 
 def test_budget_error_without_wrapper(occurrences_program, array_state):

@@ -9,6 +9,7 @@ literals were recorded from the evaluator that wrapped the compiled
 functions in checking, budget and trace closures; the single compiled
 source must reproduce them."""
 
+import hashlib
 import io
 import pathlib
 import random
@@ -208,7 +209,9 @@ PINNED = {
 MODES = ((True, False), (False, False), (True, True), (False, True))  # checking, budgeted
 
 
-def _outcome(text, entry, args, mem, checking, budget, trace):
+def _outcome(text, entry, args, mem, checking, budget, trace, whole=False):
+    """The run's outcome and (trace lines, last line up to its state), or
+    with whole the trace text itself."""
     ev = ProgramEvaluator(load_program(text))
     ev.trace_out = out = io.StringIO()
     try:
@@ -220,6 +223,8 @@ def _outcome(text, entry, args, mem, checking, budget, trace):
     except EvalFault as e:
         assert str(e).endswith(f" [{e.context}]")
         res = (type(e).__name__, str(e))
+    if whole:
+        return res, out.getvalue()
     lines = out.getvalue().splitlines()
     return res, (len(lines), lines[-1].split(" (st ")[0] if lines else "")
 
@@ -233,6 +238,132 @@ def test_outcomes_match_pinned_table(case):
         got, _ = _outcome(text, entry, args, mem, checking, limit, False)
         assert got == expected, (case, checking, limit)
         assert _outcome(text, entry, args, mem, checking, limit, True) == (expected, trace), \
+            (case, checking, limit, "traced")
+
+
+# ---------------------------------------------------------------------------
+# A loop whose step ends in a diamond
+# ---------------------------------------------------------------------------
+
+# the step branches to left or right, and both tail call latch: the loop
+# calls them as definitions, so their trace lines come between the step's
+# entry and exit lines
+ALT_LL = """\
+define i64 @alt(i32 %n, i64 %k) {
+  %g = icmp eq i32 %n, 0
+  br i1 %g, label %exit, label %header
+
+header:
+  %i = phi i64 [ %i.next, %latch ], [ 0, %0 ]
+  %acc = phi i64 [ %acc.next, %latch ], [ 1, %0 ]
+  %bit = and i64 %i, 1
+  %odd = icmp eq i64 %bit, 1
+  br i1 %odd, label %left, label %right
+
+left:
+  %a.l = add i64 %acc, %k
+  br label %latch
+
+right:
+  %a.r = mul i64 %acc, 3
+  br label %latch
+
+latch:
+  %acc.next = phi i64 [ %a.l, %left ], [ %a.r, %right ]
+  %i.next = add i64 %i, 1
+  %i.32 = trunc i64 %i.next to i32
+  %fin = icmp eq i32 %i.32, %n
+  br i1 %fin, label %exit, label %header
+
+exit:
+  %r = phi i64 [ 1, %0 ], [ %acc.next, %latch ]
+  ret i64 %r
+}
+"""
+ALT = emit_sexpr(translate_module(parse_text(ALT_LL)))
+ALT_STEP_SIG = "((natp i64_p i64_p i64_p i32_p stp) natp i64_p i64_p i64_p i32_p stp)"
+# acc as i8: a step result fails once acc passes 255
+ALT_I8 = _variant(ALT, ALT_STEP_SIG, ALT_STEP_SIG.replace("i64_p i64_p i64_p", "i64_p i8_p i64_p"))
+# k as i8: the step's first entry fails when k is 300
+ALT_K8 = _variant(ALT, ALT_STEP_SIG, ALT_STEP_SIG.replace("i64_p i64_p i64_p", "i64_p i64_p i8_p"))
+# a negative shift count in the left arm, at i = 5
+ALT_SHL = _variant(ALT, "(a_dot_l (bits (+ acc k) 63 0))",
+                   "(a_dot_l (bits (+ acc (shl 64 k (- 4 i))) 63 0))")
+
+# case: (program, args of alt, budget of the budgeted runs)
+ALT_CASES = {
+    "alt_ok": (ALT, (6, 7), 6),
+    "alt_b3": (ALT, (6, 7), 3),
+    "alt_i8": (ALT_I8, (9, 7), 3),
+    "alt_i8_b8": (ALT_I8, (9, 7), 8),
+    "alt_k8": (ALT_K8, (6, 300), 2),
+    "alt_shl": (ALT_SHL, (9, 7), 5),
+    "alt_shl_b6": (ALT_SHL, (9, 7), 6),
+}
+
+# case: for each of MODES, the outcome and, of the traced run, (trace
+# lines, last line up to its state, the first 16 hex digits of the
+# trace text's sha256); recorded from the evaluator whose traced loops
+# called the step as a definition
+ALT_PINNED = {
+    'alt_ok': (
+        (('value', 118, 6), (48, '<- alt', '784cebe519bd8df8')),
+        (('value', 118, 6), (48, '<- alt', '784cebe519bd8df8')),
+        (('value', 118, 6), (48, '<- alt', '784cebe519bd8df8')),
+        (('value', 118, 6), (48, '<- alt', '784cebe519bd8df8')),
+    ),
+    'alt_b3': (
+        (('value', 118, 6), (48, '<- alt', '784cebe519bd8df8')),
+        (('value', 118, 6), (48, '<- alt', '784cebe519bd8df8')),
+        (('budget', 'step budget of 3 exhausted in alt_step_0_while', {'alt_step_0_while': 4}), (23, '-> alt_step_0 0 3 30 7 6', '58d9d1000b2c9192')),
+        (('budget', 'step budget of 3 exhausted in alt_step_0_while', {'alt_step_0_while': 4}), (23, '-> alt_step_0 0 3 30 7 6', '58d9d1000b2c9192')),
+    ),
+    'alt_i8': (
+        (('SignatureViolation', 'alt_step_0: result 3 fails i8 (got 354) [def alt_step_0]'), (45, '<- alt_right 0 7 354 7 9', 'da5b205dae0c04a8')),
+        (('value', 1083, 9), (66, '<- alt', '37ed96e9360fe1f0')),
+        (('budget', 'step budget of 3 exhausted in alt_step_0_while', {'alt_step_0_while': 4}), (23, '-> alt_step_0 0 3 30 7 9', 'cfdd89187feb48e3')),
+        (('budget', 'step budget of 3 exhausted in alt_step_0_while', {'alt_step_0_while': 4}), (23, '-> alt_step_0 0 3 30 7 9', 'cfdd89187feb48e3')),
+    ),
+    'alt_i8_b8': (
+        (('SignatureViolation', 'alt_step_0: result 3 fails i8 (got 354) [def alt_step_0]'), (45, '<- alt_right 0 7 354 7 9', 'da5b205dae0c04a8')),
+        (('value', 1083, 9), (66, '<- alt', '37ed96e9360fe1f0')),
+        (('SignatureViolation', 'alt_step_0: result 3 fails i8 (got 354) [def alt_step_0]'), (45, '<- alt_right 0 7 354 7 9', 'da5b205dae0c04a8')),
+        (('budget', 'step budget of 8 exhausted in alt_step_0_while', {'alt_step_0_while': 9}), (53, '-> alt_step_0 0 8 361 7 9', 'b77cf42a22063054')),
+    ),
+    'alt_k8': (
+        (('SignatureViolation', 'alt_step_0: argument 4 fails i8 (got 300) [def alt_step_0]'), (5, '-> alt_step_0 0 0 1 300 6', 'ee61fd039abc7936')),
+        (('value', 3927, 6), (48, '<- alt', 'eaff103f81466355')),
+        (('SignatureViolation', 'alt_step_0: argument 4 fails i8 (got 300) [def alt_step_0]'), (5, '-> alt_step_0 0 0 1 300 6', 'ee61fd039abc7936')),
+        (('budget', 'step budget of 2 exhausted in alt_step_0_while', {'alt_step_0_while': 3}), (17, '-> alt_step_0 0 2 303 300 6', 'aa78434e33f459a8')),
+    ),
+    'alt_shl': (
+        (('EvalFault', 'shl: negative shift count -1 [entry alt, step 6]'), (36, '-> alt_left 573 7 5 9', 'b64817c9b4007cb2')),
+        (('EvalFault', 'shl: negative shift count -1 [entry alt, step 6]'), (36, '-> alt_left 573 7 5 9', 'b64817c9b4007cb2')),
+        (('budget', 'step budget of 5 exhausted in alt_step_0_while', {'alt_step_0_while': 6}), (35, '-> alt_step_0 0 5 573 7 9', 'afd176bbe03839e9')),
+        (('budget', 'step budget of 5 exhausted in alt_step_0_while', {'alt_step_0_while': 6}), (35, '-> alt_step_0 0 5 573 7 9', 'afd176bbe03839e9')),
+    ),
+    'alt_shl_b6': (
+        (('EvalFault', 'shl: negative shift count -1 [entry alt, step 6]'), (36, '-> alt_left 573 7 5 9', 'b64817c9b4007cb2')),
+        (('EvalFault', 'shl: negative shift count -1 [entry alt, step 6]'), (36, '-> alt_left 573 7 5 9', 'b64817c9b4007cb2')),
+        (('EvalFault', 'shl: negative shift count -1 [entry alt, step 6]'), (36, '-> alt_left 573 7 5 9', 'b64817c9b4007cb2')),
+        (('EvalFault', 'shl: negative shift count -1 [entry alt, step 6]'), (36, '-> alt_left 573 7 5 9', 'b64817c9b4007cb2')),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ALT_PINNED))
+def test_loop_diamond_matches_pinned_table(case):
+    """Outcome, first violation and whole trace text in every mode, for a
+    loop whose step ends in an if over two tail calls."""
+    text, args, budget = ALT_CASES[case]
+    for (checking, budgeted), (expected, trace) in zip(MODES, ALT_PINNED[case]):
+        limit = budget if budgeted else None
+        assert _outcome(text, "alt", args, {}, checking, limit, False) == (expected, (0, "")), \
+            (case, checking, limit)
+        got, text_out = _outcome(text, "alt", args, {}, checking, limit, True, whole=True)
+        digest = hashlib.sha256(text_out.encode()).hexdigest()[:16]
+        lines = text_out.splitlines()
+        assert (got, (len(lines), lines[-1].split(" (st ")[0], digest)) == (expected, trace), \
             (case, checking, limit, "traced")
 
 
@@ -266,8 +397,9 @@ def test_run_trace_prints_per_while_counts(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def test_one_source_serves_every_mode():
-    """Codegen and compile happen once, in __init__; the loop is fused,
-    unrolls its 8-byte load and checks inline."""
+    """Codegen and compile happen once, in __init__; the loop is fused in
+    every mode, traced or not: one `while` that calls no step, unrolls
+    its 8-byte load and checks inline."""
     ev = ProgramEvaluator(load_program(GOLDEN))
     source, namespace = ev.source, dict(ev._ns)
     for checking, budgeted in MODES:
@@ -283,7 +415,8 @@ def test_one_source_serves_every_mode():
         assert not hasattr(ev, layer)
     start = source.index("def d3_")
     loop = source[start:source.index("\ndef ", start)]
-    assert "d2_occurrences_step_0(" in loop  # the traced form calls the step
+    assert len(re.findall(r"^\s*while ", loop, re.M)) == 1
+    assert "d2_occurrences_step_0(" not in loop
     assert loop.count("_g(v_scevgep") == 8 and "_rd_n(8, v_scevgep" in loop
     assert "_bad(2," in loop
 
