@@ -55,7 +55,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BudgetExhausted, EvalFault, SignatureViolation
+from .errors import BudgetExhausted, EvalFault, LoadError, SignatureViolation
 from .fun_ir import (
     Call, Const, FunDef, FunProgram, If, LetStar, Metlist, Mvlist, Prim, Var, children,
 )
@@ -275,6 +275,11 @@ class _Codegen:
         self.regions: dict[int, list[int]] = {k: [] for k, r in enumerate(self.root) if k == r}
         for k in reversed(range(len(defs))):  # root first, then its members
             self.regions[self.root[k]].append(k)
+        # A step's loops inline its body, so its own function serves only a
+        # run that enters it directly, and compiles when one does.
+        steps = set(step_of.values())
+        self.deferred = {k for k, d in enumerate(defs) if d.name in steps
+                         and all(self.loops[p] == d.name for p in self.callers[k])}
         self.unproven = _unproven_args(program)
         self.lines: list[str] = []
         self.finish = None
@@ -511,10 +516,13 @@ class _Codegen:
         self.lines += ["    return _leave(_p, _r) if _hook else _r", ""]
 
     def generate(self) -> list[str]:
-        """The source, one function per region, in pieces of whole
-        functions, each at least _PIECE_LINES long except the last."""
+        """The source, one function per region but the deferred, in pieces
+        of whole functions, each at least _PIECE_LINES long except the
+        last."""
         pieces, start = [], 0
         for k, sections in self.regions.items():
+            if k in self.deferred:
+                continue
             self.function(self.fn_names[self.program.defs[k].name], sections)
             if len(self.lines) - start >= _PIECE_LINES:
                 pieces.append("\n".join(self.lines[start:]))
@@ -524,8 +532,9 @@ class _Codegen:
         return pieces
 
     def entry(self, k: int) -> tuple[str, str]:
-        """(name, source) of a function that runs section k of another
-        definition's region, and what k's tail calls reach from there."""
+        """(name, source) of a function that runs definition k, a deferred
+        root or a section of another definition's region, and what k's
+        tail calls reach from there."""
         region = self.regions[self.root[k]]
         reached = {k}
         for m in region:
@@ -648,7 +657,8 @@ class ProgramEvaluator:
     entry; every mode runs the same compiled functions.  `regions` names,
     for each compiled function, the definitions it runs: its root first.
     The program's loops are its `cliques`, which `validate_program` sets
-    on every translated or loaded program.
+    on every translated or loaded program; a general-recursive definition
+    outside them is a LoadError.
 
     Programs are immutable and freely shareable, and so are states outside
     a run.  An evaluator, however, owns mutable iteration counters and the
@@ -657,6 +667,11 @@ class ProgramEvaluator:
     """
 
     def __init__(self, program: FunProgram):
+        whiles = {c.while_def for c in program.cliques}
+        for d in program.defs:
+            if d.general_recursive and d.name not in whiles:
+                raise LoadError(f"{d.name}: general-recursive definition outside a loop "
+                                "clique; pass the program through validate_program")
         self.program = program
         self._gen = gen = _Codegen(program)
         pieces = gen.generate()
@@ -679,12 +694,14 @@ class ProgramEvaluator:
         for piece in pieces:
             exec(compile("\n" * line + piece, self._filename, "exec"), self._ns)  # noqa: S102
             line += piece.count("\n") + 1
-        self._entries = {k: self._ns[gen.fn_names[defs[k].name]] for k in gen.regions}
+        self._entries = {k: self._ns[gen.fn_names[defs[k].name]] for k in gen.regions
+                         if k not in gen.deferred}
         self.trace_out: io.TextIOBase | None = None
 
     def _entry(self, k: int):
-        """The function that runs definition k as a run's entry.  A section
-        of another definition's region gets its own, compiled on first use."""
+        """The function that runs definition k as a run's entry.  A deferred
+        step, or a section of another definition's region, gets its own,
+        compiled on first use."""
         fn = self._entries.get(k)
         if fn is None:
             name, source = self._gen.entry(k)

@@ -31,7 +31,7 @@ from .errors import AnalysisError, LoadError
 from . import ll_parser as ll
 from .ll_parser import (
     BasicBlock, Instruction, LlvmFunction, LlvmModule, Operand, Reg, Ret,
-    mangle_label, mangle_register, register_kinds, resolve_aliases,
+    mangle_label, mangle_register, resolve_aliases,
 )
 from .prims import KINDS, NAT, PRIMS, SORT_OF_KIND, STATE
 from .ssa import (
@@ -170,8 +170,6 @@ class _FunctionTranslator:
         self.analysis = analysis
         self.fn = analysis.function
         self.module = module
-        self.kinds = register_kinds(self.fn)
-        self.blocks = {b.label: b for b in self.fn.blocks}
         self.fn_name = mangle_register(self.fn.name)
         self.by_header = {L.header: L for L in analysis.loops}
         self.by_preheader = {L.preheader: L for L in analysis.loops}
@@ -195,7 +193,7 @@ class _FunctionTranslator:
 
     def _check_names(self):
         mangled: dict[str, str] = {}
-        for reg in self.kinds:
+        for reg in self.fn.kinds:
             m = mangle_register(reg)
             if m in RESERVED_NAMES:
                 raise AnalysisError(
@@ -333,7 +331,7 @@ class _FunctionTranslator:
     def edge_args(self, source: str, target: str) -> tuple[FunExpr, ...]:
         """Actuals for a branch source -> target: the target's phi actuals on
         this edge, then its flow params by name, then the state."""
-        target_block = self.blocks[target]
+        target_block = self.fn.block(target)
         sig = self.analysis.signatures[target]
         args: list[FunExpr] = []
         for phi in target_block.phis:
@@ -385,7 +383,7 @@ class _FunctionTranslator:
         cond = Var(mangle_register(L.exit_cond))
         done = cond if L.exit_when_true else Prim("=", (cond, Const(0)))
         bindings.append((DONE_VAR, done))
-        header = self.blocks[L.header]
+        header = self.fn.block(L.header)
         sig = self.analysis.signatures[L.header]
         items: list[FunExpr] = [Var(DONE_VAR)]
         for phi in header.phis:
@@ -401,7 +399,7 @@ class _FunctionTranslator:
         return Mvlist(tuple(items))
 
     def block_code(self, label: str) -> tuple[list[tuple[str, FunExpr]], FunExpr]:
-        block = self.blocks[label]
+        block = self.fn.block(label)
         bindings: list[tuple[str, FunExpr]] = []
         for inst in block.body:
             bindings.extend(self.instruction_bindings(inst))
@@ -421,10 +419,10 @@ class _FunctionTranslator:
 
     def resolve_exit_value(self, L: LoopInfo, reg: str) -> FunExpr:
         """Value of a register at loop exit, expressed over the frame slots."""
-        header = self.blocks[L.header]
+        header = self.fn.block(L.header)
         inside: set[str] = set()
         for lbl in L.body:
-            b = self.blocks[lbl]
+            b = self.fn.block(lbl)
             inside.update(phi.result for phi in b.phis)
             inside.update(i.result for i in b.body if i.result is not None)
         if reg not in inside:
@@ -441,9 +439,9 @@ class _FunctionTranslator:
     def exit_call(self, L: LoopInfo) -> Call:
         """The continue body: jump to the exit block with values drawn from
         the frame, valid for both the run path and the guarded skip path."""
-        exit_block = self.blocks[L.exit]
+        exit_block = self.fn.block(L.exit)
         sig = self.analysis.signatures[L.exit]
-        header = self.blocks[L.header]
+        header = self.fn.block(L.header)
         entry_actual = {phi.result: next(v for v, lbl in phi.incomings
                                          if lbl == L.preheader)
                         for phi in header.phis} if L.guarded else {}
@@ -480,7 +478,7 @@ class _FunctionTranslator:
         if isinstance(resolved, Const):
             return isinstance(skip, ll.Const) and skip.value == resolved.value
         assert isinstance(resolved, Var)
-        slot_regs = [phi.result for phi in self.blocks[L.header].phis]
+        slot_regs = [phi.result for phi in self.fn.block(L.header).phis]
         for reg in slot_regs:
             if mangle_register(reg) == resolved.name:
                 initial = entry_actual[reg]
@@ -526,7 +524,7 @@ class _FunctionTranslator:
     def translate_entry(self, L: LoopInfo, names: WhileClique,
                         exit_kinds: tuple[str, ...]) -> FunDef:
         """The preheader block's code plus the initial done bit and dispatch."""
-        pre = self.blocks[L.preheader]
+        pre = self.fn.block(L.preheader)
         bindings: list[tuple[str, FunExpr]] = []
         for inst in pre.body:
             bindings.extend(self.instruction_bindings(inst))
@@ -561,7 +559,7 @@ class _FunctionTranslator:
 
     def call_unit_entry(self, entry_label: str) -> Call:
         sig = self.analysis.signatures[entry_label]
-        if self.blocks[entry_label].phis:
+        if self.fn.block(entry_label).phis:
             raise AnalysisError(f"@{self.fn.name}: entry block has phi instructions")
         args = tuple(Var(mangle_register(f)) for f in sig.flow_params) + (Var(STATE_VAR),)
         return Call(self.call_target_name(entry_label), args)
@@ -614,15 +612,12 @@ def _function_order(module: LlvmModule) -> list[LlvmFunction]:
                 if inst.opcode == "call":
                     out.add(inst.callee)
         calls[fn.name] = out
-    by_name: dict[str, LlvmFunction] = {}
-    for fn in module.functions:
-        by_name.setdefault(fn.name, fn)
     order = dfs_postorder(
         [fn.name for fn in module.functions],
-        lambda name: [c for c in sorted(calls[name]) if c in by_name],
+        lambda name: [c for c in sorted(calls[name]) if c in calls],
         lambda name: AnalysisError(
             f"recursive calls through @{name} are outside the supported translation"))
-    return [by_name[name] for name in order]
+    return [module.function(name) for name in order]
 
 
 # ---------------------------------------------------------------------------

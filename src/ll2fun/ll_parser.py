@@ -154,16 +154,22 @@ Operand = Reg | Const
 
 @dataclass(frozen=True)
 class Instruction:
+    """One non-phi, non-terminator instruction.  The parser records the
+    kind ("i1".."i64" or "addr") of each operand use and of the result
+    where it reads them off the text; nothing downstream re-derives them
+    from the opcode."""
     opcode: str
     result: str | None = None
     operands: tuple[Operand, ...] = ()
-    width: int | None = None       # operand/value width in bits
+    width: int | None = None       # value width in bits: binop/icmp operands,
+                                   # select arms, conversion source, load/store/call value
     to_width: int | None = None    # conversion target width
     pred: str | None = None        # icmp predicate
     elem_width: int | None = None  # gep/alloca element width in bits
     idx_width: int | None = None   # gep index width in bits
     callee: str | None = None
-    arg_kinds: tuple[str, ...] = ()  # call argument kinds
+    arg_kinds: tuple[str, ...] = ()  # kind each operand is used at; none for alloca's count
+    kind: str | None = None        # kind of the result register, None without one
 
 
 @dataclass(frozen=True)
@@ -207,11 +213,26 @@ class LlvmFunction:
     def entry(self) -> BasicBlock:
         return self.blocks[0]
 
+    @functools.cached_property
+    def kinds(self) -> dict[str, str]:
+        """Kind of every register the function defines, params included;
+        one dict shared by every reader, which must not change it."""
+        kinds = dict(self.params)
+        for block in self.blocks:
+            for phi in block.phis:
+                kinds[phi.result] = phi.kind
+            for inst in block.body:
+                if inst.result is not None:
+                    kinds[inst.result] = inst.kind
+        return kinds
+
+    @functools.cached_property
+    def _by_label(self) -> dict[str, BasicBlock]:
+        return {b.label: b for b in reversed(self.blocks)}  # the first wins
+
     def block(self, label: str) -> BasicBlock:
-        for b in self.blocks:
-            if b.label == label:
-                return b
-        raise KeyError(label)
+        """The first block with this label; KeyError if there is none."""
+        return self._by_label[label]
 
 
 @dataclass(frozen=True)
@@ -220,11 +241,13 @@ class LlvmModule:
     aliases: dict[str, str] = field(default_factory=dict)
     target_notes: tuple[str, ...] = ()
 
+    @functools.cached_property
+    def _by_name(self) -> dict[str, LlvmFunction]:
+        return {f.name: f for f in reversed(self.functions)}  # the first wins
+
     def function(self, name: str) -> LlvmFunction:
-        for f in self.functions:
-            if f.name == name:
-                return f
-        raise KeyError(name)
+        """The first function with this name; KeyError if there is none."""
+        return self._by_name[name]
 
 
 def width_of(kind: str) -> int:
@@ -445,8 +468,7 @@ class _Parser:
 
     def parse_function(self) -> LlvmFunction:
         self.expect("keyword", "define")
-        while self.at("keyword") and self.peek().text in ATTRIBUTE_WORDS:
-            self.next()
+        self.skip_words(ATTRIBUTE_WORDS)
         ret_width = self.parse_int_width(context="function return type")
         if self.at("punct", "*"):
             self.unsupported("pointer return types are outside the subset")
@@ -456,10 +478,7 @@ class _Parser:
         if not self.at("punct", ")"):
             while True:
                 kind = self.parse_value_kind(context=f"parameters of @{name}")
-                while self.at("keyword") and self.peek().text in ATTRIBUTE_WORDS:
-                    self.next()
-                    if self.at("int"):  # align N / dereferenceable(N)
-                        self.next()
+                self.skip_words(ATTRIBUTE_WORDS, numbers=True)
                 ptok = self.peek()
                 if ptok is None or ptok.kind != "local":
                     self.unsupported(f"unnamed parameters of @{name} are outside the subset", ptok)
@@ -469,16 +488,7 @@ class _Parser:
                     continue
                 break
         self.expect("punct", ")")
-        while True:
-            if self.at("keyword") and self.peek().text in ATTRIBUTE_WORDS:
-                self.next()
-                if self.at("int"):
-                    self.next()
-                continue
-            if self.at("metadata"):
-                self.next()
-                continue
-            break
+        self.skip_words(ATTRIBUTE_WORDS, numbers=True, metadata=True)
         self.expect("punct", "{")
         blocks = self.parse_blocks(name)
         self.expect("punct", "}")
@@ -540,10 +550,8 @@ class _Parser:
                 return self.parse_ret()
             if tok.text == "store":
                 return self.parse_store()
-            if tok.text in ("call", "tail"):
-                # value-discarding call
-                inst = self.parse_rhs(None)
-                return inst
+            if tok.text in ("call", "tail"):  # a value-discarding call
+                return self.parse_rhs(None)
             if tok.text in UNSUPPORTED_KEYWORDS:
                 self.unsupported(f"opcode '{tok.text}' is outside the subset")
         self.fail("expected an instruction")
@@ -555,31 +563,48 @@ class _Parser:
         op = tok.text
         while op in IGNORED_FLAGS:
             op = self.expect("keyword").text
-        if op in BINOPS:
-            return self.parse_binop(op, result, tok)
-        if op == "icmp":
-            return self.parse_icmp(result, tok)
-        if op in ("zext", "sext", "trunc"):
-            return self.parse_conversion(op, result, tok)
-        if op == "select":
-            return self.parse_select(result, tok)
-        if op == "getelementptr":
-            return self.parse_gep(result, tok)
-        if op == "load":
-            return self.parse_load(result, tok)
-        if op == "alloca":
-            return self.parse_alloca(result, tok)
-        if op == "phi":
-            return self.parse_phi(result, tok)
-        if op == "call":
-            return self.parse_call(result, tok)
-        if op in UNSUPPORTED_KEYWORDS:
-            self.unsupported(f"opcode '{op}' is outside the subset", tok)
-        self.fail(f"unknown opcode '{op}'", tok)
+        parse = _RHS_PARSERS.get(op)
+        if parse is None:
+            if op in UNSUPPORTED_KEYWORDS:
+                self.unsupported(f"opcode '{op}' is outside the subset", tok)
+            self.fail(f"unknown opcode '{op}'", tok)
+        if result is None and op != "call":
+            self.fail(f"'{op}' needs a result register", tok)
+        return parse(self, op, result, tok)
 
-    def _skip_flags(self):
-        while self.at("keyword") and self.peek().text in IGNORED_FLAGS:
+    def skip_words(self, words: frozenset[str], *, numbers: bool = False,
+                   metadata: bool = False):
+        """Drop a run of keywords from words; with numbers each may carry
+        one integer (align N), and with metadata !md tokens may sit among
+        them."""
+        while (tok := self.peek()) is not None:
+            if tok.kind == "keyword" and tok.text in words:
+                self.pos += 1
+                if numbers and self.at("int"):
+                    self.pos += 1
+            elif metadata and tok.kind == "metadata":
+                self.pos += 1
+            else:
+                return
+
+    def parse_pointee(self, op: str, context: str, what: str, at: Token) -> int:
+        """The width N of `iN* %p` (classic) or `iN, iN* %p` (two-type)."""
+        width = self.parse_int_width(context=context)
+        if self.at("punct", "*"):
             self.next()
+        else:
+            self.expect("punct", ",")
+            if self.parse_int_width(context=f"{op} pointer type") != width:
+                self.fail(f"{op} {what} and pointer types disagree", at)
+            self.expect("punct", "*")
+        return width
+
+    def parse_address(self, op: str, what: str, at: Token) -> Reg:
+        """A pointer operand, which must be a register."""
+        ptr = self.parse_operand("addr", context=op)
+        if not isinstance(ptr, Reg):
+            self.fail(f"{op} {what} must be a register", at)
+        return ptr
 
     def skip_tail_annotations(self, line: int):
         """Drop trailing ', align N' / ', !md ...' noise on the same line."""
@@ -596,20 +621,17 @@ class _Parser:
                         and self.peek().kind in ("metadata", "int"):
                     self.next()
 
-    def parse_binop(self, op: str, result: str | None, at: Token) -> Instruction:
-        if result is None:
-            self.fail(f"'{op}' needs a result register", at)
-        self._skip_flags()
+    def parse_binop(self, op: str, result: str, at: Token) -> Instruction:
+        self.skip_words(IGNORED_FLAGS)
         width = self.parse_int_width(context=op)
-        a = self.parse_operand(f"i{width}", context=op)
+        kind = f"i{width}"
+        a = self.parse_operand(kind, context=op)
         self.expect("punct", ",")
-        b = self.parse_operand(f"i{width}", context=op)
+        b = self.parse_operand(kind, context=op)
         self.skip_tail_annotations(at.line)
-        return Instruction(op, result, (a, b), width=width)
+        return Instruction(op, result, (a, b), width=width, arg_kinds=(kind, kind), kind=kind)
 
-    def parse_icmp(self, result: str | None, at: Token) -> Instruction:
-        if result is None:
-            self.fail("'icmp' needs a result register", at)
+    def parse_icmp(self, op: str, result: str, at: Token) -> Instruction:
         pred_tok = self.expect("keyword")
         if pred_tok.text not in ICMP_PREDS:
             self.fail(f"unknown icmp predicate '{pred_tok.text}'", pred_tok)
@@ -620,11 +642,10 @@ class _Parser:
         self.expect("punct", ",")
         b = self.parse_operand(kind, context="icmp")
         self.skip_tail_annotations(at.line)
-        return Instruction("icmp", result, (a, b), width=width_of(kind), pred=pred_tok.text)
+        return Instruction("icmp", result, (a, b), width=width_of(kind), pred=pred_tok.text,
+                           arg_kinds=(kind, kind), kind="i1")
 
-    def parse_conversion(self, op: str, result: str | None, at: Token) -> Instruction:
-        if result is None:
-            self.fail(f"'{op}' needs a result register", at)
+    def parse_conversion(self, op: str, result: str, at: Token) -> Instruction:
         from_kind = self.parse_value_kind(context=op)
         if from_kind == "addr":
             self.unsupported(f"{op} over pointers is outside the subset", at)
@@ -639,11 +660,10 @@ class _Parser:
         if op == "trunc" and not from_width > to_width:
             self.fail(f"trunc must narrow (i{from_width} to i{to_width})", at)
         self.skip_tail_annotations(at.line)
-        return Instruction(op, result, (x,), width=from_width, to_width=to_width)
+        return Instruction(op, result, (x,), width=from_width, to_width=to_width,
+                           arg_kinds=(from_kind,), kind=f"i{to_width}")
 
-    def parse_select(self, result: str | None, at: Token) -> Instruction:
-        if result is None:
-            self.fail("'select' needs a result register", at)
+    def parse_select(self, op: str, result: str, at: Token) -> Instruction:
         ckind = self.parse_value_kind(context="select condition")
         if ckind != "i1":
             self.fail("select condition must be i1", at)
@@ -659,79 +679,55 @@ class _Parser:
             self.fail("select arms must share one type", at)
         b = self.parse_operand(kind, context="select")
         self.skip_tail_annotations(at.line)
-        return Instruction("select", result, (cond, a, b), width=width_of(kind))
+        return Instruction("select", result, (cond, a, b), width=width_of(kind),
+                           arg_kinds=("i1", kind, kind), kind=kind)
 
-    def parse_gep(self, result: str | None, at: Token) -> Instruction:
-        if result is None:
-            self.fail("'getelementptr' needs a result register", at)
-        self._skip_flags()
-        elem_width = self.parse_int_width(context="getelementptr element type")
-        if self.at("punct", "*"):
-            self.next()  # classic spelling: iN* %base
-        else:
-            self.expect("punct", ",")  # two-type spelling: iN, iN* %base
-            w2 = self.parse_int_width(context="getelementptr pointer type")
-            if w2 != elem_width:
-                self.fail("getelementptr element and pointer types disagree", at)
-            self.expect("punct", "*")
+    def parse_gep(self, op: str, result: str, at: Token) -> Instruction:
+        self.skip_words(IGNORED_FLAGS)
+        elem_width = self.parse_pointee(op, "getelementptr element type", "element", at)
         if elem_width == 1:
             self.unsupported("getelementptr over i1 elements is outside the subset", at)
-        base = self.parse_operand("addr", context="getelementptr")
-        if not isinstance(base, Reg):
-            self.fail("getelementptr base must be a register", at)
+        base = self.parse_address(op, "base", at)
         self.expect("punct", ",")
         idx_width = self.parse_int_width(context="getelementptr index")
-        idx = self.parse_operand(f"i{idx_width}", context="getelementptr")
+        idx_kind = f"i{idx_width}"
+        idx = self.parse_operand(idx_kind, context="getelementptr")
         if self.at("punct", ","):
             nxt = self.peek(1)
             if nxt is not None and nxt.kind == "type":
                 self.unsupported("getelementptr with more than one index is outside the subset", at)
         self.skip_tail_annotations(at.line)
-        return Instruction("getelementptr", result, (base, idx),
-                           elem_width=elem_width, idx_width=idx_width)
+        return Instruction("getelementptr", result, (base, idx), elem_width=elem_width,
+                           idx_width=idx_width, arg_kinds=("addr", idx_kind), kind="addr")
 
-    def parse_load(self, result: str | None, at: Token) -> Instruction:
-        if result is None:
-            self.fail("'load' needs a result register", at)
-        self._skip_flags()
-        width = self.parse_int_width(context="load")
-        if self.at("punct", "*"):
-            self.next()
-        else:
-            self.expect("punct", ",")
-            w2 = self.parse_int_width(context="load pointer type")
-            if w2 != width:
-                self.fail("load value and pointer types disagree", at)
-            self.expect("punct", "*")
+    def parse_load(self, op: str, result: str, at: Token) -> Instruction:
+        self.skip_words(IGNORED_FLAGS)
+        width = self.parse_pointee(op, "load", "value", at)
         if width == 1:
             self.unsupported("load of i1 is outside the subset", at)
-        ptr = self.parse_operand("addr", context="load")
-        if not isinstance(ptr, Reg):
-            self.fail("load address must be a register", at)
+        ptr = self.parse_address(op, "address", at)
         self.skip_tail_annotations(at.line)
-        return Instruction("load", result, (ptr,), width=width)
+        return Instruction("load", result, (ptr,), width=width, arg_kinds=("addr",),
+                           kind=f"i{width}")
 
     def parse_store(self) -> Instruction:
         at = self.expect("keyword", "store")
-        self._skip_flags()
+        self.skip_words(IGNORED_FLAGS)
         width = self.parse_int_width(context="store")
         if width == 1:
             self.unsupported("store of i1 is outside the subset", at)
-        value = self.parse_operand(f"i{width}", context="store")
+        kind = f"i{width}"
+        value = self.parse_operand(kind, context="store")
         self.expect("punct", ",")
         w2 = self.parse_int_width(context="store pointer type")
         if w2 != width:
             self.fail("store value and pointer types disagree", at)
         self.expect("punct", "*")
-        ptr = self.parse_operand("addr", context="store")
-        if not isinstance(ptr, Reg):
-            self.fail("store address must be a register", at)
+        ptr = self.parse_address("store", "address", at)
         self.skip_tail_annotations(at.line)
-        return Instruction("store", None, (value, ptr), width=width)
+        return Instruction("store", None, (value, ptr), width=width, arg_kinds=(kind, "addr"))
 
-    def parse_alloca(self, result: str | None, at: Token) -> Instruction:
-        if result is None:
-            self.fail("'alloca' needs a result register", at)
+    def parse_alloca(self, op: str, result: str, at: Token) -> Instruction:
         elem_width = self.parse_int_width(context="alloca")
         if elem_width == 1:
             self.unsupported("alloca of i1 is outside the subset", at)
@@ -743,11 +739,9 @@ class _Parser:
             if not isinstance(count, Const):
                 self.unsupported("alloca with a non-constant count is outside the subset", at)
         self.skip_tail_annotations(at.line)
-        return Instruction("alloca", result, (count,), elem_width=elem_width)
+        return Instruction("alloca", result, (count,), elem_width=elem_width, kind="addr")
 
-    def parse_phi(self, result: str | None, at: Token) -> Phi:
-        if result is None:
-            self.fail("'phi' needs a result register", at)
+    def parse_phi(self, op: str, result: str, at: Token) -> Phi:
         kind = self.parse_value_kind(context="phi")
         incomings: list[tuple[Operand, str]] = []
         while True:
@@ -765,10 +759,9 @@ class _Parser:
             self.fail("phi needs at least two incoming edges", at)
         return Phi(result, kind, tuple(incomings))
 
-    def parse_call(self, result: str | None, at: Token) -> Instruction:
-        self._skip_flags()
-        while self.at("keyword") and self.peek().text in ATTRIBUTE_WORDS:
-            self.next()
+    def parse_call(self, op: str, result: str | None, at: Token) -> Instruction:
+        self.skip_words(IGNORED_FLAGS)
+        self.skip_words(ATTRIBUTE_WORDS)
         tok = self.peek()
         if tok is not None and tok.kind == "keyword" and tok.text == "void":
             self.unsupported("calls to void functions are outside the subset", tok)
@@ -794,8 +787,7 @@ class _Parser:
         if not self.at("punct", ")"):
             while True:
                 kind = self.parse_value_kind(context=f"call of @{callee}")
-                while self.at("keyword") and self.peek().text in ATTRIBUTE_WORDS:
-                    self.next()
+                self.skip_words(ATTRIBUTE_WORDS)
                 args.append(self.parse_operand(kind, context=f"call of @{callee}"))
                 arg_kinds.append(kind)
                 if self.at("punct", ","):
@@ -807,7 +799,8 @@ class _Parser:
             self.next()
         self.skip_tail_annotations(at.line)
         return Instruction("call", result, tuple(args), width=width, callee=callee,
-                           arg_kinds=tuple(arg_kinds))
+                           arg_kinds=tuple(arg_kinds),
+                           kind=None if result is None else f"i{width}")
 
     def parse_br(self) -> Br:
         at = self.expect("keyword", "br")
@@ -850,72 +843,18 @@ class _Parser:
         return Ret(width, value)
 
 
+_RHS_PARSERS = {
+    **dict.fromkeys(BINOPS, _Parser.parse_binop),
+    **dict.fromkeys(("zext", "sext", "trunc"), _Parser.parse_conversion),
+    "icmp": _Parser.parse_icmp, "select": _Parser.parse_select,
+    "getelementptr": _Parser.parse_gep, "load": _Parser.parse_load,
+    "alloca": _Parser.parse_alloca, "phi": _Parser.parse_phi, "call": _Parser.parse_call,
+}
+
+
 # ---------------------------------------------------------------------------
 # Module/function validation
 # ---------------------------------------------------------------------------
-
-def result_kind(inst: Instruction) -> str | None:
-    """Kind of the register an instruction defines, if any."""
-    if inst.result is None:
-        return None
-    if inst.opcode in BINOPS or inst.opcode in ("load", "select", "call"):
-        return f"i{inst.width}"
-    if inst.opcode == "icmp":
-        return "i1"
-    if inst.opcode in ("zext", "sext", "trunc"):
-        return f"i{inst.to_width}"
-    if inst.opcode in ("getelementptr", "alloca"):
-        return "addr"
-    raise AssertionError(inst.opcode)
-
-
-def register_kinds(fn: LlvmFunction) -> dict[str, str]:
-    """Kind of every register the function defines (params included)."""
-    kinds: dict[str, str] = dict(fn.params)
-    for block in fn.blocks:
-        for phi in block.phis:
-            kinds[phi.result] = phi.kind
-        for inst in block.body:
-            if inst.result is not None:
-                kinds[inst.result] = result_kind(inst)
-    return kinds
-
-
-def _instruction_uses(inst: Instruction) -> tuple[tuple[str, str], ...]:
-    """(register, expected kind) pairs for an instruction's register operands."""
-    uses: list[tuple[str, str]] = []
-
-    def expect(op: Operand, kind: str):
-        if isinstance(op, Reg):
-            uses.append((op.name, kind))
-
-    if inst.opcode in BINOPS:
-        expect(inst.operands[0], f"i{inst.width}")
-        expect(inst.operands[1], f"i{inst.width}")
-    elif inst.opcode == "icmp":
-        expect(inst.operands[0], f"i{inst.width}")
-        expect(inst.operands[1], f"i{inst.width}")
-    elif inst.opcode in ("zext", "sext", "trunc"):
-        expect(inst.operands[0], f"i{inst.width}")
-    elif inst.opcode == "select":
-        expect(inst.operands[0], "i1")
-        expect(inst.operands[1], f"i{inst.width}")
-        expect(inst.operands[2], f"i{inst.width}")
-    elif inst.opcode == "getelementptr":
-        expect(inst.operands[0], "addr")
-        expect(inst.operands[1], f"i{inst.idx_width}")
-    elif inst.opcode == "load":
-        expect(inst.operands[0], "addr")
-    elif inst.opcode == "store":
-        expect(inst.operands[0], f"i{inst.width}")
-        expect(inst.operands[1], "addr")
-    elif inst.opcode == "alloca":
-        pass
-    elif inst.opcode == "call":
-        for op, kind in zip(inst.operands, inst.arg_kinds):
-            expect(op, kind)
-    return tuple(uses)
-
 
 def _validate_function(fn: LlvmFunction):
     seen: dict[str, str] = {}
@@ -944,14 +883,14 @@ def _validate_function(fn: LlvmFunction):
         if isinstance(block.terminator, Br) and entry in block.terminator.targets:
             raise ParseError(f"@{fn.name}: entry block may not have predecessors")
     # operand kinds must agree with each register's defining kind
-    kinds = register_kinds(fn)
+    kinds = fn.kinds
     for block in fn.blocks:
         for inst in block.body:
-            for reg, want in _instruction_uses(inst):
-                have = kinds.get(reg)
+            for op, want in zip(inst.operands, inst.arg_kinds):
+                have = kinds.get(op.name) if isinstance(op, Reg) else None
                 if have is not None and have != want:
                     raise ParseError(
-                        f"@{fn.name}: %{reg} is {have} but {inst.opcode} uses it as {want}")
+                        f"@{fn.name}: %{op.name} is {have} but {inst.opcode} uses it as {want}")
         for phi in block.phis:
             for value, _ in phi.incomings:
                 if isinstance(value, Reg):

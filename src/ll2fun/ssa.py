@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import TypeVar
 
 from .errors import AnalysisError
-from .ll_parser import BasicBlock, Br, LlvmFunction, Operand, Reg, Ret, register_kinds
+from .ll_parser import BasicBlock, Br, LlvmFunction, Operand, Reg, Ret
 
 
 @dataclass(frozen=True)
@@ -267,13 +267,12 @@ def _phi_uses_on_edge(succ: BasicBlock, pred_label: str) -> set[str]:
 def compute_liveness(cfg: ControlFlowGraph, fn: LlvmFunction) -> dict[str, set[str]]:
     """live-in set per block: registers read in or below the block but
     defined above it."""
-    blocks = {b.label: b for b in fn.blocks}
     use: dict[str, set[str]] = {}
     defs: dict[str, set[str]] = {}
     phi_results: dict[str, set[str]] = {}
-    for label, b in blocks.items():
-        use[label], defs[label] = _block_use_def(b)
-        phi_results[label] = {phi.result for phi in b.phis}
+    for b in fn.blocks:
+        use[b.label], defs[b.label] = _block_use_def(b)
+        phi_results[b.label] = {phi.result for phi in b.phis}
     live_in: dict[str, set[str]] = {l: set() for l in cfg.nodes}
     changed = True
     while changed:
@@ -282,7 +281,7 @@ def compute_liveness(cfg: ControlFlowGraph, fn: LlvmFunction) -> dict[str, set[s
             live_out: set[str] = set()
             for s in cfg.edges[label]:
                 live_out |= live_in[s] - phi_results[s]
-                live_out |= _phi_uses_on_edge(blocks[s], label)
+                live_out |= _phi_uses_on_edge(fn.block(s), label)
             new_in = use[label] | (live_out - defs[label])
             if new_in != live_in[label]:
                 live_in[label] = new_in
@@ -338,7 +337,7 @@ def _first_use_order(fn: LlvmFunction, live_in: dict[str, set[str]]) -> dict[str
 
 
 def compute_block_params(cfg: ControlFlowGraph, fn: LlvmFunction) -> dict[str, BlockSignature]:
-    kinds = register_kinds(fn)
+    kinds = fn.kinds
     live_in = compute_liveness(cfg, fn)
     param_names = {name for name, _ in fn.params}
     undefined = set()
@@ -381,7 +380,6 @@ def detect_loops(cfg: ControlFlowGraph, fn: LlvmFunction) -> tuple[LoopInfo, ...
         lambda s: AnalysisError(f"@{fn.name}: irreducible control flow (cycle through {s} "
                                 "not headed by a dominator)"))
 
-    blocks = {b.label: b for b in fn.blocks}
     raw: list[dict] = []
     for latch, header in back_edges:
         body = {header}
@@ -396,13 +394,15 @@ def detect_loops(cfg: ControlFlowGraph, fn: LlvmFunction) -> tuple[LoopInfo, ...
 
     pos = {label: i for i, label in enumerate(cfg.nodes)}
     raw.sort(key=lambda L: (len(L["body"]), pos[L["header"]]))
-    for a in raw:
-        for b in raw:
-            if a is b:
-                continue
-            inter = a["body"] & b["body"]
-            if inter and not (a["body"] <= b["body"] or b["body"] <= a["body"]):
+    # Smallest first, a loop must contain every earlier loop it touches.
+    # It is compared with the outermost of them only, which contains the
+    # rest, and then stands for them: each body is compared once.
+    outermost: dict[str, int] = {}  # block -> the last loop containing it
+    for i, L in enumerate(raw):
+        for j in {outermost[n] for n in L["body"] if n in outermost}:
+            if not raw[j]["body"] <= L["body"]:
                 raise AnalysisError(f"@{fn.name}: loops overlap without nesting")
+        outermost.update(dict.fromkeys(L["body"], i))
 
     loops: list[LoopInfo] = []
     for index, L in enumerate(raw):
@@ -417,7 +417,7 @@ def detect_loops(cfg: ControlFlowGraph, fn: LlvmFunction) -> tuple[LoopInfo, ...
                 f"@{fn.name}: loop at {header} must have a single exit from its "
                 f"latch; found exits {exits}")
         exit_label = exits[0][1]
-        term = blocks[latch].terminator
+        term = fn.block(latch).terminator
         if not isinstance(term, Br) or term.cond is None:
             raise AnalysisError(
                 f"@{fn.name}: loop at {header}: latch {latch} must end in a "
@@ -434,7 +434,7 @@ def detect_loops(cfg: ControlFlowGraph, fn: LlvmFunction) -> tuple[LoopInfo, ...
                 f"@{fn.name}: loop at {header} needs exactly one entry edge from "
                 f"outside; found {outside_edges}")
         preheader = outside_edges[0]
-        pre_term = blocks[preheader].terminator
+        pre_term = fn.block(preheader).terminator
         if not isinstance(pre_term, Br):
             raise AnalysisError(f"@{fn.name}: loop preheader {preheader} must branch")
         if pre_term.cond is None:
@@ -450,7 +450,7 @@ def detect_loops(cfg: ControlFlowGraph, fn: LlvmFunction) -> tuple[LoopInfo, ...
             header=header,
             latch=latch,
             body=tuple(body_order),
-            carried=tuple(phi.result for phi in blocks[header].phis),
+            carried=tuple(phi.result for phi in fn.block(header).phis),
             exit=exit_label,
             exit_cond=term.cond.name,
             exit_when_true=(term.targets[0] == exit_label),

@@ -4,15 +4,19 @@ interpreter, compared bit-exact on retval and the final machine state.
 
 Failures print the generating seed and the offending source."""
 
+import gc
 import pathlib
 import random
 import sys
+import time
 
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from llgen import gen_diamond, gen_loop, gen_program, gen_state_args  # noqa: E402
+from llgen import (  # noqa: E402
+    gen_diamond, gen_diamond_chain, gen_loop, gen_program, gen_state_args,
+)
 
 from ll2fun import (  # noqa: E402
     MachineState, emit_sexpr, eval_def, interp_function, load_program,
@@ -163,3 +167,24 @@ out:
     with pytest.raises(BudgetExhausted):
         interp_function(module, "gen", (0, 0, 0x8000),
                         MachineState(stack=0xFFFF0000, frame=0xFFFF0000), budget=500)
+
+
+def test_reference_interpreter_is_linear_in_blocks_executed():
+    """Twice the diamonds cost at most 3x the CPU time (linear: 2x): a
+    block transition looks its target up by label in the function's
+    index, not by a scan of its blocks."""
+    def cpu_s(diamonds: int) -> float:
+        module = parse_text(gen_diamond_chain(random.Random(diamonds), diamonds))
+        best = float("inf")
+        gc.disable()  # a collection costs in the size of the whole heap, not of the run
+        try:
+            for _ in range(3):
+                t0 = time.process_time()
+                interp_function(module, "gen", (7, 3, 0x8000),
+                                MachineState(stack=0xFFFF0000, frame=0xFFFF0000))
+                best = min(best, time.process_time() - t0)
+        finally:
+            gc.enable()
+        return best
+    small, large = cpu_s(2000), cpu_s(4000)
+    assert large <= 3 * small, (small, large)

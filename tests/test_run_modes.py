@@ -26,8 +26,8 @@ from llgen import gen_diamond_chain, gen_program, gen_state_args  # noqa: E402
 from test_linear_state import FILL_LL  # noqa: E402
 
 from ll2fun import (  # noqa: E402
-    BudgetExhausted, EvalFault, Ll2FunError, emit_sexpr, load_program, make_state,
-    parse_file, parse_text, translate_module,
+    BudgetExhausted, EvalFault, FunProgram, Ll2FunError, LoadError, emit_sexpr, load_program,
+    make_state, parse_file, parse_text, translate_module, validate_program,
 )
 from ll2fun import evaluator  # noqa: E402
 from ll2fun.cli import main  # noqa: E402
@@ -420,6 +420,45 @@ def test_one_source_serves_every_mode():
     assert loop.count("_g(v_scevgep") == 8 and "_rd_n(8, v_scevgep" in loop
     assert "_bad(2," in loop
 
+
+
+def test_step_defs_compile_on_first_use():
+    """A loop inlines its step's body, so the step's own function is left
+    out of the program's source; a run that enters the step directly
+    compiles it then, and runs and traces as before in every mode."""
+    ev = ProgramEvaluator(load_program(GOLDEN))
+    assert not re.search(r"^def d\d+_occurrences_step_0\(", ev.source, re.M)
+    assert ev.regions["occurrences_step_0"] == ("occurrences_step_0",)
+    st = "(st retval=0 stack=0xffff0000 frame=0xffff0000 mem/11)"
+    for checking, budgeted in MODES:
+        ev.trace_out = io.StringIO()
+        res = ev.run("occurrences_step_0", (0, 0, 0, 0x8000, 8, 399), make_state(mem=ARRAY),
+                     checking=checking, budget=100 if budgeted else None, trace=True)
+        assert res.values == (0, 1, 1, 0x8000, 8, 399)
+        assert ev.trace_out.getvalue() == (f"-> occurrences_step_0 0 0 0 32768 8 399 {st}\n"
+                                           f"<- occurrences_step_0 0 1 1 32768 8 399 {st}\n")
+    assert not re.search(r"^def d\d+_occurrences_step_0\(", ev.source, re.M)
+    # a step that some other definition calls is compiled with the program
+    caller = """
+(defun peek (st)
+  (declare (xargs :signature ((stp) natp i64_p i64_p addr_p i32_p i64_p stp)))
+  (occurrences_step_0 0 0 0 32768 8 399 st))
+"""
+    ev = ProgramEvaluator(load_program(GOLDEN + caller))
+    assert re.search(r"^def d\d+_occurrences_step_0\(", ev.source, re.M)
+    assert ev.run("peek", (), make_state(mem=ARRAY)).values == (0, 1, 1, 0x8000, 8, 399)
+
+
+def test_unvalidated_loops_are_a_load_error(occurrences_program):
+    """A program whose loops were never found by validate_program would
+    compile each while def as a self-recursive function, which faults on
+    a long loop; the evaluator refuses it instead."""
+    with pytest.raises(LoadError, match="occurrences_step_0_while: .*validate_program"):
+        ProgramEvaluator(FunProgram(occurrences_program.defs))
+    program = FunProgram(occurrences_program.defs)
+    validate_program(program)
+    res = ProgramEvaluator(program).run("occurrences", (399, 5000, 0x8000), make_state())
+    assert res.per_while == {"occurrences_step_0_while": 5000}
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 def test_unrolled_load_matches_rd_n_and_its_faults(n):

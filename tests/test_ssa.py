@@ -1,14 +1,16 @@
 """CFG construction, block signatures, loop detection, and emission order."""
 
+import gc
 import pathlib
 import random
 import sys
+import time
 
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from llgen import gen_diamond_chain, gen_program  # noqa: E402
+from llgen import gen_diamond_chain, gen_loop_chain, gen_program  # noqa: E402
 
 from ll2fun import (  # noqa: E402
     AnalysisError, build_cfg, compute_block_params, detect_loops, parse_file, parse_text,
@@ -297,6 +299,27 @@ def test_back_edge_removal_leaves_acyclic(nestsum_module):
     dfs(cfg.entry, frozenset())
     assert set(order) == set(cfg.nodes)
 
+
+def test_loop_detection_is_linear_in_loop_count():
+    """Twice the sequential loops cost detect_loops at most 3x the CPU
+    time (linear: 2x): the nesting check compares each loop with the
+    outermost loops inside it, not with every other loop."""
+    def cpu_s(loops: int) -> float:
+        fn = parse_text(gen_loop_chain(loops)).functions[0]
+        cfg = build_cfg(fn)
+        best = float("inf")
+        gc.disable()  # a collection costs in the size of the whole heap, not of fn
+        try:
+            for _ in range(7):  # a run takes a few ms: the best of 3 is noisy
+                t0 = time.process_time()
+                found = detect_loops(cfg, fn)
+                best = min(best, time.process_time() - t0)
+        finally:
+            gc.enable()
+        assert len(found) == loops
+        return best
+    small, large = cpu_s(800), cpu_s(1600)
+    assert large <= 3 * small, (small, large)
 
 def test_irreducible_flow_rejected():
     src = """define i64 @f(i1 %c) {
