@@ -58,6 +58,7 @@ from functools import lru_cache
 from .errors import BudgetExhausted, EvalFault, LoadError, SignatureViolation
 from .fun_ir import (
     Call, Const, FunDef, FunProgram, If, LetStar, Metlist, Mvlist, Prim, Var, children,
+    collector_paused,
 )
 from .prims import KINDS, PRIMS, STATE, decimal
 from . import state as st_mod
@@ -666,6 +667,7 @@ class ProgramEvaluator:
     serves one execution at a time.  Parallel runs want separate instances.
     """
 
+    @collector_paused()
     def __init__(self, program: FunProgram):
         whiles = {c.while_def for c in program.cliques}
         for d in program.defs:

@@ -23,9 +23,12 @@ Output is deterministic and reparses to the same program.
 
 from __future__ import annotations
 
+import gc
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import AnalysisError, LoadError
 from . import ll_parser as ll
@@ -100,6 +103,37 @@ class Metlist:
 FunExpr = Var | Const | Prim | Call | If | LetStar | Mvlist | Metlist
 
 
+@lru_cache(maxsize=1 << 16)
+def var(name: str) -> Var:
+    """The one `Var` for name.  Nodes are frozen and compared by value,
+    so sharing leaves is sound, and a program then holds one leaf per name
+    rather than one per use (wide's 62k `Var`s carry 1.5k names)."""
+    return Var(name)
+
+
+@lru_cache(maxsize=1 << 16)
+def const(value: int) -> Const:
+    """The one `Const` for value; see `var`."""
+    return Const(value)
+
+
+@contextmanager
+def collector_paused():
+    """Pause CPython's cyclic collector while a program is built.  A build
+    allocates many long-lived objects and no cycles, so collections during
+    it scan the growing program again and again and free nothing; the
+    objects are scanned once, by the first young collection after it.  The
+    collector is re-enabled only if it was on at entry, so a nested use or
+    a caller that turned it off is left as it was."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @dataclass(frozen=True)
 class FunDef:
     name: str
@@ -162,7 +196,7 @@ def children(expr: FunExpr) -> tuple[tuple[FunExpr, int | None], ...]:
 # ---------------------------------------------------------------------------
 
 def _operand_expr(op: Operand) -> FunExpr:
-    return Var(mangle_register(op.name)) if isinstance(op, Reg) else Const(op.value)
+    return var(mangle_register(op.name)) if isinstance(op, Reg) else const(op.value)
 
 
 class _FunctionTranslator:
@@ -246,13 +280,13 @@ class _FunctionTranslator:
         name = mangle_register(inst.result) if inst.result is not None else None
 
         def wrap_bits(e: FunExpr, width: int) -> FunExpr:
-            return Prim("bits", (e, Const(width - 1), Const(0)))
+            return Prim("bits", (e, const(width - 1), const(0)))
 
         if inst.opcode == "add":
             return [(name, wrap_bits(Prim("+", (_operand_expr(ops[0]), _operand_expr(ops[1]))), w))]
         if inst.opcode == "sub":
             # stay inside the naturals: a - b == a + (2^w - b) (mod 2^w)
-            comp = Prim("-", (Const(1 << w), _operand_expr(ops[1])))
+            comp = Prim("-", (const(1 << w), _operand_expr(ops[1])))
             return [(name, wrap_bits(Prim("+", (_operand_expr(ops[0]), comp)), w))]
         if inst.opcode == "mul":
             return [(name, wrap_bits(Prim("*", (_operand_expr(ops[0]), _operand_expr(ops[1]))), w))]
@@ -261,51 +295,51 @@ class _FunctionTranslator:
             return [(name, Prim(prim, (_operand_expr(ops[0]), _operand_expr(ops[1]))))]
         if inst.opcode in ("shl", "lshr", "ashr"):
             return [(name, Prim(inst.opcode,
-                                (Const(w), _operand_expr(ops[0]), _operand_expr(ops[1]))))]
+                                (const(w), _operand_expr(ops[0]), _operand_expr(ops[1]))))]
         if inst.opcode == "icmp":
             a, b = _operand_expr(ops[0]), _operand_expr(ops[1])
             unsigned = {"eq": "=", "ne": "/=", "ult": "<", "ule": "<=",
                         "ugt": ">", "uge": ">="}
             if inst.pred in unsigned:
                 return [(name, Prim(unsigned[inst.pred], (a, b)))]
-            return [(name, Prim(inst.pred, (Const(w), a, b)))]
+            return [(name, Prim(inst.pred, (const(w), a, b)))]
         if inst.opcode == "zext":
             return [(name, _operand_expr(ops[0]))]
         if inst.opcode == "sext":
-            return [(name, Prim("sext", (Const(w), Const(inst.to_width),
+            return [(name, Prim("sext", (const(w), const(inst.to_width),
                                          _operand_expr(ops[0]))))]
         if inst.opcode == "trunc":
             return [(name, wrap_bits(_operand_expr(ops[0]), inst.to_width))]
         if inst.opcode == "select":
-            cond = Prim("=", (_operand_expr(ops[0]), Const(1)))
+            cond = Prim("=", (_operand_expr(ops[0]), const(1)))
             return [(name, If(cond, _operand_expr(ops[1]), _operand_expr(ops[2])))]
         if inst.opcode == "getelementptr":
             idx: FunExpr = _operand_expr(ops[1])
             if inst.idx_width < 64:
-                idx = Prim("sext", (Const(inst.idx_width), Const(64), idx))
+                idx = Prim("sext", (const(inst.idx_width), const(64), idx))
             addr = Prim("+", (_operand_expr(ops[0]),
-                              Prim("*", (idx, Const(inst.elem_width // 8)))))
-            return [(name, Prim("bits", (addr, Const(31), Const(0))))]
+                              Prim("*", (idx, const(inst.elem_width // 8)))))
+            return [(name, Prim("bits", (addr, const(31), const(0))))]
         if inst.opcode == "load":
             n = inst.width // 8
-            run = Prim("loadbytes", (Const(n), _operand_expr(ops[0]), Var(STATE_VAR)))
-            return [(name, Prim("wfrombytes", (Const(n), run)))]
+            run = Prim("loadbytes", (const(n), _operand_expr(ops[0]), var(STATE_VAR)))
+            return [(name, Prim("wfrombytes", (const(n), run)))]
         if inst.opcode == "store":
             n = inst.width // 8
-            run = Prim("wtobytes", (Const(n), _operand_expr(ops[0])))
+            run = Prim("wtobytes", (const(n), _operand_expr(ops[0])))
             return [(STATE_VAR, Prim("storebytes",
-                                     (Const(n), _operand_expr(ops[1]), run, Var(STATE_VAR))))]
+                                     (const(n), _operand_expr(ops[1]), run, var(STATE_VAR))))]
         if inst.opcode == "alloca":
             count = ops[0].value
             size = (inst.elem_width // 8) * count
-            return [(name, Prim("stack", (Var(STATE_VAR),))),
-                    (STATE_VAR, Prim("alloca", (Const(size), Var(STATE_VAR))))]
+            return [(name, Prim("stack", (var(STATE_VAR),))),
+                    (STATE_VAR, Prim("alloca", (const(size), var(STATE_VAR))))]
         if inst.opcode == "call":
             callee = self._callee(inst)
-            args = tuple(_operand_expr(a) for a in inst.operands) + (Var(STATE_VAR),)
+            args = tuple(_operand_expr(a) for a in inst.operands) + (var(STATE_VAR),)
             out = [(STATE_VAR, Call(mangle_register(callee.name), args))]
             if inst.result is not None:
-                out.append((name, Prim("retval", (Var(STATE_VAR),))))
+                out.append((name, Prim("retval", (var(STATE_VAR),))))
             return out
         raise AssertionError(inst.opcode)
 
@@ -342,8 +376,8 @@ class _FunctionTranslator:
                     f"incoming value for predecessor {source}")
             args.append(_operand_expr(actual))
         for f in sig.flow_params:
-            args.append(Var(mangle_register(f)))
-        args.append(Var(STATE_VAR))
+            args.append(var(mangle_register(f)))
+        args.append(var(STATE_VAR))
         return tuple(args)
 
     def call_target_name(self, label: str) -> str:
@@ -368,24 +402,24 @@ class _FunctionTranslator:
                     f"@{self.fn.name}: ret inside loop body {block.label} (loop at "
                     f"{L.header}) is a second loop exit")
             bindings.append((STATE_VAR,
-                             Prim("update-retval", (_operand_expr(term.value), Var(STATE_VAR)))))
-            return Var(STATE_VAR)
+                             Prim("update-retval", (_operand_expr(term.value), var(STATE_VAR)))))
+            return var(STATE_VAR)
         if L is not None and block.label == L.latch:
             return self.latch_tail(L, bindings)
         if term.cond is None:
             return self.call_unit(block.label, term.targets[0])
-        cond = Prim("=", (_operand_expr(term.cond), Const(1)))
+        cond = Prim("=", (_operand_expr(term.cond), const(1)))
         return If(cond,
                   self.call_unit(block.label, term.targets[0]),
                   self.call_unit(block.label, term.targets[1]))
 
     def latch_tail(self, L: LoopInfo, bindings: list[tuple[str, FunExpr]]) -> FunExpr:
-        cond = Var(mangle_register(L.exit_cond))
-        done = cond if L.exit_when_true else Prim("=", (cond, Const(0)))
+        cond = var(mangle_register(L.exit_cond))
+        done = cond if L.exit_when_true else Prim("=", (cond, const(0)))
         bindings.append((DONE_VAR, done))
         header = self.fn.block(L.header)
         sig = self.analysis.signatures[L.header]
-        items: list[FunExpr] = [Var(DONE_VAR)]
+        items: list[FunExpr] = [var(DONE_VAR)]
         for phi in header.phis:
             actual = next((v for v, lbl in phi.incomings if lbl == L.latch), None)
             if actual is None:
@@ -394,8 +428,8 @@ class _FunctionTranslator:
                     f"back edge from {L.latch}")
             items.append(_operand_expr(actual))
         for f in sig.flow_params:
-            items.append(Var(mangle_register(f)))
-        items.append(Var(STATE_VAR))
+            items.append(var(mangle_register(f)))
+        items.append(var(STATE_VAR))
         return Mvlist(tuple(items))
 
     def block_code(self, label: str) -> tuple[list[tuple[str, FunExpr]], FunExpr]:
@@ -427,11 +461,11 @@ class _FunctionTranslator:
             inside.update(i.result for i in b.body if i.result is not None)
         if reg not in inside:
             # defined above the loop; liveness put it in the flow slots
-            return Var(mangle_register(reg))
+            return var(mangle_register(reg))
         for phi in header.phis:
             actual = next((v for v, lbl in phi.incomings if lbl == L.latch), None)
             if isinstance(actual, Reg) and actual.name == reg:
-                return Var(mangle_register(phi.result))
+                return var(mangle_register(phi.result))
         raise AnalysisError(
             f"@{self.fn.name}: %{reg} is live at the exit of the loop at "
             f"{L.header} but is not carried by the loop frame")
@@ -442,9 +476,14 @@ class _FunctionTranslator:
         exit_block = self.fn.block(L.exit)
         sig = self.analysis.signatures[L.exit]
         header = self.fn.block(L.header)
-        entry_actual = {phi.result: next(v for v, lbl in phi.incomings
-                                         if lbl == L.preheader)
-                        for phi in header.phis} if L.guarded else {}
+        entry_actual: dict[str, Operand] = {}
+        for phi in header.phis if L.guarded else ():
+            actual = next((v for v, lbl in phi.incomings if lbl == L.preheader), None)
+            if actual is None:
+                raise AnalysisError(
+                    f"@{self.fn.name}: phi %{phi.result} in loop header {L.header} "
+                    f"lacks a value for the guard edge from {L.preheader}")
+            entry_actual[phi.result] = actual
         args: list[FunExpr] = []
         for phi in exit_block.phis:
             actual = next((v for v, lbl in phi.incomings if lbl == L.latch), None)
@@ -452,7 +491,7 @@ class _FunctionTranslator:
                 raise AnalysisError(
                     f"@{self.fn.name}: phi %{phi.result} in exit block {L.exit} "
                     f"lacks a value for the loop edge from {L.latch}")
-            resolved = (Const(actual.value) if isinstance(actual, ll.Const)
+            resolved = (const(actual.value) if isinstance(actual, ll.Const)
                         else self.resolve_exit_value(L, actual.name))
             if L.guarded:
                 skip = next((v for v, lbl in phi.incomings if lbl == L.preheader), None)
@@ -468,7 +507,7 @@ class _FunctionTranslator:
             args.append(resolved)
         for f in sig.flow_params:
             args.append(self.resolve_exit_value(L, f))
-        args.append(Var(STATE_VAR))
+        args.append(var(STATE_VAR))
         return Call(self.call_target_name(L.exit), tuple(args))
 
     def _skip_value_matches(self, L: LoopInfo, resolved: FunExpr, skip: Operand,
@@ -492,8 +531,8 @@ class _FunctionTranslator:
         value_frame = self.value_frame_params(L)
         frame_kinds = tuple(k for _, k in frame)
         value_kinds = tuple(k for _, k in value_frame)
-        frame_vars = tuple(Var(n) for n, _ in frame)
-        value_vars = tuple(Var(n) for n, _ in value_frame)
+        frame_vars = tuple(var(n) for n, _ in frame)
+        value_vars = tuple(var(n) for n, _ in value_frame)
         exit_kinds = self.unit_result_kinds(L.exit)
 
         continue_def = FunDef(names.continue_def, value_frame, exit_kinds,
@@ -505,7 +544,7 @@ class _FunctionTranslator:
 
         while_def = FunDef(
             names.while_def, frame, value_kinds,
-            If(Prim("=", (Var(DONE_VAR), Const(1))),
+            If(Prim("=", (var(DONE_VAR), const(1))),
                Mvlist(value_vars),
                Metlist(tuple(n for n, _ in frame),
                        Call(names.step_def, frame_vars),
@@ -515,7 +554,7 @@ class _FunctionTranslator:
         wrap_def = FunDef(
             names.wrap_def, value_frame, exit_kinds,
             Metlist(tuple(n for n, _ in value_frame),
-                    Call(names.while_def, (Const(0),) + value_vars),
+                    Call(names.while_def, (const(0),) + value_vars),
                     Call(names.continue_def, value_vars)))
 
         entry_def = self.translate_entry(L, names, exit_kinds)
@@ -532,12 +571,12 @@ class _FunctionTranslator:
             term = pre.terminator
             cond = _operand_expr(term.cond)
             # done=1 must mean "skip the loop"
-            done = cond if term.targets[0] == L.exit else Prim("=", (cond, Const(0)))
+            done = cond if term.targets[0] == L.exit else Prim("=", (cond, const(0)))
             bindings.append((DONE_VAR, done))
         else:
-            bindings.append((DONE_VAR, Const(0)))
+            bindings.append((DONE_VAR, const(0)))
         initial = self.edge_args(L.preheader, L.header)
-        tail = If(Prim("=", (Var(DONE_VAR), Const(1))),
+        tail = If(Prim("=", (var(DONE_VAR), const(1))),
                   Call(names.continue_def, initial),
                   Call(names.wrap_def, initial))
         return FunDef(names.entry_def, self.block_params(L.preheader), exit_kinds,
@@ -550,18 +589,18 @@ class _FunctionTranslator:
         params = tuple((mangle_register(n), k) for n, k in self.fn.params)
         body = LetStar(
             (
-                (STATE_VAR, Prim("init-stack-frame", (Var(STATE_VAR),))),
-                (STATE_VAR, Prim("begin-stack-frame", (Var(STATE_VAR),))),
+                (STATE_VAR, Prim("init-stack-frame", (var(STATE_VAR),))),
+                (STATE_VAR, Prim("begin-stack-frame", (var(STATE_VAR),))),
                 (STATE_VAR, self.call_unit_entry(entry_label)),
             ),
-            Prim("end-stack-frame", (Var(STATE_VAR),)))
+            Prim("end-stack-frame", (var(STATE_VAR),)))
         return FunDef(self.fn_name, params + ((STATE_VAR, "state"),), ("state",), body)
 
     def call_unit_entry(self, entry_label: str) -> Call:
         sig = self.analysis.signatures[entry_label]
         if self.fn.block(entry_label).phis:
             raise AnalysisError(f"@{self.fn.name}: entry block has phi instructions")
-        args = tuple(Var(mangle_register(f)) for f in sig.flow_params) + (Var(STATE_VAR),)
+        args = tuple(var(mangle_register(f)) for f in sig.flow_params) + (var(STATE_VAR),)
         return Call(self.call_target_name(entry_label), args)
 
     def translate(self) -> list[FunDef]:
@@ -576,6 +615,7 @@ class _FunctionTranslator:
         return defs
 
 
+@collector_paused()
 def translate_module(module: LlvmModule) -> FunProgram:
     """Translate every function of a module; output is ordered so that every
     definition precedes its uses."""
@@ -736,9 +776,9 @@ def _read_sexprs(text: str) -> list:
 
 def _parse_expr(form) -> FunExpr:
     if isinstance(form, int):
-        return Const(form)
+        return const(form)
     if isinstance(form, str):
-        return Var(form)
+        return var(form)
     if not form:
         raise LoadError("empty form")
     head = form[0]
@@ -808,6 +848,7 @@ def _parse_def(form) -> FunDef:
                   general_recursive=(form[0] == "defun-general"))
 
 
+@collector_paused()
 def load_program(text: str) -> FunProgram:
     defs = tuple(_parse_def(f) for f in _read_sexprs(text))
     seen: set[str] = set()

@@ -11,6 +11,8 @@ address precondition always holds.
 from __future__ import annotations
 
 import random
+import re
+from collections.abc import Iterator
 
 WIDTHS = (8, 16, 32, 64)
 BINOPS = ("add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "ashr")
@@ -375,6 +377,38 @@ SHAPES = (gen_straightline, gen_diamond, gen_loop, gen_call)
 
 def gen_program(rng: random.Random) -> str:
     return rng.choice(SHAPES)(rng)
+
+
+_WORD = re.compile(r"\s+|[^\s,()\[\]{}=*]+|\S")
+MUTANT_WORDS = ("ptr", "void", "udiv", "tail", "call", "align", "nsw", "inbounds", "alias",
+                "label", "phi", "true", "i7", "i1", "i32*", "!0", "#0", "-1", "4")
+
+
+def token_mutants(rng: random.Random, sources: list[str], counts: list[int]) -> Iterator[str]:
+    """Each source, then counts[k] mutants of source k.  A mutant is its
+    source cut into words at whitespace and punctuation, with one to three
+    words deleted, replaced from the vocabulary (the words of every source
+    plus MUTANT_WORDS), doubled or swapped with the next."""
+    split = [_WORD.findall(text) for text in sources]
+    vocab = sorted({w for words in split for w in words if not w.isspace()} | set(MUTANT_WORDS))
+    for text, words, count in zip(sources, split, counts):
+        yield text
+        spots = [i for i, w in enumerate(words) if not w.isspace()]
+        for _ in range(count):
+            mutant = list(words)
+            for _ in range(rng.randint(1, 3)):
+                i = rng.choice(spots)
+                how = rng.randrange(4)
+                if how == 0:
+                    mutant[i] = ""
+                elif how == 1:
+                    mutant[i] = rng.choice(vocab)
+                elif how == 2:
+                    mutant[i] = mutant[i] + " " + mutant[i]
+                else:
+                    j = spots[min(spots.index(i) + 1, len(spots) - 1)]
+                    mutant[i], mutant[j] = mutant[j], mutant[i]
+            yield "".join(mutant)
 
 
 def gen_state_args(rng: random.Random):

@@ -134,6 +134,38 @@ out:
     assert "Traceback" not in r.stderr
 
 
+# The occurrences loop with no value for %j on the guard edge from %0.
+_UNGUARDED_PHI = pathlib.Path(OCC).read_text().replace(
+    "%j = phi i64 [ %j.next, %.lr.ph ], [ 0, %0 ]",
+    "%j = phi i64 [ %j.next, %.lr.ph ], [ 0, %t4 ]")
+
+
+def test_header_phi_without_a_guard_edge_value_exit_12(tmp_path):
+    r = _translate_subprocess(tmp_path, _UNGUARDED_PHI)
+    assert r.returncode == EXIT_ANALYSIS, r.stderr[-500:]
+    assert "Traceback" not in r.stderr
+    assert ("phi %j in loop header .lr.ph lacks a value for the guard edge from 0"
+            in r.stderr)
+
+
+def test_translate_token_mutants_exit_with_documented_codes(tmp_path, capsys):
+    """320 seeded token mutants of both fixtures (`llgen.token_mutants`),
+    and the unguarded header phi, through `ll2fun translate` in-process:
+    each ends in exit 0, 10, 11 or 12, never in an exception."""
+    from llgen import token_mutants
+    sources = [pathlib.Path(OCC).read_text(), (FIXTURES / "nestsum.ll").read_text()]
+    texts = [_UNGUARDED_PHI, *token_mutants(random.Random(2718), sources, [160, 160])]
+    src, out = tmp_path / "in.ll", str(tmp_path / "out.fun")
+    codes = set()
+    for text in texts:
+        src.write_text(text)
+        code = main(["translate", str(src), "--out", out])
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_UNSUPPORTED, EXIT_ANALYSIS), text
+        codes.add(code)
+    assert "Traceback" not in capsys.readouterr().err
+    assert codes == {EXIT_OK, EXIT_PARSE, EXIT_UNSUPPORTED, EXIT_ANALYSIS}
+
+
 def test_run_small(tmp_path, capsys):
     out = _translate(tmp_path)
     capsys.readouterr()

@@ -178,7 +178,7 @@ def test_reference_interpreter_is_linear_in_blocks_executed():
         best = float("inf")
         gc.disable()  # a collection costs in the size of the whole heap, not of the run
         try:
-            for _ in range(3):
+            for _ in range(7):  # the best of 3 failed the bound once in a full-suite run
                 t0 = time.process_time()
                 interp_function(module, "gen", (7, 3, 0x8000),
                                 MachineState(stack=0xFFFF0000, frame=0xFFFF0000))

@@ -1,6 +1,7 @@
 """Translation shapes, emission golden, load/emit fixpoint, validators."""
 
 import functools
+import gc
 import pathlib
 import random
 import sys
@@ -10,15 +11,15 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from llgen import gen_loop_chain, gen_program  # noqa: E402
+from llgen import gen_diamond_chain, gen_loop_chain, gen_program  # noqa: E402
 
 from ll2fun import (  # noqa: E402
-    AnalysisError, LoadError, emit_sexpr, eval_def, load_program, make_state, parse_text,
-    translate_function, translate_module, validate_program,
+    AnalysisError, LoadError, ProgramEvaluator, emit_sexpr, eval_def, load_program, make_state,
+    parse_text, translate_function, translate_module, validate_program,
 )
 from ll2fun.fun_ir import (  # noqa: E402
     Call, Const, FunProgram, If, LetStar, Metlist, Mvlist, Prim, Var,
-    _read_sexprs, emit_def, free_vars, validate_clique,
+    _read_sexprs, children, emit_def, free_vars, validate_clique,
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -345,6 +346,107 @@ def test_load_is_linear_in_loop_count():
         assert loaded.cliques == program.cliques
         _, st = eval_def(loaded, "chain", (5,), make_state())
         assert st.retval == 5 + 3 * n
+
+
+# ---------------------------------------------------------------------------
+# Building a program without the cyclic collector
+# ---------------------------------------------------------------------------
+
+_IRREDUCIBLE = """define i64 @f(i1 %c) {
+  br i1 %c, label %a, label %b
+
+a:
+  br label %b
+
+b:
+  br i1 %c, label %a, label %out
+
+out:
+  ret i64 0
+}
+"""
+
+
+@functools.cache
+def _diamond_chain(diamonds: int) -> str:
+    return gen_diamond_chain(random.Random(diamonds), diamonds)
+
+
+def test_builds_leave_the_collector_as_they_found_it(occurrences_program):
+    """translate_module, load_program and ProgramEvaluator pause the
+    collector and restore its state at entry, on success and on error."""
+    text = emit_sexpr(occurrences_program)
+    module = parse_text(_IRREDUCIBLE)
+    builds = [
+        (lambda: translate_module(module), AnalysisError),
+        (lambda: load_program(text + "(defun"), LoadError),
+        (lambda: ProgramEvaluator(FunProgram(occurrences_program.defs)), LoadError),
+    ]
+    ok = [lambda: translate_module(parse_text((FIXTURES / "occurrences.ll").read_text())),
+          lambda: load_program(text), lambda: ProgramEvaluator(occurrences_program)]
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for build in ok:
+                build()
+                assert gc.isenabled() is enabled
+            for build, error in builds:
+                with pytest.raises(error):
+                    build()
+                assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def _vars(program: FunProgram) -> list[Var]:
+    out, stack = [], [d.body for d in program.defs]
+    while stack:
+        e = stack.pop()
+        if type(e) is Var:
+            out.append(e)
+        stack.extend([c for c, _ in children(e)])
+    return out
+
+
+def test_builds_leave_no_cyclic_garbage_and_share_leaves():
+    """Right after each build, a full collection finds nothing to free;
+    translated and loaded programs hold one Var object per name."""
+    module = parse_text(_diamond_chain(400))
+    gc.collect()
+    program = translate_module(module)
+    assert gc.collect() == 0
+    text = emit_sexpr(program)
+    gc.collect()
+    loaded = load_program(text)
+    assert gc.collect() == 0
+    ev = ProgramEvaluator(loaded)
+    assert gc.collect() == 0  # ev is alive: its namespace is a cycle by design
+    assert ev.regions
+    for p in (program, loaded):
+        found = _vars(p)
+        assert len({id(v) for v in found}) == len({v.name for v in found}) < len(found) // 10
+
+
+def _build_cpu_s(build, arg) -> float:
+    best = float("inf")
+    for _ in range(5):
+        t0 = time.process_time()
+        build(arg)
+        best = min(best, time.process_time() - t0)
+    return best
+
+
+def test_translate_and_load_are_linear_with_the_collector_on():
+    """Twice the diamonds cost translate_module and load_program at most
+    2.6x the CPU time (linear: 2x) with the collector on, as the CLI runs:
+    a build does not rescan the growing program in collections."""
+    assert gc.isenabled()
+    modules = {n: parse_text(_diamond_chain(n)) for n in (400, 800)}
+    texts = {n: emit_sexpr(translate_module(m)) for n, m in modules.items()}
+    for build, inputs in ((translate_module, modules), (load_program, texts)):
+        small, large = _build_cpu_s(build, inputs[400]), _build_cpu_s(build, inputs[800])
+        assert large <= 2.6 * small, (build.__name__, small, large)
 
 
 def test_loader_accepts_plain_let():

@@ -4,7 +4,6 @@ alias resolution, SSA checks, print/parse round-trips."""
 import hashlib
 import pathlib
 import random
-import re
 import sys
 from collections import Counter
 
@@ -475,43 +474,20 @@ define i16 @k2(i16 %a) {
 # Pinned outcomes over a corpus of token mutants
 # ---------------------------------------------------------------------------
 
-_WORD = re.compile(r"\s+|[^\s,()\[\]{}=*]+|\S")
-_EXTRA_WORDS = ("ptr", "void", "udiv", "tail", "call", "align", "nsw", "inbounds", "alias",
-                "label", "phi", "true", "i7", "i1", "i32*", "!0", "#0", "-1", "4")
-_PINNED_DIGEST = "3ecebb73eb1af72cfc3e3bbeaacbdafe4cd537722b9e203308ccf9f99cbd877b"
+_PINNED_DIGEST = "8ae8893cd77f96e8cb615d9b46e067b472aafd235a0f253a7e218da2e676d0e3"
 _PINNED_COUNTS = {"translated": 383, "ParseError": 4650, "UnsupportedConstructError": 140,
-                  "AnalysisError": 54, "LexError": 32, "StopIteration": 3}
+                  "AnalysisError": 57, "LexError": 32}
 
 
 def _token_mutants():
-    """Each source, then its mutants.  The sources are both fixtures and
-    60 generated programs; a mutant is its source cut into words at
-    whitespace and punctuation, with one to three words deleted, replaced
-    from the corpus vocabulary, doubled or swapped with the next."""
-    from llgen import gen_loop, gen_program
+    """Each source, then its mutants (`llgen.token_mutants`).  The sources
+    are both fixtures, with 2000 mutants each, and 60 generated programs,
+    with 20 each."""
+    from llgen import gen_loop, gen_program, token_mutants
     rng = random.Random(2014)
     sources = [(_FIXTURES / name).read_text() for name in ("occurrences.ll", "nestsum.ll")]
     sources += [gen_program(rng) for _ in range(45)] + [gen_loop(rng) for _ in range(15)]
-    split = [_WORD.findall(text) for text in sources]
-    vocab = sorted({w for words in split for w in words if not w.isspace()} | set(_EXTRA_WORDS))
-    for text, words in zip(sources, split):
-        yield text
-        spots = [i for i, w in enumerate(words) if not w.isspace()]
-        for _ in range(2000 if text in sources[:2] else 20):
-            mutant = list(words)
-            for _ in range(rng.randint(1, 3)):
-                i = rng.choice(spots)
-                how = rng.randrange(4)
-                if how == 0:
-                    mutant[i] = ""
-                elif how == 1:
-                    mutant[i] = rng.choice(vocab)
-                elif how == 2:
-                    mutant[i] = mutant[i] + " " + mutant[i]
-                else:
-                    j = spots[min(spots.index(i) + 1, len(spots) - 1)]
-                    mutant[i], mutant[j] = mutant[j], mutant[i]
-            yield "".join(mutant)
+    return token_mutants(rng, sources, [2000, 2000] + [20] * 60)
 
 
 def _front_end_outcome(text: str) -> str:
@@ -527,9 +503,10 @@ def test_token_mutant_outcomes_are_pinned():
     """Every outcome of parse and translate over 5,200 token mutants and
     their 62 sources: the error class and its message with line:col, or a
     hash of the emitted .fun.  The digest and the class counts were
-    recorded before the parser recorded operand and result kinds itself.
-    The three StopIterations are a translator defect (a loop header phi
-    without a value for the preheader), pinned here until it is mended."""
+    recorded when a loop header phi without a value for the guard edge
+    became an AnalysisError (three outcomes, which were a bare
+    StopIteration); the other 5,259 are as recorded before the parser
+    recorded operand and result kinds itself."""
     outcomes = [_front_end_outcome(text) for text in _token_mutants()]
     counts = Counter(o.split(" ", 1)[0].rstrip(":") for o in outcomes)
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
