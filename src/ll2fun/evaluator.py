@@ -15,17 +15,21 @@ tuple, and a million iterations cost no host stack.
 
 Signature checks, the step budget, per-while iteration counts and the
 call trace are code in that same source, switched per run by a few
-namespace globals (`_hook`, `_checking`, `_trace`, `_limit`):
+namespace globals (`_hook`, `_checking`, `_trace`, `_limit`).  Only the
+checks that one fact pass over each definition leaves unproven are
+compiled (see `_unproven`); on a translated program that is none:
 
-* in a checked or traced run, every function and every section calls the
-  entry hook, which lists the definition in the function's path, traces
-  it and checks the arguments that some call site may pass out of kind
-  (see `_unproven_args`); the function's one return passes its result
-  through the exit hook of each definition on the path, innermost first,
-  as their nested returns would have;
-* a loop counts its iterations in `_it`, which the budget is tested
-  against, and in a local that it adds to `_per_while` when it exits; it
-  checks the step's results inline with the `Kind.test` expressions of
+* in a traced run, and in a checked run of a function with an unproven
+  check in one of its sections, every section calls the entry hook,
+  which lists the definition in the function's path, traces it and
+  checks its unproven arguments; the function's one return passes its
+  result through the exit hook of each definition on the path, innermost
+  first, as their nested returns would have, and each checks its
+  unproven results; a checked run of any other function calls no hook;
+* a loop counts the run's iterations in a local that the budget is
+  tested against, and hands the count to `_it` and its own iterations to
+  `_per_while` (see `_Codegen.loop`); it checks the step's unproven
+  arguments and results inline with the `Kind.test` expressions of
   `prims.KINDS`, the same predicates `Kind.check` evaluates; in a traced
   run it prints the step's entry and exit lines itself, so every run
   mode takes the one fused loop.
@@ -50,6 +54,7 @@ never stores never copies.
 from __future__ import annotations
 
 import io
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -116,18 +121,24 @@ def _tests(values: list[str], kinds, positions) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Which argument checks can fail
+# Which signature checks can fail
 # ---------------------------------------------------------------------------
-# In a checked run every value a definition receives has passed a check:
-# its caller's entry check of a parameter, its callee's exit check of a
-# result, or `run`'s check of the entry's arguments.  A constant, or a
-# value a primitive with a bounded result (`Primitive.below`) computes, is
-# known to be in range as well.  A parameter that receives such a value
-# at every call site cannot fail its entry check, so the entry hook is
-# not passed it: a checked run passes and checks only the others.
+# In a checked run every value a definition receives has passed a check or
+# is proven to pass it: its caller's entry check of a parameter, its
+# callee's exit check of a result, or `run`'s check of the entry's
+# arguments.  A constant, or a value a primitive computes from values with
+# known facts (the row's bound rule, see `prims`), is known to be in range
+# as well; a load's rule takes a state's memory to hold bytes, as the
+# image reader and every store keep it.  So one pass over each definition, with the facts of its
+# parameters and of its callees' results, proves which of its call sites'
+# arguments and of its own results pass their checks; callees precede
+# callers, so the facts follow by induction over a run.  Codegen compiles
+# only the checks that the pass leaves open: the entry hook is passed only
+# the unproven arguments, the exit hook checks only the unproven results,
+# and a loop checks only its step's unproven arguments and results.
 
 # What passing the check of each kind says: STATE, or an exclusive bound.
-_KIND_FACTS = {name: STATE if row.sort == STATE else row.bound or float("inf")
+_KIND_FACTS = {name: STATE if row.sort == STATE else row.bound or math.inf
                for name, row in KINDS.items()}
 
 
@@ -138,73 +149,128 @@ def _within(fact, want) -> bool:
     return fact <= want
 
 
-def _fact(e, env: dict, program: FunProgram):
-    """STATE, an exclusive bound on e's natural value, or None (unknown)."""
-    t = type(e)
-    if t is Var:
-        return env.get(e.name)
-    if t is Const:
-        return e.value + 1
-    if t is If:
-        a, b = _fact(e.then, env, program), _fact(e.els, env, program)
-        if a is None or b is None or STATE in (a, b):
-            return a if a == b else None
-        return max(a, b)
-    if t is Call:
-        kinds = program.by_name[e.name].result_kinds
-        return _KIND_FACTS[kinds[0]] if len(kinds) == 1 else None
-    if t is Prim:
-        row = PRIMS[e.op]
-        if row.result == STATE:
-            return STATE
-        if row.below:
-            return row.below(*[a.value if type(a) is Const else None for a in e.args])
-    return None
+_UNBOUND = object()  # a name not in scope before a binding form
 
 
-def _unproven_args(program: FunProgram) -> dict[str, list[int]]:
-    """For each definition, the argument positions whose entry check some
-    call site does not make redundant.  `run` checks every argument of
-    the entry itself."""
-    unproven: dict[str, set[int]] = {d.name: set() for d in program.defs}
-    by_name = program.by_name
-    wants = {d.name: [_KIND_FACTS[k] for _, k in d.params] for d in program.defs}
+class _FactPass:
+    """The walk over one definition body, with the fact (STATE, an
+    exclusive bound on a natural, or None for unknown) of each name in
+    scope in one dict that each binding form restores on exit.  A class
+    rather than nested functions, as `fun_ir._DefCheck` is."""
 
-    def visit(e, env: dict):
+    __slots__ = ("params", "returns", "args", "results", "env", "wants")
+
+    def __init__(self, program: FunProgram):
+        # the facts each definition's parameter and result checks say
+        self.params = {d.name: [_KIND_FACTS[k] for _, k in d.params] for d in program.defs}
+        self.returns = {d.name: [_KIND_FACTS[k] for k in d.result_kinds] for d in program.defs}
+        # each definition's argument and result positions that may fail
+        self.args: dict[str, set[int]] = {d.name: set() for d in program.defs}
+        self.results: dict[str, set[int]] = {d.name: set() for d in program.defs}
+
+    def definition(self, d: FunDef):
+        self.env = {name: _KIND_FACTS[kind] for name, kind in d.params}
+        self.wants = self.returns[d.name]
+        self.tail(d.body, self.results[d.name])
+
+    def value(self, e):
+        """The fact of a one-valued expression; records its calls."""
         t = type(e)
-        if t is LetStar:
-            env = dict(env)
-            for name, bound in e.bindings:
-                visit(bound, env)
-                env[name] = _fact(bound, env, program)
-            visit(e.body, env)
-            return
-        if t is Metlist:
-            visit(e.call, env)
-            kinds = by_name[e.call.name].result_kinds
-            visit(e.body, {**env, **{n: _KIND_FACTS[k] for n, k in zip(e.names, kinds)}})
-            return
+        if t is Var:
+            return self.env.get(e.name)
+        if t is Const:
+            return e.value + 1 if e.value >= 0 else None
+        if t is Prim:
+            row = PRIMS[e.op]
+            facts = [self.value(a) for a in e.args]
+            if row.result == STATE:
+                return STATE
+            return row.bound(*facts) if row.bound else None
         if t is Call:
-            for i, (a, want) in enumerate(zip(e.args, wants[e.name])):
-                if not _within(_fact(a, env, program), want):
-                    unproven[e.name].add(i)
-        for child, _ in children(e):
-            if type(child) is not Var:
-                visit(child, env)
+            return self.call(e)[0]
+        if t is If:
+            self.value(e.cond)
+            a, b = self.value(e.then), self.value(e.els)
+            if a is None or b is None or STATE in (a, b):
+                return a if a == b else None
+            return max(a, b)
+        raise AssertionError(f"expression context: {e}")
 
+    def call(self, e: Call) -> list:
+        """Record the call's arguments that may fail their entry checks;
+        the facts of its results."""
+        env, wants = self.env, self.params[e.name]
+        facts = [env.get(a.name) if type(a) is Var else self.value(a) for a in e.args]
+        if facts != wants:
+            self.args[e.name].update(i for i, (fact, want) in enumerate(zip(facts, wants))
+                                     if not _within(fact, want))
+        return self.returns[e.name]
+
+    def tail(self, e, unproven: set):
+        """Record the results of e, in result position, that may fail."""
+        t = type(e)
+        if t is LetStar or t is Metlist:
+            env, saved = self.env, []
+            bound = (((name, self.value(b)) for name, b in e.bindings) if t is LetStar
+                     else zip(e.names, self.call(e.call)))
+            for name, fact in bound:  # a let* binding sees the ones before it
+                saved.append((name, env.get(name, _UNBOUND)))
+                env[name] = fact
+            self.tail(e.body, unproven)
+            for name, fact in reversed(saved):
+                if fact is _UNBOUND:
+                    del env[name]
+                else:
+                    env[name] = fact
+            return
+        if t is If:
+            self.value(e.cond)
+            self.tail(e.then, unproven)
+            self.tail(e.els, unproven)
+            return
+        if t is Mvlist:
+            facts = [self.value(x) for x in e.items]
+        elif t is Call:
+            facts = self.call(e)
+        else:
+            facts = [self.value(e)]
+        unproven.update(i for i, (fact, want) in enumerate(zip(facts, self.wants))
+                        if not _within(fact, want))
+
+
+@dataclass(frozen=True)
+class _Unproven:
+    """Per definition, the positions of the argument and the result checks
+    that the fact pass leaves open, in order.  A step's result checks run
+    inline in its loops."""
+
+    args: dict[str, list[int]]
+    results: dict[str, list[int]]
+
+
+def _unproven(program: FunProgram) -> _Unproven:
+    """The checks a checked run of program must make.  `run` checks every
+    argument of the entry itself."""
+    facts = _FactPass(program)
+    args, results = facts.args, facts.results
     step_of = {c.while_def: c.step_def for c in program.cliques}
     for d in program.defs:
         if d.name not in step_of:
-            visit(d.body, {n: _KIND_FACTS[k] for n, k in d.params})
+            facts.definition(d)
             continue
-        # a loop passes its step the while's arguments, then the step's
-        # own checked results; the while's body is not compiled as written
-        step = by_name[step_of[d.name]]
-        for i, want in enumerate(wants[step.name]):
-            if not (_within(_KIND_FACTS[d.params[i][1]], want)
-                    and _within(_KIND_FACTS[step.result_kinds[i]], want)):
-                unproven[step.name].add(i)
-    return {name: sorted(positions) for name, positions in unproven.items()}
+        # a loop passes its step the while's arguments, then the step's own
+        # checked results, and returns the last of them but done; the while's
+        # body is not compiled as written
+        step = step_of[d.name]
+        frame = list(zip(facts.params[d.name], facts.returns[step]))
+        for i, want in enumerate(facts.params[step]):
+            if not all(_within(fact, want) for fact in frame[i]):
+                args[step].add(i)
+        for i, want in enumerate(facts.returns[d.name]):
+            if not all(_within(fact, want) for fact in frame[i + 1]):
+                results[d.name].add(i)
+    return _Unproven({n: sorted(p) for n, p in args.items()},
+                     {n: sorted(p) for n, p in results.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +347,11 @@ class _Codegen:
         steps = set(step_of.values())
         self.deferred = {k for k, d in enumerate(defs) if d.name in steps
                          and all(self.loops[p] == d.name for p in self.callers[k])}
-        self.unproven = _unproven_args(program)
+        self.unproven = _unproven(program)
         self.lines: list[str] = []
         self.finish = None
         self.jumps: set[int] = set()  # the sections of the function being emitted
         self.fused = False            # emitting a step body inside its loop
-        self.assigned: set[str] = set()
         self.param_locals = [_param_locals(d) for d in defs]
 
     # -- locals ------------------------------------------------------------
@@ -302,7 +367,6 @@ class _Codegen:
             local = f"{base}_{k}"
             k += 1
         mapping[name] = local
-        self.assigned.add(local)
         return local
 
     # -- expressions ---------------------------------------------------------
@@ -423,22 +487,17 @@ class _Codegen:
 
     def next_frame(self, step: FunDef, s: int, frame: list[str]):
         """finish for a step body inlined in its loop: assign the next frame
-        and check the results that may have changed.  A result that is
-        its parameter, unassigned, at the parameter's kind was checked
-        when it entered this iteration."""
-        param_kinds = [kind for _, kind in step.params]
+        and check the step's unproven results."""
         results = step.result_kinds
+        unproven = self.unproven.results[step.name]
 
         def finish(items, e, env, indent):
             if items is None:
                 self.lines.append(f"{indent}{', '.join(frame)} = {self.expr(e, env)}")
-                changed = range(len(frame))
             else:
                 self.assign(frame, items, indent)
-                changed = [i for i, (t, v) in enumerate(zip(frame, items))
-                           if t != v or t in self.assigned or results[i] != param_kinds[i]]
-            if changed:
-                self.lines.append(f"{indent}if _chk and not ({_tests(frame, results, changed)}): "
+            if unproven:
+                self.lines.append(f"{indent}if _chk and not ({_tests(frame, results, unproven)}): "
                                   f"_bad({s}, ({', '.join(frame)},), 'result')")
         return finish
 
@@ -459,34 +518,49 @@ class _Codegen:
 
     def loop(self, k: int, d: FunDef, step: FunDef, env: dict[str, str]):
         """While def k as one loop with the step's body inlined, which a
-        traced run shows as a call of the step."""
+        traced run shows as a call of the step.  The loop counts the run's
+        iterations in the local `_n`, loaded from `_it[0]` on entry.  A
+        loop whose step makes no call stores it back on exit, and adds the
+        difference to `_per_while`.  One whose step makes a call, which may
+        run other loops, hands `_it[0]` the count before the budget test
+        and reloads it after the body, so `_it[0]` is current wherever the
+        loop may raise; it counts its own iterations in `_c`."""
         s = self.index[step.name]
         frame = [env[n] for n in d.param_names]
         args = ", ".join(frame)
         kinds = [kind for _, kind in step.params]
-        recheck = self.unproven[step.name]
-        self.lines += ["    _c = 0", "    _chk = _checking", "    _tr = _trace", "    try:",
-                       f"        while {frame[0]} != 1:",
-                       f"            if _tr: _show('->', {s}, ({args},))",
-                       "            _c += 1", "            _it[0] += 1",
-                       f"            if _it[0] > _limit: _exhaust({k}, _limit)"]
+        recheck = self.unproven.args[step.name]
+        calls = next(_call_sites(step.body), None) is not None
+        lines = self.lines
+        lines.append("    _n = _it[0]")
+        if recheck or self.unproven.results[step.name]:
+            lines.append("    _chk = _checking")
+        if calls:
+            lines.append("    _c = 0")
+        lines += ["    _tr = _trace", "    try:", f"        while {frame[0]} != 1:",
+                  f"            if _tr: _show('->', {s}, ({args},))", "            _n += 1"]
+        if calls:
+            lines += ["            _c += 1", "            _it[0] = _n"]
+        lines.append(f"            if _n > _limit: _exhaust({k}, _limit)")
         if recheck:
-            self.lines.append(f"            if _chk and not ({_tests(frame, kinds, recheck)}): "
-                              f"_bad({s}, ({args},), 'argument')")
-        self.assigned = set()
+            lines.append(f"            if _chk and not ({_tests(frame, kinds, recheck)}): "
+                         f"_bad({s}, ({args},), 'argument')")
         self.finish = self.next_frame(step, s, frame)
         self.fused = True
         self.tail(step.body, dict(env), " " * 12)
         self.fused = False
-        self.lines += [f"            if _tr: _show('<-', {s}, ({args},))",
-                       "    finally:",
-                       f"        if _c: _per_while[{d.name!r}] = _per_while.get({d.name!r}, 0) + _c"]
+        if calls:
+            lines.append("            _n = _it[0]")
+        lines += [f"            if _tr: _show('<-', {s}, ({args},))", "    finally:"]
+        if not calls:
+            lines += ["        _c = _n - _it[0]", "        _it[0] = _n"]
+        lines.append(f"        if _c: _per_while[{d.name!r}] = _per_while.get({d.name!r}, 0) + _c")
         self.result(frame[1:], None, env, "    ")
 
     def enter(self, k: int, path: str) -> str:
         """The call of the entry hook of definition k, which passes the
-        arguments whose check may fail (see `_unproven_args`)."""
-        unproven = self.unproven[self.program.defs[k].name]
+        arguments whose check may fail (see `_unproven`)."""
+        unproven = self.unproven.args[self.program.defs[k].name]
         values = "".join(f", {self.param_locals[k][i]}" for i in unproven)
         return f"_enter({k}, {path}{values})"
 
@@ -503,18 +577,24 @@ class _Codegen:
         """One function: the body of its root, sections[0], then each other
         section's body behind its test of `_b`.  A hooked run lists the
         sections it enters in `_p`, and the one return passes the result
-        through their exit hooks, innermost first."""
+        through their exit hooks, innermost first.  A function whose
+        sections have no unproven check calls the hooks in a traced run
+        only."""
         k = sections[0]
         self.jumps = set(sections[1:])
+        names = [self.program.defs[m].name for m in sections]
+        unproven = self.unproven
+        hook = ("_hook" if any(unproven.args[n] or unproven.results[n] for n in names)
+                else "_trace")
         self.lines.append(f"def {name}({', '.join(self.param_locals[k])}):")
         if self.jumps:
             self.lines.append(f"    _b = {k}")
-        self.lines.append(f"    _p = _hook and {self.enter(k, '[]')}")
+        self.lines.append(f"    _p = {hook} and {self.enter(k, '[]')}")
         self.section(k, "    ")
         for m in sections[1:]:
-            self.lines += [f"    if _b == {m}:", f"        if _hook: {self.enter(m, '_p')}"]
+            self.lines += [f"    if _b == {m}:", f"        if {hook}: {self.enter(m, '_p')}"]
             self.section(m, "        ")
-        self.lines += ["    return _leave(_p, _r) if _hook else _r", ""]
+        self.lines += [f"    return _leave(_p, _r) if {hook} else _r", ""]
 
     def generate(self) -> list[str]:
         """The source, one function per region but the deferred, in pieces
@@ -583,7 +663,8 @@ class _Hooks:
     def __init__(self, program: FunProgram, gen: _Codegen):
         self.defs = program.defs
         self.param_locals = gen.param_locals
-        self.unproven = [gen.unproven[d.name] for d in program.defs]
+        self.unproven_args = [gen.unproven.args[d.name] for d in program.defs]
+        self.unproven_results = [gen.unproven.results[d.name] for d in program.defs]
         self.param_kinds = [[kind for _, kind in d.params] for d in program.defs]
         self.checking = self.trace = False
         self.out: io.TextIOBase | None = None
@@ -605,16 +686,18 @@ class _Hooks:
             frame_locals = sys._getframe(1).f_locals
             self.show("->", k, [frame_locals[n] for n in self.param_locals[k]])
         if values and self.checking:
-            self.check(k, values, "argument", self.unproven[k])
+            self.check(k, values, "argument", self.unproven_args[k])
         return path
 
     def leave(self, path: list, out):
         """The exits of the definitions a function ran, innermost first:
-        each passed out on as its result, so each checks and traces it as
-        its own return did."""
+        each passed out on as its result, so each checks its unproven
+        results and traces it as its own return did."""
         for k in reversed(path):
-            if self.checking:
-                self.check(k, (out,) if len(self.defs[k].result_kinds) == 1 else out, "result")
+            unproven = self.unproven_results[k]
+            if unproven and self.checking:
+                values = (out,) if len(self.defs[k].result_kinds) == 1 else out
+                self.check(k, [values[i] for i in unproven], "result", unproven)
             if self.trace:
                 self.show("<-", k, out if isinstance(out, tuple) else (out,))
         return out
@@ -657,6 +740,9 @@ class ProgramEvaluator:
     the run mode (checking, budget, trace) in that namespace and calls the
     entry; every mode runs the same compiled functions.  `regions` names,
     for each compiled function, the definitions it runs: its root first.
+    `checks` counts the signature checks, one per argument and result
+    position of each definition: those the fact pass proved, and those
+    compiled into the source (see `_unproven`).
     The program's loops are its `cliques`, which `validate_program` sets
     on every translated or loaded program; a general-recursive definition
     outside them is a LoadError.
@@ -682,6 +768,10 @@ class ProgramEvaluator:
         defs = program.defs
         self.regions = {defs[k].name: tuple(defs[m].name for m in sections)
                         for k, sections in gen.regions.items()}
+        compiled = sum(len(gen.unproven.args[d.name]) + len(gen.unproven.results[d.name])
+                       for d in defs)
+        self.checks = {"proven": sum(len(d.params) + len(d.result_kinds) for d in defs)
+                       - compiled, "compiled": compiled}
         self._hooks = hooks = _Hooks(program, gen)
         memory = st_mod.RunMemory()
         self._ns = dict(_NAMESPACE, _memory=memory, _store_word=memory.store_word,

@@ -10,7 +10,7 @@ kinds.
 argument named `st` takes the state, one named `run` a byte run, every
 other a natural), the domain of each static (constant) argument, the
 codegen template, the reference function, the sort of the result and,
-where the static arguments bound a natural result, that bound.  A
+for a natural result, its bound rule (see "Bound rules" below).  A
 template is a format string over the arguments or the name of a helper,
 which is the row's reference function; `bits` has none because the code
 generator inlines its mask.
@@ -18,6 +18,7 @@ generator inlines its mask.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -134,8 +135,7 @@ class Primitive:
     domains: dict[str, tuple[int, int | str | None]] = field(default_factory=dict)
     cond: str | None = None     # condition-position format string (compares)
     result: str = NAT           # sort of the result
-    below: Callable | None = None  # exclusive bound of a natural result,
-                                   # from the static arguments (None elsewhere)
+    bound: Callable | None = None  # the bound rule of a natural result
 
     @cached_property
     def sorts(self) -> tuple[str, ...]:
@@ -157,44 +157,71 @@ class Primitive:
 
 
 def _row(name: str, params: str, template: str | None, ref: Callable,
-         cond: str | None = None, result: str = NAT, below: Callable | None = None,
+         cond: str | None = None, result: str = NAT, bound: Callable | None = None,
          **domains) -> tuple[str, Primitive]:
     return name, Primitive(name, tuple(params.split()), template, ref, domains, cond,
-                           result, below)
+                           result, bound)
 
+
+# Bound rules.  A fact about a natural-sort value is an exclusive bound on
+# it, which makes it a natural (`math.inf` when any natural), or None when
+# the value may be any integer; a constant's fact is its value + 1, so a
+# static argument's value is its fact - 1.  A row's rule maps the facts of
+# its arguments, in source order, to the fact of its result.
 
 def _bit(*_) -> int:
     return 2
 
 
 def _width(w, *_) -> int:
-    return 1 << w
+    return 1 << (w - 1)
+
+
+def _sum(a, b):
+    return None if a is None or b is None else a + b
+
+
+def _product(a, b):
+    return None if a is None or b is None else a * b
+
+
+def _smaller(a, b):
+    """a & b is at most its natural side."""
+    return b if a is None else a if b is None else min(a, b)
+
+
+def _power_of_two(a, b):
+    """a | b and a ^ b have no bit above the larger side's top bit."""
+    if a is None or b is None:
+        return None
+    top = max(a, b)
+    return top if top == math.inf else 1 << (top - 1).bit_length()
 
 
 def _compare(name: str, pyop: str, test: Callable[[int, int], bool]):
     cond = f"{{0}} {pyop} {{1}}"
     return _row(name, "a b", f"(1 if {cond} else 0)",
-                lambda a, b: 1 if test(a, b) else 0, cond=cond, below=_bit)
+                lambda a, b: 1 if test(a, b) else 0, cond=cond, bound=_bit)
 
 
 def _signed_compare(name: str, test: Callable[[int, int], bool]):
     return _row(name, "w a b", f"_{name}",
                 lambda w, a, b: 1 if test(to_signed(a, w), to_signed(b, w)) else 0,
-                below=_bit, w=WIDTH)
+                bound=_bit, w=WIDTH)
 
 
 PRIMS: dict[str, Primitive] = dict([
-    _row("bits", "x h l", None, bits, below=lambda x, h, l: 1 << (h - l + 1),
+    _row("bits", "x h l", None, bits, bound=lambda x, h, l: 1 << (h - l + 1),
          h=(0, 63), l=(0, "h")),
-    _row("+", "a b", "({0} + {1})", operator.add),
+    _row("+", "a b", "({0} + {1})", operator.add, bound=_sum),
     _row("-", "a b", "({0} - {1})", operator.sub),
-    _row("*", "a b", "({0} * {1})", operator.mul),
-    _row("logand", "a b", "({0} & {1})", operator.and_),
-    _row("logior", "a b", "({0} | {1})", operator.or_),
-    _row("logxor", "a b", "({0} ^ {1})", operator.xor),
-    _row("shl", "w a b", "_shl", shl, below=_width, w=WIDTH),
-    _row("lshr", "w a b", "_lshr", lshr, w=WIDTH),
-    _row("ashr", "w a b", "_ashr", ashr, below=_width, w=WIDTH),
+    _row("*", "a b", "({0} * {1})", operator.mul, bound=_product),
+    _row("logand", "a b", "({0} & {1})", operator.and_, bound=_smaller),
+    _row("logior", "a b", "({0} | {1})", operator.or_, bound=_power_of_two),
+    _row("logxor", "a b", "({0} ^ {1})", operator.xor, bound=_power_of_two),
+    _row("shl", "w a b", "_shl", shl, bound=_width, w=WIDTH),
+    _row("lshr", "w a b", "_lshr", lshr, bound=lambda w, a, b: a, w=WIDTH),
+    _row("ashr", "w a b", "_ashr", ashr, bound=_width, w=WIDTH),
     _compare("=", "==", operator.eq),
     _compare("/=", "!=", operator.ne),
     _compare("<", "<", operator.lt),
@@ -205,7 +232,8 @@ PRIMS: dict[str, Primitive] = dict([
     _signed_compare("sle", operator.le),
     _signed_compare("sgt", operator.gt),
     _signed_compare("sge", operator.ge),
-    _row("sext", "f t x", "_sext", sext, below=lambda f, t, x: 1 << t, f=WIDTH, t=WIDTH),
+    _row("sext", "f t x", "_sext", sext, bound=lambda f, t, x: 1 << (t - 1),
+         f=WIDTH, t=WIDTH),
     _row("update-retval", "v st", "_update_retval", st_mod.update_retval, result=STATE),
     _row("retval", "st", "{0}.retval", operator.attrgetter("retval")),
     _row("init-stack-frame", "st", "{0}", st_mod.init_stack_frame, result=STATE),
@@ -214,7 +242,8 @@ PRIMS: dict[str, Primitive] = dict([
     _row("alloca", "n st", "_alloca", st_mod.alloca, n=NATURAL, result=STATE),
     _row("stack", "st", "{0}.stack", operator.attrgetter("stack")),
     _row("loadbytes", "n a st", "_loadbytes", st_mod.loadbytes, n=BYTES, result=RUN),
-    _row("wfrombytes", "n run", "_wfrombytes", st_mod.wfrombytes, n=BYTES),
+    _row("wfrombytes", "n run", "_wfrombytes", st_mod.wfrombytes,
+         bound=lambda n, run: 1 << 8 * (n - 1), n=BYTES),
     _row("storebytes", "n a run st", "_storebytes", st_mod.storebytes, n=BYTES, result=STATE),
     _row("wtobytes", "n v", "_wtobytes", st_mod.wtobytes, n=BYTES, result=RUN),
 ])

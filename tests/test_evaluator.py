@@ -2,6 +2,8 @@
 tracing, and stack safety."""
 
 import gc
+import math
+import pathlib
 import random
 import sys
 import threading
@@ -12,12 +14,16 @@ import pytest
 
 from ll2fun import (
     BudgetExhausted, EvalFault, SignatureViolation, bits, emit_sexpr, eval_def,
-    load_program, make_state,
+    load_program, make_state, parse_text, translate_module,
 )
 from ll2fun import evaluator
 from ll2fun.evaluator import ProgramEvaluator
 from ll2fun.prims import NAT, PRIMS, RUN, STATE, ashr, lshr, sext, shl, to_signed
 from ll2fun.state import MachineState, begin_stack_frame
+from llgen import gen_program
+
+sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "perfbench"))
+from workloads import FILL_LL as STORE_LL, gen_wide  # noqa: E402
 
 
 def ref(op: str, *args):
@@ -345,17 +351,85 @@ def test_alloca_prims_via_program():
     assert st.stack == 0x1000
 
 
-def test_signature_checking_validates_results():
-    # the def claims an i8 result but computes 256
-    text = """(defun bad (st)
+# the def claims an i8 result but computes 256
+BAD_I8 = """(defun bad (st)
   (declare (xargs :signature ((stp) i8_p stp)))
   (mvlist 256 st))
 """
-    program = load_program(text)
+
+
+def test_signature_checking_validates_results():
+    program = load_program(BAD_I8)
     with pytest.raises(SignatureViolation, match="result"):
         eval_def(program, "bad", (), make_state())
     values, _ = eval_def(program, "bad", (), make_state(), checking=False)
     assert values == (256,)
+
+
+def test_translated_programs_compile_no_signature_check(occurrences_program,
+                                                      nestsum_program):
+    """The fact pass proves every argument, result and loop-step result
+    check of a translated program: the fixtures (occurrences is the scan
+    workload's program), the store and wide workloads' programs and 200
+    seeded llgen programs compile none.  A hand-written result that may
+    fail its kind keeps its check."""
+    rng = random.Random(2008)
+    programs = [occurrences_program, nestsum_program, translate_module(parse_text(STORE_LL)),
+                translate_module(parse_text(gen_wide(1).ll_text))]
+    programs += [translate_module(parse_text(gen_program(rng))) for _ in range(200)]
+    for program in programs:
+        checks = ProgramEvaluator(program).checks
+        total = sum(len(d.params) + len(d.result_kinds) for d in program.defs)
+        assert checks == {"proven": total, "compiled": 0}, program.defs[-1].name
+    assert ProgramEvaluator(load_program(BAD_I8)).checks == {"proven": 2, "compiled": 1}
+    # each evaluator's namespace is a cycle: free them now, not in a collection
+    # that lands inside a later test's timing
+    gc.collect()
+
+
+def _inside(rng: random.Random, fact):
+    """A value with this fact: 0, its bound - 1 or a random one below it;
+    with no fact, any integer."""
+    if fact is None:
+        return rng.choice([0, -1, rng.randrange(-(1 << 70), 1 << 70)])
+    top = (1 << 80) if fact == math.inf else fact
+    return rng.choice([0, top - 1, rng.randrange(top)])
+
+
+def test_bound_rules_hold_on_the_reference():
+    """For each row with a bound rule, 1,000 seeded argument tuples inside
+    their facts: a static argument's fact is its value + 1, a natural
+    argument's is drawn (None, any natural, or a bound) and its value
+    drawn inside it, a byte run is n bytes.  Wherever the rule gives a
+    bound, the reference result is a natural below it."""
+    rng = random.Random(31)
+    for op, prim in PRIMS.items():
+        if prim.bound is None:
+            continue
+        bounded = 0
+        for _ in range(1000):
+            static = rng.choice(_static_samples(rng, prim))
+            facts, values = [], []
+            for p in prim.params:
+                if p in static:
+                    fact, value = static[p] + 1, static[p]
+                elif p == "run":
+                    fact, value = None, ref("wtobytes", static["n"], rng.getrandbits(64))
+                else:
+                    fact = rng.choice([None, math.inf, 1, 2, 1 << rng.randrange(1, 70),
+                                       rng.randrange(1, 1 << rng.randrange(1, 70))])
+                    value = _inside(rng, fact)
+                facts.append(fact)
+                values.append(value)
+            bound = prim.bound(*facts)
+            try:
+                got = prim.ref(*values)
+            except EvalFault:  # a negative shift count: the run faults
+                continue
+            if bound is not None:
+                assert isinstance(got, int) and 0 <= got < bound, (op, facts, values, got)
+                bounded += 1
+        assert bounded >= 300, (op, bounded)
 
 
 PROBE = """(defun probe ({params} st)

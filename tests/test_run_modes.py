@@ -398,8 +398,9 @@ def test_run_trace_prints_per_while_counts(tmp_path, capsys):
 
 def test_one_source_serves_every_mode():
     """Codegen and compile happen once, in __init__; the loop is fused in
-    every mode, traced or not: one `while` that calls no step, unrolls
-    its 8-byte load and checks inline."""
+    every mode, traced or not: one `while` that calls no step and unrolls
+    its 8-byte load.  Every check of the translated loop is proven, so it
+    compiles none; a step result that may fail is checked inline."""
     ev = ProgramEvaluator(load_program(GOLDEN))
     source, namespace = ev.source, dict(ev._ns)
     for checking, budgeted in MODES:
@@ -418,8 +419,12 @@ def test_one_source_serves_every_mode():
     assert len(re.findall(r"^\s*while ", loop, re.M)) == 1
     assert "d2_occurrences_step_0(" not in loop
     assert loop.count("_g(v_scevgep") == 8 and "_rd_n(8, v_scevgep" in loop
-    assert "_bad(2," in loop
-
+    assert "_bad(" not in loop and "_chk" not in loop
+    grow = ProgramEvaluator(load_program(GROW)).source
+    start = grow.index("def d1_grow_step_0_while(")
+    loop = grow[start:grow.index("\ndef ", start)]
+    assert "_chk and not ((isinstance(v_acc, int) and 0 <= v_acc < 18446744073709551616)): " \
+        "_bad(0, (v_done, v_acc, v_k, v_n, v_st,), 'result')" in loop
 
 
 def test_step_defs_compile_on_first_use():
@@ -511,6 +516,120 @@ def test_unrolled_load_matches_rd_n_and_its_faults(n):
             ev.run("peek", (a,), st, checking=False)
         assert str(err.value) == (f"rd_n: address range [{a:#x}, {a + n:#x}) exceeds "
                                   f"32-bit memory [entry peek, step 1]")
+
+
+# ---------------------------------------------------------------------------
+# Checks the fact pass leaves open
+# ---------------------------------------------------------------------------
+
+# the step's acc result and sum's result are an unbounded (+ a b) declared
+# i64, so their checks stay; every other check is proven
+GROW = """(defun grow_step_0 (done acc k n st)
+  (declare (xargs :signature ((natp i64_p i64_p i64_p stp) natp i64_p i64_p i64_p stp)))
+  (let* ((acc (+ acc k))
+         (n (bits (- n 1) 63 0))
+         (done (= n 0)))
+    (mvlist done acc k n st)))
+
+(defun-general grow_step_0_while (done acc k n st)
+  (declare (xargs :signature ((natp i64_p i64_p i64_p stp) i64_p i64_p i64_p stp)))
+  (if (= done 1)
+      (mvlist acc k n st)
+    (metlist ((done acc k n st)
+              (grow_step_0 done acc k n st))
+      (grow_step_0_while done acc k n st))))
+
+(defun grow_continue_0 (acc k n st)
+  (declare (xargs :signature ((i64_p i64_p i64_p stp) stp)))
+  (update-retval acc st))
+
+(defun grow_step_0_while_wrap (acc k n st)
+  (declare (xargs :signature ((i64_p i64_p i64_p stp) stp)))
+  (metlist ((acc k n st)
+            (grow_step_0_while 0 acc k n st))
+    (grow_continue_0 acc k n st)))
+
+(defun grow (acc k n st)
+  (declare (xargs :signature ((i64_p i64_p i64_p stp) stp)))
+  (let* ((done (= n 0)))
+    (if (= done 1)
+        (grow_continue_0 acc k n st)
+      (grow_step_0_while_wrap acc k n st))))
+
+(defun sum (a b st)
+  (declare (xargs :signature ((i64_p i64_p stp) i64_p stp)))
+  (mvlist (+ a b) st))
+
+(defun twice (a st)
+  (declare (xargs :signature ((i64_p stp) stp)))
+  (metlist ((s st) (sum a a st)) (update-retval s st)))
+"""
+_STEP_FAILS = "grow_step_0: result 2 fails i64 (got 18446744073709551616) [def grow_step_0]"
+_SUM_FAILS = "sum: result 1 fails i64 (got 18446744073709551616) [def sum]"
+
+# (entry, args): the checked outcome, traced and not, then the trace's
+# length; the texts were recorded from the evaluator that compiled every
+# result check
+GROW_CASES = {
+    ("grow", (1 << 62, 1 << 62, 5)): (_STEP_FAILS, 8),
+    ("grow", ((1 << 64) - 2, 1, 3)): (_STEP_FAILS, 6),
+    ("grow", (5, 7, 3)): (((), 26), 14),
+    ("grow_step_0", (0, (1 << 64) - 1, 1, 4)): (_STEP_FAILS, 1),
+    ("sum", (1 << 63, 1 << 63)): (_SUM_FAILS, 1),
+    ("twice", (1 << 63,)): (_SUM_FAILS, 2),
+    ("twice", (5,)): (((), 10), 4),
+}
+
+
+def _all_unproven(program):
+    """Every argument and result check left open, as if nothing were proven."""
+    return evaluator._Unproven({d.name: list(range(len(d.params))) for d in program.defs},
+                               {d.name: list(range(len(d.result_kinds))) for d in program.defs})
+
+
+@pytest.mark.parametrize("entry, args", list(GROW_CASES))
+def test_unproven_step_and_exit_results_keep_their_checks(entry, args, monkeypatch):
+    """A loop step and a definition whose results may leave their kind keep
+    those checks, inline in the loop and at the exit, and raise the same
+    violation as with every check compiled; an unchecked run completes."""
+    want, lines = GROW_CASES[entry, args]
+    ev = ProgramEvaluator(load_program(GROW))
+    assert ev.checks == {"proven": 40, "compiled": 2}
+    assert _region_outcome(ev, entry, args, True, False) == (want, [])
+    out, trace = _region_outcome(ev, entry, args, True, True)
+    assert out == want and len(trace) == lines
+    assert not isinstance(_region_outcome(ev, entry, args, False, False)[0], str)
+    monkeypatch.setattr(evaluator, "_unproven", _all_unproven)
+    full = ProgramEvaluator(load_program(GROW))
+    assert full.checks == {"proven": 0, "compiled": 42}
+    assert _region_outcome(full, entry, args, True, True) == (out, trace)
+
+
+# x is known to be an i8 only inside the let* (which binds it twice) and
+# the metlist that rebind it
+SHADOW = """(defun five (st)
+  (declare (xargs :signature ((stp) i8_p stp)))
+  (mvlist 5 st))
+
+(defun shadow (x st)
+  (declare (xargs :signature ((i64_p stp) i8_p stp)))
+  (if (= x 0)
+      (let* ((x 5) (x 7)) (mvlist x st))
+    (if (= x 1)
+        (metlist ((x st) (five st)) (mvlist x st))
+      (mvlist x st))))
+"""
+
+
+def test_facts_end_with_their_bindings():
+    """A binding's fact holds in its body only: the parameter that an outer
+    arm returns keeps its result check."""
+    ev = ProgramEvaluator(load_program(SHADOW))
+    assert ev.checks == {"proven": 6, "compiled": 1}
+    assert _region_outcome(ev, "shadow", (0,), True, False) == (((7,), 0), [])
+    assert _region_outcome(ev, "shadow", (1,), True, False) == (((5,), 0), [])
+    assert _region_outcome(ev, "shadow", (300,), True, False) == \
+        ("shadow: result 1 fails i8 (got 300) [def shadow]", [])
 
 
 # ---------------------------------------------------------------------------
@@ -695,14 +814,11 @@ def test_mutated_programs_end_in_a_result_or_an_ll2fun_error(monkeypatch):
     """About 500 mutants of .fun text, loaded and run checked, unchecked
     and budgeted (the first two under a generous budget, since a mutant
     may loop forever).  Nothing but Ll2FunError escapes; where checked and
-    unchecked both complete they agree; and checking with the entry
-    checks the analysis proved redundant left in gives the same outcome."""
+    unchecked both complete they agree; and checking with the argument,
+    result and loop-step result checks the fact pass proved redundant left
+    in gives the same outcome."""
     rng = random.Random(0xF022)
     bases = _fuzz_bases()
-
-    def all_unproven(program):
-        return {d.name: list(range(len(d.params))) for d in program.defs}
-
     started, loaded, agreed = time.perf_counter(), 0, 0
     for n in range(500):
         text, entry, args, mem = bases[n % len(bases)]
@@ -722,7 +838,7 @@ def test_mutated_programs_end_in_a_result_or_an_ll2fun_error(monkeypatch):
             assert (checked.values, checked.state) == (unchecked.values, unchecked.state), mutant
             agreed += 1
         with monkeypatch.context() as m:
-            m.setattr(evaluator, "_unproven_args", all_unproven)
+            m.setattr(evaluator, "_unproven", _all_unproven)
             full = _fuzz_run(ProgramEvaluator(program), entry, args, mem, True, 3000)
         assert type(full) is type(checked), mutant
         assert full == checked if isinstance(full, evaluator.RunResult) \
