@@ -26,8 +26,8 @@ compiled (see `_unproven`); on a translated program that is none:
   result through the exit hook of each definition on the path, innermost
   first, as their nested returns would have, and each checks its
   unproven results; a checked run of any other function calls no hook;
-* a loop counts the run's iterations in a local that the budget is
-  tested against, and hands the count to `_it` and its own iterations to
+* a loop counts the run's iterations in `_it`, in a local while its
+  step makes no call, tests them against the budget and adds its own to
   `_per_while` (see `_Codegen.loop`); it checks the step's unproven
   arguments and results inline with the `Kind.test` expressions of
   `prims.KINDS`, the same predicates `Kind.check` evaluates; in a traced
@@ -57,6 +57,7 @@ import io
 import math
 import re
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -128,14 +129,16 @@ def _tests(values: list[str], kinds, positions) -> str:
 # callee's exit check of a result, or `run`'s check of the entry's
 # arguments.  A constant, or a value a primitive computes from values with
 # known facts (the row's bound rule, see `prims`), is known to be in range
-# as well; a load's rule takes a state's memory to hold bytes, as the
-# image reader and every store keep it.  So one pass over each definition, with the facts of its
-# parameters and of its callees' results, proves which of its call sites'
-# arguments and of its own results pass their checks; callees precede
-# callers, so the facts follow by induction over a run.  Codegen compiles
-# only the checks that the pass leaves open: the entry hook is passed only
-# the unproven arguments, the exit hook checks only the unproven results,
-# and a loop checks only its step's unproven arguments and results.
+# as well.  A load's rule takes a state's memory to hold bytes: every store
+# writes bytes, and where a proof relies on a load's rule, `run` checks the
+# memory of the state it is given.  So one pass over each definition, with
+# the facts of its parameters and of its callees' results, proves which of
+# its call sites' arguments and of its own results pass their checks;
+# callees precede callers, so the facts follow by induction over a run.
+# Codegen compiles only the checks that the pass leaves open: the entry
+# hook is passed only the unproven arguments, the exit hook checks only the
+# unproven results, and a loop checks only its step's unproven arguments
+# and results.
 
 # What passing the check of each kind says: STATE, or an exclusive bound.
 _KIND_FACTS = {name: STATE if row.sort == STATE else row.bound or math.inf
@@ -150,6 +153,7 @@ def _within(fact, want) -> bool:
 
 
 _UNBOUND = object()  # a name not in scope before a binding form
+_LOAD = PRIMS["wfrombytes"]
 
 
 class _FactPass:
@@ -158,7 +162,8 @@ class _FactPass:
     scope in one dict that each binding form restores on exit.  A class
     rather than nested functions, as `fun_ir._DefCheck` is."""
 
-    __slots__ = ("params", "returns", "args", "results", "env", "wants")
+    __slots__ = ("params", "returns", "args", "results", "env", "wants", "bytes", "name",
+                 "loading")
 
     def __init__(self, program: FunProgram):
         # the facts each definition's parameter and result checks say
@@ -167,11 +172,28 @@ class _FactPass:
         # each definition's argument and result positions that may fail
         self.args: dict[str, set[int]] = {d.name: set() for d in program.defs}
         self.results: dict[str, set[int]] = {d.name: set() for d in program.defs}
+        self.bytes = True               # does a load's rule apply?
+        self.loading: dict[str, None] = {}  # the definitions that load, in order
 
     def definition(self, d: FunDef):
+        self.name = d.name
         self.env = {name: _KIND_FACTS[kind] for name, kind in d.params}
         self.wants = self.returns[d.name]
         self.tail(d.body, self.results[d.name])
+
+    def relies_on_bytes(self, program: FunProgram) -> bool:
+        """The pass's last step, once every definition is walked: does a
+        check it proved stay open when the loading definitions are walked
+        again with no fact for a load?"""
+        args, results = self.args, self.results
+        self.bytes, self.args, self.results = False, defaultdict(set), defaultdict(set)
+        for name in list(self.loading):
+            self.definition(program.by_name[name])
+            if (self.results[name] - results[name]
+                    or any(p - args[n] for n, p in self.args.items())):
+                return True
+            self.args.clear()
+        return False
 
     def value(self, e):
         """The fact of a one-valued expression; records its calls."""
@@ -185,6 +207,10 @@ class _FactPass:
             facts = [self.value(a) for a in e.args]
             if row.result == STATE:
                 return STATE
+            if row is _LOAD:
+                self.loading[self.name] = None
+                if not self.bytes:
+                    return None
             return row.bound(*facts) if row.bound else None
         if t is Call:
             return self.call(e)[0]
@@ -242,10 +268,12 @@ class _FactPass:
 class _Unproven:
     """Per definition, the positions of the argument and the result checks
     that the fact pass leaves open, in order.  A step's result checks run
-    inline in its loops."""
+    inline in its loops.  `memory`: a check is proven only because memory
+    holds bytes, so `run` checks the memory of the entry's state."""
 
     args: dict[str, list[int]]
     results: dict[str, list[int]]
+    memory: bool
 
 
 def _unproven(program: FunProgram) -> _Unproven:
@@ -270,7 +298,8 @@ def _unproven(program: FunProgram) -> _Unproven:
             if not all(_within(fact, want) for fact in frame[i + 1]):
                 results[d.name].add(i)
     return _Unproven({n: sorted(p) for n, p in args.items()},
-                     {n: sorted(p) for n, p in results.items()})
+                     {n: sorted(p) for n, p in results.items()},
+                     facts.relies_on_bytes(program))
 
 
 # ---------------------------------------------------------------------------
@@ -518,30 +547,29 @@ class _Codegen:
 
     def loop(self, k: int, d: FunDef, step: FunDef, env: dict[str, str]):
         """While def k as one loop with the step's body inlined, which a
-        traced run shows as a call of the step.  The loop counts the run's
-        iterations in the local `_n`, loaded from `_it[0]` on entry.  A
-        loop whose step makes no call stores it back on exit, and adds the
-        difference to `_per_while`.  One whose step makes a call, which may
-        run other loops, hands `_it[0]` the count before the budget test
-        and reloads it after the body, so `_it[0]` is current wherever the
-        loop may raise; it counts its own iterations in `_c`."""
+        traced run shows as a call of the step.  A loop whose step makes no
+        call counts the run's iterations in the local `_n`, loaded from
+        `_it[0]` on entry and stored back on exit, and adds the difference
+        to `_per_while`.  A step that makes a call may run other loops, so
+        its loop counts in `_it[0]` itself, and its own iterations in
+        `_c`."""
         s = self.index[step.name]
         frame = [env[n] for n in d.param_names]
         args = ", ".join(frame)
         kinds = [kind for _, kind in step.params]
         recheck = self.unproven.args[step.name]
         calls = next(_call_sites(step.body), None) is not None
+        count = "_it[0]" if calls else "_n"
         lines = self.lines
-        lines.append("    _n = _it[0]")
+        lines.append("    _c = 0" if calls else "    _n = _it[0]")
         if recheck or self.unproven.results[step.name]:
             lines.append("    _chk = _checking")
-        if calls:
-            lines.append("    _c = 0")
         lines += ["    _tr = _trace", "    try:", f"        while {frame[0]} != 1:",
-                  f"            if _tr: _show('->', {s}, ({args},))", "            _n += 1"]
+                  f"            if _tr: _show('->', {s}, ({args},))"]
         if calls:
-            lines += ["            _c += 1", "            _it[0] = _n"]
-        lines.append(f"            if _n > _limit: _exhaust({k}, _limit)")
+            lines.append("            _c += 1")
+        lines += [f"            {count} += 1",
+                  f"            if {count} > _limit: _exhaust({k}, _limit)"]
         if recheck:
             lines.append(f"            if _chk and not ({_tests(frame, kinds, recheck)}): "
                          f"_bad({s}, ({args},), 'argument')")
@@ -549,8 +577,6 @@ class _Codegen:
         self.fused = True
         self.tail(step.body, dict(env), " " * 12)
         self.fused = False
-        if calls:
-            lines.append("            _n = _it[0]")
         lines += [f"            if _tr: _show('<-', {s}, ({args},))", "    finally:"]
         if not calls:
             lines += ["        _c = _n - _it[0]", "        _it[0] = _n"]
@@ -666,6 +692,7 @@ class _Hooks:
         self.unproven_args = [gen.unproven.args[d.name] for d in program.defs]
         self.unproven_results = [gen.unproven.results[d.name] for d in program.defs]
         self.param_kinds = [[kind for _, kind in d.params] for d in program.defs]
+        self.memory = gen.unproven.memory
         self.checking = self.trace = False
         self.out: io.TextIOBase | None = None
 
@@ -703,9 +730,17 @@ class _Hooks:
         return out
 
     def admit(self, k: int, args: tuple):
-        """`run`'s check of every argument of the entry k."""
+        """`run`'s check of every argument of the entry k, and of the
+        memory of its state where a proven check takes memory to hold
+        bytes."""
         try:
             self.check(k, args, "argument")
+            bad = self.memory and st_mod.non_byte(args[-1].mem)
+            if bad:
+                d = self.defs[k]
+                raise SignatureViolation(
+                    f"{d.name}: argument {len(args)} fails stp (memory at {bad[0]:#x} "
+                    f"holds {bad[1]!r}, not a byte)", context=f"def {d.name}")
         except SignatureViolation:
             if self.trace:
                 self.show("->", k, args)

@@ -76,6 +76,17 @@ def rd_n(n: int, addr: int, mem: dict[int, int]) -> int:
     return value
 
 
+def non_byte(mem: dict[int, int]) -> tuple[int, object] | None:
+    """The first (address, value) of mem whose value is not a byte, or
+    None when every value is."""
+    try:
+        bytes(mem.values())
+        return None
+    except (TypeError, ValueError):
+        return next((a, v) for a, v in mem.items()
+                    if not (isinstance(v, int) and 0 <= v < 256))
+
+
 def wr_n(n: int, addr: int, value: int, mem: dict[int, int]) -> dict[int, int]:
     """Write value (reduced mod 2^(8n)) as n little-endian bytes; returns a
     new dict, zero bytes removed to keep the map canonical."""

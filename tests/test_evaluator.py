@@ -2,6 +2,8 @@
 tracing, and stack safety."""
 
 import gc
+import importlib.util
+import itertools
 import math
 import pathlib
 import random
@@ -22,8 +24,15 @@ from ll2fun.prims import NAT, PRIMS, RUN, STATE, ashr, lshr, sext, shl, to_signe
 from ll2fun.state import MachineState, begin_stack_frame
 from llgen import gen_program
 
-sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "perfbench"))
-from workloads import FILL_LL as STORE_LL, gen_wide  # noqa: E402
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, loaded by its path so that no other perfbench
+    module becomes importable."""
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def ref(op: str, *args):
@@ -366,6 +375,31 @@ def test_signature_checking_validates_results():
     assert values == (256,)
 
 
+# the i8 result is proven only because memory holds bytes
+PEEK = """(defun peek (a st)
+  (declare (xargs :signature ((addr_p stp) i8_p stp)))
+  (mvlist (wfrombytes 1 (loadbytes 1 a st)) st))
+"""
+
+
+@pytest.mark.parametrize("st", [make_state(mem={0x100: 300}), MachineState(mem={0x100: -1}),
+                                make_state(mem={0x100: 1.5})])
+def test_checked_run_rejects_memory_that_is_not_bytes(st):
+    """A checked run whose proofs take memory to hold bytes checks the
+    memory of the state it is given, however that state was made; an
+    unchecked run reads the natural that is there."""
+    ev = ProgramEvaluator(load_program(PEEK))
+    assert ev.checks == {"proven": 4, "compiled": 0}
+    bad = st.mem[0x100]
+    with pytest.raises(SignatureViolation,
+                       match=rf"^peek: argument 2 fails stp \(memory at 0x100 holds {bad}, "
+                             r"not a byte\)"):
+        ev.run("peek", (0x100,), st)
+    if isinstance(bad, int):
+        assert ev.run("peek", (0x100,), st, checking=False).values == (bad,)
+    assert ev.run("peek", (0x100,), make_state(mem={0x100: 255})).values == (255,)
+
+
 def test_translated_programs_compile_no_signature_check(occurrences_program,
                                                       nestsum_program):
     """The fact pass proves every argument, result and loop-step result
@@ -373,17 +407,17 @@ def test_translated_programs_compile_no_signature_check(occurrences_program,
     workload's program), the store and wide workloads' programs and 200
     seeded llgen programs compile none.  A hand-written result that may
     fail its kind keeps its check."""
-    rng = random.Random(2008)
-    programs = [occurrences_program, nestsum_program, translate_module(parse_text(STORE_LL)),
-                translate_module(parse_text(gen_wide(1).ll_text))]
-    programs += [translate_module(parse_text(gen_program(rng))) for _ in range(200)]
-    for program in programs:
+    workloads, rng = _perfbench_workloads(), random.Random(2008)
+    texts = [workloads.FILL_LL, workloads.gen_wide(1).ll_text]
+    texts += (gen_program(rng) for _ in range(200))
+    for program in itertools.chain([occurrences_program, nestsum_program],
+                                   (translate_module(parse_text(t)) for t in texts)):
         checks = ProgramEvaluator(program).checks
         total = sum(len(d.params) + len(d.result_kinds) for d in program.defs)
         assert checks == {"proven": total, "compiled": 0}, program.defs[-1].name
     assert ProgramEvaluator(load_program(BAD_I8)).checks == {"proven": 2, "compiled": 1}
-    # each evaluator's namespace is a cycle: free them now, not in a collection
-    # that lands inside a later test's timing
+    # each evaluator's namespace is a cycle: free them now, not in a
+    # collection that lands inside a later test's timing
     gc.collect()
 
 
