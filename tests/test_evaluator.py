@@ -416,8 +416,8 @@ def test_translated_programs_compile_no_signature_check(occurrences_program,
         total = sum(len(d.params) + len(d.result_kinds) for d in program.defs)
         assert checks == {"proven": total, "compiled": 0}, program.defs[-1].name
     assert ProgramEvaluator(load_program(BAD_I8)).checks == {"proven": 2, "compiled": 1}
-    # each evaluator's namespace is a cycle: free them now, not in a
-    # collection that lands inside a later test's timing
+    # each evaluator's namespace is a cycle: free them now, not in a collection
+    # that lands inside a later test's timing
     gc.collect()
 
 
