@@ -46,6 +46,13 @@ def _natural(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    value = _natural(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError("expected a positive number")
+    return value
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """argparse with usage errors mapped to EXIT_USAGE; subcommand parsers
     inherit the class."""
@@ -80,7 +87,7 @@ def make_parser() -> argparse.ArgumentParser:
                        help="initial frame pointer (default 0xffff0000)")
         p.add_argument("--no-check", action="store_true",
                        help="disable dynamic signature checking")
-        p.add_argument("--budget", type=_natural, default=None,
+        p.add_argument("--budget", type=_positive, default=None,
                        help="loop-iteration budget")
 
     p_run = sub.add_parser("run", help="run a translated program")
@@ -90,9 +97,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="measure execution throughput")
     add_run_config(p_bench)
-    p_bench.add_argument("--instr-per-iter", type=_natural, required=True,
+    p_bench.add_argument("--instr-per-iter", type=_positive, required=True,
                          help="source instructions per loop iteration")
-    p_bench.add_argument("--repeat", type=_natural, default=1,
+    p_bench.add_argument("--repeat", type=_positive, default=1,
                          help="number of timed repetitions")
     return parser
 
@@ -145,7 +152,7 @@ def cmd_bench(args) -> int:
     st = _initial_state(args)
     ev = ProgramEvaluator(program)
     best = None
-    for rep in range(max(args.repeat, 1)):
+    for rep in range(args.repeat):
         t0, cpu0 = time.perf_counter(), time.process_time()
         result = ev.run(args.entry, tuple(args.args), st,
                         checking=not args.no_check, budget=args.budget)

@@ -63,7 +63,7 @@ from functools import lru_cache
 
 from .errors import BudgetExhausted, EvalFault, LoadError, SignatureViolation
 from .fun_ir import (
-    Call, Const, FunDef, FunProgram, If, LetStar, Metlist, Mvlist, Prim, Var, children,
+    Call, Const, FunDef, FunProgram, If, LetStar, Metlist, Mvlist, Prim, Var,
     collector_paused,
 )
 from .prims import KINDS, PRIMS, STATE, decimal
@@ -314,22 +314,13 @@ def _unproven(program: FunProgram) -> _Unproven:
 # their callees in a program, so sections in decreasing definition order
 # only ever jump forward.  A section reads only its parameters and its own
 # lets, and a jump assigns every parameter whose local does not already
-# hold the argument, so sharing one set of locals is sound.
-
-def _call_sites(e, tail: bool = True):
-    """(callee, in tail position?) for every call in e.  A tail call is
-    the value of a result position, as `_Codegen.tail` compiles it."""
-    todo = [(e, tail)]
-    while todo:
-        e, tail = todo.pop()
-        if type(e) is Call:
-            yield e.name, tail
-        todo += [(child, tail and results is None) for child, results in children(e)
-                 if type(child) is not Var]
-
+# hold the argument, so sharing one set of locals is sound.  The loader's
+# check records every call site in `program.calls`, so codegen walks no
+# body to find them; a tail call there is the value of a result position,
+# as `_Codegen.tail` compiles it.
 
 def _region_roots(program: FunProgram, loops: list) -> tuple[list[int], list[list[int]]]:
-    """The root of each definition's region, and each definition's callers.
+    """Each definition's region root and callers, from `program.calls`.
     A non-while definition joins its callers' region when every call of it
     is a tail call from a later non-while definition and all its callers
     share one region.  A while def calls its step, and its fused loop
@@ -337,14 +328,12 @@ def _region_roots(program: FunProgram, loops: list) -> tuple[list[int], list[lis
     defs = program.defs
     index = {d.name: k for k, d in enumerate(defs)}
     sites: list[list[tuple[int, bool]]] = [[] for _ in defs]
-    for k, d in enumerate(defs):
-        if loops[k] is None:
-            calls = _call_sites(d.body)
-        else:
-            step = program.by_name[loops[k]]
-            calls = [(step.name, False)] + [(c, False) for c, _ in _call_sites(step.body)]
-        for callee, tail in calls:
-            sites[index[callee]].append((k, tail))
+    for k, calls in enumerate(program.calls):
+        if loops[k] is not None:
+            sites[index[loops[k]]].append((k, False))
+            calls = [(c, False) for c, _ in program.calls[index[loops[k]]]]
+        for call, tail in calls:
+            sites[index[call.name]].append((k, tail))
     root = list(range(len(defs)))
     for k in reversed(range(len(defs))):  # a definition's callers come later
         if (sites[k] and loops[k] is None and all(tail and p > k for p, tail in sites[k])
@@ -558,7 +547,7 @@ class _Codegen:
         args = ", ".join(frame)
         kinds = [kind for _, kind in step.params]
         recheck = self.unproven.args[step.name]
-        calls = next(_call_sites(step.body), None) is not None
+        calls = bool(self.program.calls[s])
         count = "_it[0]" if calls else "_n"
         lines = self.lines
         lines.append("    _c = 0" if calls else "    _n = _it[0]")
@@ -748,7 +737,9 @@ class _Hooks:
 
     def check(self, k: int, values, what: str, positions=None):
         """Raise the SignatureViolation of the first value that fails its
-        kind; values are at positions, by default all of them in order."""
+        kind; values are at positions, by default all of them in order.
+        A fused loop's failed inline check calls it as `_bad` on the step k's
+        frame; `Kind.check` evaluates the same `Kind.test`, so it raises."""
         d = self.defs[k]
         kinds = d.result_kinds if what == "result" else self.param_kinds[k]
         for i, value in zip(range(len(kinds)) if positions is None else positions, values):
@@ -756,11 +747,6 @@ class _Hooks:
                 raise SignatureViolation(
                     f"{d.name}: {what} {i + 1} fails {kinds[i]} "
                     f"(got {_state_text(value)})", context=f"def {d.name}")
-
-    def bad(self, k: int, values: tuple, what: str):
-        """An inline check in a fused loop failed on the step def k."""
-        self.check(k, values, what)
-        raise AssertionError(f"inline {what} check of {self.defs[k].name} disagrees with KINDS")
 
     def exhaust(self, k: int, budget: int):
         """The budget ran out at the top of an iteration of while def k."""
@@ -778,9 +764,9 @@ class ProgramEvaluator:
     `checks` counts the signature checks, one per argument and result
     position of each definition: those the fact pass proved, and those
     compiled into the source (see `_unproven`).
-    The program's loops are its `cliques`, which `validate_program` sets
-    on every translated or loaded program; a general-recursive definition
-    outside them is a LoadError.
+    The program's loops are its `cliques` and its call sites its `calls`,
+    which `validate_program` sets on every translated or loaded program; a
+    program it never passed is a LoadError.
 
     Programs are immutable and freely shareable, and so are states outside
     a run.  An evaluator, however, owns mutable iteration counters and the
@@ -790,11 +776,8 @@ class ProgramEvaluator:
 
     @collector_paused()
     def __init__(self, program: FunProgram):
-        whiles = {c.while_def for c in program.cliques}
-        for d in program.defs:
-            if d.general_recursive and d.name not in whiles:
-                raise LoadError(f"{d.name}: general-recursive definition outside a loop "
-                                "clique; pass the program through validate_program")
+        if program.calls is None:
+            raise LoadError("the program was never validated; pass it through validate_program")
         self.program = program
         self._gen = gen = _Codegen(program)
         pieces = gen.generate()
@@ -811,7 +794,7 @@ class ProgramEvaluator:
         memory = st_mod.RunMemory()
         self._ns = dict(_NAMESPACE, _memory=memory, _store_word=memory.store_word,
                         _storebytes=memory.storebytes, _enter=hooks.enter,
-                        _leave=hooks.leave, _show=hooks.show, _bad=hooks.bad,
+                        _leave=hooks.leave, _show=hooks.show, _bad=hooks.check,
                         _exhaust=hooks.exhaust,
                         _it=[0], _per_while={}, _hook=False, _checking=False,
                         _trace=False, _limit=_NO_LIMIT)

@@ -162,10 +162,16 @@ class WhileClique:
                 self.wrap_def, self.entry_def)
 
 
+CallSite = tuple[Call, bool]  # a call and whether it is in result position
+
+
 @dataclass(eq=False)
 class FunProgram:
     defs: tuple[FunDef, ...]
     cliques: tuple[WhileClique, ...] = ()  # set by validate_program
+    # per definition, its call sites in evaluation order, as the loader's
+    # check of the definition found them; set by validate_program
+    calls: tuple[tuple[CallSite, ...], ...] | None = None
     by_name: dict[str, FunDef] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -890,7 +896,10 @@ def free_vars(expr: FunExpr, bound: frozenset[str]) -> set[str]:
 _RESULT_FORMS = {Mvlist: "mvlist", LetStar: "let*", Metlist: "metlist"}
 
 
-def validate_def(d: FunDef, known: dict[str, FunDef]):
+def validate_def(d: FunDef, known: dict[str, FunDef]) -> tuple[CallSite, ...]:
+    """Check d against known, the definitions before it, and add d to them;
+    d's call sites."""
+    known[d.name] = d
     if not d.params or d.params[-1] != (STATE_VAR, "state"):
         raise LoadError(f"{d.name}: last parameter must be the machine state")
     if sum(1 for _, k in d.params if k == "state") != 1:
@@ -901,10 +910,12 @@ def validate_def(d: FunDef, known: dict[str, FunDef]):
     if len(set(names)) != len(names):
         raise LoadError(f"{d.name}: duplicate parameter names")
     declared = _sorts(d.result_kinds)
-    got = _DefCheck(d, known).check(d.body, len(declared), True)
+    walk = _DefCheck(d, known)
+    got = walk.check(d.body, len(declared), True)
     if got != declared:
         raise LoadError(f"{d.name}: the body yields ({', '.join(got)}) where the "
                         f"signature declares ({', '.join(declared)})")
+    return tuple(walk.calls)
 
 
 def _sorts(kinds: tuple[str, ...]) -> tuple[str, ...]:
@@ -912,17 +923,18 @@ def _sorts(kinds: tuple[str, ...]) -> tuple[str, ...]:
 
 
 class _DefCheck:
-    """The walk over one definition body.  A class rather than nested
-    functions: recursive closures form reference cycles, and one cycle per
-    definition left behind for the collector slowed translation."""
+    """The walk over one definition body, recording its calls.  A class
+    rather than nested functions: recursive closures form reference cycles,
+    and a cycle per definition left for the collector slowed translation."""
 
-    __slots__ = ("d", "known", "env", "live")
+    __slots__ = ("d", "known", "env", "live", "calls")
 
     def __init__(self, d: FunDef, known: dict[str, FunDef]):
         self.d = d
         self.known = known
         self.env = {n: SORT_OF_KIND[k] for n, k in d.params}  # sort of each name in scope
         self.live = True  # st not passed to a state-consuming argument since bound
+        self.calls: list[CallSite] = []  # (call, tail), each after its arguments
 
     def fail(self, message: str):
         raise LoadError(f"{self.d.name}: {message}")
@@ -963,7 +975,8 @@ class _DefCheck:
         may not be used again until a let* or metlist rebinds it.  `reads`
         marks the state argument of a primitive that returns no state
         (loadbytes, retval, stack), which uses st without consuming it.
-        The two arms of an if are checked from the same point."""
+        The two arms of an if are checked from the same point.  Each call
+        is recorded after its arguments, with `tail`."""
         t = type(expr)
         if not tail and t in _RESULT_FORMS:
             self.fail(f"{_RESULT_FORMS[t]} outside result position")
@@ -1012,6 +1025,7 @@ class _DefCheck:
                           f"results where {expected} are expected")
             for k, (a, (_, kind)) in enumerate(zip(expr.args, target.params), 1):
                 self.arg(a, SORT_OF_KIND[kind], k, expr.name)
+            self.calls.append((expr, tail))
             return _sorts(target.result_kinds)
         if t is Mvlist:
             if len(expr.items) != expected:
@@ -1064,33 +1078,24 @@ def _while_shape(d: FunDef) -> tuple[str, tuple[str, ...]] | None:
     return m.call.name, names
 
 
-_LEAVES = (Var, Const)  # most nodes; the clique walk does not push them
-
-
-def _loop_cliques(program: FunProgram) -> tuple[WhileClique, ...]:
+def _loop_cliques(program: FunProgram, calls: tuple) -> tuple[WhileClique, ...]:
     """One clique per general-recursive definition, in definition order.
     The wrap is the last definition that calls the while with done = 0,
     the continue is what the wrap's metlist body calls, and the entry is
-    the last other definition that calls the wrap.  One walk over every
-    body indexes each callee's callers, so the pass is linear in the
-    program's size."""
+    the last other definition that calls the wrap.  Each callee's callers
+    are indexed from the call sites of every definition, so the pass is
+    linear in the program's size."""
     whiles = [d for d in program.defs if d.general_recursive]
     if not whiles:
         return ()
-    callers: dict[str, list[FunDef]] = {}  # distinct callers, in order
+    callers: dict[str, list[FunDef]] = {}  # the caller of each call, in order
     zero_caller: dict[str, FunDef] = {}    # last caller passing done = 0
     zero = (Const(0),)
-    for d in program.defs:
-        stack = [d.body]
-        while stack:
-            e = stack.pop()
-            if type(e) is Call:
-                seen = callers.setdefault(e.name, [])
-                if not seen or seen[-1] is not d:
-                    seen.append(d)
-                if e.args[:1] == zero:
-                    zero_caller[e.name] = d
-            stack.extend([c for c, _ in children(e) if type(c) not in _LEAVES])
+    for d, sites in zip(program.defs, calls):
+        for call, _ in sites:
+            callers.setdefault(call.name, []).append(d)
+            if call.args[:1] == zero:
+                zero_caller[call.name] = d
     by_name = program.by_name
     cliques = []
     for index, d in enumerate(whiles):
@@ -1156,12 +1161,11 @@ def validate_clique(program: FunProgram, clique: WhileClique):
 
 
 def validate_program(program: FunProgram):
-    """Check every definition and loop clique; sets program.cliques."""
-    cliques = _loop_cliques(program)
+    """Check every definition, then the loop cliques found from the calls
+    those checks record; sets program.calls and program.cliques if all pass."""
     known: dict[str, FunDef] = {}
-    for d in program.defs:
-        known[d.name] = d
-        validate_def(d, known)
+    calls = tuple(validate_def(d, known) for d in program.defs)
+    cliques = _loop_cliques(program, calls)
     for clique in cliques:
         validate_clique(program, clique)
-    program.cliques = cliques
+    program.calls, program.cliques = calls, cliques

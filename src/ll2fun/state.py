@@ -27,6 +27,7 @@ from .errors import EvalFault
 
 ADDR_LIMIT = 1 << 32
 STACK_ALIGN = 8
+IMAGE_MAX_BYTES = 8  # widest memory image write: the widest load or store
 
 # Empty tuple = no enclosing begin_stack_frame; otherwise (saved_frame, rest).
 FrameLinks = tuple
@@ -229,10 +230,10 @@ def alloca(nbytes: int, st: MachineState) -> MachineState:
 def parse_memory_image(text: str) -> dict[int, int]:
     """Apply a line-oriented memory image to an empty memory.
 
-    Each line is ``w <n> <addr> <value>`` meaning wr_n(n, addr, value);
-    addr and value accept decimal or 0x-hex; '#' starts a comment; blank
-    lines are skipped.  Lines apply top to bottom, in place on one fresh
-    dict, so the cost is linear in the image size.
+    Each line is ``w <n> <addr> <value>``, n at most IMAGE_MAX_BYTES, meaning
+    wr_n(n, addr, value); addr and value accept decimal or 0x-hex; '#' starts
+    a comment; blank lines are skipped.  Lines apply top to bottom, in place
+    on one fresh dict, so the cost is linear in the image size.
     """
     mem: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -248,6 +249,9 @@ def parse_memory_image(text: str) -> dict[int, int]:
             value = int(parts[3], 0)
         except ValueError:
             raise EvalFault(f"memory image line {lineno}: bad number") from None
+        if n > IMAGE_MAX_BYTES:
+            raise EvalFault(f"memory image line {lineno}: byte count must be at most "
+                            f"{IMAGE_MAX_BYTES}, got {n}")
         if value < 0:
             raise EvalFault(f"memory image line {lineno}: value must be a natural number")
         _write_in_place(n, addr, value, mem)

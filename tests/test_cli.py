@@ -457,6 +457,11 @@ def test_usage_errors_exit_15(tmp_path):
         (["run", str(out)], "required: --entry"),
         (["run", str(out), "--entry", "occurrences", "--args", "9" * 5000], "invalid"),
         (["bench", str(out), "--entry", "occurrences"], "required: --instr-per-iter"),
+        # a zero count is a usage error, not a fault, one run, or a rate of 0
+        (["run", str(out), "--entry", "occurrences", "--budget", "0"], "positive"),
+        (["bench", str(out), "--entry", "occurrences", "--instr-per-iter", "9",
+          "--repeat", "0"], "positive"),
+        (["bench", str(out), "--entry", "occurrences", "--instr-per-iter", "0"], "positive"),
         (["frobnicate"], "invalid choice"),
         ([], "required: command"),
     ]

@@ -20,6 +20,7 @@ from ll2fun import (
 )
 from ll2fun import evaluator
 from ll2fun.evaluator import ProgramEvaluator
+from ll2fun.fun_ir import Call, children
 from ll2fun.prims import NAT, PRIMS, RUN, STATE, ashr, lshr, sext, shl, to_signed
 from ll2fun.state import MachineState, begin_stack_frame
 from llgen import gen_program
@@ -406,7 +407,9 @@ def test_translated_programs_compile_no_signature_check(occurrences_program,
     check of a translated program: the fixtures (occurrences is the scan
     workload's program), the store and wide workloads' programs and 200
     seeded llgen programs compile none.  A hand-written result that may
-    fail its kind keeps its check."""
+    fail its kind keeps its check.  On each of them, the call sites that
+    validation records are those a reference walk finds, and loading the
+    emitted `.fun` records the same ones."""
     workloads, rng = _perfbench_workloads(), random.Random(2008)
     texts = [workloads.FILL_LL, workloads.gen_wide(1).ll_text]
     texts += (gen_program(rng) for _ in range(200))
@@ -415,10 +418,24 @@ def test_translated_programs_compile_no_signature_check(occurrences_program,
         checks = ProgramEvaluator(program).checks
         total = sum(len(d.params) + len(d.result_kinds) for d in program.defs)
         assert checks == {"proven": total, "compiled": 0}, program.defs[-1].name
+        assert [[(c.name, tail) for c, tail in sites] for sites in program.calls] == \
+            [_call_sites(d.body) for d in program.defs]
+        assert load_program(emit_sexpr(program)).calls == program.calls
     assert ProgramEvaluator(load_program(BAD_I8)).checks == {"proven": 2, "compiled": 1}
     # each evaluator's namespace is a cycle: free them now, not in a collection
     # that lands inside a later test's timing
     gc.collect()
+
+
+def _call_sites(e, tail: bool = True) -> list:
+    """(callee, in result position?) of every call in e, each after the
+    calls in its arguments, by a walk over `children`."""
+    sites = []
+    for child, results in children(e):
+        sites += _call_sites(child, tail and results is None)
+    if type(e) is Call:
+        sites.append((e.name, tail))
+    return sites
 
 
 def _inside(rng: random.Random, fact):

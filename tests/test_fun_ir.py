@@ -19,7 +19,7 @@ from ll2fun import (  # noqa: E402
 )
 from ll2fun.fun_ir import (  # noqa: E402
     Call, Const, FunProgram, If, LetStar, Metlist, Mvlist, Prim, Var,
-    _read_sexprs, children, emit_def, free_vars, validate_clique,
+    _parse_def, _read_sexprs, children, emit_def, free_vars, validate_clique,
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -494,6 +494,40 @@ def test_clique_validator_rejects_broken_wrap(occurrences_program):
     broken = FunProgram(tuple(defs), occurrences_program.cliques)
     with pytest.raises(LoadError, match="done=0"):
         validate_clique(broken, broken.cliques[0])
+
+
+def test_validation_records_call_sites_in_evaluation_order():
+    """validate_program records each definition's calls, each after the
+    calls in its arguments and marked when it is the value of a result
+    position; a program is given its calls only once all of it passes."""
+    text = """(defun g (x st)
+  (declare (xargs :signature ((natp stp) stp)))
+  (update-retval x st))
+
+(defun h (x st)
+  (declare (xargs :signature ((natp stp) stp)))
+  (g x st))
+
+(defun f (st)
+  (declare (xargs :signature ((stp) stp)))
+  (if (= 1 1)
+      (h 2 (g 1 st))
+    (metlist ((st) (h 3 st)) (g 4 st))))
+"""
+    program = load_program(text)
+    assert [[(c.name, tail) for c, tail in sites] for sites in program.calls] == [
+        [], [("g", True)], [("g", False), ("h", True), ("h", False), ("g", True)]]
+    assert program.calls[2][0][0] == Call("g", (Const(1), Var("st")))
+    broken = FunProgram(program.defs[:1] + program.defs[2:])
+    with pytest.raises(LoadError, match="f: call of h before its definition"):
+        validate_program(broken)
+    assert broken.calls is None
+    # every definition passes, but the defun-general is no loop
+    shapeless = FunProgram(tuple(_parse_def(f) for f in _read_sexprs(
+        "(defun-general w (done st) (declare (xargs :signature ((natp stp) stp))) st)")))
+    with pytest.raises(LoadError, match="w: defun-general is only valid"):
+        validate_program(shapeless)
+    assert shapeless.calls is None
 
 
 def test_validate_program_on_random_translations():

@@ -457,9 +457,16 @@ def test_step_defs_compile_on_first_use():
 def test_unvalidated_loops_are_a_load_error(occurrences_program):
     """A program whose loops were never found by validate_program would
     compile each while def as a self-recursive function, which faults on
-    a long loop; the evaluator refuses it instead."""
-    with pytest.raises(LoadError, match="occurrences_step_0_while: .*validate_program"):
+    a long loop; the evaluator refuses it instead, and refuses a loop-free
+    program that validate_program never passed as well: its call sites
+    are unknown."""
+    unvalidated = "the program was never validated; pass it through validate_program"
+    with pytest.raises(LoadError, match=f"^{unvalidated}$"):
         ProgramEvaluator(FunProgram(occurrences_program.defs))
+    loop_free = load_program("(defun f (st) (declare (xargs :signature ((stp) stp))) st)")
+    assert ProgramEvaluator(loop_free).run("f", (), make_state()).values == ()
+    with pytest.raises(LoadError, match=f"^{unvalidated}$"):
+        ProgramEvaluator(FunProgram(loop_free.defs))
     program = FunProgram(occurrences_program.defs)
     validate_program(program)
     res = ProgramEvaluator(program).run("occurrences", (399, 5000, 0x8000), make_state())

@@ -257,6 +257,17 @@ def test_memory_image_out_of_range_write_faults():
         parse_memory_image("w 0 0x10 1\n")
 
 
+def test_memory_image_byte_count_is_at_most_8():
+    """A write wider than the widest load or store is refused before any
+    work, however large its count: `w 4294967295 0 0` would otherwise ask
+    for a 4 GiB mask."""
+    for line in ("w 9 0x10 1", "w 4294967295 0 0"):
+        n = line.split()[1]
+        with pytest.raises(EvalFault, match=f"^memory image line 2: byte count must be "
+                                            f"at most 8, got {n}$"):
+            parse_memory_image(f"w 8 0x10 1\n{line}\n")
+
+
 def test_memory_image_rejects_bad_lines():
     with pytest.raises(EvalFault):
         parse_memory_image("x 1 2 3\n")
