@@ -20,7 +20,7 @@ from .fun_ir import (
     translate_function, translate_module, validate_program,
 )
 from .state import (
-    MachineState, begin_stack_frame, end_stack_frame, init_stack_frame,
+    MachineState, Memory, begin_stack_frame, end_stack_frame, init_stack_frame,
     load_memory_image, loadbytes, make_state, parse_memory_image, rd_n,
     storebytes, update_retval, wr_n,
 )

@@ -25,7 +25,7 @@ from .fun_ir import emit_sexpr, load_program_file, translate_module
 from .ll_parser import parse_file, resolve_aliases
 from .prims import decimal
 from .ssa import analysis_report, analyze_function
-from .state import MachineState, load_memory_image
+from .state import MachineState, changed_bytes, load_memory_image
 
 EXIT_OK = 0
 EXIT_PARSE = 10
@@ -135,15 +135,13 @@ def cmd_run(args) -> int:
                     trace=args.trace)
     print(decimal(result.state.retval))
     if args.trace:
-        written = sorted(set(st.mem) ^ set(result.state.mem)
-                         | {a for a in st.mem if st.mem.get(a) != result.state.mem.get(a)})
+        written = changed_bytes(st.mem, result.state.mem)
         print(f"# {result.iterations} loop iterations; "
               f"{len(written)} byte address(es) changed", file=sys.stderr)
         for name, count in sorted(result.per_while.items()):
             print(f"# while {name}: {count} iterations", file=sys.stderr)
-        for a in written:
-            print(f"# mem {a:#x}: {st.mem.get(a, 0):#x} -> "
-                  f"{result.state.mem.get(a, 0):#x}", file=sys.stderr)
+        for a, old, new in written:
+            print(f"# mem {a:#x}: {old:#x} -> {new:#x}", file=sys.stderr)
     return EXIT_OK
 
 

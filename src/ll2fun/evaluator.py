@@ -37,18 +37,19 @@ compiled (see `_unproven`); on a translated program that is none:
 Each primitive compiles through its row in `prims.PRIMS`: a format
 string inlined into the source, or a call of the row's reference
 function.  Two fused forms are recognised here instead: a load
-(wfrombytes of loadbytes) becomes one `rd_n`, unrolled into dict reads
-behind one range test when a let in a loop binds it and it reads 1, 2,
-4 or 8 bytes, and a store (storebytes of wtobytes) becomes one
-`store_word`.
+(wfrombytes of loadbytes) becomes one `state.load_word`, inlined as one
+slice of a memory page and `int.from_bytes` behind one range test when a
+let in a loop binds it and it reads 1, 2, 4 or 8 bytes, and a store
+(storebytes of wtobytes) becomes one `store_word`.
 
 Stores are the exception to calling the reference function: the fused
 store and `storebytes` go through the namespace's `state.RunMemory`, which
-copies the memory on a run's first store and writes every later store of
-the run into that copy in place.  The loader only admits programs that
-thread the state linearly, so no state older than a store is ever read
-again; states passed in by the caller are never written, and a run that
-never stores never copies.
+copies the memory's page table on a run's first store, each page on the
+run's first store to it, and writes every store of the run into its own
+pages in place.  The loader only admits programs that thread the state
+linearly, so no state older than a store is ever read again; states
+passed in by the caller are never written, and a run that never stores
+never copies.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ import io
 import math
 import re
 import sys
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,7 +68,7 @@ from .fun_ir import (
 )
 from .prims import KINDS, PRIMS, STATE, decimal
 from . import state as st_mod
-from .state import ADDR_LIMIT, MachineState
+from .state import ADDR_LIMIT, PAGE_BITS, PAGE_MASK, PAGE_SIZE, MachineState
 
 # ---------------------------------------------------------------------------
 # Code generation
@@ -129,9 +129,8 @@ def _tests(values: list[str], kinds, positions) -> str:
 # callee's exit check of a result, or `run`'s check of the entry's
 # arguments.  A constant, or a value a primitive computes from values with
 # known facts (the row's bound rule, see `prims`), is known to be in range
-# as well.  A load's rule takes a state's memory to hold bytes: every store
-# writes bytes, and where a proof relies on a load's rule, `run` checks the
-# memory of the state it is given.  So one pass over each definition, with
+# as well.  A load's rule takes a state's memory to hold bytes, which a
+# `state.Memory` does by construction.  So one pass over each definition, with
 # the facts of its parameters and of its callees' results, proves which of
 # its call sites' arguments and of its own results pass their checks;
 # callees precede callers, so the facts follow by induction over a run.
@@ -153,7 +152,6 @@ def _within(fact, want) -> bool:
 
 
 _UNBOUND = object()  # a name not in scope before a binding form
-_LOAD = PRIMS["wfrombytes"]
 
 
 class _FactPass:
@@ -162,8 +160,7 @@ class _FactPass:
     scope in one dict that each binding form restores on exit.  A class
     rather than nested functions, as `fun_ir._DefCheck` is."""
 
-    __slots__ = ("params", "returns", "args", "results", "env", "wants", "bytes", "name",
-                 "loading")
+    __slots__ = ("params", "returns", "args", "results", "env", "wants")
 
     def __init__(self, program: FunProgram):
         # the facts each definition's parameter and result checks say
@@ -172,28 +169,11 @@ class _FactPass:
         # each definition's argument and result positions that may fail
         self.args: dict[str, set[int]] = {d.name: set() for d in program.defs}
         self.results: dict[str, set[int]] = {d.name: set() for d in program.defs}
-        self.bytes = True               # does a load's rule apply?
-        self.loading: dict[str, None] = {}  # the definitions that load, in order
 
     def definition(self, d: FunDef):
-        self.name = d.name
         self.env = {name: _KIND_FACTS[kind] for name, kind in d.params}
         self.wants = self.returns[d.name]
         self.tail(d.body, self.results[d.name])
-
-    def relies_on_bytes(self, program: FunProgram) -> bool:
-        """The pass's last step, once every definition is walked: does a
-        check it proved stay open when the loading definitions are walked
-        again with no fact for a load?"""
-        args, results = self.args, self.results
-        self.bytes, self.args, self.results = False, defaultdict(set), defaultdict(set)
-        for name in list(self.loading):
-            self.definition(program.by_name[name])
-            if (self.results[name] - results[name]
-                    or any(p - args[n] for n, p in self.args.items())):
-                return True
-            self.args.clear()
-        return False
 
     def value(self, e):
         """The fact of a one-valued expression; records its calls."""
@@ -207,10 +187,6 @@ class _FactPass:
             facts = [self.value(a) for a in e.args]
             if row.result == STATE:
                 return STATE
-            if row is _LOAD:
-                self.loading[self.name] = None
-                if not self.bytes:
-                    return None
             return row.bound(*facts) if row.bound else None
         if t is Call:
             return self.call(e)[0]
@@ -268,12 +244,10 @@ class _FactPass:
 class _Unproven:
     """Per definition, the positions of the argument and the result checks
     that the fact pass leaves open, in order.  A step's result checks run
-    inline in its loops.  `memory`: a check is proven only because memory
-    holds bytes, so `run` checks the memory of the entry's state."""
+    inline in its loops."""
 
     args: dict[str, list[int]]
     results: dict[str, list[int]]
-    memory: bool
 
 
 def _unproven(program: FunProgram) -> _Unproven:
@@ -298,8 +272,7 @@ def _unproven(program: FunProgram) -> _Unproven:
             if not all(_within(fact, want) for fact in frame[i + 1]):
                 results[d.name].add(i)
     return _Unproven({n: sorted(p) for n, p in args.items()},
-                     {n: sorted(p) for n, p in results.items()},
-                     facts.relies_on_bytes(program))
+                     {n: sorted(p) for n, p in results.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +397,7 @@ class _Codegen:
                 return f"({ex(a[0])} & {mask})"
             return f"(({ex(a[0])} >> {l}) & {mask})"
         if op == "wfrombytes" and _fused(a[1], "loadbytes", a[0]):
-            return f"_rd_n({a[0].value}, {ex(a[1].args[1])}, {ex(a[1].args[2])}.mem)"
+            return f"_load({a[0].value}, {ex(a[1].args[1])}, {ex(a[1].args[2])}.mem)"
         if op == "storebytes" and _fused(a[2], "wtobytes", a[0]):
             return f"_store_word({a[0].value}, {ex(a[1])}, {ex(a[2].args[1])}, {ex(a[3])})"
         template = PRIMS[op].template
@@ -448,21 +421,22 @@ class _Codegen:
         self.lines.append(f"{indent}{self._bind_local(env, name)} = {rhs}")
 
     def load(self, name: str, n: int, load: Prim, env: dict[str, str], indent: str):
-        """name = wfrombytes n (loadbytes n addr st): n dict reads behind
-        one range test; out of range, `rd_n` raises its usual fault."""
+        """name = wfrombytes n (loadbytes n addr st): one slice of the page
+        that holds the n bytes (the shared zero page if no store reached
+        it) behind one range test; across a page boundary `rd_n` reads
+        them, and out of range it raises its usual fault."""
         addr, st = (self.expr(x, env) for x in load.args[1:])
         if not st.isidentifier():
-            self.lines.append(f"{indent}{self._bind_local(env, name)} = _rd_n({n}, {addr}, {st}.mem)")
+            self.lines.append(f"{indent}{self._bind_local(env, name)} = _load({n}, {addr}, {st}.mem)")
             return
         if not _is_atom(addr):
             self.lines.append(f"{indent}_a = {addr}")
             addr = "_a"
         local = self._bind_local(env, name)
-        reads = " | ".join(f"_g({addr} + {k}, 0) << {8 * k}" if k else f"_g({addr}, 0)"
-                           for k in range(n))
-        self.lines += [f"{indent}if 0 <= {addr} <= {ADDR_LIMIT - n}:",
-                       f"{indent}    _g = {st}.mem.get",
-                       f"{indent}    {local} = {reads}",
+        self.lines += [f"{indent}_o = {addr} & {PAGE_MASK}",
+                       f"{indent}if _o <= {PAGE_SIZE - n} and 0 <= {addr} <= {ADDR_LIMIT - n}:",
+                       f"{indent}    {local} = _from_bytes({st}.mem.pages.get({addr} >> {PAGE_BITS}, "
+                       f"_zero)[_o:_o + {n}], 'little')",
                        f"{indent}else:",
                        f"{indent}    {local} = _rd_n({n}, {addr}, {st}.mem)"]
 
@@ -643,10 +617,11 @@ class _Codegen:
 
 
 # The names compiled code calls: the helper-template rows and the fused
-# load.  The stores and the hooks are bound per evaluator.
+# loads.  The stores and the hooks are bound per evaluator.
 _NAMESPACE = {p.template: p.ref for p in PRIMS.values()
               if p.template and "{" not in p.template}
-_NAMESPACE.update(_rd_n=st_mod.rd_n, MachineState=MachineState)
+_NAMESPACE.update(_rd_n=st_mod.rd_n, _load=st_mod.load_word, _from_bytes=int.from_bytes,
+                  _zero=st_mod.ZERO_PAGE, MachineState=MachineState)
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +656,6 @@ class _Hooks:
         self.unproven_args = [gen.unproven.args[d.name] for d in program.defs]
         self.unproven_results = [gen.unproven.results[d.name] for d in program.defs]
         self.param_kinds = [[kind for _, kind in d.params] for d in program.defs]
-        self.memory = gen.unproven.memory
         self.checking = self.trace = False
         self.out: io.TextIOBase | None = None
 
@@ -719,17 +693,9 @@ class _Hooks:
         return out
 
     def admit(self, k: int, args: tuple):
-        """`run`'s check of every argument of the entry k, and of the
-        memory of its state where a proven check takes memory to hold
-        bytes."""
+        """`run`'s check of every argument of the entry k."""
         try:
             self.check(k, args, "argument")
-            bad = self.memory and st_mod.non_byte(args[-1].mem)
-            if bad:
-                d = self.defs[k]
-                raise SignatureViolation(
-                    f"{d.name}: argument {len(args)} fails stp (memory at {bad[0]:#x} "
-                    f"holds {bad[1]!r}, not a byte)", context=f"def {d.name}")
         except SignatureViolation:
             if self.trace:
                 self.show("->", k, args)

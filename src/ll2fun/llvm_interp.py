@@ -2,13 +2,17 @@
 
 Executes basic blocks directly — registers in a dict, phis evaluated in
 parallel on block entry, the same MachineState as the compiled functional
-form, and the reference functions of `prims.PRIMS` for shifts, signed
-compares and sign extension.  Deliberately simple; the differential tests
-run it against the translate-then-evaluate pipeline, so it shares no CFG
-analysis, translation, or code generation with that path.
+form but its memory kept as a plain dict and read and written with the
+plain-dict model (`state.rd_n` and `state.wr_n`, not the paged reads and
+writes the evaluator compiles), and the reference functions of
+`prims.PRIMS` for shifts, signed compares and sign extension.  Deliberately simple; the differential tests run it against
+the translate-then-evaluate pipeline, so it shares no CFG analysis,
+translation, code generation or memory writes with that path.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from .errors import BudgetExhausted, EvalFault
 from .ll_parser import BINOPS, Const, Instruction, LlvmFunction, LlvmModule, Operand, Ret
@@ -55,7 +59,10 @@ def _icmp(pred: str, w: int, a: int, b: int) -> int:
 
 
 class _Interp:
-    def __init__(self, module: LlvmModule, budget: int | None):
+    def __init__(self, module: LlvmModule, budget: int | None, mem: dict[int, int]):
+        # the memory, as a plain dict; the states passed around keep the
+        # initial memory, and `interp_function` returns a state holding this
+        self.mem = mem
         self.module = module
         self.budget = budget
         self.steps = 0
@@ -130,10 +137,10 @@ class _Interp:
             regs[inst.result] = bits(_value(ops[0], regs) + idx * (inst.elem_width // 8),
                                      31, 0)
         elif inst.opcode == "load":
-            regs[inst.result] = st_mod.rd_n(inst.width // 8, _value(ops[0], regs), st.mem)
+            regs[inst.result] = st_mod.rd_n(inst.width // 8, _value(ops[0], regs), self.mem)
         elif inst.opcode == "store":
-            st = st_mod.store_word(inst.width // 8, _value(ops[1], regs),
-                                   _value(ops[0], regs), st)
+            self.mem = st_mod.wr_n(inst.width // 8, _value(ops[1], regs),
+                                   _value(ops[0], regs), self.mem)
         elif inst.opcode == "alloca":
             size = (inst.elem_width // 8) * ops[0].value
             regs[inst.result] = st.stack
@@ -152,5 +159,6 @@ def interp_function(module: LlvmModule, name: str, args: tuple[int, ...],
                     st: MachineState, budget: int | None = None) -> MachineState:
     """Run @name on the given state; the result lands in retval like the
     translated driver's."""
-    interp = _Interp(module, budget)
-    return interp.call(module.function(name), tuple(args), st)
+    interp = _Interp(module, budget, dict(st.mem.items()))
+    final = interp.call(module.function(name), tuple(args), st)
+    return replace(final, mem=interp.mem)

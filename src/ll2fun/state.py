@@ -1,9 +1,18 @@
-"""Machine state: retval, stack/frame pointers, and a sparse byte memory.
+"""Machine state: retval, stack/frame pointers, and a paged byte memory.
 
-The memory is a finite map from 32-bit address to byte with a default of
-zero.  Zero bytes are never stored, so two memories with the same read
-behavior are structurally equal (`==` on the dict is a semantic equality
-check).  Little-endian byte order throughout.
+Logically the memory is a finite map from 32-bit address to byte with a
+default of zero, and `Memory` presents it so: a read-only mapping of the
+nonzero bytes, in address order, equal to a plain dict of the same bytes.
+It is executed on 4 KiB `bytearray` pages, so a load within a page is one
+slice and `int.from_bytes` (Goel, Hunt & Kaufmann, *Abstract Stobjs and
+Their Application to ISA Modeling*, ACL2 Workshop 2013: a record-like
+view backed by arrays).  Pages hold only bytes, so a memory built from a
+mapping whose values are not all bytes is refused when it is built.
+Little-endian byte order throughout.
+
+`rd_n` and `wr_n` are the plain-dict model of the same memory: the
+reference interpreter, the oracles and the property tests use them, and
+they read a `Memory` like any other mapping.
 
 Frame discipline (defined by this artifact, documented in the README):
 
@@ -21,29 +30,213 @@ contents.
 
 from __future__ import annotations
 
+import sys
+from array import array
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field, replace
+from itertools import compress
 
 from .errors import EvalFault
 
 ADDR_LIMIT = 1 << 32
 STACK_ALIGN = 8
 IMAGE_MAX_BYTES = 8  # widest memory image write: the widest load or store
+PAGE_BITS = 12
+PAGE_SIZE = 1 << PAGE_BITS
+PAGE_MASK = PAGE_SIZE - 1
+ZERO_PAGE = bytes(PAGE_SIZE)  # what a page no store has reached reads
 
 # Empty tuple = no enclosing begin_stack_frame; otherwise (saved_frame, rest).
 FrameLinks = tuple
 
 
+class Memory(Mapping):
+    """Byte memory as 4 KiB pages: `pages` maps a page number (address >>
+    PAGE_BITS) to a `bytearray` of PAGE_SIZE bytes, and a page it lacks
+    reads as ZERO_PAGE.
+
+    To every reader it is a read-only mapping of the nonzero bytes, in
+    address order: `len` counts them, and it compares equal to any
+    mapping, a plain dict included, that holds the same nonzero bytes (a
+    page whose bytes stores have zeroed makes no difference).  Built from
+    a mapping (`Memory(mem)`), it takes that mapping's nonzero bytes, and
+    refuses one whose keys are not 32-bit addresses or whose values are
+    not bytes; built from a Memory, it shares that memory's pages.
+
+    Only `_write_in_place` writes a memory, and only the code that built
+    it calls it: the image parser before it returns the memory, and
+    `RunMemory` during its run.  A write copies a page first unless this
+    memory made that page itself (`_own`), so the memories it shares
+    pages with never change.
+    """
+
+    __slots__ = ("pages", "_own", "_len")
+
+    def __init__(self, mem: Mapping[int, int] | None = None):
+        self.pages = dict(mem.pages) if type(mem) is Memory else _paged(mem) if mem else {}
+        self._own: dict[int, bytearray] = {}  # the pages this memory may write
+        self._len: int | None = None  # counted on first use, then kept by writes
+
+    def get(self, addr, default=None):
+        try:
+            byte = self.pages.get(addr >> PAGE_BITS, ZERO_PAGE)[addr & PAGE_MASK]
+        except TypeError:  # not an integer address
+            return default
+        return byte or default
+
+    def __getitem__(self, addr) -> int:
+        byte = self.get(addr)
+        if byte is None:
+            raise KeyError(addr)
+        return byte
+
+    def _pages_in_order(self):
+        pages = self.pages
+        for p in sorted(pages):
+            yield p << PAGE_BITS, pages[p]
+
+    def __iter__(self):
+        for base, page in self._pages_in_order():
+            yield from compress(range(base, base + PAGE_SIZE), page)
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+    def __len__(self) -> int:
+        if self._len is None:  # counted once; `_write_in_place` keeps it
+            self._len = sum(PAGE_SIZE - page.count(0) for page in self.pages.values())
+        return self._len
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Memory:
+            if not isinstance(other, Mapping):
+                return NotImplemented
+            if len(other) != len(self):
+                return False
+            try:
+                other = Memory(other)
+            except EvalFault:
+                return False
+        mine, theirs = self.pages, other.pages
+        for p in mine.keys() | theirs.keys():
+            a, b = mine.get(p, ZERO_PAGE), theirs.get(p, ZERO_PAGE)
+            if a is not b and a != b:
+                return False
+        return True
+
+    def __repr__(self) -> str:
+        return f"Memory({dict(self.items())!r})"
+
+
+class _Items(ItemsView):
+    """A Memory's items, made page by page instead of one lookup a key."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        for base, page in self._mapping._pages_in_order():
+            yield from zip(compress(range(base, base + PAGE_SIZE), page),
+                           page.translate(None, b"\0"))
+
+
+def _paged(mem: Mapping) -> dict[int, bytearray]:
+    """The pages of mem's bytes.  Keys and values are converted in bulk;
+    keys that run up from the first one by one, as an array's bytes do
+    when they are inserted in order, are cut into pages whole."""
+    try:
+        values = bytearray(mem.values())
+        keys = array("I", mem)
+    except (TypeError, ValueError, OverflowError):
+        raise _not_memory(mem) from None
+    if keys.itemsize == 4 and _is_run(keys):
+        lo = keys[0]
+        values[:0] = bytes(lo & PAGE_MASK)  # from the start of lo's page
+        values += bytes(-len(values) % PAGE_SIZE)
+        return {(lo >> PAGE_BITS) + k: values[i:i + PAGE_SIZE]
+                for k, i in enumerate(range(0, len(values), PAGE_SIZE))}
+    pages: dict[int, bytearray] = {}
+    for addr, byte in zip(keys, values):
+        page = pages.get(addr >> PAGE_BITS)
+        if page is None:
+            page = pages[addr >> PAGE_BITS] = bytearray(PAGE_SIZE)
+        page[addr & PAGE_MASK] = byte
+    return pages
+
+
+def _not_memory(mem: Mapping) -> EvalFault:
+    """The fault for the first key of mem that is not a 32-bit address or
+    value that is not a byte."""
+    for addr, value in mem.items():
+        if not (isinstance(addr, int) and 0 <= addr < ADDR_LIMIT):
+            return EvalFault(f"memory address {addr!r} is not in 32-bit memory")
+        if not (isinstance(value, int) and 0 <= value < 256):
+            return EvalFault(f"memory at {addr:#x} holds {value!r}, not a byte")
+    raise AssertionError("a mapping of addresses to bytes did not convert")
+
+
+# Byte 0 and byte 1 of successive integers repeat with these periods.
+_PERIODS = {0: bytes(range(256)), 8: b"".join(bytes((b,)) * 256 for b in range(256))}
+
+
+def _lane(lo: int, n: int, shift: int) -> bytes:
+    """Byte `shift // 8` of each of lo, lo + 1, ..., lo + n - 1."""
+    if shift in _PERIODS:
+        period = _PERIODS[shift]
+        start = lo % len(period)
+        return (period * ((start + n) // len(period) + 1))[start:start + n]
+    step, value = 1 << shift, lo >> shift  # the byte stays for 2^shift keys
+    count = min(step - (lo & (step - 1)), n)
+    runs = [bytes((value & 255,)) * count]
+    while count < n:
+        value += 1
+        runs.append(bytes((value & 255,)) * min(step, n - count))
+        count += step
+    return b"".join(runs)
+
+
+def _is_run(keys: array) -> bool:
+    """Are keys lo, lo + 1, ..., in this order?  Compared as bytes with
+    the run's 4-byte words, built one byte lane at a time."""
+    n, lo = len(keys), keys[0]
+    if keys[-1] - lo != n - 1:
+        return False
+    want = bytearray(4 * n)
+    lanes = range(4) if sys.byteorder == "little" else range(3, -1, -1)
+    for shift, lane in zip((0, 8, 16, 24), lanes):
+        if (lo + n - 1) >> shift:  # else every key's byte there is 0
+            want[lane::4] = _lane(lo, n, shift)
+    return want == keys  # compared as buffers: the array's bytes
+
+
+def changed_bytes(before: Memory, after: Memory) -> list[tuple[int, int, int]]:
+    """(address, byte before, byte after) of each byte that differs, in
+    address order.  Compared page by page; a page the two memories share,
+    as a run's final memory shares every page no store reached, is
+    skipped unread."""
+    changed = []
+    old_pages, new_pages = before.pages, after.pages
+    for p in sorted(old_pages.keys() | new_pages.keys()):
+        old, new = old_pages.get(p, ZERO_PAGE), new_pages.get(p, ZERO_PAGE)
+        if old is not new and old != new:
+            base = p << PAGE_BITS
+            changed += [(base + o, x, y) for o, (x, y) in enumerate(zip(old, new)) if x != y]
+    return changed
+
+
 @dataclass(frozen=True)
 class MachineState:
     """Machine state.  Updates return a new value; a caller's state is never
-    changed.  Within one evaluator run, the states after the first store
-    share one memory dict that the run owns and writes in place
-    (`RunMemory`)."""
+    changed.  `mem` is always a `Memory`: a mapping given for it is
+    converted to pages when the state is built (and refused if its values
+    are not bytes).  States share memories, which no reader can change;
+    within one evaluator run, the states after the first store share one
+    memory that the run owns and writes in place, copying each page on
+    the run's first store to it (`RunMemory`)."""
 
     retval: int = 0
     stack: int = 0
     frame: int = 0
-    mem: dict[int, int] = field(default_factory=dict)
+    mem: Memory = field(default_factory=Memory)
     frame_links: FrameLinks = ()
 
     def __post_init__(self):
@@ -51,25 +244,31 @@ class MachineState:
             raise EvalFault("stack/frame pointer outside 32-bit address space")
         if self.retval < 0:
             raise EvalFault("retval must be a natural number")
+        if type(self.mem) is not Memory:
+            object.__setattr__(self, "mem", Memory(self.mem))
 
 
 def make_state(retval: int = 0, stack: int = 0xFFFF0000, frame: int = 0xFFFF0000,
-               mem: dict[int, int] | None = None) -> MachineState:
+               mem: Mapping[int, int] | None = None) -> MachineState:
     """Fresh state; defaults mirror the usual test-harness layout (stack and
     frame high in memory, data arrays low)."""
-    return MachineState(retval=retval, stack=stack, frame=frame, mem=dict(mem or {}))
+    return MachineState(retval=retval, stack=stack, frame=frame, mem={} if mem is None else mem)
 
 
 # ---------------------------------------------------------------------------
-# Raw memory primitives (operate on the mem dict, not the state)
+# Raw memory primitives: the plain-dict model, and the paged reads and writes
 # ---------------------------------------------------------------------------
 
-def rd_n(n: int, addr: int, mem: dict[int, int]) -> int:
-    """Read n bytes at addr, assembled little-endian into a natural < 2^(8n)."""
+def _check_range(who: str, n: int, addr: int):
     if n < 1:
-        raise EvalFault(f"rd_n: byte count must be positive, got {n}")
+        raise EvalFault(f"{who}: byte count must be positive, got {n}")
     if addr < 0 or addr + n - 1 >= ADDR_LIMIT:
-        raise EvalFault(f"rd_n: address range [{addr:#x}, {addr + n:#x}) exceeds 32-bit memory")
+        raise EvalFault(f"{who}: address range [{addr:#x}, {addr + n:#x}) exceeds 32-bit memory")
+
+
+def rd_n(n: int, addr: int, mem: Mapping[int, int]) -> int:
+    """Read n bytes at addr, assembled little-endian into a natural < 2^(8n)."""
+    _check_range("rd_n", n, addr)
     get = mem.get
     value = 0
     for k in range(n - 1, -1, -1):
@@ -77,39 +276,50 @@ def rd_n(n: int, addr: int, mem: dict[int, int]) -> int:
     return value
 
 
-def non_byte(mem: dict[int, int]) -> tuple[int, object] | None:
-    """The first (address, value) of mem whose value is not a byte, or
-    None when every value is."""
-    try:
-        bytes(mem.values())
-        return None
-    except (TypeError, ValueError):
-        return next((a, v) for a, v in mem.items()
-                    if not (isinstance(v, int) and 0 <= v < 256))
-
-
-def wr_n(n: int, addr: int, value: int, mem: dict[int, int]) -> dict[int, int]:
+def wr_n(n: int, addr: int, value: int, mem: Mapping[int, int]) -> dict[int, int]:
     """Write value (reduced mod 2^(8n)) as n little-endian bytes; returns a
     new dict, zero bytes removed to keep the map canonical."""
+    _check_range("wr_n", n, addr)
     new = dict(mem)
-    _write_in_place(n, addr, value, new)
-    return new
-
-
-def _write_in_place(n: int, addr: int, value: int, mem: dict[int, int]):
-    """wr_n's checks and byte writes, applied to `mem` itself."""
-    if n < 1:
-        raise EvalFault(f"wr_n: byte count must be positive, got {n}")
-    if addr < 0 or addr + n - 1 >= ADDR_LIMIT:
-        raise EvalFault(f"wr_n: address range [{addr:#x}, {addr + n:#x}) exceeds 32-bit memory")
     value &= (1 << (8 * n)) - 1
     for k in range(n):
         b = (value >> (8 * k)) & 0xFF
-        a = addr + k
         if b:
-            mem[a] = b
+            new[addr + k] = b
         else:
-            mem.pop(a, None)
+            new.pop(addr + k, None)
+    return new
+
+
+def load_word(n: int, addr: int, mem: Memory) -> int:
+    """rd_n on a Memory: one slice of a page when the n bytes lie in one,
+    else rd_n itself."""
+    o = addr & PAGE_MASK
+    if 0 < n <= PAGE_SIZE - o and 0 <= addr < ADDR_LIMIT:
+        return int.from_bytes(mem.pages.get(addr >> PAGE_BITS, ZERO_PAGE)[o:o + n], "little")
+    return rd_n(n, addr, mem)
+
+
+def _write_in_place(n: int, addr: int, value: int, mem: Memory):
+    """wr_n's checks and write, applied to `mem` itself: one slice
+    assignment per page the n bytes reach.  A page mem does not own yet is
+    copied first (see `Memory`)."""
+    _check_range("wr_n", n, addr)
+    data = (value & ((1 << (8 * n)) - 1)).to_bytes(n, "little")
+    pages, own, length = mem.pages, mem._own, mem._len
+    p, o = addr >> PAGE_BITS, addr & PAGE_MASK
+    while True:
+        page = own.get(p)
+        if page is None:
+            page = own[p] = pages[p] = bytearray(pages.get(p, ZERO_PAGE))
+        end = min(o + len(data), PAGE_SIZE)
+        if length is not None:  # a traced run counts the bytes after each store
+            length += page.count(0, o, end) - data.count(0, 0, end - o)
+        page[o:end] = data[:end - o]
+        if o + len(data) <= PAGE_SIZE:
+            mem._len = length
+            return
+        data, p, o = data[end - o:], p + 1, 0
 
 
 def wfrombytes(n: int, byterun: tuple[int, ...]) -> int:
@@ -136,8 +346,9 @@ def loadbytes(n: int, addr: int, st: MachineState) -> tuple[int, ...]:
     """The n-byte run at addr, lowest address first."""
     if addr < 0 or addr + n - 1 >= ADDR_LIMIT:
         raise EvalFault(f"loadbytes: address range [{addr:#x}, {addr + n:#x}) exceeds 32-bit memory")
-    get = st.mem.get
-    return tuple(get(addr + k, 0) for k in range(n))
+    if n < 1:
+        return ()
+    return tuple(load_word(n, addr, st.mem).to_bytes(n, "little"))
 
 
 def _stored_word(n: int, byterun: tuple[int, ...]) -> int:
@@ -147,39 +358,45 @@ def _stored_word(n: int, byterun: tuple[int, ...]) -> int:
     return wfrombytes(n, byterun)
 
 
-def storebytes(n: int, addr: int, byterun: tuple[int, ...], st: MachineState) -> MachineState:
-    return replace(st, mem=wr_n(n, addr, _stored_word(n, byterun), st.mem))
-
-
 def store_word(n: int, addr: int, value: int, st: MachineState) -> MachineState:
-    return replace(st, mem=wr_n(n, addr, value, st.mem))
+    """The state with value stored: a new memory that shares every page of
+    st's but the ones the store reaches, which it copies."""
+    mem = Memory(st.mem)
+    _write_in_place(n, addr, value, mem)
+    return replace(st, mem=mem)
+
+
+def storebytes(n: int, addr: int, byterun: tuple[int, ...], st: MachineState) -> MachineState:
+    return store_word(n, addr, _stored_word(n, byterun), st)
 
 
 class RunMemory:
-    """The memory dict one evaluator run owns and stores into in place.
+    """The memory one evaluator run owns and stores into in place.
 
-    The first store of a run copies the incoming state's memory once and
-    returns a new state holding the copy.  Every later state of the run
-    shares that dict (``replace`` keeps it), so later stores write into it
-    directly and cost O(bytes stored) instead of a copy of the memory.
-    This is sound only because the loader admits programs that thread the
-    state linearly (`fun_ir.validate_def`): once a state has been passed
-    to a store, no code can observe it again.  The caller's states are
-    never written.  `mem` starts as None and `ProgramEvaluator.run` clears
-    it again on every exit, so each run starts with no memory of its own,
-    copies again, and the evaluator holds no memory between runs.
+    The first store of a run copies the incoming state's page table (not
+    its pages) into a new `Memory` and returns a new state holding it.
+    Every later state of the run shares that memory (``replace`` keeps
+    it), so later stores write into it directly: the run's first store to
+    a page copies that page, and every store is one slice assignment per
+    page it reaches.  This is sound only because the loader admits
+    programs that thread the state linearly (`fun_ir.validate_def`): once
+    a state has been passed to a store, no code can observe it again.
+    The caller's memories and their pages are never written.  `mem`
+    starts as None and `ProgramEvaluator.run` clears it again on every
+    exit, so each run starts with no memory of its own, copies again,
+    and the evaluator holds no memory between runs.
     """
 
     __slots__ = ("mem",)
 
     def __init__(self):
-        self.mem: dict[int, int] | None = None
+        self.mem: Memory | None = None
 
     def store_word(self, n: int, addr: int, value: int,
                    st: MachineState) -> MachineState:
         mem = st.mem
         if mem is not self.mem:
-            mem = self.mem = dict(mem)
+            mem = self.mem = Memory(mem)
             st = replace(st, mem=mem)
         _write_in_place(n, addr, value, mem)
         return st
@@ -227,15 +444,16 @@ def alloca(nbytes: int, st: MachineState) -> MachineState:
 # Memory-image files
 # ---------------------------------------------------------------------------
 
-def parse_memory_image(text: str) -> dict[int, int]:
+def parse_memory_image(text: str) -> Memory:
     """Apply a line-oriented memory image to an empty memory.
 
     Each line is ``w <n> <addr> <value>``, n at most IMAGE_MAX_BYTES, meaning
     wr_n(n, addr, value); addr and value accept decimal or 0x-hex; '#' starts
     a comment; blank lines are skipped.  Lines apply top to bottom, in place
-    on one fresh dict, so the cost is linear in the image size.
+    on the pages of one fresh memory, so the cost is linear in the image
+    size.
     """
-    mem: dict[int, int] = {}
+    mem = Memory()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -258,6 +476,6 @@ def parse_memory_image(text: str) -> dict[int, int]:
     return mem
 
 
-def load_memory_image(path: str) -> dict[int, int]:
+def load_memory_image(path: str) -> Memory:
     with open(path, encoding="utf-8") as fh:
         return parse_memory_image(fh.read())

@@ -218,6 +218,53 @@ def test_run_trace_reports_writes(tmp_path, capsys):
     assert "mem 0x100" in captured.err
 
 
+FILL_LL = """\
+define i64 @fill(i64* %p, i32 %n) {
+  %g = icmp eq i32 %n, 0
+  br i1 %g, label %done, label %loop
+
+loop:
+  %j = phi i64 [ %j.next, %loop ], [ 0, %0 ]
+  %acc = phi i64 [ %acc.next, %loop ], [ 0, %0 ]
+  %slot = getelementptr inbounds i64* %p, i64 %j
+  %j.next = add i64 %j, 1
+  store i64 %j.next, i64* %slot, align 8
+  %acc.next = add i64 %acc, %j.next
+  %j.32 = trunc i64 %j.next to i32
+  %exit = icmp eq i32 %j.32, %n
+  br i1 %exit, label %done, label %loop
+
+done:
+  %sum = phi i64 [ 0, %0 ], [ %acc.next, %loop ]
+  ret i64 %sum
+}
+"""
+
+
+def test_run_trace_reports_every_changed_byte(tmp_path, capsys):
+    """The whole report of a traced run that stores p[j] = j + 1 for three
+    words from 0x1ffc: the first word crosses the page boundary at 0x2000
+    and overwrites preset 0xff bytes, the others fill zero bytes, and the
+    preset byte at 0x3000 is left as it was."""
+    src, image, out = tmp_path / "f.ll", tmp_path / "f.mem", tmp_path / "f.fun"
+    src.write_text(FILL_LL)
+    image.write_text("w 8 0x1ffc 0xffffffffffffffff\nw 1 0x3000 5\n")
+    assert main(["translate", str(src), "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    code = main(["run", str(out), "--entry", "fill", "--args", "0x1ffc", "3",
+                 "--mem-image", str(image), "--trace"])
+    assert code == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "6"
+    assert captured.err == (
+        "# 3 loop iterations; 10 byte address(es) changed\n"
+        "# while fill_step_0_while: 3 iterations\n"
+        "# mem 0x1ffc: 0xff -> 0x1\n"
+        + "".join(f"# mem {a:#x}: 0xff -> 0x0\n" for a in range(0x1ffd, 0x2004))
+        + "# mem 0x2004: 0x0 -> 0x2\n"
+        "# mem 0x200c: 0x0 -> 0x3\n")
+
+
 def test_bench_reports_throughput(tmp_path, capsys):
     out = _translate(tmp_path)
     code = main(["bench", str(out), "--entry", "occurrences", "--no-check",

@@ -19,7 +19,7 @@ from llgen import (  # noqa: E402
 )
 
 from ll2fun import (  # noqa: E402
-    MachineState, emit_sexpr, eval_def, interp_function, load_program,
+    EvalFault, MachineState, emit_sexpr, eval_def, interp_function, load_program,
     parse_text, translate_module,
 )
 
@@ -145,6 +145,78 @@ def test_differential_alloca_scratch():
     assert translated == reference
     assert translated.retval == 42
     assert translated.stack == 0x1000  # allocation reclaimed by the bracket
+
+
+# A straight-line load and store, then a loop that loads, stores and loads
+# back each word: 8-, 4-, 2- and 1-byte accesses that the choice of p and q
+# can make straddle a 4 KiB page boundary or run into the 2^32 edge.  h is
+# passed q, and b is passed p.
+PAGE_EDGES = """define i64 @gen(i64* %p, i32* %q, i16* %h, i8* %b, i32 %n) {
+  %a = load i64* %p, align 8
+  %w = trunc i64 %a to i32
+  store i32 %w, i32* %q, align 4
+  %s = load i16* %h, align 2
+  %g = icmp eq i32 %n, 0
+  br i1 %g, label %done, label %loop
+
+loop:
+  %j = phi i64 [ %j.next, %loop ], [ 0, %0 ]
+  %acc = phi i64 [ %acc.next, %loop ], [ %a, %0 ]
+  %slot = getelementptr inbounds i64* %p, i64 %j
+  %x = load i64* %slot, align 8
+  %y = xor i64 %x, %acc
+  store i64 %y, i64* %slot, align 8
+  %j.8 = mul i64 %j, 8
+  %low = getelementptr inbounds i8* %b, i64 %j.8
+  %z = load i8* %low, align 1
+  %z.64 = zext i8 %z to i64
+  %acc.next = add i64 %acc, %z.64
+  %j.next = add i64 %j, 1
+  %j.32 = trunc i64 %j.next to i32
+  %exit = icmp eq i32 %j.32, %n
+  br i1 %exit, label %done, label %loop
+
+done:
+  %r = phi i64 [ %a, %0 ], [ %acc.next, %loop ]
+  %s.64 = zext i16 %s to i64
+  %out = add i64 %r, %s.64
+  ret i64 %out
+}
+"""
+
+
+def _outcome(run):
+    """The final state, or the fault's message without the run's context."""
+    try:
+        return run()
+    except EvalFault as e:
+        text = str(e)
+        return text.removesuffix(f" [{e.context}]") if e.context else text
+
+
+def test_differential_page_boundaries_and_the_32_bit_edge():
+    """Fused loads and stores that straddle a page boundary or touch the
+    2^32 edge agree with the reference interpreter in value, memory and
+    fault text, in a loop (the inlined page slice) and outside one."""
+    module = parse_text(PAGE_EDGES)
+    program = load_program(emit_sexpr(translate_module(module)))
+    rng = random.Random(SEED + 5)
+    top = 1 << 32
+    mem = {a: rng.randrange(256) for a in range(0x1fe0, 0x2020)}
+    mem.update({a: rng.randrange(256) for a in range(top - 48, top)})
+    st = MachineState(retval=0, stack=0xFFFF0000, frame=0xFFFF0000, mem=mem)
+    cases = [(p, q, n) for p in (0x1ff0, 0x1ff9, 0x1ffc, 0x2000 - 8 * 3 - 1)
+             for q in (0x1ffe, 0x2008, 0x1ffd) for n in (0, 1, 3, 5)]
+    cases += [(top - 8 * k - d, q, k + 1) for k in (0, 2) for d in (0, 3)
+              for q in (top - 4, top - 3, 0x2008)]
+    faults = 0
+    for p, q, n in cases:
+        args = (p, q, q, p, n)
+        translated = _outcome(lambda: eval_def(program, "gen", args, st, checking=False)[1])
+        reference = _outcome(lambda: interp_function(module, "gen", args, st))
+        assert translated == reference, (p, q, n, translated, reference)
+        faults += isinstance(reference, str)
+    assert 0 < faults < len(cases)
 
 
 def test_reference_interpreter_budget():

@@ -137,6 +137,24 @@ def test_run_without_stores_copies_nothing():
     assert final.retval == 5 and final.mem is st.mem
 
 
+def test_run_copies_only_the_pages_it_stores_to(fill):
+    """A run that stores into one page of a four-page memory copies that
+    page and no other: the final memory shares every other page with the
+    caller's, whose pages keep their bytes."""
+    pages = [BASE + k * st_mod.PAGE_SIZE for k in range(4)]
+    st = make_state(mem={p + 8 * j + 1: (j + k) % 255 + 1 for k, p in enumerate(pages)
+                         for j in range(16)})
+    snapshot = _snapshot(st)
+    before = {p: (id(page), bytes(page)) for p, page in st.mem.pages.items()}
+    final = fill.run("fill", (pages[2] + 64, 32, ALL), st, checking=False).state
+    _assert_unchanged(st, snapshot)
+    assert {p: (id(page), bytes(page)) for p, page in st.mem.pages.items()} == before
+    stored = pages[2] >> st_mod.PAGE_BITS
+    assert final.mem is not st.mem and final.mem.pages.keys() == st.mem.pages.keys()
+    assert [p for p, page in final.mem.pages.items() if page is not st.mem.pages[p]] == [stored]
+    assert all(rd_n(8, pages[2] + 64 + 8 * j, final.mem) == j + 1 for j in range(32))
+
+
 COPY_FUN = """(defun copy (a b c st)
   (declare (xargs :signature ((addr_p addr_p addr_p stp) stp)))
   (let* ((st (storebytes 8 b (loadbytes 8 a st) st))

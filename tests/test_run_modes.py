@@ -418,7 +418,8 @@ def test_one_source_serves_every_mode():
     loop = source[start:source.index("\ndef ", start)]
     assert len(re.findall(r"^\s*while ", loop, re.M)) == 1
     assert "d2_occurrences_step_0(" not in loop
-    assert loop.count("_g(v_scevgep") == 8 and "_rd_n(8, v_scevgep" in loop
+    assert ("_from_bytes(v_st.mem.pages.get(v_scevgep >> 12, _zero)[_o:_o + 8], 'little')"
+            in loop and "_rd_n(8, v_scevgep" in loop)
     assert "_bad(" not in loop and "_chk" not in loop
     grow = ProgramEvaluator(load_program(GROW)).source
     start = grow.index("def d1_grow_step_0_while(")
@@ -474,8 +475,9 @@ def test_unvalidated_loops_are_a_load_error(occurrences_program):
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 def test_unrolled_load_matches_rd_n_and_its_faults(n):
-    """A let-bound load inside a loop reads byte by byte behind one range
-    test, and out of range faults exactly as rd_n does."""
+    """A let-bound load inside a loop reads one slice of a page behind one
+    range test, reads across a page boundary through rd_n, and out of
+    range faults exactly as rd_n does."""
     text = f"""(defun peek_step_0 (done a st)
   (declare (xargs :signature ((natp natp stp) natp natp stp)))
   (let* ((v (wfrombytes {n} (loadbytes {n} a st)))
@@ -509,13 +511,16 @@ def test_unrolled_load_matches_rd_n_and_its_faults(n):
       (peek_step_0_while_wrap a st))))
 """
     ev = ProgramEvaluator(load_program(text))
-    assert f"_rd_n({n}, v_a" in ev.source and ev.source.count("_g(v_a") == n
+    assert f"_rd_n({n}, v_a" in ev.source and f"[_o:_o + {n}], 'little')" in ev.source
     rng = random.Random(n)
     top = (1 << 32) - n
     mem = {a: rng.randrange(1, 256) for a in range(top - 16, 1 << 32)}
     mem.update({a: rng.randrange(256) for a in range(0x100, 0x120)})
+    mem.update({a: rng.randrange(1, 256) for a in range(0x1ff0, 0x2010)})
     st = make_state(mem=mem)
-    for a in [0x100, 0x107, 0x111, top - 1, top]:
+    # in a page, ending at and crossing the page boundary at 0x2000, the
+    # last n bytes of memory
+    for a in [0x100, 0x107, 0x111, 0x2000 - n, 0x1ffd, 0x1fff, top - 1, top]:
         want = sum(mem.get(a + k, 0) << (8 * k) for k in range(n))
         assert ev.run("peek", (a,), st).state.retval == want
     for a in [top + 1, (1 << 32) + 3, 1 << 40, -1]:
@@ -589,11 +594,9 @@ GROW_CASES = {
 
 
 def _all_unproven(program):
-    """Every argument and result check left open, as if nothing were proven,
-    so no proof relies on memory holding bytes."""
+    """Every argument and result check left open, as if nothing were proven."""
     return evaluator._Unproven({d.name: list(range(len(d.params))) for d in program.defs},
-                               {d.name: list(range(len(d.result_kinds))) for d in program.defs},
-                               False)
+                               {d.name: list(range(len(d.result_kinds))) for d in program.defs})
 
 
 @pytest.mark.parametrize("entry, args", list(GROW_CASES))

@@ -2,6 +2,7 @@
 reference model on randomized traces."""
 
 import random
+import re
 
 import pytest
 
@@ -9,7 +10,9 @@ from ll2fun import (
     EvalFault, begin_stack_frame, end_stack_frame, init_stack_frame, loadbytes,
     make_state, parse_memory_image, rd_n, storebytes, update_retval, wr_n,
 )
-from ll2fun.state import alloca, wfrombytes, wtobytes
+from ll2fun.state import (
+    PAGE_SIZE, Memory, RunMemory, alloca, load_word, store_word, wfrombytes, wtobytes,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +144,115 @@ def test_two_memories_with_same_reads_are_equal():
     for k in range(8):
         b = wr_n(1, 0x100 + k, rd_n(1, 0x100 + k, a), b)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Paged memory against the plain-dict model
+# ---------------------------------------------------------------------------
+
+def _outcome(op):
+    """What op returns, or the text of the fault it raises."""
+    try:
+        return op()
+    except EvalFault as e:
+        return f"fault: {e}"
+
+
+def _near_an_edge(rng, n: int) -> int:
+    """An address whose n bytes straddle or touch a page boundary, the top
+    of 32-bit memory, or lie outside it."""
+    page = rng.choice([0x1000, 0x2000, 0x3000])
+    return rng.choice([page + rng.randrange(-n - 1, 2),
+                       (1 << 32) + rng.randrange(-n - 2, 2),
+                       rng.randrange(-n, 0)])
+
+
+def _assert_same_mapping(mem: Memory, model: dict):
+    assert mem == model and model == mem and not mem != model
+    assert len(mem) == len(model)
+    assert list(mem) == sorted(model)
+    assert list(mem.items()) == sorted(model.items())
+    assert dict(mem) == model
+
+
+def test_memory_matches_the_dict_model_randomized():
+    """Seeded runs of 1/2/4/8-byte stores and loads near page boundaries
+    and the 2^32 edge, on a functionally updated state and on a run's
+    memory written in place: every load and fault agrees with rd_n and
+    wr_n on a plain dict, and the memories compare, count and iterate as
+    that dict does.  Each run ends by storing zeros over every byte it
+    wrote, which empties its pages."""
+    rng = random.Random(4096)
+    for _ in range(60):
+        model: dict[int, int] = {}
+        st = owned = make_state()
+        run = RunMemory()
+        for _ in range(40):
+            n = rng.choice((1, 2, 4, 8))
+            addr = _near_an_edge(rng, n)
+            if rng.random() < 0.6:
+                value = 0 if rng.random() < 0.25 else rng.getrandbits(8 * n)
+                want = _outcome(lambda: wr_n(n, addr, value, model))
+                got = _outcome(lambda: store_word(n, addr, value, st))
+                got_owned = _outcome(lambda: run.store_word(n, addr, value, owned))
+                if isinstance(want, str):
+                    assert got == got_owned == want
+                    continue
+                model, st, owned = want, got, got_owned
+            else:
+                want = _outcome(lambda: rd_n(n, addr, model))
+                assert _outcome(lambda: load_word(n, addr, st.mem)) == want
+                assert _outcome(lambda: load_word(n, addr, owned.mem)) == want
+                want = _outcome(lambda: tuple(model.get(addr + k, 0) for k in range(n))
+                                if 0 <= addr <= (1 << 32) - n else rd_n(n, addr, {}))
+                got = _outcome(lambda: loadbytes(n, addr, st))
+                assert got == want or got == want.replace("rd_n", "loadbytes")
+            _assert_same_mapping(st.mem, model)
+            _assert_same_mapping(owned.mem, model)
+            assert Memory(model) == st.mem
+        for addr in list(model):
+            st = store_word(1, addr, 0, st)
+            owned = run.store_word(1, addr, 0, owned)
+        if model:
+            assert all(not any(page) for page in st.mem.pages.values())
+            assert st.mem.pages and owned.mem.pages
+        for mem in (st.mem, owned.mem):
+            _assert_same_mapping(mem, {})
+        run.mem = None
+
+
+def test_memory_from_a_mapping_keeps_its_nonzero_bytes():
+    """A mapping converts whole pages at a time when its keys run up one
+    by one, and byte by byte otherwise; zero values are not kept."""
+    rng = random.Random(3)
+    run = {a: rng.randrange(1, 256) for a in range(0x1f00, 0x1f00 + 3 * PAGE_SIZE)}
+    backwards = dict(reversed(run.items()))
+    gaps = {a: b for a, b in run.items() if a % 3}
+    order = list(run)  # the same keys, first and last in place, two between swapped
+    order[1], order[PAGE_SIZE + 1] = order[PAGE_SIZE + 1], order[1]
+    swapped = {a: run[a] for a in order}
+    for mem in (run, backwards, gaps, swapped, {(1 << 32) - 1: 7, 0: 9}):
+        paged = Memory(mem)
+        _assert_same_mapping(paged, mem)
+        assert all(rd_n(1, a, paged) == b for a, b in mem.items())
+    mem = Memory({0x10: 0, 0x11: 5})
+    assert len(mem) == 1 and mem == {0x11: 5} and mem != {0x10: 0, 0x11: 5}
+    assert mem.get(0x10) is None and mem.get(0x10, 0) == 0 and 0x10 not in mem
+    assert mem.get("x", 3) == 3 and mem.get(-1) is None and mem.get(1 << 32) is None
+
+
+@pytest.mark.parametrize("mem, message", [
+    ({0x100: 300}, "memory at 0x100 holds 300, not a byte"),
+    ({0x100: -1}, "memory at 0x100 holds -1, not a byte"),
+    ({0x100: 1.5}, "memory at 0x100 holds 1.5, not a byte"),
+    ({0x100: 1, -1: 2}, "memory address -1 is not in 32-bit memory"),
+    ({1 << 32: 1}, "memory address 4294967296 is not in 32-bit memory"),
+    ({"a": 1}, "memory address 'a' is not in 32-bit memory"),
+])
+def test_memory_holds_bytes_at_32_bit_addresses_by_construction(mem, message):
+    with pytest.raises(EvalFault, match=f"^{re.escape(message)}$"):
+        make_state(mem=mem)
+    assert Memory({0x100: 1}) != mem and mem != Memory({0x100: 1})
 
 
 # ---------------------------------------------------------------------------
