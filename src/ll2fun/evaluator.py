@@ -16,8 +16,8 @@ tuple, and a million iterations cost no host stack.
 Signature checks, the step budget, per-while iteration counts and the
 call trace are code in that same source, switched per run by a few
 namespace globals (`_hook`, `_checking`, `_trace`, `_limit`).  Only the
-checks that one fact pass over each definition leaves unproven are
-compiled (see `_unproven`); on a translated program that is none:
+checks that the loader's check of each definition leaves unproven are
+compiled (`FunProgram.unproven`); on a translated program that is none:
 
 * in a traced run, and in a checked run of a function with an unproven
   check in one of its sections, every section calls the entry hook,
@@ -39,8 +39,8 @@ string inlined into the source, or a call of the row's reference
 function.  Two fused forms are recognised here instead: a load
 (wfrombytes of loadbytes) becomes one `state.load_word`, inlined as one
 slice of a memory page and `int.from_bytes` behind one range test when a
-let in a loop binds it and it reads 1, 2, 4 or 8 bytes, and a store
-(storebytes of wtobytes) becomes one `store_word`.
+let in a loop binds it, and a store (storebytes of wtobytes) becomes one
+`store_word`.
 
 Stores are the exception to calling the reference function: the fused
 store and `storebytes` go through the namespace's `state.RunMemory`, which
@@ -55,7 +55,6 @@ never copies.
 from __future__ import annotations
 
 import io
-import math
 import re
 import sys
 from dataclasses import dataclass
@@ -66,7 +65,7 @@ from .fun_ir import (
     Call, Const, FunDef, FunProgram, If, LetStar, Metlist, Mvlist, Prim, Var,
     collector_paused,
 )
-from .prims import KINDS, PRIMS, STATE, decimal
+from .prims import KINDS, PRIMS, decimal
 from . import state as st_mod
 from .state import ADDR_LIMIT, PAGE_BITS, PAGE_MASK, PAGE_SIZE, MachineState
 
@@ -74,7 +73,6 @@ from .state import ADDR_LIMIT, PAGE_BITS, PAGE_MASK, PAGE_SIZE, MachineState
 # Code generation
 # ---------------------------------------------------------------------------
 
-_UNROLLED = (1, 2, 4, 8)  # byte counts of let-bound loads read byte by byte
 _NO_LIMIT = 1 << 62       # `_limit` of a run without a budget
 _PIECE_LINES = 1000       # compile the source in pieces of about this size
 _NON_WORD = re.compile(r"\W", re.ASCII)  # not an ASCII letter, digit or _
@@ -119,160 +117,6 @@ def _is_atom(code: str) -> bool:
 def _tests(values: list[str], kinds, positions) -> str:
     """The conjunction of the kind tests of values at positions."""
     return " and ".join(f"({KINDS[kinds[i]].test.format(values[i])})" for i in positions)
-
-
-# ---------------------------------------------------------------------------
-# Which signature checks can fail
-# ---------------------------------------------------------------------------
-# In a checked run every value a definition receives has passed a check or
-# is proven to pass it: its caller's entry check of a parameter, its
-# callee's exit check of a result, or `run`'s check of the entry's
-# arguments.  A constant, or a value a primitive computes from values with
-# known facts (the row's bound rule, see `prims`), is known to be in range
-# as well.  A load's rule takes a state's memory to hold bytes, which a
-# `state.Memory` does by construction.  So one pass over each definition, with
-# the facts of its parameters and of its callees' results, proves which of
-# its call sites' arguments and of its own results pass their checks;
-# callees precede callers, so the facts follow by induction over a run.
-# Codegen compiles only the checks that the pass leaves open: the entry
-# hook is passed only the unproven arguments, the exit hook checks only the
-# unproven results, and a loop checks only its step's unproven arguments
-# and results.
-
-# What passing the check of each kind says: STATE, or an exclusive bound.
-_KIND_FACTS = {name: STATE if row.sort == STATE else row.bound or math.inf
-               for name, row in KINDS.items()}
-
-
-def _within(fact, want) -> bool:
-    """Does a value with this fact pass a check that says want?"""
-    if fact is None or want == STATE or fact == STATE:
-        return fact == want
-    return fact <= want
-
-
-_UNBOUND = object()  # a name not in scope before a binding form
-
-
-class _FactPass:
-    """The walk over one definition body, with the fact (STATE, an
-    exclusive bound on a natural, or None for unknown) of each name in
-    scope in one dict that each binding form restores on exit.  A class
-    rather than nested functions, as `fun_ir._DefCheck` is."""
-
-    __slots__ = ("params", "returns", "args", "results", "env", "wants")
-
-    def __init__(self, program: FunProgram):
-        # the facts each definition's parameter and result checks say
-        self.params = {d.name: [_KIND_FACTS[k] for _, k in d.params] for d in program.defs}
-        self.returns = {d.name: [_KIND_FACTS[k] for k in d.result_kinds] for d in program.defs}
-        # each definition's argument and result positions that may fail
-        self.args: dict[str, set[int]] = {d.name: set() for d in program.defs}
-        self.results: dict[str, set[int]] = {d.name: set() for d in program.defs}
-
-    def definition(self, d: FunDef):
-        self.env = {name: _KIND_FACTS[kind] for name, kind in d.params}
-        self.wants = self.returns[d.name]
-        self.tail(d.body, self.results[d.name])
-
-    def value(self, e):
-        """The fact of a one-valued expression; records its calls."""
-        t = type(e)
-        if t is Var:
-            return self.env.get(e.name)
-        if t is Const:
-            return e.value + 1 if e.value >= 0 else None
-        if t is Prim:
-            row = PRIMS[e.op]
-            facts = [self.value(a) for a in e.args]
-            if row.result == STATE:
-                return STATE
-            return row.bound(*facts) if row.bound else None
-        if t is Call:
-            return self.call(e)[0]
-        if t is If:
-            self.value(e.cond)
-            a, b = self.value(e.then), self.value(e.els)
-            if a is None or b is None or STATE in (a, b):
-                return a if a == b else None
-            return max(a, b)
-        raise AssertionError(f"expression context: {e}")
-
-    def call(self, e: Call) -> list:
-        """Record the call's arguments that may fail their entry checks;
-        the facts of its results."""
-        env, wants = self.env, self.params[e.name]
-        facts = [env.get(a.name) if type(a) is Var else self.value(a) for a in e.args]
-        if facts != wants:
-            self.args[e.name].update(i for i, (fact, want) in enumerate(zip(facts, wants))
-                                     if not _within(fact, want))
-        return self.returns[e.name]
-
-    def tail(self, e, unproven: set):
-        """Record the results of e, in result position, that may fail."""
-        t = type(e)
-        if t is LetStar or t is Metlist:
-            env, saved = self.env, []
-            bound = (((name, self.value(b)) for name, b in e.bindings) if t is LetStar
-                     else zip(e.names, self.call(e.call)))
-            for name, fact in bound:  # a let* binding sees the ones before it
-                saved.append((name, env.get(name, _UNBOUND)))
-                env[name] = fact
-            self.tail(e.body, unproven)
-            for name, fact in reversed(saved):
-                if fact is _UNBOUND:
-                    del env[name]
-                else:
-                    env[name] = fact
-            return
-        if t is If:
-            self.value(e.cond)
-            self.tail(e.then, unproven)
-            self.tail(e.els, unproven)
-            return
-        if t is Mvlist:
-            facts = [self.value(x) for x in e.items]
-        elif t is Call:
-            facts = self.call(e)
-        else:
-            facts = [self.value(e)]
-        unproven.update(i for i, (fact, want) in enumerate(zip(facts, self.wants))
-                        if not _within(fact, want))
-
-
-@dataclass(frozen=True)
-class _Unproven:
-    """Per definition, the positions of the argument and the result checks
-    that the fact pass leaves open, in order.  A step's result checks run
-    inline in its loops."""
-
-    args: dict[str, list[int]]
-    results: dict[str, list[int]]
-
-
-def _unproven(program: FunProgram) -> _Unproven:
-    """The checks a checked run of program must make.  `run` checks every
-    argument of the entry itself."""
-    facts = _FactPass(program)
-    args, results = facts.args, facts.results
-    step_of = {c.while_def: c.step_def for c in program.cliques}
-    for d in program.defs:
-        if d.name not in step_of:
-            facts.definition(d)
-            continue
-        # a loop passes its step the while's arguments, then the step's own
-        # checked results, and returns the last of them but done; the while's
-        # body is not compiled as written
-        step = step_of[d.name]
-        frame = list(zip(facts.params[d.name], facts.returns[step]))
-        for i, want in enumerate(facts.params[step]):
-            if not all(_within(fact, want) for fact in frame[i]):
-                args[step].add(i)
-        for i, want in enumerate(facts.returns[d.name]):
-            if not all(_within(fact, want) for fact in frame[i + 1]):
-                results[d.name].add(i)
-    return _Unproven({n: sorted(p) for n, p in args.items()},
-                     {n: sorted(p) for n, p in results.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +182,7 @@ class _Codegen:
         steps = set(step_of.values())
         self.deferred = {k for k, d in enumerate(defs) if d.name in steps
                          and all(self.loops[p] == d.name for p in self.callers[k])}
-        self.unproven = _unproven(program)
+        self.unproven = program.unproven
         self.lines: list[str] = []
         self.finish = None
         self.jumps: set[int] = set()  # the sections of the function being emitted
@@ -410,8 +254,7 @@ class _Codegen:
 
     def bind(self, name: str, bound, env: dict[str, str], indent: str):
         if (self.fused and isinstance(bound, Prim) and bound.op == "wfrombytes"
-                and _fused(bound.args[1], "loadbytes", bound.args[0])
-                and bound.args[0].value in _UNROLLED):
+                and _fused(bound.args[1], "loadbytes", bound.args[0])):
             self.load(name, bound.args[0].value, bound.args[1], env, indent)
             return
         rhs = self.expr(bound, env)
@@ -548,7 +391,7 @@ class _Codegen:
 
     def enter(self, k: int, path: str) -> str:
         """The call of the entry hook of definition k, which passes the
-        arguments whose check may fail (see `_unproven`)."""
+        arguments whose check may fail (see `FunProgram.unproven`)."""
         unproven = self.unproven.args[self.program.defs[k].name]
         values = "".join(f", {self.param_locals[k][i]}" for i in unproven)
         return f"_enter({k}, {path}{values})"
@@ -653,8 +496,8 @@ class _Hooks:
     def __init__(self, program: FunProgram, gen: _Codegen):
         self.defs = program.defs
         self.param_locals = gen.param_locals
-        self.unproven_args = [gen.unproven.args[d.name] for d in program.defs]
-        self.unproven_results = [gen.unproven.results[d.name] for d in program.defs]
+        self.unproven_args = [program.unproven.args[d.name] for d in program.defs]
+        self.unproven_results = [program.unproven.results[d.name] for d in program.defs]
         self.param_kinds = [[kind for _, kind in d.params] for d in program.defs]
         self.checking = self.trace = False
         self.out: io.TextIOBase | None = None
@@ -728,11 +571,12 @@ class ProgramEvaluator:
     entry; every mode runs the same compiled functions.  `regions` names,
     for each compiled function, the definitions it runs: its root first.
     `checks` counts the signature checks, one per argument and result
-    position of each definition: those the fact pass proved, and those
-    compiled into the source (see `_unproven`).
-    The program's loops are its `cliques` and its call sites its `calls`,
-    which `validate_program` sets on every translated or loaded program; a
-    program it never passed is a LoadError.
+    position of each definition: those the loader proved, and those
+    compiled into the source (`FunProgram.unproven`).
+    The program's loops are its `cliques`, its call sites its `calls` and
+    its open checks its `unproven`, which `validate_program` sets on every
+    translated or loaded program; a program it never passed is a
+    LoadError.
 
     Programs are immutable and freely shareable, and so are states outside
     a run.  An evaluator, however, owns mutable iteration counters and the
@@ -752,8 +596,8 @@ class ProgramEvaluator:
         defs = program.defs
         self.regions = {defs[k].name: tuple(defs[m].name for m in sections)
                         for k, sections in gen.regions.items()}
-        compiled = sum(len(gen.unproven.args[d.name]) + len(gen.unproven.results[d.name])
-                       for d in defs)
+        unproven = program.unproven
+        compiled = sum(len(unproven.args[d.name]) + len(unproven.results[d.name]) for d in defs)
         self.checks = {"proven": sum(len(d.params) + len(d.result_kinds) for d in defs)
                        - compiled, "compiled": compiled}
         self._hooks = hooks = _Hooks(program, gen)

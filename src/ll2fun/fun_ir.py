@@ -24,11 +24,14 @@ Output is deterministic and reparses to the same program.
 from __future__ import annotations
 
 import gc
+import math
 import re
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 
 from .errors import AnalysisError, LoadError
 from . import ll_parser as ll
@@ -36,7 +39,7 @@ from .ll_parser import (
     BasicBlock, Instruction, LlvmFunction, LlvmModule, Operand, Reg, Ret,
     mangle_label, mangle_register, resolve_aliases,
 )
-from .prims import KINDS, NAT, PRIMS, SORT_OF_KIND, STATE
+from .prims import KINDS, NAT, PRIMS, RUN, STATE
 from .ssa import (
     BlockUnit, CliqueUnit, FunctionAnalysis, LoopInfo, analyze_function, dfs_postorder,
 )
@@ -172,6 +175,7 @@ class FunProgram:
     # per definition, its call sites in evaluation order, as the loader's
     # check of the definition found them; set by validate_program
     calls: tuple[tuple[CallSite, ...], ...] | None = None
+    unproven: Unproven | None = None  # the checks left open; set by validate_program
     by_name: dict[str, FunDef] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -896,10 +900,59 @@ def free_vars(expr: FunExpr, bound: frozenset[str]) -> set[str]:
 _RESULT_FORMS = {Mvlist: "mvlist", LetStar: "let*", Metlist: "metlist"}
 
 
-def validate_def(d: FunDef, known: dict[str, FunDef]) -> tuple[CallSite, ...]:
-    """Check d against known, the definitions before it, and add d to them;
-    d's call sites."""
-    known[d.name] = d
+# The signature declarations are the program's guards, proven as each
+# definition is admitted.  In a checked run every value a definition
+# receives has passed a check or is proven to pass it: its caller's entry
+# check of a parameter, its callee's exit check of a result, or `run`'s
+# check of the entry's arguments.  A constant, or a value a primitive
+# computes from values with known facts (the row's bound rule, see
+# `prims`), is known to be in range as well.  A load's rule takes a
+# state's memory to hold bytes, which a `state.Memory` does by
+# construction.  So the check of each definition, with the facts of its
+# parameters and of its callees' results, proves which of its call sites'
+# arguments and of its own results pass their checks; callees precede
+# callers, so the facts follow by induction over a run.  A while def's
+# call of itself is not proven: its fused loop never makes that call, and
+# passes its step the while's arguments, then the step's own results,
+# which `validate_clique` makes the step's parameter kinds.  Codegen
+# compiles only the checks left open (`FunProgram.unproven`).
+
+# What passing the check of each kind says: STATE, or an exclusive bound.
+_KIND_FACTS = {name: STATE if k.sort == STATE else k.bound or math.inf
+               for name, k in KINDS.items()}
+# The fact each argument of each primitive must fit: one of its sort.
+_PRIM_WANTS = {op: tuple([math.inf if s == NAT else s for s in p.sorts])
+               for op, p in PRIMS.items()}
+# The fact of each primitive's result where its row has no bound rule.
+_PRIM_FACTS = {op: None if p.result == NAT else p.result for op, p in PRIMS.items()}
+_UNBOUND = object()  # a name not in scope before a binding form
+
+
+def _sort(fact) -> str:
+    """The sort of a value with this fact."""
+    return fact if fact is STATE or fact is RUN else NAT
+
+
+@dataclass(frozen=True)
+class Unproven:
+    """Per definition, the positions of the argument and the result checks
+    that validation leaves open, in order.  A step's result checks run
+    inline in its loops."""
+
+    args: dict[str, tuple[int, ...]]
+    results: dict[str, tuple[int, ...]]
+
+
+def validate_def(d: FunDef, known: dict[str, tuple[tuple, tuple]], defined: dict,
+                 opened: set[tuple[str, int]]) -> tuple[tuple[CallSite, ...], tuple[int, ...]]:
+    """Check d against known, the facts of the parameters and results of
+    the definitions before it, and add d's to them; d's call sites and its
+    results that may leave their kinds.  defined holds the name of every
+    definition of the program; each call adds to opened (callee, position)
+    of each argument it may pass out of kind."""
+    wants = tuple([_KIND_FACTS[k] for _, k in d.params])
+    returns = tuple([_KIND_FACTS[k] for k in d.result_kinds])
+    known[d.name] = (wants, returns)
     if not d.params or d.params[-1] != (STATE_VAR, "state"):
         raise LoadError(f"{d.name}: last parameter must be the machine state")
     if sum(1 for _, k in d.params if k == "state") != 1:
@@ -909,61 +962,72 @@ def validate_def(d: FunDef, known: dict[str, FunDef]) -> tuple[CallSite, ...]:
     names = [n for n, _ in d.params]
     if len(set(names)) != len(names):
         raise LoadError(f"{d.name}: duplicate parameter names")
-    declared = _sorts(d.result_kinds)
-    walk = _DefCheck(d, known)
-    got = walk.check(d.body, len(declared), True)
-    if got != declared:
-        raise LoadError(f"{d.name}: the body yields ({', '.join(got)}) where the "
-                        f"signature declares ({', '.join(declared)})")
-    return tuple(walk.calls)
-
-
-def _sorts(kinds: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple([SORT_OF_KIND[k] for k in kinds])
+    walk = _DefCheck(d, known, defined, opened, dict(zip(names, wants)))
+    got = walk.check(d.body, len(returns), True)
+    results = []
+    for i, (fact, want) in enumerate(zip(got, returns)):
+        if fact == want:
+            continue
+        if fact is STATE or fact is RUN or want is STATE:
+            raise LoadError(
+                f"{d.name}: the body yields ({', '.join(map(_sort, got))}) where the "
+                f"signature declares ({', '.join(map(_sort, returns))})")
+        if fact is None or fact > want:
+            results.append(i)
+    return tuple(walk.calls), tuple(results)
 
 
 class _DefCheck:
-    """The walk over one definition body, recording its calls.  A class
-    rather than nested functions: recursive closures form reference cycles,
-    and a cycle per definition left for the collector slowed translation."""
+    """The walk over one definition body, recording its calls and the
+    arguments they may pass out of kind.  A class rather than nested
+    functions: recursive closures form reference cycles, and a cycle per
+    definition left for the collector slowed translation."""
 
-    __slots__ = ("d", "known", "env", "live", "calls")
+    __slots__ = ("d", "known", "defined", "opened", "env", "live", "calls")
 
-    def __init__(self, d: FunDef, known: dict[str, FunDef]):
+    def __init__(self, d: FunDef, known: dict[str, tuple[tuple, tuple]], defined: dict,
+                 opened: set[tuple[str, int]], env: dict):
         self.d = d
         self.known = known
-        self.env = {n: SORT_OF_KIND[k] for n, k in d.params}  # sort of each name in scope
-        self.live = True  # st not passed to a state-consuming argument since bound
+        self.defined = defined
+        self.opened = opened
+        self.env = env     # the fact of each name in scope
+        self.live = True   # st not passed to a state-consuming argument since bound
         self.calls: list[CallSite] = []  # (call, tail), each after its arguments
 
     def fail(self, message: str):
         raise LoadError(f"{self.d.name}: {message}")
 
-    def bind(self, name: str, sort: str, undo: list):
-        if (name == STATE_VAR) != (sort == STATE):
-            self.fail(f"{name} is bound to a {sort}; the machine state lives in "
+    def bind(self, name: str, fact, undo: list):
+        if (name == STATE_VAR) != (fact is STATE):
+            self.fail(f"{name} is bound to a {_sort(fact)}; the machine state lives in "
                       f"{STATE_VAR} and only there")
-        undo.append((name, self.env.get(name)))
-        self.env[name] = sort
-        if sort == STATE:
+        undo.append((name, self.env.get(name, _UNBOUND)))
+        self.env[name] = fact
+        if fact is STATE:
             self.live = True
 
     def unbind(self, undo: list):
         for name, old in reversed(undo):
-            if old is None:
+            if old is _UNBOUND:
                 del self.env[name]
             else:
                 self.env[name] = old
 
-    def arg(self, expr: FunExpr, want: str, k: int, owner: str, reads: bool = False):
-        """Check argument k of owner (1-based; 0 for an if condition)."""
-        got = self.check(expr, 1, False, reads)[0]
-        if got != want:
-            what = f"argument {k} of {owner}" if k else "an if condition"
-            self.fail(f"{what} must be a {want}, got a {got}")
+    def arg(self, expr: FunExpr, want, k: int, owner: str, reads: bool = False):
+        """The fact of argument k of owner (1-based; 0 for an if condition),
+        which must be of the sort of the fact want."""
+        fact = self.check(expr, 1, False, reads)[0]
+        if fact != want and (fact is STATE or fact is RUN or want is STATE or want is RUN):
+            self.mismatch(want, fact, k, owner)
+        return fact
+
+    def mismatch(self, want, fact, k: int, owner: str):
+        what = f"argument {k} of {owner}" if k else "an if condition"
+        self.fail(f"{what} must be a {_sort(want)}, got a {_sort(fact)}")
 
     def check(self, expr: FunExpr, expected: int, tail: bool, reads: bool = False) -> tuple:
-        """The sorts of expr's results.  Calls name earlier defs with the
+        """The facts of expr's results.  Calls name earlier defs with the
         declared arity and result count; self-calls only in tail position
         of a general-recursive def; mvlist, let* and metlist only in result
         position; static primitive arguments are constants inside their
@@ -975,8 +1039,9 @@ class _DefCheck:
         may not be used again until a let* or metlist rebinds it.  `reads`
         marks the state argument of a primitive that returns no state
         (loadbytes, retval, stack), which uses st without consuming it.
-        The two arms of an if are checked from the same point.  Each call
-        is recorded after its arguments, with `tail`."""
+        The two arms of an if are checked from the same point, and its
+        facts join theirs.  Each call is recorded after its arguments,
+        with `tail`."""
         t = type(expr)
         if not tail and t in _RESULT_FORMS:
             self.fail(f"{_RESULT_FORMS[t]} outside result position")
@@ -986,17 +1051,17 @@ class _DefCheck:
                 self.fail(f"expression yields one value where {expected} "
                           "results are declared")
         if t is Var:
-            sort = self.env.get(expr.name)
-            if sort is None:
+            fact = self.env.get(expr.name, _UNBOUND)
+            if fact is _UNBOUND:
                 self.fail(f"free variable {expr.name}")
-            if sort == STATE:
+            if fact is STATE:
                 if not self.live:
                     self.fail(f"{STATE_VAR} is used after a store, call or "
                               "binding consumed it")
                 self.live = reads
-            return (sort,)
+            return (fact,)
         if t is Const:
-            return (NAT,)
+            return (expr.value + 1 if expr.value >= 0 else None,)
         if t is Prim:
             p = PRIMS[expr.op]
             if p.domains:
@@ -1005,52 +1070,74 @@ class _DefCheck:
                 if error:
                     self.fail(f"({expr.op} ...) {error}")
             reading = p.result != STATE
-            for k, (a, want) in enumerate(zip(expr.args, p.sorts), 1):
-                self.arg(a, want, k, expr.op, reading)
-            return (p.result,)
+            facts = []
+            for k, (a, want) in enumerate(zip(expr.args, _PRIM_WANTS[expr.op]), 1):
+                facts.append(self.arg(a, want, k, expr.op, reading))
+            return (p.bound(*facts) if p.bound else _PRIM_FACTS[expr.op],)
         if t is Call:
-            target = self.known.get(expr.name)
-            if target is None:
-                self.fail(f"call of {expr.name} before its definition")
-            if expr.name == self.d.name:
+            name = expr.name
+            callee = self.known.get(name)
+            if callee is None:
+                self.fail(f"call of {name} before its definition" if name in self.defined
+                          else f"call of undefined {name}")
+            wants, returns = callee
+            own = name == self.d.name
+            if own:
                 if not self.d.general_recursive:
                     self.fail("unexpected self-recursion")
                 if not tail:
                     self.fail("recursive call outside tail position")
-            if len(expr.args) != len(target.params):
-                self.fail(f"{expr.name} takes {len(target.params)} args, "
-                          f"got {len(expr.args)}")
-            if len(target.result_kinds) != expected:
-                self.fail(f"call of {expr.name} yields {len(target.result_kinds)} "
+            if len(expr.args) != len(wants):
+                self.fail(f"{name} takes {len(wants)} args, got {len(expr.args)}")
+            if len(returns) != expected:
+                self.fail(f"call of {name} yields {len(returns)} "
                           f"results where {expected} are expected")
-            for k, (a, (_, kind)) in enumerate(zip(expr.args, target.params), 1):
-                self.arg(a, SORT_OF_KIND[kind], k, expr.name)
+            env = self.env
+            for k, (a, want) in enumerate(zip(expr.args, wants), 1):
+                # `arg`, inlined for the commonest case: a name that is not st
+                fact = env.get(a.name, _UNBOUND) if type(a) is Var else _UNBOUND
+                if fact is _UNBOUND or fact is STATE:
+                    fact = self.check(a, 1, False)[0]
+                if fact != want:
+                    if fact is STATE or fact is RUN or want is STATE:
+                        self.mismatch(want, fact, k, name)
+                    if not own and (fact is None or fact > want):
+                        self.opened.add((name, k - 1))
             self.calls.append((expr, tail))
-            return _sorts(target.result_kinds)
+            return returns
         if t is Mvlist:
             if len(expr.items) != expected:
                 self.fail(f"mvlist of {len(expr.items)} values where {expected} "
                           "results are declared")
             return tuple([self.check(x, 1, False)[0] for x in expr.items])
         if t is If:
-            self.arg(expr.cond, NAT, 0, "if")
+            self.arg(expr.cond, math.inf, 0, "if")
             before = self.live
-            sorts = self.check(expr.then, expected, tail, reads)
+            facts = self.check(expr.then, expected, tail, reads)
             after_then, self.live = self.live, before
-            if self.check(expr.els, expected, tail, reads) != sorts:
-                self.fail("the arms of an if yield different sorts")
+            other = self.check(expr.els, expected, tail, reads)
+            if other != facts:
+                facts = tuple([self.join(a, b) for a, b in zip(facts, other)])
             self.live = self.live and after_then
-            return sorts
+            return facts
         undo: list = []
         if t is LetStar:
             for name, bound in expr.bindings:
                 self.bind(name, self.check(bound, 1, False)[0], undo)
         else:  # Metlist
-            for name, sort in zip(expr.names, self.check(expr.call, len(expr.names), False)):
-                self.bind(name, sort, undo)
-        sorts = self.check(expr.body, expected, tail)
+            for name, fact in zip(expr.names, self.check(expr.call, len(expr.names), False)):
+                self.bind(name, fact, undo)
+        facts = self.check(expr.body, expected, tail)
         self.unbind(undo)
-        return sorts
+        return facts
+
+    def join(self, a, b):
+        """The fact of a value that is either arm's, a or b."""
+        if a == b:
+            return a
+        if a is STATE or a is RUN or b is STATE or b is RUN:
+            self.fail("the arms of an if yield different sorts")
+        return None if a is None or b is None else max(a, b)
 
 
 def _while_shape(d: FunDef) -> tuple[str, tuple[str, ...]] | None:
@@ -1162,10 +1249,25 @@ def validate_clique(program: FunProgram, clique: WhileClique):
 
 def validate_program(program: FunProgram):
     """Check every definition, then the loop cliques found from the calls
-    those checks record; sets program.calls and program.cliques if all pass."""
-    known: dict[str, FunDef] = {}
-    calls = tuple(validate_def(d, known) for d in program.defs)
+    those checks record; sets program.calls, program.cliques and
+    program.unproven if all pass.  A while def's results are also checked
+    against its step's results, which its fused loop returns."""
+    known: dict[str, tuple[tuple, tuple]] = {}
+    opened: set[tuple[str, int]] = set()
+    checked = [validate_def(d, known, program.by_name, opened) for d in program.defs]
+    calls = tuple([sites for sites, _ in checked])
     cliques = _loop_cliques(program, calls)
     for clique in cliques:
         validate_clique(program, clique)
+    results = {d.name: open_ for d, (_, open_) in zip(program.defs, checked)}
+    for clique in cliques:
+        # the loop returns the step's last results but the done bit
+        _, frame = known[clique.step_def]
+        _, returns = known[clique.while_def]
+        open_ = {i for i, want in enumerate(returns[:-1]) if frame[i + 1] > want}
+        results[clique.while_def] = tuple(sorted(open_.union(results[clique.while_def])))
+    args = dict.fromkeys(program.by_name, ())  # one shared () where nothing is open
+    for name, group in groupby(sorted(opened), itemgetter(0)):
+        args[name] = tuple([i for _, i in group])
     program.calls, program.cliques = calls, cliques
+    program.unproven = Unproven(args, results)

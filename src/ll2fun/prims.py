@@ -3,8 +3,8 @@
 `KINDS` maps each kind to its signature predicate and the sort and bound
 its dynamic check derives from.  Every value is of one sort: a natural,
 the machine state, or a byte run; the kinds other than the state refine
-the natural sort.  The loader checks sorts, the dynamic signature checks
-kinds.
+the natural sort.  The loader checks sorts and proves the kind checks it
+can (see the bound rules below); the dynamic signature checks the rest.
 
 `PRIMS` has one row per primitive: argument names in source order (an
 argument named `st` takes the state, one named `run` a byte run, every
@@ -70,7 +70,6 @@ KINDS = {
     "nat": Kind("natp"),
     "state": Kind("stp", STATE),
 }
-SORT_OF_KIND = {name: kind.sort for name, kind in KINDS.items()}
 
 
 def decimal(n: int) -> str:

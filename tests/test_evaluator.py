@@ -402,13 +402,13 @@ def test_checked_run_rejects_memory_that_is_not_bytes(st):
 
 def test_translated_programs_compile_no_signature_check(occurrences_program,
                                                       nestsum_program):
-    """The fact pass proves every argument, result and loop-step result
+    """The loader proves every argument, result and loop-step result
     check of a translated program: the fixtures (occurrences is the scan
     workload's program), the store and wide workloads' programs and 200
     seeded llgen programs compile none.  A hand-written result that may
     fail its kind keeps its check.  On each of them, the call sites that
     validation records are those a reference walk finds, and loading the
-    emitted `.fun` records the same ones."""
+    emitted `.fun` records the same ones and leaves the same checks open."""
     workloads, rng = _perfbench_workloads(), random.Random(2008)
     texts = [workloads.FILL_LL, workloads.gen_wide(1).ll_text]
     texts += (gen_program(rng) for _ in range(200))
@@ -419,7 +419,9 @@ def test_translated_programs_compile_no_signature_check(occurrences_program,
         assert checks == {"proven": total, "compiled": 0}, program.defs[-1].name
         assert [[(c.name, tail) for c, tail in sites] for sites in program.calls] == \
             [_call_sites(d.body) for d in program.defs]
-        assert load_program(emit_sexpr(program)).calls == program.calls
+        reloaded = load_program(emit_sexpr(program))
+        assert reloaded.calls == program.calls
+        assert reloaded.unproven == program.unproven
     assert ProgramEvaluator(load_program(BAD_I8)).checks == {"proven": 2, "compiled": 1}
     # each evaluator's namespace is a cycle: free them now, not in a collection
     # that lands inside a later test's timing

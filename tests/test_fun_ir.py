@@ -256,6 +256,17 @@ def test_loader_rejects_forward_calls():
         load_program(text)
 
 
+def test_loader_names_an_undefined_callee():
+    """A call of a name that no definition has is not a forward call."""
+    golden = (FIXTURES / "occurrences.fun.golden").read_text()
+    start = golden.index("(defun occurrences_step_0 ")
+    end = golden.index("(defun-general occurrences_step_0_while ")
+    with pytest.raises(LoadError) as err:
+        load_program(golden[:start] + golden[end:])
+    assert str(err.value) == \
+        "occurrences_step_0_while: call of undefined occurrences_step_0"
+
+
 def test_loader_rejects_general_outside_while_shape():
     text = """(defun-general f (done st)
   (declare (xargs :signature ((natp stp) stp)))
@@ -519,9 +530,9 @@ def test_validation_records_call_sites_in_evaluation_order():
         [], [("g", True)], [("g", False), ("h", True), ("h", False), ("g", True)]]
     assert program.calls[2][0][0] == Call("g", (Const(1), Var("st")))
     broken = FunProgram(program.defs[:1] + program.defs[2:])
-    with pytest.raises(LoadError, match="f: call of h before its definition"):
+    with pytest.raises(LoadError, match="f: call of undefined h"):
         validate_program(broken)
-    assert broken.calls is None
+    assert broken.calls is None and broken.unproven is None
     # every definition passes, but the defun-general is no loop
     shapeless = FunProgram(tuple(_parse_def(f) for f in _read_sexprs(
         "(defun-general w (done st) (declare (xargs :signature ((natp stp) stp))) st)")))

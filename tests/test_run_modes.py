@@ -32,6 +32,7 @@ from ll2fun import (  # noqa: E402
 from ll2fun import evaluator  # noqa: E402
 from ll2fun.cli import main  # noqa: E402
 from ll2fun.evaluator import ProgramEvaluator  # noqa: E402
+from ll2fun.fun_ir import Unproven  # noqa: E402
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN = (FIXTURES / "occurrences.fun.golden").read_text()
@@ -473,7 +474,7 @@ def test_unvalidated_loops_are_a_load_error(occurrences_program):
     res = ProgramEvaluator(program).run("occurrences", (399, 5000, 0x8000), make_state())
     assert res.per_while == {"occurrences_step_0_while": 5000}
 
-@pytest.mark.parametrize("n", [1, 2, 4, 8])
+@pytest.mark.parametrize("n", range(1, 9))
 def test_unrolled_load_matches_rd_n_and_its_faults(n):
     """A let-bound load inside a loop reads one slice of a page behind one
     range test, reads across a page boundary through rd_n, and out of
@@ -531,7 +532,7 @@ def test_unrolled_load_matches_rd_n_and_its_faults(n):
 
 
 # ---------------------------------------------------------------------------
-# Checks the fact pass leaves open
+# Checks the loader leaves open
 # ---------------------------------------------------------------------------
 
 # the step's acc result and sum's result are an unbounded (+ a b) declared
@@ -593,28 +594,56 @@ GROW_CASES = {
 }
 
 
+def _open_checks(program):
+    """The argument and result positions left open, of the definitions
+    that have any."""
+    u = program.unproven
+    return ({n: p for n, p in u.args.items() if p}, {n: p for n, p in u.results.items() if p})
+
+
 def _all_unproven(program):
     """Every argument and result check left open, as if nothing were proven."""
-    return evaluator._Unproven({d.name: list(range(len(d.params))) for d in program.defs},
-                               {d.name: list(range(len(d.result_kinds))) for d in program.defs})
+    return Unproven({d.name: tuple(range(len(d.params))) for d in program.defs},
+                    {d.name: tuple(range(len(d.result_kinds))) for d in program.defs})
 
 
 @pytest.mark.parametrize("entry, args", list(GROW_CASES))
-def test_unproven_step_and_exit_results_keep_their_checks(entry, args, monkeypatch):
+def test_unproven_step_and_exit_results_keep_their_checks(entry, args):
     """A loop step and a definition whose results may leave their kind keep
     those checks, inline in the loop and at the exit, and raise the same
     violation as with every check compiled; an unchecked run completes."""
     want, lines = GROW_CASES[entry, args]
     ev = ProgramEvaluator(load_program(GROW))
     assert ev.checks == {"proven": 40, "compiled": 2}
+    assert _open_checks(ev.program) == ({}, {"grow_step_0": (1,), "sum": (0,)})
     assert _region_outcome(ev, entry, args, True, False) == (want, [])
     out, trace = _region_outcome(ev, entry, args, True, True)
     assert out == want and len(trace) == lines
     assert not isinstance(_region_outcome(ev, entry, args, False, False)[0], str)
-    monkeypatch.setattr(evaluator, "_unproven", _all_unproven)
-    full = ProgramEvaluator(load_program(GROW))
+    program = load_program(GROW)
+    program.unproven = _all_unproven(program)
+    full = ProgramEvaluator(program)
     assert full.checks == {"proven": 0, "compiled": 42}
     assert _region_outcome(full, entry, args, True, True) == (out, trace)
+
+
+def test_a_while_checks_its_results_against_its_steps():
+    """A while's results are its step's last results but the done bit, so
+    a while that declares acc narrower than its step keeps that result
+    check, though its own body returns acc from an i8 parameter.  Its call
+    of itself, which its loop never makes, opens no argument check."""
+    text = _variant(GROW, "(natp i64_p i64_p i64_p stp) i64_p i64_p i64_p stp)))\n  (if",
+                    "(natp i8_p i64_p i64_p stp) i8_p i64_p i64_p stp)))\n  (if")
+    program = load_program(_variant(text, "((i64_p i64_p i64_p stp) stp)",
+                                    "((i8_p i64_p i64_p stp) stp)"))
+    assert _open_checks(program) == (
+        {}, {"grow_step_0": (1,), "grow_step_0_while": (0,), "sum": (0,)})
+    want = "grow_step_0_while: result 1 fails i8 (got 305) [def grow_step_0_while]"
+    assert _region_outcome(ProgramEvaluator(program), "grow", (5, 100, 3), True, False) \
+        == (want, [])
+    program.unproven = _all_unproven(program)
+    assert _region_outcome(ProgramEvaluator(program), "grow", (5, 100, 3), True, False) \
+        == (want, [])
 
 
 # x is known to be an i8 only inside the let* (which binds it twice) and
@@ -638,6 +667,7 @@ def test_facts_end_with_their_bindings():
     arm returns keeps its result check."""
     ev = ProgramEvaluator(load_program(SHADOW))
     assert ev.checks == {"proven": 6, "compiled": 1}
+    assert _open_checks(ev.program) == ({}, {"shadow": (0,)})
     assert _region_outcome(ev, "shadow", (0,), True, False) == (((7,), 0), [])
     assert _region_outcome(ev, "shadow", (1,), True, False) == (((5,), 0), [])
     assert _region_outcome(ev, "shadow", (300,), True, False) == \
@@ -822,12 +852,12 @@ def _fuzz_run(ev, entry, args, mem, checking, budget):
         return e
 
 
-def test_mutated_programs_end_in_a_result_or_an_ll2fun_error(monkeypatch):
+def test_mutated_programs_end_in_a_result_or_an_ll2fun_error():
     """About 500 mutants of .fun text, loaded and run checked, unchecked
     and budgeted (the first two under a generous budget, since a mutant
     may loop forever).  Nothing but Ll2FunError escapes; where checked and
     unchecked both complete they agree; and checking with the argument,
-    result and loop-step result checks the fact pass proved redundant left
+    result and loop-step result checks the loader proved redundant left
     in gives the same outcome."""
     rng = random.Random(0xF022)
     bases = _fuzz_bases()
@@ -849,9 +879,8 @@ def test_mutated_programs_end_in_a_result_or_an_ll2fun_error(monkeypatch):
         if not isinstance(checked, Ll2FunError) and not isinstance(unchecked, Ll2FunError):
             assert (checked.values, checked.state) == (unchecked.values, unchecked.state), mutant
             agreed += 1
-        with monkeypatch.context() as m:
-            m.setattr(evaluator, "_unproven", _all_unproven)
-            full = _fuzz_run(ProgramEvaluator(program), entry, args, mem, True, 3000)
+        program.unproven = _all_unproven(program)
+        full = _fuzz_run(ProgramEvaluator(program), entry, args, mem, True, 3000)
         assert type(full) is type(checked), mutant
         assert full == checked if isinstance(full, evaluator.RunResult) \
             else str(full) == str(checked), mutant
