@@ -34,7 +34,6 @@ from itertools import groupby
 from operator import itemgetter
 
 from .errors import AnalysisError, LoadError
-from . import ll_parser as ll
 from .ll_parser import (
     BasicBlock, Instruction, LlvmFunction, LlvmModule, Operand, Reg, Ret,
     mangle_label, mangle_register, resolve_aliases,
@@ -201,6 +200,17 @@ def children(expr: FunExpr) -> tuple[tuple[FunExpr, int | None], ...]:
     return ()
 
 
+def _while_body(name: str, step: str, frame: tuple[str, ...]) -> If:
+    """The body of the while def `name` over `frame` (the done bit first):
+    the frame's values once done is 1, else one `step` and recur.  The
+    translator writes it and the loader accepts a while def only if its
+    body is this one."""
+    frame_vars = tuple(var(n) for n in frame)
+    return If(Prim("=", (var(DONE_VAR), const(1))),
+              Mvlist(frame_vars[1:]),
+              Metlist(frame, Call(step, frame_vars), Call(name, frame_vars)))
+
+
 # ---------------------------------------------------------------------------
 # Translation
 # ---------------------------------------------------------------------------
@@ -252,12 +262,9 @@ class _FunctionTranslator:
     # -- result protocols ----------------------------------------------------
 
     def frame_params(self, L: LoopInfo) -> tuple[tuple[str, str], ...]:
-        sig = self.analysis.signatures[L.header]
-        slots = tuple((mangle_register(r), sig.kinds[r]) for r in sig.params)
-        return ((DONE_VAR, "nat"),) + slots + ((STATE_VAR, "state"),)
-
-    def value_frame_params(self, L: LoopInfo) -> tuple[tuple[str, str], ...]:
-        return self.frame_params(L)[1:]
+        """The loop frame: the done bit, then the value frame, which is the
+        header's parameters."""
+        return ((DONE_VAR, "nat"),) + self.block_params(L.header)
 
     def block_result_kinds(self, label: str) -> tuple[str, ...]:
         L = self.analysis.innermost[label]
@@ -374,13 +381,18 @@ class _FunctionTranslator:
 
     def edge_args(self, source: str, target: str) -> tuple[FunExpr, ...]:
         """Actuals for a branch source -> target: the target's phi actuals on
-        this edge, then its flow params by name, then the state."""
+        this edge, then its flow params by name, then the state.  A loop's
+        back edge (latch -> header) is one such branch."""
         target_block = self.fn.block(target)
         sig = self.analysis.signatures[target]
         args: list[FunExpr] = []
-        for phi in target_block.phis:
-            actual = next((v for v, lbl in phi.incomings if lbl == source), None)
+        for phi, actual in zip(target_block.phis, target_block.phi_values(source)):
             if actual is None:
+                L = self.by_header.get(target)
+                if L is not None and source == L.latch:
+                    raise AnalysisError(
+                        f"@{self.fn.name}: loop phi %{phi.result} lacks a value on the "
+                        f"back edge from {source}")
                 raise AnalysisError(
                     f"@{self.fn.name}: phi %{phi.result} in {target} lacks an "
                     f"incoming value for predecessor {source}")
@@ -427,20 +439,7 @@ class _FunctionTranslator:
         cond = var(mangle_register(L.exit_cond))
         done = cond if L.exit_when_true else Prim("=", (cond, const(0)))
         bindings.append((DONE_VAR, done))
-        header = self.fn.block(L.header)
-        sig = self.analysis.signatures[L.header]
-        items: list[FunExpr] = [var(DONE_VAR)]
-        for phi in header.phis:
-            actual = next((v for v, lbl in phi.incomings if lbl == L.latch), None)
-            if actual is None:
-                raise AnalysisError(
-                    f"@{self.fn.name}: loop phi %{phi.result} lacks a value on the "
-                    f"back edge from {L.latch}")
-            items.append(_operand_expr(actual))
-        for f in sig.flow_params:
-            items.append(var(mangle_register(f)))
-        items.append(var(STATE_VAR))
-        return Mvlist(tuple(items))
+        return Mvlist((var(DONE_VAR),) + self.edge_args(L.latch, L.header))
 
     def block_code(self, label: str) -> tuple[list[tuple[str, FunExpr]], FunExpr]:
         block = self.fn.block(label)
@@ -461,88 +460,79 @@ class _FunctionTranslator:
 
     # -- loop cliques ----------------------------------------------------------
 
-    def resolve_exit_value(self, L: LoopInfo, reg: str) -> FunExpr:
-        """Value of a register at loop exit, expressed over the frame slots."""
+    def exit_call(self, L: LoopInfo) -> Call:
+        """The continue body: jump to the exit block with values drawn from
+        the frame, valid for both the run path and the guarded skip path.
+        A register defined in the loop leaves it in the first header phi
+        that carries it on the back edge, one defined above the loop in its
+        own flow slot; on the skip path a header phi holds its value from
+        the preheader."""
         header = self.fn.block(L.header)
         inside: set[str] = set()
         for lbl in L.body:
             b = self.fn.block(lbl)
             inside.update(phi.result for phi in b.phis)
             inside.update(i.result for i in b.body if i.result is not None)
-        if reg not in inside:
-            # defined above the loop; liveness put it in the flow slots
-            return var(mangle_register(reg))
-        for phi in header.phis:
-            actual = next((v for v, lbl in phi.incomings if lbl == L.latch), None)
-            if isinstance(actual, Reg) and actual.name == reg:
-                return var(mangle_register(phi.result))
-        raise AnalysisError(
-            f"@{self.fn.name}: %{reg} is live at the exit of the loop at "
-            f"{L.header} but is not carried by the loop frame")
-
-    def exit_call(self, L: LoopInfo) -> Call:
-        """The continue body: jump to the exit block with values drawn from
-        the frame, valid for both the run path and the guarded skip path."""
-        exit_block = self.fn.block(L.exit)
-        sig = self.analysis.signatures[L.exit]
-        header = self.fn.block(L.header)
-        entry_actual: dict[str, Operand] = {}
-        for phi in header.phis if L.guarded else ():
-            actual = next((v for v, lbl in phi.incomings if lbl == L.preheader), None)
+        carrier: dict[str, str] = {}
+        for phi, actual in zip(header.phis, header.phi_values(L.latch)):
+            if isinstance(actual, Reg):
+                carrier.setdefault(actual.name, phi.result)
+        initial: dict[str, Operand] = {}
+        for phi, actual in zip(header.phis, header.phi_values(L.preheader)) if L.guarded else ():
             if actual is None:
                 raise AnalysisError(
                     f"@{self.fn.name}: phi %{phi.result} in loop header {L.header} "
                     f"lacks a value for the guard edge from {L.preheader}")
-            entry_actual[phi.result] = actual
+            initial[phi.result] = actual
+
+        def slot(reg: str) -> str:
+            """The frame slot holding reg's value at the loop's exit."""
+            if reg not in inside:
+                return reg  # defined above the loop; liveness put it in the flow slots
+            if reg in carrier:
+                return carrier[reg]
+            raise AnalysisError(
+                f"@{self.fn.name}: %{reg} is live at the exit of the loop at "
+                f"{L.header} but is not carried by the loop frame")
+
+        exit_block = self.fn.block(L.exit)
         args: list[FunExpr] = []
-        for phi in exit_block.phis:
-            actual = next((v for v, lbl in phi.incomings if lbl == L.latch), None)
+        for phi, actual, skip in zip(exit_block.phis, exit_block.phi_values(L.latch),
+                                     exit_block.phi_values(L.preheader)):
             if actual is None:
                 raise AnalysisError(
                     f"@{self.fn.name}: phi %{phi.result} in exit block {L.exit} "
                     f"lacks a value for the loop edge from {L.latch}")
-            resolved = (const(actual.value) if isinstance(actual, ll.Const)
-                        else self.resolve_exit_value(L, actual.name))
+            if isinstance(actual, Reg):
+                reg = slot(actual.name)
+                args.append(var(mangle_register(reg)))
+                # on the skip path the slot holds the register or its initial value
+                skipped = initial.get(reg, Reg(reg))
+            else:
+                args.append(const(actual.value))
+                skipped = actual
             if L.guarded:
-                skip = next((v for v, lbl in phi.incomings if lbl == L.preheader), None)
                 if skip is None:
                     raise AnalysisError(
                         f"@{self.fn.name}: phi %{phi.result} in exit block {L.exit} "
                         f"lacks a value for the guard edge from {L.preheader}")
-                if not self._skip_value_matches(L, resolved, skip, entry_actual):
+                if skip != skipped:
                     raise AnalysisError(
                         f"@{self.fn.name}: exit phi %{phi.result} takes different "
                         f"values on the guard and loop edges that no frame slot "
                         "carries")
-            args.append(resolved)
-        for f in sig.flow_params:
-            args.append(self.resolve_exit_value(L, f))
+        for f in self.analysis.signatures[L.exit].flow_params:
+            args.append(var(mangle_register(slot(f))))
         args.append(var(STATE_VAR))
         return Call(self.call_target_name(L.exit), tuple(args))
-
-    def _skip_value_matches(self, L: LoopInfo, resolved: FunExpr, skip: Operand,
-                            entry_actual: dict[str, Operand]) -> bool:
-        """Does `resolved` evaluate to the guard-edge actual when the frame
-        holds its initial values?"""
-        if isinstance(resolved, Const):
-            return isinstance(skip, ll.Const) and skip.value == resolved.value
-        assert isinstance(resolved, Var)
-        slot_regs = [phi.result for phi in self.fn.block(L.header).phis]
-        for reg in slot_regs:
-            if mangle_register(reg) == resolved.name:
-                initial = entry_actual[reg]
-                return initial == skip
-        # flow slot: same register on both paths
-        return isinstance(skip, Reg) and mangle_register(skip.name) == resolved.name
 
     def translate_loop(self, L: LoopInfo) -> list[FunDef]:
         names = self.clique_names(L)
         frame = self.frame_params(L)
-        value_frame = self.value_frame_params(L)
+        value_frame = frame[1:]
+        frame_names = tuple(n for n, _ in frame)
         frame_kinds = tuple(k for _, k in frame)
-        value_kinds = tuple(k for _, k in value_frame)
-        frame_vars = tuple(var(n) for n, _ in frame)
-        value_vars = tuple(var(n) for n, _ in value_frame)
+        value_vars = tuple(var(n) for n in frame_names[1:])
         exit_kinds = self.unit_result_kinds(L.exit)
 
         continue_def = FunDef(names.continue_def, value_frame, exit_kinds,
@@ -552,18 +542,13 @@ class _FunctionTranslator:
         step_def = FunDef(names.step_def, frame, frame_kinds,
                           self.with_lets(step_bindings, step_tail))
 
-        while_def = FunDef(
-            names.while_def, frame, value_kinds,
-            If(Prim("=", (var(DONE_VAR), const(1))),
-               Mvlist(value_vars),
-               Metlist(tuple(n for n, _ in frame),
-                       Call(names.step_def, frame_vars),
-                       Call(names.while_def, frame_vars))),
-            general_recursive=True)
+        while_def = FunDef(names.while_def, frame, frame_kinds[1:],
+                           _while_body(names.while_def, names.step_def, frame_names),
+                           general_recursive=True)
 
         wrap_def = FunDef(
             names.wrap_def, value_frame, exit_kinds,
-            Metlist(tuple(n for n, _ in value_frame),
+            Metlist(frame_names[1:],
                     Call(names.while_def, (const(0),) + value_vars),
                     Call(names.continue_def, value_vars)))
 
@@ -1140,29 +1125,19 @@ class _DefCheck:
         return None if a is None or b is None else max(a, b)
 
 
-def _while_shape(d: FunDef) -> tuple[str, tuple[str, ...]] | None:
-    """If d is a well-formed while def, return (step name, frame names)."""
-    if not d.general_recursive:
-        return None
+def _while_step(d: FunDef) -> str | None:
+    """If d is a well-formed while def, the step it runs: its first
+    parameter is the done bit and its body is `_while_body` of its own
+    name, that step and its parameters."""
     names = d.param_names
-    if not names or names[0] != DONE_VAR or d.params[0][1] != "nat":
+    if not (d.general_recursive and names and names[0] == DONE_VAR
+            and d.params[0][1] == "nat"):
         return None
     body = d.body
-    if not isinstance(body, If):
+    if not (isinstance(body, If) and isinstance(body.els, Metlist)):
         return None
-    want_cond = Prim("=", (Var(DONE_VAR), Const(1)))
-    value_vars = tuple(Var(n) for n in names[1:])
-    if body.cond != want_cond or body.then != Mvlist(value_vars):
-        return None
-    m = body.els
-    if not isinstance(m, Metlist) or m.names != names:
-        return None
-    frame_vars = tuple(Var(n) for n in names)
-    if m.call.args != frame_vars:
-        return None
-    if m.body != Call(d.name, frame_vars):
-        return None
-    return m.call.name, names
+    step = body.els.call.name
+    return step if body == _while_body(d.name, step, names) else None
 
 
 def _loop_cliques(program: FunProgram, calls: tuple) -> tuple[WhileClique, ...]:
@@ -1186,11 +1161,10 @@ def _loop_cliques(program: FunProgram, calls: tuple) -> tuple[WhileClique, ...]:
     by_name = program.by_name
     cliques = []
     for index, d in enumerate(whiles):
-        shape = _while_shape(d)
-        if shape is None:
+        step_name = _while_step(d)
+        if step_name is None:
             raise LoadError(f"{d.name}: defun-general is only valid for loop "
                             "while-functions of the generated shape")
-        step_name, _ = shape
         wrap = zero_caller.get(d.name)
         cont = entry = None
         if wrap is not None:
@@ -1212,17 +1186,16 @@ def validate_clique(program: FunProgram, clique: WhileClique):
         if name not in by_name:
             raise LoadError(f"clique {clique.index}: missing definition {name}")
     w = by_name[clique.while_def]
-    shape = _while_shape(w)
-    if shape is None:
+    step_name = _while_step(w)
+    if step_name is None:
         raise LoadError(f"{w.name}: while def does not match the loop shape")
-    step_name, frame = shape
     if step_name != clique.step_def:
         raise LoadError(f"{w.name}: while steps through {step_name}, "
                         f"expected {clique.step_def}")
     step = by_name[clique.step_def]
     if step.general_recursive:
         raise LoadError(f"{step.name}: step must not be general-recursive")
-    if step.param_names != frame or step.result_kinds != tuple(k for _, k in step.params):
+    if step.param_names != w.param_names or step.result_kinds != tuple(k for _, k in step.params):
         raise LoadError(f"{step.name}: step frame disagrees with its while")
     if step.result_kinds[0] != "nat":
         raise LoadError(f"{step.name}: first result must be the done bit")

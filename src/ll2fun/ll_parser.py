@@ -201,6 +201,24 @@ class BasicBlock:
     body: tuple[Instruction, ...]
     terminator: Terminator
 
+    @functools.cached_property
+    def _phi_index(self) -> dict[str, dict[int, Operand]]:
+        """Per predecessor label, phi position -> the value it lists first
+        (the parser rejects a second, different one)."""
+        index: dict[str, dict[int, Operand]] = {}
+        for k, phi in enumerate(self.phis):
+            for value, pred in phi.incomings:
+                index.setdefault(pred, {}).setdefault(k, value)
+        return index
+
+    def phi_values(self, pred: str) -> tuple[Operand | None, ...]:
+        """The value each phi takes on the edge from pred, in phi order,
+        None where a phi lists none: the arguments of that jump."""
+        if not self.phis:
+            return ()
+        row = self._phi_index.get(pred, {})
+        return tuple(map(row.get, range(len(self.phis))))
+
 
 @dataclass(frozen=True)
 class LlvmFunction:
@@ -743,12 +761,12 @@ class _Parser:
 
     def parse_phi(self, op: str, result: str, at: Token) -> Phi:
         kind = self.parse_value_kind(context="phi")
-        incomings: list[tuple[Operand, str]] = []
+        incomings: list[tuple[Operand, Token]] = []
         while True:
             self.expect("punct", "[")
             value = self.parse_operand(kind, context="phi")
             self.expect("punct", ",")
-            pred = self.expect("local").text
+            pred = self.expect("local")
             self.expect("punct", "]")
             incomings.append((value, pred))
             if self.at("punct", ","):
@@ -757,7 +775,12 @@ class _Parser:
             break
         if len(incomings) < 2:
             self.fail("phi needs at least two incoming edges", at)
-        return Phi(result, kind, tuple(incomings))
+        first: dict[str, Operand] = {}
+        for value, pred in incomings:
+            if first.setdefault(pred.text, value) != value:
+                self.fail(f"phi lists predecessor %{pred.text} twice with different "
+                          "values", pred)
+        return Phi(result, kind, tuple((value, pred.text) for value, pred in incomings))
 
     def parse_call(self, op: str, result: str | None, at: Token) -> Instruction:
         self.skip_words(IGNORED_FLAGS)

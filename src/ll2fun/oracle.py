@@ -46,11 +46,10 @@ def occurlist(val: int, xs: list[int]) -> int:
     return sum(1 for x in xs if x == val)
 
 
-def occurrences_spec(val: int, n: int, array: int, st: MachineState,
-                     budget: int | None = DEFAULT_LIFT_BUDGET) -> int:
+def occurrences_spec(val: int, n: int, array: int, st: MachineState) -> int:
     if n == 0:
         return 0
-    return bits(occurlist(val, liftlist(0, 0, array, n, st, budget)), 63, 0)
+    return bits(occurlist(val, liftlist(0, 0, array, n, st)), 63, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -73,18 +72,15 @@ class EquivReport:
 
 
 def check_occurrences_equiv(program: FunProgram, val: int, n: int, array: int,
-                            st: MachineState, *, entry: str = "occurrences",
-                            budget: int | None = None,
-                            checking: bool = False) -> EquivReport:
-    """retval of the translated program vs the list-level specification."""
-    return _equiv(ProgramEvaluator(program), val, n, array, st, entry=entry,
-                  budget=budget, checking=checking)
+                            st: MachineState) -> EquivReport:
+    """retval of the translated program's unchecked `occurrences` vs the
+    list-level specification."""
+    return _equiv(ProgramEvaluator(program), val, n, array, st)
 
 
-def _equiv(ev: ProgramEvaluator, val: int, n: int, array: int, st: MachineState, *,
-           entry: str, budget: int | None = None, checking: bool = False) -> EquivReport:
-    translated = ev.run(entry, (val, n, array), st, checking=checking,
-                        budget=budget).state.retval
+def _equiv(ev: ProgramEvaluator, val: int, n: int, array: int,
+           st: MachineState) -> EquivReport:
+    translated = ev.run("occurrences", (val, n, array), st, checking=False).state.retval
     spec = occurrences_spec(val, n, array, st)
     return EquivReport(translated == spec, val, n, array, translated, spec)
 
@@ -107,16 +103,15 @@ class TrialSummary:
         return "\n".join(lines)
 
 
-def run_equiv_trials(program: FunProgram, trials: int, seed: int, *,
-                     n_max: int = 64, entry: str = "occurrences") -> TrialSummary:
-    """Randomized equivalence campaign: random n <= n_max, 64-bit val, array
+def run_equiv_trials(program: FunProgram, trials: int, seed: int) -> TrialSummary:
+    """Randomized equivalence campaign: random n <= 64, 64-bit val, array
     placement and contents.  Values are drawn from a small pool so that
     matches actually occur."""
     rng = random.Random(seed)
     ev = ProgramEvaluator(program)
     failures: list[EquivReport] = []
     for _ in range(trials):
-        n = rng.randint(0, n_max)
+        n = rng.randint(0, 64)
         array = rng.randrange(0, (1 << 32) - 8 * max(n, 1), 8)
         pool = [rng.getrandbits(64) for _ in range(4)] + [0, 1]
         val = rng.choice(pool + [rng.getrandbits(64)])
@@ -125,7 +120,7 @@ def run_equiv_trials(program: FunProgram, trials: int, seed: int, *,
             if rng.random() < 0.85:  # leave some slots at the zero default
                 mem = wr_n(8, array + 8 * k, rng.choice(pool), mem)
         st = MachineState(retval=0, stack=0xFFFF0000, frame=0xFFFF0000, mem=mem)
-        report = _equiv(ev, val, n, array, st, entry=entry)
+        report = _equiv(ev, val, n, array, st)
         if not report.passed:
             failures.append(report)
     return TrialSummary(trials, failures, seed)

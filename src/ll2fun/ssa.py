@@ -228,13 +228,14 @@ def dominators(cfg: ControlFlowGraph) -> DominatorTree:
 # Liveness and block signatures
 # ---------------------------------------------------------------------------
 
-def _operand_regs(operands: tuple[Operand, ...]) -> list[str]:
+def _operand_regs(operands: Iterable[Operand | None]) -> list[str]:
     return [op.name for op in operands if isinstance(op, Reg)]
 
 
-def _block_use_def(block: BasicBlock) -> tuple[set[str], set[str]]:
-    """(use-before-def, defs) over the block's non-phi code; phi arguments
-    count as uses at the end of the predecessor, not here."""
+def _block_use_def(block: BasicBlock, fn: LlvmFunction) -> tuple[set[str], set[str]]:
+    """(use-before-def, defs) over the block's non-phi code and its jumps:
+    a phi's value is read as an argument of the jump from its
+    predecessor, not in the phi's block."""
     used: set[str] = set()
     defs: set[str] = {phi.result for phi in block.phis}
     for inst in block.body:
@@ -244,24 +245,11 @@ def _block_use_def(block: BasicBlock) -> tuple[set[str], set[str]]:
         if inst.result is not None:
             defs.add(inst.result)
     term = block.terminator
-    if isinstance(term, Ret):
-        for r in _operand_regs((term.value,)):
-            if r not in defs:
-                used.add(r)
-    elif term.cond is not None:
-        for r in _operand_regs((term.cond,)):
-            if r not in defs:
-                used.add(r)
+    reads = [term.value] if isinstance(term, Ret) else [term.cond]
+    for s in _successors(block):
+        reads.extend(fn.block(s).phi_values(block.label))
+    used.update(r for r in _operand_regs(reads) if r not in defs)
     return used, defs
-
-
-def _phi_uses_on_edge(succ: BasicBlock, pred_label: str) -> set[str]:
-    out: set[str] = set()
-    for phi in succ.phis:
-        for value, label in phi.incomings:
-            if label == pred_label and isinstance(value, Reg):
-                out.add(value.name)
-    return out
 
 
 def compute_liveness(cfg: ControlFlowGraph, fn: LlvmFunction) -> dict[str, set[str]]:
@@ -271,7 +259,7 @@ def compute_liveness(cfg: ControlFlowGraph, fn: LlvmFunction) -> dict[str, set[s
     defs: dict[str, set[str]] = {}
     phi_results: dict[str, set[str]] = {}
     for b in fn.blocks:
-        use[b.label], defs[b.label] = _block_use_def(b)
+        use[b.label], defs[b.label] = _block_use_def(b, fn)
         phi_results[b.label] = {phi.result for phi in b.phis}
     live_in: dict[str, set[str]] = {l: set() for l in cfg.nodes}
     changed = True
@@ -281,7 +269,6 @@ def compute_liveness(cfg: ControlFlowGraph, fn: LlvmFunction) -> dict[str, set[s
             live_out: set[str] = set()
             for s in cfg.edges[label]:
                 live_out |= live_in[s] - phi_results[s]
-                live_out |= _phi_uses_on_edge(fn.block(s), label)
             new_in = use[label] | (live_out - defs[label])
             if new_in != live_in[label]:
                 live_in[label] = new_in

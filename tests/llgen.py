@@ -1,7 +1,8 @@
 """Random generator of supported-subset LLVM functions for differential
 testing: straight-line code, acyclic diamonds with phis, and guarded or
 counted do-while loops shaped like rotated clang output; plus long chains
-of diamonds and of loops for the scaling tests.
+of diamonds and of loops, loops with many live-outs and joins with many
+predecessors for the scaling tests.
 
 Everything is emitted as .ll text so each trial also exercises the lexer
 and parser.  Memory operations stay inside a fixed window so the 32-bit
@@ -370,6 +371,52 @@ def gen_loop_chain(loops: int) -> str:
         prev, acc = f"X{k}", f"%s{k}.next"
         lines.append(f"  br label %H{k + 1}" if k < loops else f"  ret i64 {acc}")
     return "\n".join(lines) + "\n}\n"
+
+
+def gen_live_out_loop(values: int, guarded: bool) -> str:
+    """@outs(n): one loop carrying `values` sums, each live after the loop
+    (through exit phis when an n == 0 test guards the loop, read straight
+    from the body otherwise).  Sum k grows by k + 1 per iteration, and the
+    result adds them all: n * values * (values + 1) / 2 for n >= 1."""
+    lines = ["define i64 @outs(i64 %n) {", "entry:"]
+    if guarded:
+        lines += ["  %g = icmp eq i64 %n, 0", "  br i1 %g, label %exit, label %loop"]
+    else:
+        lines.append("  br label %loop")
+    lines += ["loop:", "  %j = phi i64 [ 0, %entry ], [ %j.next, %loop ]"]
+    lines += [f"  %s{k} = phi i64 [ 0, %entry ], [ %s{k}.next, %loop ]" for k in range(values)]
+    lines += [f"  %s{k}.next = add i64 %s{k}, {k + 1}" for k in range(values)]
+    lines += ["  %j.next = add i64 %j, 1", "  %c = icmp eq i64 %j.next, %n",
+              "  br i1 %c, label %exit, label %loop", "exit:"]
+    if guarded:
+        lines += [f"  %r{k} = phi i64 [ 0, %entry ], [ %s{k}.next, %loop ]"
+                  for k in range(values)]
+        outs = [f"%r{k}" for k in range(values)]
+    else:
+        outs = [f"%s{k}.next" for k in range(values)]
+    acc = outs[0]
+    for k, out in enumerate(outs[1:], 1):
+        lines.append(f"  %t{k} = add i64 {acc}, {out}")
+        acc = f"%t{k}"
+    return "\n".join(lines + [f"  ret i64 {acc}", "}"]) + "\n"
+
+
+def gen_wide_join(preds: int) -> str:
+    """@join(x): a chain of `preds` blocks, block k adding k + 1 to x and
+    branching to one join block when x == k, else on to block k + 1 (the
+    last one always joins).  The join's phi takes a value from each, so it
+    has `preds` predecessors; the result is x + min(x, preds - 1) + 1."""
+    lines = ["define i64 @join(i64 %x) {"]
+    for k in range(preds):
+        lines += [f"B{k}:" if k else "entry:", f"  %v{k} = add i64 %x, {k + 1}"]
+        if k < preds - 1:
+            lines += [f"  %c{k} = icmp eq i64 %x, {k}",
+                      f"  br i1 %c{k}, label %J, label %B{k + 1}"]
+        else:
+            lines.append("  br label %J")
+    arms = ", ".join(f"[ %v{k}, %{f'B{k}' if k else 'entry'} ]" for k in range(preds))
+    lines += ["J:", f"  %r = phi i64 {arms}", "  ret i64 %r", "}"]
+    return "\n".join(lines) + "\n"
 
 
 SHAPES = (gen_straightline, gen_diamond, gen_loop, gen_call)

@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import hashlib
 import pathlib
 import random
 import sys
@@ -11,7 +12,9 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from llgen import gen_diamond_chain, gen_loop_chain, gen_program  # noqa: E402
+from llgen import (  # noqa: E402
+    gen_diamond_chain, gen_live_out_loop, gen_loop, gen_loop_chain, gen_program,
+)
 
 from ll2fun import (  # noqa: E402
     AnalysisError, LoadError, ProgramEvaluator, emit_sexpr, eval_def, load_program, make_state,
@@ -189,6 +192,22 @@ def test_emitted_text_matches_golden(occurrences_program):
     assert emit_sexpr(occurrences_program) == golden
 
 
+_EMITTED_DIGEST = "37564835aa6cc3033f3d0120a9d8d28897b5ad174e325040505a36c9f9ad302f"
+
+
+def test_emitted_text_is_pinned():
+    """One sha256 over the `.fun` emitted for both fixtures, the 200 llgen
+    programs of Random(2008) and 100 llgen loops of Random(2015), so that a
+    change to the translator that alters a byte of its output shows."""
+    rng, loops = random.Random(2008), random.Random(2015)
+    sources = [(FIXTURES / name).read_text() for name in ("occurrences.ll", "nestsum.ll")]
+    sources += [gen_program(rng) for _ in range(200)] + [gen_loop(loops) for _ in range(100)]
+    digest = hashlib.sha256()
+    for text in sources:
+        digest.update(emit_sexpr(translate_module(parse_text(text))).encode())
+    assert digest.hexdigest() == _EMITTED_DIGEST
+
+
 def test_step_def_header_text(occurrences_program):
     text = emit_def(occurrences_program.by_name["occurrences_step_0"])
     assert text.startswith("(defun occurrences_step_0 (done num_occur j array n val st)")
@@ -357,6 +376,25 @@ def test_load_is_linear_in_loop_count():
         assert loaded.cliques == program.cliques
         _, st = eval_def(loaded, "chain", (5,), make_state())
         assert st.retval == 5 + 3 * n
+
+
+@pytest.mark.parametrize("guarded", [False, True])
+def test_translate_is_linear_in_loop_live_outs(guarded):
+    """A loop with 4K values live after it costs translate_module at most
+    6x the CPU time of K values (linear: 4x): the continue def finds each
+    exit value's frame slot and checks its skip-path value in one map
+    built once per loop.  Sizes are timed in turn, best of 7 each."""
+    modules = [parse_text(gen_live_out_loop(k, guarded)) for k in (250, 1000)]
+    best = [float("inf")] * 2
+    for _ in range(7):
+        for i, module in enumerate(modules):
+            t0 = time.process_time()
+            translate_module(module)
+            best[i] = min(best[i], time.process_time() - t0)
+    small, large = best
+    assert large <= 6 * small, (small, large)
+    _, st = eval_def(translate_module(modules[0]), "outs", (3,), make_state())
+    assert st.retval == 3 * 250 * 251 // 2
 
 
 # ---------------------------------------------------------------------------

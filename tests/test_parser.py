@@ -206,6 +206,26 @@ def test_double_assignment_rejected():
         parse_text(src)
 
 
+def test_phi_with_two_values_for_one_predecessor_rejected(tmp_path):
+    """As LLVM's verifier does, a phi may name a predecessor twice only
+    with the same value; the error points at the second naming.  A repeat
+    with the same value parses and translates as if written once."""
+    from ll2fun import emit_sexpr, translate_module
+    from ll2fun.cli import EXIT_PARSE, main
+    text = (_FIXTURES / "occurrences.ll").read_text()
+    bad = text.replace("[ 0, %0 ]", "[ 0, %.lr.ph ]", 1)
+    with pytest.raises(ParseError) as err:
+        parse_text(bad)
+    assert str(err.value) == ("10:59: phi lists predecessor %.lr.ph twice with different "
+                              "values (at '.lr.ph')")
+    src = tmp_path / "bad.ll"
+    src.write_text(bad)
+    assert main(["translate", str(src)]) == EXIT_PARSE == 10
+    same = text.replace("[ 0, %0 ]", "[ 0, %0 ], [ 0, %0 ]", 1)
+    assert emit_sexpr(translate_module(parse_text(same))) == \
+        emit_sexpr(translate_module(parse_text(text)))
+
+
 def test_entry_block_with_predecessor_rejected():
     src = """define i64 @f(i64 %x) {
 start:

@@ -10,7 +10,9 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from llgen import gen_diamond_chain, gen_loop_chain, gen_program  # noqa: E402
+from llgen import (  # noqa: E402
+    gen_diamond_chain, gen_loop_chain, gen_program, gen_wide_join,
+)
 
 from ll2fun import (  # noqa: E402
     AnalysisError, build_cfg, compute_block_params, detect_loops, parse_file, parse_text,
@@ -320,6 +322,29 @@ def test_loop_detection_is_linear_in_loop_count():
         return best
     small, large = cpu_s(800), cpu_s(1600)
     assert large <= 3 * small, (small, large)
+
+
+def test_liveness_is_linear_in_join_predecessors():
+    """A join with 4N predecessors costs compute_liveness at most 6x the
+    CPU time of N (linear: 4x): each edge reads its phi values from the
+    join's one index rather than scanning every phi's incoming list.
+    Sizes are timed in turn, best of 15 each, with the collector off."""
+    functions = [parse_text(gen_wide_join(n)).functions[0] for n in (300, 1200)]
+    graphs = [(build_cfg(fn), fn) for fn in functions]
+    best = [float("inf")] * 2
+    gc.disable()  # a collection costs in the size of the whole heap, not of fn
+    try:
+        for _ in range(15):
+            for i, (cfg, fn) in enumerate(graphs):
+                t0 = time.process_time()
+                live = compute_liveness(cfg, fn)
+                best[i] = min(best[i], time.process_time() - t0)
+    finally:
+        gc.enable()
+    small, large = best
+    assert large <= 6 * small, (small, large)
+    assert live["J"] == set() and live["B7"] == {"x"}
+
 
 def test_irreducible_flow_rejected():
     src = """define i64 @f(i1 %c) {
