@@ -37,10 +37,14 @@ compiled (`FunProgram.unproven`); on a translated program that is none:
 Each primitive compiles through its row in `prims.PRIMS`: a format
 string inlined into the source, or a call of the row's reference
 function.  Two fused forms are recognised here instead: a load
-(wfrombytes of loadbytes) becomes one `state.load_word`, inlined as one
-slice of a memory page and `int.from_bytes` behind one range test when a
-let in a loop binds it, and a store (storebytes of wtobytes) becomes one
-`store_word`.
+(wfrombytes of loadbytes) becomes one `state.load_word`, and a store
+(storebytes of wtobytes) becomes one `store_word`.  A load that a let in
+a loop binds is inlined as one read of a memory page (`_page_read`: the
+`struct` read of `state.UNPACK` at widths 1, 2, 4 and 8, a slice and
+`int.from_bytes` at the others) behind one test that the n bytes lie in
+that page, plus a test of the address's range unless the step masked
+the address to 32 bits itself.  A loop whose step loads and makes no
+call and no store reads the page table once, before its `while`.
 
 Stores are the exception to calling the reference function: the fused
 store and `storebytes` go through the namespace's `state.RunMemory`, which
@@ -63,11 +67,11 @@ from functools import lru_cache
 from .errors import BudgetExhausted, EvalFault, LoadError, SignatureViolation
 from .fun_ir import (
     Call, Const, FunDef, FunProgram, If, LetStar, Metlist, Mvlist, Prim, Var,
-    collector_paused,
+    children, collector_paused,
 )
-from .prims import KINDS, PRIMS, decimal
+from .prims import KINDS, PRIMS, STATE, decimal
 from . import state as st_mod
-from .state import ADDR_LIMIT, PAGE_BITS, PAGE_MASK, PAGE_SIZE, MachineState
+from .state import ADDR_LIMIT, PAGE_BITS, PAGE_MASK, PAGE_SIZE, UNPACK, MachineState
 
 # ---------------------------------------------------------------------------
 # Code generation
@@ -107,6 +111,33 @@ def _param_locals(d: FunDef) -> tuple[str, ...]:
 def _fused(inner, op: str, n: Const) -> bool:
     """Is inner an application of op to the same byte count n?"""
     return isinstance(inner, Prim) and inner.op == op and inner.args[0] == n
+
+
+def _masked(e) -> bool:
+    """Is e a `bits x h 0` with h <= 31, a value in [0, 2^32)?"""
+    return type(e) is Prim and e.op == "bits" and e.args[2].value == 0 and e.args[1].value <= 31
+
+
+def _prims(e) -> set[str]:
+    """The primitives e applies, fused or not."""
+    ops, todo = set(), [e]
+    while todo:
+        e = todo.pop()
+        if type(e) is Prim:
+            ops.add(e.op)
+        todo += [c for c, _ in children(e)]
+    return ops
+
+
+def _page_read(n: int, page: str) -> str:
+    """The expression for the n-byte natural at offset `_o` of the page
+    that the expression page gives: the byte itself, a `state.UNPACK`
+    read, or a slice and `int.from_bytes`."""
+    if n == 1:
+        return f"{page}[_o]"
+    if n in UNPACK:
+        return f"_unpack{n}({page}, _o)[0]"
+    return f"_from_bytes({page}[_o:_o + {n}], 'little')"
 
 
 def _is_atom(code: str) -> bool:
@@ -187,6 +218,8 @@ class _Codegen:
         self.finish = None
         self.jumps: set[int] = set()  # the sections of the function being emitted
         self.fused = False            # emitting a step body inside its loop
+        self.masked: set[str] = set()  # locals the step body bound to a _masked value
+        self.pages: str | None = None  # the page table a loop bound before its `while`
         self.param_locals = [_param_locals(d) for d in defs]
 
     # -- locals ------------------------------------------------------------
@@ -202,6 +235,7 @@ class _Codegen:
             local = f"{base}_{k}"
             k += 1
         mapping[name] = local
+        self.masked.discard(local)
         return local
 
     # -- expressions ---------------------------------------------------------
@@ -261,25 +295,38 @@ class _Codegen:
         if _is_atom(rhs):  # a copy: later uses read the source directly
             env[name] = rhs
             return
-        self.lines.append(f"{indent}{self._bind_local(env, name)} = {rhs}")
+        local = self._bind_local(env, name)
+        if self.fused and _masked(bound):
+            self.masked.add(local)
+        self.lines.append(f"{indent}{local} = {rhs}")
 
     def load(self, name: str, n: int, load: Prim, env: dict[str, str], indent: str):
-        """name = wfrombytes n (loadbytes n addr st): one slice of the page
+        """name = wfrombytes n (loadbytes n addr st): one read of the page
         that holds the n bytes (the shared zero page if no store reached
-        it) behind one range test; across a page boundary `rd_n` reads
-        them, and out of range it raises its usual fault."""
+        it), from the page table the loop bound if it bound one, behind
+        one range test; across a page boundary `rd_n` reads them, and out
+        of range it raises its usual fault."""
         addr, st = (self.expr(x, env) for x in load.args[1:])
         if not st.isidentifier():
             self.lines.append(f"{indent}{self._bind_local(env, name)} = _load({n}, {addr}, {st}.mem)")
             return
+        # An address that the step body masked to 32 bits lies in [0, 2^32),
+        # and then the page test alone keeps the n bytes in memory: with
+        # addr = 4096 p + _o, p < 2^20 and _o <= 4096 - n, addr + n <=
+        # 4096 (p + 1) <= 2^32.  A parameter or a phi slot may hold any
+        # integer in an unchecked run, so its address keeps the full test.
+        masked = _masked(load.args[1]) or addr in self.masked
         if not _is_atom(addr):
             self.lines.append(f"{indent}_a = {addr}")
             addr = "_a"
         local = self._bind_local(env, name)
+        test = f"_o <= {PAGE_SIZE - n}"
+        if not masked:
+            test += f" and 0 <= {addr} <= {ADDR_LIMIT - n}"
+        page = f"{self.pages or st + '.mem.pages'}.get({addr} >> {PAGE_BITS}, _zero)"
         self.lines += [f"{indent}_o = {addr} & {PAGE_MASK}",
-                       f"{indent}if _o <= {PAGE_SIZE - n} and 0 <= {addr} <= {ADDR_LIMIT - n}:",
-                       f"{indent}    {local} = _from_bytes({st}.mem.pages.get({addr} >> {PAGE_BITS}, "
-                       f"_zero)[_o:_o + {n}], 'little')",
+                       f"{indent}if {test}:",
+                       f"{indent}    {local} = {_page_read(n, page)}",
                        f"{indent}else:",
                        f"{indent}    {local} = _rd_n({n}, {addr}, {st}.mem)"]
 
@@ -290,9 +337,12 @@ class _Codegen:
                 self.bind(name, bound, env, indent)
             self.tail(e.body, env, indent)
         elif isinstance(e, If):
+            masked = self.masked  # what each branch knows on entry
             out.append(f"{indent}if {self.cond(e.cond, env)}:")
+            self.masked = set(masked)
             self.tail(e.then, dict(env), indent + "    ")
             out.append(f"{indent}else:")
+            self.masked = set(masked)
             self.tail(e.els, dict(env), indent + "    ")
         elif isinstance(e, Metlist):
             rhs = self.expr(e.call, env)
@@ -358,7 +408,10 @@ class _Codegen:
         `_it[0]` on entry and stored back on exit, and adds the difference
         to `_per_while`.  A step that makes a call may run other loops, so
         its loop counts in `_it[0]` itself, and its own iterations in
-        `_c`."""
+        `_c`.  A step that loads and makes no call and no store keeps its
+        state's memory, so its loop reads the page table into `_pg` once,
+        before the `while`: only a store gives a run a new `Memory`
+        (`state.RunMemory`), and every other state primitive keeps it."""
         s = self.index[step.name]
         frame = [env[n] for n in d.param_names]
         args = ", ".join(frame)
@@ -368,6 +421,11 @@ class _Codegen:
         count = "_it[0]" if calls else "_n"
         lines = self.lines
         lines.append("    _c = 0" if calls else "    _n = _it[0]")
+        states = [local for local, kind in zip(frame, kinds) if KINDS[kind].sort == STATE]
+        ops = _prims(step.body)
+        if not calls and len(states) == 1 and "loadbytes" in ops and "storebytes" not in ops:
+            lines.append(f"    _pg = {states[0]}.mem.pages")
+            self.pages = "_pg"
         if recheck or self.unproven.results[step.name]:
             lines.append("    _chk = _checking")
         lines += ["    _tr = _trace", "    try:", f"        while {frame[0]} != 1:",
@@ -380,9 +438,9 @@ class _Codegen:
             lines.append(f"            if _chk and not ({_tests(frame, kinds, recheck)}): "
                          f"_bad({s}, ({args},), 'argument')")
         self.finish = self.next_frame(step, s, frame)
-        self.fused = True
+        self.fused, self.masked = True, set()
         self.tail(step.body, dict(env), " " * 12)
-        self.fused = False
+        self.fused, self.pages = False, None
         lines += [f"            if _tr: _show('<-', {s}, ({args},))", "    finally:"]
         if not calls:
             lines += ["        _c = _n - _it[0]", "        _it[0] = _n"]
@@ -465,6 +523,7 @@ _NAMESPACE = {p.template: p.ref for p in PRIMS.values()
               if p.template and "{" not in p.template}
 _NAMESPACE.update(_rd_n=st_mod.rd_n, _load=st_mod.load_word, _from_bytes=int.from_bytes,
                   _zero=st_mod.ZERO_PAGE, MachineState=MachineState)
+_NAMESPACE.update((f"_unpack{n}", unpack) for n, unpack in UNPACK.items())
 
 
 # ---------------------------------------------------------------------------

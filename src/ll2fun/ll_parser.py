@@ -307,6 +307,8 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
         self.pos = 0
+        self.label = ""  # the label of the block being parsed
+        self.phi_labels: list[tuple[str, Token]] = []  # (block, predecessor) of the function's phis
 
     # -- token plumbing ----------------------------------------------------
 
@@ -508,11 +510,26 @@ class _Parser:
         self.expect("punct", ")")
         self.skip_words(ATTRIBUTE_WORDS, numbers=True, metadata=True)
         self.expect("punct", "{")
+        self.phi_labels = []
         blocks = self.parse_blocks(name)
         self.expect("punct", "}")
         fn = LlvmFunction(name, ret_width, tuple(params), tuple(blocks))
         _validate_function(fn)
+        self.check_phi_labels(fn)
         return fn
+
+    def check_phi_labels(self, fn: LlvmFunction):
+        """As LLVM's verifier does, reject a phi entry whose label is not a
+        predecessor of the phi's block, a label no block has included."""
+        preds: dict[str, set[str]] = {}
+        for block in fn.blocks:
+            if isinstance(block.terminator, Br):
+                for target in block.terminator.targets:
+                    preds.setdefault(target, set()).add(block.label)
+        for label, pred in self.phi_labels:
+            if pred.text not in preds.get(label, ()):
+                self.fail(f"phi lists %{pred.text}, which is not a predecessor of %{label}",
+                          pred)
 
     def parse_blocks(self, fn_name: str) -> list[BasicBlock]:
         blocks: list[BasicBlock] = []
@@ -532,6 +549,7 @@ class _Parser:
         return blocks
 
     def parse_block(self, label: str) -> BasicBlock:
+        self.label = label
         phis: list[Phi] = []
         body: list[Instruction] = []
         terminator: Terminator | None = None
@@ -769,6 +787,7 @@ class _Parser:
             pred = self.expect("local")
             self.expect("punct", "]")
             incomings.append((value, pred))
+            self.phi_labels.append((self.label, pred))
             if self.at("punct", ","):
                 self.next()
                 continue

@@ -4,11 +4,12 @@ Logically the memory is a finite map from 32-bit address to byte with a
 default of zero, and `Memory` presents it so: a read-only mapping of the
 nonzero bytes, in address order, equal to a plain dict of the same bytes.
 It is executed on 4 KiB `bytearray` pages, so a load within a page is one
-slice and `int.from_bytes` (Goel, Hunt & Kaufmann, *Abstract Stobjs and
-Their Application to ISA Modeling*, ACL2 Workshop 2013: a record-like
-view backed by arrays).  Pages hold only bytes, so a memory built from a
-mapping whose values are not all bytes is refused when it is built.
-Little-endian byte order throughout.
+read of that page: a `struct` read at widths 1, 2, 4 and 8 (`UNPACK`),
+else one slice and `int.from_bytes` (Goel, Hunt & Kaufmann, *Abstract
+Stobjs and Their Application to ISA Modeling*, ACL2 Workshop 2013: a
+record-like view backed by arrays).  Pages hold only bytes, so a memory
+built from a mapping whose values are not all bytes is refused when it
+is built.  Little-endian byte order throughout.
 
 `rd_n` and `wr_n` are the plain-dict model of the same memory: the
 reference interpreter, the oracles and the property tests use them, and
@@ -30,6 +31,7 @@ contents.
 
 from __future__ import annotations
 
+import struct
 import sys
 from array import array
 from collections.abc import ItemsView, Mapping
@@ -45,6 +47,9 @@ PAGE_BITS = 12
 PAGE_SIZE = 1 << PAGE_BITS
 PAGE_MASK = PAGE_SIZE - 1
 ZERO_PAGE = bytes(PAGE_SIZE)  # what a page no store has reached reads
+# The widths with a struct read: `UNPACK[n](page, o)[0]` is the little-endian
+# natural in page[o:o + n].  The other widths slice and `int.from_bytes`.
+UNPACK = {struct.calcsize(f"<{c}"): struct.Struct(f"<{c}").unpack_from for c in "BHIQ"}
 
 # Empty tuple = no enclosing begin_stack_frame; otherwise (saved_frame, rest).
 FrameLinks = tuple
@@ -292,11 +297,14 @@ def wr_n(n: int, addr: int, value: int, mem: Mapping[int, int]) -> dict[int, int
 
 
 def load_word(n: int, addr: int, mem: Memory) -> int:
-    """rd_n on a Memory: one slice of a page when the n bytes lie in one,
-    else rd_n itself."""
+    """rd_n on a Memory: one read of a page when the n bytes lie in one,
+    through `UNPACK` at its widths and a slice at the others, else rd_n
+    itself."""
     o = addr & PAGE_MASK
     if 0 < n <= PAGE_SIZE - o and 0 <= addr < ADDR_LIMIT:
-        return int.from_bytes(mem.pages.get(addr >> PAGE_BITS, ZERO_PAGE)[o:o + n], "little")
+        page = mem.pages.get(addr >> PAGE_BITS, ZERO_PAGE)
+        unpack = UNPACK.get(n)
+        return unpack(page, o)[0] if unpack else int.from_bytes(page[o:o + n], "little")
     return rd_n(n, addr, mem)
 
 

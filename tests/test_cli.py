@@ -135,17 +135,27 @@ out:
 
 
 # The occurrences loop with no value for %j on the guard edge from %0.
+# %j's phi names its back edge twice and the guard edge from %0 not at all
 _UNGUARDED_PHI = pathlib.Path(OCC).read_text().replace(
     "%j = phi i64 [ %j.next, %.lr.ph ], [ 0, %0 ]",
-    "%j = phi i64 [ %j.next, %.lr.ph ], [ 0, %t4 ]")
+    "%j = phi i64 [ %j.next, %.lr.ph ], [ %j.next, %.lr.ph ]")
 
 
 def test_header_phi_without_a_guard_edge_value_exit_12(tmp_path):
+    """A header phi that lists no value for the guard edge is an analysis
+    error; one that lists it under a label no block has is a parse error
+    at that label."""
     r = _translate_subprocess(tmp_path, _UNGUARDED_PHI)
     assert r.returncode == EXIT_ANALYSIS, r.stderr[-500:]
     assert "Traceback" not in r.stderr
     assert ("phi %j in loop header .lr.ph lacks a value for the guard edge from 0"
             in r.stderr)
+    misnamed = _UNGUARDED_PHI.replace("[ %j.next, %.lr.ph ], [ %j.next, %.lr.ph ]",
+                                      "[ %j.next, %.lr.ph ], [ 0, %t4 ]")
+    r = _translate_subprocess(tmp_path, misnamed)
+    assert r.returncode == EXIT_PARSE, r.stderr[-500:]
+    assert r.stderr == ("ll2fun: 11:43: phi lists %t4, which is not a predecessor of "
+                        "%.lr.ph (at 't4')\n")
 
 
 def test_translate_token_mutants_exit_with_documented_codes(tmp_path, capsys):

@@ -5,8 +5,10 @@ interpreter, compared bit-exact on retval and the final machine state.
 Failures print the generating seed and the offending source."""
 
 import gc
+import io
 import pathlib
 import random
+import re
 import sys
 import time
 
@@ -19,9 +21,10 @@ from llgen import (  # noqa: E402
 )
 
 from ll2fun import (  # noqa: E402
-    EvalFault, MachineState, emit_sexpr, eval_def, interp_function, load_program,
-    parse_text, translate_module,
+    BudgetExhausted, EvalFault, MachineState, emit_sexpr, eval_def, interp_function,
+    load_program, parse_text, translate_module,
 )
+from ll2fun.evaluator import ProgramEvaluator  # noqa: E402
 
 SEED = 0xDA1E
 
@@ -216,6 +219,151 @@ def test_differential_page_boundaries_and_the_32_bit_edge():
         reference = _outcome(lambda: interp_function(module, "gen", args, st))
         assert translated == reference, (p, q, n, translated, reference)
         faults += isinstance(reference, str)
+    assert 0 < faults < len(cases)
+
+
+# Loops for the page table a loop binds before its `while` (`_pg`): only a
+# step that makes no call and no store binds it.  @stl's step stores, then
+# loads the word it stored and the one before it, and the run's first
+# store happens in the loop; @cll's step calls @put, which stores; @fresh
+# stores before its loop and then loads, in the loop, from p's page and
+# from q's pages, which no store reaches.
+HOIST = """define i64 @put(i64* %r, i64 %v) {
+  store i64 %v, i64* %r, align 8
+  ret i64 %v
+}
+
+define i64 @stl(i64* %p, i32 %n) {
+  %g = icmp eq i32 %n, 0
+  br i1 %g, label %done, label %loop
+
+loop:
+  %j = phi i64 [ %j.next, %loop ], [ 0, %0 ]
+  %acc = phi i64 [ %acc.next, %loop ], [ 0, %0 ]
+  %slot = getelementptr inbounds i64* %p, i64 %j
+  %j.prev = sub i64 %j, 1
+  %prev = getelementptr inbounds i64* %p, i64 %j.prev
+  %j.3 = mul i64 %j, 3
+  %w = add i64 %j.3, 1
+  store i64 %w, i64* %slot, align 8
+  %x = load i64* %slot, align 8
+  %y = load i64* %prev, align 8
+  %xy = xor i64 %x, %y
+  %acc.next = add i64 %acc, %xy
+  %j.next = add i64 %j, 1
+  %j.32 = trunc i64 %j.next to i32
+  %exit = icmp eq i32 %j.32, %n
+  br i1 %exit, label %done, label %loop
+
+done:
+  %sum = phi i64 [ 0, %0 ], [ %acc.next, %loop ]
+  ret i64 %sum
+}
+
+define i64 @cll(i64* %p, i32 %n) {
+  %g = icmp eq i32 %n, 0
+  br i1 %g, label %done, label %loop
+
+loop:
+  %j = phi i64 [ %j.next, %loop ], [ 0, %0 ]
+  %acc = phi i64 [ %acc.next, %loop ], [ 0, %0 ]
+  %slot = getelementptr inbounds i64* %p, i64 %j
+  %w = add i64 %j, 5
+  %c = call i64 @put(i64* %slot, i64 %w)
+  %x = load i64* %slot, align 8
+  %cx = mul i64 %c, %x
+  %acc.next = add i64 %acc, %cx
+  %j.next = add i64 %j, 1
+  %j.32 = trunc i64 %j.next to i32
+  %exit = icmp eq i32 %j.32, %n
+  br i1 %exit, label %done, label %loop
+
+done:
+  %sum = phi i64 [ 0, %0 ], [ %acc.next, %loop ]
+  ret i64 %sum
+}
+
+define i64 @fresh(i64* %p, i64* %q, i32 %n) {
+  store i64 7, i64* %p, align 8
+  %g = icmp eq i32 %n, 0
+  br i1 %g, label %done, label %loop
+
+loop:
+  %j = phi i64 [ %j.next, %loop ], [ 0, %0 ]
+  %acc = phi i64 [ %acc.next, %loop ], [ 0, %0 ]
+  %at.q = getelementptr inbounds i64* %q, i64 %j
+  %x = load i64* %at.q, align 8
+  %at.p = getelementptr inbounds i64* %p, i64 %j
+  %y = load i64* %at.p, align 8
+  %j.5 = mul i64 %j, 5
+  %xy = add i64 %x, %y
+  %t = xor i64 %xy, %j.5
+  %acc.next = add i64 %acc, %t
+  %j.next = add i64 %j, 1
+  %j.32 = trunc i64 %j.next to i32
+  %exit = icmp eq i32 %j.32, %n
+  br i1 %exit, label %done, label %loop
+
+done:
+  %sum = phi i64 [ 0, %0 ], [ %acc.next, %loop ]
+  ret i64 %sum
+}
+"""
+
+
+def test_a_loop_binds_its_page_table_only_where_no_store_can_replace_it():
+    """Loops whose step stores and then loads, whose step calls a storing
+    callee, and that load from pages no store has reached agree with the
+    reference interpreter in retval, memory and fault text, and count
+    their iterations, in checked, unchecked and traced runs; a budget
+    stops each after the same number of iterations.  Only @fresh's loop,
+    whose step makes no call and no store, reads its page table once."""
+    module = parse_text(HOIST)
+    program = load_program(emit_sexpr(translate_module(module)))
+    ev = ProgramEvaluator(program)
+    loops = {name: ev.source[ev.source.index(f"_{name}_step_0_while("):]
+             for name in ("stl", "cll", "fresh")}
+    for name, loop in loops.items():
+        loop = loop[:loop.index("\ndef ")]
+        assert ("    _pg = v_st.mem.pages\n" in loop) == (name == "fresh"), name
+        assert ("_pg.get(" in loop) == (name == "fresh"), name
+    rng = random.Random(SEED + 6)
+    top = 1 << 32
+    mem = {a: rng.randrange(256) for a in range(0x1fc0, 0x2040)}
+    mem.update({a: rng.randrange(256) for a in range(0x5000, 0x5040)})
+    mem.update({a: rng.randrange(256) for a in range(top - 40, top)})
+    st = MachineState(retval=0, stack=0xFFFF0000, frame=0xFFFF0000, mem=mem)
+    cases = [("stl", (p, n)) for p in (0x1fe0, 0x1ffc, 0x5008, 0x9000, top - 24, top - 20)
+             for n in (1, 6, 9)]
+    cases += [("cll", (p, n)) for p in (0x1fe8, 0x2001, 0x9000, top - 36) for n in (1, 5)]
+    cases += [("fresh", (p, q, n)) for p in (0x5000, 0x1ff8, 0x3000)
+              for q in (0x1ff0, 0x1ffd, 0x5010, 0x9ff0, top - 36, top - 32) for n in (1, 3, 8)]
+    faults = 0
+    for name, args in cases:
+        reference = _outcome(lambda: interp_function(module, name, args, st))
+        faults += isinstance(reference, str)
+        while_def, n = f"{name}_step_0_while", args[-1]
+        stops = set()  # the iteration each run ended in
+        for checking, trace in ((True, False), (False, False), (True, True)):
+            ev.trace_out = io.StringIO()
+            try:
+                res = ev.run(name, args, st, checking=checking, trace=trace)
+            except EvalFault as e:
+                fault = re.fullmatch(rf"(.*) \[entry {name}, step (\d+)\]", str(e))
+                assert fault and fault[1] == reference, (name, args, str(e), reference)
+                stops.add(int(fault[2]))
+            else:
+                assert res.state == reference, (name, args, checking, trace)
+                assert res.per_while == {while_def: n}
+                stops.add(n)
+            if trace:
+                assert ev.trace_out.getvalue().count(f"-> {name}_step_0 ") == max(stops)
+        assert len(stops) == 1, (name, args, stops)
+        for budget in range(1, stops.pop()):
+            with pytest.raises(BudgetExhausted) as err:
+                ev.run(name, args, st, budget=budget)
+            assert str(err.value) == f"step budget of {budget} exhausted in {while_def}"
+            assert err.value.counts == {while_def: budget + 1}
     assert 0 < faults < len(cases)
 
 

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import pathlib
 import random
+import statistics
 import sys
 import time
 
@@ -383,18 +384,23 @@ def test_translate_is_linear_in_loop_live_outs(guarded):
     """A loop with 4K values live after it costs translate_module at most
     6x the CPU time of K values (linear: 4x): the continue def finds each
     exit value's frame slot and checks its skip-path value in one map
-    built once per loop.  Sizes are timed in turn, best of 7 each."""
-    modules = [parse_text(gen_live_out_loop(k, guarded)) for k in (250, 1000)]
-    best = [float("inf")] * 2
+    built once per loop.  Each timing takes tens of milliseconds, and the
+    sizes are timed back to back in 7 pairs: the median of the pairs'
+    ratios cancels the machine's drift between pairs, which a ratio of
+    the two sizes' best times does not."""
+    modules = [parse_text(gen_live_out_loop(k, guarded)) for k in (1000, 4000)]
+    pairs = []
     for _ in range(7):
-        for i, module in enumerate(modules):
+        times = []
+        for module in modules:
             t0 = time.process_time()
             translate_module(module)
-            best[i] = min(best[i], time.process_time() - t0)
-    small, large = best
-    assert large <= 6 * small, (small, large)
+            times.append(time.process_time() - t0)
+        pairs.append(times)
+    ratio = statistics.median(large / small for small, large in pairs)
+    assert ratio <= 6, pairs
     _, st = eval_def(translate_module(modules[0]), "outs", (3,), make_state())
-    assert st.retval == 3 * 250 * 251 // 2
+    assert st.retval == 3 * 1000 * 1001 // 2
 
 
 # ---------------------------------------------------------------------------

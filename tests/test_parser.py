@@ -226,6 +226,25 @@ def test_phi_with_two_values_for_one_predecessor_rejected(tmp_path):
         emit_sexpr(translate_module(parse_text(text)))
 
 
+@pytest.mark.parametrize("label", ["._crit_edge", "nowhere"])
+def test_phi_entry_for_a_non_predecessor_rejected(tmp_path, label):
+    """As LLVM's verifier does, every label a phi lists names a
+    predecessor of its block: a block that does not branch there, or a
+    label no block has, is a parse error at that label."""
+    from ll2fun.cli import EXIT_PARSE, main
+    text = (_FIXTURES / "occurrences.ll").read_text()
+    phi = "%j = phi i64 [ %j.next, %.lr.ph ], [ 0, %0 ]"
+    bad = text.replace(phi, f"{phi}, [ 5, %{label} ]")
+    assert bad != text
+    with pytest.raises(ParseError) as err:
+        parse_text(bad)
+    assert str(err.value) == (f"11:54: phi lists %{label}, which is not a predecessor of "
+                              f"%.lr.ph (at '{label}')")
+    src = tmp_path / "bad.ll"
+    src.write_text(bad)
+    assert main(["translate", str(src)]) == EXIT_PARSE == 10
+
+
 def test_entry_block_with_predecessor_rejected():
     src = """define i64 @f(i64 %x) {
 start:
@@ -494,9 +513,9 @@ define i16 @k2(i16 %a) {
 # Pinned outcomes over a corpus of token mutants
 # ---------------------------------------------------------------------------
 
-_PINNED_DIGEST = "8ae8893cd77f96e8cb615d9b46e067b472aafd235a0f253a7e218da2e676d0e3"
-_PINNED_COUNTS = {"translated": 383, "ParseError": 4650, "UnsupportedConstructError": 140,
-                  "AnalysisError": 57, "LexError": 32}
+_PINNED_DIGEST = "0ffdebc350985d9ee0b03b4edcfad9661e8eb5e36a22f5a906f3b3b38d7cd4ef"
+_PINNED_COUNTS = {"translated": 383, "ParseError": 4657, "UnsupportedConstructError": 140,
+                  "AnalysisError": 50, "LexError": 32}
 
 
 def _token_mutants():
@@ -526,7 +545,9 @@ def test_token_mutant_outcomes_are_pinned():
     recorded when a loop header phi without a value for the guard edge
     became an AnalysisError (three outcomes, which were a bare
     StopIteration); the other 5,259 are as recorded before the parser
-    recorded operand and result kinds itself."""
+    recorded operand and result kinds itself.  Since the parser rejects a
+    phi entry for a non-predecessor, 7 outcomes that were AnalysisErrors
+    are that ParseError."""
     outcomes = [_front_end_outcome(text) for text in _token_mutants()]
     counts = Counter(o.split(" ", 1)[0].rstrip(":") for o in outcomes)
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()

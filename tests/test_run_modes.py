@@ -419,8 +419,10 @@ def test_one_source_serves_every_mode():
     loop = source[start:source.index("\ndef ", start)]
     assert len(re.findall(r"^\s*while ", loop, re.M)) == 1
     assert "d2_occurrences_step_0(" not in loop
-    assert ("_from_bytes(v_st.mem.pages.get(v_scevgep >> 12, _zero)[_o:_o + 8], 'little')"
-            in loop and "_rd_n(8, v_scevgep" in loop)
+    assert "    _pg = v_st.mem.pages\n" in loop.split("while ")[0]
+    assert ("    if _o <= 4088:\n" in loop
+            and "_unpack8(_pg.get(v_scevgep >> 12, _zero), _o)[0]" in loop
+            and "_rd_n(8, v_scevgep" in loop)
     assert "_bad(" not in loop and "_chk" not in loop
     grow = ProgramEvaluator(load_program(GROW)).source
     start = grow.index("def d1_grow_step_0_while(")
@@ -474,17 +476,21 @@ def test_unvalidated_loops_are_a_load_error(occurrences_program):
     res = ProgramEvaluator(program).run("occurrences", (399, 5000, 0x8000), make_state())
     assert res.per_while == {"occurrences_step_0_while": 5000}
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_unrolled_load_matches_rd_n_and_its_faults(n):
-    """A let-bound load inside a loop reads one slice of a page behind one
-    range test, reads across a page boundary through rd_n, and out of
-    range faults exactly as rd_n does."""
-    text = f"""(defun peek_step_0 (done a st)
-  (declare (xargs :signature ((natp natp stp) natp natp stp)))
-  (let* ((v (wfrombytes {n} (loadbytes {n} a st)))
+def _peek_step(n: int, addr: str, lets: str = "") -> str:
+    """A step body that loads n bytes at addr, after the bindings lets,
+    into retval and is done."""
+    return f"""(let* ({lets}(v (wfrombytes {n} (loadbytes {n} {addr} st)))
          (st (update-retval v st))
          (done 1))
-    (mvlist done a st)))
+    (mvlist done a st))"""
+
+
+def _peek(n: int, addr: str, lets: str = "", body: str | None = None) -> ProgramEvaluator:
+    """peek: a loop of one iteration over (done a st) whose step is body,
+    by default `_peek_step(n, addr, lets)`."""
+    return ProgramEvaluator(load_program(f"""(defun peek_step_0 (done a st)
+  (declare (xargs :signature ((natp natp stp) natp natp stp)))
+  {body or _peek_step(n, addr, lets)})
 
 (defun-general peek_step_0_while (done a st)
   (declare (xargs :signature ((natp natp stp) natp stp)))
@@ -510,25 +516,86 @@ def test_unrolled_load_matches_rd_n_and_its_faults(n):
     (if (= done 1)
         (peek_continue_0 a st)
       (peek_step_0_while_wrap a st))))
-"""
-    ev = ProgramEvaluator(load_program(text))
-    assert f"_rd_n({n}, v_a" in ev.source and f"[_o:_o + {n}], 'little')" in ev.source
+"""))
+
+
+def _peek_memory(n: int) -> dict[int, int]:
     rng = random.Random(n)
     top = (1 << 32) - n
     mem = {a: rng.randrange(1, 256) for a in range(top - 16, 1 << 32)}
     mem.update({a: rng.randrange(256) for a in range(0x100, 0x120)})
     mem.update({a: rng.randrange(1, 256) for a in range(0x1ff0, 0x2010)})
+    return mem
+
+
+def _assert_peeks(ev: ProgramEvaluator, mem: dict[int, int], n: int, reads, faults,
+                  where=lambda a: a):
+    """peek of each a in reads reads the n bytes at where(a) as rd_n does,
+    in a checked and an unchecked run; each a in faults faults as rd_n does
+    at where(a)."""
     st = make_state(mem=mem)
-    # in a page, ending at and crossing the page boundary at 0x2000, the
-    # last n bytes of memory
-    for a in [0x100, 0x107, 0x111, 0x2000 - n, 0x1ffd, 0x1fff, top - 1, top]:
-        want = sum(mem.get(a + k, 0) << (8 * k) for k in range(n))
-        assert ev.run("peek", (a,), st).state.retval == want
-    for a in [top + 1, (1 << 32) + 3, 1 << 40, -1]:
+    for a in reads:
+        want = sum(mem.get(where(a) + k, 0) << (8 * k) for k in range(n))
+        for checking in (True, False):
+            assert ev.run("peek", (a,), st, checking=checking).state.retval == want, hex(a)
+    for a in faults:
         with pytest.raises(EvalFault) as err:
             ev.run("peek", (a,), st, checking=False)
-        assert str(err.value) == (f"rd_n: address range [{a:#x}, {a + n:#x}) exceeds "
+        b = where(a)
+        assert str(err.value) == (f"rd_n: address range [{b:#x}, {b + n:#x}) exceeds "
                                   f"32-bit memory [entry peek, step 1]")
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_unrolled_load_matches_rd_n_and_its_faults(n):
+    """A let-bound load inside a loop reads one page of the table the loop
+    bound before its `while` behind one range test, reads across a page
+    boundary through rd_n, and out of range faults exactly as rd_n does.
+    An address the step masks to 32 bits, inline or let-bound, needs no
+    test of its range, only of its page offset: it wraps at 2^32, reads
+    the last n bytes below it and faults where its n bytes cross it."""
+    read = ("[_o]" if n == 1 else f"_unpack{n}(_pg.get(" if n in (2, 4, 8)
+            else f"[_o:_o + {n}], 'little')")
+    mem, top, k = _peek_memory(n), (1 << 32) - n, 7
+    ev = _peek(n, "a")
+    assert "    _pg = v_st.mem.pages\n" in ev.source and read in ev.source
+    assert f"if _o <= {4096 - n} and 0 <= v_a <= {top}:" in ev.source
+    assert f"_rd_n({n}, v_a" in ev.source
+    # in a page, ending at and crossing the page boundary at 0x2000, the
+    # last n bytes of memory
+    reads = [0x100, 0x107, 0x111, 0x2000 - n, 0x1ffd, 0x1fff, top - 1, top]
+    _assert_peeks(ev, mem, n, reads, [top + 1, (1 << 32) + 3, 1 << 40, -1])
+    masked = [_peek(n, f"(bits (+ a {k}) 31 0)"),
+              _peek(n, "b", f"(b (bits (+ a {k}) 31 0))\n         ")]
+    for ev in masked:
+        assert f"if _o <= {4096 - n}:\n" in ev.source and " <= 4294967" not in ev.source
+        assert read in ev.source
+        # the same addresses, reached directly and by wrapping past 2^32
+        # and 2^33; the n bytes from top + 1 on cross 2^32, reached from
+        # below 0 too in an unchecked run
+        reads_k = [a - k + lift for a in reads for lift in (0, 1 << 32, 1 << 33)]
+        faults_k = [a - k + lift for a in range(top + 1, 1 << 32)
+                    for lift in (0, 1 << 32, -(1 << 32))]
+        _assert_peeks(ev, mem, n, reads_k, faults_k, lambda a: (a + k) & 0xFFFFFFFF)
+        # below 0, which only an unchecked run passes, the last n bytes
+        want = sum(mem.get(top + i, 0) << (8 * i) for i in range(n))
+        assert ev.run("peek", (top - k - (1 << 32),), make_state(mem=mem),
+                      checking=False).state.retval == want
+
+
+def test_a_masked_address_is_known_in_its_own_branch_only():
+    """A step that masks `a` into a new `a` in one branch, and loads from
+    the parameter `a` in the other, keeps the other load's range test:
+    there an unchecked run's a = 2^32 + 3 faults as rd_n does."""
+    then = _peek_step(8, "a", "(a (bits (+ a 1) 31 0))\n         ")
+    ev = _peek(8, "", body=f"(if (< a 16)\n  {then}\n  {_peek_step(8, 'a')})")
+    assert ev.source.count("if _o <= 4088:\n") == 1
+    assert ev.source.count("if _o <= 4088 and 0 <= v_a <= 4294967288:\n") == 1
+    st = make_state(mem=_words(0x8, [0x1122334455667788]))
+    assert ev.run("peek", (7,), st).state.retval == 0x1122334455667788
+    with pytest.raises(EvalFault, match=r"^rd_n: address range \[0x100000003, 0x10000000b\) "
+                       r"exceeds 32-bit memory \[entry peek, step 1\]$"):
+        ev.run("peek", ((1 << 32) + 3,), st, checking=False)
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,22 @@ def test_memory_matches_the_dict_model_randomized():
         run.mem = None
 
 
+def test_load_word_reads_every_width_as_rd_n():
+    """load_word at each width 1..8, through `UNPACK` where it has a read
+    and a slice where not, reads what rd_n reads, and faults as it does,
+    on stored pages, the zero page, across page boundaries and at the
+    2^32 edge."""
+    rng = random.Random(1616)
+    model = {a: rng.randrange(256) for a in range(0x1ff0, 0x2010)}
+    model.update({a: rng.randrange(256) for a in range((1 << 32) - 12, 1 << 32)})
+    mem = Memory({a: b for a, b in model.items() if b})
+    for n in range(1, 9):
+        for addr in ([0x1ff0 + o for o in range(0x20)] + [0x5000 - n, 0x5ff8]
+                     + [(1 << 32) - n + d for d in range(-4, 3)] + [-1]):
+            want = _outcome(lambda: rd_n(n, addr, model))
+            assert _outcome(lambda: load_word(n, addr, mem)) == want, (n, addr)
+
+
 def test_memory_from_a_mapping_keeps_its_nonzero_bytes():
     """A mapping converts whole pages at a time when its keys run up one
     by one, and byte by byte otherwise; zero values are not kept."""
