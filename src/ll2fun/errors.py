@@ -2,10 +2,14 @@
 
 The distinction between "malformed input" and "recognized LLVM that falls
 outside the supported subset" is load-bearing: the CLI maps the two to
-different exit codes and tests assert on it.
+different exit codes and tests assert on it.  `read_utf8` reads every
+input file, so that bytes which are not UTF-8 end in the reading stage's
+own error rather than a `UnicodeDecodeError`.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 
 class Ll2FunError(Exception):
@@ -61,3 +65,19 @@ class BudgetExhausted(Ll2FunError):
     def __init__(self, message: str, counts: dict[str, int] | None = None):
         super().__init__(message)
         self.counts = dict(counts or {})
+
+
+def read_utf8(path: str, error: Callable[[str, str], Ll2FunError]) -> str:
+    """The text of the file at path, as `open(path, encoding="utf-8")`
+    reads it: "\r\n" and "\r" become "\n".  Bytes that are not UTF-8
+    raise error(head, what), the reader's own error for a bad character:
+    head is the text before them, where the reader counts the line, and
+    what names the first bad byte and its offset in the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        head = data[:e.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        raise error(head, f"not UTF-8: byte {data[e.start]:#04x} at offset {e.start}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")

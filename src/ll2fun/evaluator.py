@@ -361,7 +361,8 @@ class _Codegen:
         function assigns the section's parameters and jumps to it."""
         if items is None and type(e) is Call and self.index[e.name] in self.jumps:
             m = self.index[e.name]
-            self.assign(list(self.param_locals[m]), [self.expr(a, env) for a in e.args], indent)
+            values = [env[a.name] if type(a) is Var else self.expr(a, env) for a in e.args]
+            self.assign(list(self.param_locals[m]), values, indent)
             self.lines.append(f"{indent}_b = {m}")
             return
         if items is None:

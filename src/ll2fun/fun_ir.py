@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
 
-from .errors import AnalysisError, LoadError
+from .errors import AnalysisError, LoadError, read_utf8
 from .ll_parser import (
     BasicBlock, Instruction, LlvmFunction, LlvmModule, Operand, Reg, Ret,
     mangle_label, mangle_register, resolve_aliases,
@@ -731,9 +731,13 @@ def emit_sexpr(program: FunProgram) -> str:
 # Loader
 # ---------------------------------------------------------------------------
 
-# One token per match: a parenthesis, a comment, or an atom.  What lies
-# between matches is whitespace (" \t\r\n").
-_SEXPR_TOKEN = re.compile(r"[()]|;[^\n]*|[^ \t\r\n();]+")
+# One match is a whole list that holds no sublist and no comment, or one
+# token: a parenthesis, a comment, or an atom.  What lies between matches
+# is whitespace (" \t\r\n").  A flat list's inside is printable ASCII,
+# tab, CR and LF only: there `str.split()` splits exactly where the reader
+# does.  Elsewhere it also splits on characters that the reader keeps
+# inside an atom (such as "\x0c", "\x1f" or "\xa0").
+_SEXPR_TOKEN = re.compile(r"\([\t\n\r -'*-:<-~]*\)|[()]|;[^\n]*|[^ \t\r\n();]+")
 
 
 def _read_error(text: str, m: re.Match, message: str) -> LoadError:
@@ -742,25 +746,38 @@ def _read_error(text: str, m: re.Match, message: str) -> LoadError:
     return LoadError(f"line {line}: {message}")
 
 
+def _read_atom(text: str, m: re.Match) -> str | int:
+    tok = m[0]
+    try:
+        return int(tok) if tok.isdigit() else tok
+    except ValueError:  # not ASCII, or past int()'s digit limit
+        raise _read_error(text, m, f"bad number {tok[:40]!r}") from None
+
+
 def _read_sexprs(text: str) -> list:
     forms: list = []
     stack: list[list] = []
     for m in _SEXPR_TOKEN.finditer(text):
         tok = m[0]
-        if tok == "(":
+        if tok[0] == "(":  # an open parenthesis, or a whole flat list
             if len(stack) == MAX_DEPTH:
                 raise _read_error(text, m, f"forms nest deeper than {MAX_DEPTH} levels")
-            stack.append([])
+            if tok == "(":
+                stack.append([])
+                continue
+            try:
+                items = [int(a) if a.isdigit() else a for a in tok[1:-1].split()]
+            except ValueError:  # an atom past int()'s digit limit: name its line
+                items = [_read_atom(text, a)
+                         for a in _SEXPR_TOKEN.finditer(text, m.start() + 1, m.end() - 1)]
+            (stack[-1] if stack else forms).append(items)
         elif tok == ")":
             if not stack:
                 raise _read_error(text, m, "unbalanced ')'")
             done = stack.pop()
             (stack[-1] if stack else forms).append(done)
         elif tok[0] != ";":
-            try:
-                value: str | int = int(tok) if tok.isdigit() else tok
-            except ValueError:  # not ASCII, or past int()'s digit limit
-                raise _read_error(text, m, f"bad number {tok[:40]!r}") from None
+            value = _read_atom(text, m)
             if not stack:
                 raise _read_error(text, m, f"atom {tok!r} outside any form")
             stack[-1].append(value)
@@ -791,7 +808,7 @@ def _parse_expr(form) -> FunExpr:
             raise LoadError("if needs a condition and two branches")
         return If(_parse_expr(form[1]), _parse_expr(form[2]), _parse_expr(form[3]))
     if head == "mvlist":
-        return Mvlist(tuple(_parse_expr(x) for x in form[1:]))
+        return Mvlist(_parse_args(form))
     if head == "metlist":
         if len(form) != 3 or not (isinstance(form[1], list) and len(form[1]) == 2):
             raise LoadError("metlist needs ((names...) (call...)) and a body")
@@ -804,13 +821,20 @@ def _parse_expr(form) -> FunExpr:
         return Metlist(tuple(names), call, _parse_expr(form[2]))
     if not isinstance(head, str):
         raise LoadError(f"bad application head: {head}")
-    args = tuple(_parse_expr(x) for x in form[1:])
+    args = _parse_args(form)
     if head in PRIMS:
         arity = len(PRIMS[head].params)
         if len(args) != arity:
             raise LoadError(f"primitive {head} takes {arity} args, got {len(args)}")
         return Prim(head, args)
     return Call(head, args)
+
+
+def _parse_args(form: list) -> tuple[FunExpr, ...]:
+    """The arguments form[1:]; an atom becomes its leaf here, without a
+    call of `_parse_expr` per atom."""
+    return tuple([var(x) if type(x) is str else const(x) if type(x) is int
+                  else _parse_expr(x) for x in form[1:]])
 
 
 def _parse_def(form) -> FunDef:
@@ -857,8 +881,8 @@ def load_program(text: str) -> FunProgram:
 
 
 def load_program_file(path: str) -> FunProgram:
-    with open(path, encoding="utf-8") as fh:
-        return load_program(fh.read())
+    return load_program(read_utf8(
+        path, lambda head, what: LoadError("line %d: %s" % (head.count("\n") + 1, what))))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import functools
 import re
 from dataclasses import dataclass, field, replace
 
-from .errors import LexError, ParseError, UnsupportedConstructError
+from .errors import LexError, ParseError, UnsupportedConstructError, read_utf8
 
 WIDTHS = (1, 8, 16, 32, 64)
 
@@ -978,8 +978,8 @@ def parse_text(source: str) -> LlvmModule:
 
 
 def parse_file(path: str) -> LlvmModule:
-    with open(path, encoding="utf-8") as fh:
-        return parse_text(fh.read())
+    return parse_text(read_utf8(
+        path, lambda head, what: LexError(what, head.count("\n") + 1, len(head) - head.rfind("\n"))))
 
 
 def resolve_aliases(module: LlvmModule) -> LlvmModule:

@@ -38,7 +38,7 @@ from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field, replace
 from itertools import compress
 
-from .errors import EvalFault
+from .errors import EvalFault, read_utf8
 
 ADDR_LIMIT = 1 << 32
 STACK_ALIGN = 8
@@ -485,5 +485,6 @@ def parse_memory_image(text: str) -> Memory:
 
 
 def load_memory_image(path: str) -> Memory:
-    with open(path, encoding="utf-8") as fh:
-        return parse_memory_image(fh.read())
+    # the bad byte's line, as `splitlines` in parse_memory_image numbers it
+    return parse_memory_image(read_utf8(path, lambda head, what: EvalFault(
+        f"memory image line {len((head + 'x').splitlines())}: {what}")))

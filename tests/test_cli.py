@@ -494,6 +494,37 @@ def test_non_ascii_and_overlong_ll_tokens_exit_10(tmp_path):
         assert message in r.stderr and "Traceback" not in r.stderr
 
 
+_FUN_F = """(defun f (st)
+  (declare (xargs :signature ((stp) stp)))
+  (update-retval 1 st))
+"""
+
+
+@pytest.mark.parametrize("kind", ["ll", "fun", "mem"])
+def test_non_utf8_input_exits_with_its_readers_error(tmp_path, kind):
+    """A byte that is not UTF-8 is the reader's own bad-character error,
+    which names the byte's line and its offset in the file: a LexError
+    for a .ll (exit 10), a LoadError for a .fun (exit 10), and a fault for
+    a memory image (exit 13, as for its bad numbers)."""
+    ok = tmp_path / "ok.fun"
+    ok.write_text(_FUN_F)
+    bad = tmp_path / f"bad.{kind}"
+    if kind == "ll":
+        bad.write_bytes(b"define i64 @f() {\r\n  ret i64 0 \xff\n}\n")
+        argv, code = ("translate", str(bad), "--out", str(ok)), EXIT_PARSE
+        want = "ll2fun: 2:13: not UTF-8: byte 0xff at offset 31\n"
+    elif kind == "fun":
+        bad.write_bytes(_FUN_F.replace("1 st", "1 \xc3 st").encode("latin-1"))
+        argv, code = ("run", str(bad), "--entry", "f"), EXIT_PARSE
+        want = "ll2fun: line 3: not UTF-8: byte 0xc3 at offset 76\n"
+    else:
+        bad.write_bytes(b"w 1 0 1\r\n# \xe9t\xe9\nw 1 1 2\n")
+        argv, code = ("run", str(ok), "--entry", "f", "--mem-image", str(bad)), EXIT_FAULT
+        want = "ll2fun: runtime fault: memory image line 2: not UTF-8: byte 0xe9 at offset 11\n"
+    r = _cli(*argv)
+    assert (r.returncode, r.stderr) == (code, want)
+
+
 def test_non_ascii_fun_symbol_runs(tmp_path):
     path = tmp_path / "sym.fun"
     path.write_text("""(defun _\u00b2 (_\u00b2 st)

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import pathlib
 import random
+import re
 import statistics
 import sys
 import time
@@ -16,6 +17,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from llgen import (  # noqa: E402
     gen_diamond_chain, gen_live_out_loop, gen_loop, gen_loop_chain, gen_program,
 )
+from test_evaluator import _perfbench_workloads  # noqa: E402
+from test_run_modes import _fuzz_bases, _mutate  # noqa: E402
 
 from ll2fun import (  # noqa: E402
     AnalysisError, LoadError, ProgramEvaluator, emit_sexpr, eval_def, load_program, make_state,
@@ -342,6 +345,15 @@ _READER_CASES = [
     ("(a))", "line 1: unbalanced ')'"),
     ("\r\n\r\n)", "line 3: unbalanced ')'"),
     ("(a\n(b", "unbalanced '(' at end of input"),
+    # a list that holds no sublist is read in one match
+    ("(a\x0cb c\xa0d)", [["a\x0cb", "c\xa0d"]]),  # atoms that str.split() would split
+    ("(" * 63 + "(a 1)" + ")" * 63,
+     functools.reduce(lambda inner, _: [inner], range(64), ["a", 1])),
+    ("(" * 64 + "(a 1)" + ")" * 64, "line 1: forms nest deeper than 64 levels"),
+    ("(f 1\r\n b 2\n c " + "9" * 5000 + " d)", "line 3: bad number '" + "9" * 40 + "'"),
+    ("(f 1 ; a comment (\n 2)", [["f", 1, 2]]),
+    ("()", [[]]),
+    ("(f 007 x-y)\n(g)", [["f", 7, "x-y"], ["g"]]),
 ]
 
 
@@ -355,22 +367,87 @@ def test_reader_edge_cases():
             assert str(err.value) == want, text
 
 
-def _load_cpu_s(text: str) -> float:
-    best = float("inf")
-    for _ in range(3):
-        t0 = time.process_time()
-        load_program(text)
-        best = min(best, time.process_time() - t0)
-    return best
+def _read_by_token(text: str) -> list:
+    """The reader as it was before a flat list became one match: one token
+    per match.  The oracle of test_reader_matches_the_token_reader."""
+    def error(m, message):
+        return LoadError("line %d: %s" % (text.count("\n", 0, m.start()) + 1, message))
+
+    forms, stack = [], []
+    for m in re.finditer(r"[()]|;[^\n]*|[^ \t\r\n();]+", text):
+        tok = m[0]
+        if tok == "(":
+            if len(stack) == 64:
+                raise error(m, "forms nest deeper than 64 levels")
+            stack.append([])
+        elif tok == ")":
+            if not stack:
+                raise error(m, "unbalanced ')'")
+            done = stack.pop()
+            (stack[-1] if stack else forms).append(done)
+        elif tok[0] != ";":
+            try:
+                value = int(tok) if tok.isdigit() else tok
+            except ValueError:
+                raise error(m, f"bad number {tok[:40]!r}") from None
+            if not stack:
+                raise error(m, f"atom {tok!r} outside any form")
+            stack[-1].append(value)
+    if stack:
+        raise LoadError("unbalanced '(' at end of input")
+    return forms
+
+
+def _read_outcome(read, text: str) -> list | str:
+    try:
+        return read(text)
+    except LoadError as e:
+        return str(e)
+
+
+def test_reader_matches_the_token_reader():
+    """The reader returns the token reader's forms, or its LoadError text,
+    on the fixtures, wide's emitted program, the run fuzzer's 500 `.fun`
+    mutants, and 3,000 seeded strings over parentheses, comments,
+    separators, digits, and characters that only the reader or only
+    str.split() takes for a separator."""
+    texts = [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.iterdir())]
+    wide = _perfbench_workloads().gen_wide(1).ll_text
+    texts.append(emit_sexpr(translate_module(parse_text(wide))))
+    rng, bases = random.Random(0xF022), _fuzz_bases()  # as the run fuzzer draws them
+    texts += [_mutate(bases[n % len(bases)][0], rng) for n in range(500)]
+    rng = random.Random(17)
+    for n in range(3000):
+        text = "".join(rng.choices("();\n\ta9\u00b2\x0c\x1f\xa0 ", k=rng.randrange(40)))
+        texts.append(f"(f {text})" if n % 2 else text)
+    for text in texts:
+        assert _read_outcome(_read_sexprs, text) == _read_outcome(_read_by_token, text), text[:80]
+
+
+def _paired_ratio(build, small, large) -> tuple[float, list]:
+    """The median over 7 back-to-back pairs of build(large)'s CPU time over
+    build(small)'s, and the pairs.  The median of the pairs' ratios cancels
+    the machine's drift between pairs, which a ratio of the two inputs'
+    best times does not."""
+    pairs = []
+    for _ in range(7):
+        times = []
+        for arg in (small, large):
+            t0 = time.process_time()
+            build(arg)
+            times.append(time.process_time() - t0)
+        pairs.append(times)
+    return statistics.median(b / a for a, b in pairs), pairs
 
 
 def test_load_is_linear_in_loop_count():
     """Loading 4K sequential loops costs at most 6x the CPU time of K loops
-    (linear: 4x), and the loader finds the translator's loops."""
-    programs = {n: translate_module(parse_text(gen_loop_chain(n))) for n in (40, 160)}
+    (linear: 4x), and the loader finds the translator's loops.  K is large
+    enough that each load takes tens of milliseconds."""
+    programs = {n: translate_module(parse_text(gen_loop_chain(n))) for n in (80, 320)}
     texts = {n: emit_sexpr(p) for n, p in programs.items()}
-    small, large = _load_cpu_s(texts[40]), _load_cpu_s(texts[160])
-    assert large <= 6 * small, (small, large)
+    ratio, pairs = _paired_ratio(load_program, texts[80], texts[320])
+    assert ratio <= 6, pairs
     for n, program in programs.items():
         assert len(program.cliques) == n
         loaded = load_program(texts[n])
@@ -384,20 +461,9 @@ def test_translate_is_linear_in_loop_live_outs(guarded):
     """A loop with 4K values live after it costs translate_module at most
     6x the CPU time of K values (linear: 4x): the continue def finds each
     exit value's frame slot and checks its skip-path value in one map
-    built once per loop.  Each timing takes tens of milliseconds, and the
-    sizes are timed back to back in 7 pairs: the median of the pairs'
-    ratios cancels the machine's drift between pairs, which a ratio of
-    the two sizes' best times does not."""
+    built once per loop.  Each timing takes tens of milliseconds."""
     modules = [parse_text(gen_live_out_loop(k, guarded)) for k in (1000, 4000)]
-    pairs = []
-    for _ in range(7):
-        times = []
-        for module in modules:
-            t0 = time.process_time()
-            translate_module(module)
-            times.append(time.process_time() - t0)
-        pairs.append(times)
-    ratio = statistics.median(large / small for small, large in pairs)
+    ratio, pairs = _paired_ratio(translate_module, *modules)
     assert ratio <= 6, pairs
     _, st = eval_def(translate_module(modules[0]), "outs", (3,), make_state())
     assert st.retval == 3 * 1000 * 1001 // 2
@@ -483,25 +549,16 @@ def test_builds_leave_no_cyclic_garbage_and_share_leaves():
         assert len({id(v) for v in found}) == len({v.name for v in found}) < len(found) // 10
 
 
-def _build_cpu_s(build, arg) -> float:
-    best = float("inf")
-    for _ in range(5):
-        t0 = time.process_time()
-        build(arg)
-        best = min(best, time.process_time() - t0)
-    return best
-
-
 def test_translate_and_load_are_linear_with_the_collector_on():
     """Twice the diamonds cost translate_module and load_program at most
     2.6x the CPU time (linear: 2x) with the collector on, as the CLI runs:
     a build does not rescan the growing program in collections."""
     assert gc.isenabled()
-    modules = {n: parse_text(_diamond_chain(n)) for n in (400, 800)}
-    texts = {n: emit_sexpr(translate_module(m)) for n, m in modules.items()}
+    modules = [parse_text(_diamond_chain(n)) for n in (400, 800)]
+    texts = [emit_sexpr(translate_module(m)) for m in modules]
     for build, inputs in ((translate_module, modules), (load_program, texts)):
-        small, large = _build_cpu_s(build, inputs[400]), _build_cpu_s(build, inputs[800])
-        assert large <= 2.6 * small, (build.__name__, small, large)
+        ratio, pairs = _paired_ratio(build, *inputs)
+        assert ratio <= 2.6, (build.__name__, pairs)
 
 
 def test_loader_accepts_plain_let():
