@@ -273,12 +273,9 @@ class _FunctionTranslator:
         return tuple(k for _, k in self.frame_params(L))
 
     def unit_result_kinds(self, label: str) -> tuple[str, ...]:
-        """Result kinds of the emission unit entered by branching to label."""
-        seen = set()
+        """Result kinds of the emission unit entered by branching to label
+        (a chain of loop exits ends: `detect_loops` rejects a cycle)."""
         while label in self.by_preheader:
-            if label in seen:
-                raise AnalysisError(f"@{self.fn.name}: loop exits form a cycle")
-            seen.add(label)
             label = self.by_preheader[label].exit
         return self.block_result_kinds(label)
 
@@ -405,8 +402,6 @@ class _FunctionTranslator:
     def call_target_name(self, label: str) -> str:
         if label in self.by_preheader:
             return self.clique_names(self.by_preheader[label]).entry_def
-        if label in self.by_header:
-            raise AnalysisError(f"@{self.fn.name}: unexpected branch into loop header {label}")
         return self.block_def_name(label)
 
     def call_unit(self, source: str, target: str) -> Call:
@@ -418,11 +413,7 @@ class _FunctionTranslator:
         """Translate the terminator; bindings may gain a state update."""
         L = self.analysis.innermost[block.label]
         term = block.terminator
-        if isinstance(term, Ret):
-            if L is not None:
-                raise AnalysisError(
-                    f"@{self.fn.name}: ret inside loop body {block.label} (loop at "
-                    f"{L.header}) is a second loop exit")
+        if isinstance(term, Ret):  # never in a loop: it reaches no latch
             bindings.append((STATE_VAR,
                              Prim("update-retval", (_operand_expr(term.value), var(STATE_VAR)))))
             return var(STATE_VAR)
@@ -593,8 +584,6 @@ class _FunctionTranslator:
 
     def call_unit_entry(self, entry_label: str) -> Call:
         sig = self.analysis.signatures[entry_label]
-        if self.fn.block(entry_label).phis:
-            raise AnalysisError(f"@{self.fn.name}: entry block has phi instructions")
         args = tuple(var(mangle_register(f)) for f in sig.flow_params) + (var(STATE_VAR),)
         return Call(self.call_target_name(entry_label), args)
 

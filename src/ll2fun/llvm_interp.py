@@ -138,9 +138,13 @@ class _Interp:
                                      31, 0)
         elif inst.opcode == "load":
             regs[inst.result] = st_mod.rd_n(inst.width // 8, _value(ops[0], regs), self.mem)
-        elif inst.opcode == "store":
-            self.mem = st_mod.wr_n(inst.width // 8, _value(ops[1], regs),
-                                   _value(ops[0], regs), self.mem)
+        elif inst.opcode == "store":  # in place: wr_n on {} checks and gives the bytes
+            n, addr = inst.width // 8, _value(ops[1], regs)
+            written = st_mod.wr_n(n, addr, _value(ops[0], regs), {})
+            for a in range(addr, addr + n):
+                if a not in written:
+                    self.mem.pop(a, None)
+            self.mem.update(written)
         elif inst.opcode == "alloca":
             size = (inst.elem_width // 8) * ops[0].value
             regs[inst.result] = st.stack

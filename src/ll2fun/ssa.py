@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import TypeVar
 
 from .errors import AnalysisError
-from .ll_parser import BasicBlock, Br, LlvmFunction, Operand, Reg, Ret
+from .ll_parser import BasicBlock, LlvmFunction, Operand, Reg, Ret
 
 
 @dataclass(frozen=True)
@@ -379,17 +379,9 @@ def detect_loops(cfg: ControlFlowGraph, fn: LlvmFunction) -> tuple[LoopInfo, ...
             work.extend(p for p in cfg.preds[n] if p not in body)
         raw.append({"header": header, "latch": latch, "body": body})
 
+    # Reducible, one back edge per header: loops nest or are disjoint.
     pos = {label: i for i, label in enumerate(cfg.nodes)}
     raw.sort(key=lambda L: (len(L["body"]), pos[L["header"]]))
-    # Smallest first, a loop must contain every earlier loop it touches.
-    # It is compared with the outermost of them only, which contains the
-    # rest, and then stands for them: each body is compared once.
-    outermost: dict[str, int] = {}  # block -> the last loop containing it
-    for i, L in enumerate(raw):
-        for j in {outermost[n] for n in L["body"] if n in outermost}:
-            if not raw[j]["body"] <= L["body"]:
-                raise AnalysisError(f"@{fn.name}: loops overlap without nesting")
-        outermost.update(dict.fromkeys(L["body"], i))
 
     loops: list[LoopInfo] = []
     for index, L in enumerate(raw):
@@ -404,15 +396,7 @@ def detect_loops(cfg: ControlFlowGraph, fn: LlvmFunction) -> tuple[LoopInfo, ...
                 f"@{fn.name}: loop at {header} must have a single exit from its "
                 f"latch; found exits {exits}")
         exit_label = exits[0][1]
-        term = fn.block(latch).terminator
-        if not isinstance(term, Br) or term.cond is None:
-            raise AnalysisError(
-                f"@{fn.name}: loop at {header}: latch {latch} must end in a "
-                "conditional branch between header and exit")
-        if set(term.targets) != {header, exit_label}:
-            raise AnalysisError(
-                f"@{fn.name}: loop at {header}: latch branch must target the "
-                "header and the exit")
+        term = fn.block(latch).terminator  # a br between the header and the exit
         if not isinstance(term.cond, Reg):
             raise AnalysisError(f"@{fn.name}: loop at {header}: constant latch condition")
         outside_edges = [p for p in cfg.preds[header] if p not in body]
@@ -422,8 +406,6 @@ def detect_loops(cfg: ControlFlowGraph, fn: LlvmFunction) -> tuple[LoopInfo, ...
                 f"outside; found {outside_edges}")
         preheader = outside_edges[0]
         pre_term = fn.block(preheader).terminator
-        if not isinstance(pre_term, Br):
-            raise AnalysisError(f"@{fn.name}: loop preheader {preheader} must branch")
         if pre_term.cond is None:
             guarded = False
         else:
@@ -472,18 +454,15 @@ def innermost_loops(fn: LlvmFunction, loops: tuple[LoopInfo, ...]) -> dict[str, 
 def order_definitions(cfg: ControlFlowGraph, fn: LlvmFunction,
                       loops: tuple[LoopInfo, ...]) -> tuple[Unit, ...]:
     """Callee-before-caller order over the emission units, loop cliques kept
-    contiguous.  Depth-first post-order from the driver."""
-    by_header = {L.header: L for L in loops}
+    contiguous.  Depth-first post-order from the driver.  A call between
+    units follows forward CFG edges, which `detect_loops` left acyclic."""
     by_preheader = {L.preheader: L for L in loops}
     innermost = innermost_loops(fn, loops)
 
     def unit_for(label: str) -> Unit:
+        # a header's only predecessors, its latch and preheader, are in its clique
         if label in by_preheader:
             return CliqueUnit(by_preheader[label])
-        if label in by_header:
-            # only the latch and the preheader reach a header; both are
-            # internal to the clique
-            raise AnalysisError(f"@{fn.name}: unexpected branch into loop header {label}")
         return BlockUnit(label)
 
     def block_deps(label: str) -> list[Unit]:
@@ -507,9 +486,7 @@ def order_definitions(cfg: ControlFlowGraph, fn: LlvmFunction,
             return [unit_for(L.exit)] + block_deps(L.header)
         return block_deps(unit.label)
 
-    return tuple(dfs_postorder(
-        [DriverUnit()], unit_deps,
-        lambda u: AnalysisError(f"@{fn.name}: emission units form a cycle at {u}")))
+    return tuple(dfs_postorder([DriverUnit()], unit_deps))
 
 
 def analyze_function(fn: LlvmFunction) -> FunctionAnalysis:

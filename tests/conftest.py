@@ -1,5 +1,7 @@
 import pathlib
+import statistics
 import sys
+import time
 
 import pytest
 
@@ -46,3 +48,19 @@ def nestsum_module():
 @pytest.fixture(scope="session")
 def nestsum_program(nestsum_module):
     return translate_module(nestsum_module)
+
+
+def paired_ratio(build, small, large) -> tuple[float, list]:
+    """The median over 7 back-to-back pairs of build(large)'s CPU time over
+    build(small)'s, and the pairs.  The median of the pairs' ratios cancels
+    the machine's drift between pairs, which a ratio of the two inputs'
+    best times does not."""
+    pairs = []
+    for _ in range(7):
+        times = []
+        for arg in (small, large):
+            t0 = time.process_time()
+            build(arg)
+            times.append(time.process_time() - t0)
+        pairs.append(times)
+    return statistics.median(b / a for a, b in pairs), pairs

@@ -2,7 +2,8 @@
 testing: straight-line code, acyclic diamonds with phis, and guarded or
 counted do-while loops shaped like rotated clang output; plus long chains
 of diamonds and of loops, loops with many live-outs and joins with many
-predecessors for the scaling tests.
+predecessors for the scaling tests; and random control-flow graphs for
+the loop rules.
 
 Everything is emitted as .ll text so each trial also exercises the lexer
 and parser.  Memory operations stay inside a fixed window so the 32-bit
@@ -417,6 +418,54 @@ def gen_wide_join(preds: int) -> str:
     arms = ", ".join(f"[ %v{k}, %{f'B{k}' if k else 'entry'} ]" for k in range(preds))
     lines += ["J:", f"  %r = phi i64 {arms}", "  ret i64 %r", "}"]
     return "\n".join(lines) + "\n"
+
+
+def gen_cfg(rng: random.Random) -> str:
+    """@f(x, c): a random control-flow graph over 2 to 9 blocks b0..bN.
+    Every block but the last branches to the next one, unconditionally or
+    together with a random other block; the last returns or branches back.
+    No block branches to the entry b0.  Block k computes %v<k> from its
+    phi, if it has one, else from x; a block with two or more
+    predecessors may start with a phi that takes x, a constant or the
+    predecessor's own %v on each edge.  A condition is c, a compare in the
+    block or a constant.  So loops of many shapes occur: nested,
+    irreducible, with several exits, entries or back edges."""
+    n = rng.randint(2, 9)
+    succs: list[list[int]] = []
+    for k in range(n):
+        other = rng.randrange(1, n)
+        if k < n - 1:
+            targets = [k + 1] if rng.random() < 0.4 else rng.sample([k + 1, other], 2)
+        else:
+            targets = rng.choice(([], [other], [other, rng.randrange(1, n)]))
+        succs.append(targets)
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for k, targets in enumerate(succs):
+        for t in targets:
+            if k not in preds[t]:
+                preds[t].append(k)
+    lines = ["define i64 @f(i64 %x, i1 %c) {"]
+    for k in range(n):
+        lines.append(f"b{k}:")
+        src = "%x"
+        if len(preds[k]) > 1 and rng.random() < 0.7:
+            arms = ", ".join(f"[ {rng.choice(('%x', f'%v{p}', str(rng.randrange(9))))}, %b{p} ]"
+                             for p in preds[k])
+            lines.append(f"  %p{k} = phi i64 {arms}")
+            src = f"%p{k}"
+        lines.append(f"  %v{k} = add i64 {src}, {k + 1}")
+        targets = succs[k]
+        if not targets:
+            ret = f"%v{rng.randrange(n)}" if rng.random() < 0.2 else f"%v{k}"
+            lines.append(f"  ret i64 {ret}")
+        elif len(targets) == 1:
+            lines.append(f"  br label %b{targets[0]}")
+        else:
+            cond = rng.choice(("%c", f"%k{k}", "true"))
+            if cond == f"%k{k}":
+                lines.append(f"  %k{k} = icmp ult i64 %v{k}, {rng.randrange(9)}")
+            lines.append(f"  br i1 {cond}, label %b{targets[0]}, label %b{targets[1]}")
+    return "\n".join(lines + ["}"]) + "\n"
 
 
 SHAPES = (gen_straightline, gen_diamond, gen_loop, gen_call)

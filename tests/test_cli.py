@@ -158,6 +158,22 @@ def test_header_phi_without_a_guard_edge_value_exit_12(tmp_path):
                         "%.lr.ph (at 't4')\n")
 
 
+def test_loop_and_loader_rejections_exit_12_and_10(tmp_path, capsys):
+    """A loop the analysis rejects exits 12, and a .fun the loader rejects
+    exits 10, each with its message."""
+    src = tmp_path / "f.ll"
+    src.write_text("define i64 @f(i1 %c) {\nentry:\n  br label %h\nh:\n"
+                   "  br i1 %c, label %l1, label %l2\nl1:\n  br i1 %c, label %h, label %out\n"
+                   "l2:\n  br i1 %c, label %h, label %out\nout:\n  ret i64 0\n}\n")
+    assert main(["translate", str(src)]) == EXIT_ANALYSIS
+    assert capsys.readouterr().err == \
+        "ll2fun: analysis: @f: block h heads more than one back edge\n"
+    fun = tmp_path / "f.fun"
+    fun.write_text("(defun f (st) (declare (xargs :signature ((stp) stp))) st)\n" * 2)
+    assert main(["run", str(fun), "--entry", "f"]) == EXIT_PARSE
+    assert capsys.readouterr().err == "ll2fun: definition f repeated\n"
+
+
 def test_translate_token_mutants_exit_with_documented_codes(tmp_path, capsys):
     """320 seeded token mutants of both fixtures (`llgen.token_mutants`),
     and the unguarded header phi, through `ll2fun translate` in-process:

@@ -330,6 +330,43 @@ def test_non_ascii_symbols_run():
         assert result.state.retval == 47
 
 
+def test_let_bound_names_that_sanitize_alike_get_numbered_locals():
+    """`a-b` and `a*b` sanitize alike; bound in one let* and both live in
+    its body, the second gets the next numbered local."""
+    text = """(defun f (x st)
+  (declare (xargs :signature ((i64_p stp) stp)))
+  (let* ((a-b (+ x 1))
+         (a*b (* x 3)))
+    (update-retval (+ a-b a*b) st)))
+"""
+    ev = ProgramEvaluator(load_program(text))
+    assert "v_a_b = " in ev.source and "v_a_b_2 = " in ev.source
+    for checking in (True, False):
+        assert ev.run("f", (5,), make_state(), checking=checking).state.retval == 21
+
+
+def test_fused_load_reads_its_state_through_an_if(array_state):
+    """A step's load may read its state through an if whose arms are both
+    st: reading st does not consume it.  The fused load then evaluates
+    that if, so a fault in its condition is the run's fault, although the
+    loop keeps st's page table at hand."""
+    golden = (pathlib.Path(__file__).parent / "fixtures" / "occurrences.fun.golden").read_text()
+    load = "(loadbytes 8 scevgep st)"
+    assert load in golden
+    for cond, want in (("(= n 0)", 3),
+                       ("(= (wfrombytes 8 (loadbytes 8 4294967295 st)) 1)", "rd_n: address")):
+        text = golden.replace(load, f"(loadbytes 8 scevgep (if {cond} st st))")
+        ev = ProgramEvaluator(load_program(text))
+        assert "(v_st if " in ev.source
+        for checking in (True, False):
+            try:
+                got = ev.run("occurrences", (399, 8, 0x8000), array_state,
+                             checking=checking).state.retval
+            except EvalFault as e:
+                got = str(e)[:len("rd_n: address")]
+            assert got == want, (cond, checking)
+
+
 def test_memory_prims_via_program():
     text = """(defun poke_peek (a st)
   (declare (xargs :signature ((addr_p stp) stp)))

@@ -6,14 +6,13 @@ import hashlib
 import pathlib
 import random
 import re
-import statistics
 import sys
-import time
 
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
+from conftest import paired_ratio  # noqa: E402
 from llgen import (  # noqa: E402
     gen_diamond_chain, gen_live_out_loop, gen_loop, gen_loop_chain, gen_program,
 )
@@ -424,29 +423,13 @@ def test_reader_matches_the_token_reader():
         assert _read_outcome(_read_sexprs, text) == _read_outcome(_read_by_token, text), text[:80]
 
 
-def _paired_ratio(build, small, large) -> tuple[float, list]:
-    """The median over 7 back-to-back pairs of build(large)'s CPU time over
-    build(small)'s, and the pairs.  The median of the pairs' ratios cancels
-    the machine's drift between pairs, which a ratio of the two inputs'
-    best times does not."""
-    pairs = []
-    for _ in range(7):
-        times = []
-        for arg in (small, large):
-            t0 = time.process_time()
-            build(arg)
-            times.append(time.process_time() - t0)
-        pairs.append(times)
-    return statistics.median(b / a for a, b in pairs), pairs
-
-
 def test_load_is_linear_in_loop_count():
     """Loading 4K sequential loops costs at most 6x the CPU time of K loops
     (linear: 4x), and the loader finds the translator's loops.  K is large
     enough that each load takes tens of milliseconds."""
     programs = {n: translate_module(parse_text(gen_loop_chain(n))) for n in (80, 320)}
     texts = {n: emit_sexpr(p) for n, p in programs.items()}
-    ratio, pairs = _paired_ratio(load_program, texts[80], texts[320])
+    ratio, pairs = paired_ratio(load_program, texts[80], texts[320])
     assert ratio <= 6, pairs
     for n, program in programs.items():
         assert len(program.cliques) == n
@@ -463,7 +446,7 @@ def test_translate_is_linear_in_loop_live_outs(guarded):
     exit value's frame slot and checks its skip-path value in one map
     built once per loop.  Each timing takes tens of milliseconds."""
     modules = [parse_text(gen_live_out_loop(k, guarded)) for k in (1000, 4000)]
-    ratio, pairs = _paired_ratio(translate_module, *modules)
+    ratio, pairs = paired_ratio(translate_module, *modules)
     assert ratio <= 6, pairs
     _, st = eval_def(translate_module(modules[0]), "outs", (3,), make_state())
     assert st.retval == 3 * 1000 * 1001 // 2
@@ -557,7 +540,7 @@ def test_translate_and_load_are_linear_with_the_collector_on():
     modules = [parse_text(_diamond_chain(n)) for n in (400, 800)]
     texts = [emit_sexpr(translate_module(m)) for m in modules]
     for build, inputs in ((translate_module, modules), (load_program, texts)):
-        ratio, pairs = _paired_ratio(build, *inputs)
+        ratio, pairs = paired_ratio(build, *inputs)
         assert ratio <= 2.6, (build.__name__, pairs)
 
 
@@ -765,6 +748,166 @@ def test_mangling_collision_rejected():
 """
     with pytest.raises(AnalysisError, match="mangle"):
         translate_module(parse_text(src))
+
+
+# One smallest input per analysis and translator rejection that no other
+# test reaches, with its exact message.
+_ANALYSIS_REJECTIONS = {
+    "two back edges": ("""define i64 @f(i1 %c) {
+entry:
+  br label %h
+h:
+  br i1 %c, label %l1, label %l2
+l1:
+  br i1 %c, label %h, label %out
+l2:
+  br i1 %c, label %h, label %out
+out:
+  ret i64 0
+}
+""", "@f: block h heads more than one back edge"),
+    "two entry edges": ("""define i64 @f(i1 %c) {
+entry:
+  br i1 %c, label %h, label %m
+m:
+  br label %h
+h:
+  br i1 %c, label %out, label %h
+out:
+  ret i64 0
+}
+""", "@f: loop at h needs exactly one entry edge from outside; found ['entry', 'm']"),
+    "constant latch condition": ("""define i64 @f(i1 %c) {
+entry:
+  br label %h
+h:
+  br i1 false, label %out, label %h
+out:
+  ret i64 0
+}
+""", "@f: loop at h: constant latch condition"),
+    "preheader is a loop header": ("""define i64 @f(i1 %c) {
+entry:
+  br label %h
+h:
+  br label %i
+i:
+  br i1 %c, label %i, label %l
+l:
+  br i1 %c, label %h, label %out
+out:
+  ret i64 0
+}
+""", "@f: loop at i enters directly from loop header/latch h; a dedicated preheader "
+     "block is required"),
+    "call width": ("""define i64 @g(i64 %x) {
+  ret i64 %x
+}
+
+define i64 @f(i64 %y) {
+  %r = call i32 @g(i64 %y)
+  %z = zext i32 %r to i64
+  ret i64 %z
+}
+""", "@f: call of @g as i32, declared i64"),
+    "loop phi without a back-edge value": ("""define i64 @f(i1 %c) {
+entry:
+  br label %h
+h:
+  %j = phi i64 [ 0, %entry ], [ 0, %entry ]
+  %k = add i64 %j, 1
+  br i1 %c, label %out, label %h
+out:
+  ret i64 0
+}
+""", "@f: loop phi %j lacks a value on the back edge from h"),
+    "phi without a predecessor's value": ("""define i64 @f(i1 %c) {
+entry:
+  br i1 %c, label %a, label %j
+a:
+  br label %j
+j:
+  %r = phi i64 [ 1, %a ], [ 1, %a ]
+  ret i64 %r
+}
+""", "@f: phi %r in j lacks an incoming value for predecessor entry"),
+    "exit phi without a loop-edge value": ("""define i64 @f(i1 %c, i1 %g) {
+entry:
+  br i1 %g, label %out, label %h
+h:
+  br i1 %c, label %out, label %h
+out:
+  %r = phi i64 [ 0, %entry ], [ 0, %entry ]
+  ret i64 %r
+}
+""", "@f: phi %r in exit block out lacks a value for the loop edge from h"),
+    "exit phi without a guard-edge value": ("""define i64 @f(i1 %c, i1 %g) {
+entry:
+  br i1 %g, label %out, label %h
+h:
+  br i1 %c, label %out, label %h
+out:
+  %r = phi i64 [ 1, %h ], [ 1, %h ]
+  ret i64 %r
+}
+""", "@f: phi %r in exit block out lacks a value for the guard edge from entry"),
+    "function named like a primitive": ("""define i64 @bits(i64 %x) {
+  ret i64 %x
+}
+""", "function names collide with primitives: ['bits']"),
+}
+
+
+@pytest.mark.parametrize("case", list(_ANALYSIS_REJECTIONS))
+def test_analysis_rejection_texts(case):
+    source, message = _ANALYSIS_REJECTIONS[case]
+    with pytest.raises(AnalysisError) as err:
+        translate_module(parse_text(source))
+    assert str(err.value) == message
+
+
+def _fun(body: str, params: str = "x st", sig: str = "((natp stp) stp)",
+         form: str = "defun") -> str:
+    return f"({form} f ({params})\n  (declare (xargs :signature {sig}))\n  {body})\n"
+
+
+# One smallest input per loader rejection that no other test reaches,
+# with its exact message.
+_LOADER_REJECTIONS = {
+    "empty form": (_fun("()"), "empty form"),
+    "short if": (_fun("(if x st)"), "if needs a condition and two branches"),
+    "metlist shape": (_fun("(metlist ((x st)) st)"),
+                      "metlist needs ((names...) (call...)) and a body"),
+    "metlist names": (_fun("(metlist ((x 1) (g x st)) st)"), "metlist names must be symbols"),
+    "metlist of no call": (_fun("(metlist ((y st) (mvlist x st)) st)"),
+                           "metlist must bind the results of a function call"),
+    "no input kinds": (_fun("st", sig="()"), "f: signature needs an input kind list"),
+    "unknown kind": (_fun("st", sig="((foo_p stp) stp)"),
+                     "f: unknown kind predicate in signature"),
+    "repeated": (_fun("st") + "\n" + _fun("st"), "definition f repeated"),
+    "state not last": (_fun("(update-retval 0 st)", "st x", "((stp natp) stp)"),
+                       "f: last parameter must be the machine state"),
+    "two states": (_fun("a", "a st", "((stp stp) stp)"),
+                   "f: exactly one state parameter expected"),
+    "state not the last result": (_fun("(mvlist st x)", sig="((natp stp) stp natp)"),
+                                  "f: the last result, and only it, must be the machine state"),
+    "duplicate parameters": (_fun("st", "x x st", "((natp natp stp) stp)"),
+                             "f: duplicate parameter names"),
+    "one value for two": (_fun("x", sig="((natp stp) natp stp)"),
+                          "f: expression yields one value where 2 results are declared"),
+    "self-recursion": (_fun("(f x st)"), "f: unexpected self-recursion"),
+    "recursion outside tail position": (
+        _fun("(update-retval 0 (f done st))", "done st", form="defun-general"),
+        "f: recursive call outside tail position"),
+}
+
+
+@pytest.mark.parametrize("case", list(_LOADER_REJECTIONS))
+def test_loader_rejection_texts(case):
+    text, message = _LOADER_REJECTIONS[case]
+    with pytest.raises(LoadError) as err:
+        load_program(text)
+    assert str(err.value) == message
 
 
 def test_empty_module_translates_to_empty_program():

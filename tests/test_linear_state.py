@@ -3,7 +3,6 @@ that thread the state linearly and use every value at its sort, and a run
 stores into memory it owns, in place, without touching the caller's
 states."""
 
-import gc
 import pathlib
 import random
 import sys
@@ -14,6 +13,7 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
+from conftest import paired_ratio  # noqa: E402
 from llgen import gen_program  # noqa: E402
 
 from ll2fun import (  # noqa: E402
@@ -22,6 +22,7 @@ from ll2fun import (  # noqa: E402
 )
 from ll2fun import state as st_mod  # noqa: E402
 from ll2fun.evaluator import ProgramEvaluator  # noqa: E402
+from ll2fun.fun_ir import collector_paused  # noqa: E402
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -199,28 +200,14 @@ def test_plain_storebytes_of_loadbytes_stores_in_place(monkeypatch):
 # Cost: O(bytes stored)
 # ---------------------------------------------------------------------------
 
-def _best_times(ev, sizes: tuple[int, ...], repeats: int = 7) -> list[float]:
-    """The least CPU time of `repeats` unchecked fills at each size, the
-    sizes interleaved so that a slow spell of the machine hits them alike."""
-    best = [float("inf")] * len(sizes)
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            for i, n in enumerate(sizes):
-                st = make_state()
-                t0 = time.process_time()
-                ev.run("fill", (BASE, n, ALL), st, checking=False)
-                best[i] = min(best[i], time.process_time() - t0)
-    finally:
-        gc.enable()
-    return best
-
-
 def test_store_loop_scales_linearly(fill):
     """Four times the stores take at most six times as long; copying the
     memory on every store took about sixteen times."""
-    small, large = _best_times(fill, (4096, 4 * 4096))
-    assert large <= 6 * small, (small, large)
+    def run(n):
+        fill.run("fill", (BASE, n, ALL), make_state(), checking=False)
+    with collector_paused():
+        ratio, pairs = paired_ratio(run, 4096, 4 * 4096)
+    assert ratio <= 6, pairs
 
 
 def test_million_stores_under_ten_seconds(fill):

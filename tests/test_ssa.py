@@ -1,22 +1,24 @@
 """CFG construction, block signatures, loop detection, and emission order."""
 
-import gc
 import pathlib
 import random
 import sys
-import time
+from collections import Counter
 
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
+from conftest import paired_ratio  # noqa: E402
 from llgen import (  # noqa: E402
-    gen_diamond_chain, gen_loop_chain, gen_program, gen_wide_join,
+    gen_cfg, gen_diamond_chain, gen_loop_chain, gen_program, gen_wide_join,
 )
 
 from ll2fun import (  # noqa: E402
-    AnalysisError, build_cfg, compute_block_params, detect_loops, parse_file, parse_text,
+    AnalysisError, build_cfg, compute_block_params, detect_loops, emit_sexpr, load_program,
+    parse_file, parse_text, translate_module,
 )
+from ll2fun.fun_ir import collector_paused  # noqa: E402
 from ll2fun.ll_parser import Reg, Ret, resolve_aliases  # noqa: E402
 from ll2fun.ssa import (  # noqa: E402
     BlockUnit, CliqueUnit, DriverUnit, _first_use_order, analyze_function,
@@ -304,45 +306,27 @@ def test_back_edge_removal_leaves_acyclic(nestsum_module):
 
 def test_loop_detection_is_linear_in_loop_count():
     """Twice the sequential loops cost detect_loops at most 3x the CPU
-    time (linear: 2x): the nesting check compares each loop with the
-    outermost loops inside it, not with every other loop."""
-    def cpu_s(loops: int) -> float:
+    time (linear: 2x)."""
+    graphs = []
+    for loops in (800, 1600):
         fn = parse_text(gen_loop_chain(loops)).functions[0]
-        cfg = build_cfg(fn)
-        best = float("inf")
-        gc.disable()  # a collection costs in the size of the whole heap, not of fn
-        try:
-            for _ in range(7):  # a run takes a few ms: the best of 3 is noisy
-                t0 = time.process_time()
-                found = detect_loops(cfg, fn)
-                best = min(best, time.process_time() - t0)
-        finally:
-            gc.enable()
-        assert len(found) == loops
-        return best
-    small, large = cpu_s(800), cpu_s(1600)
-    assert large <= 3 * small, (small, large)
+        graphs.append((build_cfg(fn), fn))
+    with collector_paused():  # a collection costs in the size of the heap, not of fn
+        ratio, pairs = paired_ratio(lambda g: detect_loops(*g), *graphs)
+    assert ratio <= 3, pairs
+    assert [len(detect_loops(*g)) for g in graphs] == [800, 1600]
 
 
 def test_liveness_is_linear_in_join_predecessors():
     """A join with 4N predecessors costs compute_liveness at most 6x the
     CPU time of N (linear: 4x): each edge reads its phi values from the
-    join's one index rather than scanning every phi's incoming list.
-    Sizes are timed in turn, best of 15 each, with the collector off."""
+    join's one index rather than scanning every phi's incoming list."""
     functions = [parse_text(gen_wide_join(n)).functions[0] for n in (300, 1200)]
     graphs = [(build_cfg(fn), fn) for fn in functions]
-    best = [float("inf")] * 2
-    gc.disable()  # a collection costs in the size of the whole heap, not of fn
-    try:
-        for _ in range(15):
-            for i, (cfg, fn) in enumerate(graphs):
-                t0 = time.process_time()
-                live = compute_liveness(cfg, fn)
-                best[i] = min(best[i], time.process_time() - t0)
-    finally:
-        gc.enable()
-    small, large = best
-    assert large <= 6 * small, (small, large)
+    with collector_paused():
+        ratio, pairs = paired_ratio(lambda g: compute_liveness(*g), *graphs)
+    assert ratio <= 6, pairs
+    live = compute_liveness(*graphs[1])
     assert live["J"] == set() and live["B7"] == {"x"}
 
 
@@ -422,6 +406,30 @@ out:
     fn = _fn(parse_text(src))
     with pytest.raises(AnalysisError, match="guard"):
         detect_loops(build_cfg(fn), fn)
+
+
+def test_random_cfgs_translate_or_are_rejected():
+    """Each of 5,000 random control-flow graphs (`llgen.gen_cfg`)
+    translates and reloads to the same definitions, or ends in an
+    AnalysisError.  `detect_loops` decides every loop rule, so nothing
+    later in the translator may fail on a graph it accepts.  The graphs
+    reach the loop rules: over a tenth translate, and irreducible flow and
+    a header with two back edges both occur."""
+    rng = random.Random(0xCF6)
+    outcomes = Counter()
+    for _ in range(5000):
+        text = gen_cfg(rng)
+        try:
+            program = translate_module(parse_text(text))
+        except AnalysisError as e:
+            outcomes["irreducible" if "irreducible" in str(e)
+                     else "two back edges" if "more than one back edge" in str(e)
+                     else "rejected"] += 1
+            continue
+        assert load_program(emit_sexpr(program)).defs == program.defs, text
+        outcomes["translated"] += 1
+    assert outcomes["translated"] >= 500, outcomes
+    assert outcomes["irreducible"] and outcomes["two back edges"], outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ reference model on randomized traces."""
 
 import random
 import re
+from array import array
 
 import pytest
 
@@ -11,7 +12,8 @@ from ll2fun import (
     make_state, parse_memory_image, rd_n, storebytes, update_retval, wr_n,
 )
 from ll2fun.state import (
-    PAGE_SIZE, Memory, RunMemory, alloca, load_word, store_word, wfrombytes, wtobytes,
+    PAGE_SIZE, Memory, RunMemory, _is_run, alloca, load_word, store_word, wfrombytes,
+    wtobytes,
 )
 
 
@@ -255,6 +257,29 @@ def test_memory_from_a_mapping_keeps_its_nonzero_bytes():
     assert len(mem) == 1 and mem == {0x11: 5} and mem != {0x10: 0, 0x11: 5}
     assert mem.get(0x10) is None and mem.get(0x10, 0) == 0 and 0x10 not in mem
     assert mem.get("x", 3) == 3 and mem.get(-1) is None and mem.get(1 << 32) is None
+
+
+@pytest.mark.parametrize("lo, n", [(0x2FFF0, 150_000), ((1 << 24) - 40_000, 80_000)])
+def test_memory_from_a_long_run_across_lane_boundaries(lo, n):
+    """A run of keys whose upper bytes change within it (past 2^16, and
+    past 2^24) is recognised as a run by its byte lanes, and converts to
+    the pages that the same bytes inserted in shuffled order, one byte at
+    a time, give; reads at the boundaries agree with the dict model."""
+    run = {a: a % 255 + 1 for a in range(lo, lo + n)}
+    keys = list(run)
+    random.Random(n).shuffle(keys)
+    shuffled = {a: run[a] for a in keys}
+    assert _is_run(array("I", run)) and not _is_run(array("I", shuffled))
+    order = list(run)  # a run but for two keys swapped across a 2^16 boundary
+    edge = order.index(lo + 0x10000 - (lo & 0xFFFF))
+    order[edge - 1], order[edge] = order[edge], order[edge - 1]
+    assert not _is_run(array("I", order))
+    paged = Memory(run)
+    assert paged.pages == Memory(shuffled).pages
+    _assert_same_mapping(paged, run)
+    boundaries = [lo, lo + n - 8, (lo | 0xFFFF) - 3, (lo | 0xFFFFFF) - 3]
+    for addr in boundaries + [lo - 4, lo + n - 4]:
+        assert rd_n(8, addr, paged) == rd_n(8, addr, run), hex(addr)
 
 
 @pytest.mark.parametrize("mem, message", [
