@@ -53,7 +53,15 @@ run's first store to it, and writes every store of the run into its own
 pages in place.  The loader only admits programs that thread the state
 linearly, so no state older than a store is ever read again; states
 passed in by the caller are never written, and a run that never stores
-never copies.
+never copies.  A fused store that a let binds in a loop whose step makes
+no call is inlined as one write into a page the run owns: the byte, a
+`struct` write of `state.PACK` at widths 2, 4 and 8, or a slice, behind
+one test that the loop's `_own` (`RunMemory.owned`) holds the page and
+that the n bytes lie in it, and no test of the address's range, since a
+page is owned only after a range-checked store into it.  The run's first
+store, its first to each page, a store across a page boundary or out of
+range, and every store of a traced run call `_store_word` instead, and
+the loop reads `_own` again after each.
 """
 
 from __future__ import annotations
@@ -71,7 +79,7 @@ from .fun_ir import (
 )
 from .prims import KINDS, PRIMS, STATE, decimal
 from . import state as st_mod
-from .state import ADDR_LIMIT, PAGE_BITS, PAGE_MASK, PAGE_SIZE, UNPACK, MachineState
+from .state import ADDR_LIMIT, PACK, PAGE_BITS, PAGE_MASK, PAGE_SIZE, UNPACK, MachineState
 
 # ---------------------------------------------------------------------------
 # Code generation
@@ -118,15 +126,27 @@ def _masked(e) -> bool:
     return type(e) is Prim and e.op == "bits" and e.args[2].value == 0 and e.args[1].value <= 31
 
 
-def _prims(e) -> set[str]:
-    """The primitives e applies, fused or not."""
-    ops, todo = set(), [e]
+def _nodes(e):
+    """e and every expression in it."""
+    todo = [e]
     while todo:
         e = todo.pop()
-        if type(e) is Prim:
-            ops.add(e.op)
+        yield e
         todo += [c for c, _ in children(e)]
-    return ops
+
+
+def _in_place(bound) -> bool:
+    """Is bound a store that a loop may write into its run's own page: a
+    fused store (storebytes n a (wtobytes n v) st) whose state is a
+    variable?"""
+    return (type(bound) is Prim and bound.op == "storebytes"
+            and _fused(bound.args[2], "wtobytes", bound.args[0]) and type(bound.args[3]) is Var)
+
+
+def _lets_in_place(body) -> bool:
+    """Does body let-bind a store that a loop may write in place?"""
+    return any(type(e) is LetStar and any(_in_place(b) for _, b in e.bindings)
+               for e in _nodes(body))
 
 
 def _page_read(n: int, page: str) -> str:
@@ -138,6 +158,17 @@ def _page_read(n: int, page: str) -> str:
     if n in UNPACK:
         return f"_unpack{n}({page}, _o)[0]"
     return f"_from_bytes({page}[_o:_o + {n}], 'little')"
+
+
+def _page_write(n: int, value: str) -> str:
+    """The statement that writes the n-byte natural value at offset `_o`
+    of the page `_w`: the byte itself, a `state.PACK` write, or a slice
+    and `int.to_bytes`."""
+    if n == 1:
+        return f"_w[_o] = {value}"
+    if n in PACK:
+        return f"_pack{n}(_w, _o, {value})"
+    return f"_w[_o:_o + {n}] = {value}.to_bytes({n}, 'little')"
 
 
 def _is_atom(code: str) -> bool:
@@ -220,6 +251,7 @@ class _Codegen:
         self.fused = False            # emitting a step body inside its loop
         self.masked: set[str] = set()  # locals the step body bound to a _masked value
         self.pages: str | None = None  # the page table a loop bound before its `while`
+        self.own = False               # the loop bound its run's own pages to `_own`
         self.param_locals = [_param_locals(d) for d in defs]
 
     # -- locals ------------------------------------------------------------
@@ -291,6 +323,9 @@ class _Codegen:
                 and _fused(bound.args[1], "loadbytes", bound.args[0])):
             self.load(name, bound.args[0].value, bound.args[1], env, indent)
             return
+        if self.own and _in_place(bound):
+            self.store(name, bound, env, indent)
+            return
         rhs = self.expr(bound, env)
         if _is_atom(rhs):  # a copy: later uses read the source directly
             env[name] = rhs
@@ -329,6 +364,32 @@ class _Codegen:
                        f"{indent}    {local} = {_page_read(n, page)}",
                        f"{indent}else:",
                        f"{indent}    {local} = _rd_n({n}, {addr}, {st}.mem)"]
+
+    def store(self, name: str, store: Prim, env: dict[str, str], indent: str):
+        """name = storebytes n a (wtobytes n v) st: one write into the page
+        of `_own`, the run's own pages, that holds the n bytes; else
+        `_store_word`, which copies the page table on the run's first
+        store and a page on the run's first store to it, writes across a
+        page boundary and raises the range fault, and after which `_own`
+        is read again."""
+        n = store.args[0].value
+        addr, value, st = (self.expr(x, env) for x in (store.args[1], store.args[2].args[1],
+                                                       store.args[3]))
+        if not _is_atom(addr):
+            self.lines.append(f"{indent}_a = {addr}")
+            addr = "_a"
+        env[name] = st  # no code reads a state after its store (the loader's linearity)
+        # A page is owned only after `_write_in_place` range-checked a store
+        # into it, so its number p is below 2^20, and a hit on `_own` with
+        # _o <= 4096 - n keeps the n bytes in [4096 p, 4096 (p + 1)): the
+        # address is at least 0 and the n bytes end at or below 2^32.
+        self.lines += [f"{indent}_o = {addr} & {PAGE_MASK}",
+                       f"{indent}_w = _own.get({addr} >> {PAGE_BITS})",
+                       f"{indent}if _w is not None and _o <= {PAGE_SIZE - n}:",
+                       f"{indent}    {_page_write(n, f'({value} & {(1 << 8 * n) - 1})')}",
+                       f"{indent}else:",
+                       f"{indent}    {st} = _store_word({n}, {addr}, {value}, {st})",
+                       f"{indent}    _own = _owned({st})"]
 
     def tail(self, e, env: dict[str, str], indent: str):
         out = self.lines
@@ -412,7 +473,19 @@ class _Codegen:
         `_c`.  A step that loads and makes no call and no store keeps its
         state's memory, so its loop reads the page table into `_pg` once,
         before the `while`: only a store gives a run a new `Memory`
-        (`state.RunMemory`), and every other state primitive keeps it."""
+        (`state.RunMemory`), and every other state primitive keeps it.
+
+        A step that makes no call, has one state parameter and let-binds a
+        fused store whose state is a variable (`_in_place`) writes each
+        such store that lies in one page the run owns straight into that
+        page (`store`): its loop reads the run's own pages into `_own`
+        before the `while` (`RunMemory.owned`: none unless the state holds
+        the run's memory and the run is not traced), and again after each
+        store that misses them and calls `_store_word`.  Every state in
+        such a step derives from its one state parameter, and the loader
+        admits only programs that thread the state linearly, so every
+        state the step's stores receive holds the memory that `_own` was
+        read from."""
         s = self.index[step.name]
         frame = [env[n] for n in d.param_names]
         args = ", ".join(frame)
@@ -423,10 +496,13 @@ class _Codegen:
         lines = self.lines
         lines.append("    _c = 0" if calls else "    _n = _it[0]")
         states = [local for local, kind in zip(frame, kinds) if KINDS[kind].sort == STATE]
-        ops = _prims(step.body)
+        ops = {e.op for e in _nodes(step.body) if type(e) is Prim}
         if not calls and len(states) == 1 and "loadbytes" in ops and "storebytes" not in ops:
             lines.append(f"    _pg = {states[0]}.mem.pages")
             self.pages = "_pg"
+        if not calls and len(states) == 1 and _lets_in_place(step.body):
+            lines.append(f"    _own = _owned({states[0]})")
+            self.own = True
         if recheck or self.unproven.results[step.name]:
             lines.append("    _chk = _checking")
         lines += ["    _tr = _trace", "    try:", f"        while {frame[0]} != 1:",
@@ -441,7 +517,7 @@ class _Codegen:
         self.finish = self.next_frame(step, s, frame)
         self.fused, self.masked = True, set()
         self.tail(step.body, dict(env), " " * 12)
-        self.fused, self.pages = False, None
+        self.fused, self.pages, self.own = False, None, False
         lines += [f"            if _tr: _show('<-', {s}, ({args},))", "    finally:"]
         if not calls:
             lines += ["        _c = _n - _it[0]", "        _it[0] = _n"]
@@ -525,6 +601,7 @@ _NAMESPACE = {p.template: p.ref for p in PRIMS.values()
 _NAMESPACE.update(_rd_n=st_mod.rd_n, _load=st_mod.load_word, _from_bytes=int.from_bytes,
                   _zero=st_mod.ZERO_PAGE, MachineState=MachineState)
 _NAMESPACE.update((f"_unpack{n}", unpack) for n, unpack in UNPACK.items())
+_NAMESPACE.update((f"_pack{n}", pack) for n, pack in PACK.items())
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +740,7 @@ class ProgramEvaluator:
         self._hooks = hooks = _Hooks(program, gen)
         memory = st_mod.RunMemory()
         self._ns = dict(_NAMESPACE, _memory=memory, _store_word=memory.store_word,
-                        _storebytes=memory.storebytes, _enter=hooks.enter,
+                        _storebytes=memory.storebytes, _owned=memory.owned, _enter=hooks.enter,
                         _leave=hooks.leave, _show=hooks.show, _bad=hooks.check,
                         _exhaust=hooks.exhaust,
                         _it=[0], _per_while={}, _hook=False, _checking=False,
@@ -704,6 +781,7 @@ class ProgramEvaluator:
         hooks.checking, hooks.trace, hooks.out = checking, trace, self.trace_out
         ns.update(_hook=checking or trace, _checking=checking, _trace=trace,
                   _limit=_NO_LIMIT if budget is None else budget)
+        ns["_memory"].traced = trace
         it, per_while = ns["_it"], ns["_per_while"]
         it[0] = 0
         per_while.clear()

@@ -30,7 +30,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import itemgetter
 
 from .errors import AnalysisError, LoadError, read_utf8
@@ -832,7 +832,7 @@ def _parse_def(form) -> FunDef:
         raise LoadError(f"expected (defun name (params) (declare ...) body), got {form!r:.80}")
     _, name, params, declare, body = form
     if not (isinstance(name, str) and isinstance(params, list)
-            and all(isinstance(p, str) for p in params)):
+            and all(map(isinstance, params, repeat(str)))):
         raise LoadError(f"malformed definition header for {name!r}")
     sig_ok = (isinstance(declare, list) and len(declare) == 2
               and declare[0] == "declare" and isinstance(declare[1], list)
@@ -844,8 +844,8 @@ def _parse_def(form) -> FunDef:
     if not sig or not isinstance(sig[0], list):
         raise LoadError(f"{name}: signature needs an input kind list")
     try:
-        in_kinds = tuple(_KIND_OF_PREDICATE[p] for p in sig[0])
-        out_kinds = tuple(_KIND_OF_PREDICATE[p] for p in sig[1:])
+        in_kinds = tuple(map(_KIND_OF_PREDICATE.__getitem__, sig[0]))
+        out_kinds = tuple(map(_KIND_OF_PREDICATE.__getitem__, sig[1:]))
     except (KeyError, TypeError):
         raise LoadError(f"{name}: unknown kind predicate in signature") from None
     if len(in_kinds) != len(params):

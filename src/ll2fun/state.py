@@ -4,10 +4,11 @@ Logically the memory is a finite map from 32-bit address to byte with a
 default of zero, and `Memory` presents it so: a read-only mapping of the
 nonzero bytes, in address order, equal to a plain dict of the same bytes.
 It is executed on 4 KiB `bytearray` pages, so a load within a page is one
-read of that page: a `struct` read at widths 1, 2, 4 and 8 (`UNPACK`),
-else one slice and `int.from_bytes` (Goel, Hunt & Kaufmann, *Abstract
-Stobjs and Their Application to ISA Modeling*, ACL2 Workshop 2013: a
-record-like view backed by arrays).  Pages hold only bytes, so a memory
+read of that page, and a compiled loop's store within a page that its
+run owns one write: a `struct` read at widths 1, 2, 4 and 8 (`UNPACK`)
+and write at 2, 4 and 8 (`PACK`), else one slice (Goel, Hunt &
+Kaufmann, *Abstract Stobjs and Their Application to ISA Modeling*, ACL2
+Workshop 2013: a record-like view backed by arrays).  Pages hold only bytes, so a memory
 built from a mapping whose values are not all bytes is refused when it
 is built.  Little-endian byte order throughout.
 
@@ -47,9 +48,13 @@ PAGE_BITS = 12
 PAGE_SIZE = 1 << PAGE_BITS
 PAGE_MASK = PAGE_SIZE - 1
 ZERO_PAGE = bytes(PAGE_SIZE)  # what a page no store has reached reads
-# The widths with a struct read: `UNPACK[n](page, o)[0]` is the little-endian
-# natural in page[o:o + n].  The other widths slice and `int.from_bytes`.
-UNPACK = {struct.calcsize(f"<{c}"): struct.Struct(f"<{c}").unpack_from for c in "BHIQ"}
+# The widths with a struct read and write: `UNPACK[n](page, o)[0]` is the
+# little-endian natural in page[o:o + n], and `PACK[n](page, o, v)` writes
+# v < 2^(8n) there (a compiled loop writes a byte as itself).  The other
+# widths slice, with `int.from_bytes` and `int.to_bytes`.
+_STRUCTS = {struct.calcsize(f"<{c}"): struct.Struct(f"<{c}") for c in "BHIQ"}
+UNPACK = {n: s.unpack_from for n, s in _STRUCTS.items()}
+PACK = {n: s.pack_into for n, s in _STRUCTS.items() if n > 1}
 
 # Empty tuple = no enclosing begin_stack_frame; otherwise (saved_frame, rest).
 FrameLinks = tuple
@@ -70,9 +75,10 @@ class Memory(Mapping):
 
     Only `_write_in_place` writes a memory, and only the code that built
     it calls it: the image parser before it returns the memory, and
-    `RunMemory` during its run.  A write copies a page first unless this
-    memory made that page itself (`_own`), so the memories it shares
-    pages with never change.
+    `RunMemory` during its run, whose compiled loops also write the pages
+    of `_own` directly (`RunMemory.owned`).  A write copies a page first
+    unless this memory made that page itself (`_own`), so the memories it
+    shares pages with never change.
     """
 
     __slots__ = ("pages", "_own", "_len")
@@ -393,12 +399,31 @@ class RunMemory:
     starts as None and `ProgramEvaluator.run` clears it again on every
     exit, so each run starts with no memory of its own, copies again,
     and the evaluator holds no memory between runs.
+
+    A compiled loop writes a store within one page straight into the
+    pages `owned` gives it, and calls `store_word` for every other store:
+    the run's first, its first to each page, one across a page boundary
+    and one that faults.  `owned` gives no pages in a traced run
+    (`traced`, which `run` sets): its trace lines count the memory's
+    bytes (`Memory._len`), which only `_write_in_place` keeps counted,
+    and the count may start after a loop has read `owned`.
     """
 
-    __slots__ = ("mem",)
+    __slots__ = ("mem", "traced")
 
     def __init__(self):
         self.mem: Memory | None = None
+        self.traced = False
+
+    def owned(self, st: MachineState) -> dict[int, bytearray]:
+        """The pages a store into st may write in place: the run's own
+        pages when st holds the run's memory, nothing counts its bytes
+        (`Memory._len`) and the run is not traced; else none.  The dict
+        grows as `store_word` copies pages into the run's memory."""
+        mem = st.mem
+        if mem is self.mem and mem._len is None and not self.traced:
+            return mem._own
+        return {}
 
     def store_word(self, n: int, addr: int, value: int,
                    st: MachineState) -> MachineState:

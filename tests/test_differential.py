@@ -368,6 +368,222 @@ def test_a_loop_binds_its_page_table_only_where_no_store_can_replace_it():
     assert 0 < faults < len(cases)
 
 
+def test_a_loop_writes_its_own_pages_only_untraced_and_where_its_step_makes_no_call():
+    """@stl's loop, whose step stores and makes no call, reads its run's
+    own pages into `_own` before its `while`, writes a store that hits
+    them into the page, and reads `_own` again after each `_store_word`.
+    An untraced run calls `_store_word` for the run's first store and its
+    first store to each page; a traced run calls it for every store.
+    @cll's step calls a storing callee and @fresh's loop does not store,
+    so neither loop reads `_own` or writes a page itself."""
+    ev = ProgramEvaluator(load_program(emit_sexpr(translate_module(parse_text(HOIST)))))
+    loops = {}
+    for name in ("stl", "cll", "fresh"):
+        loop = ev.source[ev.source.index(f"_{name}_step_0_while("):]
+        loops[name] = loop[:loop.index("\ndef ")]
+    stl = loops["stl"]
+    assert stl.index("    _own = _owned(v_st)\n") < stl.index("while ")
+    assert ("            _w = _own.get(v_slot >> 12)\n"
+            "            if _w is not None and _o <= 4088:\n"
+            "                _pack8(_w, _o, (v_w & 18446744073709551615))\n"
+            "            else:\n"
+            "                v_st = _store_word(8, v_slot, v_w, v_st)\n"
+            "                _own = _owned(v_st)\n") in stl
+    for name in ("cll", "fresh"):
+        assert "_own" not in loops[name] and " _w = " not in loops[name], name
+    calls = []
+    store_word = ev._ns["_store_word"]
+
+    def counted(*args):
+        calls.append(args[1])
+        return store_word(*args)
+    ev._ns["_store_word"] = counted
+    st = MachineState(stack=0xFFFF0000, frame=0xFFFF0000, mem={0x2ff8: 1})
+    n = 1000  # 8000 bytes from 0x2ff8: pages 2, 3 and 4
+    for trace in (False, True):
+        ev.trace_out = io.StringIO()
+        calls.clear()
+        res = ev.run("stl", (0x2ff8, n), st, checking=False, trace=trace)
+        assert res.state == interp_function(parse_text(HOIST), "stl", (0x2ff8, n), st)
+        assert calls == ([0x2ff8 + 8 * j for j in range(n)] if trace
+                         else [0x2ff8, 0x3000, 0x4000])
+
+
+# Loops whose stores a run writes into its own pages in place (`_own`).
+# @fill stores at a masked address, @walk at a phi slot, which an
+# unchecked run does not range-check, @twice stores twice into one word
+# and loads it, and @narrow stores 1, 2 and 4 bytes at byte strides.
+STORES = """define i64 @fill(i64* %p, i32 %n) {
+  %g = icmp eq i32 %n, 0
+  br i1 %g, label %done, label %loop
+
+loop:
+  %j = phi i64 [ %j.next, %loop ], [ 0, %0 ]
+  %acc = phi i64 [ %acc.next, %loop ], [ 0, %0 ]
+  %slot = getelementptr inbounds i64* %p, i64 %j
+  %j.3 = mul i64 %j, 3
+  %w = add i64 %j.3, 1
+  store i64 %w, i64* %slot, align 8
+  %acc.next = add i64 %acc, %w
+  %j.next = add i64 %j, 1
+  %j.32 = trunc i64 %j.next to i32
+  %exit = icmp eq i32 %j.32, %n
+  br i1 %exit, label %done, label %loop
+
+done:
+  %sum = phi i64 [ 0, %0 ], [ %acc.next, %loop ]
+  ret i64 %sum
+}
+
+define i64 @walk(i64* %p, i32 %n) {
+  %g = icmp eq i32 %n, 0
+  br i1 %g, label %done, label %loop
+
+loop:
+  %q = phi i64* [ %q.next, %loop ], [ %p, %0 ]
+  %j = phi i32 [ %j.next, %loop ], [ 0, %0 ]
+  %j.64 = zext i32 %j to i64
+  %v = xor i64 %j.64, 81985529216486895
+  store i64 %v, i64* %q, align 8
+  %q.next = getelementptr i64* %q, i64 1
+  %j.next = add i32 %j, 1
+  %exit = icmp eq i32 %j.next, %n
+  br i1 %exit, label %done, label %loop
+
+done:
+  %out = phi i32 [ 0, %0 ], [ %j.next, %loop ]
+  %r = zext i32 %out to i64
+  ret i64 %r
+}
+
+define i64 @twice(i64* %p, i32 %n) {
+  %g = icmp eq i32 %n, 0
+  br i1 %g, label %done, label %loop
+
+loop:
+  %j = phi i64 [ %j.next, %loop ], [ 0, %0 ]
+  %acc = phi i64 [ %acc.next, %loop ], [ 0, %0 ]
+  %slot = getelementptr inbounds i64* %p, i64 %j
+  store i64 %j, i64* %slot, align 8
+  %j.7 = mul i64 %j, 7
+  %u = add i64 %j.7, 2
+  store i64 %u, i64* %slot, align 8
+  %x = load i64* %slot, align 8
+  %acc.next = add i64 %acc, %x
+  %j.next = add i64 %j, 1
+  %j.32 = trunc i64 %j.next to i32
+  %exit = icmp eq i32 %j.32, %n
+  br i1 %exit, label %done, label %loop
+
+done:
+  %sum = phi i64 [ 0, %0 ], [ %acc.next, %loop ]
+  ret i64 %sum
+}
+
+define i64 @narrow(i8* %b, i16* %h, i32* %w, i32 %n) {
+  %g = icmp eq i32 %n, 0
+  br i1 %g, label %done, label %loop
+
+loop:
+  %j = phi i64 [ %j.next, %loop ], [ 0, %0 ]
+  %j.5 = mul i64 %j, 5
+  %x = add i64 %j.5, 3
+  %at.b = getelementptr inbounds i8* %b, i64 %j
+  %x.8 = trunc i64 %x to i8
+  store i8 %x.8, i8* %at.b
+  %at.h = getelementptr inbounds i16* %h, i64 %j
+  %y = mul i64 %x, 4099
+  %y.16 = trunc i64 %y to i16
+  store i16 %y.16, i16* %at.h
+  %at.w = getelementptr inbounds i32* %w, i64 %j
+  %z = mul i64 %y, 1000003
+  %z.32 = trunc i64 %z to i32
+  store i32 %z.32, i32* %at.w
+  %j.next = add i64 %j, 1
+  %j.32 = trunc i64 %j.next to i32
+  %exit = icmp eq i32 %j.32, %n
+  br i1 %exit, label %done, label %loop
+
+done:
+  ret i64 0
+}
+"""
+
+# @fill's store, with its state passed through (if c st st) first
+_FILL_STORE = "(st (storebytes 8 slot (wtobytes 8 w) st))"
+_FILL_STORE_VIA_IF = "(st (if (= j 0) st st))\n         " + _FILL_STORE
+
+
+def test_differential_fused_stores_in_loops():
+    """Loops whose stores the run writes into its own pages agree with the
+    reference interpreter in retval, memory, fault text and iteration
+    counts, in checked, unchecked, traced and budget-20 runs, and leave
+    the caller's memory and every one of its pages as they were.  The
+    stores straddle a page boundary, fault at the 2^32 edge from a masked
+    address and from a phi slot, reach a page first inside the loop,
+    write a page the caller's memory shares, store twice into a word that
+    the step then loads, and take their state through (if c st st)."""
+    module = parse_text(STORES)
+    text = emit_sexpr(translate_module(module))
+    assert text.count(_FILL_STORE) == 1
+    programs = [load_program(text), load_program(text.replace(_FILL_STORE, _FILL_STORE_VIA_IF))]
+    evs = [ProgramEvaluator(program) for program in programs]
+    for ev in evs:
+        for name in ("fill", "walk", "twice", "narrow"):
+            loop = ev.source[ev.source.index(f"_{name}_step_0_while("):]
+            loop = loop[:loop.index("\ndef ")]
+            assert "    _own = _owned(v_st)\n" in loop and "_w = _own.get(" in loop, name
+    assert "(v_st if " in evs[1].source
+    rng = random.Random(SEED + 7)
+    top = 1 << 32
+    mem = {a: rng.randrange(256) for a in range(0x1fc0, 0x2040)}
+    mem.update({a: rng.randrange(256) for a in range(0x5000, 0x5040)})
+    mem.update({a: rng.randrange(256) for a in range(top - 48, top)})
+    st = MachineState(retval=0, stack=0xFFFF0000, frame=0xFFFF0000, mem=mem)
+    pages = dict(st.mem.pages)
+    contents = {p: bytes(page) for p, page in pages.items()}
+    assert 3 not in pages  # the page that 0x2fe8 + 8 j reaches inside the loop
+    cases = [("fill", (p, n)) for p in (0x1ffc, 0x1fe0, 0x2fe8, 0x5008, top - 20, top - 40)
+             for n in (1, 5, 25)]
+    cases += [("walk", (p, n)) for p in (0x1ff9, 0x5000, top - 4 - 8 * 2, top - 4 - 8 * 22)
+              for n in (2, 4, 25)]
+    cases += [("twice", (p, n)) for p in (0x1ff0, 0x1ffd, 0x5018, top - 32) for n in (1, 6, 25)]
+    narrow = [(0x1ffe, 0x1ffd, 0x1ffa), (0x5000, 0x2ff1, 0x2fff), (top - 3, top - 9, top - 24)]
+    cases += [("narrow", (b, h, w, n)) for b, h, w in narrow for n in (3, 25)]
+    faults = 0
+    for name, args in cases:
+        reference = _outcome(lambda: interp_function(module, name, args, st))
+        faults += isinstance(reference, str)
+        while_def, n = f"{name}_step_0_while", args[-1]
+        for ev in evs if name == "fill" else evs[:1]:
+            stops = set()  # the iteration each run ended in
+            for checking, trace in ((True, False), (False, False), (False, True)):
+                ev.trace_out = io.StringIO()
+                try:
+                    res = ev.run(name, args, st, checking=checking, trace=trace)
+                except EvalFault as e:
+                    fault = re.fullmatch(rf"(.*) \[entry {name}, step (\d+)\]", str(e))
+                    assert fault and fault[1] == reference, (name, args, str(e), reference)
+                    stops.add(int(fault[2]))
+                else:
+                    assert res.state == reference, (name, args, checking, trace)
+                    assert res.per_while == {while_def: n}
+                    stops.add(n)
+                if trace:
+                    assert ev.trace_out.getvalue().count(f"-> {name}_step_0 ") == max(stops)
+            assert len(stops) == 1, (name, args, stops)
+            stop = stops.pop()
+            if stop > 20:
+                with pytest.raises(BudgetExhausted) as err:
+                    ev.run(name, args, st, budget=20)
+                assert err.value.counts == {while_def: 21}
+            else:
+                assert _outcome(lambda: ev.run(name, args, st, budget=20).state) == reference
+        assert st.mem.pages == pages and all(st.mem.pages[p] is page for p, page in pages.items())
+        assert {p: bytes(page) for p, page in pages.items()} == contents
+    assert 0 < faults < len(cases)
+
+
 def test_reference_interpreter_budget():
     from ll2fun.errors import BudgetExhausted
     src = """define i64 @gen(i64 %val, i32 %n, i64* %array) {

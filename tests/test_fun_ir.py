@@ -884,6 +884,9 @@ _LOADER_REJECTIONS = {
     "no input kinds": (_fun("st", sig="()"), "f: signature needs an input kind list"),
     "unknown kind": (_fun("st", sig="((foo_p stp) stp)"),
                      "f: unknown kind predicate in signature"),
+    "kind list for a kind": (_fun("st", sig="(((natp) stp) stp)"),
+                             "f: unknown kind predicate in signature"),
+    "list for a parameter": (_fun("st", "(x) st"), "malformed definition header for 'f'"),
     "repeated": (_fun("st") + "\n" + _fun("st"), "definition f repeated"),
     "state not last": (_fun("(update-retval 0 st)", "st x", "((stp natp) stp)"),
                        "f: last parameter must be the machine state"),

@@ -196,6 +196,24 @@ def test_plain_storebytes_of_loadbytes_stores_in_place(monkeypatch):
         _assert_unchanged(st, snapshot)
 
 
+def test_run_memory_offers_its_own_pages_only_to_its_own_states():
+    """`RunMemory.owned` gives a compiled loop the pages it may write in
+    place: none before the run's first store, the run memory's own pages
+    to a state that holds it, and none to a state of another memory (an
+    image's memory owns its pages too), once the run memory's bytes are
+    counted, or in a traced run."""
+    run = st_mod.RunMemory()
+    st = make_state(mem=st_mod.parse_memory_image("w 8 0x1000 5"))
+    assert st.mem._own and run.owned(st) == {}
+    after = run.store_word(8, 0x1008, 7, st)
+    assert run.owned(after) is after.mem._own and list(after.mem._own) == [1]
+    assert run.owned(st) == {}
+    run.traced = True
+    assert run.owned(after) == {}
+    run.traced = False
+    assert len(after.mem) == 2 and run.owned(after) == {}
+
+
 # ---------------------------------------------------------------------------
 # Cost: O(bytes stored)
 # ---------------------------------------------------------------------------

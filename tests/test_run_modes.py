@@ -27,7 +27,7 @@ from test_linear_state import FILL_LL  # noqa: E402
 
 from ll2fun import (  # noqa: E402
     BudgetExhausted, EvalFault, FunProgram, Ll2FunError, LoadError, emit_sexpr, load_program,
-    make_state, parse_file, parse_text, translate_module, validate_program,
+    make_state, parse_file, parse_text, translate_module, validate_program, wr_n,
 )
 from ll2fun import evaluator  # noqa: E402
 from ll2fun.cli import main  # noqa: E402
@@ -596,6 +596,97 @@ def test_a_masked_address_is_known_in_its_own_branch_only():
     with pytest.raises(EvalFault, match=r"^rd_n: address range \[0x100000003, 0x10000000b\) "
                        r"exceeds 32-bit memory \[entry peek, step 1\]$"):
         ev.run("peek", ((1 << 32) + 3,), st, checking=False)
+
+
+_POKE_A, _POKE_B = 40503, (1 << 63) + 5  # poke's values: a * _POKE_A and b + _POKE_B
+
+
+def _poke(n: int) -> ProgramEvaluator:
+    """poke: a loop of one iteration over (done a b st) whose step stores
+    the n bytes of a * _POKE_A at a, then those of b + _POKE_B at b."""
+    return ProgramEvaluator(load_program(f"""(defun poke_step_0 (done a b st)
+  (declare (xargs :signature ((natp natp natp stp) natp natp natp stp)))
+  (let* ((st (storebytes {n} a (wtobytes {n} (* a {_POKE_A})) st))
+         (st (storebytes {n} b (wtobytes {n} (+ b {_POKE_B})) st))
+         (done 1))
+    (mvlist done a b st)))
+
+(defun-general poke_step_0_while (done a b st)
+  (declare (xargs :signature ((natp natp natp stp) natp natp stp)))
+  (if (= done 1)
+      (mvlist a b st)
+    (metlist ((done a b st)
+              (poke_step_0 done a b st))
+      (poke_step_0_while done a b st))))
+
+(defun poke_continue_0 (a b st)
+  (declare (xargs :signature ((natp natp stp) stp)))
+  st)
+
+(defun poke_step_0_while_wrap (a b st)
+  (declare (xargs :signature ((natp natp stp) stp)))
+  (metlist ((a b st)
+            (poke_step_0_while 0 a b st))
+    (poke_continue_0 a b st)))
+
+(defun poke (a b st)
+  (declare (xargs :signature ((natp natp stp) stp)))
+  (let* ((done 0))
+    (if (= done 1)
+        (poke_continue_0 a b st)
+      (poke_step_0_while_wrap a b st))))
+"""))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_in_place_store_matches_wr_n_and_its_faults(n):
+    """A loop writes a store that lies in a page its run already owns into
+    that page: the byte itself, a `state.PACK` write or a slice and
+    `int.to_bytes`.  poke's first store makes the run's memory and copies
+    a's page through `_store_word`; its second, at b, is written in place
+    where b's n bytes lie in that page, and otherwise (another page, a page
+    boundary, past 2^32, or below 0 in an unchecked run) goes through
+    `_store_word`, which writes or faults as wr_n does.  Checked,
+    unchecked and traced runs give the same memory, and only untraced runs
+    write in place."""
+    write = ("_w[_o] = " if n == 1 else f"_pack{n}(_w, _o, " if n in (2, 4, 8)
+             else f"_w[_o:_o + {n}] = ")
+    ev = _poke(n)
+    assert f"if _w is not None and _o <= {4096 - n}:\n                {write}" in ev.source
+    top, a = 1 << 32, 0x1010
+    mem = {x: (x * 7) % 251 + 1 for x in range(0x1000, 0x1040)}
+    mem.update({x: (x * 11) % 251 + 1 for x in range(0x1fe0, 0x2020)})
+    mem.update({x: (x * 13) % 251 + 1 for x in range(top - 16, top)})
+    st = make_state(mem=mem)
+    pages = {p: bytes(page) for p, page in st.mem.pages.items()}
+    calls = []
+    store_word = ev._ns["_store_word"]
+
+    def counted(*args):
+        calls.append(args[1])
+        return store_word(*args)
+    ev._ns["_store_word"] = counted
+    same_page = [a, a + 3, a + 4096 - n - 16, 0x2000 - n]
+    other = [0x1fff, 0x2004, 0x7000, top - n]
+    faults = [top - n + 1, top - 1, a + top, -1, -top + a]
+    for b in same_page + other + faults:
+        try:
+            want = wr_n(n, b, b + _POKE_B, wr_n(n, a, a * _POKE_A, mem))
+        except EvalFault as e:
+            want = f"{e} [entry poke, step 1]"
+        for checking, trace in ((True, False), (False, False), (False, True)):
+            if b < 0 and checking:
+                continue  # a checked run refuses the argument
+            calls.clear()
+            ev.trace_out = io.StringIO()
+            try:
+                got = ev.run("poke", (a, b), st, checking=checking, trace=trace).state.mem
+            except EvalFault as e:
+                got = str(e)
+            assert got == want, (hex(b), checking, trace)
+            direct = not trace and (b in same_page or n == 1 and b == 0x1fff)
+            assert calls == ([a] if direct else [a, b]), (hex(b), trace)
+    assert {p: bytes(page) for p, page in st.mem.pages.items()} == pages
 
 
 # ---------------------------------------------------------------------------

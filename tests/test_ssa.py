@@ -1,5 +1,6 @@
 """CFG construction, block signatures, loop detection, and emission order."""
 
+import hashlib
 import pathlib
 import random
 import sys
@@ -408,28 +409,41 @@ out:
         detect_loops(build_cfg(fn), fn)
 
 
+# sha256 over the outcomes of test_random_cfgs_translate_or_are_rejected,
+# and their classes
+_CFG_DIGEST = "dab5d28e2fc4b257660902102c01e4c552e02624ca05f57767f8d765aada84e3"
+_CFG_COUNTS = {"irreducible": 1635, "rejected": 1588, "two back edges": 1004, "translated": 773}
+
+
 def test_random_cfgs_translate_or_are_rejected():
     """Each of 5,000 random control-flow graphs (`llgen.gen_cfg`)
     translates and reloads to the same definitions, or ends in an
     AnalysisError.  `detect_loops` decides every loop rule, so nothing
     later in the translator may fail on a graph it accepts.  The graphs
     reach the loop rules: over a tenth translate, and irreducible flow and
-    a header with two back edges both occur."""
+    a header with two back edges both occur.  Every outcome is pinned by
+    digest: the error's class and message, or a hash of the emitted
+    .fun."""
     rng = random.Random(0xCF6)
-    outcomes = Counter()
+    outcomes, counts = [], Counter()
     for _ in range(5000):
         text = gen_cfg(rng)
         try:
             program = translate_module(parse_text(text))
         except AnalysisError as e:
-            outcomes["irreducible" if "irreducible" in str(e)
-                     else "two back edges" if "more than one back edge" in str(e)
-                     else "rejected"] += 1
+            outcomes.append(f"{type(e).__name__}: {e}")
+            counts["irreducible" if "irreducible" in str(e)
+                   else "two back edges" if "more than one back edge" in str(e)
+                   else "rejected"] += 1
             continue
-        assert load_program(emit_sexpr(program)).defs == program.defs, text
-        outcomes["translated"] += 1
-    assert outcomes["translated"] >= 500, outcomes
-    assert outcomes["irreducible"] and outcomes["two back edges"], outcomes
+        fun = emit_sexpr(program)
+        assert load_program(fun).defs == program.defs, text
+        outcomes.append("translated " + hashlib.sha256(fun.encode()).hexdigest())
+        counts["translated"] += 1
+    assert counts["translated"] >= 500, counts
+    assert counts["irreducible"] and counts["two back edges"], counts
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert (digest, dict(counts)) == (_CFG_DIGEST, _CFG_COUNTS)
 
 
 # ---------------------------------------------------------------------------
