@@ -72,10 +72,10 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .collector import collector_paused
 from .errors import BudgetExhausted, EvalFault, LoadError, SignatureViolation
 from .fun_ir import (
-    Call, Const, FunDef, FunProgram, If, LetStar, Metlist, Mvlist, Prim, Var,
-    children, collector_paused,
+    Call, Const, FunDef, FunProgram, If, LetStar, Metlist, Mvlist, Prim, Var, children,
 )
 from .prims import KINDS, PRIMS, STATE, decimal
 from . import state as st_mod

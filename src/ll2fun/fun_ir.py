@@ -23,16 +23,15 @@ Output is deterministic and reparses to the same program.
 
 from __future__ import annotations
 
-import gc
 import math
 import re
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import groupby, repeat
 from operator import itemgetter
 
+from .collector import collector_paused
 from .errors import AnalysisError, LoadError, read_utf8
 from .ll_parser import (
     BasicBlock, Instruction, LlvmFunction, LlvmModule, Operand, Reg, Ret,
@@ -117,23 +116,6 @@ def var(name: str) -> Var:
 def const(value: int) -> Const:
     """The one `Const` for value; see `var`."""
     return Const(value)
-
-
-@contextmanager
-def collector_paused():
-    """Pause CPython's cyclic collector while a program is built.  A build
-    allocates many long-lived objects and no cycles, so collections during
-    it scan the growing program again and again and free nothing; the
-    objects are scanned once, by the first young collection after it.  The
-    collector is re-enabled only if it was on at entry, so a nested use or
-    a caller that turned it off is left as it was."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import functools
 import re
+from collections import Counter
+from collections.abc import Collection
 from dataclasses import dataclass, field, replace
 
+from .collector import collector_paused
 from .errors import LexError, ParseError, UnsupportedConstructError, read_utf8
 
 WIDTHS = (1, 8, 16, 32, 64)
@@ -62,77 +65,99 @@ ATTRIBUTE_WORDS = frozenset({
 # Tokens
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # keyword | local | global | label | int | type | punct | string | metadata
-    text: str
-    line: int
-    col: int
-
-    def __repr__(self):
-        return f"{self.kind}({self.text!r})@{self.line}:{self.col}"
-
-
-# One alternative per token class, tried in order; `skip` is whitespace and
-# comments.  Every class is ASCII: any other character is illegal.
+# One match per token: the whitespace and comments before it (group 1,
+# dropped), then one alternative per token class, named after the kind it
+# yields and capturing the token's text without sigil, colon or quotes.
+# Every class is ASCII: any other character is illegal.  `end` matches
+# once, after the last token, so trailing whitespace is read only once.
 _LL_TOKEN = re.compile(r"""
-    (?P<skip>[ \t\r\n]+|;[^\n]*)
-  | (?P<name>[%@](?:[0-9]+|[A-Za-z$._][A-Za-z0-9$._]*))
-  | (?P<metadata>![A-Za-z0-9$._]*|\#[0-9]*)
-  | (?P<string>"[^"\n]*")
-  | (?P<int>-?[0-9]+)
-  | (?P<word>[A-Za-z$._][A-Za-z0-9$._]*:?)
-  | (?P<punct>[(){}\[\],=*<>])
-  | (?P<colon>:)
-  | (?P<dangling>[%@-])
-  | (?P<unterminated>")
-  | (?P<illegal>.)
-""", re.VERBOSE | re.DOTALL)
+    ((?:[ \t\r\n]+|;[^\n]*)*)
+    (?:
+        %(?P<local>[0-9]+|[A-Za-z$._][A-Za-z0-9$._]*)
+      | (?P<punct>[(){}\[\],=*<>])
+      | (?P<type>i[0-9]+)(?![A-Za-z0-9$._:])
+      | (?P<label>[A-Za-z$._][A-Za-z0-9$._]*):
+      | (?P<keyword>[A-Za-z$._][A-Za-z0-9$._]*)
+      | (?P<int>-?[0-9]+)
+      | @(?P<global>[0-9]+|[A-Za-z$._][A-Za-z0-9$._]*)
+      | !(?P<metadata>[A-Za-z0-9$._]*)
+      | (?P<attribute_group>\#[0-9]*)
+      | "(?P<string>[^"\n]*)"
+      | (?P<colon>:)
+      | (?P<dangling>[%@-])
+      | (?P<unterminated>")
+      | (?P<illegal>.)
+      | (?P<end>\Z)
+    )""", re.VERBOSE | re.DOTALL)
+
+_KINDS = frozenset({
+    "keyword", "local", "global", "label", "int", "type", "punct", "string", "metadata"})
+_LEX_ERRORS = {"dangling": "dangling '{}'", "unterminated": "unterminated string",
+               "illegal": "illegal character {!r}"}
 
 
-def tokenize(source: str) -> list[Token]:
-    """Split .ll text into tokens; comments (';' to end of line) and
-    whitespace are dropped.  Raises LexError with position on an illegal
-    character."""
-    toks: list[Token] = []
-    line, line_start = 1, 0  # line_start: index of the line's first character
+class Tokens:
+    """The tokens of one .ll source as three parallel lists: each token's
+    kind (keyword | local | global | label | int | type | punct | string |
+    metadata), its text, and the offset of its first character in source.
+    Line and column are derived from the offset where they are reported."""
+
+    __slots__ = ("source", "kinds", "texts", "starts")
+
+    def __init__(self, source: str, kinds: list[str], texts: list[str], starts: list[int]):
+        self.source = source
+        self.kinds = kinds
+        self.texts = texts
+        self.starts = starts
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def position(self, i: int) -> tuple[int, int]:
+        """Line and column, both from 1, of token i."""
+        return _line_col(self.source, self.starts[i])
+
+    def rows(self) -> list[tuple[str, str, int, int]]:
+        """(kind, text, line, col) of every token, in order."""
+        source, rows, line, seen = self.source, [], 1, 0
+        for kind, text, start in zip(self.kinds, self.texts, self.starts):
+            line += source.count("\n", seen, start)
+            seen = start
+            rows.append((kind, text, line, start - source.rfind("\n", 0, start)))
+        return rows
+
+
+def _line_col(source: str, offset: int) -> tuple[int, int]:
+    """Line and column, both from 1, of the character at offset."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+
+
+def tokenize(source: str) -> Tokens:
+    """Split .ll text into tokens in one pass of `_LL_TOKEN`, building no
+    object per token; comments (';' to end of line) and whitespace are
+    dropped.  Raises LexError, with line:col, on a character that starts
+    no token."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
     for m in _LL_TOKEN.finditer(source):
-        kind, text = m.lastgroup, m[0]
-        if kind == "skip":
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
-                line_start = m.start() + text.rindex("\n") + 1
+        kind = m.lastgroup
+        if kind in _KINDS:
+            kinds.append(kind)
+        elif kind == "attribute_group":
+            kinds.append("metadata")
+        elif kind == "end":
+            break
+        elif kind == "colon":  # numeric labels arrive as int followed by ':'
+            if not kinds or kinds[-1] != "int" or texts[-1][0] == "-":
+                raise LexError("unexpected ':'", *_line_col(source, m.end(1)))
+            kinds[-1] = "label"
             continue
-        col = m.start() - line_start + 1
-        if kind == "name":
-            kind, text = ("local" if text[0] == "%" else "global"), text[1:]
-        elif kind == "metadata" and text[0] == "!":
-            text = text[1:]
-        elif kind == "string":
-            text = text[1:-1]
-        elif kind == "word":
-            if text[-1] == ":":
-                kind, text = "label", text[:-1]
-            elif len(text) > 1 and text[0] == "i" and text[1:].isdigit():
-                kind = "type"
-            else:
-                kind = "keyword"
-        elif kind == "colon":
-            # numeric labels arrive as int followed by ':'
-            prev = toks[-1] if toks else None
-            if prev is None or prev.kind != "int" or "-" in prev.text:
-                raise LexError("unexpected ':'", line, col)
-            toks[-1] = Token("label", prev.text, prev.line, prev.col)
-            continue
-        elif kind == "dangling":
-            raise LexError(f"dangling '{text}'", line, col)
-        elif kind == "unterminated":
-            raise LexError("unterminated string", line, col)
-        elif kind == "illegal":
-            raise LexError(f"illegal character {text!r}", line, col)
-        toks.append(Token(kind, text, line, col))
-    return toks
+        else:
+            raise LexError(_LEX_ERRORS[kind].format(m[kind]), *_line_col(source, m.end(1)))
+        texts.append(m[kind])
+        starts.append(m.end(1))
+    return Tokens(source, kinds, texts, starts)
 
 
 # ---------------------------------------------------------------------------
@@ -304,56 +329,75 @@ def mangle_label(label: str) -> str:
 # ---------------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.toks = tokens
+    """Recursive descent over the flat lists of `Tokens`.  A token is its
+    index into them; `pos` is the next token's."""
+
+    def __init__(self, tokens: Tokens):
+        self.tokens = tokens
+        self.end = len(tokens)
+        # two entries past the end, so that peek(1) reads no bound
+        self.kinds = tokens.kinds + [None, None]
+        self.texts = tokens.texts + ["", ""]
+        self.starts = tokens.starts + [len(tokens.source)] * 2
         self.pos = 0
         self.label = ""  # the label of the block being parsed
-        self.phi_labels: list[tuple[str, Token]] = []  # (block, predecessor) of the function's phis
+        # (block, predecessor token) of the function's phis
+        self.phi_labels: list[tuple[str, int]] = []
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token | None:
-        i = self.pos + ahead
-        return self.toks[i] if i < len(self.toks) else None
+    def peek(self, ahead: int = 0) -> str | None:
+        """The kind of the token ahead of pos, None past the end."""
+        return self.kinds[self.pos + ahead]
 
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
+    def next(self) -> int:
+        if self.pos == self.end:
             raise ParseError("unexpected end of input")
         self.pos += 1
-        return tok
+        return self.pos - 1
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == kind and (text is None or tok.text == text)
+        return self.kinds[self.pos] == kind and (text is None or self.texts[self.pos] == text)
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"expected {text or kind}, found end of input")
-        if tok.kind != kind or (text is not None and tok.text != text):
-            raise ParseError(f"expected {text or kind}, found {tok.text!r}", tok.line, tok.col)
+    def keyword_in(self, i: int, words: Collection[str]) -> bool:
+        """Whether token i is a keyword in words."""
+        return self.kinds[i] == "keyword" and self.texts[i] in words
+
+    def expect(self, kind: str, text: str | None = None) -> int:
+        i = self.pos
+        if self.kinds[i] != kind or (text is not None and self.texts[i] != text):
+            if i == self.end:
+                raise ParseError(f"expected {text or kind}, found end of input")
+            raise ParseError(f"expected {text or kind}, found {self.texts[i]!r}",
+                             *self.tokens.position(i))
         self.pos += 1
-        return tok
+        return i
 
-    def fail(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        if tok is None:
-            raise ParseError(message)
-        raise ParseError(f"{message} (at {tok.text!r})", tok.line, tok.col)
+    def expect_text(self, kind: str) -> str:
+        return self.texts[self.expect(kind)]
 
-    @staticmethod
-    def number(tok: Token, digits: str) -> int:
+    def line_end(self, i: int) -> int:
+        """The offset of the newline that ends token i's line, or of the
+        end of input: a later token is on i's line if it starts before."""
+        end = self.tokens.source.find("\n", self.starts[i])
+        return len(self.tokens.source) if end < 0 else end
+
+    def fail(self, message: str, i: int | None = None, error: type[ParseError] = ParseError):
+        """Raise error at token i, or at pos."""
+        i = self.pos if i is None else i
+        if i == self.end:
+            raise error(message)
+        raise error(f"{message} (at {self.texts[i]!r})", *self.tokens.position(i))
+
+    def unsupported(self, message: str, i: int | None = None):
+        self.fail(message, i, UnsupportedConstructError)
+
+    def number(self, i: int, digits: str) -> int:
         try:
             return int(digits)
         except ValueError:  # longer than int()'s digit limit
-            raise ParseError(f"bad number {tok.text[:40]!r}", tok.line, tok.col) from None
-
-    def unsupported(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        if tok is None:
-            raise UnsupportedConstructError(message)
-        raise UnsupportedConstructError(f"{message} (at {tok.text!r})", tok.line, tok.col)
+            raise ParseError(f"bad number {self.texts[i][:40]!r}",
+                             *self.tokens.position(i)) from None
 
     # -- module ------------------------------------------------------------
 
@@ -361,66 +405,65 @@ class _Parser:
         functions: list[LlvmFunction] = []
         aliases: dict[str, str] = {}
         notes: list[str] = []
-        while self.peek() is not None:
-            tok = self.peek()
-            if tok.kind == "keyword" and tok.text == "define":
+        while (kind := self.peek()) is not None:
+            text = self.texts[self.pos]
+            if kind == "keyword" and text == "define":
                 functions.append(self.parse_function())
-            elif tok.kind == "keyword" and tok.text == "target":
+            elif kind == "keyword" and text == "target":
                 notes.append(self.parse_target_line())
-            elif tok.kind == "global":
+            elif kind == "global":
                 self.parse_alias(aliases)
-            elif tok.kind == "keyword" and tok.text == "attributes":
+            elif kind == "keyword" and text == "attributes":
                 self.skip_attribute_group()
-            elif tok.kind == "metadata":
+            elif kind == "metadata":
                 self.skip_metadata_line()
-            elif tok.kind == "keyword" and tok.text in UNSUPPORTED_KEYWORDS:
-                self.unsupported(f"module-level construct '{tok.text}' is outside the subset")
+            elif kind == "keyword" and text in UNSUPPORTED_KEYWORDS:
+                self.unsupported(f"module-level construct '{text}' is outside the subset")
             else:
                 self.fail("expected a module-level item")
-        names = [f.name for f in functions]
-        if len(set(names)) != len(names):
-            dup = next(n for n in names if names.count(n) > 1)
+        dup = _first_repeated([f.name for f in functions])
+        if dup is not None:
             raise ParseError(f"function @{dup} defined more than once")
         module = LlvmModule(tuple(functions), aliases, tuple(notes))
         _validate_module(module)
         return module
 
     def parse_target_line(self) -> str:
-        kw = self.expect("keyword", "target")
+        self.expect("keyword", "target")
         what = self.next()
-        if what.kind != "keyword" or what.text not in ("datalayout", "triple"):
+        if not self.keyword_in(what, ("datalayout", "triple")):
             self.fail("expected 'datalayout' or 'triple' after 'target'", what)
         self.expect("punct", "=")
         s = self.next()
-        if s.kind != "string":
+        if self.kinds[s] != "string":
             self.fail("expected a string after 'target ... ='", s)
-        return f'target {what.text} = "{s.text}"'
+        return f'target {self.texts[what]} = "{self.texts[s]}"'
 
     def parse_alias(self, aliases: dict[str, str]):
-        name_tok = self.expect("global")
+        name = self.expect("global")
         self.expect("punct", "=")
         saw_alias = False
-        while self.at("keyword") and (self.peek().text in ATTRIBUTE_WORDS or self.peek().text == "alias"):
-            if self.next().text == "alias":
+        while self.keyword_in(self.pos, ATTRIBUTE_WORDS | {"alias"}):
+            if self.texts[self.next()] == "alias":
                 saw_alias = True
                 break
         if not saw_alias:
             self.unsupported("global definitions other than aliases are outside the subset",
-                             name_tok)
+                             name)
         # Aliases occupy one source line; the last global token on the line
         # names the target, everything before it is type noise we discard.
-        line = name_tok.line
-        target: Token | None = None
-        while self.peek() is not None and self.peek().line == line:
-            tok = self.next()
-            if tok.kind == "global":
-                target = tok
+        line_end = self.line_end(name)
+        target: int | None = None
+        while self.starts[self.pos] < line_end:
+            i = self.next()
+            if self.kinds[i] == "global":
+                target = i
         if target is None:
-            self.fail("alias needs a global target on the same line", name_tok)
-        if name_tok.text in aliases:
-            raise ParseError(f"alias @{name_tok.text} defined more than once",
-                             name_tok.line, name_tok.col)
-        aliases[name_tok.text] = target.text
+            self.fail("alias needs a global target on the same line", name)
+        if self.texts[name] in aliases:
+            raise ParseError(f"alias @{self.texts[name]} defined more than once",
+                             *self.tokens.position(name))
+        aliases[self.texts[name]] = self.texts[target]
 
     def skip_attribute_group(self):
         self.expect("keyword", "attributes")
@@ -429,39 +472,39 @@ class _Parser:
         self.expect("punct", "{")
         depth = 1
         while depth:
-            tok = self.next()
-            if tok.kind == "punct" and tok.text == "{":
+            i = self.next()
+            if self.kinds[i] == "punct" and self.texts[i] == "{":
                 depth += 1
-            elif tok.kind == "punct" and tok.text == "}":
+            elif self.kinds[i] == "punct" and self.texts[i] == "}":
                 depth -= 1
 
     def skip_metadata_line(self):
-        line = self.next().line  # leading !name / !N
-        while self.peek() is not None and self.peek().line == line:
-            self.next()
+        line_end = self.line_end(self.next())  # leading !name / !N
+        while self.starts[self.pos] < line_end:
+            self.pos += 1
 
     # -- types -------------------------------------------------------------
 
     def parse_int_width(self, *, context: str) -> int:
-        tok = self.next()
-        if tok.kind != "type":
-            if tok.kind == "keyword" and tok.text in UNSUPPORTED_KEYWORDS:
-                self.unsupported(f"type '{tok.text}' in {context} is outside the subset", tok)
-            if tok.kind == "punct" and tok.text == "<":
-                self.unsupported(f"vector type in {context} is outside the subset", tok)
-            self.fail(f"expected an integer type in {context}", tok)
-        width = self.number(tok, tok.text[1:])
+        i = self.next()
+        if self.kinds[i] != "type":
+            if self.keyword_in(i, UNSUPPORTED_KEYWORDS):
+                self.unsupported(f"type '{self.texts[i]}' in {context} is outside the subset", i)
+            if self.kinds[i] == "punct" and self.texts[i] == "<":
+                self.unsupported(f"vector type in {context} is outside the subset", i)
+            self.fail(f"expected an integer type in {context}", i)
+        width = self.number(i, self.texts[i][1:])
         if width not in WIDTHS:
             raise UnsupportedConstructError(
                 f"integer width i{width} in {context} is outside the subset (use i1/i8/i16/i32/i64)",
-                tok.line, tok.col)
+                *self.tokens.position(i))
         return width
 
     def parse_value_kind(self, *, context: str) -> str:
         """iN or iN* — returns 'iN' or 'addr'."""
         width = self.parse_int_width(context=context)
         if self.at("punct", "*"):
-            self.next()
+            self.pos += 1
             if self.at("punct", "*"):
                 self.unsupported(f"multi-level pointer in {context} is outside the subset")
             return "addr"
@@ -470,19 +513,19 @@ class _Parser:
     # -- operands ------------------------------------------------------------
 
     def parse_operand(self, kind: str, *, context: str) -> Operand:
-        tok = self.next()
-        if tok.kind == "local":
-            return Reg(tok.text)
-        if tok.kind == "int":
-            value = self.number(tok, tok.text) % (1 << width_of(kind))
-            return Const(value)
-        if tok.kind == "keyword" and tok.text in ("true", "false"):
+        i = self.next()
+        tok_kind, text = self.kinds[i], self.texts[i]
+        if tok_kind == "local":
+            return Reg(text)
+        if tok_kind == "int":
+            return Const(self.number(i, text) % (1 << width_of(kind)))
+        if tok_kind == "keyword" and text in ("true", "false"):
             if kind != "i1":
-                self.fail(f"boolean literal for non-i1 operand in {context}", tok)
-            return Const(1 if tok.text == "true" else 0)
-        if tok.kind == "keyword" and tok.text in ("null", "undef", "poison", "zeroinitializer"):
-            self.unsupported(f"'{tok.text}' operand in {context} is outside the subset", tok)
-        self.fail(f"expected a register or integer constant in {context}", tok)
+                self.fail(f"boolean literal for non-i1 operand in {context}", i)
+            return Const(1 if text == "true" else 0)
+        if tok_kind == "keyword" and text in ("null", "undef", "poison", "zeroinitializer"):
+            self.unsupported(f"'{text}' operand in {context} is outside the subset", i)
+        self.fail(f"expected a register or integer constant in {context}", i)
 
     # -- functions -----------------------------------------------------------
 
@@ -492,19 +535,18 @@ class _Parser:
         ret_width = self.parse_int_width(context="function return type")
         if self.at("punct", "*"):
             self.unsupported("pointer return types are outside the subset")
-        name = self.expect("global").text
+        name = self.expect_text("global")
         self.expect("punct", "(")
         params: list[tuple[str, str]] = []
         if not self.at("punct", ")"):
             while True:
                 kind = self.parse_value_kind(context=f"parameters of @{name}")
                 self.skip_words(ATTRIBUTE_WORDS, numbers=True)
-                ptok = self.peek()
-                if ptok is None or ptok.kind != "local":
-                    self.unsupported(f"unnamed parameters of @{name} are outside the subset", ptok)
-                params.append((self.next().text, kind))
+                if not self.at("local"):
+                    self.unsupported(f"unnamed parameters of @{name} are outside the subset")
+                params.append((self.texts[self.next()], kind))
                 if self.at("punct", ","):
-                    self.next()
+                    self.pos += 1
                     continue
                 break
         self.expect("punct", ")")
@@ -527,17 +569,16 @@ class _Parser:
                 for target in block.terminator.targets:
                     preds.setdefault(target, set()).add(block.label)
         for label, pred in self.phi_labels:
-            if pred.text not in preds.get(label, ()):
-                self.fail(f"phi lists %{pred.text}, which is not a predecessor of %{label}",
-                          pred)
+            if self.texts[pred] not in preds.get(label, ()):
+                self.fail(f"phi lists %{self.texts[pred]}, which is not a predecessor "
+                          f"of %{label}", pred)
 
     def parse_blocks(self, fn_name: str) -> list[BasicBlock]:
         blocks: list[BasicBlock] = []
         first = True
         while not self.at("punct", "}"):
             if self.at("label"):
-                label_tok = self.next()
-                label = label_tok.text
+                label = self.texts[self.next()]
             elif first:
                 label = "0"  # unlabelled entry block
             else:
@@ -554,18 +595,19 @@ class _Parser:
         body: list[Instruction] = []
         terminator: Terminator | None = None
         while terminator is None:
-            tok = self.peek()
-            if tok is None:
+            start, kind = self.pos, self.peek()
+            if kind is None:
                 raise ParseError(f"block {label}: input ended before a terminator")
-            if tok.kind == "label" or (tok.kind == "punct" and tok.text == "}"):
-                raise ParseError(f"block {label} lacks a terminator", tok.line, tok.col)
+            if kind == "label" or (kind == "punct" and self.texts[start] == "}"):
+                raise ParseError(f"block {label} lacks a terminator",
+                                 *self.tokens.position(start))
             item = self.parse_instruction()
             if isinstance(item, (Br, Ret)):
                 terminator = item
             elif isinstance(item, Phi):
                 if body:
-                    raise ParseError(
-                        f"block {label}: phi after a non-phi instruction", tok.line, tok.col)
+                    raise ParseError(f"block {label}: phi after a non-phi instruction",
+                                     *self.tokens.position(start))
                 phis.append(item)
             else:
                 body.append(item)
@@ -574,60 +616,60 @@ class _Parser:
     # -- instructions --------------------------------------------------------
 
     def parse_instruction(self) -> Instruction | Phi | Br | Ret:
-        tok = self.peek()
-        if tok.kind == "local":
-            result = self.next().text
+        kind, text = self.peek(), self.texts[self.pos]
+        if kind == "local":
+            self.pos += 1
             self.expect("punct", "=")
-            return self.parse_rhs(result)
-        if tok.kind == "keyword":
-            if tok.text == "br":
+            return self.parse_rhs(text)
+        if kind == "keyword":
+            if text == "br":
                 return self.parse_br()
-            if tok.text == "ret":
+            if text == "ret":
                 return self.parse_ret()
-            if tok.text == "store":
+            if text == "store":
                 return self.parse_store()
-            if tok.text in ("call", "tail"):  # a value-discarding call
+            if text in ("call", "tail"):  # a value-discarding call
                 return self.parse_rhs(None)
-            if tok.text in UNSUPPORTED_KEYWORDS:
-                self.unsupported(f"opcode '{tok.text}' is outside the subset")
+            if text in UNSUPPORTED_KEYWORDS:
+                self.unsupported(f"opcode '{text}' is outside the subset")
         self.fail("expected an instruction")
 
     def parse_rhs(self, result: str | None) -> Instruction | Phi:
-        tok = self.next()
-        if tok.kind != "keyword":
-            self.fail("expected an opcode", tok)
-        op = tok.text
+        at = self.next()
+        if self.kinds[at] != "keyword":
+            self.fail("expected an opcode", at)
+        op = self.texts[at]
         while op in IGNORED_FLAGS:
-            op = self.expect("keyword").text
+            op = self.expect_text("keyword")
         parse = _RHS_PARSERS.get(op)
         if parse is None:
             if op in UNSUPPORTED_KEYWORDS:
-                self.unsupported(f"opcode '{op}' is outside the subset", tok)
-            self.fail(f"unknown opcode '{op}'", tok)
+                self.unsupported(f"opcode '{op}' is outside the subset", at)
+            self.fail(f"unknown opcode '{op}'", at)
         if result is None and op != "call":
-            self.fail(f"'{op}' needs a result register", tok)
-        return parse(self, op, result, tok)
+            self.fail(f"'{op}' needs a result register", at)
+        return parse(self, op, result, at)
 
     def skip_words(self, words: frozenset[str], *, numbers: bool = False,
                    metadata: bool = False):
         """Drop a run of keywords from words; with numbers each may carry
         one integer (align N), and with metadata !md tokens may sit among
         them."""
-        while (tok := self.peek()) is not None:
-            if tok.kind == "keyword" and tok.text in words:
+        while True:
+            if self.keyword_in(self.pos, words):
                 self.pos += 1
                 if numbers and self.at("int"):
                     self.pos += 1
-            elif metadata and tok.kind == "metadata":
+            elif metadata and self.at("metadata"):
                 self.pos += 1
             else:
                 return
 
-    def parse_pointee(self, op: str, context: str, what: str, at: Token) -> int:
+    def parse_pointee(self, op: str, context: str, what: str, at: int) -> int:
         """The width N of `iN* %p` (classic) or `iN, iN* %p` (two-type)."""
         width = self.parse_int_width(context=context)
         if self.at("punct", "*"):
-            self.next()
+            self.pos += 1
         else:
             self.expect("punct", ",")
             if self.parse_int_width(context=f"{op} pointer type") != width:
@@ -635,53 +677,52 @@ class _Parser:
             self.expect("punct", "*")
         return width
 
-    def parse_address(self, op: str, what: str, at: Token) -> Reg:
+    def parse_address(self, op: str, what: str, at: int) -> Reg:
         """A pointer operand, which must be a register."""
         ptr = self.parse_operand("addr", context=op)
         if not isinstance(ptr, Reg):
             self.fail(f"{op} {what} must be a register", at)
         return ptr
 
-    def skip_tail_annotations(self, line: int):
-        """Drop trailing ', align N' / ', !md ...' noise on the same line."""
-        while self.at("punct", ",") and self.peek(1) is not None \
-                and self.peek(1).line == line \
-                and ((self.peek(1).kind == "keyword" and self.peek(1).text == "align")
-                     or self.peek(1).kind == "metadata"):
-            self.next()
-            tok = self.next()
-            if tok.kind == "keyword" and tok.text == "align":
+    def skip_tail_annotations(self, at: int):
+        """Drop trailing ', align N' / ', !md ...' noise on the line of token at."""
+        if not self.at("punct", ","):
+            return
+        line_end = self.line_end(at)
+        while self.at("punct", ",") and self.starts[self.pos + 1] < line_end \
+                and (self.keyword_in(self.pos + 1, ("align",)) or self.peek(1) == "metadata"):
+            self.pos += 1
+            if self.keyword_in(self.next(), ("align",)):
                 self.expect("int")
             else:
-                while self.peek() is not None and self.peek().line == line \
-                        and self.peek().kind in ("metadata", "int"):
-                    self.next()
+                while self.starts[self.pos] < line_end and self.peek() in ("metadata", "int"):
+                    self.pos += 1
 
-    def parse_binop(self, op: str, result: str, at: Token) -> Instruction:
+    def parse_binop(self, op: str, result: str, at: int) -> Instruction:
         self.skip_words(IGNORED_FLAGS)
         width = self.parse_int_width(context=op)
         kind = f"i{width}"
         a = self.parse_operand(kind, context=op)
         self.expect("punct", ",")
         b = self.parse_operand(kind, context=op)
-        self.skip_tail_annotations(at.line)
+        self.skip_tail_annotations(at)
         return Instruction(op, result, (a, b), width=width, arg_kinds=(kind, kind), kind=kind)
 
-    def parse_icmp(self, op: str, result: str, at: Token) -> Instruction:
-        pred_tok = self.expect("keyword")
-        if pred_tok.text not in ICMP_PREDS:
-            self.fail(f"unknown icmp predicate '{pred_tok.text}'", pred_tok)
+    def parse_icmp(self, op: str, result: str, at: int) -> Instruction:
+        pred = self.expect("keyword")
+        if self.texts[pred] not in ICMP_PREDS:
+            self.fail(f"unknown icmp predicate '{self.texts[pred]}'", pred)
         kind = self.parse_value_kind(context="icmp")
         if kind == "addr":
             self.unsupported("icmp over pointers is outside the subset", at)
         a = self.parse_operand(kind, context="icmp")
         self.expect("punct", ",")
         b = self.parse_operand(kind, context="icmp")
-        self.skip_tail_annotations(at.line)
-        return Instruction("icmp", result, (a, b), width=width_of(kind), pred=pred_tok.text,
+        self.skip_tail_annotations(at)
+        return Instruction("icmp", result, (a, b), width=width_of(kind), pred=self.texts[pred],
                            arg_kinds=(kind, kind), kind="i1")
 
-    def parse_conversion(self, op: str, result: str, at: Token) -> Instruction:
+    def parse_conversion(self, op: str, result: str, at: int) -> Instruction:
         from_kind = self.parse_value_kind(context=op)
         if from_kind == "addr":
             self.unsupported(f"{op} over pointers is outside the subset", at)
@@ -695,11 +736,11 @@ class _Parser:
             self.fail(f"{op} must widen (i{from_width} to i{to_width})", at)
         if op == "trunc" and not from_width > to_width:
             self.fail(f"trunc must narrow (i{from_width} to i{to_width})", at)
-        self.skip_tail_annotations(at.line)
+        self.skip_tail_annotations(at)
         return Instruction(op, result, (x,), width=from_width, to_width=to_width,
                            arg_kinds=(from_kind,), kind=f"i{to_width}")
 
-    def parse_select(self, op: str, result: str, at: Token) -> Instruction:
+    def parse_select(self, op: str, result: str, at: int) -> Instruction:
         ckind = self.parse_value_kind(context="select condition")
         if ckind != "i1":
             self.fail("select condition must be i1", at)
@@ -714,11 +755,11 @@ class _Parser:
         if kind2 != kind:
             self.fail("select arms must share one type", at)
         b = self.parse_operand(kind, context="select")
-        self.skip_tail_annotations(at.line)
+        self.skip_tail_annotations(at)
         return Instruction("select", result, (cond, a, b), width=width_of(kind),
                            arg_kinds=("i1", kind, kind), kind=kind)
 
-    def parse_gep(self, op: str, result: str, at: Token) -> Instruction:
+    def parse_gep(self, op: str, result: str, at: int) -> Instruction:
         self.skip_words(IGNORED_FLAGS)
         elem_width = self.parse_pointee(op, "getelementptr element type", "element", at)
         if elem_width == 1:
@@ -728,21 +769,19 @@ class _Parser:
         idx_width = self.parse_int_width(context="getelementptr index")
         idx_kind = f"i{idx_width}"
         idx = self.parse_operand(idx_kind, context="getelementptr")
-        if self.at("punct", ","):
-            nxt = self.peek(1)
-            if nxt is not None and nxt.kind == "type":
-                self.unsupported("getelementptr with more than one index is outside the subset", at)
-        self.skip_tail_annotations(at.line)
+        if self.at("punct", ",") and self.peek(1) == "type":
+            self.unsupported("getelementptr with more than one index is outside the subset", at)
+        self.skip_tail_annotations(at)
         return Instruction("getelementptr", result, (base, idx), elem_width=elem_width,
                            idx_width=idx_width, arg_kinds=("addr", idx_kind), kind="addr")
 
-    def parse_load(self, op: str, result: str, at: Token) -> Instruction:
+    def parse_load(self, op: str, result: str, at: int) -> Instruction:
         self.skip_words(IGNORED_FLAGS)
         width = self.parse_pointee(op, "load", "value", at)
         if width == 1:
             self.unsupported("load of i1 is outside the subset", at)
         ptr = self.parse_address(op, "address", at)
-        self.skip_tail_annotations(at.line)
+        self.skip_tail_annotations(at)
         return Instruction("load", result, (ptr,), width=width, arg_kinds=("addr",),
                            kind=f"i{width}")
 
@@ -760,26 +799,26 @@ class _Parser:
             self.fail("store value and pointer types disagree", at)
         self.expect("punct", "*")
         ptr = self.parse_address("store", "address", at)
-        self.skip_tail_annotations(at.line)
+        self.skip_tail_annotations(at)
         return Instruction("store", None, (value, ptr), width=width, arg_kinds=(kind, "addr"))
 
-    def parse_alloca(self, op: str, result: str, at: Token) -> Instruction:
+    def parse_alloca(self, op: str, result: str, at: int) -> Instruction:
         elem_width = self.parse_int_width(context="alloca")
         if elem_width == 1:
             self.unsupported("alloca of i1 is outside the subset", at)
         count: Operand = Const(1)
-        if self.at("punct", ",") and self.peek(1) is not None and self.peek(1).kind == "type":
-            self.next()
+        if self.at("punct", ",") and self.peek(1) == "type":
+            self.pos += 1
             cwidth = self.parse_int_width(context="alloca count")
             count = self.parse_operand(f"i{cwidth}", context="alloca count")
             if not isinstance(count, Const):
                 self.unsupported("alloca with a non-constant count is outside the subset", at)
-        self.skip_tail_annotations(at.line)
+        self.skip_tail_annotations(at)
         return Instruction("alloca", result, (count,), elem_width=elem_width, kind="addr")
 
-    def parse_phi(self, op: str, result: str, at: Token) -> Phi:
+    def parse_phi(self, op: str, result: str, at: int) -> Phi:
         kind = self.parse_value_kind(context="phi")
-        incomings: list[tuple[Operand, Token]] = []
+        incomings: list[tuple[Operand, int]] = []
         while True:
             self.expect("punct", "[")
             value = self.parse_operand(kind, context="phi")
@@ -789,40 +828,39 @@ class _Parser:
             incomings.append((value, pred))
             self.phi_labels.append((self.label, pred))
             if self.at("punct", ","):
-                self.next()
+                self.pos += 1
                 continue
             break
         if len(incomings) < 2:
             self.fail("phi needs at least two incoming edges", at)
         first: dict[str, Operand] = {}
         for value, pred in incomings:
-            if first.setdefault(pred.text, value) != value:
-                self.fail(f"phi lists predecessor %{pred.text} twice with different "
+            if first.setdefault(self.texts[pred], value) != value:
+                self.fail(f"phi lists predecessor %{self.texts[pred]} twice with different "
                           "values", pred)
-        return Phi(result, kind, tuple((value, pred.text) for value, pred in incomings))
+        return Phi(result, kind, tuple((value, self.texts[pred]) for value, pred in incomings))
 
-    def parse_call(self, op: str, result: str | None, at: Token) -> Instruction:
+    def parse_call(self, op: str, result: str | None, at: int) -> Instruction:
         self.skip_words(IGNORED_FLAGS)
         self.skip_words(ATTRIBUTE_WORDS)
-        tok = self.peek()
-        if tok is not None and tok.kind == "keyword" and tok.text == "void":
-            self.unsupported("calls to void functions are outside the subset", tok)
+        if self.at("keyword", "void"):
+            self.unsupported("calls to void functions are outside the subset")
         width = self.parse_int_width(context="call return type")
         if self.at("punct", "*"):
             self.unsupported("calls returning pointers are outside the subset")
         if self.at("punct", "("):  # full function-type spelling: iN (args)* @f
             depth = 0
             while True:
-                tok = self.next()
-                if tok.kind == "punct" and tok.text == "(":
+                i = self.next()
+                if self.kinds[i] == "punct" and self.texts[i] == "(":
                     depth += 1
-                elif tok.kind == "punct" and tok.text == ")":
+                elif self.kinds[i] == "punct" and self.texts[i] == ")":
                     depth -= 1
                     if depth == 0:
                         break
             if self.at("punct", "*"):
-                self.next()
-        callee = self.expect("global").text
+                self.pos += 1
+        callee = self.expect_text("global")
         self.expect("punct", "(")
         args: list[Operand] = []
         arg_kinds: list[str] = []
@@ -833,23 +871,22 @@ class _Parser:
                 args.append(self.parse_operand(kind, context=f"call of @{callee}"))
                 arg_kinds.append(kind)
                 if self.at("punct", ","):
-                    self.next()
+                    self.pos += 1
                     continue
                 break
         self.expect("punct", ")")
         while self.at("metadata"):
-            self.next()
-        self.skip_tail_annotations(at.line)
+            self.pos += 1
+        self.skip_tail_annotations(at)
         return Instruction("call", result, tuple(args), width=width, callee=callee,
                            arg_kinds=tuple(arg_kinds),
                            kind=None if result is None else f"i{width}")
 
     def parse_br(self) -> Br:
         at = self.expect("keyword", "br")
-        tok = self.peek()
-        if tok is not None and tok.kind == "keyword" and tok.text == "label":
-            self.next()
-            target = self.expect("local").text
+        if self.at("keyword", "label"):
+            self.pos += 1
+            target = self.expect_text("local")
             self._reject_extra_br_operand(at)
             return Br(None, (target,))
         width = self.parse_int_width(context="br condition")
@@ -858,30 +895,27 @@ class _Parser:
         cond = self.parse_operand("i1", context="br")
         self.expect("punct", ",")
         self.expect("keyword", "label")
-        if_true = self.expect("local").text
+        if_true = self.expect_text("local")
         self.expect("punct", ",")
         self.expect("keyword", "label")
-        if_false = self.expect("local").text
+        if_false = self.expect_text("local")
         self._reject_extra_br_operand(at)
         return Br(cond, (if_true, if_false))
 
-    def _reject_extra_br_operand(self, at: Token):
-        if self.at("punct", ",") and self.peek(1) is not None \
-                and self.peek(1).kind == "keyword" and self.peek(1).text == "label":
-            tok = self.peek(1)
-            raise ParseError("br takes one or three operands", tok.line, tok.col)
-        self.skip_tail_annotations(at.line)
+    def _reject_extra_br_operand(self, at: int):
+        if self.at("punct", ",") and self.keyword_in(self.pos + 1, ("label",)):
+            raise ParseError("br takes one or three operands", *self.tokens.position(self.pos + 1))
+        self.skip_tail_annotations(at)
 
     def parse_ret(self) -> Ret:
         at = self.expect("keyword", "ret")
-        tok = self.peek()
-        if tok is not None and tok.kind == "keyword" and tok.text == "void":
-            self.unsupported("ret void is outside the subset", tok)
+        if self.at("keyword", "void"):
+            self.unsupported("ret void is outside the subset")
         width = self.parse_int_width(context="ret")
         if self.at("punct", "*"):
             self.unsupported("returning a pointer is outside the subset")
         value = self.parse_operand(f"i{width}", context="ret")
-        self.skip_tail_annotations(at.line)
+        self.skip_tail_annotations(at)
         return Ret(width, value)
 
 
@@ -898,15 +932,23 @@ _RHS_PARSERS = {
 # Module/function validation
 # ---------------------------------------------------------------------------
 
+def _first_repeated(names: list[str]) -> str | None:
+    """The first name in names that occurs more than once, None if none
+    does: in [a, b, b, a] that is a, not b."""
+    counts = Counter(names)
+    if len(counts) == len(names):
+        return None
+    return next(name for name in names if counts[name] > 1)
+
+
 def _validate_function(fn: LlvmFunction):
     seen: dict[str, str] = {}
     for name, _ in fn.params:
         if name in seen:
             raise ParseError(f"@{fn.name}: parameter %{name} repeated")
         seen[name] = "param"
-    labels = [b.label for b in fn.blocks]
-    if len(set(labels)) != len(labels):
-        dup = next(l for l in labels if labels.count(l) > 1)
+    dup = _first_repeated([b.label for b in fn.blocks])
+    if dup is not None:
         raise ParseError(f"@{fn.name}: block label {dup} repeated")
     for block in fn.blocks:
         for phi in block.phis:
@@ -969,7 +1011,8 @@ def _validate_module(module: LlvmModule):
 # Entry points
 # ---------------------------------------------------------------------------
 
-def parse_module(tokens: list[Token]) -> LlvmModule:
+@collector_paused()
+def parse_module(tokens: Tokens) -> LlvmModule:
     return _Parser(tokens).parse_module()
 
 
@@ -978,8 +1021,7 @@ def parse_text(source: str) -> LlvmModule:
 
 
 def parse_file(path: str) -> LlvmModule:
-    return parse_text(read_utf8(
-        path, lambda head, what: LexError(what, head.count("\n") + 1, len(head) - head.rfind("\n"))))
+    return parse_text(read_utf8(path, lambda head, what: LexError(what, *_line_col(head, len(head)))))
 
 
 def resolve_aliases(module: LlvmModule) -> LlvmModule:

@@ -20,8 +20,8 @@ from test_evaluator import _perfbench_workloads  # noqa: E402
 from test_run_modes import _fuzz_bases, _mutate  # noqa: E402
 
 from ll2fun import (  # noqa: E402
-    AnalysisError, LoadError, ProgramEvaluator, emit_sexpr, eval_def, load_program, make_state,
-    parse_text, translate_function, translate_module, validate_program,
+    AnalysisError, LoadError, ParseError, ProgramEvaluator, emit_sexpr, eval_def, load_program,
+    make_state, parse_text, translate_function, translate_module, validate_program,
 )
 from ll2fun.fun_ir import (  # noqa: E402
     Call, Const, FunProgram, If, LetStar, Metlist, Mvlist, Prim, Var,
@@ -477,11 +477,13 @@ def _diamond_chain(diamonds: int) -> str:
 
 
 def test_builds_leave_the_collector_as_they_found_it(occurrences_program):
-    """translate_module, load_program and ProgramEvaluator pause the
-    collector and restore its state at entry, on success and on error."""
+    """parse_module, translate_module, load_program and ProgramEvaluator
+    pause the collector and restore its state at entry, on success and on
+    error."""
     text = emit_sexpr(occurrences_program)
     module = parse_text(_IRREDUCIBLE)
     builds = [
+        (lambda: parse_text(_IRREDUCIBLE + "define"), ParseError),
         (lambda: translate_module(module), AnalysisError),
         (lambda: load_program(text + "(defun"), LoadError),
         (lambda: ProgramEvaluator(FunProgram(occurrences_program.defs)), LoadError),

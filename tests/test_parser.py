@@ -1,9 +1,11 @@
 """Lexer and parser tests: token classes, subset acceptance and rejection,
 alias resolution, SSA checks, print/parse round-trips."""
 
+import gc
 import hashlib
 import pathlib
 import random
+import re
 import sys
 from collections import Counter
 
@@ -11,11 +13,14 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))  # for llgen
 
-from ll2fun import (
-    LexError, ParseError, UnsupportedConstructError, module_to_text, parse_text,
-    resolve_aliases, tokenize,
+from conftest import paired_ratio  # noqa: E402
+from llgen import gen_diamond_chain  # noqa: E402
+
+from ll2fun import (  # noqa: E402
+    LexError, ParseError, UnsupportedConstructError, module_to_text, parse_module,
+    parse_text, resolve_aliases, tokenize,
 )
-from ll2fun.ll_parser import Br, Const, Reg, Ret, mangle_label, mangle_register
+from ll2fun.ll_parser import Br, Const, Reg, Ret, mangle_label, mangle_register  # noqa: E402
 
 _FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -26,37 +31,37 @@ _FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 def test_tokenize_basic_lexeme_classes():
     toks = tokenize("ret i64 %x")
-    assert [(t.kind, t.text) for t in toks] == [
+    assert [(kind, text) for kind, text, _, _ in toks.rows()] == [
         ("keyword", "ret"), ("type", "i64"), ("local", "x")]
 
 
 def test_tokenize_empty_input():
-    assert tokenize("") == []
+    assert len(tokenize("")) == 0
 
 
 def test_tokenize_drops_comment():
     toks = tokenize("%a = add i64 %b, 1 ; note")
     assert len(toks) == 7
-    assert [t.kind for t in toks] == [
-        "local", "punct", "keyword", "type", "local", "punct", "int"]
+    assert toks.kinds == ["local", "punct", "keyword", "type", "local", "punct", "int"]
 
 
 def test_tokenize_positions_increase():
     toks = tokenize("a b\n  c d")
-    positions = [(t.line, t.col) for t in toks]
+    positions = [(line, col) for _, _, line, col in toks.rows()]
     assert positions == sorted(positions)
-    assert positions[2] == (2, 3)
+    assert positions[2] == (2, 3) == toks.position(2)
 
 
 def test_tokenize_global_and_label():
     toks = tokenize("@f .lr.ph: %.lr.ph")
-    assert [(t.kind, t.text) for t in toks] == [
+    assert [(kind, text) for kind, text, _, _ in toks.rows()] == [
         ("global", "f"), ("label", ".lr.ph"), ("local", ".lr.ph")]
 
 
 def test_tokenize_negative_and_strings():
     toks = tokenize('-42 "hello world"')
-    assert [(t.kind, t.text) for t in toks] == [("int", "-42"), ("string", "hello world")]
+    assert [(kind, text) for kind, text, _, _ in toks.rows()] == [
+        ("int", "-42"), ("string", "hello world")]
 
 
 def test_tokenize_illegal_character_position():
@@ -90,11 +95,99 @@ _LEXER_CASES = [
 def test_tokenize_edge_cases():
     for source, want in _LEXER_CASES:
         if isinstance(want, list):
-            assert [(t.kind, t.text, t.line, t.col) for t in tokenize(source)] == want, source
+            assert tokenize(source).rows() == want, source
         else:
             with pytest.raises(LexError) as err:
                 tokenize(source)
             assert str(err.value) == want, source
+
+
+# The tokenizer as it was before tokens became flat lists: one Token
+# object per match, its line counted as the scan passes each newline.
+_TOKEN_BY_MATCH = re.compile(r"""
+    (?P<skip>[ \t\r\n]+|;[^\n]*)
+  | (?P<name>[%@](?:[0-9]+|[A-Za-z$._][A-Za-z0-9$._]*))
+  | (?P<metadata>![A-Za-z0-9$._]*|\#[0-9]*)
+  | (?P<string>"[^"\n]*")
+  | (?P<int>-?[0-9]+)
+  | (?P<word>[A-Za-z$._][A-Za-z0-9$._]*:?)
+  | (?P<punct>[(){}\[\],=*<>])
+  | (?P<colon>:)
+  | (?P<dangling>[%@-])
+  | (?P<unterminated>")
+  | (?P<illegal>.)
+""", re.VERBOSE | re.DOTALL)
+
+
+def _tokenize_by_match(source: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, col) rows, or LexError.  The oracle of
+    test_tokenizer_matches_the_match_tokenizer."""
+    toks = []
+    line, line_start = 1, 0  # line_start: index of the line's first character
+    for m in _TOKEN_BY_MATCH.finditer(source):
+        kind, text = m.lastgroup, m[0]
+        if kind == "skip":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + text.rindex("\n") + 1
+            continue
+        col = m.start() - line_start + 1
+        if kind == "name":
+            kind, text = ("local" if text[0] == "%" else "global"), text[1:]
+        elif kind == "metadata" and text[0] == "!":
+            text = text[1:]
+        elif kind == "string":
+            text = text[1:-1]
+        elif kind == "word":
+            if text[-1] == ":":
+                kind, text = "label", text[:-1]
+            elif len(text) > 1 and text[0] == "i" and text[1:].isdigit():
+                kind = "type"
+            else:
+                kind = "keyword"
+        elif kind == "colon":
+            # numeric labels arrive as int followed by ':'
+            prev = toks[-1] if toks else None
+            if prev is None or prev[0] != "int" or "-" in prev[1]:
+                raise LexError("unexpected ':'", line, col)
+            toks[-1] = ("label",) + prev[1:]
+            continue
+        elif kind == "dangling":
+            raise LexError(f"dangling '{text}'", line, col)
+        elif kind == "unterminated":
+            raise LexError("unterminated string", line, col)
+        elif kind == "illegal":
+            raise LexError(f"illegal character {text!r}", line, col)
+        toks.append((kind, text, line, col))
+    return toks
+
+
+def _lex_outcome(read, source: str) -> list | str:
+    try:
+        return read(source)
+    except LexError as e:
+        return str(e)
+
+
+def test_tokenizer_matches_the_match_tokenizer():
+    """tokenize's rows, or its LexError text, are the per-match
+    tokenizer's on the token-mutant corpus (both fixtures and 60 llgen
+    programs, then their 5,200 mutants) and on 3,000 seeded strings over
+    every character class the lexer tells apart; on every 20th that
+    lexes, `position` gives each token's line and column as well."""
+    texts = list(_token_mutants())
+    rng = random.Random(20)
+    for _ in range(3000):
+        texts.append("".join(rng.choices(
+            ' \t\r\n;%@-:"!#,=*()<>[]{}09aiZ.$_²٣`', k=rng.randrange(60))))
+    for n, text in enumerate(texts):
+        want = _lex_outcome(_tokenize_by_match, text)
+        assert _lex_outcome(lambda s: tokenize(s).rows(), text) == want, text[:80]
+        if isinstance(want, list) and n % 20 == 0:  # the parser's errors read position
+            toks = tokenize(text)
+            assert [toks.position(i) for i in range(len(toks))] \
+                == [row[2:] for row in want], text[:80]
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +433,48 @@ def test_duplicate_function_rejected():
            "define i64 @f(i64 %y) {\n  ret i64 %y\n}\n")
     with pytest.raises(ParseError, match="more than once"):
         parse_text(src)
+
+
+def test_repeated_names_name_the_first_that_repeats():
+    """Of labels 0 b c c b, b is named: the first in block order that
+    occurs twice, though c is the first seen a second time.  Functions
+    likewise."""
+    src = ("define i64 @f() {\n  br label %b\nb:\n  br label %c\nc:\n  ret i64 0\n"
+           "c:\n  ret i64 1\nb:\n  ret i64 2\n}\n")
+    with pytest.raises(ParseError) as err:
+        parse_text(src)
+    assert str(err.value) == "@f: block label b repeated"
+    fn = "define i64 @{}() {{\n  ret i64 0\n}}\n"
+    with pytest.raises(ParseError) as err:
+        parse_text("".join(fn.format(name) for name in "fggf"))
+    assert str(err.value) == "function @f defined more than once"
+
+
+def _repeating_chain(blocks: int) -> str:
+    """A chain of blocks whose last two labels repeat two earlier ones."""
+    labels = [f"b{k}" for k in range(blocks)] + [f"b{blocks - 2}", f"b{blocks - 1}"]
+    return "define i64 @f() {\n  br label %b0\n" + "".join(
+        f"{label}:\n  ret i64 0\n" for label in labels) + "}\n"
+
+
+def test_repeated_label_rejection_is_linear():
+    """Rejecting a repeated label near the end of 8k blocks costs at most
+    2.6x the CPU time of 4k (linear: 2x); counting each label's
+    occurrences by a scan of all labels took 3.7-3.9x."""
+    def rejected(text):
+        with pytest.raises(ParseError, match="block label b"):
+            parse_text(text)
+    ratio, pairs = paired_ratio(rejected, _repeating_chain(4000), _repeating_chain(8000))
+    assert ratio <= 2.6, pairs
+
+
+def test_front_end_is_linear_with_the_collector_on():
+    """Twice the diamonds cost tokenize and parse_module at most 2.6x the
+    CPU time (linear: 2x) with the collector on, as the CLI runs."""
+    assert gc.isenabled()
+    texts = [gen_diamond_chain(random.Random(n), n) for n in (400, 800)]
+    ratio, pairs = paired_ratio(lambda text: parse_module(tokenize(text)), *texts)
+    assert ratio <= 2.6, pairs
 
 
 # ---------------------------------------------------------------------------
