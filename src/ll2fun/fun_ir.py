@@ -140,11 +140,6 @@ class WhileClique:
     wrap_def: str
     entry_def: str
 
-    @property
-    def def_names(self) -> tuple[str, ...]:
-        return (self.continue_def, self.step_def, self.while_def,
-                self.wrap_def, self.entry_def)
-
 
 CallSite = tuple[Call, bool]  # a call and whether it is in result position
 
@@ -1175,21 +1170,14 @@ def _loop_cliques(program: FunProgram, calls: tuple) -> tuple[WhileClique, ...]:
 
 
 def validate_clique(program: FunProgram, clique: WhileClique):
-    """Structural checks from the generated-loop contract."""
+    """Structural checks from the generated-loop contract that
+    `_loop_cliques` leaves open.  It found every definition of the clique
+    and the while def's shape and step; a general-recursive step has the
+    while shape too, whose mvlist yields one value fewer than the while's
+    metlist binds, so `validate_def` has refused it already."""
     by_name = program.by_name
-    for name in clique.def_names:
-        if name not in by_name:
-            raise LoadError(f"clique {clique.index}: missing definition {name}")
     w = by_name[clique.while_def]
-    step_name = _while_step(w)
-    if step_name is None:
-        raise LoadError(f"{w.name}: while def does not match the loop shape")
-    if step_name != clique.step_def:
-        raise LoadError(f"{w.name}: while steps through {step_name}, "
-                        f"expected {clique.step_def}")
     step = by_name[clique.step_def]
-    if step.general_recursive:
-        raise LoadError(f"{step.name}: step must not be general-recursive")
     if step.param_names != w.param_names or step.result_kinds != tuple(k for _, k in step.params):
         raise LoadError(f"{step.name}: step frame disagrees with its while")
     if step.result_kinds[0] != "nat":

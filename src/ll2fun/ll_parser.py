@@ -252,10 +252,6 @@ class LlvmFunction:
     params: tuple[tuple[str, str], ...]  # (name, kind)
     blocks: tuple[BasicBlock, ...]
 
-    @property
-    def entry(self) -> BasicBlock:
-        return self.blocks[0]
-
     @functools.cached_property
     def kinds(self) -> dict[str, str]:
         """Kind of every register the function defines, params included;
@@ -1030,19 +1026,21 @@ def resolve_aliases(module: LlvmModule) -> LlvmModule:
     rejected."""
     if not module.aliases:
         return module
-    fn_names = {f.name for f in module.functions}
+    aliases, fn_names = module.aliases, {f.name for f in module.functions}
     resolved: dict[str, str] = {}
-    for alias in module.aliases:
-        target = alias
-        seen = {alias}
-        while target in module.aliases:
-            target = module.aliases[target]
-            if target in seen:
+    for alias in aliases:
+        # follow the chain to a function or to an alias resolved before,
+        # then resolve every alias on the way: each is followed once
+        target, chain = alias, set()
+        while target in aliases and target not in resolved:
+            if target in chain:
                 raise ParseError(f"alias cycle through @{alias}")
-            seen.add(target)
+            chain.add(target)
+            target = aliases[target]
+        target = resolved.get(target, target)
         if target not in fn_names:
             raise ParseError(f"alias @{alias} resolves to undefined global @{target}")
-        resolved[alias] = target
+        resolved.update(dict.fromkeys(chain, target))
 
     def fix_inst(inst: Instruction) -> Instruction:
         if inst.opcode == "call" and inst.callee in resolved:

@@ -297,7 +297,9 @@ def _first_use_order(fn: LlvmFunction, live_in: dict[str, set[str]]) -> dict[str
 
     One pass numbers every operand occurrence; a register's distance from
     a block is then its first position at or after the block's start,
-    found by bisection, or its first position overall plus the wrap."""
+    found by bisection, or its first position overall plus the wrap.  A
+    register is live only where some operand reads it, so each has a
+    position."""
     positions: dict[str, list[int]] = {}
     starts: list[int] = []
     total = 0
@@ -309,10 +311,6 @@ def _first_use_order(fn: LlvmFunction, live_in: dict[str, set[str]]) -> dict[str
     out: dict[str, list[str]] = {}
     for block, start in zip(fn.blocks, starts):
         wanted = live_in[block.label]
-        missing = [r for r in wanted if r not in positions]
-        if missing:  # live-in but never read as an operand cannot happen
-            raise AnalysisError(
-                f"registers {sorted(missing)} live into {block.label} but never used")
 
         def distance(r: str) -> int:
             ps = positions[r]

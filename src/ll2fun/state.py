@@ -505,7 +505,10 @@ def parse_memory_image(text: str) -> Memory:
                             f"{IMAGE_MAX_BYTES}, got {n}")
         if value < 0:
             raise EvalFault(f"memory image line {lineno}: value must be a natural number")
-        _write_in_place(n, addr, value, mem)
+        try:
+            _write_in_place(n, addr, value, mem)
+        except EvalFault as e:
+            raise EvalFault(f"memory image line {lineno}: {e}") from None
     return mem
 
 

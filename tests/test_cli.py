@@ -560,6 +560,8 @@ def test_usage_errors_exit_15(tmp_path):
         (["run", str(out), "--entry", "occurrences", "--bogus"], "unrecognized"),
         (["run", str(out)], "required: --entry"),
         (["run", str(out), "--entry", "occurrences", "--args", "9" * 5000], "invalid"),
+        (["run", str(out), "--entry", "occurrences", "--args", "-1"],
+         "expected a natural number"),
         (["bench", str(out), "--entry", "occurrences"], "required: --instr-per-iter"),
         # a zero count is a usage error, not a fault, one run, or a rate of 0
         (["run", str(out), "--entry", "occurrences", "--budget", "0"], "positive"),
@@ -577,6 +579,28 @@ def test_usage_errors_exit_15(tmp_path):
     for argv in (["--help"], ["run", "--help"]):
         r = _cli(*argv)
         assert r.returncode == EXIT_OK and "usage:" in r.stdout
+
+
+def test_missing_inputs_exit_15(tmp_path, capsys):
+    out = _translate(tmp_path)
+    missing = str(tmp_path / "missing")
+    for argv in (["translate", missing], ["run", missing, "--entry", "f"],
+                 ["run", str(out), "--entry", "occurrences", "--mem-image", missing]):
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == (f"ll2fun: [Errno 2] No such file or directory: "
+                                           f"'{missing}'\n")
+
+
+def test_memory_image_write_fault_names_its_line(tmp_path, capsys):
+    image = tmp_path / "bad.mem"
+    image.write_text("w 1 0 1\nw 0 0 5\n")
+    out = _translate(tmp_path)
+    capsys.readouterr()
+    assert main(["run", str(out), "--entry", "occurrences", "--args", "1", "0", "0",
+                 "--mem-image", str(image)]) == EXIT_FAULT
+    assert capsys.readouterr().err == ("ll2fun: runtime fault: memory image line 2: "
+                                       "wr_n: byte count must be positive, got 0\n")
 
 
 # ---------------------------------------------------------------------------

@@ -606,6 +606,35 @@ out:
                         MachineState(stack=0xFFFF0000, frame=0xFFFF0000), budget=500)
 
 
+@pytest.mark.parametrize("src, args, message", [
+    ("define i64 @gen(i64 %x) {\n  ret i64 %x\n}\n", (1, 2),
+     "@gen takes 1 arguments, got 2"),
+    # the parser checks no definition before a use; the analysis does
+    ("define i64 @gen(i64 %x) {\n  %y = add i64 %z, 1\n  %z = add i64 %x, 1\n"
+     "  ret i64 %y\n}\n", (1,), "reference interpreter: %z read before assignment"),
+    # the phi lists a predecessor twice and the other not at all
+    ("""define i64 @gen(i64 %x) {
+entry:
+  %c = icmp eq i64 %x, 0
+  br i1 %c, label %a, label %j
+a:
+  br label %j
+j:
+  %r = phi i64 [ 1, %a ], [ 1, %a ]
+  ret i64 %r
+}
+""", (1,), "phi %r in j has no value for predecessor entry"),
+])
+def test_reference_interpreter_faults(src, args, message):
+    """A call with the wrong number of arguments, and two functions the
+    analysis refuses, which the reference interpreter runs until they
+    fault."""
+    st = MachineState(stack=0xFFFF0000, frame=0xFFFF0000)
+    with pytest.raises(EvalFault) as err:
+        interp_function(parse_text(src), "gen", args, st)
+    assert str(err.value) == message
+
+
 def test_reference_interpreter_is_linear_in_blocks_executed():
     """Twice the diamonds cost at most 3x the CPU time (linear: 2x): a
     block transition looks its target up by label in the function's

@@ -153,6 +153,14 @@ def test_translate_function_returns_driver_last(occurrences_module):
     assert len(defs) == 7
 
 
+def test_callees_translate_first_in_any_source_order():
+    f = "define i64 @f(i64 %x) {\n  %r = call i64 @g(i64 %x)\n  ret i64 %r\n}\n"
+    g = "define i64 @g(i64 %x) {\n  ret i64 %x\n}\n"
+    caller_first = translate_module(parse_text(f + "\n" + g))
+    assert [d.name for d in caller_first.defs] == ["g__0", "g", "f__0", "f"]
+    assert caller_first.defs == translate_module(parse_text(g + "\n" + f)).defs
+
+
 def test_constant_return_function_is_driver_plus_block():
     m = parse_text("define i64 @zero() {\n  ret i64 0\n}\n")
     defs = translate_function(m, "zero")
@@ -593,6 +601,137 @@ def test_clique_validator_rejects_broken_wrap(occurrences_program):
         validate_clique(broken, broken.cliques[0])
 
 
+_GOLDEN = (FIXTURES / "occurrences.fun.golden").read_text()
+_STEP = _GOLDEN[_GOLDEN.index("(defun occurrences_step_0 "):_GOLDEN.index("(defun-general")]
+_STEP_SIG = ("((natp i64_p i64_p addr_p i32_p i64_p stp) "
+             "natp i64_p i64_p addr_p i32_p i64_p stp)")
+_FRAME = "done num_occur j array n val st"
+
+
+def _golden_with(old: str, new: str) -> str:
+    assert _GOLDEN.count(old) == 1, old
+    return _GOLDEN.replace(old, new)
+
+
+def _general_step(results: str) -> str:
+    """The golden with its step renamed `..._inner` and, in the step's
+    place, a defun-general of the while shape over `..._inner` whose
+    signature declares `results`."""
+    inner = _STEP.replace("occurrences_step_0 (", "occurrences_step_0_inner (")
+    general = f"""(defun-general occurrences_step_0 ({_FRAME})
+  (declare (xargs :signature ((natp i64_p i64_p addr_p i32_p i64_p stp) {results})))
+  (if (= done 1)
+      (mvlist num_occur j array n val st)
+    (metlist (({_FRAME})
+              (occurrences_step_0_inner {_FRAME}))
+      (occurrences_step_0 {_FRAME}))))
+
+"""
+    return _golden_with(_STEP, inner + general)
+
+
+# A second loop, whose while w2 stands as the golden wrap's continue def.
+_SECOND_LOOP = """(defun c2 (st)
+  (declare (xargs :signature ((stp) stp)))
+  st)
+
+(defun s2 (done st)
+  (declare (xargs :signature ((natp stp) natp stp)))
+  (mvlist 1 st))
+
+(defun-general w2 (done st)
+  (declare (xargs :signature ((natp stp) stp)))
+  (if (= done 1)
+      (mvlist st)
+    (metlist ((done st) (s2 done st)) (w2 done st))))
+
+(defun w2wrap (st)
+  (declare (xargs :signature ((stp) stp)))
+  (metlist ((st) (w2 0 st)) (c2 st)))
+
+(defun e2 (st)
+  (declare (xargs :signature ((stp) stp)))
+  (let* ((done 0))
+    (if (= done 1) (c2 st) (w2wrap st))))
+
+"""
+
+# The input that would reach each clique check, with the error that fires
+# first.  `validate_clique` checks only what `_loop_cliques` leaves open:
+# a clique with a missing definition, a while def of another shape or a
+# general-recursive step is refused before it, and a while that steps
+# through another definition makes that definition its clique's step.
+_CLIQUE_CASES = {
+    "missing continue": (
+        _golden_with(_GOLDEN[_GOLDEN.index("(defun occurrences_continue_0"):
+                             _GOLDEN.index("(defun occurrences_step_0 ")], ""),
+        "occurrences_step_0_while_wrap: call of undefined occurrences_continue_0"),
+    "missing step": (_golden_with(_STEP, ""),
+                     "occurrences_step_0_while: call of undefined occurrences_step_0"),
+    "while of another shape": (
+        _golden_with(f"(occurrences_step_0_while {_FRAME}))))",
+                     "(occurrences_step_0_while done num_occur j array val n st))))"),
+        "occurrences_step_0_while: defun-general is only valid for loop "
+        "while-functions of the generated shape"),
+    "general-recursive step declaring the frame": (
+        _general_step("natp i64_p i64_p addr_p i32_p i64_p stp"),
+        "occurrences_step_0: mvlist of 6 values where 7 results are declared"),
+    "general-recursive step declaring the while's results": (
+        _general_step("i64_p i64_p addr_p i32_p i64_p stp"),
+        "occurrences_step_0_while: call of occurrences_step_0 yields 6 results "
+        "where 7 are expected"),
+    "done bit of another kind": (
+        _golden_with(_STEP_SIG, _STEP_SIG.replace("natp", "i64_p")),
+        "occurrences_step_0: first result must be the done bit"),
+    "continue def is a while": (
+        _SECOND_LOOP + _golden_with(
+            "(occurrences_continue_0 num_occur j array n val st)))\n\n(defun occurrences_0",
+            "(w2 1 st)))\n\n(defun occurrences_0"),
+        "w2: only the while def may be general-recursive"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CLIQUE_CASES))
+def test_clique_rejection_texts(case):
+    text, message = _CLIQUE_CASES[case]
+    with pytest.raises(LoadError) as err:
+        load_program(text)
+    assert str(err.value) == message
+
+
+def test_clique_steps_through_the_definition_its_while_calls():
+    """A while that steps through a copy of the step makes the copy its
+    clique's step, so no clique names a step its while does not run."""
+    copy = _STEP.replace("occurrences_step_0 (", "occurrences_step_0_copy (")
+    text = _golden_with(_STEP, _STEP + copy).replace(
+        f"(occurrences_step_0 {_FRAME}))\n      (occurrences_step_0_while",
+        f"(occurrences_step_0_copy {_FRAME}))\n      (occurrences_step_0_while")
+    (clique,) = load_program(text).cliques
+    assert clique.step_def == "occurrences_step_0_copy"
+    first, second = load_program(_SECOND_LOOP + _GOLDEN).cliques
+    assert (first.while_def, first.continue_def, first.wrap_def, first.entry_def) == (
+        "w2", "c2", "w2wrap", "e2")
+    assert second.step_def == "occurrences_step_0"
+
+
+def test_nested_let_and_metlist_print_inline_and_load_back():
+    """A let* without bindings prints on one line, through `_inline`'s
+    let* and metlist forms, and the text loads back to the same text."""
+    text = """(defun g (st)
+  (declare (xargs :signature ((stp) natp stp)))
+  (mvlist 1 st))
+
+(defun f (st)
+  (declare (xargs :signature ((stp) natp stp)))
+  (let* () (metlist ((a st) (g st)) (mvlist a st))))
+"""
+    program = load_program(text)
+    assert isinstance(program.defs[1].body, LetStar)
+    assert isinstance(program.defs[1].body.body, Metlist)
+    assert emit_sexpr(program) == text
+    assert emit_sexpr(load_program(emit_sexpr(program))) == text
+
+
 def test_validation_records_call_sites_in_evaluation_order():
     """validate_program records each definition's calls, each after the
     calls in its arguments and marked when it is the value of a result
@@ -901,6 +1040,8 @@ _LOADER_REJECTIONS = {
     "one value for two": (_fun("x", sig="((natp stp) natp stp)"),
                           "f: expression yields one value where 2 results are declared"),
     "self-recursion": (_fun("(f x st)"), "f: unexpected self-recursion"),
+    "register byte count": (_fun("(update-retval (wfrombytes 8 (loadbytes x 0 st)) st)"),
+                            "f: (loadbytes ...) needs a constant in position 0"),
     "recursion outside tail position": (
         _fun("(update-retval 0 (f done st))", "done st", form="defun-general"),
         "f: recursive call outside tail position"),

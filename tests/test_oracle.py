@@ -124,3 +124,7 @@ done:
     report = check_occurrences_equiv(program, 399, 1, 0x8000, st)
     assert not report.passed
     assert "FAIL" in report.line()
+    summary = run_equiv_trials(program, trials=50, seed=7)
+    assert not summary.passed
+    assert summary.report().endswith(
+        f"FAIL: 50 trials, {len(summary.failures)} failures, seed 7")

@@ -376,6 +376,150 @@ def test_negative_literals_normalized():
     assert inst.operands[1] == Const((1 << 64) - 1)
 
 
+def _fn(body: str, params: str = "i64 %x") -> str:
+    return f"define i64 @f({params}) {{\n{body}}}\n"
+
+
+_CALLEE = "define i64 @g(i64 %x) {\n  ret i64 %x\n}\n"
+
+# One smallest input per parser rejection that no other test reaches: its
+# error class, the CLI's exit code for it, and the exact message.
+_PARSER_REJECTIONS = {
+    "phi after a non-phi": (_fn("""entry:
+  br i1 true, label %a, label %b
+a:
+  br label %b
+b:
+  %y = add i64 %x, 1
+  %p = phi i64 [ 1, %entry ], [ 2, %a ]
+  ret i64 %p
+"""), ParseError, "block b: phi after a non-phi instruction", 8, 3),
+    "function without blocks": ("define i64 @f(i64 %x) {\n}\n", ParseError,
+                                "function @f has no blocks", None, None),
+    "result-less add": (_fn("  tail add i64 %x, 1\n  ret i64 %x\n"), ParseError,
+                        "'add' needs a result register (at 'tail')", 2, 3),
+    "load pointee": (_fn("  %v = load i64, i32* %p\n  ret i64 %v\n", "i64* %p"), ParseError,
+                     "load value and pointer types disagree (at 'load')", 2, 8),
+    "store pointee": (_fn("  store i64 1, i32* %p\n  ret i64 0\n", "i64* %p"), ParseError,
+                      "store value and pointer types disagree (at 'store')", 2, 3),
+    "zext that narrows": (_fn("  %y = zext i64 %x to i32\n  ret i64 %x\n"), ParseError,
+                          "zext must widen (i64 to i32) (at 'zext')", 2, 8),
+    "sext to its own width": (_fn("  %y = sext i64 %x to i64\n  ret i64 %x\n"), ParseError,
+                              "sext must widen (i64 to i64) (at 'sext')", 2, 8),
+    "select over i64": (_fn("  %y = select i64 %x, i64 1, i64 2\n  ret i64 %y\n"),
+                        ParseError, "select condition must be i1 (at 'select')", 2, 8),
+    "icmp over pointers": (_fn("  %c = icmp eq i64* %p, %p\n  ret i64 0\n", "i64* %p"),
+                           UnsupportedConstructError,
+                           "icmp over pointers is outside the subset (at 'icmp')", 2, 8),
+    "select over pointers": (_fn("  %y = select i1 true, i64* %p, i64* %p\n  ret i64 0\n",
+                                 "i64* %p"), UnsupportedConstructError,
+                             "select over pointers is outside the subset (at 'select')", 2, 8),
+    "zext of a pointer": (_fn("  %y = zext i64* %p to i64\n  ret i64 %y\n", "i64* %p"),
+                          UnsupportedConstructError,
+                          "zext over pointers is outside the subset (at 'zext')", 2, 8),
+    "zext to a pointer": (_fn("  %y = zext i32 %x to i64*\n  ret i64 0\n", "i32 %x"),
+                          UnsupportedConstructError,
+                          "zext to a pointer is outside the subset (at '*')", 2, 26),
+    "load of i1": (_fn("  %v = load i1* %p\n  ret i64 0\n", "i1* %p"),
+                   UnsupportedConstructError,
+                   "load of i1 is outside the subset (at 'load')", 2, 8),
+    "store of i1": (_fn("  store i1 true, i1* %p\n  ret i64 0\n", "i1* %p"),
+                    UnsupportedConstructError,
+                    "store of i1 is outside the subset (at 'store')", 2, 3),
+    "alloca of i1": (_fn("  %a = alloca i1\n  ret i64 0\n"), UnsupportedConstructError,
+                     "alloca of i1 is outside the subset (at 'alloca')", 2, 8),
+    "getelementptr over i1": (_fn("  %q = getelementptr i1* %p, i64 1\n  ret i64 0\n",
+                                  "i1* %p"), UnsupportedConstructError,
+                              "getelementptr over i1 elements is outside the subset "
+                              "(at 'getelementptr')", 2, 8),
+    "getelementptr with two indices": (
+        _fn("  %q = getelementptr i64* %p, i64 0, i64 1\n  ret i64 0\n", "i64* %p"),
+        UnsupportedConstructError,
+        "getelementptr with more than one index is outside the subset (at 'getelementptr')",
+        2, 8),
+    "alloca of a register count": (_fn("  %a = alloca i64, i64 %x\n  ret i64 0\n"),
+                                   UnsupportedConstructError,
+                                   "alloca with a non-constant count is outside the subset "
+                                   "(at 'alloca')", 2, 8),
+    "void call": (_fn("  call void @g()\n  ret i64 0\n"), UnsupportedConstructError,
+                  "calls to void functions are outside the subset (at 'void')", 2, 8),
+    "pointer call": (_fn("  %r = call i64* @g()\n  ret i64 0\n"), UnsupportedConstructError,
+                     "calls returning pointers are outside the subset (at '*')", 2, 16),
+    "pointer ret": (_fn("  ret i64* %p\n", "i64* %p"), UnsupportedConstructError,
+                    "returning a pointer is outside the subset (at '*')", 2, 10),
+    "pointer return type": ("define i64* @f() {\n  ret i64 0\n}\n", UnsupportedConstructError,
+                            "pointer return types are outside the subset (at '*')", 1, 11),
+    "boolean for an i64": (_fn("  %y = add i64 true, 1\n  ret i64 %y\n"), ParseError,
+                           "boolean literal for non-i1 operand in add (at 'true')", 2, 16),
+    "undef operand": (_fn("  %y = add i64 undef, 1\n  ret i64 %y\n"),
+                      UnsupportedConstructError,
+                      "'undef' operand in add is outside the subset (at 'undef')", 2, 16),
+    "repeated parameter": (_fn("  ret i64 %x\n", "i64 %x, i32 %x"), ParseError,
+                           "@f: parameter %x repeated", None, None),
+    "phi of another kind": (_fn("""entry:
+  %y = add i32 1, 2
+  br label %b
+b:
+  %p = phi i64 [ %y, %entry ], [ %y, %entry ]
+  ret i64 %p
+"""), ParseError, "@f: %y is i32 but phi %p uses it as i64", None, None),
+    "ret of another width": (_fn("  ret i32 0\n"), ParseError,
+                             "@f: ret i32 disagrees with return type i64", None, None),
+    "ret of another kind": (_fn("  %y = add i32 1, 2\n  ret i64 %y\n"), ParseError,
+                            "@f: ret uses %y as i64, defined as i32", None, None),
+    "br on an i64 register": (_fn("entry:\n  br i1 %x, label %a, label %a\na:\n  ret i64 0\n"),
+                              ParseError, "@f: br condition %x is i64, not i1", None, None),
+    "br of width i64": (_fn("entry:\n  br i64 %x, label %a, label %a\na:\n  ret i64 0\n"),
+                        ParseError, "br condition must be i1 (at 'br')", 3, 3),
+    "global variable": ("@g = global i64 0\n", UnsupportedConstructError,
+                        "global definitions other than aliases are outside the subset (at 'g')",
+                        1, 1),
+    "alias without a target": ("@a = alias i64 5\n", ParseError,
+                               "alias needs a global target on the same line (at 'a')", 1, 1),
+    "repeated alias": ("@a = alias i64 (i64)* @g\n@a = alias i64 (i64)* @g\n" + _CALLEE,
+                       ParseError, "alias @a defined more than once", 2, 1),
+    "function and alias": ("@f = alias i64 (i64)* @g\n" + _fn("  ret i64 %x\n") + _CALLEE,
+                           ParseError, "@f is both a function and an alias", None, None),
+    "truncated function type": (_fn("").replace("}\n", "  %r = call i64 (i64"), ParseError,
+                                "unexpected end of input", None, None),
+}
+
+
+@pytest.mark.parametrize("case", list(_PARSER_REJECTIONS))
+def test_parser_rejection_texts(case, tmp_path, capsys):
+    """The exact message, with line:col where it names a token, and the
+    CLI's exit code: 10 for a ParseError, 11 for an unsupported construct."""
+    from ll2fun.cli import EXIT_PARSE, EXIT_UNSUPPORTED, main
+    source, error, message, line, col = _PARSER_REJECTIONS[case]
+    if line is not None:
+        message = f"{line}:{col}: {message}"
+    with pytest.raises(error) as err:
+        parse_text(source)
+    assert type(err.value) is error and str(err.value) == message
+    path = tmp_path / "in.ll"
+    path.write_text(source)
+    code = main(["translate", str(path), "--out", str(tmp_path / "out.fun")])
+    assert code == (EXIT_UNSUPPORTED if error is UnsupportedConstructError else EXIT_PARSE)
+    assert message in capsys.readouterr().err
+
+
+def test_full_function_type_call_spelling_runs(tmp_path, capsys):
+    """`call i64 (i64)* @g(...)` names g's type before g; the type is
+    skipped, and @f(5) returns 5.  A call group reference (#0) after the
+    arguments and a brace group inside an attribute group are skipped too."""
+    from ll2fun.cli import EXIT_OK, main
+    source = (_CALLEE + _fn("  %r = call i64 (i64)* @g(i64 %x) #0\n  ret i64 %r\n")
+              + "attributes #0 = { nounwind { \"a\" } }\n")
+    call = parse_text(source).function("f").blocks[0].body[0]
+    assert (call.callee, call.operands) == ("g", (Reg("x"),))
+    path = tmp_path / "in.ll"
+    path.write_text(source)
+    assert main(["translate", str(path), "--out", str(tmp_path / "out.fun")]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["run", str(tmp_path / "out.fun"), "--entry", "f", "--args", "5"]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "5"
+
+
 def test_permissive_attribute_and_metadata_discard():
     src = """; ModuleID = 'x'
 target datalayout = "e-m:e"
@@ -524,6 +668,33 @@ def test_alias_chain_resolves_through():
     assert m.function("m").blocks[0].body[0].callee == "f"
 
 
+def test_alias_resolution_keeps_other_instructions():
+    src = ("@a = alias i64 (i64)* @g\n" + _CALLEE
+           + _fn("  %y = add i64 %x, 1\n  %r = call i64 @a(i64 %y)\n  ret i64 %r\n"))
+    m = resolve_aliases(parse_text(src))
+    add, call = m.function("f").blocks[0].body
+    assert (add.opcode, add.operands, call.callee) == ("add", (Reg("x"), Const(1)), "g")
+
+
+def _alias_chain(n: int) -> str:
+    """n aliases, each naming the next, the last @g, and one call of each."""
+    lines = [f"@a{k} = alias i64 (i64)* @a{k + 1}" for k in range(n - 1)]
+    lines.append(f"@a{n - 1} = alias i64 (i64)* @g")
+    calls = "".join(f"  %r{k} = call i64 @a{k}(i64 %x)\n" for k in range(n))
+    return "\n".join(lines) + "\n" + _CALLEE + _fn(calls + "  ret i64 %x\n")
+
+
+def test_alias_resolution_is_linear_in_chain_length():
+    """Four times the chained aliases cost resolve_aliases at most 6x the
+    CPU time (linear: 4x): each alias is followed once, and the aliases
+    after it reuse its target.  Following each chain to its end took 16x."""
+    small, large = (parse_text(_alias_chain(n)) for n in (1000, 4000))
+    ratio, pairs = paired_ratio(resolve_aliases, small, large)
+    assert ratio <= 6, pairs
+    body = resolve_aliases(large).function("f").blocks[0].body
+    assert {inst.callee for inst in body} == {"g"}
+
+
 # ---------------------------------------------------------------------------
 # Round-trips
 # ---------------------------------------------------------------------------
@@ -539,6 +710,14 @@ def test_roundtrip_occurrences(occurrences_module):
 
 def test_roundtrip_nestsum(nestsum_module):
     assert _roundtrips(nestsum_module)
+
+
+def test_roundtrip_aliases_and_a_labelled_entry():
+    module = parse_text(ALIAS_SRC.replace("{\n  ret i64 %x", "{\nstart:\n  ret i64 %x"))
+    assert module.function("f").blocks[0].label == "start"
+    text = module_to_text(module)
+    assert text.startswith("@f2 = alias @f\n\ndefine i64 @f(i64 %x) {\nstart:\n")
+    assert _roundtrips(module)
 
 
 def test_rejection_is_total_on_truncations(occurrences_path):

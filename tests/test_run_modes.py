@@ -458,6 +458,71 @@ def test_step_defs_compile_on_first_use():
     assert ev.run("peek", (), make_state(mem=ARRAY)).values == (0, 1, 1, 0x8000, 8, 399)
 
 
+def test_fused_store_to_a_computed_address():
+    """A fused store whose address is an expression, not a name, computes
+    it once into `_a`; the runs match the translated fill, whose store
+    names its address, in state and iterations, wrapping at 2^32 too."""
+    store = "(st (storebytes 8 slot (wtobytes 8 j_dot_next) st))"
+    text = _variant(FILL, store,
+                    "(st (storebytes 8 (bits (+ p (* k 8)) 31 0) (wtobytes 8 j_dot_next) st))")
+    named, computed = (ProgramEvaluator(load_program(t)) for t in (FILL, text))
+    start = computed.source.index("def d3_fill_step_0_while(")
+    loop = computed.source[start:computed.source.index("\ndef ", start)]
+    assert "            _a = ((v_p + (v_k * 8)) & 4294967295)\n" in loop
+    assert "_w = _own.get(_a >> 12)" in loop and "_store_word(8, _a, " in loop
+    for args in ((0x8000, 5, ALL), (0x1ffc, 3, 1), ((1 << 32) - 16, 4, ALL)):
+        for checking in (True, False):
+            a, b = (ev.run("fill", args, make_state(mem={0x8000: 9}), checking=checking)
+                    for ev in (named, computed))
+            assert (b.state, b.iterations) == (a.state, a.iterations)
+
+
+_IDENTITY = """(defun f (st)
+  (declare (xargs :signature ((stp) stp)))
+  st)
+"""
+
+
+def test_run_faults_on_its_own_arguments():
+    ev = ProgramEvaluator(load_program(_IDENTITY))
+    with pytest.raises(EvalFault) as err:
+        ev.run("f", (), make_state(), budget=0)
+    assert str(err.value) == "budget must be positive"
+    # unchecked, nothing looks at the state argument before the end
+    with pytest.raises(EvalFault) as err:
+        ev.run("f", (), 7, checking=False)
+    assert str(err.value) == "f did not return a machine state last"
+
+
+def test_host_recursion_limit_is_a_fault():
+    """A chain of 60 definitions, each calling the one before outside
+    tail position, runs 60 frames deep; under a limit of 40 host frames
+    the run ends in a fault that names its entry."""
+    defs = ["(defun g0 (x st)\n  (declare (xargs :signature ((natp stp) stp)))\n"
+            "  (update-retval x st))\n"]
+    defs += [f"(defun g{k} (x st)\n  (declare (xargs :signature ((natp stp) stp)))\n"
+             f"  (let* ((st (g{k - 1} x st))) (update-retval (+ x {k}) st)))\n"
+             for k in range(1, 60)]
+    ev = ProgramEvaluator(load_program("\n".join(defs)))
+    assert ev.run("g59", (1,), make_state()).state.retval == 60
+    faults = []
+
+    def run():
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(40)
+        try:
+            ev.run("g59", (1,), make_state(), checking=False)
+        except EvalFault as e:
+            faults.append((str(e), e.context))
+        finally:
+            sys.setrecursionlimit(old)
+
+    t = threading.Thread(target=run)
+    t.start()
+    t.join()
+    assert faults == [("host recursion limit reached inside g59 [def g59]", "def g59")]
+
+
 def test_unvalidated_loops_are_a_load_error(occurrences_program):
     """A program whose loops were never found by validate_program would
     compile each while def as a self-recursive function, which faults on

@@ -22,7 +22,7 @@ from ll2fun import (  # noqa: E402
 from ll2fun.fun_ir import collector_paused  # noqa: E402
 from ll2fun.ll_parser import Reg, Ret, resolve_aliases  # noqa: E402
 from ll2fun.ssa import (  # noqa: E402
-    BlockUnit, CliqueUnit, DriverUnit, _first_use_order, analyze_function,
+    BlockUnit, CliqueUnit, DriverUnit, analyze_function,
     compute_liveness, dominators,
 )
 
@@ -233,12 +233,6 @@ def test_block_params_match_rotate_and_scan_reference():
                 fn, block.label, live_in[block.label]), (fn.name, block.label)
         checked += 1
     assert checked >= 200
-
-
-def test_live_in_register_never_used_rejected():
-    fn = _fn(parse_text("define i64 @f(i64 %x) {\n  ret i64 %x\n}\n"))
-    with pytest.raises(AnalysisError, match=r"\['ghost'\] live into 0 but never used"):
-        _first_use_order(fn, {"0": {"x", "ghost"}})
 
 
 def test_signatures_are_deterministic(occurrences_module):

@@ -311,6 +311,29 @@ def test_loadbytes_storebytes_roundtrip_all_widths():
             assert wfrombytes(n, loadbytes(n, addr, st2)) == value % (1 << (8 * n))
 
 
+def test_memories_with_different_bytes_are_unequal():
+    a = Memory({0x10: 1})
+    assert a != Memory({0x10: 2}) and a != Memory({0x1010: 1})
+    assert a != {0x10: 1, 0x11: 2} and a != {0x10: 300}
+    assert a.__eq__(5) is NotImplemented and a != 5
+    assert a == {0x10: 1} and a == Memory({0x10: 1})
+
+
+def test_negative_naturals_fault():
+    st = make_state()
+    for build, message in (
+            (lambda: make_state(retval=-1), "retval must be a natural number"),
+            (lambda: update_retval(-1, st), "update_retval: value must be a natural number"),
+            (lambda: alloca(-8, st), "alloca: negative size")):
+        with pytest.raises(EvalFault) as err:
+            build()
+        assert str(err.value) == message
+
+
+def test_loadbytes_of_no_bytes_is_empty():
+    assert loadbytes(0, 0x10, make_state(mem={0x10: 7})) == ()
+
+
 def test_retval_update_and_accessor():
     st = make_state()
     assert st.retval == 0
@@ -404,9 +427,12 @@ def test_memory_image_equals_folding_wr_n_randomized():
 
 
 def test_memory_image_out_of_range_write_faults():
-    with pytest.raises(EvalFault, match="exceeds 32-bit memory"):
+    with pytest.raises(EvalFault, match="^" + re.escape(
+            "memory image line 2: wr_n: address range [0xfffffffc, 0x100000004) "
+            "exceeds 32-bit memory") + "$"):
         parse_memory_image("w 1 0x10 1\nw 8 0xfffffffc 1\n")
-    with pytest.raises(EvalFault, match="byte count must be positive"):
+    with pytest.raises(EvalFault, match="^memory image line 1: wr_n: byte count must be "
+                                        "positive, got 0$"):
         parse_memory_image("w 0 0x10 1\n")
 
 
@@ -422,10 +448,27 @@ def test_memory_image_byte_count_is_at_most_8():
 
 
 def test_memory_image_rejects_bad_lines():
-    with pytest.raises(EvalFault):
-        parse_memory_image("x 1 2 3\n")
-    with pytest.raises(EvalFault):
-        parse_memory_image("w 1 2\n")
+    for text in ("x 1 2 3\n", "w 1 2\n"):
+        with pytest.raises(EvalFault, match="^memory image line 1: expected "
+                                            "'w <n> <addr> <value>'$"):
+            parse_memory_image(text)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("w 1 0x10 five", "bad number"),
+    ("w 1 1e3 5", "bad number"),
+    ("w 1 0x10 -1", "value must be a natural number"),
+    ("w -1 0 5", "wr_n: byte count must be positive, got -1"),
+    ("w 1 0x100000000 0", "wr_n: address range [0x100000000, 0x100000001) exceeds 32-bit memory"),
+    ("w 1 -1 0", "wr_n: address range [-0x1, 0x0) exceeds 32-bit memory"),
+])
+def test_memory_image_faults_name_their_line(line, message):
+    """Every image fault, the write's own range and count faults too,
+    names the line it comes from (here line 3: a comment and a good
+    write come first)."""
+    with pytest.raises(EvalFault) as err:
+        parse_memory_image(f"# image\nw 8 0x10 1\n{line}\n")
+    assert str(err.value) == f"memory image line 3: {message}"
 
 
 def test_array_image_contents(array_image):
