@@ -250,23 +250,37 @@ class _Codegen:
         self.jumps: set[int] = set()  # the sections of the function being emitted
         self.fused = False            # emitting a step body inside its loop
         self.masked: set[str] = set()  # locals the step body bound to a _masked value
+        self.uses: dict[str, int] = {}  # how many names in scope read each code (`_let`)
         self.pages: str | None = None  # the page table a loop bound before its `while`
         self.own = False               # the loop bound its run's own pages to `_own`
         self.param_locals = [_param_locals(d) for d in defs]
 
     # -- locals ------------------------------------------------------------
 
+    def _let(self, env: dict[str, str], name: str, code: str):
+        """env[name] = code, counted in `uses`: how many names of the scope
+        being emitted read each code.  Each scope that binds (a definition,
+        a step body, an if's branch) starts from its parent's counts."""
+        uses = self.uses
+        old = env.get(name)
+        if old is not None:
+            uses[old] -= 1
+        env[name] = code
+        uses[code] = uses.get(code, 0) + 1
+
     def _bind_local(self, mapping: dict[str, str], name: str) -> str:
         """A local for a new binding of name.  It may reuse name's old local,
         but never one that another name still refers to (a copy)."""
-        mapping.pop(name, None)
+        old = mapping.pop(name, None)
+        if old is not None:
+            self.uses[old] -= 1
         base = _local(name)
         local = base
         k = 2
-        while local in mapping.values():
+        while self.uses.get(local):
             local = f"{base}_{k}"
             k += 1
-        mapping[name] = local
+        self._let(mapping, name, local)
         self.masked.discard(local)
         return local
 
@@ -328,7 +342,7 @@ class _Codegen:
             return
         rhs = self.expr(bound, env)
         if _is_atom(rhs):  # a copy: later uses read the source directly
-            env[name] = rhs
+            self._let(env, name, rhs)
             return
         local = self._bind_local(env, name)
         if self.fused and _masked(bound):
@@ -378,7 +392,7 @@ class _Codegen:
         if not _is_atom(addr):
             self.lines.append(f"{indent}_a = {addr}")
             addr = "_a"
-        env[name] = st  # no code reads a state after its store (the loader's linearity)
+        self._let(env, name, st)  # no code reads a state after its store (the loader's linearity)
         # A page is owned only after `_write_in_place` range-checked a store
         # into it, so its number p is below 2^20, and a hit on `_own` with
         # _o <= 4096 - n keeps the n bytes in [4096 p, 4096 (p + 1)): the
@@ -398,13 +412,13 @@ class _Codegen:
                 self.bind(name, bound, env, indent)
             self.tail(e.body, env, indent)
         elif isinstance(e, If):
-            masked = self.masked  # what each branch knows on entry
+            masked, uses = self.masked, self.uses  # what each branch knows on entry
             out.append(f"{indent}if {self.cond(e.cond, env)}:")
-            self.masked = set(masked)
+            self.masked, self.uses = set(masked), dict(uses)
             self.tail(e.then, dict(env), indent + "    ")
             out.append(f"{indent}else:")
-            self.masked = set(masked)
-            self.tail(e.els, dict(env), indent + "    ")
+            self.masked, self.uses = set(masked), uses
+            self.tail(e.els, env, indent + "    ")  # no code reads env after the if
         elif isinstance(e, Metlist):
             rhs = self.expr(e.call, env)
             locals_ = [self._bind_local(env, n) for n in e.names]
@@ -516,7 +530,9 @@ class _Codegen:
                          f"_bad({s}, ({args},), 'argument')")
         self.finish = self.next_frame(step, s, frame)
         self.fused, self.masked = True, set()
+        uses, self.uses = self.uses, dict(self.uses)
         self.tail(step.body, dict(env), " " * 12)
+        self.uses = uses
         self.fused, self.pages, self.own = False, None, False
         lines += [f"            if _tr: _show('<-', {s}, ({args},))", "    finally:"]
         if not calls:
@@ -534,6 +550,7 @@ class _Codegen:
     def section(self, k: int, indent: str):
         d = self.program.defs[k]
         env = {name: local for (name, _), local in zip(d.params, self.param_locals[k])}
+        self.uses = dict.fromkeys(self.param_locals[k], 1)  # `_param_locals` are distinct
         if self.loops[k] is not None:
             self.loop(k, d, self.program.by_name[self.loops[k]], env)
         else:

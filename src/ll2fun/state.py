@@ -37,7 +37,8 @@ import sys
 from array import array
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field, replace
-from itertools import compress
+from itertools import compress, islice, repeat
+from operator import add, and_, ne, sub
 
 from .errors import EvalFault, read_utf8
 
@@ -73,10 +74,12 @@ class Memory(Mapping):
     refuses one whose keys are not 32-bit addresses or whose values are
     not bytes; built from a Memory, it shares that memory's pages.
 
-    Only `_write_in_place` writes a memory, and only the code that built
-    it calls it: the image parser before it returns the memory, and
-    `RunMemory` during its run, whose compiled loops also write the pages
-    of `_own` directly (`RunMemory.owned`).  A write copies a page first
+    Two functions write a memory, each only for the code that built it:
+    `_write_runs`, which the image parser calls on the fresh memory it
+    returns, and `_write_in_place`, which `store_word` calls on the
+    memory it builds and `RunMemory` on its own during its run, whose
+    compiled loops also write the pages of `_own` directly
+    (`RunMemory.owned`).  Each copies a page before its first write to it
     unless this memory made that page itself (`_own`), so the memories it
     shares pages with never change.
     """
@@ -477,39 +480,107 @@ def alloca(nbytes: int, st: MachineState) -> MachineState:
 # Memory-image files
 # ---------------------------------------------------------------------------
 
+_IMAGE_MASKS = [(1 << 8 * n) - 1 for n in range(IMAGE_MAX_BYTES + 1)]  # [n] keeps n bytes
+
+
 def parse_memory_image(text: str) -> Memory:
     """Apply a line-oriented memory image to an empty memory.
 
     Each line is ``w <n> <addr> <value>``, n at most IMAGE_MAX_BYTES, meaning
-    wr_n(n, addr, value); addr and value accept decimal or 0x-hex; '#' starts
-    a comment; blank lines are skipped.  Lines apply top to bottom, in place
-    on the pages of one fresh memory, so the cost is linear in the image
-    size.
+    wr_n(n, addr, value); n, addr and value are integer literals as
+    `int(x, 0)` reads them: decimal, 0x-hex, 0o-octal or 0b-binary, with an
+    optional sign and single '_' between digits or after the prefix; '#'
+    starts a comment; blank lines are skipped.  Lines apply top to bottom.
+
+    The image is read in bulk: each column is converted by one `map`, each
+    check is one `min` or `max` over a column, all the bytes are made by
+    one join, and each run of lines that starts where the line before it
+    ended is written as one slice per page (`_write_runs`); runs apply in
+    line order, so a later line still overwrites an earlier one.  The
+    cost is linear in the image size.  An image that any bulk step
+    refuses is walked line by line for its first bad line
+    (`_image_fault`).
     """
+    bare = text  # the image without its comments
+    if "#" in text:
+        bare = "\n".join([line.partition("#")[0] for line in text.splitlines()])
+    # the field count of each line that is not blank: a row
+    sizes = list(filter(None, map(len, map(str.split, bare.splitlines()))))
     mem = Memory()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] != "w" or len(parts) != 4:
-            raise EvalFault(f"memory image line {lineno}: expected 'w <n> <addr> <value>'")
-        try:
-            n = int(parts[1], 0)
-            addr = int(parts[2], 0)
-            value = int(parts[3], 0)
-        except ValueError:
-            raise EvalFault(f"memory image line {lineno}: bad number") from None
-        if n > IMAGE_MAX_BYTES:
-            raise EvalFault(f"memory image line {lineno}: byte count must be at most "
-                            f"{IMAGE_MAX_BYTES}, got {n}")
-        if value < 0:
-            raise EvalFault(f"memory image line {lineno}: value must be a natural number")
-        try:
-            _write_in_place(n, addr, value, mem)
-        except EvalFault as e:
-            raise EvalFault(f"memory image line {lineno}: {e}") from None
+    if not sizes:
+        return mem
+    fields = bare.split()  # every row's fields, in order: each line end is whitespace
+    good = (len(fields) == 4 * len(sizes) and max(sizes) == 4
+            and fields[::4].count("w") == len(sizes))
+    try:
+        numbers = {n: int(n, 0) for n in set(fields[1::4])}  # each distinct count once
+        ns = list(map(numbers.__getitem__, fields[1::4]))
+        addrs, values = (list(map(int, fields[k::4], repeat(0))) for k in (2, 3))
+    except ValueError:  # a bad number
+        good = False
+    del fields  # its strings are most of the memory the parse holds
+    ends = list(map(add, addrs, ns)) if good else None
+    if not (good and 1 <= min(ns) and max(ns) <= IMAGE_MAX_BYTES and min(values) >= 0
+            and min(addrs) >= 0 and max(ends) <= ADDR_LIMIT):
+        raise _image_fault(text) or AssertionError("the bulk checks refused a good image")
+    if max(values) > _IMAGE_MASKS[min(ns)]:  # some value needs wr_n's reduction
+        values = list(map(and_, values, map(_IMAGE_MASKS.__getitem__, ns)))
+    data = b"".join(map(int.to_bytes, values, ns, repeat("little")))
+    # the first line of each run: every line that does not start where the one before ended
+    firsts = [0, *compress(range(1, len(ns)), map(ne, islice(addrs, 1, None), ends))]
+    lasts = [*map(sub, firsts[1:], repeat(1)), len(ns) - 1]  # the line before the next run
+    _write_runs(mem, data, zip(map(addrs.__getitem__, firsts), map(ends.__getitem__, lasts)))
     return mem
+
+
+def _write_runs(mem: Memory, data: bytes, runs):
+    """Write the runs (addr, end), in order, each run the next end - addr
+    bytes of data, as one slice assignment per page: each slice is cut
+    from data at its offsets, so a run of many pages is not cut again for
+    each page.  A page mem does not own yet is copied first (see
+    `Memory`).  mem's bytes are not counted yet (`Memory._len` is None),
+    so no count is kept."""
+    pages, own = mem.pages, mem._own
+    lo = 0
+    for addr, end in runs:
+        p, o, hi = addr >> PAGE_BITS, addr & PAGE_MASK, lo + end - addr
+        while True:
+            page = own.get(p)
+            if page is None:
+                page = own[p] = pages[p] = bytearray(pages.get(p, ZERO_PAGE))
+            if o + hi - lo <= PAGE_SIZE:
+                page[o:o + hi - lo] = data[lo:hi]
+                break
+            page[o:] = data[lo:lo + PAGE_SIZE - o]
+            p, o, lo = p + 1, 0, lo + PAGE_SIZE - o
+        lo = hi
+
+
+def _image_fault(text: str) -> EvalFault | None:
+    """The fault of the first bad line of an image, by the checks of each
+    line in this order: the format, a bad number, a count above
+    IMAGE_MAX_BYTES, a negative value, then wr_n's count and range; None
+    if no line is bad.  No line is written, and no mask made."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        parts = line.partition("#")[0].split()
+        if not parts:
+            continue
+        if parts[0] != "w" or len(parts) != 4:
+            return EvalFault(f"memory image line {lineno}: expected 'w <n> <addr> <value>'")
+        try:
+            n, addr, value = map(int, parts[1:], repeat(0))
+        except ValueError:
+            return EvalFault(f"memory image line {lineno}: bad number")
+        if n > IMAGE_MAX_BYTES:
+            return EvalFault(f"memory image line {lineno}: byte count must be at most "
+                             f"{IMAGE_MAX_BYTES}, got {n}")
+        if value < 0:
+            return EvalFault(f"memory image line {lineno}: value must be a natural number")
+        try:
+            _check_range("wr_n", n, addr)
+        except EvalFault as e:
+            return EvalFault(f"memory image line {lineno}: {e}")
+    return None
 
 
 def load_memory_image(path: str) -> Memory:

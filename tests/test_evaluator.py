@@ -24,6 +24,7 @@ from ll2fun.evaluator import ProgramEvaluator
 from ll2fun.fun_ir import Call, children
 from ll2fun.prims import NAT, PRIMS, RUN, STATE, ashr, lshr, sext, shl, to_signed
 from ll2fun.state import MachineState, begin_stack_frame
+from conftest import paired_ratio
 from llgen import gen_program
 
 
@@ -343,6 +344,47 @@ def test_let_bound_names_that_sanitize_alike_get_numbered_locals():
     assert "v_a_b = " in ev.source and "v_a_b_2 = " in ev.source
     for checking in (True, False):
         assert ev.run("f", (5,), make_state(), checking=checking).state.retval == 21
+
+
+def test_a_rebound_name_reuses_its_local_unless_a_copy_reads_it():
+    """A name bound again takes its old local back, unless another name
+    copied it and still reads it: then it takes the next numbered one.  A
+    copy bound again no longer reads it, and the names an if's branch
+    binds are not in scope in the other branch."""
+    for body, local, want in (
+            ("(let* ((a (+ x 1)) (a (+ a 2)) (b a)) (update-retval (+ a b) st))",
+             "v_a = (v_a + 2)", 16),
+            ("(let* ((a (+ x 1)) (b a) (a (+ a 2))) (update-retval (+ a b) st))",
+             "v_a_2 = (v_a + 2)", 14),
+            ("(let* ((a (+ x 1)) (b a) (b x) (a (+ a 2))) (update-retval (+ a b) st))",
+             "v_a = (v_a + 2)", 13),
+            ("(if (= x 0) (let* ((a (+ x 1))) (update-retval a st))"
+             " (let* ((a (+ x 2))) (update-retval a st)))", "v_a = (v_x + 2)", 7)):
+        ev = ProgramEvaluator(load_program(f"""(defun f (x st)
+  (declare (xargs :signature ((i64_p stp) stp)))
+  {body})
+"""))
+        assert local in ev.source
+        assert ev.run("f", (5,), make_state()).state.retval == want
+
+
+def _add_chain(n: int) -> str:
+    """One block of n adds, each reading the one before."""
+    body = "".join(f"  %v{k + 1} = add i64 %v{k}, {k}\n" for k in range(n))
+    return f"define i64 @f(i64 %v0) {{\n{body}  ret i64 %v{n}\n}}\n"
+
+
+def test_one_long_block_compiles_in_linear_time():
+    """Twice the adds in one block cost ProgramEvaluator at most 2.6x the
+    CPU time (linear: 2x): whether some name still reads a local is one
+    lookup in the scope's count of uses.  A scan of every name in scope
+    for each binding took about 4x."""
+    programs = [load_program(emit_sexpr(translate_module(parse_text(_add_chain(n)))))
+                for n in (5000, 10000)]
+    ratio, pairs = paired_ratio(ProgramEvaluator, *programs)
+    assert ratio <= 2.6, pairs
+    ev = ProgramEvaluator(programs[0])
+    assert ev.run("f", (1,), make_state()).state.retval == 1 + 4999 * 5000 // 2
 
 
 def test_fused_load_reads_its_state_through_an_if(array_state):

@@ -6,11 +6,13 @@ import re
 from array import array
 
 import pytest
+from conftest import paired_ratio
 
 from ll2fun import (
     EvalFault, begin_stack_frame, end_stack_frame, init_stack_frame, loadbytes,
     make_state, parse_memory_image, rd_n, storebytes, update_retval, wr_n,
 )
+from ll2fun import state as st_mod
 from ll2fun.state import (
     PAGE_SIZE, Memory, RunMemory, _is_run, alloca, load_word, store_word, wfrombytes,
     wtobytes,
@@ -404,6 +406,12 @@ def test_memory_image_format():
     mem = parse_memory_image("# comment\nw 8 0x10 20\n\nw 2 32 0x1234 # tail\n")
     assert rd_n(8, 0x10, mem) == 20
     assert rd_n(2, 32, mem) == 0x1234
+    # n, addr and value are read as `int(x, 0)` reads a literal
+    assert parse_memory_image("w 0b1000 0o20 1_000\n") == wr_n(8, 16, 1000, {})
+    assert parse_memory_image("w +2 0X1_0 +0xff_ff\n") == wr_n(2, 16, 0xFFFF, {})
+    for text in ("", "\n\n", "# only a comment\n", " \t\r\n# w 1 2 3\n"):
+        mem = parse_memory_image(text)
+        assert mem == {} and mem.pages == {}
 
 
 def test_memory_image_applies_top_to_bottom():
@@ -469,6 +477,169 @@ def test_memory_image_faults_name_their_line(line, message):
     with pytest.raises(EvalFault) as err:
         parse_memory_image(f"# image\nw 8 0x10 1\n{line}\n")
     assert str(err.value) == f"memory image line 3: {message}"
+
+
+def _line_by_line_image(text: str) -> Memory:
+    """The image reader as it was before the bulk path: each line split,
+    converted, checked and written on its own.  The oracle for the bulk
+    reader's memory and for the text of its faults."""
+    mem = Memory()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] != "w" or len(parts) != 4:
+            raise EvalFault(f"memory image line {lineno}: expected 'w <n> <addr> <value>'")
+        try:
+            n = int(parts[1], 0)
+            addr = int(parts[2], 0)
+            value = int(parts[3], 0)
+        except ValueError:
+            raise EvalFault(f"memory image line {lineno}: bad number") from None
+        if n > 8:
+            raise EvalFault(f"memory image line {lineno}: byte count must be at most 8, got {n}")
+        if value < 0:
+            raise EvalFault(f"memory image line {lineno}: value must be a natural number")
+        try:
+            st_mod._write_in_place(n, addr, value, mem)
+        except EvalFault as e:
+            raise EvalFault(f"memory image line {lineno}: {e}") from None
+    return mem
+
+
+# Every separator `str.splitlines` cuts at.
+_LINE_ENDS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+              "\u2028", "\u2029")
+
+
+def _numeral(rng: random.Random, x: int) -> str:
+    """x >= 0 as one of the literals `int(s, 0)` reads."""
+    return rng.choice((str(x), hex(x), hex(x).upper(), oct(x), bin(x),
+                       f"+{x}", f"{x:_}", f"0x{x:_x}", f"0b{x:_b}", f"+0o{x:o}"))
+
+
+def _image_writes(rng: random.Random) -> list[tuple[int, int, int]]:
+    """(n, addr, value) of a valid image: contiguous runs of every width,
+    runs across page boundaries and up to the end of 32-bit memory, gaps,
+    overlapping writes, zero values and values wider than n bytes."""
+    addr = rng.choice((0, 0x1000 - rng.randrange(1, 40), 0x12345, (1 << 32) - 600))
+    writes = []
+    for _ in range(rng.randrange(0, 60)):
+        n = rng.randrange(1, 9)
+        step = rng.random()
+        if step < 0.2 and writes:  # overlap an earlier write
+            addr = writes[rng.randrange(len(writes))][1] + rng.randrange(-7, 8)
+        elif step < 0.35:  # a gap
+            addr += rng.randrange(1, 6000)
+        addr = min(max(addr, 0), (1 << 32) - n)
+        value = rng.choice((0, 0xFF, (1 << 8 * n) - 1, rng.getrandbits(8 * n),
+                            rng.getrandbits(80)))
+        writes.append((n, addr, value))
+        addr += n
+    return writes
+
+
+def _image_lines(rng: random.Random, writes) -> list[str]:
+    """The lines of writes with comments, blank lines and varied spacing."""
+    lines = []
+    for n, addr, value in writes:
+        gap = rng.choice((" ", "\t", "  ", " \t "))
+        line = gap.join(["w", _numeral(rng, n), _numeral(rng, addr), _numeral(rng, value)])
+        lines.append(rng.choice(("", " ", "\t")) + line + rng.choice(("", " ", "  # set")))
+        if rng.random() < 0.15:
+            lines.append(rng.choice(("", "   ", "# a comment", "\t# w 1 2 3 4")))
+    return lines
+
+
+def _image_text(rng: random.Random, lines: list[str]) -> str:
+    return "".join(line + rng.choice(_LINE_ENDS) for line in lines)
+
+
+# Lines that each check refuses, in the line-by-line order: the format,
+# a bad number, a count above 8, a negative value, then wr_n's count and
+# range.  A line bad in two ways gives the earlier fault.  A line of 3
+# fields and one of 5 hold 8 fields that read as two writes if the
+# fields are grouped by 4 across lines.
+_BAD_IMAGE_LINES = (
+    "w 1 2", "w 1 2 3 4", "w", "x 1 2 3", "W 1 0x10 1", "x 9 -1 five", "w 1 0x10\n5 w 2 0x20 7",
+    "w 1 0x1g 2", "w 1 08 5", "w 08 1 1", "w 1 2 0b2", "w 1 1e3 5", "w 1 2 3_", "w 1 2 1__0",
+    "w 1 2 0x", "w 9 0x10 five",
+    "w 9 0 0", "w 4294967295 0 0", "w 9 5 -1", "w 0x10 -1 1",
+    "w 1 0x10 -1", "w 8 0 -0x5", "w 0 5 -1", "w -1 -1 -1",
+    "w 0 0x10 1", "w -3 0 5", "w 0 -1 0",
+    "w 8 0xfffffffc 1", "w 1 0x100000000 0", "w 1 -1 0", "w 2 4294967295 0",
+)
+
+
+def test_memory_image_reader_matches_the_line_by_line_reader():
+    """The bulk reader gives the line-by-line reader's memory, page for
+    page, on seeded valid images (as the wr_n fold gives it), and its
+    exact fault, line number included, when one bad line or two sit at a
+    random place among good ones."""
+    rng = random.Random(0x1A6E2)
+    for _ in range(300):
+        writes = _image_writes(rng)
+        lines = _image_lines(rng, writes)
+        text = _image_text(rng, lines)
+        mem = parse_memory_image(text)
+        folded: dict[int, int] = {}
+        for n, addr, value in writes:
+            folded = wr_n(n, addr, value, folded)
+        assert mem == folded
+        assert mem.pages == _line_by_line_image(text).pages
+        assert all(mem._own[p] is page for p, page in mem.pages.items())
+        assert st_mod._image_fault(text) is None
+
+        bad = rng.sample(_BAD_IMAGE_LINES, 2)
+        at = rng.randrange(len(lines) + 1)
+        lines[at:at] = [bad[0]]
+        if rng.random() < 0.3:
+            lines.insert(rng.randrange(at + 1, len(lines) + 1), bad[1])
+        text = _image_text(rng, lines)
+        with pytest.raises(EvalFault) as want:
+            _line_by_line_image(text)
+        with pytest.raises(EvalFault) as got:
+            parse_memory_image(text)
+        assert str(got.value) == str(want.value)
+
+
+def _word_image(words: int, stride: int) -> str:
+    return "".join(f"w 8 {0x10000 + stride * j:#x} {j * 0x9E3779B97F4A7C15 % (1 << 64)}\n"
+                   for j in range(words))
+
+
+@pytest.mark.parametrize("stride", [8, 16])
+def test_memory_image_reading_is_linear(stride):
+    """Twice the words cost parse_memory_image at most 2.6x the CPU time
+    (linear: 2x): one contiguous run of 64k words (128 pages) against
+    128k, and the same counts with a gap after every word.  A run is
+    written as one slice per page, cut from the image's bytes at its
+    offsets; cutting the rest of the run again for each page is
+    quadratic."""
+    small, large = _word_image(1 << 16, stride), _word_image(1 << 17, stride)
+    ratio, pairs = paired_ratio(parse_memory_image, small, large)
+    assert ratio <= 2.6, pairs
+    assert rd_n(8, 0x10000 + stride * ((1 << 17) - 1), parse_memory_image(large)) == (
+        ((1 << 17) - 1) * 0x9E3779B97F4A7C15 % (1 << 64))
+
+
+def test_image_runs_are_written_in_linear_time():
+    """Writing one run of 2 MiB (512 pages) costs at most 2.6x the CPU
+    time of 1 MiB (linear: 2x): each page's slice is cut from the image's
+    bytes at its offsets.  Cutting the rest of the run again for each
+    page copies pages x run bytes, which the image reading test above
+    cannot show: at sizes a test can parse, that copy is small against
+    the work per line."""
+    data = random.Random(7).randbytes(2 << 20)
+
+    def write(size):
+        for _ in range(4):
+            mem = Memory()
+            st_mod._write_runs(mem, data, [(0x10000, 0x10000 + size)])
+        assert rd_n(8, 0x10000 + size - 8, mem) == int.from_bytes(data[size - 8:size], "little")
+    ratio, pairs = paired_ratio(write, 1 << 20, 2 << 20)
+    assert ratio <= 2.6, pairs
 
 
 def test_array_image_contents(array_image):
