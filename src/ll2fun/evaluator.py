@@ -8,10 +8,14 @@ that only its tail calls reach, and it compiles into one Python function
 over naturals and MachineState values: each member is a section behind
 `if _b == K:`, and a tail call into a member assigns the parameters that
 differ and sets `_b`.  Every jump goes forward, so a chain of blocks
-costs no host call and no host frame.  A while def becomes a real loop
-over its value frame with its step's body inlined: an iteration assigns
-the step's results to the frame locals, so it costs no host call and no
-tuple, and a million iterations cost no host stack.
+inside a region costs no host call.  A region stops growing at about
+`_PIECE_LINES` generated lines, because compile's memory grows with the
+function it compiles; a longer chain is cut into regions, each a call of
+the next, so a run costs one host frame per region it crosses, not one
+per block.  A while def becomes a real loop over its value frame with
+its step's body inlined: an iteration assigns the step's results to the
+frame locals, so it costs no host call and no tuple, and a million
+iterations cost no host stack.
 
 Signature checks, the step budget, per-while iteration counts and the
 call trace are code in that same source, switched per run by a few
@@ -71,11 +75,12 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import is_not, itemgetter
 
 from .collector import collector_paused
 from .errors import BudgetExhausted, EvalFault, LoadError, SignatureViolation
 from .fun_ir import (
-    Call, Const, FunDef, FunProgram, If, LetStar, Metlist, Mvlist, Prim, Var, children,
+    Call, Const, FunDef, FunProgram, If, LetStar, Metlist, Mvlist, Prim, Var, children, var,
 )
 from .prims import KINDS, PRIMS, STATE, decimal
 from . import state as st_mod
@@ -105,9 +110,12 @@ def _local(name: str) -> str:
 def _param_locals(d: FunDef) -> tuple[str, ...]:
     """The locals of d's parameters, in order: `v_` and the sanitized name,
     numbered from 2 where names sanitize alike."""
+    bases = tuple(map(_local, map(itemgetter(0), d.params)))
+    if len(set(bases)) == len(bases):
+        return bases
     locals_: dict[str, None] = {}
-    for name, _ in d.params:
-        base = local = _local(name)
+    for base in bases:
+        local = base
         k = 2
         while local in locals_:
             local = f"{base}_{k}"
@@ -198,26 +206,58 @@ def _tests(values: list[str], kinds, positions) -> str:
 # body to find them; a tail call there is the value of a result position,
 # as `_Codegen.tail` compiles it.
 
+
+def _section_lines(d: FunDef) -> int:
+    """About how many lines d's body takes in a section: a line per let
+    binding and per value in tail position, two per if."""
+    n, todo = 2, [d.body]
+    while todo:
+        e = todo.pop()
+        t = type(e)
+        if t is LetStar:
+            n += len(e.bindings)
+            todo.append(e.body)
+        elif t is If:
+            n += 2
+            todo += (e.then, e.els)
+        elif t is Metlist:
+            n += 1
+            todo.append(e.body)
+        else:
+            n += 1
+    return n
+
+
 def _region_roots(program: FunProgram, loops: list) -> tuple[list[int], list[list[int]]]:
     """Each definition's region root and callers, from `program.calls`.
     A non-while definition joins its callers' region when every call of it
-    is a tail call from a later non-while definition and all its callers
-    share one region.  A while def calls its step, and its fused loop
-    makes every call of the step's body, none of them a tail call."""
+    is a tail call from a later non-while definition, all its callers
+    share one region, and the region stays within `_PIECE_LINES` lines
+    with it: its section's lines, and the parameters each call of it
+    assigns.  A while def calls its step, and its fused loop makes every
+    call of the step's body, none of them a tail call."""
     defs = program.defs
     index = {d.name: k for k, d in enumerate(defs)}
     sites: list[list[tuple[int, bool]]] = [[] for _ in defs]
+    lines = [_section_lines(d) for d in defs]
     for k, calls in enumerate(program.calls):
         if loops[k] is not None:
             sites[index[loops[k]]].append((k, False))
             calls = [(c, False) for c, _ in program.calls[index[loops[k]]]]
         for call, tail in calls:
-            sites[index[call.name]].append((k, tail))
+            m = index[call.name]
+            sites[m].append((k, tail))
+            if tail:  # a jump assigns each parameter not passed as its own `var`
+                params = map(var, map(itemgetter(0), defs[m].params))
+                lines[m] += sum(map(is_not, call.args, params))
     root = list(range(len(defs)))
     for k in reversed(range(len(defs))):  # a definition's callers come later
         if (sites[k] and loops[k] is None and all(tail and p > k for p, tail in sites[k])
                 and len({root[p] for p, _ in sites[k]}) == 1):
-            root[k] = root[sites[k][0][0]]
+            r = root[sites[k][0][0]]
+            if lines[r] + lines[k] <= _PIECE_LINES:
+                root[k] = r
+                lines[r] += lines[k]
     return root, [[p for p, _ in s] for s in sites]
 
 
@@ -582,17 +622,18 @@ class _Codegen:
 
     def generate(self) -> list[str]:
         """The source, one function per region but the deferred, in pieces
-        of whole functions, each at least _PIECE_LINES long except the
-        last."""
-        pieces, start = [], 0
+        of whole functions, each at most _PIECE_LINES long unless one
+        function is longer."""
+        pieces = []
         for k, sections in self.regions.items():
             if k in self.deferred:
                 continue
+            before = len(self.lines)
             self.function(self.fn_names[self.program.defs[k].name], sections)
-            if len(self.lines) - start >= _PIECE_LINES:
-                pieces.append("\n".join(self.lines[start:]))
-                start = len(self.lines)
-        pieces.append("\n".join(self.lines[start:]))
+            if before and len(self.lines) > _PIECE_LINES:
+                pieces.append("\n".join(self.lines[:before]))
+                del self.lines[:before]
+        pieces.append("\n".join(self.lines))
         self.lines = []
         return pieces
 
@@ -720,7 +761,10 @@ class ProgramEvaluator:
     """The compiled form of one program.
 
     `__init__` generates one Python source for the whole program, compiles
-    it and executes it into the evaluator's namespace, once.  `run` sets
+    it and executes it into the evaluator's namespace, once: in pieces of
+    whole functions, each at most about `_PIECE_LINES` lines, as each
+    region's function is (`_region_roots`), so no one `compile` holds
+    more than about a piece.  `run` sets
     the run mode (checking, budget, trace) in that namespace and calls the
     entry; every mode runs the same compiled functions.  `regions` names,
     for each compiled function, the definitions it runs: its root first.

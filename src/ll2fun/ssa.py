@@ -18,7 +18,6 @@ rather than by the recursion limit.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass
@@ -295,29 +294,22 @@ def _first_use_order(fn: LlvmFunction, live_in: dict[str, set[str]]) -> dict[str
     occurrence scanning from the block onward (wrapping past the last
     block to the first), so emitted parameter lists are stable.
 
-    One pass numbers every operand occurrence; a register's distance from
-    a block is then its first position at or after the block's start,
-    found by bisection, or its first position overall plus the wrap.  A
-    register is live only where some operand reads it, so each has a
-    position."""
-    positions: dict[str, list[int]] = {}
-    starts: list[int] = []
-    total = 0
-    for block in fn.blocks:
-        starts.append(total)
-        for r in _textual_uses(block):
-            positions.setdefault(r, []).append(total)
-            total += 1
+    Every operand occurrence has a position.  One walk backward over the
+    blocks keeps, for each register, its next position at or after the
+    block's start, starting from its first position plus the wrap; each
+    position holds one register, so no two live-ins tie.  A register is
+    live only where some operand reads it, so each has a position."""
+    uses = [list(_textual_uses(block)) for block in fn.blocks]
+    flat = [r for regs in uses for r in regs]
+    total = len(flat)
+    nxt = dict(zip(reversed(flat), range(2 * total - 1, total - 1, -1)))
     out: dict[str, list[str]] = {}
-    for block, start in zip(fn.blocks, starts):
-        wanted = live_in[block.label]
-
-        def distance(r: str) -> int:
-            ps = positions[r]
-            i = bisect_left(ps, start)
-            return ps[i] - start if i < len(ps) else ps[0] + total - start
-
-        out[block.label] = sorted(wanted, key=distance)
+    end = total
+    for block, regs in zip(reversed(fn.blocks), reversed(uses)):
+        start = end - len(regs)
+        nxt.update(zip(reversed(regs), range(end - 1, start - 1, -1)))
+        out[block.label] = sorted(live_in[block.label], key=nxt.__getitem__)
+        end = start
     return out
 
 

@@ -326,6 +326,7 @@ def test_non_ascii_symbols_run():
 """
     ev = ProgramEvaluator(load_program(text))
     assert ev.source.isascii()
+    assert "    v___ = v_x\n    v____2 = 7\n" in ev.source  # main's jump into f²'s section
     for checking in (True, False):
         result = ev.run("main", (4,), make_state(), checking=checking)
         assert result.state.retval == 47

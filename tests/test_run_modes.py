@@ -17,11 +17,13 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
+from conftest import paired_ratio  # noqa: E402
 from llgen import gen_diamond_chain, gen_program, gen_state_args  # noqa: E402
 from test_linear_state import FILL_LL  # noqa: E402
 
@@ -901,21 +903,20 @@ def test_facts_end_with_their_bindings():
 # Host frames
 # ---------------------------------------------------------------------------
 
-def test_checked_and_traced_runs_use_no_more_host_frames():
-    """A chain of 267 diamonds (802 blocks) crosses ~540 definitions; every
-    mode completes under the default recursion limit of 1000."""
-    rng = random.Random(11)
-    program = translate_module(parse_text(gen_diamond_chain(rng, 267)))
-    args, mem = gen_state_args(rng)
-    ev = ProgramEvaluator(program)
+_MODES = ((False, False), (True, False), (False, True), (True, True))  # (checking, trace)
+
+
+def _final_states(ev, args, mem, limit: int) -> set[str]:
+    """The final state of a run of `gen` in each mode, in a thread under
+    the recursion limit, each as its repr."""
     ev.trace_out = io.StringIO()
     results = {}
 
     def run():
         old = sys.getrecursionlimit()
-        sys.setrecursionlimit(1000)
+        sys.setrecursionlimit(limit)
         try:
-            for checking, trace in ((False, False), (True, False), (False, True), (True, True)):
+            for checking, trace in _MODES:
                 results[checking, trace] = ev.run("gen", args, make_state(mem=mem),
                                                   checking=checking, trace=trace).state
         finally:
@@ -924,22 +925,81 @@ def test_checked_and_traced_runs_use_no_more_host_frames():
     t = threading.Thread(target=run)
     t.start()
     t.join()
-    assert len(results) == 4
-    assert len(set(map(repr, results.values()))) == 1
+    assert len(results) == len(_MODES)
+    return set(map(repr, results.values()))
 
 
-def test_each_region_compiles_into_one_function():
-    """The chain's blocks are tail calls reached from one definition, so
-    they compile into one function, not one per block."""
-    program = translate_module(parse_text(gen_diamond_chain(random.Random(11), 267)))
+def test_checked_and_traced_runs_use_no_more_host_frames():
+    """A chain of 267 diamonds (802 blocks) crosses ~540 definitions; every
+    mode completes under the default recursion limit of 1000."""
+    rng = random.Random(11)
+    program = translate_module(parse_text(gen_diamond_chain(rng, 267)))
+    args, mem = gen_state_args(rng)
+    assert len(_final_states(ProgramEvaluator(program), args, mem, 1000)) == 1
+
+
+def _diamonds(n: int) -> FunProgram:
+    return translate_module(parse_text(gen_diamond_chain(random.Random(11), n)))
+
+
+def _compile_transient(program: FunProgram) -> int:
+    """The bytes `ProgramEvaluator` held at its peak beyond those its
+    result keeps."""
+    tracemalloc.start()
+    try:
+        ev = ProgramEvaluator(program)  # noqa: F841 (kept alive for the reading)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - kept
+
+
+def test_each_region_compiles_within_one_piece():
+    """A region's function stops growing at about `_PIECE_LINES` lines:
+    every definition is a section of exactly one region, no compiled
+    function passes `_PIECE_LINES` by more than one section, and
+    compile's transient memory does not grow with the chain."""
+    program = _diamonds(267)
     ev = ProgramEvaluator(program)
+    sections = [name for members in ev.regions.values() for name in members]
+    assert len(program.defs) == 803 and len(ev.regions) > 2
+    assert sorted(sections) == sorted(d.name for d in program.defs)
     compiled = {name for name, v in ev._ns.items()
                 if getattr(v, "__code__", None) and v.__code__.co_filename.startswith("<ll2fun")}
-    assert len(program.defs) == 803
-    assert len(compiled) == len(ev.regions) == 2
-    sections = [name for members in ev.regions.values() for name in members]
-    assert sorted(sections) == sorted(d.name for d in program.defs)
-    assert max(map(len, ev.regions.values())) == 802
+    assert len(compiled) == len(ev.regions)
+    functions = re.split(r"^(?=def )", ev.source, flags=re.M)[1:]
+    assert len(functions) == len(compiled)
+    longest_section = max(len(section.splitlines()) for f in functions
+                          for section in re.split(r"^(?=    if _b == \d+:$)", f, flags=re.M))
+    assert max(len(f.splitlines()) for f in functions) <= \
+        evaluator._PIECE_LINES + longest_section
+    small, large = _compile_transient(program), _compile_transient(_diamonds(534))
+    assert large <= 1.3 * small, (small, large)
+
+
+def test_traced_run_is_linear_in_the_chain():
+    """A traced run reads each section's arguments from its function's
+    locals, which a function of about one piece bounds: 534 vs 1067
+    diamonds."""
+    rng = random.Random(5)
+    args, mem = gen_state_args(rng)
+    evs = {n: ProgramEvaluator(_diamonds(n)) for n in (534, 1067)}
+
+    def run(n):
+        ev = evs[n]
+        ev.trace_out = io.StringIO()
+        ev.run("gen", args, make_state(mem=mem), checking=False, trace=True)
+
+    ratio, pairs = paired_ratio(run, 534, 1067)
+    assert ratio <= 2.6, pairs
+
+
+def test_host_depth_grows_with_regions_not_blocks():
+    """A chain of 1067 diamonds (3,202 blocks) runs in every mode under a
+    recursion limit of 150: a region costs one host frame when a run
+    crosses into it, a block none."""
+    args, mem = gen_state_args(random.Random(7))
+    assert len(_final_states(ProgramEvaluator(_diamonds(1067)), args, mem, 150)) == 1
 
 
 # fin's first argument is not proven to be an i8, so its section checks it;
