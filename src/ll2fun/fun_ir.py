@@ -613,11 +613,14 @@ def _function_order(module: LlvmModule) -> list[LlvmFunction]:
                 if inst.opcode == "call":
                     out.add(inst.callee)
         calls[fn.name] = out
+
+    def recursive(caller: str, callee: str):
+        raise AnalysisError(
+            f"recursive calls through @{callee} are outside the supported translation")
+
     order = dfs_postorder(
         [fn.name for fn in module.functions],
-        lambda name: [c for c in sorted(calls[name]) if c in calls],
-        lambda name: AnalysisError(
-            f"recursive calls through @{name} are outside the supported translation"))
+        lambda name: [c for c in sorted(calls[name]) if c in calls], recursive)
     return [module.function(name) for name in order]
 
 

@@ -5,15 +5,18 @@ lists (phi results first, then live-in registers in first-use order, then
 the machine state), natural-loop structure, and a definition-before-use
 ordering of the emission units.
 
-Loops are found through the dominator tree (a back edge is an edge whose
-target dominates its source).  Irreducible flow, multi-exit loops, and
-loops the five-function translation scheme cannot express are rejected
-with a diagnostic rather than silently mistranslated.
+Loops come from one depth-first search, with no dominator tree: a back
+edge is an edge whose target dominates its source, and the predecessor
+walk that tells whether it does also collects the loop's body.
+Irreducible flow, multi-exit loops, and loops the five-function
+translation scheme cannot express are rejected with a diagnostic rather
+than silently mistranslated.
 
 Cost: apart from the signatures themselves (the sum of the live-in set
-sizes), every pass is linear or n log n in the size of the function, and
-no pass recurses on the host stack, so function size is bounded by memory
-rather than by the recursion limit.
+sizes), every pass is linear or n log n in the size of the function; loop
+detection is linear plus the sum of the loop bodies.  No pass recurses on
+the host stack, so function size is bounded by memory rather than by the
+recursion limit.
 """
 
 from __future__ import annotations
@@ -135,13 +138,13 @@ N = TypeVar("N", bound=Hashable)
 
 
 def dfs_postorder(roots: Iterable[N], successors: Callable[[N], Iterable[N]],
-                  cycle_error: Callable[[N], Exception] | None = None) -> list[N]:
+                  closing: Callable[[N, N], None] | None = None) -> list[N]:
     """Depth-first post-order of everything reachable from `roots`, visiting
     successors in the order given.  `successors(n)` is called once per
-    node, in pre-order.  An edge to a node `n` still on the DFS stack
-    closes a cycle: it raises `cycle_error(n)` if given, else is skipped.
-    Iterative, so the depth of the graph is not limited by the host
-    recursion limit."""
+    node, in pre-order.  An edge (n, s) to a node s still on the DFS stack
+    closes a cycle: `closing(n, s)` is called for it, in search order, if
+    given (it may raise), and the edge is skipped.  Iterative, so the depth
+    of the graph is not limited by the host recursion limit."""
     order: list[N] = []
     state: dict[N, int] = {}  # 1: on the stack, 2: finished
     for root in roots:
@@ -153,8 +156,8 @@ def dfs_postorder(roots: Iterable[N], successors: Callable[[N], Iterable[N]],
             node, succs = stack[-1]
             for s in succs:
                 mark = state.get(s)
-                if mark == 1 and cycle_error is not None:
-                    raise cycle_error(s)
+                if mark == 1 and closing is not None:
+                    closing(node, s)
                 if mark is None:
                     state[s] = 1
                     stack.append((s, iter(successors(s))))
@@ -166,61 +169,49 @@ def dfs_postorder(roots: Iterable[N], successors: Callable[[N], Iterable[N]],
     return order
 
 
-@dataclass(frozen=True)
-class DominatorTree:
-    idom: dict[str, str]       # immediate dominator; the entry maps to itself
-    pre: dict[str, int]        # pre-order number in the tree
-    post: dict[str, int]       # post-order number in the tree
+def dominators(cfg: ControlFlowGraph) -> tuple[list[tuple[str, str, set[str]]], str | None]:
+    """The back edges and the first irreducible cycle, from one depth-first
+    search.
 
-    def dominates(self, a: str, b: str) -> bool:
-        """Whether a dominates b (every block dominates itself): b lies in
-        a's subtree."""
-        return self.pre[a] <= self.pre[b] and self.post[b] <= self.post[a]
+    An edge (u, v) is a back edge when v dominates u.  Then v lies on the
+    search's tree path to u, so v is still on the stack: the edge closes a
+    cycle.  For each closing edge, walk the predecessors from u without
+    passing v.  If v dominates u, it dominates every block the walk
+    reaches, so the search entered each of them after v.  If not, the walk
+    reaches the entry, which the search entered first.  So the walk meets
+    a block entered before v exactly when v does not dominate u; if it
+    meets none, the blocks it reached and v are the edge's natural loop.
 
-
-def dominators(cfg: ControlFlowGraph) -> DominatorTree:
-    """Dominator tree by the iterative algorithm of Cooper, Harvey and
-    Kennedy, "A Simple, Fast Dominance Algorithm" (2001): immediate
-    dominators are refined in reverse post-order, intersecting along the
-    partial tree by post-order number, until stable.  On acyclic flow the
-    first pass is already final."""
-    postorder = dfs_postorder([cfg.entry], cfg.edges.__getitem__)
-    po = {n: i for i, n in enumerate(postorder)}
-    rpo = postorder[::-1]
-    idom: dict[str, str] = {cfg.entry: cfg.entry}
-
-    def intersect(a: str, b: str) -> str:
-        while a != b:
-            while po[a] < po[b]:
-                a = idom[a]
-            while po[b] < po[a]:
-                b = idom[b]
-        return a
-
-    changed = True
-    while changed:
-        changed = False
-        for n in rpo[1:]:
-            new = None
-            for p in cfg.preds[n]:
-                if p in idom:
-                    new = p if new is None else intersect(p, new)
-            if idom.get(n) != new:
-                idom[n] = new
-                changed = True
-
-    children: dict[str, list[str]] = {n: [] for n in cfg.nodes}
-    for n in cfg.nodes:
-        if n != cfg.entry:
-            children[idom[n]].append(n)
+    Returns each back edge as (latch, header, body), in node order (an
+    edge given twice is listed twice), and the target of the first closing
+    edge in search order that is not a back edge, or None.  Skipping the
+    back edges does not change the order of the search, so that is where
+    a search of the graph without them first closes a cycle."""
     pre: dict[str, int] = {}
+    closing: list[tuple[str, str]] = []
 
-    def visit(n: str) -> list[str]:
+    def visit(n: str) -> tuple[str, ...]:
         pre[n] = len(pre)
-        return children[n]
+        return cfg.edges[n]
 
-    tree_post = dfs_postorder([cfg.entry], visit)
-    return DominatorTree(idom, pre, {n: i for i, n in enumerate(tree_post)})
+    dfs_postorder([cfg.entry], visit, lambda u, v: closing.append((u, v)))
+    bodies: dict[tuple[str, str], set[str]] = {}
+    irreducible = None
+    for latch, header in closing:
+        body, work = {header}, [latch]
+        while work:
+            n = work.pop()
+            if n not in body:
+                if pre[n] < pre[header]:  # the header does not dominate the latch
+                    if irreducible is None:
+                        irreducible = header
+                    break
+                body.add(n)
+                work += cfg.preds[n]
+        else:
+            bodies[latch, header] = body
+    back = [(u, v, bodies[u, v]) for u in cfg.nodes for v in cfg.edges[u] if (u, v) in bodies]
+    return back, irreducible
 
 
 # ---------------------------------------------------------------------------
@@ -341,41 +332,22 @@ def compute_block_params(cfg: ControlFlowGraph, fn: LlvmFunction) -> dict[str, B
 # ---------------------------------------------------------------------------
 
 def detect_loops(cfg: ControlFlowGraph, fn: LlvmFunction) -> tuple[LoopInfo, ...]:
-    dom = dominators(cfg)
-    back_edges = [(u, v) for u in cfg.nodes for v in cfg.edges[u] if dom.dominates(v, u)]
+    back_edges, irreducible = dominators(cfg)
 
-    headers = Counter(v for _, v in back_edges)
+    headers = Counter(header for _, header, _ in back_edges)
     for h, count in headers.items():
         if count > 1:
             raise AnalysisError(f"@{fn.name}: block {h} heads more than one back edge")
-
-    # Removing the back edges must leave the graph acyclic, otherwise the
-    # flow is irreducible.
-    removed = set(back_edges)
-    dfs_postorder(
-        [cfg.entry], lambda n: [s for s in cfg.edges[n] if (n, s) not in removed],
-        lambda s: AnalysisError(f"@{fn.name}: irreducible control flow (cycle through {s} "
-                                "not headed by a dominator)"))
-
-    raw: list[dict] = []
-    for latch, header in back_edges:
-        body = {header}
-        work = [latch]
-        while work:
-            n = work.pop()
-            if n in body:
-                continue
-            body.add(n)
-            work.extend(p for p in cfg.preds[n] if p not in body)
-        raw.append({"header": header, "latch": latch, "body": body})
+    if irreducible is not None:
+        raise AnalysisError(f"@{fn.name}: irreducible control flow (cycle through "
+                            f"{irreducible} not headed by a dominator)")
 
     # Reducible, one back edge per header: loops nest or are disjoint.
     pos = {label: i for i, label in enumerate(cfg.nodes)}
-    raw.sort(key=lambda L: (len(L["body"]), pos[L["header"]]))
+    back_edges.sort(key=lambda e: (len(e[2]), pos[e[1]]))
 
     loops: list[LoopInfo] = []
-    for index, L in enumerate(raw):
-        header, latch, body = L["header"], L["latch"], L["body"]
+    for index, (latch, header, body) in enumerate(back_edges):
         body_order = sorted(body, key=pos.__getitem__)
         exits = [(u, s) for u in body_order
                  for s in cfg.edges[u] if s not in body]

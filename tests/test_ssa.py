@@ -16,14 +16,15 @@ from llgen import (  # noqa: E402
 )
 
 from ll2fun import (  # noqa: E402
-    AnalysisError, build_cfg, compute_block_params, detect_loops, emit_sexpr, load_program,
-    parse_file, parse_text, translate_module,
+    AnalysisError, BudgetExhausted, MachineState, build_cfg, compute_block_params, detect_loops,
+    emit_sexpr, interp_function, load_program, parse_file, parse_text, translate_module,
 )
+from ll2fun.evaluator import ProgramEvaluator  # noqa: E402
 from ll2fun.fun_ir import collector_paused  # noqa: E402
 from ll2fun.ll_parser import Reg, Ret, resolve_aliases  # noqa: E402
 from ll2fun.ssa import (  # noqa: E402
     BlockUnit, CliqueUnit, DriverUnit, analyze_function,
-    compute_liveness, dominators,
+    compute_liveness, dfs_postorder, dominators,
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -73,14 +74,10 @@ dead:
 
 def test_dominators_of_occurrences(occurrences_module):
     cfg = build_cfg(_fn(occurrences_module))
-    dom = dominators(cfg)
-
-    def dominators_of(n):
-        return {a for a in cfg.nodes if dom.dominates(a, n)}
-
-    assert dominators_of(".lr.ph") == {"0", ".lr.ph"}
-    assert dominators_of("._crit_edge") == {"0", "._crit_edge"}
-    assert dom.idom == {"0": "0", ".lr.ph": "0", "._crit_edge": "0"}
+    sets = _reference_dominator_sets(cfg)
+    assert sets[".lr.ph"] == {"0", ".lr.ph"}
+    assert sets["._crit_edge"] == {"0", "._crit_edge"}
+    assert dominators(cfg) == ([(".lr.ph", ".lr.ph", {".lr.ph"})], None)
 
 
 def _reference_dominator_sets(cfg):
@@ -127,14 +124,60 @@ out:
 """
 
 
-def test_dominator_tree_matches_dominator_sets():
+def _ladder(rungs):
+    """The entry branches to b1 and b<rungs>; each b<k> branches to its two
+    neighbours, out standing for b0 and b<rungs + 1>.  Irreducible, and
+    every rung but the first the search reaches closes a cycle."""
+    lines = ["define i64 @ladder(i1 %c) {", f"  br i1 %c, label %b1, label %b{rungs}"]
+    for k in range(1, rungs + 1):
+        down = f"b{k - 1}" if k > 1 else "out"
+        up = f"b{k + 1}" if k < rungs else "out"
+        lines += [f"b{k}:", f"  br i1 %c, label %{down}, label %{up}"]
+    return "\n".join(lines + ["out:", "  ret i64 0", "}"]) + "\n"
+
+
+def _natural_loop(cfg, latch, header):
+    """The textbook natural loop: the header, and every block that reaches
+    the latch without passing the header."""
+    body, work = {header}, [latch]
+    while work:
+        n = work.pop()
+        if n not in body:
+            body.add(n)
+            work.extend(cfg.preds[n])
+    return body
+
+
+def _first_cycle_without(cfg, removed):
+    """The block at which a search of the graph without the `removed` edges
+    first closes a cycle, or None."""
+    closing = []
+    dfs_postorder([cfg.entry], lambda n: [s for s in cfg.edges[n] if (n, s) not in removed],
+                  lambda u, v: closing.append(v))
+    return closing[0] if closing else None
+
+
+def test_back_edges_match_dominator_sets():
+    """For every graph of the corpus, two irreducible ones and 5,000 random
+    ones: the back edges are the edges whose target dominates their source
+    by the data-flow oracle, in node order, each with its natural loop; the
+    irreducible block is where removing them leaves a cycle."""
     fns = [fn for fn in _corpus() if len(fn.blocks) < 200]
-    fns.append(_fn(parse_text(IRREDUCIBLE)))
+    fns += [_fn(parse_text(IRREDUCIBLE)), _fn(parse_text(_ladder(10)))]
+    rng = random.Random(0xCF6)
+    fns += [_fn(parse_text(gen_cfg(rng))) for _ in range(5000)]
+    irreducible = 0
     for fn in fns:
         cfg = build_cfg(fn)
-        tree, sets = dominators(cfg), _reference_dominator_sets(cfg)
-        for b in cfg.nodes:
-            assert {a for a in cfg.nodes if tree.dominates(a, b)} == sets[b], (fn.name, b)
+        sets = _reference_dominator_sets(cfg)
+        edges = [(u, v) for u in cfg.nodes for v in cfg.edges[u] if v in sets[u]]
+        back, first = dominators(cfg)
+        assert [(u, v) for u, v, _ in back] == edges, fn.name
+        for u, v, body in back:
+            assert body == _natural_loop(cfg, u, v), (fn.name, u, v)
+        assert first == _first_cycle_without(cfg, set(edges)), fn.name
+        irreducible += first is not None
+    assert irreducible > 1000, irreducible
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +355,24 @@ def test_loop_detection_is_linear_in_loop_count():
     assert [len(detect_loops(*g)) for g in graphs] == [800, 1600]
 
 
-def test_liveness_is_linear_in_join_predecessors():
-    """A join with 4N predecessors costs compute_liveness at most 6x the
-    CPU time of N (linear: 4x): each edge reads its phi values from the
-    join's one index rather than scanning every phi's incoming list."""
-    functions = [parse_text(gen_wide_join(n)).functions[0] for n in (300, 1200)]
-    graphs = [(build_cfg(fn), fn) for fn in functions]
+@pytest.mark.parametrize("stage, sizes, bound", [
+    ("compute_liveness", (300, 1200), 6),
+    ("translate_module", (1000, 2000), 2.6),
+], ids=["compute_liveness", "translate_module"])
+def test_linear_in_join_predecessors(stage, sizes, bound):
+    """A join with k times the predecessors costs the stage at most `bound`
+    times the CPU time (linear: k times).  compute_liveness: each edge
+    reads its phi values from the join's one index rather than scanning
+    every phi's incoming list.  translate_module: loop detection builds no
+    dominator tree, whose intersection walked the chain of predecessors
+    again for each of them."""
+    modules = [parse_text(gen_wide_join(n)) for n in sizes]
+    graphs = [(build_cfg(m.functions[0]), m.functions[0]) for m in modules]
+    build, inputs = {"compute_liveness": (lambda g: compute_liveness(*g), graphs),
+                     "translate_module": (translate_module, modules)}[stage]
     with collector_paused():
-        ratio, pairs = paired_ratio(lambda g: compute_liveness(*g), *graphs)
-    assert ratio <= 6, pairs
+        ratio, pairs = paired_ratio(build, *inputs)
+    assert ratio <= bound, pairs
     live = compute_liveness(*graphs[1])
     assert live["J"] == set() and live["B7"] == {"x"}
 
@@ -407,6 +459,18 @@ out:
 # and their classes
 _CFG_DIGEST = "dab5d28e2fc4b257660902102c01e4c552e02624ca05f57767f8d765aada84e3"
 _CFG_COUNTS = {"irreducible": 1635, "rejected": 1588, "two back edges": 1004, "translated": 773}
+# the same for the runs of the graphs that translate
+_RUN_DIGEST = "c87d85fc14bec9e2755bdb948fb134d3526eac9141e4b49768c0786cff42fec8"
+_RUN_COUNTS = {"budget": 608, "retval": 8668}
+_RUN_ARGS = [(x, c) for x in (0, 1, 2, 5, 8, (1 << 64) - 1) for c in (0, 1)]
+
+
+def _run_outcome(run):
+    """The final state, or "budget" if the run stopped by its budget."""
+    try:
+        return run()
+    except BudgetExhausted:
+        return "budget"
 
 
 def test_random_cfgs_translate_or_are_rejected():
@@ -417,13 +481,22 @@ def test_random_cfgs_translate_or_are_rejected():
     reach the loop rules: over a tenth translate, and irreducible flow and
     a header with two back edges both occur.  Every outcome is pinned by
     digest: the error's class and message, or a hash of the emitted
-    .fun."""
+    .fun.
+
+    Each graph that translates then runs from its reloaded .fun on a dozen
+    (x, c) pairs, against the reference interpreter: the same final state,
+    or a budget stop on both sides (200 loop iterations in the evaluator,
+    5,000 block transitions in the reference; the two count different
+    things, so they agree by class only).  Those outcomes are pinned by
+    digest too."""
     rng = random.Random(0xCF6)
     outcomes, counts = [], Counter()
+    runs = []
     for _ in range(5000):
         text = gen_cfg(rng)
+        module = parse_text(text)
         try:
-            program = translate_module(parse_text(text))
+            program = translate_module(module)
         except AnalysisError as e:
             outcomes.append(f"{type(e).__name__}: {e}")
             counts["irreducible" if "irreducible" in str(e)
@@ -431,13 +504,25 @@ def test_random_cfgs_translate_or_are_rejected():
                    else "rejected"] += 1
             continue
         fun = emit_sexpr(program)
-        assert load_program(fun).defs == program.defs, text
+        reloaded = load_program(fun)
+        assert reloaded.defs == program.defs, text
         outcomes.append("translated " + hashlib.sha256(fun.encode()).hexdigest())
         counts["translated"] += 1
+        ev = ProgramEvaluator(reloaded)
+        for args in _RUN_ARGS:
+            st = MachineState(retval=0, stack=0xFFFF0000, frame=0xFFFF0000, mem={})
+            ours = _run_outcome(lambda: ev.run("f", args, st, budget=200).state)
+            reference = _run_outcome(lambda: interp_function(module, "f", args, st, budget=5000))
+            assert ours == reference, (args, text)
+            runs.append(ours if ours == "budget" else f"retval {ours.retval}")
     assert counts["translated"] >= 500, counts
     assert counts["irreducible"] and counts["two back edges"], counts
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert (digest, dict(counts)) == (_CFG_DIGEST, _CFG_COUNTS)
+    run_counts = Counter(run.split()[0] for run in runs)
+    assert run_counts["budget"] and run_counts["retval"], run_counts
+    run_digest = hashlib.sha256("\n".join(runs).encode()).hexdigest()
+    assert (run_digest, dict(run_counts)) == (_RUN_DIGEST, _RUN_COUNTS)
 
 
 # ---------------------------------------------------------------------------
