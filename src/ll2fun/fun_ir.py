@@ -28,7 +28,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import groupby, repeat
+from itertools import groupby
 from operator import itemgetter
 
 from .collector import collector_paused
@@ -48,6 +48,7 @@ RESERVED_NAMES = (STATE_VAR, DONE_VAR)
 MAX_DEPTH = 64  # deepest parenthesis nesting the loader accepts
 
 _KIND_OF_PREDICATE = {k.predicate: name for name, k in KINDS.items()}
+_ARITY = {op: len(p.params) for op, p in PRIMS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -700,13 +701,15 @@ def emit_sexpr(program: FunProgram) -> str:
 # Loader
 # ---------------------------------------------------------------------------
 
-# One match is a whole list that holds no sublist and no comment, or one
-# token: a parenthesis, a comment, or an atom.  What lies between matches
-# is whitespace (" \t\r\n").  A flat list's inside is printable ASCII,
-# tab, CR and LF only: there `str.split()` splits exactly where the reader
-# does.  Elsewhere it also splits on characters that the reader keeps
-# inside an atom (such as "\x0c", "\x1f" or "\xa0").
-_SEXPR_TOKEN = re.compile(r"\([\t\n\r -'*-:<-~]*\)|[()]|;[^\n]*|[^ \t\r\n();]+")
+# The reader's tokens: a parenthesis, a comment, or an atom.  What lies
+# between them is whitespace (" \t\r\n").
+_TOKEN = re.compile(r"[()]|;[^\n]*|[^ \t\r\n();]+")
+# One match is a whole list that holds no sublist and no comment (a flat
+# list), or one token.  A flat list's inside is printable ASCII, tab, CR
+# and LF only: there `str.split()` splits exactly where the reader does.
+# Elsewhere it also splits on characters that the reader keeps inside an
+# atom (such as "\x0c", "\x1f" or "\xa0").
+_SEXPR_TOKEN = re.compile(r"\([\t\n\r -'*-:<-~]*\)|" + _TOKEN.pattern)
 
 
 def _read_error(text: str, m: re.Match, message: str) -> LoadError:
@@ -715,130 +718,276 @@ def _read_error(text: str, m: re.Match, message: str) -> LoadError:
     return LoadError(f"line {line}: {message}")
 
 
-def _read_atom(text: str, m: re.Match) -> str | int:
-    tok = m[0]
-    try:
-        return int(tok) if tok.isdigit() else tok
-    except ValueError:  # not ASCII, or past int()'s digit limit
-        raise _read_error(text, m, f"bad number {tok[:40]!r}") from None
-
-
-def _read_sexprs(text: str) -> list:
-    forms: list = []
-    stack: list[list] = []
-    for m in _SEXPR_TOKEN.finditer(text):
+def _check_reader(text: str):
+    """Raise the reader's first fault in text, if it has one: a parenthesis
+    without its partner, forms nested deeper than MAX_DEPTH, a bad number,
+    or an atom outside any form.  These come before every shape error."""
+    depth = 0
+    for m in _TOKEN.finditer(text):
         tok = m[0]
-        if tok[0] == "(":  # an open parenthesis, or a whole flat list
-            if len(stack) == MAX_DEPTH:
+        if tok == "(":
+            if depth == MAX_DEPTH:
                 raise _read_error(text, m, f"forms nest deeper than {MAX_DEPTH} levels")
-            if tok == "(":
-                stack.append([])
-                continue
-            try:
-                items = [int(a) if a.isdigit() else a for a in tok[1:-1].split()]
-            except ValueError:  # an atom past int()'s digit limit: name its line
-                items = [_read_atom(text, a)
-                         for a in _SEXPR_TOKEN.finditer(text, m.start() + 1, m.end() - 1)]
-            (stack[-1] if stack else forms).append(items)
+            depth += 1
         elif tok == ")":
-            if not stack:
+            if not depth:
                 raise _read_error(text, m, "unbalanced ')'")
-            done = stack.pop()
-            (stack[-1] if stack else forms).append(done)
+            depth -= 1
         elif tok[0] != ";":
-            value = _read_atom(text, m)
-            if not stack:
+            if tok.isdigit():
+                try:
+                    int(tok)
+                except ValueError:  # not ASCII, or past int()'s digit limit
+                    raise _read_error(text, m, f"bad number {tok[:40]!r}") from None
+            if not depth:
                 raise _read_error(text, m, f"atom {tok!r} outside any form")
-            stack[-1].append(value)
-    if stack:
+    if depth:
         raise LoadError("unbalanced '(' at end of input")
-    return forms
 
 
-def _parse_expr(form) -> FunExpr:
-    if isinstance(form, int):
-        return const(form)
-    if isinstance(form, str):
-        return var(form)
-    if not form:
-        raise LoadError("empty form")
-    head = form[0]
-    if head in ("let*", "let"):
-        if len(form) != 3 or not isinstance(form[1], list):
-            raise LoadError("let* needs a binding list and a body")
-        bindings = []
-        for b in form[1]:
-            if not (isinstance(b, list) and len(b) == 2 and isinstance(b[0], str)):
-                raise LoadError(f"bad let* binding: {b}")
-            bindings.append((b[0], _parse_expr(b[1])))
-        return LetStar(tuple(bindings), _parse_expr(form[2]))
-    if head == "if":
-        if len(form) != 4:
-            raise LoadError("if needs a condition and two branches")
-        return If(_parse_expr(form[1]), _parse_expr(form[2]), _parse_expr(form[3]))
-    if head == "mvlist":
-        return Mvlist(_parse_args(form))
-    if head == "metlist":
-        if len(form) != 3 or not (isinstance(form[1], list) and len(form[1]) == 2):
-            raise LoadError("metlist needs ((names...) (call...)) and a body")
-        names, call_form = form[1]
-        if not (isinstance(names, list) and all(isinstance(x, str) for x in names)):
-            raise LoadError("metlist names must be symbols")
-        call = _parse_expr(call_form)
-        if not isinstance(call, Call):
-            raise LoadError("metlist must bind the results of a function call")
-        return Metlist(tuple(names), call, _parse_expr(form[2]))
-    if not isinstance(head, str):
-        raise LoadError(f"bad application head: {head}")
-    args = _parse_args(form)
-    if head in PRIMS:
-        arity = len(PRIMS[head].params)
+class _Atoms(dict):
+    """The leaf of each atom: a `Const` for one of digits (int() raises
+    ValueError for a bad number), else a `Var`."""
+
+    def __missing__(self, atom: str) -> Var | Const:
+        if atom == ")":  # a form ends early: the check of its count names the error
+            raise LoadError("form ends early")
+        leaf = self[atom] = const(int(atom)) if atom.isdigit() else var(atom)
+        return leaf
+
+
+def _symbol(tok: str) -> bool:
+    return tok[0] not in "()" and not tok.isdigit()
+
+
+def _nest(depth: int):
+    """A list opens at nesting level depth (1 for a definition)."""
+    if depth > MAX_DEPTH:
+        raise LoadError(f"forms nest deeper than {MAX_DEPTH} levels")
+
+
+class _Builder:
+    """The definitions of a `.fun` text, built from its matches in one pass.
+
+    Each form is checked as its tokens are read.  A form's own checks,
+    such as its count of items, come before the errors of its parts, but
+    its count is known only at its end: so where its parts fail, the form
+    reads itself again from its first token (`datum_at`) and raises its
+    own error if its count or shape is wrong.  At a fault of the reader
+    the builder raises whatever it meets, and `load_program` has
+    `_check_reader` name the first fault in the text.  A list is read from
+    `next`, or, where a flat list holds a form that the fast path does not
+    build, from an iterator over its atoms."""
+
+    __slots__ = ("tokens", "it", "next", "atoms")
+
+    def __init__(self, tokens: list[str]):
+        tokens.append("")  # past the last form: a list still open there is unbalanced
+        self.tokens, self.it, self.atoms = tokens, iter(tokens), _Atoms()
+        self.next = self.it.__next__
+
+    def here(self) -> int:
+        """The index of the token read last from `next`."""
+        return len(self.tokens) - self.it.__length_hint__() - 1
+
+    def datum(self, tok: str, nxt, depth: int):
+        """The datum that tok begins, as the error messages print it: an int
+        for digits, a str, or a list of data; nxt reads its further tokens."""
+        if tok[0] != "(":
+            return int(tok) if tok.isdigit() else tok
+        _nest(depth)
+        if tok != "(":
+            return [int(a) if a.isdigit() else a for a in tok[1:-1].split()]
+        return [self.datum(t, nxt, depth + 1) for t in iter(nxt, ")")]
+
+    def datum_at(self, start: int, depth: int):
+        return self.datum(self.tokens[start], iter(self.tokens[start + 1:]).__next__, depth)
+
+    def symbols(self, tok: str, nxt, depth: int) -> list[str] | None:
+        """The items of the list that tok begins if all are symbols, else None."""
+        if tok[0] != "(":
+            return None
+        _nest(depth)
+        if tok != "(":  # a flat list holds atoms only
+            names = tok[1:-1].split()
+            return None if any(map(str.isdigit, names)) else names
+        names = list(iter(nxt, ")"))
+        return names if all(map(_symbol, names)) else None
+
+    def program(self) -> tuple[FunDef, ...]:
+        return tuple([self.definition(tok) for tok in iter(self.next, "")])
+
+    def definition(self, tok: str) -> FunDef:
+        if tok[0] != "(":
+            raise LoadError(f"atom {tok!r} outside any form")  # or an unbalanced ')'
+        start = self.here()
+        nxt = self.next if tok == "(" else iter(tok[1:-1].split() + [")"]).__next__
+        try:
+            head = nxt()
+            if head in ("defun", "defun-general"):
+                name = nxt()
+                if not _symbol(name):
+                    raise LoadError(f"malformed definition header for {self.datum(name, nxt, 2)!r}")
+                names = self.symbols(nxt(), nxt, 2)
+                if names is None:
+                    raise LoadError(f"malformed definition header for {name!r}")
+                ins, outs = self.signature(name, nxt)
+                if len(ins) != len(names):
+                    raise LoadError(f"{name}: {len(names)} params but {len(ins)} input kinds")
+                if not outs:
+                    raise LoadError(f"{name}: signature declares no results")
+                body = self.expr(nxt(), nxt, 2)
+                if nxt() == ")":
+                    return FunDef(name, tuple(zip(names, ins)), outs, body,
+                                  general_recursive=(head == "defun-general"))
+        except LoadError:
+            form = self.datum_at(start, 1)
+            if len(form) == 5 and form[0] in ("defun", "defun-general"):
+                raise
+        raise LoadError(f"expected (defun name (params) (declare ...) body), "
+                        f"got {self.datum_at(start, 1)!r:.80}")
+
+    def signature(self, name: str, nxt) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The input and result kinds that a definition's
+        (declare (xargs :signature ((inputs...) results...) ...)) names."""
+        missing = f"{name}: missing (declare (xargs :signature ...))"
+        if not (nxt() == "(" and nxt() == "declare" and nxt() == "(" and nxt() == "xargs"
+                and nxt() == ":signature" and (sig := nxt())[0] == "("):
+            raise LoadError(missing)
+        start = self.here() - 5  # the declaration's "("
+        try:
+            first = nxt() if sig == "(" else ")"
+            if first[0] != "(":
+                raise LoadError(f"{name}: signature needs an input kind list")
+            try:
+                ins = tuple(map(_KIND_OF_PREDICATE.__getitem__,
+                                iter(nxt, ")") if first == "(" else first[1:-1].split()))
+                outs = tuple(map(_KIND_OF_PREDICATE.__getitem__, iter(nxt, ")")))
+            except KeyError:
+                raise LoadError(f"{name}: unknown kind predicate in signature") from None
+            for tok in iter(nxt, ")"):
+                self.datum(tok, nxt, 4)  # unused, but read: its bad numbers and depth are faults
+            if nxt() == ")":
+                return ins, outs
+        except LoadError:
+            if len(self.datum_at(start, 2)) == 2:
+                raise
+        raise LoadError(missing)
+
+    def expr(self, tok: str, nxt, depth: int) -> FunExpr:
+        """The expression that tok begins, at nesting level depth; nxt reads
+        its further tokens."""
+        if tok[0] != "(":
+            return self.atoms[tok]
+        _nest(depth)
+        if tok == "(":
+            head = nxt()
+        else:  # a flat list
+            form = tok[1:-1].split()
+            head = form[0] if form else ")"
+            if head not in _FORMS and _symbol(head):
+                return self.apply(head, tuple(map(self.atoms.__getitem__, form[1:])))
+            nxt = iter(form[1:] + [")"]).__next__
+        if head == ")":
+            raise LoadError("empty form")
+        if head in _FORMS:
+            return _FORMS[head](self, nxt, depth, self.here() - (tok == "("))
+        if not _symbol(head):
+            raise LoadError(f"bad application head: {self.datum(head, nxt, depth + 1)}")
+        return self.apply(head, tuple([self.expr(t, nxt, depth + 1) for t in iter(nxt, ")")]))
+
+    def apply(self, head: str, args: tuple[FunExpr, ...]) -> FunExpr:
+        arity = _ARITY.get(head)
+        if arity is None:
+            return Mvlist(args) if head == "mvlist" else Call(head, args)
         if len(args) != arity:
             raise LoadError(f"primitive {head} takes {arity} args, got {len(args)}")
         return Prim(head, args)
-    return Call(head, args)
+
+    # Each special form is read after its head; start is the index of its
+    # first token.
+
+    def let(self, nxt, depth: int, start: int) -> LetStar:
+        try:
+            tok = nxt()
+            if tok[0] == "(":
+                _nest(depth + 1)
+                bindings = tuple([self.binding(b, nxt, depth + 2) for b in
+                                  (iter(nxt, ")") if tok == "(" else tok[1:-1].split())])
+                body = self.expr(nxt(), nxt, depth + 1)
+                if nxt() == ")":
+                    return LetStar(bindings, body)
+        except LoadError:
+            if len(self.datum_at(start, depth)) == 3:
+                raise
+        raise LoadError("let* needs a binding list and a body")
+
+    def binding(self, tok: str, nxt, depth: int) -> tuple[str, FunExpr]:
+        if tok[0] != "(":
+            raise LoadError(f"bad let* binding: {self.datum(tok, nxt, depth)}")
+        _nest(depth)
+        start = self.here()
+        if tok != "(":
+            nxt = iter(tok[1:-1].split() + [")"]).__next__
+        try:
+            name = nxt()
+            if _symbol(name):
+                value = self.expr(nxt(), nxt, depth + 1)
+                if nxt() == ")":
+                    return name, value
+        except LoadError:
+            form = self.datum_at(start, depth)
+            if len(form) == 2 and type(form[0]) is str:
+                raise
+        raise LoadError(f"bad let* binding: {self.datum_at(start, depth)}")
+
+    def branch(self, nxt, depth: int, start: int) -> If:
+        try:
+            parts = [self.expr(nxt(), nxt, depth + 1) for _ in range(3)]
+            if nxt() == ")":
+                return If(*parts)
+        except LoadError:
+            if len(self.datum_at(start, depth)) == 4:
+                raise
+        raise LoadError("if needs a condition and two branches")
+
+    def metlist(self, nxt, depth: int, start: int) -> Metlist:
+        try:
+            tok = nxt()  # ((names...) (call...))
+            if tok[0] == "(":
+                _nest(depth + 1)
+                names = self.symbols(nxt(), nxt, depth + 2) if tok == "(" else None
+                if names is None:
+                    raise LoadError("metlist names must be symbols")
+                call = self.expr(nxt(), nxt, depth + 2)
+                if type(call) is not Call:
+                    raise LoadError("metlist must bind the results of a function call")
+                if nxt() == ")":
+                    body = self.expr(nxt(), nxt, depth + 1)
+                    if nxt() == ")":
+                        return Metlist(tuple(names), call, body)
+        except LoadError:
+            form = self.datum_at(start, depth)
+            if len(form) == 3 and type(form[1]) is list and len(form[1]) == 2:
+                raise
+        raise LoadError("metlist needs ((names...) (call...)) and a body")
 
 
-def _parse_args(form: list) -> tuple[FunExpr, ...]:
-    """The arguments form[1:]; an atom becomes its leaf here, without a
-    call of `_parse_expr` per atom."""
-    return tuple([var(x) if type(x) is str else const(x) if type(x) is int
-                  else _parse_expr(x) for x in form[1:]])
-
-
-def _parse_def(form) -> FunDef:
-    if not (isinstance(form, list) and len(form) == 5
-            and form[0] in ("defun", "defun-general")):
-        raise LoadError(f"expected (defun name (params) (declare ...) body), got {form!r:.80}")
-    _, name, params, declare, body = form
-    if not (isinstance(name, str) and isinstance(params, list)
-            and all(map(isinstance, params, repeat(str)))):
-        raise LoadError(f"malformed definition header for {name!r}")
-    sig_ok = (isinstance(declare, list) and len(declare) == 2
-              and declare[0] == "declare" and isinstance(declare[1], list)
-              and len(declare[1]) >= 3 and declare[1][0] == "xargs"
-              and declare[1][1] == ":signature" and isinstance(declare[1][2], list))
-    if not sig_ok:
-        raise LoadError(f"{name}: missing (declare (xargs :signature ...))")
-    sig = declare[1][2]
-    if not sig or not isinstance(sig[0], list):
-        raise LoadError(f"{name}: signature needs an input kind list")
-    try:
-        in_kinds = tuple(map(_KIND_OF_PREDICATE.__getitem__, sig[0]))
-        out_kinds = tuple(map(_KIND_OF_PREDICATE.__getitem__, sig[1:]))
-    except (KeyError, TypeError):
-        raise LoadError(f"{name}: unknown kind predicate in signature") from None
-    if len(in_kinds) != len(params):
-        raise LoadError(f"{name}: {len(params)} params but {len(in_kinds)} input kinds")
-    if not out_kinds:
-        raise LoadError(f"{name}: signature declares no results")
-    return FunDef(name, tuple(zip(params, in_kinds)), out_kinds, _parse_expr(body),
-                  general_recursive=(form[0] == "defun-general"))
+# The forms other than applications, each read by its method.
+_FORMS = {"let*": _Builder.let, "let": _Builder.let, "if": _Builder.branch,
+          "metlist": _Builder.metlist}
 
 
 @collector_paused()
 def load_program(text: str) -> FunProgram:
-    defs = tuple(_parse_def(f) for f in _read_sexprs(text))
+    tokens = _SEXPR_TOKEN.findall(text)
+    if ";" in text:
+        tokens = [tok for tok in tokens if tok[0] != ";"]
+    try:
+        defs = _Builder(tokens).program()
+    except (LoadError, IndexError, ValueError):  # a shape error, or one of the reader's faults
+        _check_reader(text)  # the reader's first fault, anywhere in the text, comes first
+        raise
     seen: set[str] = set()
     for d in defs:
         if d.name in seen:

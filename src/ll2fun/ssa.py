@@ -186,7 +186,10 @@ def dominators(cfg: ControlFlowGraph) -> tuple[list[tuple[str, str, set[str]]], 
     edge given twice is listed twice), and the target of the first closing
     edge in search order that is not a back edge, or None.  Skipping the
     back edges does not change the order of the search, so that is where
-    a search of the graph without them first closes a cycle."""
+    a search of the graph without them first closes a cycle.  Once that
+    target is found the flow is irreducible, and only a block that closes
+    two or more edges could still head two back edges, so a closing edge
+    to any other block is not walked and not listed."""
     pre: dict[str, int] = {}
     closing: list[tuple[str, str]] = []
 
@@ -195,9 +198,12 @@ def dominators(cfg: ControlFlowGraph) -> tuple[list[tuple[str, str, set[str]]], 
         return cfg.edges[n]
 
     dfs_postorder([cfg.entry], visit, lambda u, v: closing.append((u, v)))
+    closes = Counter(v for _, v in closing)
     bodies: dict[tuple[str, str], set[str]] = {}
     irreducible = None
     for latch, header in closing:
+        if irreducible is not None and closes[header] == 1:
+            continue
         body, work = {header}, [latch]
         while work:
             n = work.pop()

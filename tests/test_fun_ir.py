@@ -24,9 +24,10 @@ from ll2fun import (  # noqa: E402
     make_state, parse_text, translate_function, translate_module, validate_program,
 )
 from ll2fun.fun_ir import (  # noqa: E402
-    Call, Const, FunProgram, If, LetStar, Metlist, Mvlist, Prim, Var,
-    _parse_def, _read_sexprs, children, emit_def, free_vars, validate_clique,
+    MAX_DEPTH, Call, Const, FunDef, FunProgram, If, LetStar, Metlist, Mvlist, Prim, Var, children,
+    emit_def, free_vars, validate_clique,
 )
+from ll2fun.prims import KINDS, PRIMS  # noqa: E402
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -336,6 +337,158 @@ def test_loader_rejects_bad_numbers():
                          f"(update-retval {atom} st))")
 
 
+# ---------------------------------------------------------------------------
+# The reference loader: the tree reader and the walk over its tree that
+# `load_program` replaced, kept as the oracle of its outcome
+# ---------------------------------------------------------------------------
+
+# A whole flat list (one without a sublist or a comment) in one match, or
+# one token.
+_REF_TOKEN = re.compile(r"\([\t\n\r -'*-:<-~]*\)|[()]|;[^\n]*|[^ \t\r\n();]+")
+_REF_KINDS = {k.predicate: name for name, k in KINDS.items()}
+
+
+def _ref_error(text: str, m: re.Match, message: str) -> LoadError:
+    return LoadError(f"line {text.count(chr(10), 0, m.start()) + 1}: {message}")
+
+
+def _ref_atom(text: str, m: re.Match) -> str | int:
+    tok = m[0]
+    try:
+        return int(tok) if tok.isdigit() else tok
+    except ValueError:
+        raise _ref_error(text, m, f"bad number {tok[:40]!r}") from None
+
+
+def _read_sexprs(text: str) -> list:
+    """The text as a list of forms, each a nested list of str and int."""
+    forms: list = []
+    stack: list[list] = []
+    for m in _REF_TOKEN.finditer(text):
+        tok = m[0]
+        if tok[0] == "(":
+            if len(stack) == MAX_DEPTH:
+                raise _ref_error(text, m, f"forms nest deeper than {MAX_DEPTH} levels")
+            if tok == "(":
+                stack.append([])
+                continue
+            try:
+                items = [int(a) if a.isdigit() else a for a in tok[1:-1].split()]
+            except ValueError:
+                items = [_ref_atom(text, a)
+                         for a in _REF_TOKEN.finditer(text, m.start() + 1, m.end() - 1)]
+            (stack[-1] if stack else forms).append(items)
+        elif tok == ")":
+            if not stack:
+                raise _ref_error(text, m, "unbalanced ')'")
+            done = stack.pop()
+            (stack[-1] if stack else forms).append(done)
+        elif tok[0] != ";":
+            value = _ref_atom(text, m)
+            if not stack:
+                raise _ref_error(text, m, f"atom {tok!r} outside any form")
+            stack[-1].append(value)
+    if stack:
+        raise LoadError("unbalanced '(' at end of input")
+    return forms
+
+
+def _parse_expr(form):
+    if isinstance(form, int):
+        return Const(form)
+    if isinstance(form, str):
+        return Var(form)
+    if not form:
+        raise LoadError("empty form")
+    head = form[0]
+    if head in ("let*", "let"):
+        if len(form) != 3 or not isinstance(form[1], list):
+            raise LoadError("let* needs a binding list and a body")
+        bindings = []
+        for b in form[1]:
+            if not (isinstance(b, list) and len(b) == 2 and isinstance(b[0], str)):
+                raise LoadError(f"bad let* binding: {b}")
+            bindings.append((b[0], _parse_expr(b[1])))
+        return LetStar(tuple(bindings), _parse_expr(form[2]))
+    if head == "if":
+        if len(form) != 4:
+            raise LoadError("if needs a condition and two branches")
+        return If(_parse_expr(form[1]), _parse_expr(form[2]), _parse_expr(form[3]))
+    if head == "mvlist":
+        return Mvlist(tuple(map(_parse_expr, form[1:])))
+    if head == "metlist":
+        if len(form) != 3 or not (isinstance(form[1], list) and len(form[1]) == 2):
+            raise LoadError("metlist needs ((names...) (call...)) and a body")
+        names, call_form = form[1]
+        if not (isinstance(names, list) and all(isinstance(x, str) for x in names)):
+            raise LoadError("metlist names must be symbols")
+        call = _parse_expr(call_form)
+        if not isinstance(call, Call):
+            raise LoadError("metlist must bind the results of a function call")
+        return Metlist(tuple(names), call, _parse_expr(form[2]))
+    if not isinstance(head, str):
+        raise LoadError(f"bad application head: {head}")
+    args = tuple(map(_parse_expr, form[1:]))
+    if head in PRIMS:
+        arity = len(PRIMS[head].params)
+        if len(args) != arity:
+            raise LoadError(f"primitive {head} takes {arity} args, got {len(args)}")
+        return Prim(head, args)
+    return Call(head, args)
+
+
+def _parse_def(form):
+    if not (isinstance(form, list) and len(form) == 5
+            and form[0] in ("defun", "defun-general")):
+        raise LoadError(f"expected (defun name (params) (declare ...) body), got {form!r:.80}")
+    _, name, params, declare, body = form
+    if not (isinstance(name, str) and isinstance(params, list)
+            and all(isinstance(p, str) for p in params)):
+        raise LoadError(f"malformed definition header for {name!r}")
+    sig_ok = (isinstance(declare, list) and len(declare) == 2
+              and declare[0] == "declare" and isinstance(declare[1], list)
+              and len(declare[1]) >= 3 and declare[1][0] == "xargs"
+              and declare[1][1] == ":signature" and isinstance(declare[1][2], list))
+    if not sig_ok:
+        raise LoadError(f"{name}: missing (declare (xargs :signature ...))")
+    sig = declare[1][2]
+    if not sig or not isinstance(sig[0], list):
+        raise LoadError(f"{name}: signature needs an input kind list")
+    try:
+        in_kinds = tuple(map(_REF_KINDS.__getitem__, sig[0]))
+        out_kinds = tuple(map(_REF_KINDS.__getitem__, sig[1:]))
+    except (KeyError, TypeError):
+        raise LoadError(f"{name}: unknown kind predicate in signature") from None
+    if len(in_kinds) != len(params):
+        raise LoadError(f"{name}: {len(params)} params but {len(in_kinds)} input kinds")
+    if not out_kinds:
+        raise LoadError(f"{name}: signature declares no results")
+    return FunDef(name, tuple(zip(params, in_kinds)), out_kinds, _parse_expr(body),
+                  general_recursive=(form[0] == "defun-general"))
+
+
+def _reference_load(text: str) -> FunProgram:
+    defs = tuple(_parse_def(f) for f in _read_sexprs(text))
+    seen: set[str] = set()
+    for d in defs:
+        if d.name in seen:
+            raise LoadError(f"definition {d.name} repeated")
+        seen.add(d.name)
+    program = FunProgram(defs)
+    validate_program(program)
+    return program
+
+
+def _load_outcome(load, text: str) -> tuple | str:
+    """The program load makes of text, with what validation set on it, or
+    its LoadError text."""
+    try:
+        p = load(text)
+    except LoadError as e:
+        return str(e)
+    return p.defs, p.cliques, p.calls, p.unproven
+
+
 # Each reader input with the forms or the LoadError text it gives.
 _READER_CASES = [
     ("(a\t(b 12)\r\n c) ; end", [["a", ["b", 12], "c"]]),
@@ -365,6 +518,9 @@ _READER_CASES = [
 
 
 def test_reader_edge_cases():
+    """The reference reader gives each case's forms or LoadError text, and
+    load_program the reference loader's outcome, which for these forms is a
+    reader fault or the first form's shape error."""
     for text, want in _READER_CASES:
         if isinstance(want, list):
             assert _read_sexprs(text) == want, text
@@ -372,11 +528,12 @@ def test_reader_edge_cases():
             with pytest.raises(LoadError) as err:
                 _read_sexprs(text)
             assert str(err.value) == want, text
+        assert _load_outcome(load_program, text) == _load_outcome(_reference_load, text), text
 
 
 def _read_by_token(text: str) -> list:
     """The reader as it was before a flat list became one match: one token
-    per match.  The oracle of test_reader_matches_the_token_reader."""
+    per match.  The oracle of the reference reader."""
     def error(m, message):
         return LoadError("line %d: %s" % (text.count("\n", 0, m.start()) + 1, message))
 
@@ -413,11 +570,12 @@ def _read_outcome(read, text: str) -> list | str:
 
 
 def test_reader_matches_the_token_reader():
-    """The reader returns the token reader's forms, or its LoadError text,
-    on the fixtures, wide's emitted program, the run fuzzer's 500 `.fun`
-    mutants, and 3,000 seeded strings over parentheses, comments,
-    separators, digits, and characters that only the reader or only
-    str.split() takes for a separator."""
+    """The reference reader returns the token reader's forms, or its
+    LoadError text, and load_program the reference loader's program or
+    LoadError text, on the fixtures, wide's emitted program, the run
+    fuzzer's 500 `.fun` mutants, and 3,000 seeded strings over parentheses,
+    comments, separators, digits, and characters that only the reader or
+    only str.split() takes for a separator."""
     texts = [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.iterdir())]
     wide = _perfbench_workloads().gen_wide(1).ll_text
     texts.append(emit_sexpr(translate_module(parse_text(wide))))
@@ -429,6 +587,30 @@ def test_reader_matches_the_token_reader():
         texts.append(f"(f {text})" if n % 2 else text)
     for text in texts:
         assert _read_outcome(_read_sexprs, text) == _read_outcome(_read_by_token, text), text[:80]
+        assert _load_outcome(load_program, text) == _load_outcome(_reference_load, text), \
+            text[:80]
+
+
+_G = "(defun g (st) (declare (xargs :signature ((stp) natp stp))) (mvlist 1 st))\n"
+
+
+@pytest.mark.parametrize("form", [
+    "(let* ((y 1)) st)", "(let* ((y (+ 1 2))) st)", "(let* () st)", "(let* (y) st)",
+    "(metlist ((a st) (g st)) st)", "(metlist (a b) st)", "(if (= 1 1) st st)", "(if 1 st st)",
+    "(mvlist st)", "(update-retval (+ 1 2) st)", "((g) st)",
+])
+def test_each_form_nests_up_to_the_reader_limit(form):
+    """Each form, nested in let* bodies to each depth around the reader's
+    limit of 64 levels, gives the reference loader's outcome: its program,
+    its own error, or the reader's fault from the level its deepest list
+    passes the limit."""
+    outcomes = []
+    for d in range(56, 66):
+        text = _G + f"(defun f (st) (declare (xargs :signature ((stp) stp))) " \
+            f"{'(let* () ' * d}{form}{')' * d})"
+        outcomes.append(_load_outcome(load_program, text))
+        assert outcomes[-1] == _load_outcome(_reference_load, text), (form, d)
+    assert outcomes[-1] == "line 2: forms nest deeper than 64 levels"
 
 
 def test_load_is_linear_in_loop_count():
@@ -1045,6 +1227,42 @@ _LOADER_REJECTIONS = {
     "recursion outside tail position": (
         _fun("(update-retval 0 (f done st))", "done st", form="defun-general"),
         "f: recursive call outside tail position"),
+    "not a definition": ("(f (x 1)\n)", "expected (defun name (params) (declare ...) body), "
+                                         "got ['f', ['x', 1]]"),
+    "definition of four items": ("(defun f (st) st)", "expected (defun name (params) "
+                                 "(declare ...) body), got ['defun', 'f', ['st'], 'st']"),
+    "list for a name": ("(defun (f 1) (st) (declare) st)",
+                        "malformed definition header for ['f', 1]"),
+    "other declaration": (_fun("st", sig="((natp stp) stp) :guard (t 1)").replace(
+        "xargs", "ignore"), "f: missing (declare (xargs :signature ...))"),
+    "declaration of three items": (_fun("st").replace("stp)))", "stp)) 0)"),
+                                   "f: missing (declare (xargs :signature ...))"),
+    "more params than kinds": (_fun("st", sig="((stp) stp)"), "f: 2 params but 1 input kinds"),
+    "no results": (_fun("st", sig="((natp stp))"), "f: signature declares no results"),
+    "let* of no list": (_fun("(let* x st)"), "let* needs a binding list and a body"),
+    "let* of two bodies": (_fun("(let* ((y (g))) st st)"), "let* needs a binding list and a body"),
+    "binding of three items": (_fun("(let* ((y 1 (g))) st)"), "bad let* binding: ['y', 1, ['g']]"),
+    "binding of a number": (_fun("(let* ((007 x)) st)"), "bad let* binding: [7, 'x']"),
+    "atom for a binding": (_fun("(let* (y) st)"), "bad let* binding: y"),
+    "list for a head": (_fun("((g 1) st)"), "bad application head: ['g', 1]"),
+    "number for a head": (_fun("(007 st)"), "bad application head: 7"),
+    "primitive arity": (_fun("(update-retval x)"), "primitive update-retval takes 2 args, got 1"),
+    "if of four parts": (_fun("(if x st st (g))"), "if needs a condition and two branches"),
+    "metlist of a flat pair": (_fun("(metlist (a b) st)"), "metlist names must be symbols"),
+    # a form's count is checked before its parts
+    "let* of two bodies and a bad part": (_fun("(let* ((y (7 x))) st st)"),
+                                          "let* needs a binding list and a body"),
+    "binding of three items and a bad part": (_fun("(let* ((y (7 x) 1)) st)"),
+                                              "bad let* binding: ['y', [7, 'x'], 1]"),
+    "declaration of three items and a bad kind": (
+        _fun("st").replace("stp)))", "stp)) 0)").replace("natp", "foo_p"),
+        "f: missing (declare (xargs :signature ...))"),
+    # what the loader does not use is read all the same
+    "bad number in an unused part of xargs": (_fun("st", sig="((natp stp) stp) :guard ²"),
+                                              "line 2: bad number '²'"),
+    "depth 65 in an unused part of xargs": (
+        _fun("st", sig="((natp stp) stp) " + "(" * 62 + ")" * 62),
+        "line 2: forms nest deeper than 64 levels"),
 }
 
 
@@ -1054,6 +1272,39 @@ def test_loader_rejection_texts(case):
     with pytest.raises(LoadError) as err:
         load_program(text)
     assert str(err.value) == message
+
+
+_SHAPELESS_FIRST = "(defun f (st) (declare (xargs :signature ((stp) stp))) (if st st))\n"
+_SECOND = "(defun g (st)\n  (declare (xargs :signature ((stp) stp)))\n  {})\n"
+
+# Texts with errors of two of the loader's passes, each with the error
+# that wins: the reader's faults anywhere in the text, then the shape of
+# each definition in order, then repeated names, then validation.
+_PRECEDENCE = {
+    "unbalanced '(' after a shape error": (_SHAPELESS_FIRST + _SECOND.format("st") + "(",
+                                          "unbalanced '(' at end of input"),
+    "depth 65 after a shape error": (_SHAPELESS_FIRST + "(" * 65 + ")" * 65,
+                                     "line 2: forms nest deeper than 64 levels"),
+    "bad number after a shape error": (_SHAPELESS_FIRST + _SECOND.format("(update-retval ² st)"),
+                                       "line 4: bad number '²'"),
+    "atom outside any form after a shape error": (_SHAPELESS_FIRST + "\n x",
+                                                  "line 3: atom 'x' outside any form"),
+    "shape error before a repeated name": (
+        _SECOND.format("st") + _SECOND.format("(if st st)") + _SECOND.format("st"),
+        "if needs a condition and two branches"),
+    "repeated name before a validation error": (
+        _SECOND.format("(update-retval ghost st)") + _SECOND.format("st"),
+        "definition g repeated"),
+}
+
+
+@pytest.mark.parametrize("case", list(_PRECEDENCE))
+def test_load_error_precedence(case):
+    text, message = _PRECEDENCE[case]
+    with pytest.raises(LoadError) as err:
+        load_program(text)
+    assert str(err.value) == message
+    assert _load_outcome(_reference_load, text) == message
 
 
 def test_empty_module_translates_to_empty_program():
