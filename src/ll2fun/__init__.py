@@ -17,7 +17,7 @@ from .ssa import (
 )
 from .fun_ir import (
     FunDef, FunProgram, emit_sexpr, load_program, load_program_file,
-    translate_function, translate_module, validate_program,
+    translate_module, validate_program,
 )
 from .state import (
     MachineState, Memory, begin_stack_frame, end_stack_frame, init_stack_frame,

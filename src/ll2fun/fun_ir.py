@@ -205,6 +205,7 @@ class _FunctionTranslator:
         self.fn_name = mangle_register(self.fn.name)
         self.by_header = {L.header: L for L in analysis.loops}
         self.by_preheader = {L.preheader: L for L in analysis.loops}
+        self.chain_end: dict[str, str] = {}  # see unit_result_kinds
         self._check_names()
 
     # -- naming ------------------------------------------------------------
@@ -251,11 +252,17 @@ class _FunctionTranslator:
         return tuple(k for _, k in self.frame_params(L))
 
     def unit_result_kinds(self, label: str) -> tuple[str, ...]:
-        """Result kinds of the emission unit entered by branching to label
-        (a chain of loop exits ends: `detect_loops` rejects a cycle)."""
-        while label in self.by_preheader:
+        """Result kinds of the emission unit entered by branching to label:
+        those of the block its chain of loop exits ends at (a chain ends:
+        `detect_loops` rejects a cycle).  Each label on a chain is walked
+        once, so n loops in a row cost n steps, not n * n / 2."""
+        path = []
+        while label in self.by_preheader and label not in self.chain_end:
+            path.append(label)
             label = self.by_preheader[label].exit
-        return self.block_result_kinds(label)
+        end = self.chain_end.get(label, label)
+        self.chain_end.update(dict.fromkeys(path, end))
+        return self.block_result_kinds(end)
 
     # -- block parameters ----------------------------------------------------
 
@@ -596,13 +603,6 @@ def translate_module(module: LlvmModule) -> FunProgram:
     program = FunProgram(tuple(defs))
     validate_program(program)
     return program
-
-
-def translate_function(module: LlvmModule, name: str) -> list[FunDef]:
-    """The definitions generated for one function (driver last)."""
-    module = resolve_aliases(module)
-    fn = module.function(name)
-    return _FunctionTranslator(analyze_function(fn), module).translate()
 
 
 def _function_order(module: LlvmModule) -> list[LlvmFunction]:

@@ -313,14 +313,18 @@ def test_bench_single_iteration_no_division_error(tmp_path, capsys):
 
 
 def test_bench_throughput_stable_across_repetitions(tmp_path, capsys):
+    """Each repetition runs 250,000 iterations (about 0.1-0.2 s of CPU), so
+    a pause of a few tens of milliseconds by the machine cannot double one
+    repetition's time."""
+    iterations = 250_000
     out = _translate(tmp_path)
     code = main(["bench", str(out), "--entry", "occurrences", "--no-check",
-                 "--args", "0", "50000", "0x8000", "--mem-image", MEM,
+                 "--args", "0", str(iterations), "0x8000", "--mem-image", MEM,
                  "--instr-per-iter", "9", "--repeat", "5"])
     assert code == EXIT_OK
     lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("run ")]
     cpu = [float(re.search(r"\(([\d.]+) s CPU\)", l).group(1)) for l in lines]
-    rates = [50000 * 9 / max(s, 1e-9) for s in cpu]  # CPU time: robust to other processes
+    rates = [iterations * 9 / max(s, 1e-9) for s in cpu]  # CPU time: robust to other processes
     assert len(rates) == 5
     assert max(rates) <= 2 * min(rates)
 

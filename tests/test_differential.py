@@ -14,9 +14,8 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from conftest import paired_ratio  # noqa: E402
 from llgen import (  # noqa: E402
-    gen_diamond, gen_diamond_chain, gen_loop, gen_program, gen_state_args,
+    gen_diamond, gen_loop, gen_program, gen_state_args,
 )
 
 from ll2fun import (  # noqa: E402
@@ -24,8 +23,6 @@ from ll2fun import (  # noqa: E402
     load_program, parse_text, translate_module,
 )
 from ll2fun.evaluator import ProgramEvaluator  # noqa: E402
-from ll2fun.fun_ir import collector_paused  # noqa: E402
-from test_linear_state import ALL, BASE, FILL_LL  # noqa: E402
 
 SEED = 0xDA1E
 
@@ -633,31 +630,3 @@ def test_reference_interpreter_faults(src, args, message):
     with pytest.raises(EvalFault) as err:
         interp_function(parse_text(src), "gen", args, st)
     assert str(err.value) == message
-
-
-def test_reference_interpreter_is_linear_in_blocks_executed():
-    """Twice the diamonds cost at most 3x the CPU time (linear: 2x): a
-    block transition looks its target up by label in the function's
-    index, not by a scan of its blocks."""
-    modules = [parse_text(gen_diamond_chain(random.Random(n), n)) for n in (2000, 4000)]
-
-    def run(module):
-        interp_function(module, "gen", (7, 3, 0x8000),
-                        MachineState(stack=0xFFFF0000, frame=0xFFFF0000))
-    with collector_paused():  # a collection costs in the size of the heap, not of the run
-        ratio, pairs = paired_ratio(run, *modules)
-    assert ratio <= 3, pairs
-
-
-def test_reference_interpreter_is_linear_in_stores():
-    """Four times the stores cost at most 6x the CPU time (linear: 4x): a
-    store writes the interpreter's memory in place, where a copy of the
-    memory per store cost about 10x."""
-    module = parse_text(FILL_LL)
-
-    def run(words):
-        st = interp_function(module, "fill", (BASE, words, ALL), MachineState())
-        assert st.retval == words * (words + 1) // 2
-    with collector_paused():
-        ratio, pairs = paired_ratio(run, 2048, 8192)
-    assert ratio <= 6, pairs

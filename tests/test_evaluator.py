@@ -24,7 +24,6 @@ from ll2fun.evaluator import ProgramEvaluator
 from ll2fun.fun_ir import Call, children
 from ll2fun.prims import NAT, PRIMS, RUN, STATE, ashr, lshr, sext, shl, to_signed
 from ll2fun.state import MachineState, begin_stack_frame
-from conftest import paired_ratio
 from llgen import gen_program
 
 
@@ -367,25 +366,6 @@ def test_a_rebound_name_reuses_its_local_unless_a_copy_reads_it():
 """))
         assert local in ev.source
         assert ev.run("f", (5,), make_state()).state.retval == want
-
-
-def _add_chain(n: int) -> str:
-    """One block of n adds, each reading the one before."""
-    body = "".join(f"  %v{k + 1} = add i64 %v{k}, {k}\n" for k in range(n))
-    return f"define i64 @f(i64 %v0) {{\n{body}  ret i64 %v{n}\n}}\n"
-
-
-def test_one_long_block_compiles_in_linear_time():
-    """Twice the adds in one block cost ProgramEvaluator at most 2.6x the
-    CPU time (linear: 2x): whether some name still reads a local is one
-    lookup in the scope's count of uses.  A scan of every name in scope
-    for each binding took about 4x."""
-    programs = [load_program(emit_sexpr(translate_module(parse_text(_add_chain(n)))))
-                for n in (5000, 10000)]
-    ratio, pairs = paired_ratio(ProgramEvaluator, *programs)
-    assert ratio <= 2.6, pairs
-    ev = ProgramEvaluator(programs[0])
-    assert ev.run("f", (1,), make_state()).state.retval == 1 + 4999 * 5000 // 2
 
 
 def test_fused_load_reads_its_state_through_an_if(array_state):

@@ -13,7 +13,6 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from conftest import paired_ratio  # noqa: E402
 from llgen import gen_program  # noqa: E402
 
 from ll2fun import (  # noqa: E402
@@ -22,7 +21,6 @@ from ll2fun import (  # noqa: E402
 )
 from ll2fun import state as st_mod  # noqa: E402
 from ll2fun.evaluator import ProgramEvaluator  # noqa: E402
-from ll2fun.fun_ir import collector_paused  # noqa: E402
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -217,16 +215,6 @@ def test_run_memory_offers_its_own_pages_only_to_its_own_states():
 # ---------------------------------------------------------------------------
 # Cost: O(bytes stored)
 # ---------------------------------------------------------------------------
-
-def test_store_loop_scales_linearly(fill):
-    """Four times the stores take at most six times as long; copying the
-    memory on every store took about sixteen times."""
-    def run(n):
-        fill.run("fill", (BASE, n, ALL), make_state(), checking=False)
-    with collector_paused():
-        ratio, pairs = paired_ratio(run, 4096, 4 * 4096)
-    assert ratio <= 6, pairs
-
 
 def test_million_stores_under_ten_seconds(fill):
     n = 1_000_000

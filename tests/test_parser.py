@@ -1,7 +1,6 @@
 """Lexer and parser tests: token classes, subset acceptance and rejection,
 alias resolution, SSA checks, print/parse round-trips."""
 
-import gc
 import hashlib
 import pathlib
 import random
@@ -13,11 +12,8 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))  # for llgen
 
-from conftest import paired_ratio  # noqa: E402
-from llgen import gen_diamond_chain  # noqa: E402
-
 from ll2fun import (  # noqa: E402
-    LexError, ParseError, UnsupportedConstructError, module_to_text, parse_module,
+    LexError, ParseError, UnsupportedConstructError, module_to_text,
     parse_text, resolve_aliases, tokenize,
 )
 from ll2fun.ll_parser import Br, Const, Reg, Ret, mangle_label, mangle_register  # noqa: E402
@@ -594,33 +590,6 @@ def test_repeated_names_name_the_first_that_repeats():
     assert str(err.value) == "function @f defined more than once"
 
 
-def _repeating_chain(blocks: int) -> str:
-    """A chain of blocks whose last two labels repeat two earlier ones."""
-    labels = [f"b{k}" for k in range(blocks)] + [f"b{blocks - 2}", f"b{blocks - 1}"]
-    return "define i64 @f() {\n  br label %b0\n" + "".join(
-        f"{label}:\n  ret i64 0\n" for label in labels) + "}\n"
-
-
-def test_repeated_label_rejection_is_linear():
-    """Rejecting a repeated label near the end of 8k blocks costs at most
-    2.6x the CPU time of 4k (linear: 2x); counting each label's
-    occurrences by a scan of all labels took 3.7-3.9x."""
-    def rejected(text):
-        with pytest.raises(ParseError, match="block label b"):
-            parse_text(text)
-    ratio, pairs = paired_ratio(rejected, _repeating_chain(4000), _repeating_chain(8000))
-    assert ratio <= 2.6, pairs
-
-
-def test_front_end_is_linear_with_the_collector_on():
-    """Twice the diamonds cost tokenize and parse_module at most 2.6x the
-    CPU time (linear: 2x) with the collector on, as the CLI runs."""
-    assert gc.isenabled()
-    texts = [gen_diamond_chain(random.Random(n), n) for n in (400, 800)]
-    ratio, pairs = paired_ratio(lambda text: parse_module(tokenize(text)), *texts)
-    assert ratio <= 2.6, pairs
-
-
 # ---------------------------------------------------------------------------
 # Aliases
 # ---------------------------------------------------------------------------
@@ -674,25 +643,6 @@ def test_alias_resolution_keeps_other_instructions():
     m = resolve_aliases(parse_text(src))
     add, call = m.function("f").blocks[0].body
     assert (add.opcode, add.operands, call.callee) == ("add", (Reg("x"), Const(1)), "g")
-
-
-def _alias_chain(n: int) -> str:
-    """n aliases, each naming the next, the last @g, and one call of each."""
-    lines = [f"@a{k} = alias i64 (i64)* @a{k + 1}" for k in range(n - 1)]
-    lines.append(f"@a{n - 1} = alias i64 (i64)* @g")
-    calls = "".join(f"  %r{k} = call i64 @a{k}(i64 %x)\n" for k in range(n))
-    return "\n".join(lines) + "\n" + _CALLEE + _fn(calls + "  ret i64 %x\n")
-
-
-def test_alias_resolution_is_linear_in_chain_length():
-    """Four times the chained aliases cost resolve_aliases at most 6x the
-    CPU time (linear: 4x): each alias is followed once, and the aliases
-    after it reuse its target.  Following each chain to its end took 16x."""
-    small, large = (parse_text(_alias_chain(n)) for n in (1000, 4000))
-    ratio, pairs = paired_ratio(resolve_aliases, small, large)
-    assert ratio <= 6, pairs
-    body = resolve_aliases(large).function("f").blocks[0].body
-    assert {inst.callee for inst in body} == {"g"}
 
 
 # ---------------------------------------------------------------------------
@@ -897,4 +847,3 @@ def test_recorded_kinds_agree_with_function_kinds():
                             uses[inst.opcode] += 1
     assert {"add", "icmp", "zext", "select", "getelementptr", "load", "store",
             "call"} <= set(uses), uses
-

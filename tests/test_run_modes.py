@@ -23,7 +23,6 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from conftest import paired_ratio  # noqa: E402
 from llgen import gen_diamond_chain, gen_program, gen_state_args  # noqa: E402
 from test_linear_state import FILL_LL  # noqa: E402
 
@@ -975,23 +974,6 @@ def test_each_region_compiles_within_one_piece():
         evaluator._PIECE_LINES + longest_section
     small, large = _compile_transient(program), _compile_transient(_diamonds(534))
     assert large <= 1.3 * small, (small, large)
-
-
-def test_traced_run_is_linear_in_the_chain():
-    """A traced run reads each section's arguments from its function's
-    locals, which a function of about one piece bounds: 534 vs 1067
-    diamonds."""
-    rng = random.Random(5)
-    args, mem = gen_state_args(rng)
-    evs = {n: ProgramEvaluator(_diamonds(n)) for n in (534, 1067)}
-
-    def run(n):
-        ev = evs[n]
-        ev.trace_out = io.StringIO()
-        ev.run("gen", args, make_state(mem=mem), checking=False, trace=True)
-
-    ratio, pairs = paired_ratio(run, 534, 1067)
-    assert ratio <= 2.6, pairs
 
 
 def test_host_depth_grows_with_regions_not_blocks():

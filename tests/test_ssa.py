@@ -10,17 +10,13 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from conftest import paired_ratio  # noqa: E402
-from llgen import (  # noqa: E402
-    gen_cfg, gen_diamond_chain, gen_loop_chain, gen_program, gen_wide_join,
-)
+from llgen import gen_cfg, gen_diamond_chain, gen_program  # noqa: E402
 
 from ll2fun import (  # noqa: E402
     AnalysisError, BudgetExhausted, MachineState, build_cfg, compute_block_params, detect_loops,
     emit_sexpr, interp_function, load_program, parse_file, parse_text, translate_module,
 )
 from ll2fun.evaluator import ProgramEvaluator  # noqa: E402
-from ll2fun.fun_ir import collector_paused  # noqa: E402
 from ll2fun.ll_parser import Reg, Ret, resolve_aliases  # noqa: E402
 from ll2fun.ssa import (  # noqa: E402
     BlockUnit, CliqueUnit, DriverUnit, analyze_function,
@@ -349,59 +345,6 @@ def test_back_edge_removal_leaves_acyclic(nestsum_module):
 
     dfs(cfg.entry, frozenset())
     assert set(order) == set(cfg.nodes)
-
-
-def test_loop_detection_is_linear_in_loop_count():
-    """Twice the sequential loops cost detect_loops at most 3x the CPU
-    time (linear: 2x)."""
-    graphs = []
-    for loops in (800, 1600):
-        fn = parse_text(gen_loop_chain(loops)).functions[0]
-        graphs.append((build_cfg(fn), fn))
-    with collector_paused():  # a collection costs in the size of the heap, not of fn
-        ratio, pairs = paired_ratio(lambda g: detect_loops(*g), *graphs)
-    assert ratio <= 3, pairs
-    assert [len(detect_loops(*g)) for g in graphs] == [800, 1600]
-
-
-@pytest.mark.parametrize("stage, sizes, bound", [
-    ("compute_liveness", (300, 1200), 6),
-    ("translate_module", (1000, 2000), 2.6),
-], ids=["compute_liveness", "translate_module"])
-def test_linear_in_join_predecessors(stage, sizes, bound):
-    """A join with k times the predecessors costs the stage at most `bound`
-    times the CPU time (linear: k times).  compute_liveness: each edge
-    reads its phi values from the join's one index rather than scanning
-    every phi's incoming list.  translate_module: loop detection builds no
-    dominator tree, whose intersection walked the chain of predecessors
-    again for each of them."""
-    modules = [parse_text(gen_wide_join(n)) for n in sizes]
-    graphs = [(build_cfg(m.functions[0]), m.functions[0]) for m in modules]
-    build, inputs = {"compute_liveness": (lambda g: compute_liveness(*g), graphs),
-                     "translate_module": (translate_module, modules)}[stage]
-    with collector_paused():
-        ratio, pairs = paired_ratio(build, *inputs)
-    assert ratio <= bound, pairs
-    live = compute_liveness(*graphs[1])
-    assert live["J"] == set() and live["B7"] == {"x"}
-
-
-def test_rejecting_irreducible_flow_is_linear_in_the_ladder():
-    """Twice the rungs of `_ladder`, each closing a cycle through a block
-    that closes no other edge, cost translate_module's rejection at most
-    2.6x the CPU time (linear: 2x): once the flow is known to be
-    irreducible, no such edge is walked."""
-    modules = [parse_text(_ladder(n)) for n in (1000, 2000)]
-
-    def reject(module):
-        with pytest.raises(AnalysisError) as err:
-            translate_module(module)
-        assert str(err.value) == ("@ladder: irreducible control flow (cycle through b1 not "
-                                  "headed by a dominator)")
-
-    with collector_paused():
-        ratio, pairs = paired_ratio(reject, *modules)
-    assert ratio <= 2.6, pairs
 
 
 def test_irreducible_flow_rejected():

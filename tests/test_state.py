@@ -6,7 +6,6 @@ import re
 from array import array
 
 import pytest
-from conftest import paired_ratio
 
 from ll2fun import (
     EvalFault, begin_stack_frame, end_stack_frame, init_stack_frame, loadbytes,
@@ -602,44 +601,6 @@ def test_memory_image_reader_matches_the_line_by_line_reader():
         with pytest.raises(EvalFault) as got:
             parse_memory_image(text)
         assert str(got.value) == str(want.value)
-
-
-def _word_image(words: int, stride: int) -> str:
-    return "".join(f"w 8 {0x10000 + stride * j:#x} {j * 0x9E3779B97F4A7C15 % (1 << 64)}\n"
-                   for j in range(words))
-
-
-@pytest.mark.parametrize("stride", [8, 16])
-def test_memory_image_reading_is_linear(stride):
-    """Twice the words cost parse_memory_image at most 2.6x the CPU time
-    (linear: 2x): one contiguous run of 64k words (128 pages) against
-    128k, and the same counts with a gap after every word.  A run is
-    written as one slice per page, cut from the image's bytes at its
-    offsets; cutting the rest of the run again for each page is
-    quadratic."""
-    small, large = _word_image(1 << 16, stride), _word_image(1 << 17, stride)
-    ratio, pairs = paired_ratio(parse_memory_image, small, large)
-    assert ratio <= 2.6, pairs
-    assert rd_n(8, 0x10000 + stride * ((1 << 17) - 1), parse_memory_image(large)) == (
-        ((1 << 17) - 1) * 0x9E3779B97F4A7C15 % (1 << 64))
-
-
-def test_image_runs_are_written_in_linear_time():
-    """Writing one run of 2 MiB (512 pages) costs at most 2.6x the CPU
-    time of 1 MiB (linear: 2x): each page's slice is cut from the image's
-    bytes at its offsets.  Cutting the rest of the run again for each
-    page copies pages x run bytes, which the image reading test above
-    cannot show: at sizes a test can parse, that copy is small against
-    the work per line."""
-    data = random.Random(7).randbytes(2 << 20)
-
-    def write(size):
-        for _ in range(4):
-            mem = Memory()
-            st_mod._write_runs(mem, data, [(0x10000, 0x10000 + size)])
-        assert rd_n(8, 0x10000 + size - 8, mem) == int.from_bytes(data[size - 8:size], "little")
-    ratio, pairs = paired_ratio(write, 1 << 20, 2 << 20)
-    assert ratio <= 2.6, pairs
 
 
 def test_array_image_contents(array_image):
