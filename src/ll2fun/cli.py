@@ -16,6 +16,7 @@ import argparse
 import sys
 import time
 
+from .collector import collector_paused
 from .errors import (
     AnalysisError, BudgetExhausted, EvalFault, LexError, LoadError, ParseError,
     UnsupportedConstructError,
@@ -112,15 +113,16 @@ def _initial_state(args) -> MachineState:
 def cmd_translate(args) -> int:
     module = parse_file(args.input)
     if args.dump_analysis:
-        for fn in resolve_aliases(module).functions:
-            print(analysis_report(analyze_function(fn)))
+        with collector_paused():
+            for fn in resolve_aliases(module).functions:
+                print(analysis_report(analyze_function(fn)))
     program = translate_module(module)
     out_path = args.out or (args.input.removesuffix(".ll") + ".fun")
     text = emit_sexpr(program)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(text)
     blocks = sum(len(f.blocks) for f in module.functions)
-    loops = len(program.cliques)
+    loops = sum(d.general_recursive for d in program.defs)
     print(f"wrote {out_path}: {len(program.defs)} definitions from "
           f"{len(module.functions)} function(s), {blocks} block(s), {loops} loop(s)")
     return EXIT_OK

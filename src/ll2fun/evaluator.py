@@ -78,9 +78,10 @@ from functools import lru_cache
 from operator import is_not, itemgetter
 
 from .collector import collector_paused
-from .errors import BudgetExhausted, EvalFault, LoadError, SignatureViolation
+from .errors import BudgetExhausted, EvalFault, SignatureViolation
 from .fun_ir import (
     Call, Const, FunDef, FunProgram, If, LetStar, Metlist, Mvlist, Prim, Var, children, var,
+    validate_program,
 )
 from .prims import KINDS, PRIMS, STATE, decimal
 from . import state as st_mod
@@ -772,9 +773,8 @@ class ProgramEvaluator:
     position of each definition: those the loader proved, and those
     compiled into the source (`FunProgram.unproven`).
     The program's loops are its `cliques`, its call sites its `calls` and
-    its open checks its `unproven`, which `validate_program` sets on every
-    translated or loaded program; a program it never passed is a
-    LoadError.
+    its open checks its `unproven`, which `validate_program` sets; `__init__`
+    runs it on a program the loader did not read, so a bad one is a LoadError.
 
     Programs are immutable and freely shareable, and so are states outside
     a run.  An evaluator, however, owns mutable iteration counters and the
@@ -785,7 +785,7 @@ class ProgramEvaluator:
     @collector_paused()
     def __init__(self, program: FunProgram):
         if program.calls is None:
-            raise LoadError("the program was never validated; pass it through validate_program")
+            validate_program(program)
         self.program = program
         self._gen = gen = _Codegen(program)
         pieces = gen.generate()

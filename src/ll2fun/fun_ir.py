@@ -148,11 +148,10 @@ CallSite = tuple[Call, bool]  # a call and whether it is in result position
 @dataclass(eq=False)
 class FunProgram:
     defs: tuple[FunDef, ...]
-    cliques: tuple[WhileClique, ...] = ()  # set by validate_program
-    # per definition, its call sites in evaluation order, as the loader's
-    # check of the definition found them; set by validate_program
-    calls: tuple[tuple[CallSite, ...], ...] | None = None
-    unproven: Unproven | None = None  # the checks left open; set by validate_program
+    # set by validate_program, which load_program and ProgramEvaluator run
+    cliques: tuple[WhileClique, ...] = ()
+    calls: tuple[tuple[CallSite, ...], ...] | None = None  # per definition, in evaluation order
+    unproven: Unproven | None = None  # the checks left open
     by_name: dict[str, FunDef] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -600,9 +599,7 @@ def translate_module(module: LlvmModule) -> FunProgram:
     clash = set(names) & set(PRIMS)
     if clash:
         raise AnalysisError(f"function names collide with primitives: {sorted(clash)}")
-    program = FunProgram(tuple(defs))
-    validate_program(program)
-    return program
+    return FunProgram(tuple(defs))
 
 
 def _function_order(module: LlvmModule) -> list[LlvmFunction]:

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, outputs, determinism."""
 
+import gc
 import pathlib
 import random
 import re
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from ll2fun import ProgramEvaluator, load_program
+from ll2fun import ProgramEvaluator, cli, load_program
 from ll2fun.cli import (
     EXIT_ANALYSIS, EXIT_BUDGET, EXIT_FAULT, EXIT_OK, EXIT_PARSE,
     EXIT_UNSUPPORTED, EXIT_USAGE, main,
@@ -37,6 +38,8 @@ def test_translate_writes_program_and_summary(tmp_path, capsys):
     assert "7 definitions" in text
     assert "1 loop(s)" in text
     assert out.read_text().startswith("(defun occurrences__crit_edge")
+    _translate(tmp_path, str(FIXTURES / "nestsum.ll"), "nestsum.fun")
+    assert "2 loop(s)" in capsys.readouterr().out
 
 
 def test_translate_default_output_name(tmp_path, capsys):
@@ -67,6 +70,17 @@ def test_translate_dump_analysis(tmp_path, capsys):
     assert "block .lr.ph" in text
     assert "phi-params:  num_occur j" in text
     assert "loop 0: header .lr.ph" in text
+
+
+def test_translate_dump_analysis_pauses_the_collector(tmp_path, monkeypatch):
+    """The report's analysis runs with the collector paused, as translation's
+    does, and the collector is on again after it."""
+    seen, analyze = [], cli.analyze_function
+    monkeypatch.setattr(cli, "analyze_function",
+                        lambda fn: seen.append(gc.isenabled()) or analyze(fn))
+    assert gc.isenabled()
+    assert main(["translate", OCC, "--out", str(tmp_path / "x.fun"), "--dump-analysis"]) == EXIT_OK
+    assert seen == [False] and gc.isenabled()
 
 
 def test_translate_parse_error_exit(tmp_path, capsys):

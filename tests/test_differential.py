@@ -30,8 +30,9 @@ SEED = 0xDA1E
 def _run_both(src: str, args, mem, *, seed, via_text: bool):
     module = parse_text(src)
     program = translate_module(module)
+    loaded = load_program(emit_sexpr(program))  # every translation loads
     if via_text:
-        program = load_program(emit_sexpr(program))
+        program = loaded
     st = MachineState(retval=0, stack=0xFFFF0000, frame=0xFFFF0000, mem=mem)
     _, translated = eval_def(program, "gen", args, st)
     reference = interp_function(module, "gen", args, st)

@@ -187,9 +187,9 @@ def test_nested_program_defs(nestsum_program):
 
 
 def test_single_clique_per_loop(occurrences_program, nestsum_program):
-    assert len(occurrences_program.cliques) == 1
-    assert len(nestsum_program.cliques) == 2
-    for program in (occurrences_program, nestsum_program):
+    loaded = [load_program(emit_sexpr(p)) for p in (occurrences_program, nestsum_program)]
+    assert [len(p.cliques) for p in loaded] == [1, 2]
+    for program in loaded:
         generals = [d.name for d in program.defs if d.general_recursive]
         assert generals == [c.while_def for c in program.cliques]
 
@@ -209,13 +209,16 @@ _EMITTED_DIGEST = "37564835aa6cc3033f3d0120a9d8d28897b5ad174e325040505a36c9f9ad3
 def test_emitted_text_is_pinned():
     """One sha256 over the `.fun` emitted for both fixtures, the 200 llgen
     programs of Random(2008) and 100 llgen loops of Random(2015), so that a
-    change to the translator that alters a byte of its output shows."""
+    change to the translator that alters a byte of its output shows; each
+    text loads."""
     rng, loops = random.Random(2008), random.Random(2015)
     sources = [(FIXTURES / name).read_text() for name in ("occurrences.ll", "nestsum.ll")]
     sources += [gen_program(rng) for _ in range(200)] + [gen_loop(loops) for _ in range(100)]
     digest = hashlib.sha256()
     for text in sources:
-        digest.update(emit_sexpr(translate_module(parse_text(text))).encode())
+        fun = emit_sexpr(translate_module(parse_text(text)))
+        load_program(fun)  # every translation loads
+        digest.update(fun.encode())
     assert digest.hexdigest() == _EMITTED_DIGEST
 
 
@@ -641,7 +644,7 @@ def test_builds_leave_the_collector_as_they_found_it(occurrences_program):
         (lambda: parse_text(_IRREDUCIBLE + "define"), ParseError),
         (lambda: translate_module(module), AnalysisError),
         (lambda: load_program(text + "(defun"), LoadError),
-        (lambda: ProgramEvaluator(FunProgram(occurrences_program.defs)), LoadError),
+        (lambda: ProgramEvaluator(FunProgram(occurrences_program.defs[1:])), LoadError),
     ]
     ok = [lambda: translate_module(parse_text((FIXTURES / "occurrences.ll").read_text())),
           lambda: load_program(text), lambda: ProgramEvaluator(occurrences_program)]
@@ -902,10 +905,15 @@ def test_validation_records_call_sites_in_evaluation_order():
 
 
 def test_validate_program_on_random_translations():
+    """translate_module does not validate its output; a translation and
+    its emitted text both pass, with the same loops, calls and open checks."""
     rng = random.Random(4242)
     for _ in range(25):
         program = translate_module(parse_text(gen_program(rng)))
+        loaded = load_program(emit_sexpr(program))
         validate_program(program)  # closed terms, threading, clique shapes
+        assert (program.cliques, program.calls, program.unproven) == \
+            (loaded.cliques, loaded.calls, loaded.unproven)
 
 
 # ---------------------------------------------------------------------------

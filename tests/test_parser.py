@@ -794,18 +794,19 @@ def _token_mutants():
 
 
 def _front_end_outcome(text: str) -> str:
-    from ll2fun import emit_sexpr, translate_module
+    from ll2fun import emit_sexpr, load_program, translate_module
     try:
         fun = emit_sexpr(translate_module(parse_text(text)))
     except Exception as e:  # a non-package error is an outcome to pin as well
         return f"{type(e).__name__}: {e}"
+    load_program(fun)  # every translation loads; a LoadError here fails the test
     return "translated " + hashlib.sha256(fun.encode()).hexdigest()
 
 
 def test_token_mutant_outcomes_are_pinned():
     """Every outcome of parse and translate over 5,200 token mutants and
     their 62 sources: the error class and its message with line:col, or a
-    hash of the emitted .fun.  The digest and the class counts were
+    hash of the emitted .fun, which must load.  The digest and the class counts were
     recorded when a loop header phi without a value for the guard edge
     became an AnalysisError (three outcomes, which were a bare
     StopIteration); the other 5,259 are as recorded before the parser

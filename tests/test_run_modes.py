@@ -28,7 +28,7 @@ from test_linear_state import FILL_LL  # noqa: E402
 
 from ll2fun import (  # noqa: E402
     BudgetExhausted, EvalFault, FunProgram, Ll2FunError, LoadError, emit_sexpr, load_program,
-    make_state, parse_file, parse_text, translate_module, validate_program, wr_n,
+    make_state, parse_file, parse_text, translate_module, wr_n,
 )
 from ll2fun import evaluator  # noqa: E402
 from ll2fun.cli import main  # noqa: E402
@@ -524,23 +524,31 @@ def test_host_recursion_limit_is_a_fault():
     assert faults == [("host recursion limit reached inside g59 [def g59]", "def g59")]
 
 
-def test_unvalidated_loops_are_a_load_error(occurrences_program):
-    """A program whose loops were never found by validate_program would
-    compile each while def as a self-recursive function, which faults on
-    a long loop; the evaluator refuses it instead, and refuses a loop-free
-    program that validate_program never passed as well: its call sites
-    are unknown."""
-    unvalidated = "the program was never validated; pass it through validate_program"
-    with pytest.raises(LoadError, match=f"^{unvalidated}$"):
-        ProgramEvaluator(FunProgram(occurrences_program.defs))
-    loop_free = load_program("(defun f (st) (declare (xargs :signature ((stp) stp))) st)")
-    assert ProgramEvaluator(loop_free).run("f", (), make_state()).values == ()
-    with pytest.raises(LoadError, match=f"^{unvalidated}$"):
-        ProgramEvaluator(FunProgram(loop_free.defs))
-    program = FunProgram(occurrences_program.defs)
-    validate_program(program)
-    res = ProgramEvaluator(program).run("occurrences", (399, 5000, 0x8000), make_state())
+def test_the_evaluator_validates_a_program_never_validated(occurrences_program):
+    """A bare FunProgram of a translation's definitions has passed no
+    validate_program, so its loops and call sites are unknown; the
+    evaluator validates it first, and it finds, compiles and runs what
+    the loaded program does.  One that fails validation raises the
+    loader's LoadError for the same definitions, and is not compiled."""
+    loaded = load_program(emit_sexpr(occurrences_program))
+    bare = FunProgram(occurrences_program.defs)
+    ev, loaded_ev = ProgramEvaluator(bare), ProgramEvaluator(loaded)
+    assert (bare.cliques, bare.calls, bare.unproven) == \
+        (loaded.cliques, loaded.calls, loaded.unproven)
+    assert ev.source == loaded_ev.source
+    args = (399, 5000, 0x8000)
+    res = ev.run("occurrences", args, make_state())
+    want = loaded_ev.run("occurrences", args, make_state())
+    assert (res.values, res.state, res.per_while) == (want.values, want.state, want.per_while)
     assert res.per_while == {"occurrences_step_0_while": 5000}
+    broken = FunProgram(occurrences_program.defs[1:])  # drops a callee
+    with pytest.raises(LoadError) as loading:
+        load_program(emit_sexpr(broken))
+    message = str(loading.value)
+    assert message == "occurrences_continue_0: call of undefined occurrences__crit_edge"
+    with pytest.raises(LoadError, match=f"^{message}$"):
+        ProgramEvaluator(broken)
+    assert broken.calls is None and broken.unproven is None
 
 def _peek_step(n: int, addr: str, lets: str = "") -> str:
     """A step body that loads n bytes at addr, after the bindings lets,

@@ -155,6 +155,10 @@ ROWS = {
         lambda n: parse_text(_diamond_text(n)), translate_module, (400, 800), 2.6, False),
     "load-diamonds": Row(
         lambda n: _fun_text(_diamond_text(n)), load_program, (400, 800), 2.6, False),
+    # read 1.97-2.04x at these sizes, and 1.87-1.92x at 800 vs 1600
+    "emit-diamonds": Row(
+        lambda n: translate_module(parse_text(_diamond_text(n))), emit_sexpr,
+        (400, 800), 2.6, False),
     # a repeated label near the end: a scan of all labels per label was 3.7-3.9x
     "reject_label-repeated_labels": Row(
         _repeating_chain, _reject_repeated_label, (4000, 8000), 2.6, False),
@@ -235,7 +239,9 @@ def test_the_loaded_loop_chain_keeps_the_translated_loops():
     for n in (80, 320):
         program = translate_module(parse_text(gen_loop_chain(n)))
         loaded = load_program(emit_sexpr(program))
-        assert len(program.cliques) == n and loaded.cliques == program.cliques
+        generals = [d.name for d in program.defs if d.general_recursive]
+        assert len(loaded.cliques) == n
+        assert [c.while_def for c in loaded.cliques] == generals
         assert eval_def(loaded, "chain", (5,), make_state())[1].retval == 5 + 3 * n
 
 
