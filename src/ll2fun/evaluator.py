@@ -40,7 +40,12 @@ compiled (`FunProgram.unproven`); on a translated program that is none:
 
 Each primitive compiles through its row in `prims.PRIMS`: a format
 string inlined into the source, or a call of the row's reference
-function.  Two fused forms are recognised here instead: a load
+function, but no fault moves: a shift, sext or compare of literals
+folds into the reference's value; the signed compares and sext of atoms
+compile to `prims.to_signed`'s formula, exact for every integer; and a
+let binding that nothing reads is dropped where it raises for no
+integer operand (`_Codegen.live`), a dead load keeping its range test.
+Two fused forms are recognised here instead: a load
 (wfrombytes of loadbytes) becomes one `state.load_word`, and a store
 (storebytes of wtobytes) becomes one `store_word`.  A load that a let in
 a loop binds is inlined as one read of a memory page (`_page_read`: the
@@ -83,7 +88,7 @@ from .fun_ir import (
     Call, Const, FunDef, FunProgram, If, LetStar, Metlist, Mvlist, Prim, Var, children, var,
     validate_program,
 )
-from .prims import KINDS, PRIMS, STATE, decimal
+from .prims import KINDS, PRIMS, STATE, decimal, to_signed
 from . import state as st_mod
 from .state import ADDR_LIMIT, PACK, PAGE_BITS, PAGE_MASK, PAGE_SIZE, UNPACK, MachineState
 
@@ -128,6 +133,12 @@ def _param_locals(d: FunDef) -> tuple[str, ...]:
 def _fused(inner, op: str, n: Const) -> bool:
     """Is inner an application of op to the same byte count n?"""
     return isinstance(inner, Prim) and inner.op == op and inner.args[0] == n
+
+
+def _loaded(e) -> Prim | None:
+    """The loadbytes of e if e is a fused load (wfrombytes n (loadbytes n ...))."""
+    return e.args[1] if type(e) is Prim and e.op == "wfrombytes" and _fused(
+        e.args[1], "loadbytes", e.args[0]) else None
 
 
 def _masked(e) -> bool:
@@ -183,6 +194,49 @@ def _page_write(n: int, value: str) -> str:
 def _is_atom(code: str) -> bool:
     """Is this emitted expression a local or a literal (free to repeat)?"""
     return code.isidentifier() or code.isdigit()
+
+
+_SIGNED = {"slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}  # the unsigned compare of each
+# The rows whose applications to literals fold, by the row's reference
+# function: none raises on naturals, and no result is longer than the call.
+_FOLD = {"shl", "lshr", "ashr", "sext", *_SIGNED, *(op for op, p in PRIMS.items() if p.cond)}
+
+
+def _signed(code: str, w: int) -> str:
+    """`prims.to_signed` of the atom code at width w, exact for every integer."""
+    if code.isdigit():
+        return decimal(to_signed(int(code), w))
+    return f"({code} - (({code} >> {w - 1}) << {w}))"
+
+
+def _pure(e) -> bool:
+    """Does e raise for no integer operand: a name, a constant, or an if or
+    a total primitive (`Primitive.total`) of such expressions?"""
+    t = type(e)
+    if t is Prim:
+        total = PRIMS[e.op].total
+        return (total is not None and all(type(e.args[i]) is Const and e.args[i].value >= 0
+                                          for i in total) and all(map(_pure, e.args)))
+    if t is If:
+        return _pure(e.cond) and _pure(e.then) and _pure(e.els)
+    return t is Var or t is Const
+
+
+def _reads(e, names: set[str]):
+    """Add the names expression e reads to names."""
+    t = type(e)
+    if t is Var:
+        names.add(e.name)
+    elif t is If:
+        _reads(e.cond, names)
+        _reads(e.then, names)
+        _reads(e.els, names)
+    elif t is not Const:
+        for a in e.items if t is Mvlist else e.args:
+            if type(a) is Var:
+                names.add(a.name)
+            elif type(a) is not Const:
+                _reads(a, names)
 
 
 def _tests(values: list[str], kinds, positions) -> str:
@@ -292,6 +346,7 @@ class _Codegen:
         self.fused = False            # emitting a step body inside its loop
         self.masked: set[str] = set()  # locals the step body bound to a _masked value
         self.uses: dict[str, int] = {}  # how many names in scope read each code (`_let`)
+        self.kept: dict[int, list] = {}  # the bindings each let* keeps (`live`)
         self.pages: str | None = None  # the page table a loop bound before its `while`
         self.own = False               # the loop bound its run's own pages to `_own`
         self.param_locals = [_param_locals(d) for d in defs]
@@ -345,7 +400,9 @@ class _Codegen:
     def cond(self, e, env: dict[str, str]) -> str:
         """Condition position: a {0,1} value tested against zero."""
         if isinstance(e, Prim) and PRIMS[e.op].cond:
-            return PRIMS[e.op].cond.format(*[self.expr(a, env) for a in e.args])
+            args = [self.expr(a, env) for a in e.args]
+            if not all(map(str.isdigit, args)):  # else `prim` folds it
+                return PRIMS[e.op].cond.format(*args)
         return f"{self.expr(e, env)} != 0"
 
     def prim(self, e: Prim, env: dict[str, str]) -> str:
@@ -367,16 +424,28 @@ class _Codegen:
             return f"_store_word({a[0].value}, {ex(a[1])}, {ex(a[2].args[1])}, {ex(a[3])})"
         template = PRIMS[op].template
         args = [ex(x) for x in a]
+        if op in _FOLD and all(map(str.isdigit, args)):
+            return decimal(PRIMS[op].ref(*map(int, args)))
+        if op in _SIGNED and _is_atom(args[1]) and _is_atom(args[2]):
+            w = a[0].value
+            return PRIMS[_SIGNED[op]].template.format(_signed(args[1], w), _signed(args[2], w))
+        if op == "sext" and _is_atom(args[2]):
+            return f"({_signed(args[2], a[0].value)} & {(1 << a[1].value) - 1})"
         if "{" in template:
             return template.format(*args)
         return f"{template}({', '.join(args)})"
 
     # -- statements ------------------------------------------------------------
 
-    def bind(self, name: str, bound, env: dict[str, str], indent: str):
-        if (self.fused and isinstance(bound, Prim) and bound.op == "wfrombytes"
-                and _fused(bound.args[1], "loadbytes", bound.args[0])):
-            self.load(name, bound.args[0].value, bound.args[1], env, indent)
+    def bind(self, name: str | None, bound, env: dict[str, str], indent: str):
+        if name is None:  # a load nothing reads: its range test keeps its fault
+            n = bound.args[0].value
+            addr, st = (self.expr(x, env) for x in bound.args[1].args[1:])
+            self.lines.append(f"{indent}if not 0 <= {addr} <= {ADDR_LIMIT - n}: "
+                              f"_load({n}, {addr}, {st}.mem)")
+            return
+        if self.fused and (load := _loaded(bound)):
+            self.load(name, load.args[0].value, load, env, indent)
             return
         if self.own and _in_place(bound):
             self.store(name, bound, env, indent)
@@ -446,10 +515,51 @@ class _Codegen:
                        f"{indent}    {st} = _store_word({n}, {addr}, {value}, {st})",
                        f"{indent}    _own = _owned({st})"]
 
+    def live(self, e) -> set[str]:
+        """The names e, in result position, reads without its dead bindings,
+        in one backward pass that records the bindings each let* keeps in
+        `kept`.  A dead binding goes where its value is `_pure`; a dead load
+        of a pure address keeps its range test, as a binding of None."""
+        t = type(e)
+        if t is LetStar:
+            names = self.live(e.body)
+            kept = []
+            for name, bound in reversed(e.bindings):
+                if name in names:
+                    names.discard(name)
+                elif _pure(bound):
+                    continue
+                else:
+                    load = _loaded(bound)
+                    if load and _pure(load.args[1]) and type(load.args[2]) is Var:
+                        name = None
+                kept.append((name, bound))
+                _reads(bound, names)
+            self.kept[id(e)] = kept[::-1]
+            return names
+        if t is If:
+            names = self.live(e.then)
+            names |= self.live(e.els)
+            _reads(e.cond, names)
+        elif t is Metlist:
+            names = self.live(e.body)
+            names.difference_update(e.names)
+            _reads(e.call, names)
+        else:
+            names = set()
+            _reads(e, names)
+        return names
+
+    def body(self, e, env: dict[str, str], indent: str):
+        """A definition's or a step's body e, without its dead bindings."""
+        self.kept = {}
+        self.live(e)
+        self.tail(e, env, indent)
+
     def tail(self, e, env: dict[str, str], indent: str):
         out = self.lines
         if isinstance(e, LetStar):
-            for name, bound in e.bindings:
+            for name, bound in self.kept[id(e)]:
                 self.bind(name, bound, env, indent)
             self.tail(e.body, env, indent)
         elif isinstance(e, If):
@@ -572,7 +682,7 @@ class _Codegen:
         self.finish = self.next_frame(step, s, frame)
         self.fused, self.masked = True, set()
         uses, self.uses = self.uses, dict(self.uses)
-        self.tail(step.body, dict(env), " " * 12)
+        self.body(step.body, dict(env), " " * 12)
         self.uses = uses
         self.fused, self.pages, self.own = False, None, False
         lines += [f"            if _tr: _show('<-', {s}, ({args},))", "    finally:"]
@@ -596,7 +706,7 @@ class _Codegen:
             self.loop(k, d, self.program.by_name[self.loops[k]], env)
         else:
             self.finish = self.result
-            self.tail(d.body, env, indent)
+            self.body(d.body, env, indent)
 
     def function(self, name: str, sections: list[int]):
         """One function: the body of its root, sections[0], then each other

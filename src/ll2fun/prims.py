@@ -9,8 +9,10 @@ can (see the bound rules below); the dynamic signature checks the rest.
 `PRIMS` has one row per primitive: argument names in source order (an
 argument named `st` takes the state, one named `run` a byte run, every
 other a natural), the domain of each static (constant) argument, the
-codegen template, the reference function, the sort of the result and,
-for a natural result, its bound rule (see "Bound rules" below).  A
+codegen template, the reference function, the sort of the result, for a
+natural result its bound rule (see "Bound rules" below), and whether it
+is total: raises for no integer operand, which lets the code generator
+drop an application whose value nothing reads.  A
 template is a format string over the arguments or the name of a helper,
 which is the row's reference function; `bits` has none because the code
 generator inlines its mask.
@@ -135,6 +137,9 @@ class Primitive:
     cond: str | None = None     # condition-position format string (compares)
     result: str = NAT           # sort of the result
     bound: Callable | None = None  # the bound rule of a natural result
+    # total while the arguments at these positions are natural constants
+    # (a shift's count); None where some integer operand may raise
+    total: tuple[int, ...] | None = None
 
     @cached_property
     def sorts(self) -> tuple[str, ...]:
@@ -157,9 +162,9 @@ class Primitive:
 
 def _row(name: str, params: str, template: str | None, ref: Callable,
          cond: str | None = None, result: str = NAT, bound: Callable | None = None,
-         **domains) -> tuple[str, Primitive]:
+         total: tuple[int, ...] | None = None, **domains) -> tuple[str, Primitive]:
     return name, Primitive(name, tuple(params.split()), template, ref, domains, cond,
-                           result, bound)
+                           result, bound, total)
 
 
 # Bound rules.  A fact about a natural-sort value is an exclusive bound on
@@ -200,27 +205,27 @@ def _power_of_two(a, b):
 def _compare(name: str, pyop: str, test: Callable[[int, int], bool]):
     cond = f"{{0}} {pyop} {{1}}"
     return _row(name, "a b", f"(1 if {cond} else 0)",
-                lambda a, b: 1 if test(a, b) else 0, cond=cond, bound=_bit)
+                lambda a, b: 1 if test(a, b) else 0, cond=cond, bound=_bit, total=())
 
 
 def _signed_compare(name: str, test: Callable[[int, int], bool]):
     return _row(name, "w a b", f"_{name}",
                 lambda w, a, b: 1 if test(to_signed(a, w), to_signed(b, w)) else 0,
-                bound=_bit, w=WIDTH)
+                bound=_bit, total=(), w=WIDTH)
 
 
 PRIMS: dict[str, Primitive] = dict([
-    _row("bits", "x h l", None, bits, bound=lambda x, h, l: 1 << (h - l + 1),
+    _row("bits", "x h l", None, bits, bound=lambda x, h, l: 1 << (h - l + 1), total=(),
          h=(0, 63), l=(0, "h")),
-    _row("+", "a b", "({0} + {1})", operator.add, bound=_sum),
-    _row("-", "a b", "({0} - {1})", operator.sub),
-    _row("*", "a b", "({0} * {1})", operator.mul, bound=_product),
-    _row("logand", "a b", "({0} & {1})", operator.and_, bound=_smaller),
-    _row("logior", "a b", "({0} | {1})", operator.or_, bound=_power_of_two),
-    _row("logxor", "a b", "({0} ^ {1})", operator.xor, bound=_power_of_two),
-    _row("shl", "w a b", "_shl", shl, bound=_width, w=WIDTH),
-    _row("lshr", "w a b", "_lshr", lshr, bound=lambda w, a, b: a, w=WIDTH),
-    _row("ashr", "w a b", "_ashr", ashr, bound=_width, w=WIDTH),
+    _row("+", "a b", "({0} + {1})", operator.add, bound=_sum, total=()),
+    _row("-", "a b", "({0} - {1})", operator.sub, total=()),
+    _row("*", "a b", "({0} * {1})", operator.mul, bound=_product, total=()),
+    _row("logand", "a b", "({0} & {1})", operator.and_, bound=_smaller, total=()),
+    _row("logior", "a b", "({0} | {1})", operator.or_, bound=_power_of_two, total=()),
+    _row("logxor", "a b", "({0} ^ {1})", operator.xor, bound=_power_of_two, total=()),
+    _row("shl", "w a b", "_shl", shl, bound=_width, total=(2,), w=WIDTH),
+    _row("lshr", "w a b", "_lshr", lshr, bound=lambda w, a, b: a, total=(2,), w=WIDTH),
+    _row("ashr", "w a b", "_ashr", ashr, bound=_width, total=(2,), w=WIDTH),
     _compare("=", "==", operator.eq),
     _compare("/=", "!=", operator.ne),
     _compare("<", "<", operator.lt),
@@ -231,15 +236,15 @@ PRIMS: dict[str, Primitive] = dict([
     _signed_compare("sle", operator.le),
     _signed_compare("sgt", operator.gt),
     _signed_compare("sge", operator.ge),
-    _row("sext", "f t x", "_sext", sext, bound=lambda f, t, x: 1 << (t - 1),
+    _row("sext", "f t x", "_sext", sext, bound=lambda f, t, x: 1 << (t - 1), total=(),
          f=WIDTH, t=WIDTH),
     _row("update-retval", "v st", "_update_retval", st_mod.update_retval, result=STATE),
-    _row("retval", "st", "{0}.retval", operator.attrgetter("retval")),
+    _row("retval", "st", "{0}.retval", operator.attrgetter("retval"), total=()),
     _row("init-stack-frame", "st", "{0}", st_mod.init_stack_frame, result=STATE),
     _row("begin-stack-frame", "st", "_begin", st_mod.begin_stack_frame, result=STATE),
     _row("end-stack-frame", "st", "_end", st_mod.end_stack_frame, result=STATE),
     _row("alloca", "n st", "_alloca", st_mod.alloca, n=NATURAL, result=STATE),
-    _row("stack", "st", "{0}.stack", operator.attrgetter("stack")),
+    _row("stack", "st", "{0}.stack", operator.attrgetter("stack"), total=()),
     _row("loadbytes", "n a st", "_loadbytes", st_mod.loadbytes, n=BYTES, result=RUN),
     _row("wfrombytes", "n run", "_wfrombytes", st_mod.wfrombytes,
          bound=lambda n, run: 1 << 8 * (n - 1), n=BYTES),

@@ -3,6 +3,7 @@ tracing, and stack safety."""
 
 import gc
 import importlib.util
+import io
 import itertools
 import math
 import pathlib
@@ -21,7 +22,7 @@ from ll2fun import (
 )
 from ll2fun import evaluator
 from ll2fun.evaluator import ProgramEvaluator
-from ll2fun.fun_ir import Call, FunProgram, children
+from ll2fun.fun_ir import Call, Const, FunDef, FunProgram, Mvlist, Prim, Var, children
 from ll2fun.prims import NAT, PRIMS, RUN, STATE, ashr, lshr, sext, shl, to_signed
 from ll2fun.state import MachineState, begin_stack_frame
 from llgen import gen_program
@@ -640,6 +641,78 @@ def test_internal_prim_consistency_random():
                 if test is not None:
                     (got,), _ = eval_def(test, "probe", values, st, checking=False)
                     assert got == (7 if want else 9), (op, static, args)
+    _check_folded_and_inlined(rng)
+
+
+def _out_of_kind(rng: random.Random, w: int) -> int:
+    """A natural operand's value outside [0, 2^w): negative, at or above
+    2^w, or at or above 2^64."""
+    return rng.choice([-1, -(1 << w), -1 - rng.getrandbits(70), (1 << w) + rng.getrandbits(w),
+                       (1 << 64) + rng.getrandbits(64), 1 << rng.randrange(64, 90)])
+
+
+def _outcome(run, *args):
+    """run's value, or the text of the EvalFault it raises without the
+    context `ProgramEvaluator.run` adds."""
+    try:
+        return run(*args)
+    except EvalFault as e:
+        return str(e).removesuffix(" [entry probe, step 0]")
+
+
+def _run_probe(program, values=()):
+    return eval_def(program, "probe", tuple(values), make_state(), checking=False)[0][0]
+
+
+def _app(op: str, static: dict[str, int], given: dict[str, int]) -> str:
+    """op applied to its static arguments, the values given, and the
+    names of its other arguments."""
+    return f"({op} {' '.join(str(static.get(p, given.get(p, p))) for p in PRIMS[op].params)})"
+
+
+def _check_folded_and_inlined(rng: random.Random):
+    """The rows codegen folds or inlines (`evaluator._FOLD`) agree with
+    their reference function on operands outside their kind, in value and
+    in condition position: with names and literals as operands, the signed
+    compares and sext compile to their inline template and the shifts stay
+    calls; with literals alone, the application folds into the reference's
+    value; with negative constants, which no literal makes, it stays as it
+    is, and a shift by a negative count raises the reference's fault."""
+    for op in sorted(evaluator._FOLD):
+        prim = PRIMS[op]
+        dynamic = [p for p in prim.params if p not in prim.domains]
+        for static in _static_samples(rng, prim):
+            width = static.get("w") or static.get("f") or 64
+            for _ in range(6):
+                values = {p: _out_of_kind(rng, width) if rng.random() < 0.7
+                          else rng.getrandbits(width) for p in dynamic}
+                if "b" in values and rng.random() < 0.3:
+                    values["b"] = rng.randrange(-2, width + 2)  # a shift count near the width
+                args = [static[p] if p in static else values[p] for p in prim.params]
+                want = _outcome(prim.ref, *args)
+                first = dynamic[0]
+                mixed = {first: values[first]} if values[first] >= 0 and dynamic[1:] else {}
+                names = [p for p in dynamic if p not in mixed]
+                named = _probe(names, _app(op, static, mixed))
+                calls = op in ("shl", "lshr", "ashr")  # the others compile inline
+                assert (f"{prim.template}(" in ProgramEvaluator(named).source) is calls, op
+                given = [values[p] for p in names]
+                assert _outcome(_run_probe, named, given) == want, (op, args)
+                test = _probe(names, f"(if {_app(op, static, mixed)} 7 9)")
+                got = _outcome(_run_probe, test, given)
+                assert got == (want if isinstance(want, str) else 7 if want else 9), (op, args)
+                if min(values.values()) >= 0:
+                    literal = _probe([], _app(op, static, values))
+                    assert f"_r = ({want}, v_st)" in ProgramEvaluator(literal).source, (op, args)
+                    assert _run_probe(literal) == want
+                    test = _probe([], f"(if {_app(op, static, values)} 7 9)")
+                    assert _run_probe(test) == (7 if want else 9), (op, args)
+                else:
+                    consts = FunProgram((FunDef("probe", (("st", "state"),), ("nat", "state"),
+                                                Mvlist((Prim(op, tuple(map(Const, args))),
+                                                        Var("st")))),))
+                    assert f" = ({want}, v_st)" not in ProgramEvaluator(consts).source
+                    assert _outcome(_run_probe, consts) == want, (op, args)
 
 
 def test_fused_memory_forms_match_reference():
@@ -658,6 +731,81 @@ def test_fused_memory_forms_match_reference():
             assert got == ref("wfrombytes", n, ref("loadbytes", n, a, st))
             _, got = eval_def(store, "probe", (a, v), st, checking=False)
             assert got == ref("storebytes", n, a, ref("wtobytes", n, v), st)
+
+
+DEAD = """(defun f (x st)
+  (declare (xargs :signature ((i64_p stp) stp)))
+  (let* ({bindings})
+    (update-retval x st)))
+"""
+
+
+def test_a_dead_chain_of_pure_bindings_is_dropped():
+    """Bindings that nothing reads, each of a total row, compile to
+    nothing, a chain of them too; a binding read by a kept one stays, as do
+    a dead call, a dead shift whose count is not a constant and a dead
+    load, which keeps only its range test."""
+    chain = ("(a (+ x 1)) (b (sext 8 64 a)) (c (slt 64 b x)) (d (if (= c 1) b a))"
+             " (e (shl 64 d 3)) (g (retval st)) (h (logxor e g))")
+    ev = ProgramEvaluator(load_program(DEAD.format(bindings=chain)))
+    assert ev.source.count("\n") == 4 and "v_a" not in ev.source
+    assert ev.run("f", (5,), make_state()).state.retval == 5
+    kept = ("(a (+ x 1)) (b (lshr 64 a x)) (c (wfrombytes 2 (loadbytes 2 a st)))"
+            " (d (+ x 2)) (e (wfrombytes 2 (loadbytes 2 (if (= d 0) x 4096) st)))")
+    ev = ProgramEvaluator(load_program(DEAD.format(bindings=kept)))
+    assert "v_a = (v_x + 1)" in ev.source and "v_b = _lshr(64, v_a, v_x)" in ev.source
+    assert "if not 0 <= v_a <= 4294967294: _load(2, v_a, v_st.mem)" in ev.source
+    assert "if not 0 <= (v_x if v_d == 0 else 4096) <= 4294967294: _load(2, " in ev.source
+    assert "v_c" not in ev.source and "v_e" not in ev.source
+    assert ev.run("f", (7,), make_state()).state.retval == 7
+
+
+@pytest.mark.parametrize("case", ["load", "shift", "loop_load"])
+def test_dropped_bindings_keep_every_fault(case, array_state):
+    """A binding nothing reads raises the fault it raised when it was
+    read, with the same text and trace, in every run mode: a load at
+    0xFFFFFFFF keeps its range test, in a definition and in a fused loop's
+    step, and a shift whose count is not a constant stays a call."""
+    golden = (pathlib.Path(__file__).parent / "fixtures" / "occurrences.fun.golden").read_text()
+    text, entry, args, fault, code = {
+        "load": (DEAD.format(bindings="(dead (wfrombytes 8 (loadbytes 8 x st)))"), "f",
+                 (0xFFFFFFFF,), "rd_n: address range [0xffffffff, 0x100000007) exceeds "
+                 "32-bit memory [entry f, step 0]",
+                 "if not 0 <= v_x <= 4294967288: _load(8, v_x, v_st.mem)"),
+        "shift": (DEAD.format(bindings="(dead (shl 32 x (- 0 1)))"), "f", (5,),
+                  "shl: negative shift count -1 [entry f, step 0]", "_shl(32, v_x, (0 - 1))"),
+        "loop_load": (golden.replace("(_3 (= _2 val))", "(_3 (= _2 val)) (dead (wfrombytes 8 "
+                                     "(loadbytes 8 4294967295 st)))"), "occurrences",
+                      (399, 8, 0x8000), "rd_n: address range [0xffffffff, 0x100000007) "
+                      "exceeds 32-bit memory [entry occurrences, step 1]",
+                      "if not 0 <= 4294967295 <= 4294967288: _load(8, 4294967295, v_st.mem)"),
+    }[case]
+    ev = ProgramEvaluator(load_program(text))
+    assert code in ev.source
+    for checking, trace in ((True, False), (False, False), (False, True)):
+        ev.trace_out = io.StringIO()
+        with pytest.raises(EvalFault) as err:
+            ev.run(entry, args, array_state, checking=checking, trace=trace)
+        assert str(err.value) == fault
+        st = "(st retval=0 stack=0xffff0000 frame=0xffff0000 mem/17)"
+        last = ([f"-> f {args[0]} {st}"] if entry == "f" else
+                [f"-> occurrences_step_0_while 0 0 0 32768 8 399 {st}",
+                 f"-> occurrences_step_0 0 0 0 32768 8 399 {st}"])
+        lines = ev.trace_out.getvalue().splitlines()
+        assert lines[-len(last):] == last if trace else lines == []
+
+
+def test_a_shift_by_a_negative_constant_count_stays_a_call():
+    """An all-constant application whose reference raises is not folded:
+    it compiles to the call, which raises the same fault at run time."""
+    text = """(defun f (st)
+  (declare (xargs :signature ((stp) stp)))
+  (update-retval (shl 8 1 (- 0 1)) st))
+"""
+    ev = ProgramEvaluator(load_program(text))
+    assert "_shl(8, 1, (0 - 1))" in ev.source
+    with pytest.raises(EvalFault, match=r"^shl: negative shift count -1 \[entry f, step 0\]$"):
+        ev.run("f", (), make_state(), checking=False)
 
 
 def test_eval_def_keeps_no_evaluator_alive(occurrences_program, array_state, monkeypatch):

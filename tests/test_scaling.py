@@ -71,10 +71,11 @@ def _alias_chain(n: int) -> str:
     return "\n".join(lines) + "\n" + _CALLEE + _fn(calls + "  ret i64 %x\n")
 
 
-def _add_chain(n: int) -> str:
-    """One block of n adds, each reading the one before."""
+def _add_chain(n: int, ret: int | None = None) -> str:
+    """One block of n adds, each reading the one before, that returns
+    the last (or %v<ret>)."""
     body = "".join(f"  %v{k + 1} = add i64 %v{k}, {k}\n" for k in range(n))
-    return f"define i64 @f(i64 %v0) {{\n{body}  ret i64 %v{n}\n}}\n"
+    return f"define i64 @f(i64 %v0) {{\n{body}  ret i64 %v{n if ret is None else ret}\n}}\n"
 
 
 def _word_image(words: int, stride: int) -> str:
@@ -196,6 +197,10 @@ ROWS = {
     "codegen-long_block": Row(
         lambda n: load_program(_fun_text(_add_chain(n))), ProgramEvaluator,
         (5000, 10000), 2.6, False),
+    # dropping the bindings nothing reads: the result reads none of the adds
+    "codegen-dead_chain": Row(
+        lambda n: load_program(_fun_text(_add_chain(n, 0))), ProgramEvaluator,
+        (5000, 10000), 2.6, False),
     # a traced run reads each section's arguments from its function's locals
     "traced_run-diamonds": Row(
         lambda n: (ProgramEvaluator(_diamonds(n)), gen_state_args(random.Random(5))),
@@ -259,3 +264,9 @@ def test_wide_join_liveness():
 def test_long_block_sum():
     ev = ProgramEvaluator(load_program(_fun_text(_add_chain(5000))))
     assert ev.run("f", (1,), make_state()).state.retval == 1 + 4999 * 5000 // 2
+
+
+def test_dead_chain_compiles_to_nothing():
+    ev = ProgramEvaluator(load_program(_fun_text(_add_chain(5000, 0))))
+    assert "v_v1 " not in ev.source and "v_v5000 " not in ev.source
+    assert ev.run("f", (3,), make_state()).state.retval == 3
