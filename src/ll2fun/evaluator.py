@@ -41,7 +41,8 @@ compiled (`FunProgram.unproven`); on a translated program that is none:
 Each primitive compiles through its row in `prims.PRIMS`: a format
 string inlined into the source, or a call of the row's reference
 function, but no fault moves: a shift, sext or compare of literals
-folds into the reference's value; the signed compares and sext of atoms
+folds into the reference's value, and an if whose condition folds so
+compiles to the branch it takes; the signed compares and sext of atoms
 compile to `prims.to_signed`'s formula, exact for every integer; and a
 let binding that nothing reads is dropped where it raises for no
 integer operand (`_Codegen.live`), a dead load keeping its range test.
@@ -53,24 +54,30 @@ a loop binds is inlined as one read of a memory page (`_page_read`: the
 `int.from_bytes` at the others) behind one test that the n bytes lie in
 that page, plus a test of the address's range unless the step masked
 the address to 32 bits itself.  A loop whose step loads and makes no
-call and no store reads the page table once, before its `while`.
+call and no store reads the page table once, before its `while`.  A
+load outside a loop stays a call of `_load`: a prototype that inlined
+them as well gained about 2% of perfbench's wide run for about 4 ms
+more compile.
 
 Stores are the exception to calling the reference function: the fused
 store and `storebytes` go through the namespace's `state.RunMemory`, which
 copies the memory's page table on a run's first store, each page on the
 run's first store to it, and writes every store of the run into its own
-pages in place.  The loader only admits programs that thread the state
+pages in place.  The loader only admits programs that thread one state
 linearly, so no state older than a store is ever read again; states
 passed in by the caller are never written, and a run that never stores
-never copies.  A fused store that a let binds in a loop whose step makes
-no call is inlined as one write into a page the run owns: the byte, a
-`struct` write of `state.PACK` at widths 2, 4 and 8, or a slice, behind
-one test that the loop's `_own` (`RunMemory.owned`) holds the page and
-that the n bytes lie in it, and no test of the address's range, since a
-page is owned only after a range-checked store into it.  The run's first
-store, its first to each page, a store across a page boundary or out of
-range, and every store of a traced run call `_store_word` instead, and
-the loop reads `_own` again after each.
+never copies.  A fused store whose state is a variable, let-bound in a
+loop or in a region, is inlined as one write into a page the run owns:
+the byte, a `struct` write of `state.PACK` at widths 2, 4 and 8, or a
+slice, behind one test that the namespace's `_own` (`RunMemory.own`,
+which `run` sets afresh for each run) holds the page and that the n
+bytes lie in it, and no test of the address's range, since a page is
+owned only after a range-checked store into it.  The run's first store,
+its first to each page, a store across a page boundary or out of range,
+and every store of a traced run, whose `_own` stays empty, call
+`_store_word` instead, which adds each page it copies to `_own`: after
+the run's first store every live state holds the run's memory, so one
+dict serves the whole run and no code binds it again.
 """
 
 from __future__ import annotations
@@ -156,17 +163,11 @@ def _nodes(e):
 
 
 def _in_place(bound) -> bool:
-    """Is bound a store that a loop may write into its run's own page: a
-    fused store (storebytes n a (wtobytes n v) st) whose state is a
-    variable?"""
+    """Is bound a store that compiled code may write into its run's own
+    page: a fused store (storebytes n a (wtobytes n v) st) whose state is
+    a variable?"""
     return (type(bound) is Prim and bound.op == "storebytes"
             and _fused(bound.args[2], "wtobytes", bound.args[0]) and type(bound.args[3]) is Var)
-
-
-def _lets_in_place(body) -> bool:
-    """Does body let-bind a store that a loop may write in place?"""
-    return any(type(e) is LetStar and any(_in_place(b) for _, b in e.bindings)
-               for e in _nodes(body))
 
 
 def _page_read(n: int, page: str) -> str:
@@ -348,7 +349,6 @@ class _Codegen:
         self.uses: dict[str, int] = {}  # how many names in scope read each code (`_let`)
         self.kept: dict[int, list] = {}  # the bindings each let* keeps (`live`)
         self.pages: str | None = None  # the page table a loop bound before its `while`
-        self.own = False               # the loop bound its run's own pages to `_own`
         self.param_locals = [_param_locals(d) for d in defs]
 
     # -- locals ------------------------------------------------------------
@@ -388,8 +388,10 @@ class _Codegen:
         if isinstance(e, Const):
             return str(e.value)
         if isinstance(e, If):
-            return (f"({self.expr(e.then, env)} if {self.cond(e.cond, env)} "
-                    f"else {self.expr(e.els, env)})")
+            test = self.cond(e.cond, env)
+            if test.isdigit():  # a literal: the value of the branch it takes
+                return self.expr(e.then if test == "1" else e.els, env)
+            return f"({self.expr(e.then, env)} if {test} else {self.expr(e.els, env)})"
         if isinstance(e, Call):
             args = ", ".join(self.expr(a, env) for a in e.args)
             return f"{self.fn_names[e.name]}({args})"
@@ -398,12 +400,16 @@ class _Codegen:
         raise AssertionError(f"expression context: {e}")
 
     def cond(self, e, env: dict[str, str]) -> str:
-        """Condition position: a {0,1} value tested against zero."""
+        """Condition position: a {0,1} value tested against zero, or "1"
+        or "0" where it folds to a literal, whose test no code needs."""
         if isinstance(e, Prim) and PRIMS[e.op].cond:
             args = [self.expr(a, env) for a in e.args]
             if not all(map(str.isdigit, args)):  # else `prim` folds it
                 return PRIMS[e.op].cond.format(*args)
-        return f"{self.expr(e, env)} != 0"
+        code = self.expr(e, env)
+        if code.isdigit():
+            return "1" if int(code) else "0"
+        return f"{code} != 0"
 
     def prim(self, e: Prim, env: dict[str, str]) -> str:
         op = e.op
@@ -447,7 +453,7 @@ class _Codegen:
         if self.fused and (load := _loaded(bound)):
             self.load(name, load.args[0].value, load, env, indent)
             return
-        if self.own and _in_place(bound):
+        if _in_place(bound):
             self.store(name, bound, env, indent)
             return
         rhs = self.expr(bound, env)
@@ -490,15 +496,18 @@ class _Codegen:
                        f"{indent}    {local} = _rd_n({n}, {addr}, {st}.mem)"]
 
     def store(self, name: str, store: Prim, env: dict[str, str], indent: str):
-        """name = storebytes n a (wtobytes n v) st: one write into the page
-        of `_own`, the run's own pages, that holds the n bytes; else
-        `_store_word`, which copies the page table on the run's first
-        store and a page on the run's first store to it, writes across a
-        page boundary and raises the range fault, and after which `_own`
-        is read again."""
+        """name = storebytes n a (wtobytes n v) st, in a loop or a region:
+        one write into the page of `_own`, the run's own pages
+        (`state.RunMemory`), that holds the n bytes; else `_store_word`,
+        which copies the page table on the run's first store and a page on
+        the run's first store to it, after which `_own` holds that page,
+        writes across a page boundary and raises the range fault.  A
+        literal value is reduced to n bytes here."""
         n = store.args[0].value
         addr, value, st = (self.expr(x, env) for x in (store.args[1], store.args[2].args[1],
                                                        store.args[3]))
+        mask = (1 << 8 * n) - 1
+        stored = decimal(int(value) & mask) if value.isdigit() else f"({value} & {mask})"
         if not _is_atom(addr):
             self.lines.append(f"{indent}_a = {addr}")
             addr = "_a"
@@ -510,10 +519,9 @@ class _Codegen:
         self.lines += [f"{indent}_o = {addr} & {PAGE_MASK}",
                        f"{indent}_w = _own.get({addr} >> {PAGE_BITS})",
                        f"{indent}if _w is not None and _o <= {PAGE_SIZE - n}:",
-                       f"{indent}    {_page_write(n, f'({value} & {(1 << 8 * n) - 1})')}",
+                       f"{indent}    {_page_write(n, stored)}",
                        f"{indent}else:",
-                       f"{indent}    {st} = _store_word({n}, {addr}, {value}, {st})",
-                       f"{indent}    _own = _owned({st})"]
+                       f"{indent}    {st} = _store_word({n}, {addr}, {value}, {st})"]
 
     def live(self, e) -> set[str]:
         """The names e, in result position, reads without its dead bindings,
@@ -563,8 +571,12 @@ class _Codegen:
                 self.bind(name, bound, env, indent)
             self.tail(e.body, env, indent)
         elif isinstance(e, If):
+            test = self.cond(e.cond, env)
+            if test.isdigit():  # a literal: only the branch it takes
+                self.tail(e.then if test == "1" else e.els, env, indent)
+                return
             masked, uses = self.masked, self.uses  # what each branch knows on entry
-            out.append(f"{indent}if {self.cond(e.cond, env)}:")
+            out.append(f"{indent}if {test}:")
             self.masked, self.uses = set(masked), dict(uses)
             self.tail(e.then, dict(env), indent + "    ")
             out.append(f"{indent}else:")
@@ -640,17 +652,8 @@ class _Codegen:
         before the `while`: only a store gives a run a new `Memory`
         (`state.RunMemory`), and every other state primitive keeps it.
 
-        A step that makes no call, has one state parameter and let-binds a
-        fused store whose state is a variable (`_in_place`) writes each
-        such store that lies in one page the run owns straight into that
-        page (`store`): its loop reads the run's own pages into `_own`
-        before the `while` (`RunMemory.owned`: none unless the state holds
-        the run's memory and the run is not traced), and again after each
-        store that misses them and calls `_store_word`.  Every state in
-        such a step derives from its one state parameter, and the loader
-        admits only programs that thread the state linearly, so every
-        state the step's stores receive holds the memory that `_own` was
-        read from."""
+        A fused store whose state is a variable (`_in_place`) compiles
+        here as it does in a region (`store`)."""
         s = self.index[step.name]
         frame = [env[n] for n in d.param_names]
         args = ", ".join(frame)
@@ -665,9 +668,6 @@ class _Codegen:
         if not calls and len(states) == 1 and "loadbytes" in ops and "storebytes" not in ops:
             lines.append(f"    _pg = {states[0]}.mem.pages")
             self.pages = "_pg"
-        if not calls and len(states) == 1 and _lets_in_place(step.body):
-            lines.append(f"    _own = _owned({states[0]})")
-            self.own = True
         if recheck or self.unproven.results[step.name]:
             lines.append("    _chk = _checking")
         lines += ["    _tr = _trace", "    try:", f"        while {frame[0]} != 1:",
@@ -684,7 +684,7 @@ class _Codegen:
         uses, self.uses = self.uses, dict(self.uses)
         self.body(step.body, dict(env), " " * 12)
         self.uses = uses
-        self.fused, self.pages, self.own = False, None, False
+        self.fused, self.pages = False, None
         lines += [f"            if _tr: _show('<-', {s}, ({args},))", "    finally:"]
         if not calls:
             lines += ["        _c = _n - _it[0]", "        _it[0] = _n"]
@@ -911,7 +911,7 @@ class ProgramEvaluator:
         self._hooks = hooks = _Hooks(program, gen)
         memory = st_mod.RunMemory()
         self._ns = dict(_NAMESPACE, _memory=memory, _store_word=memory.store_word,
-                        _storebytes=memory.storebytes, _owned=memory.owned, _enter=hooks.enter,
+                        _storebytes=memory.storebytes, _own=memory.own, _enter=hooks.enter,
                         _leave=hooks.leave, _show=hooks.show, _bad=hooks.check,
                         _exhaust=hooks.exhaust,
                         _it=[0], _per_while={}, _hook=False, _checking=False,
@@ -950,9 +950,9 @@ class ProgramEvaluator:
             raise EvalFault("budget must be positive")
         ns, hooks, k = self._ns, self._hooks, self._index[name]
         hooks.checking, hooks.trace, hooks.out = checking, trace, self.trace_out
+        memory = ns["_memory"]
         ns.update(_hook=checking or trace, _checking=checking, _trace=trace,
-                  _limit=_NO_LIMIT if budget is None else budget)
-        ns["_memory"].traced = trace
+                  _limit=_NO_LIMIT if budget is None else budget, _own=memory.start(trace))
         it, per_while = ns["_it"], ns["_per_while"]
         it[0] = 0
         per_while.clear()
@@ -971,7 +971,7 @@ class ProgramEvaluator:
                 raise type(e)(str(e), context=f"entry {name}, step {it[0]}") from e
             raise
         finally:
-            ns["_memory"].mem = None
+            ns["_own"] = memory.start(False)
         results = out if isinstance(out, tuple) else (out,)
         final = results[-1]
         if not isinstance(final, MachineState):

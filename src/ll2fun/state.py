@@ -4,11 +4,11 @@ Logically the memory is a finite map from 32-bit address to byte with a
 default of zero, and `Memory` presents it so: a read-only mapping of the
 nonzero bytes, in address order, equal to a plain dict of the same bytes.
 It is executed on 4 KiB `bytearray` pages, so a load within a page is one
-read of that page, and a compiled loop's store within a page that its
-run owns one write: a `struct` read at widths 1, 2, 4 and 8 (`UNPACK`)
-and write at 2, 4 and 8 (`PACK`), else one slice (Goel, Hunt &
-Kaufmann, *Abstract Stobjs and Their Application to ISA Modeling*, ACL2
-Workshop 2013: a record-like view backed by arrays).  Pages hold only bytes, so a memory
+read of that page, and a compiled store within a page that its run owns
+one write: a `struct` read at widths 1, 2, 4 and 8 (`UNPACK`) and write
+at 2, 4 and 8 (`PACK`), else one slice (Goel, Hunt & Kaufmann, *Abstract
+Stobjs and Their Application to ISA Modeling*, ACL2 Workshop 2013: a
+record-like view backed by arrays).  Pages hold only bytes, so a memory
 built from a mapping whose values are not all bytes is refused when it
 is built.  Little-endian byte order throughout.
 
@@ -78,8 +78,8 @@ class Memory(Mapping):
     `_write_runs`, which the image parser calls on the fresh memory it
     returns, and `_write_in_place`, which `store_word` calls on the
     memory it builds and `RunMemory` on its own during its run, whose
-    compiled loops also write the pages of `_own` directly
-    (`RunMemory.owned`).  Each copies a page before its first write to it
+    compiled stores also write the pages of `_own` directly
+    (`RunMemory.own`).  Each copies a page before its first write to it
     unless this memory made that page itself (`_own`), so the memories it
     shares pages with never change.
     """
@@ -396,43 +396,45 @@ class RunMemory:
     it), so later stores write into it directly: the run's first store to
     a page copies that page, and every store is one slice assignment per
     page it reaches.  This is sound only because the loader admits
-    programs that thread the state linearly (`fun_ir.validate_def`): once
-    a state has been passed to a store, no code can observe it again.
-    The caller's memories and their pages are never written.  `mem`
-    starts as None and `ProgramEvaluator.run` clears it again on every
-    exit, so each run starts with no memory of its own, copies again,
-    and the evaluator holds no memory between runs.
+    programs that thread one state linearly (`fun_ir.validate_def`):
+    once a state has been passed to a store, no code can observe it
+    again.  The caller's memories and their pages are never written.
 
-    A compiled loop writes a store within one page straight into the
-    pages `owned` gives it, and calls `store_word` for every other store:
-    the run's first, its first to each page, one across a page boundary
-    and one that faults.  `owned` gives no pages in a traced run
-    (`traced`, which `run` sets): its trace lines count the memory's
-    bytes (`Memory._len`), which only `_write_in_place` keeps counted,
-    and the count may start after a loop has read `owned`.
+    `start`, which `ProgramEvaluator.run` calls on entry and on every
+    exit, gives the run a new `own`: the dict that becomes the run
+    memory's `_own` at the run's first store and then holds each page the
+    run has copied.  Compiled code writes a store that lies in one of
+    those pages straight into it, and calls `store_word` for every other
+    store: the run's first, its first to each page, one across a page
+    boundary and one that faults.  By linearity every state a store
+    receives after the run's first store holds the run's memory, so
+    every page of `own` belongs to the memory being stored into.  A
+    traced run's compiled code gets a dict that stays empty instead: its
+    trace lines count the memory's bytes (`Memory._len`), which only
+    `_write_in_place` keeps counted.  So each run starts with no memory
+    of its own and copies again, and the evaluator holds no memory
+    between runs.
     """
 
-    __slots__ = ("mem", "traced")
+    __slots__ = ("mem", "own")
 
     def __init__(self):
-        self.mem: Memory | None = None
-        self.traced = False
+        self.start(False)
 
-    def owned(self, st: MachineState) -> dict[int, bytearray]:
-        """The pages a store into st may write in place: the run's own
-        pages when st holds the run's memory, nothing counts its bytes
-        (`Memory._len`) and the run is not traced; else none.  The dict
-        grows as `store_word` copies pages into the run's memory."""
-        mem = st.mem
-        if mem is self.mem and mem._len is None and not self.traced:
-            return mem._own
-        return {}
+    def start(self, traced: bool) -> dict[int, bytearray]:
+        """Begin a run, or end one: no memory yet and a new `own`.  The
+        pages a compiled store may write in place: `own`, or in a traced
+        run a dict that stays empty."""
+        self.mem: Memory | None = None
+        self.own: dict[int, bytearray] = {}
+        return {} if traced else self.own
 
     def store_word(self, n: int, addr: int, value: int,
                    st: MachineState) -> MachineState:
         mem = st.mem
         if mem is not self.mem:
             mem = self.mem = Memory(mem)
+            mem._own = self.own
             st = replace(st, mem=mem)
         _write_in_place(n, addr, value, mem)
         return st

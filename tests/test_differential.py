@@ -367,26 +367,26 @@ def test_a_loop_binds_its_page_table_only_where_no_store_can_replace_it():
 
 
 def test_a_loop_writes_its_own_pages_only_untraced_and_where_its_step_makes_no_call():
-    """@stl's loop, whose step stores and makes no call, reads its run's
-    own pages into `_own` before its `while`, writes a store that hits
-    them into the page, and reads `_own` again after each `_store_word`.
-    An untraced run calls `_store_word` for the run's first store and its
-    first store to each page; a traced run calls it for every store.
-    @cll's step calls a storing callee and @fresh's loop does not store,
-    so neither loop reads `_own` or writes a page itself."""
+    """@stl's loop, whose step stores and makes no call, writes a store
+    that hits its run's own pages (the namespace's `_own`, which no loop
+    binds) into the page, and calls `_store_word` for every other.  An
+    untraced run calls it for the run's first store and its first store
+    to each page; a traced run calls it for every store.  @cll's step
+    calls a storing callee and @fresh's loop does not store, so neither
+    loop reads `_own` or writes a page itself."""
     ev = ProgramEvaluator(load_program(emit_sexpr(translate_module(parse_text(HOIST)))))
     loops = {}
     for name in ("stl", "cll", "fresh"):
         loop = ev.source[ev.source.index(f"_{name}_step_0_while("):]
         loops[name] = loop[:loop.index("\ndef ")]
     stl = loops["stl"]
-    assert stl.index("    _own = _owned(v_st)\n") < stl.index("while ")
+    assert "_own =" not in stl
     assert ("            _w = _own.get(v_slot >> 12)\n"
             "            if _w is not None and _o <= 4088:\n"
             "                _pack8(_w, _o, (v_w & 18446744073709551615))\n"
             "            else:\n"
             "                v_st = _store_word(8, v_slot, v_w, v_st)\n"
-            "                _own = _owned(v_st)\n") in stl
+            "            _o = v_slot & 4095\n") in stl
     for name in ("cll", "fresh"):
         assert "_own" not in loops[name] and " _w = " not in loops[name], name
     calls = []
@@ -530,7 +530,7 @@ def test_differential_fused_stores_in_loops():
         for name in ("fill", "walk", "twice", "narrow"):
             loop = ev.source[ev.source.index(f"_{name}_step_0_while("):]
             loop = loop[:loop.index("\ndef ")]
-            assert "    _own = _owned(v_st)\n" in loop and "_w = _own.get(" in loop, name
+            assert "_own =" not in loop and "_w = _own.get(" in loop, name
     assert "(v_st if " in evs[1].source
     rng = random.Random(SEED + 7)
     top = 1 << 32

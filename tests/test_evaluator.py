@@ -24,7 +24,7 @@ from ll2fun import evaluator
 from ll2fun.evaluator import ProgramEvaluator
 from ll2fun.fun_ir import Call, Const, FunDef, FunProgram, Mvlist, Prim, Var, children
 from ll2fun.prims import NAT, PRIMS, RUN, STATE, ashr, lshr, sext, shl, to_signed
-from ll2fun.state import MachineState, begin_stack_frame
+from ll2fun.state import MachineState, begin_stack_frame, wr_n
 from llgen import gen_program
 
 
@@ -806,6 +806,45 @@ def test_a_shift_by_a_negative_constant_count_stays_a_call():
     assert "_shl(8, 1, (0 - 1))" in ev.source
     with pytest.raises(EvalFault, match=r"^shl: negative shift count -1 \[entry f, step 0\]$"):
         ev.run("f", (), make_state(), checking=False)
+
+
+def test_a_literal_condition_compiles_to_the_branch_it_takes():
+    """An if whose condition folds to a literal, a compare of constants
+    or a name bound to one, compiles to the branch it takes alone, in
+    result and in value position; the other branch leaves no code."""
+    text = """(defun f (x st)
+  (declare (xargs :signature ((i64_p stp) stp)))
+  (let* ((c (= 3 3))
+         (y (if (< 5 2) (+ x 100) (+ x 2)))
+         (z (if (< 2 5) (+ y 1) (+ y 200))))
+    (if (= c 0)
+        (update-retval 300 st)
+      (if c (update-retval z st) (update-retval 400 st)))))
+"""
+    ev = ProgramEvaluator(load_program(text))
+    assert ev.source.count(" if ") == 1 and "!= 0" not in ev.source  # the return's
+    assert not any(k in ev.source for k in ("100", "200", "300", "400"))
+    for checking, trace in ((True, False), (False, False), (False, True)):
+        ev.trace_out = io.StringIO()
+        assert ev.run("f", (7,), make_state(), checking=checking, trace=trace).state.retval == 10
+
+
+def test_a_literal_stored_value_is_reduced_at_codegen():
+    """The write of a let-bound store of a literal holds the literal
+    reduced to the store's n bytes, and its fallback the literal itself;
+    both write wr_n's bytes."""
+    text = """(defun f (a st)
+  (declare (xargs :signature ((natp stp) stp)))
+  (let* ((st (storebytes 2 a (wtobytes 2 70000) st))
+         (st (storebytes 2 (+ a 2) (wtobytes 2 70001) st)))
+    st))
+"""
+    ev = ProgramEvaluator(load_program(text))
+    assert "_pack2(_w, _o, 4464)" in ev.source and "_pack2(_w, _o, 4465)" in ev.source
+    assert "_store_word(2, v_a, 70000, v_st)" in ev.source and " & 65535" not in ev.source
+    for checking in (True, False):
+        mem = ev.run("f", (0x1ffc,), make_state(), checking=checking).state.mem
+        assert mem == wr_n(2, 0x1ffe, 70001, wr_n(2, 0x1ffc, 70000, {}))
 
 
 def test_eval_def_keeps_no_evaluator_alive(occurrences_program, array_state, monkeypatch):

@@ -195,21 +195,27 @@ def test_plain_storebytes_of_loadbytes_stores_in_place(monkeypatch):
 
 
 def test_run_memory_offers_its_own_pages_only_to_its_own_states():
-    """`RunMemory.owned` gives a compiled loop the pages it may write in
-    place: none before the run's first store, the run memory's own pages
-    to a state that holds it, and none to a state of another memory (an
-    image's memory owns its pages too), once the run memory's bytes are
-    counted, or in a traced run."""
+    """`RunMemory.start` gives a run the dict of pages compiled code may
+    write in place: empty before the run's first store, which makes it
+    the run memory's `_own` and so fills it with each page the run
+    copies; never a page of another memory (an image's memory owns its
+    pages too); and in a traced run a dict that stays empty.  Each start
+    gives a new dict, so no run writes a page of an earlier run's memory."""
     run = st_mod.RunMemory()
-    st = make_state(mem=st_mod.parse_memory_image("w 8 0x1000 5"))
-    assert st.mem._own and run.owned(st) == {}
+    st = make_state(mem=st_mod.parse_memory_image("w 8 0x1000 5\nw 1 0x2000 9"))
+    image_pages = dict(st.mem._own)
+    pages = run.start(False)
+    assert pages == {} and pages is run.own
     after = run.store_word(8, 0x1008, 7, st)
-    assert run.owned(after) is after.mem._own and list(after.mem._own) == [1]
-    assert run.owned(st) == {}
-    run.traced = True
-    assert run.owned(after) == {}
-    run.traced = False
-    assert len(after.mem) == 2 and run.owned(after) == {}
+    assert after.mem._own is pages and list(pages) == [1]
+    assert pages[1] is after.mem.pages[1] and pages[1] is not image_pages[1]
+    after = run.store_word(2, 0x3000, 1, after)
+    assert list(pages) == [1, 3] and st.mem._own == image_pages and rd_n(8, 0x1008, st.mem) == 0
+    traced = run.start(True)
+    assert traced == {} and traced is not run.own and run.mem is None
+    again = run.store_word(1, 0x2000, 4, after)
+    assert again.mem is not after.mem and list(run.own) == [2] and traced == {}
+    assert list(pages) == [1, 3] and rd_n(1, 0x2000, after.mem) == 9
 
 
 # ---------------------------------------------------------------------------

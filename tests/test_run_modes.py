@@ -764,6 +764,164 @@ def test_in_place_store_matches_wr_n_and_its_faults(n):
 
 
 # ---------------------------------------------------------------------------
+# Stores in region code
+# ---------------------------------------------------------------------------
+
+def _region_stores(n: int) -> ProgramEvaluator:
+    """put stores the n bytes of v at a, of v + 1 at b and of 3 v at c, in
+    straight-line code; after stores v + 1 at b once its non-tail call of
+    poke1 has stored v at a."""
+    return ProgramEvaluator(load_program(f"""(defun poke1 (a v st)
+  (declare (xargs :signature ((natp natp stp) stp)))
+  (let* ((st (storebytes {n} a (wtobytes {n} v) st)))
+    st))
+
+(defun put (a b c v st)
+  (declare (xargs :signature ((natp natp natp natp stp) stp)))
+  (let* ((st (storebytes {n} a (wtobytes {n} v) st))
+         (st (storebytes {n} b (wtobytes {n} (+ v 1)) st))
+         (st (storebytes {n} c (wtobytes {n} (* v 3)) st)))
+    (update-retval 1 st)))
+
+(defun after (a b v st)
+  (declare (xargs :signature ((natp natp natp stp) stp)))
+  (let* ((st (poke1 a v st))
+         (st (storebytes {n} b (wtobytes {n} (+ v 1)) st)))
+    st))
+"""))
+
+
+def _counted_stores(ev: ProgramEvaluator) -> list:
+    """The list of the addresses ev's runs pass to `_store_word`, which
+    each run appends to."""
+    calls = []
+    store_word = ev._ns["_store_word"]
+
+    def counted(*args):
+        calls.append(args[1])
+        return store_word(*args)
+    ev._ns["_store_word"] = counted
+    return calls
+
+
+def _stores_outcome(n: int, mem: dict, entry: str, stores, trace: bool):
+    """The memory (or fault text) of a run of entry that makes the stores
+    [(address, value)] in order, by wr_n, and the addresses it passes to
+    `_store_word`: the run's first store, its first to each page, one
+    across a page boundary or out of range, and every store of a traced
+    run; every other store lies in a page that an earlier `_store_word`
+    copied for the run."""
+    owned, calls = set(), []
+    for x, v in stores:
+        inline = not trace and x >> 12 in owned and x & 4095 <= 4096 - n
+        if not inline:
+            calls.append(x)
+        try:
+            mem = wr_n(n, x, v, mem)
+        except EvalFault as e:
+            return f"{e} [entry {entry}, step 0]", calls
+        if not inline:
+            owned |= {x >> 12, (x + n - 1) >> 12}
+    return mem, calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_region_stores_write_the_runs_own_pages_and_fall_back_as_wr_n(n):
+    """A let-bound fused store outside a loop is written into the page of
+    the run's own that holds its n bytes, read from the namespace's
+    `_own`, which no function binds.  The run's first store, its first
+    store to each page, a store across a page boundary and a store out of
+    range (below 0 or reaching 2^32, from an out-of-kind address in an
+    unchecked run) go through `_store_word`, as every store of a traced
+    run does; memory and fault texts are wr_n's, for out-of-kind values
+    too, and the trace lines count the bytes after each store.  The
+    caller's memory is never written."""
+    write = ("_w[_o] = " if n == 1 else f"_pack{n}(_w, _o, " if n in (2, 4, 8)
+             else f"_w[_o:_o + {n}] = ")
+    ev = _region_stores(n)
+    start = ev.source.index("def d1_put(")
+    put = ev.source[start:ev.source.index("\ndef ", start)]
+    assert put.count("_w = _own.get(") == 3 and "_own =" not in ev.source
+    assert f"    if _w is not None and _o <= {4096 - n}:\n        {write}" in put
+    assert f"    else:\n        v_st = _store_word({n}, v_a, v_v, v_st)\n" in put
+    top = 1 << 32
+    mem = {x: (x * 7) % 251 + 1 for x in range(0x1000, 0x1040)}
+    mem.update({x: (x * 11) % 251 + 1 for x in range(0x1fe0, 0x2020)})
+    mem.update({x: (x * 13) % 251 + 1 for x in range(top - 16, top)})
+    st = make_state(mem=mem)
+    pages = {p: bytes(page) for p, page in st.mem.pages.items()}
+    calls = _counted_stores(ev)
+    cases = [(0x1010, 0x1018, 0x1ff0 - n, 5),          # one page: the first store only
+             (0x1010, 0x5010, 0x3010, 1 << 70),        # a page each; a value past 2^64
+             (0x1010, 0x1fff, 0x2004, 9),              # across 0x2000 for n > 1, then in it
+             (0x1ffe, 0x2001, 0x1000, 0xFEDCBA9876),   # both pages from the first store
+             (top - n, top - 2 * n, top - 3 * n, 77),  # the last pages of memory
+             (0x1010, top - n + 1, 0x1018, 3),         # the n bytes reach 2^32
+             (0x1010, top + 0x1010, 0x1018, 3),        # an address past 2^32
+             (0x1010, 0x1020, -1, 3),                  # below 0: unchecked runs only
+             (-4096, 0x1020, 0x1030, 3),
+             (0x1010, 0x1018, 0x1020, -5)]             # a value below 0: unchecked only
+    for a, b, c, v in cases:
+        stores = [(a, v), (b, v + 1), (c, 3 * v)]
+        for checking, trace in ((True, False), (False, False), (False, True), (True, True)):
+            if checking and min(a, b, c, v) < 0:
+                continue  # a checked run refuses the argument
+            want, want_calls = _stores_outcome(n, mem, "put", stores, trace)
+            calls.clear()
+            ev.trace_out = io.StringIO()
+            try:
+                got = ev.run("put", (a, b, c, v), st, checking=checking, trace=trace).state.mem
+            except EvalFault as e:
+                got = str(e)
+            assert got == want, (hex(a), hex(b), hex(c), checking, trace)
+            assert calls == want_calls, (hex(a), hex(b), hex(c), checking, trace)
+            state = "(st retval={} stack=0xffff0000 frame=0xffff0000 mem/{})"
+            lines = [f"-> put {a} {b} {c} {v} {state.format(0, len(mem))}"] if trace else []
+            if trace and not isinstance(want, str):
+                lines.append(f"<- put {state.format(1, len(want))}")
+            assert ev.trace_out.getvalue().splitlines() == lines
+    assert {p: bytes(page) for p, page in st.mem.pages.items()} == pages
+
+
+def test_a_store_after_a_call_that_made_the_runs_first_store():
+    """after's store follows a non-tail call of poke1, whose store was the
+    run's first: it writes into the page that store copied without a
+    call of its own, and a store to another page still falls back."""
+    ev = _region_stores(8)
+    assert "    v_st = d0_poke1(v_a, v_v, v_st)\n    _o = v_b & 4095\n" in ev.source
+    calls = _counted_stores(ev)
+    st = make_state(mem={0x1000: 1, 0x2000: 2})
+    for b in (0x1ff8, 0x2000, 0x1ffc):
+        for trace in (False, True):
+            want, want_calls = _stores_outcome(8, {0x1000: 1, 0x2000: 2}, "after",
+                                               [(0x1008, 77), (b, 78)], trace)
+            calls.clear()
+            ev.trace_out = io.StringIO()
+            assert ev.run("after", (0x1008, b, 77), st, trace=trace).state.mem == want
+            assert calls == want_calls == ([0x1008] if b == 0x1ff8 and not trace
+                                           else [0x1008, b]), hex(b)
+    assert st.mem == {0x1000: 1, 0x2000: 2}
+
+
+def test_a_second_run_leaves_the_first_runs_final_state_unchanged():
+    """Each run writes in place only the pages it copied itself: a second
+    run of the same evaluator, from the first run's final state or from
+    the caller's, leaves the first run's final memory as it was."""
+    ev = _region_stores(8)
+    st = make_state(mem={0x1000: 1})
+    first = ev.run("put", (0x1008, 0x1010, 0x2008, 5), st, checking=False).state
+    want = wr_n(8, 0x2008, 15, wr_n(8, 0x1010, 6, wr_n(8, 0x1008, 5, {0x1000: 1})))
+    assert first.mem == want
+    kept = {p: bytes(page) for p, page in first.mem.pages.items()}
+    for start in (first, st):
+        again = ev.run("put", (0x1008, 0x1010, 0x2008, 9), start, checking=False).state
+        assert again.mem is not first.mem and ev._ns["_own"] is not first.mem._own
+        assert again.mem == wr_n(8, 0x2008, 27, wr_n(8, 0x1010, 10, wr_n(8, 0x1008, 9, want)))
+        assert {p: bytes(page) for p, page in first.mem.pages.items()} == kept
+    assert st.mem == {0x1000: 1}
+
+
+# ---------------------------------------------------------------------------
 # Checks the loader leaves open
 # ---------------------------------------------------------------------------
 

@@ -78,6 +78,13 @@ def _add_chain(n: int, ret: int | None = None) -> str:
     return f"define i64 @f(i64 %v0) {{\n{body}  ret i64 %v{n if ret is None else ret}\n}}\n"
 
 
+def _store_chain(n: int) -> str:
+    """One block of n stores of x, into the n words from p on."""
+    body = "".join(f"  %a{k} = getelementptr inbounds i64* %p, i64 {k}\n"
+                   f"  store i64 %x, i64* %a{k}, align 8\n" for k in range(n))
+    return f"define i64 @f(i64* %p, i64 %x) {{\n{body}  ret i64 %x\n}}\n"
+
+
 def _word_image(words: int, stride: int) -> str:
     return "".join(f"w 8 {0x10000 + stride * j:#x} {j * 0x9E3779B97F4A7C15 % (1 << 64)}\n"
                    for j in range(words))
@@ -217,6 +224,11 @@ ROWS = {
         lambda n: (ProgramEvaluator(translate_module(_FILL)), n),
         lambda a: a[0].run("fill", (BASE, a[1], ALL), make_state(), checking=False),
         (4096, 4 * 4096), 6, True),
+    # straight-line stores, most written into a page the run copied
+    "run-region_stores": Row(
+        lambda n: ProgramEvaluator(load_program(_fun_text(_store_chain(n)))),
+        lambda ev: ev.run("f", (BASE, 7), make_state(), checking=False),
+        (5000, 10000), 2.6, True),
     # one contiguous run of 128 pages, and the same words with gaps
     "read_image-stride_8": Row(
         lambda n: _word_image(n, 8), _read_image, (1 << 16, 1 << 17), 2.6, False),
@@ -270,3 +282,10 @@ def test_dead_chain_compiles_to_nothing():
     ev = ProgramEvaluator(load_program(_fun_text(_add_chain(5000, 0))))
     assert "v_v1 " not in ev.source and "v_v5000 " not in ev.source
     assert ev.run("f", (3,), make_state()).state.retval == 3
+
+
+def test_region_stores_fill_their_words():
+    ev = ProgramEvaluator(load_program(_fun_text(_store_chain(5000))))
+    assert ev.source.count("_w = _own.get(") == 5000
+    mem = ev.run("f", (BASE, 7), make_state(), checking=False).state.mem
+    assert mem == {BASE + 8 * k: 7 for k in range(5000)}
