@@ -54,10 +54,16 @@ a loop binds is inlined as one read of a memory page (`_page_read`: the
 `int.from_bytes` at the others) behind one test that the n bytes lie in
 that page, plus a test of the address's range unless the step masked
 the address to 32 bits itself.  A loop whose step loads and makes no
-call and no store reads the page table once, before its `while`.  A
-load outside a loop stays a call of `_load`: a prototype that inlined
-them as well gained about 2% of perfbench's wide run for about 4 ms
-more compile.
+call and no store reads the page table once, before its `while`, and
+keeps for each load a window of locals (`_Codegen.access`): the page
+the load last read and that page's base address.  An address in the
+window reads that page at its distance from the base, with no mask,
+lookup or range test, since a window only ever opens on a page whose
+read passed the tests; any other address takes the tests above, and a
+page read moves the window.  Nothing in such a loop can change a page
+it holds.  A load outside a loop stays a call of `_load`: a prototype
+that inlined them as well gained about 2% of perfbench's wide run for
+about 4 ms more compile.
 
 Stores are the exception to calling the reference function: the fused
 store and `storebytes` go through the namespace's `state.RunMemory`, which
@@ -72,7 +78,12 @@ the byte, a `struct` write of `state.PACK` at widths 2, 4 and 8, or a
 slice, behind one test that the namespace's `_own` (`RunMemory.own`,
 which `run` sets afresh for each run) holds the page and that the n
 bytes lie in it, and no test of the address's range, since a page is
-owned only after a range-checked store into it.  The run's first store,
+owned only after a range-checked store into it.  In a loop each store
+keeps a window too, moved by each write that finds its page in `_own`:
+no page there is ever replaced during a run, so a store whose address
+lies in the window writes that page directly.  A stored value is
+reduced to its n bytes unless the step bound it to a `bits v h 0` with
+h < 8n (`_Codegen.fits`).  The run's first store,
 its first to each page, a store across a page boundary or out of range,
 and every store of a traced run, whose `_own` stays empty, call
 `_store_word` instead, which adds each page it copies to `_own`: after
@@ -148,9 +159,11 @@ def _loaded(e) -> Prim | None:
         e.args[1], "loadbytes", e.args[0]) else None
 
 
-def _masked(e) -> bool:
-    """Is e a `bits x h 0` with h <= 31, a value in [0, 2^32)?"""
-    return type(e) is Prim and e.op == "bits" and e.args[2].value == 0 and e.args[1].value <= 31
+def _width(e) -> int | None:
+    """h + 1 if e is a `bits x h 0`, a value in [0, 2^(h + 1)), else None."""
+    if type(e) is Prim and e.op == "bits" and e.args[2].value == 0:
+        return e.args[1].value + 1
+    return None
 
 
 def _nodes(e):
@@ -170,26 +183,26 @@ def _in_place(bound) -> bool:
             and _fused(bound.args[2], "wtobytes", bound.args[0]) and type(bound.args[3]) is Var)
 
 
-def _page_read(n: int, page: str) -> str:
-    """The expression for the n-byte natural at offset `_o` of the page
-    that the expression page gives: the byte itself, a `state.UNPACK`
-    read, or a slice and `int.from_bytes`."""
+def _page_read(n: int, page: str, o: str) -> str:
+    """The expression for the n-byte natural at offset o of the page that
+    the expression page gives: the byte itself, a `state.UNPACK` read, or
+    a slice and `int.from_bytes`."""
     if n == 1:
-        return f"{page}[_o]"
+        return f"{page}[{o}]"
     if n in UNPACK:
-        return f"_unpack{n}({page}, _o)[0]"
-    return f"_from_bytes({page}[_o:_o + {n}], 'little')"
+        return f"_unpack{n}({page}, {o})[0]"
+    return f"_from_bytes({page}[{o}:{o} + {n}], 'little')"
 
 
-def _page_write(n: int, value: str) -> str:
-    """The statement that writes the n-byte natural value at offset `_o`
-    of the page `_w`: the byte itself, a `state.PACK` write, or a slice
-    and `int.to_bytes`."""
+def _page_write(n: int, value: str, page: str, o: str) -> str:
+    """The statement that writes the n-byte natural value at offset o of
+    page: the byte itself, a `state.PACK` write, or a slice and
+    `int.to_bytes`."""
     if n == 1:
-        return f"_w[_o] = {value}"
+        return f"{page}[{o}] = {value}"
     if n in PACK:
-        return f"_pack{n}(_w, _o, {value})"
-    return f"_w[_o:_o + {n}] = {value}.to_bytes({n}, 'little')"
+        return f"_pack{n}({page}, {o}, {value})"
+    return f"{page}[{o}:{o} + {n}] = {value}.to_bytes({n}, 'little')"
 
 
 def _is_atom(code: str) -> bool:
@@ -345,7 +358,8 @@ class _Codegen:
         self.finish = None
         self.jumps: set[int] = set()  # the sections of the function being emitted
         self.fused = False            # emitting a step body inside its loop
-        self.masked: set[str] = set()  # locals the step body bound to a _masked value
+        self.widths: dict[str, int] = {}  # locals the step body bound to a `_width` value
+        self.windows = 0  # the windows (`access`) of the loop being emitted
         self.uses: dict[str, int] = {}  # how many names in scope read each code (`_let`)
         self.kept: dict[int, list] = {}  # the bindings each let* keeps (`live`)
         self.pages: str | None = None  # the page table a loop bound before its `while`
@@ -377,7 +391,7 @@ class _Codegen:
             local = f"{base}_{k}"
             k += 1
         self._let(mapping, name, local)
-        self.masked.discard(local)
+        self.widths.pop(local, None)
         return local
 
     # -- expressions ---------------------------------------------------------
@@ -461,16 +475,55 @@ class _Codegen:
             self._let(env, name, rhs)
             return
         local = self._bind_local(env, name)
-        if self.fused and _masked(bound):
-            self.masked.add(local)
+        if self.fused and (width := _width(bound)):
+            self.widths[local] = width
         self.lines.append(f"{indent}{local} = {rhs}")
+
+    def fits(self, e, code: str, bits: int) -> bool:
+        """Is e, emitted as code, proven to lie in [0, 2^bits): a `bits x h
+        0` with h < bits, or a local that this step body bound to one?  A
+        parameter or a phi slot may hold any integer in an unchecked run."""
+        width = _width(e) or self.widths.get(code)
+        return width is not None and width <= bits
+
+    def access(self, addr: str, n: int, head: list[str], test: str, page: str, op,
+               fallback: str, window: bool, indent: str):
+        """Emit an access to the n bytes at addr: `_o`, its page offset, and
+        the lines head, then op(page, "_o"), the read or write at that
+        offset of page, if test holds, else fallback.  With a window, a new
+        one of the loop's: the locals `_wp{i}`, the page the access last
+        used, `_wb{i}`, its base address, and `_we{i}`, the last address
+        whose n bytes it holds.  An address in the window runs op(`_wp{i}`,
+        its distance from the base) alone, and an access of page moves the
+        window there.  The loop opens each window empty (`_wb{i} >
+        _we{i}`), so no integer hits it before a miss."""
+        moved = []
+        if window:
+            i = self.windows
+            self.windows += 1
+            hit = op(f"_wp{i}", f"{addr} - _wb{i}")
+            moved = [f"_wp{i} = {page}", f"_wb{i} = {addr} - _o",
+                     f"_we{i} = _wb{i} + {PAGE_SIZE - n}"]
+            page = f"_wp{i}"
+        lines = [f"_o = {addr} & {PAGE_MASK}", *head, f"if {test}:",
+                 *(f"    {line}" for line in moved), f"    {op(page, '_o')}",
+                 "else:", f"    {fallback}"]
+        if window:
+            lines = [f"if _wb{i} <= {addr} <= _we{i}:", f"    {hit}", "else:",
+                     *(f"    {line}" for line in lines)]
+        self.lines += [indent + line for line in lines]
 
     def load(self, name: str, n: int, load: Prim, env: dict[str, str], indent: str):
         """name = wfrombytes n (loadbytes n addr st): one read of the page
         that holds the n bytes (the shared zero page if no store reached
         it), from the page table the loop bound if it bound one, behind
         one range test; across a page boundary `rd_n` reads them, and out
-        of range it raises its usual fault."""
+        of range it raises its usual fault.  In a loop that bound its page
+        table, the page read moves the load's window there, and an address
+        in the window reads its page directly.  That needs no range test:
+        the window only ever holds a page whose read passed one, and every
+        address in it keeps the n bytes in that page.  No store and no call
+        can change that page while the loop runs."""
         addr, st = (self.expr(x, env) for x in load.args[1:])
         if not st.isidentifier():
             self.lines.append(f"{indent}{self._bind_local(env, name)} = _load({n}, {addr}, {st}.mem)")
@@ -478,9 +531,8 @@ class _Codegen:
         # An address that the step body masked to 32 bits lies in [0, 2^32),
         # and then the page test alone keeps the n bytes in memory: with
         # addr = 4096 p + _o, p < 2^20 and _o <= 4096 - n, addr + n <=
-        # 4096 (p + 1) <= 2^32.  A parameter or a phi slot may hold any
-        # integer in an unchecked run, so its address keeps the full test.
-        masked = _masked(load.args[1]) or addr in self.masked
+        # 4096 (p + 1) <= 2^32.
+        masked = self.fits(load.args[1], addr, 32)
         if not _is_atom(addr):
             self.lines.append(f"{indent}_a = {addr}")
             addr = "_a"
@@ -489,11 +541,9 @@ class _Codegen:
         if not masked:
             test += f" and 0 <= {addr} <= {ADDR_LIMIT - n}"
         page = f"{self.pages or st + '.mem.pages'}.get({addr} >> {PAGE_BITS}, _zero)"
-        self.lines += [f"{indent}_o = {addr} & {PAGE_MASK}",
-                       f"{indent}if {test}:",
-                       f"{indent}    {local} = {_page_read(n, page)}",
-                       f"{indent}else:",
-                       f"{indent}    {local} = _rd_n({n}, {addr}, {st}.mem)"]
+        self.access(addr, n, [], test, page,
+                    lambda page, o: f"{local} = {_page_read(n, page, o)}",
+                    f"{local} = _rd_n({n}, {addr}, {st}.mem)", bool(self.pages), indent)
 
     def store(self, name: str, store: Prim, env: dict[str, str], indent: str):
         """name = storebytes n a (wtobytes n v) st, in a loop or a region:
@@ -502,12 +552,18 @@ class _Codegen:
         which copies the page table on the run's first store and a page on
         the run's first store to it, after which `_own` holds that page,
         writes across a page boundary and raises the range fault.  A
-        literal value is reduced to n bytes here."""
+        literal value is reduced to n bytes here, and any other value
+        unless it `fits` them.  In a loop, a write into an owned page moves
+        the store's window there, and an address in the window writes its
+        page directly: a page in `_own` is never replaced during a run."""
         n = store.args[0].value
-        addr, value, st = (self.expr(x, env) for x in (store.args[1], store.args[2].args[1],
-                                                       store.args[3]))
+        v = store.args[2].args[1]
+        addr, value, st = (self.expr(x, env) for x in (store.args[1], v, store.args[3]))
         mask = (1 << 8 * n) - 1
-        stored = decimal(int(value) & mask) if value.isdigit() else f"({value} & {mask})"
+        if value.isdigit():
+            stored = decimal(int(value) & mask)
+        else:
+            stored = value if self.fits(v, value, 8 * n) else f"({value} & {mask})"
         if not _is_atom(addr):
             self.lines.append(f"{indent}_a = {addr}")
             addr = "_a"
@@ -516,12 +572,10 @@ class _Codegen:
         # into it, so its number p is below 2^20, and a hit on `_own` with
         # _o <= 4096 - n keeps the n bytes in [4096 p, 4096 (p + 1)): the
         # address is at least 0 and the n bytes end at or below 2^32.
-        self.lines += [f"{indent}_o = {addr} & {PAGE_MASK}",
-                       f"{indent}_w = _own.get({addr} >> {PAGE_BITS})",
-                       f"{indent}if _w is not None and _o <= {PAGE_SIZE - n}:",
-                       f"{indent}    {_page_write(n, stored)}",
-                       f"{indent}else:",
-                       f"{indent}    {st} = _store_word({n}, {addr}, {value}, {st})"]
+        self.access(addr, n, [f"_w = _own.get({addr} >> {PAGE_BITS})"],
+                    f"_w is not None and _o <= {PAGE_SIZE - n}", "_w",
+                    lambda page, o: _page_write(n, stored, page, o),
+                    f"{st} = _store_word({n}, {addr}, {value}, {st})", self.fused, indent)
 
     def live(self, e) -> set[str]:
         """The names e, in result position, reads without its dead bindings,
@@ -575,12 +629,12 @@ class _Codegen:
             if test.isdigit():  # a literal: only the branch it takes
                 self.tail(e.then if test == "1" else e.els, env, indent)
                 return
-            masked, uses = self.masked, self.uses  # what each branch knows on entry
+            widths, uses = self.widths, self.uses  # what each branch knows on entry
             out.append(f"{indent}if {test}:")
-            self.masked, self.uses = set(masked), dict(uses)
+            self.widths, self.uses = dict(widths), dict(uses)
             self.tail(e.then, dict(env), indent + "    ")
             out.append(f"{indent}else:")
-            self.masked, self.uses = set(masked), uses
+            self.widths, self.uses = dict(widths), uses
             self.tail(e.els, env, indent + "    ")  # no code reads env after the if
         elif isinstance(e, Metlist):
             rhs = self.expr(e.call, env)
@@ -651,9 +705,14 @@ class _Codegen:
         state's memory, so its loop reads the page table into `_pg` once,
         before the `while`: only a store gives a run a new `Memory`
         (`state.RunMemory`), and every other state primitive keeps it.
+        Only such a loop gives its loads windows (`access`, set up empty
+        before the `while`): a store or a call could replace the page a
+        window holds.
 
         A fused store whose state is a variable (`_in_place`) compiles
-        here as it does in a region (`store`)."""
+        here as it does in a region (`store`), with a window: a page in
+        `_own` is never replaced during a run, and a traced run, whose
+        `_own` stays empty, never opens one."""
         s = self.index[step.name]
         frame = [env[n] for n in d.param_names]
         args = ", ".join(frame)
@@ -668,6 +727,7 @@ class _Codegen:
         if not calls and len(states) == 1 and "loadbytes" in ops and "storebytes" not in ops:
             lines.append(f"    _pg = {states[0]}.mem.pages")
             self.pages = "_pg"
+        at = len(lines)  # where the windows are set up
         if recheck or self.unproven.results[step.name]:
             lines.append("    _chk = _checking")
         lines += ["    _tr = _trace", "    try:", f"        while {frame[0]} != 1:",
@@ -680,11 +740,12 @@ class _Codegen:
             lines.append(f"            if _chk and not ({_tests(frame, kinds, recheck)}): "
                          f"_bad({s}, ({args},), 'argument')")
         self.finish = self.next_frame(step, s, frame)
-        self.fused, self.masked = True, set()
+        self.fused, self.widths, self.windows = True, {}, 0
         uses, self.uses = self.uses, dict(self.uses)
         self.body(step.body, dict(env), " " * 12)
         self.uses = uses
-        self.fused, self.pages = False, None
+        lines[at:at] = [f"    _wb{i}, _we{i} = 1, 0" for i in range(self.windows)]
+        self.fused, self.pages, self.widths = False, None, {}
         lines += [f"            if _tr: _show('<-', {s}, ({args},))", "    finally:"]
         if not calls:
             lines += ["        _c = _n - _it[0]", "        _it[0] = _n"]

@@ -316,7 +316,9 @@ def test_a_loop_binds_its_page_table_only_where_no_store_can_replace_it():
     reference interpreter in retval, memory and fault text, and count
     their iterations, in checked, unchecked and traced runs; a budget
     stops each after the same number of iterations.  Only @fresh's loop,
-    whose step makes no call and no store, reads its page table once."""
+    whose step makes no call and no store, reads its page table once, and
+    gives each of its two loads a window; the loads of the others read
+    their state's page table each time."""
     module = parse_text(HOIST)
     program = load_program(emit_sexpr(translate_module(module)))
     ev = ProgramEvaluator(program)
@@ -324,8 +326,11 @@ def test_a_loop_binds_its_page_table_only_where_no_store_can_replace_it():
              for name in ("stl", "cll", "fresh")}
     for name, loop in loops.items():
         loop = loop[:loop.index("\ndef ")]
-        assert ("    _pg = v_st.mem.pages\n" in loop) == (name == "fresh"), name
-        assert ("_pg.get(" in loop) == (name == "fresh"), name
+        fresh = name == "fresh"
+        assert ("    _pg = v_st.mem.pages\n" in loop) == fresh, name
+        assert re.findall(r"_wp(\d) = _pg\.get\(", loop) == (["0", "1"] if fresh else []), name
+        assert ("    _wb1, _we1 = 1, 0\n" in loop) == fresh, name
+        assert ("_unpack8(v_st.mem.pages.get(" in loop) != fresh, name
     rng = random.Random(SEED + 6)
     top = 1 << 32
     mem = {a: rng.randrange(256) for a in range(0x1fc0, 0x2040)}
@@ -369,8 +374,10 @@ def test_a_loop_binds_its_page_table_only_where_no_store_can_replace_it():
 def test_a_loop_writes_its_own_pages_only_untraced_and_where_its_step_makes_no_call():
     """@stl's loop, whose step stores and makes no call, writes a store
     that hits its run's own pages (the namespace's `_own`, which no loop
-    binds) into the page, and calls `_store_word` for every other.  An
-    untraced run calls it for the run's first store and its first store
+    binds) into the page, and calls `_store_word` for every other.  A
+    write into an owned page moves the store's window there, and a store
+    in the window writes its page without reading `_own`.  An untraced
+    run calls `_store_word` for the run's first store and its first store
     to each page; a traced run calls it for every store.  @cll's step
     calls a storing callee and @fresh's loop does not store, so neither
     loop reads `_own` or writes a page itself."""
@@ -380,12 +387,19 @@ def test_a_loop_writes_its_own_pages_only_untraced_and_where_its_step_makes_no_c
         loop = ev.source[ev.source.index(f"_{name}_step_0_while("):]
         loops[name] = loop[:loop.index("\ndef ")]
     stl = loops["stl"]
-    assert "_own =" not in stl
-    assert ("            _w = _own.get(v_slot >> 12)\n"
-            "            if _w is not None and _o <= 4088:\n"
-            "                _pack8(_w, _o, (v_w & 18446744073709551615))\n"
+    assert "_own =" not in stl and "    _wb0, _we0 = 1, 0\n" in stl.split("while ")[0]
+    assert ("            if _wb0 <= v_slot <= _we0:\n"
+            "                _pack8(_wp0, v_slot - _wb0, v_w)\n"
             "            else:\n"
-            "                v_st = _store_word(8, v_slot, v_w, v_st)\n"
+            "                _o = v_slot & 4095\n"
+            "                _w = _own.get(v_slot >> 12)\n"
+            "                if _w is not None and _o <= 4088:\n"
+            "                    _wp0 = _w\n"
+            "                    _wb0 = v_slot - _o\n"
+            "                    _we0 = _wb0 + 4088\n"
+            "                    _pack8(_wp0, _o, v_w)\n"
+            "                else:\n"
+            "                    v_st = _store_word(8, v_slot, v_w, v_st)\n"
             "            _o = v_slot & 4095\n") in stl
     for name in ("cll", "fresh"):
         assert "_own" not in loops[name] and " _w = " not in loops[name], name
@@ -580,6 +594,291 @@ def test_differential_fused_stores_in_loops():
         assert st.mem.pages == pages and all(st.mem.pages[p] is page for p, page in pages.items())
         assert {p: bytes(page) for p, page in pages.items()} == contents
     assert 0 < faults < len(cases)
+
+
+
+# Loops whose loads and stores keep a window of locals: the page each site
+# last used.  @sum loads p[j s] and @put stores there, so the word stride s
+# steps the address by +8, -8 or 4096 bytes; @two loads and @two_put
+# stores p[j] and q[j] in one step; @sump loads and @walkp stores at a phi
+# slot, which an unchecked run does not range-check on the first
+# iteration; @rows stores a mark at the head of each of r rows of c words
+# and then sums the row in an inner loop, which it enters once per row.
+WINDOWS = """define i64 @sum(i64* %p, i64 %s, i32 %n) {
+  %g = icmp eq i32 %n, 0
+  br i1 %g, label %done, label %loop
+
+loop:
+  %j = phi i64 [ %j.next, %loop ], [ 0, %0 ]
+  %acc = phi i64 [ %acc.next, %loop ], [ 0, %0 ]
+  %k = mul i64 %j, %s
+  %at = getelementptr inbounds i64* %p, i64 %k
+  %x = load i64* %at, align 8
+  %m = mul i64 %acc, 31
+  %acc.next = add i64 %m, %x
+  %j.next = add i64 %j, 1
+  %j.32 = trunc i64 %j.next to i32
+  %exit = icmp eq i32 %j.32, %n
+  br i1 %exit, label %done, label %loop
+
+done:
+  %r = phi i64 [ 0, %0 ], [ %acc.next, %loop ]
+  ret i64 %r
+}
+
+define i64 @put(i64* %p, i64 %s, i32 %n) {
+  %g = icmp eq i32 %n, 0
+  br i1 %g, label %done, label %loop
+
+loop:
+  %j = phi i64 [ %j.next, %loop ], [ 0, %0 ]
+  %k = mul i64 %j, %s
+  %at = getelementptr inbounds i64* %p, i64 %k
+  %j.next = add i64 %j, 1
+  %w = mul i64 %j.next, 11400714819323198485
+  store i64 %w, i64* %at, align 8
+  %j.32 = trunc i64 %j.next to i32
+  %exit = icmp eq i32 %j.32, %n
+  br i1 %exit, label %done, label %loop
+
+done:
+  ret i64 0
+}
+
+define i64 @two(i64* %p, i64* %q, i32 %n) {
+  %g = icmp eq i32 %n, 0
+  br i1 %g, label %done, label %loop
+
+loop:
+  %j = phi i64 [ %j.next, %loop ], [ 0, %0 ]
+  %acc = phi i64 [ %acc.next, %loop ], [ 0, %0 ]
+  %at.p = getelementptr inbounds i64* %p, i64 %j
+  %x = load i64* %at.p, align 8
+  %at.q = getelementptr inbounds i64* %q, i64 %j
+  %y = load i64* %at.q, align 8
+  %m = mul i64 %acc, 31
+  %xy = xor i64 %x, %y
+  %acc.x = add i64 %m, %x
+  %acc.next = add i64 %acc.x, %xy
+  %j.next = add i64 %j, 1
+  %j.32 = trunc i64 %j.next to i32
+  %exit = icmp eq i32 %j.32, %n
+  br i1 %exit, label %done, label %loop
+
+done:
+  %r = phi i64 [ 0, %0 ], [ %acc.next, %loop ]
+  ret i64 %r
+}
+
+define i64 @two_put(i64* %p, i64* %q, i32 %n) {
+  %g = icmp eq i32 %n, 0
+  br i1 %g, label %done, label %loop
+
+loop:
+  %j = phi i64 [ %j.next, %loop ], [ 0, %0 ]
+  %at.p = getelementptr inbounds i64* %p, i64 %j
+  %j.next = add i64 %j, 1
+  %w = mul i64 %j.next, 40503
+  store i64 %w, i64* %at.p, align 8
+  %at.q = getelementptr inbounds i64* %q, i64 %j
+  %v = xor i64 %w, 18446744073709551615
+  store i64 %v, i64* %at.q, align 8
+  %j.32 = trunc i64 %j.next to i32
+  %exit = icmp eq i32 %j.32, %n
+  br i1 %exit, label %done, label %loop
+
+done:
+  ret i64 0
+}
+
+define i64 @sump(i64* %p, i32 %n) {
+  %g = icmp eq i32 %n, 0
+  br i1 %g, label %done, label %loop
+
+loop:
+  %q = phi i64* [ %q.next, %loop ], [ %p, %0 ]
+  %acc = phi i64 [ %acc.next, %loop ], [ 0, %0 ]
+  %j = phi i32 [ %j.next, %loop ], [ 0, %0 ]
+  %x = load i64* %q, align 8
+  %m = mul i64 %acc, 31
+  %acc.next = add i64 %m, %x
+  %q.next = getelementptr i64* %q, i64 1
+  %j.next = add i32 %j, 1
+  %e = icmp eq i32 %j.next, %n
+  br i1 %e, label %done, label %loop
+
+done:
+  %out = phi i64 [ 0, %0 ], [ %acc.next, %loop ]
+  ret i64 %out
+}
+
+define i64 @walkp(i64* %p, i32 %n) {
+  %g = icmp eq i32 %n, 0
+  br i1 %g, label %done, label %loop
+
+loop:
+  %q = phi i64* [ %q.next, %loop ], [ %p, %0 ]
+  %j = phi i32 [ %j.next, %loop ], [ 0, %0 ]
+  %j.64 = zext i32 %j to i64
+  %v = xor i64 %j.64, 81985529216486895
+  store i64 %v, i64* %q, align 8
+  %q.next = getelementptr i64* %q, i64 1
+  %j.next = add i32 %j, 1
+  %e = icmp eq i32 %j.next, %n
+  br i1 %e, label %done, label %loop
+
+done:
+  ret i64 0
+}
+
+define i64 @rows(i64* %p, i32 %r, i32 %c) {
+  %g = icmp eq i32 %r, 0
+  br i1 %g, label %done, label %outer
+
+outer:
+  %i = phi i32 [ %i.next, %latch ], [ 0, %0 ]
+  %acc = phi i64 [ %s.next, %latch ], [ 0, %0 ]
+  %ic = mul i32 %i, %c
+  %ic.64 = zext i32 %ic to i64
+  %row = getelementptr inbounds i64* %p, i64 %ic.64
+  %i.64 = zext i32 %i to i64
+  %mark = add i64 %i.64, 77
+  store i64 %mark, i64* %row, align 8
+  br label %inner.ph
+
+inner.ph:
+  br label %inner
+
+inner:
+  %j = phi i32 [ %j.next, %inner ], [ 0, %inner.ph ]
+  %s = phi i64 [ %s.next, %inner ], [ %acc, %inner.ph ]
+  %j.64 = zext i32 %j to i64
+  %at = getelementptr inbounds i64* %row, i64 %j.64
+  %x = load i64* %at, align 8
+  %m = mul i64 %s, 31
+  %s.next = add i64 %m, %x
+  %j.next = add i32 %j, 1
+  %ie = icmp eq i32 %j.next, %c
+  br i1 %ie, label %latch, label %inner
+
+latch:
+  %i.next = add i32 %i, 1
+  %oe = icmp eq i32 %i.next, %r
+  br i1 %oe, label %done, label %outer
+
+done:
+  %out = phi i64 [ 0, %0 ], [ %s.next, %latch ]
+  ret i64 %out
+}
+"""
+
+_WINDOWS = {"sum": 1, "put": 1, "two": 2, "two_put": 2, "sump": 1, "walkp": 1}
+
+
+def _stores_called(addrs, n: int = 8) -> list[int]:
+    """The stores of an untraced run, at addrs in order, that call
+    `_store_word`: the run's first, its first to each page, and each one
+    across a page boundary or out of range; every other store lies in a
+    page the run owns."""
+    owned, calls = set(), []
+    for a in addrs:
+        if a >> 12 not in owned or a & 4095 > 4096 - n:
+            calls.append(a)
+            if 0 <= a <= (1 << 32) - n:
+                owned.update(range(a >> 12, ((a + n - 1) >> 12) + 1))
+    return calls
+
+
+def test_windows_agree_with_the_reference_and_rd_n_and_wr_n():
+    """Loads and stores whose windows (`_wb`, `_we` and `_wp`) hit, miss,
+    move between pages and never open agree with the reference
+    interpreter, whose memory is `rd_n` and `wr_n`, in retval, memory,
+    fault text and per-while counts, in checked, unchecked and traced
+    runs, and a budget stops each walk partway as it stops a checked run.
+    Addresses step by +8, -8 and 4096 bytes, two arrays share a step,
+    8-byte accesses start at every page offset from 4088 to 4095, a walk
+    runs into 2^32 after its window opened, an unchecked run starts below
+    0 or at 2^32, and a loop is entered once per row of one run.  A run
+    that stores calls `_store_word` as often as one without windows did,
+    and a second run reads what the first one's stores left."""
+    module = parse_text(WINDOWS)
+    ev = ProgramEvaluator(load_program(emit_sexpr(translate_module(module))))
+    for name, windows in [*_WINDOWS.items(), ("rows_step_0", 1), ("rows_step_1", 1)]:
+        loop = ev.source[ev.source.index(f"_{name}_while(" if "step" in name
+                                         else f"_{name}_step_0_while("):]
+        loop = loop[:loop.index("\ndef ")]
+        setup = loop.split("while ")[0]
+        assert setup.count(" = 1, 0\n") == windows == loop.count(" <= _we"), name
+    rng = random.Random(SEED + 8)
+    top = 1 << 32
+    mem = {a: rng.randrange(256) for a in range(0xfc0, 0x3040)}
+    mem.update({a: rng.randrange(256) for a in range(0x5000, 0x5100)})
+    mem.update({a: rng.randrange(256) for a in range(top - 72, top)})
+    st = MachineState(retval=0, stack=0xFFFF0000, frame=0xFFFF0000, mem=mem)
+    pages = dict(st.mem.pages)
+    contents = {p: bytes(page) for p, page in pages.items()}
+    down, page = (1 << 64) - 1, 512  # word strides of -8 and 4096 bytes
+    starts = [0x1ff8 + k for k in (0, 1, 4, 7)] + [0x1000, 0x2fe0, 0x9000, top - 40, top - 44]
+    cases = [(name, (p, s, n)) for name in ("sum", "put") for p in starts
+             for s in (1, down, page) for n in (1, 6)]
+    cases += [(name, (p, q, n)) for name in ("two", "two_put")
+              for p, q in ((0x1000, 0x5000), (0x1fe8, 0x2ff9), (0x5000, top - 24), (0x2000, 0x2008))
+              for n in (3, 40)]
+    cases += [(name, (p, n)) for name in ("sump", "walkp")
+              for p in (0x1fe0, 0x1ffc, 0x5008, top - 24, top - 20) for n in (2, 4, 9)]
+    cases += [("rows", (p, r, c)) for p in (0x1000, 0x1fe8, top - 64)
+              for r, c in ((1, 5), (3, 2), (4, 1))]
+    odd = [(name, (p, n)) for name in ("sump", "walkp") for p in (-8, -1, -4096, top, 1 << 40)
+           for n in (1, 3)]  # out of kind: an unchecked run starts out of range
+    odd += [("sum", (-8, 1, 3)), ("put", (top + 8, 1, 3))]
+    faults = 0
+    for name, args in cases + odd:
+        reference = _outcome(lambda: interp_function(module, name, args, st))
+        faults += isinstance(reference, str)
+        modes = ((True, False), (False, False), (True, True)) if (name, args) in cases else \
+            ((False, False), (False, True))
+        stops, counts = set(), set()  # the step each run ended in, and its counts
+        for checking, trace in modes:
+            ev.trace_out = io.StringIO()
+            try:
+                res = ev.run(name, args, st, checking=checking, trace=trace)
+            except EvalFault as e:
+                fault = re.fullmatch(rf"(.*) \[entry {name}, step (\d+)\]", str(e))
+                assert fault and fault[1] == reference, (name, args, str(e), reference)
+                stops.add(int(fault[2]))
+            else:
+                assert res.state == reference, (name, args, checking, trace)
+                counts.add(tuple(sorted(res.per_while.items())))
+                stops.add(res.iterations)
+        assert len(stops) == 1 and len(counts) <= 1, (name, args, stops, counts)
+        stop = stops.pop()
+        if counts:
+            want = {"rows_step_1_while": args[1], "rows_step_0_while": args[1] * args[2]} \
+                if name == "rows" else {f"{name}_step_0_while": args[-1]}
+            assert dict(counts.pop()) == want, (name, args)
+        for budget in sorted({1, stop // 2, stop - 1} & set(range(1, stop))):
+            with pytest.raises(BudgetExhausted) as err:
+                ev.run(name, args, st, checking=modes[0][0], budget=budget)
+            assert sum(err.value.counts.values()) == budget + 1, (name, args, budget)
+        assert st.mem.pages == pages and all(st.mem.pages[p] is page for p, page in pages.items())
+        assert {p: bytes(page) for p, page in pages.items()} == contents
+    assert 0 < faults < len(cases)
+    calls = []
+    store_word = ev._ns["_store_word"]
+
+    def counted(*args):
+        calls.append(args[1])
+        return store_word(*args)
+    ev._ns["_store_word"] = counted
+    for p, s, n in ((0x1000, 1, 1000), (0x1ffc, 1, 600), (0x2ff8, down, 700), (0x1000, page, 6)):
+        addrs = [(p + 8 * ((j * s) & down)) & (top - 1) for j in range(n)]
+        for trace in (False, True):
+            calls.clear()
+            ev.trace_out = io.StringIO()
+            res = ev.run("put", (p, s, n), st, checking=False, trace=trace)
+            assert calls == (addrs if trace else _stores_called(addrs)), (p, s, n, trace)
+        second = ev.run("sum", (p, s, n), res.state)  # reads every word the first run stored
+        assert second.state == interp_function(module, "sum", (p, s, n), res.state)
 
 
 def test_reference_interpreter_budget():
