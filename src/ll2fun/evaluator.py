@@ -15,7 +15,10 @@ the next, so a run costs one host frame per region it crosses, not one
 per block.  A while def becomes a real loop over its value frame with
 its step's body inlined: an iteration assigns the step's results to the
 frame locals, so it costs no host call and no tuple, and a million
-iterations cost no host stack.
+iterations cost no host stack.  The loop is `while True:` with its exit
+test as its first statement, since CPython 3.11 counts a function's
+warm-up for specialization on an unconditional backward jump only, and
+a loop's function is called once per run.
 
 Signature checks, the step budget, per-while iteration counts and the
 call trace are code in that same source, switched per run by a few
@@ -707,7 +710,10 @@ class _Codegen:
         (`state.RunMemory`), and every other state primitive keeps it.
         Only such a loop gives its loads windows (`access`, set up empty
         before the `while`): a store or a call could replace the page a
-        window holds.
+        window holds.  The loop tests done in its body and jumps back
+        unconditionally, because `while done != 1:` compiles to a
+        conditional backward jump, which CPython 3.11 does not count
+        toward specializing the function in its one call per run.
 
         A fused store whose state is a variable (`_in_place`) compiles
         here as it does in a region (`store`), with a window: a page in
@@ -730,7 +736,8 @@ class _Codegen:
         at = len(lines)  # where the windows are set up
         if recheck or self.unproven.results[step.name]:
             lines.append("    _chk = _checking")
-        lines += ["    _tr = _trace", "    try:", f"        while {frame[0]} != 1:",
+        lines += ["    _tr = _trace", "    try:", "        while True:",
+                  f"            if {frame[0]} == 1: break",
                   f"            if _tr: _show('->', {s}, ({args},))"]
         if calls:
             lines.append("            _c += 1")

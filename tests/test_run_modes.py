@@ -9,6 +9,7 @@ literals were recorded from the evaluator that wrapped the compiled
 functions in checking, budget and trace closures; the single compiled
 source must reproduce them."""
 
+import dis
 import hashlib
 import io
 import pathlib
@@ -18,12 +19,15 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 from llgen import gen_diamond_chain, gen_program, gen_state_args  # noqa: E402
+from test_differential import WINDOWS  # noqa: E402
+from test_evaluator import _perfbench_workloads  # noqa: E402
 from test_linear_state import FILL_LL  # noqa: E402
 
 from ll2fun import (  # noqa: E402
@@ -1264,6 +1268,167 @@ def test_region_sections_behave_as_definitions(entry, args):
     assert len(full) == 2 * len(entries) and full[-1].startswith(f"<- {entry} ")
     if not isinstance(checked, str):
         assert full == trace
+
+
+# ---------------------------------------------------------------------------
+# Loop headers
+# ---------------------------------------------------------------------------
+
+# A loop that counts in `_n` (@seq's first loop and its inner one) and one
+# whose step makes a call (the outer loop, whose step enters the inner
+# loop) in one run, one after another, so that a budget can stop each on
+# the first iteration of an entry as well as partway through one.
+SEQ = """define i64 @seq(i32 %a, i32 %r, i32 %c) {
+  br label %first
+
+first:
+  %k = phi i32 [ %k.next, %first ], [ 0, %0 ]
+  %k.next = add i32 %k, 1
+  %fe = icmp eq i32 %k.next, %a
+  br i1 %fe, label %outer.ph, label %first
+
+outer.ph:
+  br label %outer
+
+outer:
+  %i = phi i32 [ %i.next, %latch ], [ 0, %outer.ph ]
+  %acc = phi i64 [ %s.next, %latch ], [ 0, %outer.ph ]
+  br label %inner.ph
+
+inner.ph:
+  br label %inner
+
+inner:
+  %j = phi i32 [ %j.next, %inner ], [ 0, %inner.ph ]
+  %s = phi i64 [ %s.next, %inner ], [ %acc, %inner.ph ]
+  %j.64 = zext i32 %j to i64
+  %s.next = add i64 %s, %j.64
+  %j.next = add i32 %j, 1
+  %ie = icmp eq i32 %j.next, %c
+  br i1 %ie, label %latch, label %inner
+
+latch:
+  %i.next = add i32 %i, 1
+  %oe = icmp eq i32 %i.next, %r
+  br i1 %oe, label %done, label %outer
+
+done:
+  ret i64 %s.next
+}
+"""
+SEQ_FUN = emit_sexpr(translate_module(parse_text(SEQ)))
+_FIRST, _INNER, _OUTER = "seq_step_0_while", "seq_step_1_while", "seq_step_2_while"
+
+# budget: (the while it stops, its counts, the traced line of the refused
+# iteration up to its state), for seq 3 2 4, which runs 3 + 2 + 2 * 4
+# iterations: the first loop's second iteration, the outer loop's first,
+# the inner loop's first, its second, the outer loop's second and the
+# inner loop's first on its second entry
+SEQ_BUDGETS = {
+    1: (_FIRST, {_FIRST: 2}, "-> seq_step_0 0 1 3 4 2"),
+    3: (_OUTER, {_FIRST: 3, _OUTER: 1}, "-> seq_step_2 0 0 0 4 2"),
+    4: (_INNER, {_FIRST: 3, _OUTER: 1, _INNER: 1}, "-> seq_step_1 0 0 0 4 0 2"),
+    5: (_INNER, {_FIRST: 3, _OUTER: 1, _INNER: 2}, "-> seq_step_1 0 1 0 4 0 2"),
+    8: (_OUTER, {_FIRST: 3, _OUTER: 2, _INNER: 4}, "-> seq_step_2 0 1 6 4 2"),
+    9: (_INNER, {_FIRST: 3, _OUTER: 2, _INNER: 5}, "-> seq_step_1 0 0 6 4 1 2"),
+}
+
+
+@pytest.mark.parametrize("budget", sorted(SEQ_BUDGETS))
+def test_a_budget_stops_either_loop_form_on_any_iteration(budget):
+    """A budget stops a loop that counts in `_n` and one whose step makes
+    a call, on the first iteration of an entry and partway through one,
+    with the same counts in every mode, the refused iteration counted, and
+    that iteration's entry line the last line a traced run prints."""
+    name, counts, line = SEQ_BUDGETS[budget]
+    ev = ProgramEvaluator(load_program(SEQ_FUN))
+    assert ev.run("seq", (3, 2, 4), make_state()).per_while == {_FIRST: 3, _OUTER: 2, _INNER: 8}
+    for checking in (True, False):
+        for trace in (False, True):
+            ev.trace_out = io.StringIO()
+            with pytest.raises(BudgetExhausted) as err:
+                ev.run("seq", (3, 2, 4), make_state(), checking=checking, budget=budget,
+                       trace=trace)
+            assert str(err.value) == f"step budget of {budget} exhausted in {name}"
+            assert err.value.counts == counts
+            lines = ev.trace_out.getvalue().splitlines()
+            assert (lines[-1].split(" (st ")[0] if trace else lines) == (line if trace else [])
+
+
+# while def, a frame with done = 0, the frame it ends with, its counts
+_SEQ_WHILES = [
+    (_FIRST, (0, 0, 3, 4, 2), (3, 3, 4, 2), {_FIRST: 3}),
+    (_OUTER, (0, 0, 0, 4, 2), (2, 12, 4, 2), {_OUTER: 2, _INNER: 8}),
+]
+
+
+@pytest.mark.parametrize("name, frame, ends, counts", _SEQ_WHILES)
+def test_a_loop_iterates_until_its_done_is_1(name, frame, ends, counts):
+    """A loop entered with done = 1 runs no iteration, returns its frame
+    and adds no count; an unchecked run that passes done = 2, 2^64 or -1,
+    none of them a value the step's exit compare yields, iterates as one
+    that passes 0, as does a checked run with 2 and 2^64, both naturals."""
+    ev = ProgramEvaluator(load_program(SEQ_FUN))
+    for checking in (True, False):
+        ev.trace_out = io.StringIO()
+        res = ev.run(name, (1, *frame[1:]), make_state(), checking=checking, trace=True)
+        assert (res.values, res.iterations, res.per_while) == (frame[1:], 0, {})
+        assert [line.split(" ")[:2] for line in ev.trace_out.getvalue().splitlines()] == \
+            [["->", name], ["<-", name]]
+    want = ev.run(name, frame, make_state())
+    assert (want.values, want.iterations, want.per_while) == (ends, sum(counts.values()), counts)
+    ev.trace_out = io.StringIO()
+    ev.run(name, frame, make_state(), checking=False, trace=True)
+    trace = ev.trace_out.getvalue().splitlines()
+    for done, checking in ((2, True), (1 << 64, True), (2, False), (1 << 64, False), (-1, False)):
+        res = ev.run(name, (done, *frame[1:]), make_state(), checking=checking)
+        assert (res.values, res.iterations, res.per_while) == \
+            (want.values, want.iterations, want.per_while), (done, checking)
+        ev.trace_out = io.StringIO()
+        ev.run(name, (done, *frame[1:]), make_state(), checking=checking, trace=True)
+        lines = ev.trace_out.getvalue().splitlines()
+        # the while's entry line and its first step's show the done passed in
+        assert [line.replace(f" {done} ", " 0 ", 1) for line in lines[:2]] == trace[:2]
+        assert lines[2:] == trace[2:], (done, checking)
+
+
+def _compiled_functions(ev) -> list:
+    """Every function an evaluator compiles: those of its source's pieces,
+    and those it compiles on first use, one for each deferred step."""
+    for k in ev._gen.deferred:
+        ev._entry(k)
+    fns = [v for v in ev._ns.values()
+           if isinstance(v, types.FunctionType) and v.__code__.co_filename == ev._filename]
+    return fns + [fn for fn in ev._entries.values() if fn not in fns]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the conditional backward jump and its warm-up are CPython 3.11's")
+def test_every_loop_jumps_back_unconditionally_and_warms_up_in_its_first_run(array_state):
+    """CPython 3.11 counts a code object's warm-up on `JUMP_BACKWARD`,
+    not on `POP_JUMP_BACKWARD_IF_TRUE`, so no function the evaluator
+    compiles jumps back on a condition, and a loop's own function is
+    specialized during the first run that enters it."""
+    workloads = _perfbench_workloads()
+    texts = [GOLDEN, NESTSUM, SEQ_FUN,
+             emit_sexpr(translate_module(parse_text(WINDOWS))),
+             *(emit_sexpr(translate_module(parse_text(w.ll_text)))
+               for w in (workloads.gen_scan(1, 64), workloads.gen_store(1, 64),
+                         workloads.gen_wide(1)))]
+    loops = 0
+    for text in texts:
+        ev = ProgramEvaluator(load_program(text))
+        for fn in _compiled_functions(ev):
+            ops = [i.opname for i in dis.get_instructions(fn)]
+            assert not [op for op in ops if op.startswith("POP_JUMP_BACKWARD_IF")], fn.__name__
+            loops += "JUMP_BACKWARD" in ops
+    assert loops == 16, loops  # one per while def: 1 + 2 + 3 + 8 + 1 + 1 + 0
+    ev = ProgramEvaluator(load_program(GOLDEN))
+    res = ev.run("occurrences", (399, 64, 0x8000), array_state, checking=False)
+    assert res.iterations == 64
+    loop = ev._entries[ev._index["occurrences_step_0_while"]]
+    assert [i.opname for i in dis.get_instructions(loop, adaptive=True)
+            if i.opname not in dis.opmap and not i.opname.endswith(("_ADAPTIVE", "_QUICK"))]
 
 
 # ---------------------------------------------------------------------------
