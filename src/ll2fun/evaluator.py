@@ -22,9 +22,10 @@ a loop's function is called once per run.
 
 Signature checks, the step budget, per-while iteration counts and the
 call trace are code in that same source, switched per run by a few
-namespace globals (`_hook`, `_checking`, `_trace`, `_limit`).  Only the
-checks that the loader's check of each definition leaves unproven are
-compiled (`FunProgram.unproven`); on a translated program that is none:
+namespace globals (`_hook`, `_checking`, `_trace`, `_limit`,
+`_first_stop`).  Only the checks that the loader's check of each
+definition leaves unproven are compiled (`FunProgram.unproven`); on a
+translated program that is none:
 
 * in a traced run, and in a checked run of a function with an unproven
   check in one of its sections, every section calls the entry hook,
@@ -34,12 +35,13 @@ compiled (`FunProgram.unproven`); on a translated program that is none:
   first, as their nested returns would have, and each checks its
   unproven results; a checked run of any other function calls no hook;
 * a loop counts the run's iterations in `_it`, in a local while its
-  step makes no call, tests them against the budget and adds its own to
-  `_per_while` (see `_Codegen.loop`); it checks the step's unproven
-  arguments and results inline with the `Kind.test` expressions of
-  `prims.KINDS`, the same predicates `Kind.check` evaluates; in a traced
-  run it prints the step's entry and exit lines itself, so every run
-  mode takes the one fused loop.
+  step makes no call, tests them against a stop that is at most the
+  budget and below 2^30, so that CPython 3.11 specializes the compare,
+  and adds its own to `_per_while` (see `_Codegen.loop`); it checks the
+  step's unproven arguments and results inline with the `Kind.test`
+  expressions of `prims.KINDS`, the same predicates `Kind.check`
+  evaluates; in a traced run it prints the step's entry and exit lines
+  itself, so every run mode takes the one fused loop.
 
 Each primitive compiles through its row in `prims.PRIMS`: a format
 string inlined into the source, or a call of the row's reference
@@ -118,6 +120,7 @@ from .state import ADDR_LIMIT, PACK, PAGE_BITS, PAGE_MASK, PAGE_SIZE, UNPACK, Ma
 # ---------------------------------------------------------------------------
 
 _NO_LIMIT = 1 << 62       # `_limit` of a run without a budget
+_COMPACT = 1 << 30        # CPython 3.11 specializes compares of ints below this only
 _PIECE_LINES = 1000       # compile the source in pieces of about this size
 _NON_WORD = re.compile(r"\W", re.ASCII)  # not an ASCII letter, digit or _
 
@@ -715,6 +718,15 @@ class _Codegen:
         conditional backward jump, which CPython 3.11 does not count
         toward specializing the function in its one call per run.
 
+        Each iteration tests the count against the local `_stop`, which
+        starts at `_first_stop`, the run's `_limit` or `_COMPACT - 1`,
+        whichever is less, so the compare stays between ints CPython
+        3.11 specializes (`_NO_LIMIT` is not one) while the count is one
+        too.  A count past the stop calls `_next_stop`, which raises
+        `BudgetExhausted` at the iteration past the budget, as the test
+        against `_limit` itself would, and otherwise moves the stop to
+        `_limit`.
+
         A fused store whose state is a variable (`_in_place`) compiles
         here as it does in a region (`store`), with a window: a page in
         `_own` is never replaced during a run, and a traced run, whose
@@ -727,7 +739,7 @@ class _Codegen:
         calls = bool(self.program.calls[s])
         count = "_it[0]" if calls else "_n"
         lines = self.lines
-        lines.append("    _c = 0" if calls else "    _n = _it[0]")
+        lines += ["    _c = 0" if calls else "    _n = _it[0]", "    _stop = _first_stop"]
         states = [local for local, kind in zip(frame, kinds) if KINDS[kind].sort == STATE]
         ops = {e.op for e in _nodes(step.body) if type(e) is Prim}
         if not calls and len(states) == 1 and "loadbytes" in ops and "storebytes" not in ops:
@@ -742,7 +754,7 @@ class _Codegen:
         if calls:
             lines.append("            _c += 1")
         lines += [f"            {count} += 1",
-                  f"            if {count} > _limit: _exhaust({k}, _limit)"]
+                  f"            if {count} > _stop: _stop = _next_stop({k}, {count}, _limit)"]
         if recheck:
             lines.append(f"            if _chk and not ({_tests(frame, kinds, recheck)}): "
                          f"_bad({s}, ({args},), 'argument')")
@@ -931,9 +943,14 @@ class _Hooks:
                     f"{d.name}: {what} {i + 1} fails {kinds[i]} "
                     f"(got {_state_text(value)})", context=f"def {d.name}")
 
-    def exhaust(self, k: int, budget: int):
-        """The budget ran out at the top of an iteration of while def k."""
-        raise BudgetExhausted(f"step budget of {budget} exhausted in {self.defs[k].name}")
+    def next_stop(self, k: int, count: int, limit: int) -> int:
+        """A loop's count passed its stop (`_Codegen.loop`) at the top of
+        an iteration of while def k: raise if it passed the budget, else
+        return the next stop, the limit itself, since a first stop below
+        the limit is `_COMPACT - 1` and the count is past it for good."""
+        if count > limit:
+            raise BudgetExhausted(f"step budget of {limit} exhausted in {self.defs[k].name}")
+        return limit
 
 
 class ProgramEvaluator:
@@ -981,9 +998,9 @@ class ProgramEvaluator:
         self._ns = dict(_NAMESPACE, _memory=memory, _store_word=memory.store_word,
                         _storebytes=memory.storebytes, _own=memory.own, _enter=hooks.enter,
                         _leave=hooks.leave, _show=hooks.show, _bad=hooks.check,
-                        _exhaust=hooks.exhaust,
+                        _next_stop=hooks.next_stop,
                         _it=[0], _per_while={}, _hook=False, _checking=False,
-                        _trace=False, _limit=_NO_LIMIT)
+                        _trace=False, _limit=_NO_LIMIT, _first_stop=_COMPACT - 1)
         # compile's memory grows with the text compiled at once, so the pieces
         # are compiled one by one, each at its line numbers in the source
         self._filename, line = f"<ll2fun:{id(program):#x}>", 0
@@ -1019,8 +1036,9 @@ class ProgramEvaluator:
         ns, hooks, k = self._ns, self._hooks, self._index[name]
         hooks.checking, hooks.trace, hooks.out = checking, trace, self.trace_out
         memory = ns["_memory"]
-        ns.update(_hook=checking or trace, _checking=checking, _trace=trace,
-                  _limit=_NO_LIMIT if budget is None else budget, _own=memory.start(trace))
+        limit = _NO_LIMIT if budget is None else budget
+        ns.update(_hook=checking or trace, _checking=checking, _trace=trace, _limit=limit,
+                  _first_stop=min(limit, _COMPACT - 1), _own=memory.start(trace))
         it, per_while = ns["_it"], ns["_per_while"]
         it[0] = 0
         per_while.clear()

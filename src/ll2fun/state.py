@@ -483,6 +483,9 @@ def alloca(nbytes: int, st: MachineState) -> MachineState:
 # ---------------------------------------------------------------------------
 
 _IMAGE_MASKS = [(1 << 8 * n) - 1 for n in range(IMAGE_MAX_BYTES + 1)]  # [n] keeps n bytes
+_IMAGE_CODES = {n: s.format[-1] for n, s in _STRUCTS.items()}  # the struct code of n bytes
+# The line breaks of `str.splitlines` in ASCII text, "\n" aside.
+_OTHER_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
 
 
 def parse_memory_image(text: str) -> Memory:
@@ -495,44 +498,72 @@ def parse_memory_image(text: str) -> Memory:
     starts a comment; blank lines are skipped.  Lines apply top to bottom.
 
     The image is read in bulk: each column is converted by one `map`, each
-    check is one `min` or `max` over a column, all the bytes are made by
-    one join, and each run of lines that starts where the line before it
-    ended is written as one slice per page (`_write_runs`); runs apply in
-    line order, so a later line still overwrites an earlier one.  The
-    cost is linear in the image size.  An image that any bulk step
-    refuses is walked line by line for its first bad line
+    check is one `min` or `max` over a column (over the distinct counts
+    for the count column), all the bytes are made by one `struct` pack
+    where every line writes one width of 1, 2, 4 or 8 bytes and by one
+    join otherwise, and each run of lines that starts where the line
+    before it ended is written as one slice per page (`_write_runs`);
+    runs apply in line order, so a later line still overwrites an earlier
+    one.  The cost is linear in the image size.  An image that any bulk
+    step refuses is walked line by line for its first bad line
     (`_image_fault`).
+
+    Each line must hold 4 fields, the first one "w".  A plain image
+    (`_plain_rows`) is checked for that without splitting it into lines:
+    each of its lines starts with "w ", so its first field is "w", and
+    since `int(x, 0)` refuses "w", every "w" field sits in column 0 once
+    the number columns convert; so each line holds a multiple of 4
+    fields, at least 1, and 4 × lines fields in all leave exactly 4 to
+    each.  Any other image counts each line's fields with one split.
     """
     bare = text  # the image without its comments
     if "#" in text:
         bare = "\n".join([line.partition("#")[0] for line in text.splitlines()])
-    # the field count of each line that is not blank: a row
-    sizes = list(filter(None, map(len, map(str.split, bare.splitlines()))))
-    mem = Memory()
-    if not sizes:
-        return mem
+    rows, good = _plain_rows(bare), True  # every line of a plain image is a row
+    if not rows:  # the field count of each line that is not blank: a row
+        sizes = list(filter(None, map(len, map(str.split, bare.splitlines()))))
+        if not sizes:
+            return Memory()
+        rows, good = len(sizes), max(sizes) == 4
     fields = bare.split()  # every row's fields, in order: each line end is whitespace
-    good = (len(fields) == 4 * len(sizes) and max(sizes) == 4
-            and fields[::4].count("w") == len(sizes))
+    good = good and len(fields) == 4 * rows and fields[::4].count("w") == rows
     try:
         numbers = {n: int(n, 0) for n in set(fields[1::4])}  # each distinct count once
-        ns = list(map(numbers.__getitem__, fields[1::4]))
         addrs, values = (list(map(int, fields[k::4], repeat(0))) for k in (2, 3))
     except ValueError:  # a bad number
         good = False
+    if good:
+        lo, hi = min(numbers.values()), max(numbers.values())
+        ns = [lo] * rows if lo == hi else list(map(numbers.__getitem__, fields[1::4]))
     del fields  # its strings are most of the memory the parse holds
     ends = list(map(add, addrs, ns)) if good else None
-    if not (good and 1 <= min(ns) and max(ns) <= IMAGE_MAX_BYTES and min(values) >= 0
+    if not (good and 1 <= lo and hi <= IMAGE_MAX_BYTES and min(values) >= 0
             and min(addrs) >= 0 and max(ends) <= ADDR_LIMIT):
         raise _image_fault(text) or AssertionError("the bulk checks refused a good image")
-    if max(values) > _IMAGE_MASKS[min(ns)]:  # some value needs wr_n's reduction
-        values = list(map(and_, values, map(_IMAGE_MASKS.__getitem__, ns)))
-    data = b"".join(map(int.to_bytes, values, ns, repeat("little")))
+    if max(values) > _IMAGE_MASKS[lo]:  # some value needs wr_n's reduction
+        masks = repeat(_IMAGE_MASKS[lo]) if lo == hi else map(_IMAGE_MASKS.__getitem__, ns)
+        values = list(map(and_, values, masks))
+    if lo == hi and lo in _IMAGE_CODES:
+        data = struct.pack(f"<{rows}{_IMAGE_CODES[lo]}", *values)
+    else:
+        data = b"".join(map(int.to_bytes, values, ns, repeat("little")))
+    mem = Memory()
     # the first line of each run: every line that does not start where the one before ended
-    firsts = [0, *compress(range(1, len(ns)), map(ne, islice(addrs, 1, None), ends))]
-    lasts = [*map(sub, firsts[1:], repeat(1)), len(ns) - 1]  # the line before the next run
+    firsts = [0, *compress(range(1, rows), map(ne, islice(addrs, 1, None), ends))]
+    lasts = [*map(sub, firsts[1:], repeat(1)), rows - 1]  # the line before the next run
     _write_runs(mem, data, zip(map(addrs.__getitem__, firsts), map(ends.__getitem__, lasts)))
     return mem
+
+
+def _plain_rows(bare: str) -> int:
+    """The line count of a plain image, else 0.  An image is plain when it
+    is ASCII, breaks its lines at "\\n" only, and starts each line with
+    "w ", a final "\\n" ending its last line rather than starting one: its
+    lines are then `bare.splitlines()`, none of them blank."""
+    if not bare.isascii() or any(map(bare.__contains__, _OTHER_BREAKS)):
+        return 0
+    lines = bare.count("\n") + (not bare.endswith("\n"))
+    return lines if ("\n" + bare).count("\nw ") == lines else 0
 
 
 def _write_runs(mem: Memory, data: bytes, runs):

@@ -1431,6 +1431,68 @@ def test_every_loop_jumps_back_unconditionally_and_warms_up_in_its_first_run(arr
             if i.opname not in dis.opmap and not i.opname.endswith(("_ADAPTIVE", "_QUICK"))]
 
 
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="which compares specialize, and on which ints, is CPython 3.11's")
+@pytest.mark.skipif(sys.gettrace() is not None,
+                    reason="under a tracer CPython 3.11 runs every instruction unspecialized")
+def test_a_loop_tests_its_count_against_a_stop_its_compare_specializes_on(array_state):
+    """A run without a budget has `_limit` 2^62, an int CPython 3.11's
+    `COMPARE_OP` does not specialize on, so a loop tests its count against
+    its `_stop` instead, which is below 2^30: after one unbudgeted
+    unchecked run the compare is `COMPARE_OP_INT_JUMP`."""
+    ev = ProgramEvaluator(load_program(GOLDEN))
+    assert ev.run("occurrences", (399, 64, 0x8000), array_state, checking=False).iterations == 64
+    loop = ev._entries[ev._index["occurrences_step_0_while"]]
+    ins = list(dis.get_instructions(loop))
+    at = [b.offset for a, b in zip(ins, ins[1:])
+          if a.argval == "_stop" and b.opname == "COMPARE_OP"]
+    assert len(at) == 1
+    assert [i.opname for i in dis.get_instructions(loop, adaptive=True) if i.offset in at] == \
+        ["COMPARE_OP_INT_JUMP"]
+
+
+class _CountFrom(list):
+    """An `_it` that `run`'s reset to 0 sets to start instead, as if the
+    run had made start iterations already."""
+
+    def __init__(self, start: int):
+        super().__init__([0])
+        self.start = start
+
+    def __setitem__(self, i, value):
+        super().__setitem__(i, value or self.start)
+
+
+# The while def of each iteration of seq 3 2 4, in order.
+_SEQ_ORDER = [_FIRST] * 3 + ([_OUTER] + [_INNER] * 4) * 2
+_COMPACT = evaluator._COMPACT  # 2^30: a loop's first stop is below it
+
+
+@pytest.mark.parametrize("start", [_COMPACT - 5, _COMPACT - 4])
+@pytest.mark.parametrize("budget", [None, _COMPACT - 1, _COMPACT, _COMPACT + 1, _COMPACT + 2])
+def test_a_budget_stops_a_loop_whose_count_crosses_2_to_the_30(start, budget):
+    """A run whose count reaches 2^30, where a loop's first stop lies when
+    the budget is above it, stops at the iteration past the budget, just
+    below, at or just above 2^30, with the exact text and counts.  From
+    2^30 - 5 the count crosses it in the inner loop, which counts in `_n`;
+    from 2^30 - 4 in the outer loop, which counts in `_it[0]`."""
+    assert _SEQ_ORDER[_COMPACT - start - 1] == (_INNER if start == _COMPACT - 5 else _OUTER)
+    ev = ProgramEvaluator(load_program(SEQ_FUN))
+    ev._ns["_it"] = _CountFrom(start)
+    for checking in (True, False):
+        if budget is None:
+            res = ev.run("seq", (3, 2, 4), make_state(), checking=checking)
+            assert (res.state.retval, res.iterations, res.per_while) == \
+                (12, start + 13, {_FIRST: 3, _OUTER: 2, _INNER: 8})
+            continue
+        refused = budget - start  # the index in `_SEQ_ORDER` of the iteration past the budget
+        with pytest.raises(BudgetExhausted) as err:
+            ev.run("seq", (3, 2, 4), make_state(), checking=checking, budget=budget)
+        assert str(err.value) == f"step budget of {budget} exhausted in {_SEQ_ORDER[refused]}"
+        assert err.value.counts == {name: _SEQ_ORDER[:refused + 1].count(name)
+                                    for name in set(_SEQ_ORDER[:refused + 1])}
+
+
 # ---------------------------------------------------------------------------
 # Mutation fuzz
 # ---------------------------------------------------------------------------

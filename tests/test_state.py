@@ -3,6 +3,8 @@ reference model on randomized traces."""
 
 import random
 import re
+import struct
+import types
 from array import array
 
 import pytest
@@ -539,8 +541,11 @@ def _image_writes(rng: random.Random) -> list[tuple[int, int, int]]:
     return writes
 
 
-def _image_lines(rng: random.Random, writes) -> list[str]:
-    """The lines of writes with comments, blank lines and varied spacing."""
+def _image_lines(rng: random.Random, writes, plain: bool = False) -> list[str]:
+    """The lines of writes with comments, blank lines and varied spacing;
+    if plain, only `w n addr value` with single spaces."""
+    if plain:
+        return [" ".join(["w", *(_numeral(rng, x) for x in write)]) for write in writes]
     lines = []
     for n, addr, value in writes:
         gap = rng.choice((" ", "\t", "  ", " \t "))
@@ -551,17 +556,35 @@ def _image_lines(rng: random.Random, writes) -> list[str]:
     return lines
 
 
-def _image_text(rng: random.Random, lines: list[str]) -> str:
-    return "".join(line + rng.choice(_LINE_ENDS) for line in lines)
+def _image_text(rng: random.Random, lines: list[str], shape: str = "any") -> str:
+    """lines, each ended by a line break: for shape "plain" joined by
+    "\\n", with a final "\\n" or none; for "breaks" each ended by "\\n" or
+    by one other break, the same for the whole image; for "any" each by
+    a random break."""
+    if shape == "plain":
+        return "\n".join(lines) + rng.choice(("\n", ""))
+    ends = ("\n", rng.choice(_LINE_ENDS[1:])) if shape == "breaks" else _LINE_ENDS
+    return "".join(line + rng.choice(ends) for line in lines)
+
+
+def _is_plain(text: str) -> bool:
+    """Does `str.splitlines` cut the ASCII text at "\\n" only, into lines
+    that each start with "w "?"""
+    lines = text.splitlines()
+    return (text.isascii() and "".join(line + "\n" for line in lines) in (text, text + "\n")
+            and all(line.startswith("w ") for line in lines))
 
 
 # Lines that each check refuses, in the line-by-line order: the format,
 # a bad number, a count above 8, a negative value, then wr_n's count and
 # range.  A line bad in two ways gives the earlier fault.  A line of 3
 # fields and one of 5 hold 8 fields that read as two writes if the
-# fields are grouped by 4 across lines.
+# fields are grouped by 4 across lines.  In a plain image (`_is_plain`)
+# such lines start with "w " too, and are refused only because a "w"
+# lands in a number column or a field other than "w" in column 0.
 _BAD_IMAGE_LINES = (
     "w 1 2", "w 1 2 3 4", "w", "x 1 2 3", "W 1 0x10 1", "x 9 -1 five", "w 1 0x10\n5 w 2 0x20 7",
+    "w 1 0x10\nw 2 0x20 7 8", "w ", "w 1 0x10 5 w", "w 1 0x10 5 w\nw 1 2",
     "w 1 0x1g 2", "w 1 08 5", "w 08 1 1", "w 1 2 0b2", "w 1 1e3 5", "w 1 2 3_", "w 1 2 1__0",
     "w 1 2 0x", "w 9 0x10 five",
     "w 9 0 0", "w 4294967295 0 0", "w 9 5 -1", "w 0x10 -1 1",
@@ -571,16 +594,29 @@ _BAD_IMAGE_LINES = (
 )
 
 
+def _assert_plain_rows(text: str) -> int:
+    """`_plain_rows` of an image with no comment: its line count if it is
+    plain, else 0."""
+    rows = st_mod._plain_rows(text)
+    assert "#" in text or rows == (len(text.splitlines()) if _is_plain(text) else 0), text
+    return rows
+
+
 def test_memory_image_reader_matches_the_line_by_line_reader():
     """The bulk reader gives the line-by-line reader's memory, page for
     page, on seeded valid images (as the wr_n fold gives it), and its
     exact fault, line number included, when one bad line or two sit at a
-    random place among good ones."""
+    random place among good ones.  About half the images are plain, a
+    quarter have plain lines and another line break besides "\\n", and an
+    image takes the path with no per-line split exactly when it is plain."""
     rng = random.Random(0x1A6E2)
+    plains = 0
     for _ in range(300):
+        shape = rng.choice(("plain", "plain", "breaks", "any"))
         writes = _image_writes(rng)
-        lines = _image_lines(rng, writes)
-        text = _image_text(rng, lines)
+        lines = _image_lines(rng, writes, shape != "any")
+        text = _image_text(rng, lines, shape)
+        plains += _assert_plain_rows(text) > 0
         mem = parse_memory_image(text)
         folded: dict[int, int] = {}
         for n, addr, value in writes:
@@ -595,12 +631,39 @@ def test_memory_image_reader_matches_the_line_by_line_reader():
         lines[at:at] = [bad[0]]
         if rng.random() < 0.3:
             lines.insert(rng.randrange(at + 1, len(lines) + 1), bad[1])
-        text = _image_text(rng, lines)
+        text = _image_text(rng, lines, shape)
+        _assert_plain_rows(text)
         with pytest.raises(EvalFault) as want:
             _line_by_line_image(text)
         with pytest.raises(EvalFault) as got:
             parse_memory_image(text)
         assert str(got.value) == str(want.value)
+    assert 100 < plains < 200, plains
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_a_one_width_image_packs_its_values_at_once(n, monkeypatch):
+    """An image whose lines all write n bytes, n in 1, 2, 4 or 8, makes
+    its bytes with one `struct.pack` of its values, masked to n bytes
+    where one is wider; an image of another width, or of two, joins them.
+    Either gives the line-by-line reader's pages."""
+    packs = []
+    monkeypatch.setattr(st_mod, "struct", types.SimpleNamespace(
+        pack=lambda *args: packs.append(args[0]) or struct.pack(*args)))
+    rng = random.Random(0x1A6E3 + n)
+    for k in range(40):
+        writes = [(n, addr, value) for _, addr, value in _image_writes(rng)] or [(n, 8, 9)]
+        if k % 4 == 3:  # one line of another width
+            at = rng.randrange(len(writes))
+            writes[at] = (n % 8 + 1, *writes[at][1:])
+        writes = [(m, min(addr, (1 << 32) - m), value) for m, addr, value in writes]
+        plain = k % 2 == 0
+        text = _image_text(rng, _image_lines(rng, writes, plain), "plain" if plain else "any")
+        assert parse_memory_image(text).pages == _line_by_line_image(text).pages
+        m = writes[0][0]
+        one = m in (1, 2, 4, 8) and all(write[0] == m for write in writes)
+        assert packs == ([f"<{len(writes)}{'BHIQ'[m.bit_length() - 1]}"] if one else [])
+        packs.clear()
 
 
 def test_array_image_contents(array_image):
